@@ -676,7 +676,9 @@ def _train(args: argparse.Namespace) -> int:
             f"{stats.get('refreshed_keys', 0)} keys, "
             f"{stats.get('candidates_scored', 0)} candidates scored, "
             f"{stats.get('hard_negatives_served', 0)} hard negatives "
-            f"served, {stats.get('refresh_bytes', 0) / 1e6:.1f} MB refresh "
+            f"served, {stats.get('cache_keys', 0)} keys cached, "
+            f"{stats.get('pending_keys', 0)} pending, "
+            f"{stats.get('refresh_bytes', 0) / 1e6:.1f} MB refresh "
             f"traffic, {stats.get('neg_cache_time', 0.0):.3f}s simulated"
         )
     if args.checkpoint is not None:
@@ -1003,8 +1005,6 @@ def _serve_bench_overload(
 
 def _stream(args: argparse.Namespace) -> int:
     """The ``stream`` subcommand: online training under hotness drift."""
-    import math
-
     from repro.core.config import TrainingConfig
     from repro.core.trainer import make_trainer
     from repro.kg.datasets import generate_dataset
@@ -1027,7 +1027,11 @@ def _stream(args: argparse.Namespace) -> int:
         neg_cache=args.neg_cache or "off",
         seed=args.seed,
     )
-    steps = args.epochs * math.ceil(graph.num_triples / config.batch_size)
+    # The stream's horizon is the trainer's real step budget: the triples
+    # are split over the machines, so it is known only after set-up.
+    trainer = make_trainer(args.system, config)
+    trainer.setup(graph)
+    steps = config.epochs * trainer.steps_per_epoch
     knobs = (
         {}
         if args.profile == "none"
@@ -1043,7 +1047,6 @@ def _stream(args: argparse.Namespace) -> int:
         f"fingerprint={stream.fingerprint()[:12]}"
     )
 
-    trainer = make_trainer(args.system, config)
     online = OnlineTrainer(trainer, stream, eval_every=args.eval_every)
     start = time.time()
     result = online.train(graph)
@@ -1074,7 +1077,7 @@ def _stream(args: argparse.Namespace) -> int:
         )
     )
     print(
-        f"applied {result.updates_applied} updates: "
+        f"applied {result.updates_applied}/{len(stream.updates)} updates: "
         f"+{result.triples_inserted}/-{result.triples_deleted} triples, "
         f"+{result.entities_added} entities, +{result.relations_added} "
         f"relations, {result.cache_rows_invalidated} cache rows invalidated"
@@ -1084,6 +1087,8 @@ def _stream(args: argparse.Namespace) -> int:
         print(
             f"neg cache: {stats.get('refreshes', 0)} refreshes, "
             f"{stats.get('candidates_scored', 0)} candidates scored, "
+            f"{stats.get('cache_keys', 0)} keys cached, "
+            f"{stats.get('pending_keys', 0)} pending, "
             f"{stats.get('refresh_bytes', 0) / 1e6:.1f} MB refresh traffic, "
             f"{result.neg_cache_keys_invalidated} keys invalidated by "
             "stream deletes"

@@ -205,7 +205,9 @@ class TrainResult:
     scored_candidates: int = 0
     #: Hard-negative cache accounting when ``config.neg_cache != "off"``
     #: (see :mod:`repro.sampling.cache`): refresh counters summed over
-    #: workers plus ``refresh_bytes``/``refresh_messages`` (the pulls the
+    #: workers, ``cache_keys``/``pending_keys`` (keys holding a cache /
+    #: touched keys still queued for a refresh when the run ended — the
+    #: backlog), ``refresh_bytes``/``refresh_messages`` (the pulls the
     #: refreshes paid for) and ``neg_cache_time`` (the slowest machine's
     #: ``"neg_cache"`` clock category).  Empty when the cache is off.
     neg_cache_stats: dict = field(default_factory=dict)
@@ -256,6 +258,13 @@ class HETKGTrainer:
 
     def _make_strategy(self) -> HotEmbeddingStrategy | None:
         return make_strategy(self.config)
+
+    @property
+    def steps_per_epoch(self) -> int:
+        """Steps every worker runs per epoch (after :meth:`setup`): the
+        largest shard's batch count, so ``epochs * steps_per_epoch`` is the
+        run's step budget."""
+        return max(w.sampler.batches_per_epoch for w in self.workers)
 
     def setup(self, train_graph: KnowledgeGraph) -> None:
         """Partition the graph and build the cluster (idempotent)."""
@@ -437,7 +446,7 @@ class HETKGTrainer:
         assert self.server is not None
         cfg = self.config
         history = TrainingHistory()
-        iterations = max(w.sampler.batches_per_epoch for w in self.workers)
+        iterations = self.steps_per_epoch
 
         # Accounting snapshot: every train() call reports only the traffic
         # and simulated time *it* generated, so calling train() repeatedly
@@ -525,7 +534,7 @@ class HETKGTrainer:
         if any(w.neg_cache is not None for w in self.workers):
             refresh_comm = CommRecord()
             counter_totals: dict[str, int] = {}
-            cache_keys = 0
+            cache_keys = pending_keys = 0
             for w, comm_b, counter_b in zip(
                 self.workers, neg_comm_base, neg_counter_base
             ):
@@ -533,6 +542,7 @@ class HETKGTrainer:
                     continue
                 refresh_comm.merge(w.neg_cache_comm.difference(comm_b))
                 cache_keys += w.neg_cache.num_keys
+                pending_keys += w.neg_cache.pending_keys
                 for key, value in w.neg_cache.counters().items():
                     counter_totals[key] = (
                         counter_totals.get(key, 0) + value - counter_b.get(key, 0)
@@ -540,6 +550,7 @@ class HETKGTrainer:
             neg_cache_stats = {
                 **counter_totals,
                 "cache_keys": cache_keys,
+                "pending_keys": pending_keys,
                 "refresh_bytes": refresh_comm.total_bytes,
                 "refresh_remote_bytes": refresh_comm.remote_bytes,
                 "refresh_messages": refresh_comm.total_messages,

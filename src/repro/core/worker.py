@@ -322,7 +322,7 @@ class Worker:
             self.scored_candidates += scored
             span.set(
                 bytes=comm_e.total_bytes + comm_r.total_bytes,
-                keys=len(plan.keys),
+                keys=len(plan.codes),
                 scores=scored,
             )
         self.trace.count("worker.neg_refreshes")

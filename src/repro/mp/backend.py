@@ -103,7 +103,7 @@ def run_mp_training(
     server = trainer.server
     store = server.store
     num_workers = len(trainer.workers)
-    iterations = max(w.sampler.batches_per_epoch for w in trainer.workers)
+    iterations = trainer.steps_per_epoch
     bound = staleness_bound if staleness_bound is not None else cfg.sync_period
     if bound < 1:
         raise MPUnsupportedError(f"staleness bound must be >= 1, got {bound}")

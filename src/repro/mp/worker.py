@@ -388,6 +388,7 @@ def _run(spec: WorkerSpec, controls: MPControls, arrays) -> None:
             {
                 **worker.neg_cache.counters(),
                 "cache_keys": worker.neg_cache.num_keys,
+                "pending_keys": worker.neg_cache.pending_keys,
             }
             if worker.neg_cache is not None
             else {}

@@ -66,8 +66,13 @@ class SparseAdagrad(SparseOptimizer):
         else:
             ids, g = coalesce(row_ids, grads)
         acc = self._accumulator_for(table_name, table)
-        acc[ids] += g * g
-        table[ids] -= self.lr * g / np.sqrt(acc[ids] + self.eps)
+        # Step from the sum just computed, not from a re-read of ``acc``:
+        # on the shared accumulator of the async mp backend another worker
+        # can store a stale value between the write and the read, and a
+        # stale 0 turns the step into ``lr * g / sqrt(eps)``.
+        total = acc[ids] + g * g
+        acc[ids] = total
+        table[ids] -= self.lr * g / np.sqrt(total + self.eps)
 
     def state_size(self) -> int:
         return int(sum(acc.size for acc in self._accumulators.values()))

@@ -317,8 +317,7 @@ class OnlineTrainer:
         assert trainer.server is not None
         self.graph = train_graph
         cfg = trainer.config
-        iterations = max(w.sampler.batches_per_epoch for w in trainer.workers)
-        total_steps = cfg.epochs * iterations
+        total_steps = cfg.epochs * trainer.steps_per_epoch
 
         comm_base = trainer.network.totals.copy()
         clock_base = {
@@ -370,6 +369,10 @@ class OnlineTrainer:
                     neg_cache_stats[name] = neg_cache_stats.get(name, 0) + value
                 neg_cache_stats["cache_keys"] = (
                     neg_cache_stats.get("cache_keys", 0) + w.neg_cache.num_keys
+                )
+                neg_cache_stats["pending_keys"] = (
+                    neg_cache_stats.get("pending_keys", 0)
+                    + w.neg_cache.pending_keys
                 )
                 refresh_comm.merge(w.neg_cache_comm)
             neg_cache_stats["refresh_bytes"] = refresh_comm.total_bytes

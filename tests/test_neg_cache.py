@@ -110,7 +110,7 @@ class TestCorrupt:
         for row in tiny_graph.triples:
             for direction in (False, True):
                 key = CachedNegativeSampler._key_of(row, direction)
-                sampler._cache[key] = np.array([5], dtype=np.int64)
+                sampler.seed_cache(key, np.array([5], dtype=np.int64))
         batch = sampler.corrupt(tiny_graph.triples)
         assert (batch.neg_entities == 5).all()
         assert sampler.hard_negatives_served == batch.size * batch.num_negatives
@@ -127,7 +127,7 @@ class TestCorrupt:
         runs = []
         for _ in range(2):
             sampler = _cached(small_graph.num_entities, seed=3)
-            sampler._cache[(0, 0, False)] = np.array([1, 2], dtype=np.int64)
+            sampler.seed_cache((0, 0, False), np.array([1, 2], dtype=np.int64))
             batches = [
                 sampler.corrupt(small_graph.triples[:32]).neg_entities
                 for _ in range(4)
@@ -151,11 +151,12 @@ class TestRefresh:
     def test_plan_refresh_prefers_hottest_keys(self):
         sampler = _cached(refresh_keys=1, pool_size=8)
         hot, cold = (3, 0, False), (7, 1, True)
-        sampler._touched = {cold: 1, hot: 5}
+        sampler.touch(cold, 1)
+        sampler.touch(hot, 5)
         plan = sampler.plan_refresh()
         assert plan is not None and plan.keys == [hot]
         # The cold key keeps its touch count for the next event.
-        assert sampler._touched == {cold: 1}
+        assert sampler.pending() == {cold: 1}
 
     def test_plan_excludes_anchor_and_true_triples(self, tiny_graph):
         sampler = _cached(
@@ -165,7 +166,7 @@ class TestRefresh:
         )
         # Corrupting the head of (0, 0, 1): anchor is tail entity 1, and
         # entity 0 would reconstruct the true triple (0, 0, 1).
-        sampler._touched = {(1, 0, True): 1}
+        sampler.touch((1, 0, True), 1)
         plan = sampler.plan_refresh()
         assert plan is not None
         (candidates,) = plan.candidates
@@ -179,7 +180,7 @@ class TestRefresh:
         sampler = _cached(
             num_entities=16, cache_size=2, pool_size=8, temperature=1e-6
         )
-        sampler._touched = {(3, 0, False): 1}
+        sampler.touch((3, 0, False), 1)
         plan = sampler.plan_refresh()
         assert plan is not None
         # Dim-1 rows equal to the entity id: _IdScoreModel then ranks
@@ -192,11 +193,12 @@ class TestRefresh:
         assert scored == plan.num_scores > 0
         (candidates,) = plan.candidates
         expected = np.sort(candidates)[-2:]
-        np.testing.assert_array_equal(sampler._cache[(3, 0, False)], expected)
+        np.testing.assert_array_equal(sampler.cached((3, 0, False)), expected)
 
     def test_counters_accumulate(self):
         sampler = _cached(num_entities=16, pool_size=8)
-        sampler._touched = {(3, 0, False): 1, (5, 1, True): 2}
+        sampler.touch((3, 0, False), 1)
+        sampler.touch((5, 1, True), 2)
         plan = sampler.plan_refresh()
         sampler.complete_refresh(
             plan,
@@ -212,7 +214,7 @@ class TestRefresh:
 
     def test_cache_respects_size_bound(self):
         sampler = _cached(num_entities=64, cache_size=3, pool_size=32)
-        sampler._touched = {(1, 0, False): 1}
+        sampler.touch((1, 0, False), 1)
         plan = sampler.plan_refresh()
         sampler.complete_refresh(
             plan,
@@ -220,11 +222,12 @@ class TestRefresh:
             plan.entity_ids.astype(float)[:, None],
             plan.relation_ids.astype(float)[:, None],
         )
-        assert len(sampler._cache[(1, 0, False)]) <= 3
+        assert len(sampler.cached((1, 0, False))) <= 3
 
     def test_refresh_plan_pull_sets_cover_candidates(self):
         sampler = _cached(num_entities=32, pool_size=8)
-        sampler._touched = {(3, 0, False): 1, (9, 1, True): 1}
+        sampler.touch((3, 0, False), 1)
+        sampler.touch((9, 1, True), 1)
         plan = sampler.plan_refresh()
         for key, candidates in zip(plan.keys, plan.candidates):
             assert key[0] in plan.entity_ids
@@ -246,7 +249,7 @@ class TestStreamingOps:
     def test_resize_purges_newly_true_negatives(self, tiny_graph):
         sampler = _cached(tiny_graph.num_entities, filter_graph=tiny_graph)
         # Cache entity 4 as a head-corruption for (r=0, t=1) — legal now.
-        sampler._cache[(1, 0, True)] = np.array([4], dtype=np.int64)
+        sampler.seed_cache((1, 0, True), np.array([4], dtype=np.int64))
         grown = KnowledgeGraph(
             np.vstack([tiny_graph.triples, [[4, 0, 1]]]),
             num_entities=tiny_graph.num_entities,
@@ -254,27 +257,26 @@ class TestStreamingOps:
         )
         sampler.resize(grown.num_entities, filter_graph=grown)
         # (4, 0, 1) is now a true triple: it must leave the cache.
-        assert 4 not in sampler._cache[(1, 0, True)]
+        assert 4 not in sampler.cached((1, 0, True))
 
     def test_invalidate_drops_anchored_keys_and_purges_ids(self):
         sampler = _cached(num_entities=16)
-        sampler._cache = {
-            (3, 0, False): np.array([1, 2], dtype=np.int64),
-            (5, 0, True): np.array([3, 7], dtype=np.int64),
-            (6, 1, False): np.array([8], dtype=np.int64),
-        }
-        sampler._touched = {(3, 0, False): 2, (6, 1, False): 1}
+        sampler.seed_cache((3, 0, False), np.array([1, 2], dtype=np.int64))
+        sampler.seed_cache((5, 0, True), np.array([3, 7], dtype=np.int64))
+        sampler.seed_cache((6, 1, False), np.array([8], dtype=np.int64))
+        sampler.touch((3, 0, False), 2)
+        sampler.touch((6, 1, False), 1)
         dropped = sampler.invalidate_ids(
             np.array([3], dtype=np.int64), np.array([1], dtype=np.int64)
         )
         # Key anchored on entity 3 and key on relation 1 are gone; the
         # survivor's negative list loses the deleted entity 3.
         assert dropped == 2
-        assert set(sampler._cache) == {(5, 0, True)}
+        assert sampler.cached_keys() == [(5, 0, True)]
         np.testing.assert_array_equal(
-            sampler._cache[(5, 0, True)], np.array([7])
+            sampler.cached((5, 0, True)), np.array([7])
         )
-        assert sampler._touched == {}
+        assert sampler.pending() == {}
 
     def test_invalidate_noop_returns_zero(self):
         sampler = _cached()
@@ -301,6 +303,9 @@ class TestWorkerIntegration:
         assert stats["refresh_messages"] > 0
         assert stats["neg_cache_time"] > 0.0
         assert stats["cache_keys"] > 0
+        assert stats["pending_keys"] == sum(
+            w.neg_cache.pending_keys for w in trainer.workers
+        ) > 0
         # Refresh scoring adds to the training forward passes.
         assert result.scored_candidates > 0
         for worker in trainer.workers:
@@ -378,6 +383,9 @@ class TestStreamingIntegration:
         assert result.triples_deleted > 0  # the profile actually deletes
         assert result.neg_cache_keys_invalidated > 0
         assert result.neg_cache_stats["refreshes"] > 0
+        assert result.neg_cache_stats["pending_keys"] == sum(
+            w.neg_cache.pending_keys for w in trainer.workers
+        ) > 0
 
     def test_resize_growth_keeps_cached_sampler_valid(self):
         from repro.kg.datasets import generate_dataset
@@ -427,6 +435,8 @@ class TestMpSyncBitIdentity:
             r_sim.neg_cache_stats["candidates_scored"]
         )
         assert r_mp.scored_candidates == r_sim.scored_candidates
+        for name in ("cache_keys", "pending_keys"):
+            assert r_mp.neg_cache_stats[name] == r_sim.neg_cache_stats[name] > 0
 
 
 # ------------------------------------------------------------------- CLI

@@ -122,6 +122,23 @@ class TestSparseAdagrad:
         with pytest.raises(ValueError):
             SparseAdagrad(lr=0.1, eps=0.0)
 
+    def test_step_survives_stale_write_to_shared_accumulator(self):
+        """Async mp workers share the accumulator: a peer whose gradient for
+        the row is 0 can write its stale 0 back right after our store.  The
+        step must come from the sum we computed, not from a re-read (which
+        would be ``lr * g / sqrt(eps)`` = 10^4 * g)."""
+
+        class _PeerOverwrites(np.ndarray):
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                super().__setitem__(key, 0.0)  # the peer's stale store
+
+        table = np.zeros((1, 2))
+        opt = SparseAdagrad(lr=0.1)
+        opt._accumulators["t"] = np.zeros((1, 2)).view(_PeerOverwrites)
+        opt.update("t", table, np.array([0]), np.array([[4.0, -9.0]]))
+        np.testing.assert_allclose(table[0], [-0.1, 0.1], rtol=1e-4)
+
 
 class TestGetOptimizer:
     def test_names(self):

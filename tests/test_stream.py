@@ -9,6 +9,8 @@ static ``Trainer`` bit-for-bit.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -367,12 +369,16 @@ class TestWiring:
             [
                 "stream", "--scale", "0.015", "--epochs", "1",
                 "--profile", "rotation", "--system", "hetkg-a",
+                "--machines", "4",
             ]
         ) == 0
         out = capsys.readouterr().out
         assert "profile=rotation" in out
         assert "hit ratio" in out
-        assert "applied" in out
+        # The stream is sized from the trainer's real step budget, so every
+        # generated update falls due before the last step.
+        applied, generated = re.search(r"applied (\d+)/(\d+) updates", out).groups()
+        assert int(applied) == int(generated) > 0
 
     def test_cli_stream_rejects_pbg(self, capsys):
         from repro.cli import main
