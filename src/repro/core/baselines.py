@@ -23,7 +23,8 @@ import numpy as np
 
 from repro.core.compute import compute_batch_gradients
 from repro.core.config import TrainingConfig
-from repro.core.convergence import HistoryPoint, TrainingHistory
+from repro.core.convergence import TrainingHistory
+from repro.core.ledger import RunLedger, WorkerStats, epoch_point
 from repro.core.evaluation import LinkPredictionResult, evaluate_link_prediction
 from repro.core.trainer import HETKGTrainer, TrainResult
 from repro.kg.graph import KnowledgeGraph
@@ -228,10 +229,13 @@ class PBGTrainer:
         history = TrainingHistory()
         bucket_rngs = spawn_rngs(self._rng, max(1, len(self._buckets)))
 
-        # Per-call accounting snapshot (see HETKGTrainer.train): repeated
-        # train() calls must not report the previous call's traffic/time.
-        comm_base = self.network.totals.copy()
-        clock_base = [c.copy() for c in self._clocks]
+        ledger = RunLedger(
+            lambda: [
+                WorkerStats(machine=m, clock=c.copy())
+                for m, c in enumerate(self._clocks)
+            ],
+            self.network,
+        )
 
         ordered = sorted(self._buckets.items())
         # Lock-server state: the simulated time at which each entity
@@ -245,7 +249,8 @@ class PBGTrainer:
             for i, (key, idx) in enumerate(ordered):
                 machine = i % cfg.num_machines
                 clock = self._clocks[machine]
-                rel = clock.elapsed - clock_base[machine].elapsed
+                entry = ledger.entry[machine].clock.elapsed
+                rel = clock.elapsed - entry
                 ready = max(part_ready[p] for p in set(key))
                 if ready > rel:
                     clock.advance(ready - rel, "communication")
@@ -255,50 +260,27 @@ class PBGTrainer:
                     )
                 )
                 for p in set(key):
-                    part_ready[p] = clock.elapsed - clock_base[machine].elapsed
-            metrics: dict[str, float] = {}
-            is_last = epoch == cfg.epochs
-            due = eval_every is not None and epoch % eval_every == 0
-            if eval_graph is not None and (due or is_last):
-                result = self.evaluate(
-                    eval_graph,
-                    filter_set=filter_set,
-                    max_queries=eval_max_queries,
-                    num_candidates=eval_candidates,
-                )
-                metrics = {
-                    "mrr": result.mrr,
-                    "mr": result.mr,
-                    **{f"hits@{k}": v for k, v in result.hits.items()},
-                }
+                    part_ready[p] = clock.elapsed - entry
             history.append(
-                HistoryPoint(
-                    epoch=epoch,
-                    sim_time=max(
-                        c.elapsed - base.elapsed
-                        for c, base in zip(self._clocks, clock_base)
-                    ),
-                    loss=float(np.mean(losses)) if losses else 0.0,
-                    metrics=metrics,
+                epoch_point(
+                    self,
+                    epoch,
+                    ledger.sim_time(),
+                    losses,
+                    eval_graph,
+                    filter_set,
+                    eval_every,
+                    eval_max_queries,
+                    eval_candidates,
                 )
             )
 
-        slowest_i = max(
-            range(len(self._clocks)),
-            key=lambda i: self._clocks[i].elapsed - clock_base[i].elapsed,
-        )
-        slowest, base = self._clocks[slowest_i], clock_base[slowest_i]
         return TrainResult(
             config=cfg,
             system=self.system_name,
             history=history,
-            sim_time=slowest.elapsed - base.elapsed,
-            compute_time=slowest.category("compute") - base.category("compute"),
-            communication_time=slowest.category("communication")
-            - base.category("communication"),
-            comm_totals=self.network.totals.difference(comm_base),
-            cache_hit_ratio=0.0,
             final_metrics=history.points[-1].metrics if history.points else {},
+            **ledger.summary().fields_for(TrainResult),
         )
 
     # --------------------------------------------------------------- evaluate

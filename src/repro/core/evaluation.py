@@ -110,37 +110,6 @@ class FilterIndex:
         return self._tails.get((h, r), self._empty)
 
 
-def _full_ranks_reference(
-    model: KGEModel,
-    entity_table: np.ndarray,
-    relation_table: np.ndarray,
-    triples: np.ndarray,
-    replace_head: bool,
-    filter_index: "FilterIndex | None",
-) -> list[int]:
-    """Per-query full-candidate ranks — the equivalence oracle.
-
-    This is the pre-vectorization implementation, kept verbatim (one
-    ``_rank_one_side`` call per query) so the batched production kernels
-    can be checked against it bit for bit.
-    """
-    candidates = np.arange(len(entity_table))
-    return [
-        _rank_one_side(
-            model,
-            entity_table,
-            relation_table,
-            int(h),
-            int(r),
-            int(t),
-            replace_head,
-            candidates,
-            filter_index,
-        )
-        for h, r, t in triples
-    ]
-
-
 def _ranks_batched(
     model: KGEModel,
     entity_table: np.ndarray,
@@ -154,8 +123,9 @@ def _ranks_batched(
 
     Scores ``(queries x all entities)`` through the model in flat blocks of
     at most ``block_rows`` rows, avoiding the per-query Python loop.  Ranks
-    are bit-identical to :func:`_full_ranks_reference` (scores are the same
-    per-row arithmetic, only the batching differs).
+    are bit-identical to one :func:`_rank_one_side` call per query (scores
+    are the same per-row arithmetic, only the batching differs; the oracle
+    lives in ``tests/reference/evaluation_reference.py``).
     """
     n_ent = len(entity_table)
     ranks: list[int] = []
@@ -330,7 +300,7 @@ def evaluate_link_prediction(
         Use the vectorized block-scoring kernels (the default).  Results
         are bit-identical to the per-query reference implementation
         (``batched=False``), which is kept as the equivalence oracle —
-        see :func:`_full_ranks_reference` / :func:`_ranks_sampled_batched`.
+        see :func:`_ranks_batched` / :func:`_ranks_sampled_batched`.
     """
     rng = make_rng(seed)
     triples = test.triples

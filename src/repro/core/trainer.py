@@ -24,7 +24,8 @@ from repro.cache.strategies import (
 )
 from repro.cache.sync import HotEmbeddingCache
 from repro.core.config import TrainingConfig
-from repro.core.convergence import HistoryPoint, TrainingHistory
+from repro.core.convergence import TrainingHistory
+from repro.core.ledger import RunLedger, epoch_point
 from repro.core.telemetry import Telemetry
 from repro.core.evaluation import LinkPredictionResult, evaluate_link_prediction
 from repro.core.worker import Worker
@@ -448,23 +449,14 @@ class HETKGTrainer:
         history = TrainingHistory()
         iterations = self.steps_per_epoch
 
-        # Accounting snapshot: every train() call reports only the traffic
-        # and simulated time *it* generated, so calling train() repeatedly
-        # (warm restarts, continued training) cannot inflate the books
-        # with a previous run's totals.
-        comm_base = self.network.totals.copy()
-        clock_base = [w.clock.copy() for w in self.workers]
-        leak_base = [
-            w.sampler.negative_sampler.false_negative_leaks for w in self.workers
-        ]
-        scored_base = [w.scored_candidates for w in self.workers]
-        neg_comm_base = [w.neg_cache_comm.copy() for w in self.workers]
-        neg_counter_base = [
-            w.neg_cache.counters() if w.neg_cache is not None else {}
-            for w in self.workers
-        ]
+        # Opened before worker.start(): a first call's hot-table install is
+        # on its books, a later call (already started) reports only itself.
         tier = self.server.store.tier
-        tier_base = tier.clock.elapsed if tier is not None else 0.0
+        ledger = RunLedger(
+            lambda: [w.stats() for w in self.workers],
+            self.network,
+            tier.clock if tier is not None else None,
+        )
         wall_start = time.perf_counter()
 
         for worker in self.workers:
@@ -483,105 +475,39 @@ class HETKGTrainer:
                 global_iteration += 1
                 if checkpoints is not None:
                     checkpoints.maybe_snapshot(global_iteration)
-
-            metrics: dict[str, float] = {}
-            is_last = epoch == cfg.epochs
-            due = eval_every is not None and epoch % eval_every == 0
-            if eval_graph is not None and (due or is_last):
-                result = self.evaluate(
-                    eval_graph,
-                    filter_set=filter_set,
-                    max_queries=eval_max_queries,
-                    num_candidates=eval_candidates,
-                )
-                metrics = {
-                    "mrr": result.mrr,
-                    "mr": result.mr,
-                    **{f"hits@{k}": v for k, v in result.hits.items()},
-                }
             history.append(
-                HistoryPoint(
-                    epoch=epoch,
-                    sim_time=max(
-                        w.clock.elapsed - base.elapsed
-                        for w, base in zip(self.workers, clock_base)
-                    ),
-                    loss=float(np.mean(losses)) if losses else 0.0,
-                    metrics=metrics,
+                epoch_point(
+                    self,
+                    epoch,
+                    ledger.sim_time(),
+                    losses,
+                    eval_graph,
+                    filter_set,
+                    eval_every,
+                    eval_max_queries,
+                    eval_candidates,
                 )
             )
 
-        slowest_i = max(
-            range(len(self.workers)),
-            key=lambda i: self.workers[i].clock.elapsed - clock_base[i].elapsed,
-        )
-        slowest = self.workers[slowest_i]
-        base = clock_base[slowest_i]
-        hit_ratios = [w.cache_hit_ratio() for w in self.workers]
+        summary = ledger.summary()
         fault_stats: dict[str, float] = {}
         if injector is not None:
             fault_stats = injector.stats.as_dict()
-            fault_stats["recovery_time"] = sum(
-                w.clock.category("recovery") - base.category("recovery")
-                for w, base in zip(self.workers, clock_base)
-            )
+            fault_stats["recovery_time"] = summary.recovery_time
         if checkpoints is not None:
             fault_stats["checkpoints"] = checkpoints.saves
         memory_report = self.server.store.memory_report()
         if telemetry is not None:
             telemetry.record_memory(memory_report)
-        neg_cache_stats: dict = {}
-        if any(w.neg_cache is not None for w in self.workers):
-            refresh_comm = CommRecord()
-            counter_totals: dict[str, int] = {}
-            cache_keys = pending_keys = 0
-            for w, comm_b, counter_b in zip(
-                self.workers, neg_comm_base, neg_counter_base
-            ):
-                if w.neg_cache is None:
-                    continue
-                refresh_comm.merge(w.neg_cache_comm.difference(comm_b))
-                cache_keys += w.neg_cache.num_keys
-                pending_keys += w.neg_cache.pending_keys
-                for key, value in w.neg_cache.counters().items():
-                    counter_totals[key] = (
-                        counter_totals.get(key, 0) + value - counter_b.get(key, 0)
-                    )
-            neg_cache_stats = {
-                **counter_totals,
-                "cache_keys": cache_keys,
-                "pending_keys": pending_keys,
-                "refresh_bytes": refresh_comm.total_bytes,
-                "refresh_remote_bytes": refresh_comm.remote_bytes,
-                "refresh_messages": refresh_comm.total_messages,
-                "neg_cache_time": slowest.clock.category("neg_cache")
-                - base.category("neg_cache"),
-            }
         return TrainResult(
             config=cfg,
             system=self.system_name,
             history=history,
-            sim_time=slowest.clock.elapsed - base.elapsed,
-            compute_time=slowest.clock.category("compute")
-            - base.category("compute"),
-            communication_time=slowest.clock.category("communication")
-            - base.category("communication"),
-            comm_totals=self.network.totals.difference(comm_base),
-            cache_hit_ratio=float(np.mean(hit_ratios)) if hit_ratios else 0.0,
             final_metrics=history.points[-1].metrics if history.points else {},
             fault_stats=fault_stats,
-            tier_time=(tier.clock.elapsed - tier_base) if tier is not None else 0.0,
             memory_report=memory_report,
             wall_time_s=time.perf_counter() - wall_start,
-            false_negative_leaks=sum(
-                w.sampler.negative_sampler.false_negative_leaks - b
-                for w, b in zip(self.workers, leak_base)
-            ),
-            scored_candidates=sum(
-                w.scored_candidates - b
-                for w, b in zip(self.workers, scored_base)
-            ),
-            neg_cache_stats=neg_cache_stats,
+            **summary.fields_for(TrainResult),
         )
 
     # ----------------------------------------------------------------- train_mp

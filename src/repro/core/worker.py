@@ -22,6 +22,7 @@ from __future__ import annotations
 from repro.cache.strategies import HotEmbeddingStrategy
 from repro.cache.sync import HotEmbeddingCache
 from repro.core.compute import compute_batch_gradients
+from repro.core.ledger import WorkerStats
 from repro.core.telemetry import IterationRecord, Telemetry
 from repro.obs.tracer import NULL_SCOPE
 from repro.models.base import KGEModel
@@ -388,11 +389,28 @@ class Worker:
 
     # ------------------------------------------------------------------ stats
 
-    def cache_hit_ratio(self) -> float:
-        """Combined entity+relation hit ratio (0.0 without a cache)."""
-        if self.cache is None:
-            return 0.0
-        return self.cache.combined_stats().hit_ratio
+    def stats(self) -> WorkerStats:
+        """Snapshot everything this worker accumulates (see
+        :mod:`repro.core.ledger`); read at ``train()`` entry, epoch
+        boundaries and exit, never per step."""
+        stats = WorkerStats(
+            machine=self.machine,
+            clock=self.clock.copy(),
+            iterations=self.iterations,
+            scored_candidates=self.scored_candidates,
+            false_negative_leaks=self.sampler.negative_sampler.false_negative_leaks,
+            neg_cache_comm=self.neg_cache_comm.copy(),
+        )
+        if self.cache is not None:
+            lookups = self.cache.combined_stats()
+            stats.cache_hits, stats.cache_misses = lookups.hits, lookups.misses
+            stats.staleness_overruns = self.cache.staleness_overruns
+            stats.max_staleness_overrun = self.cache.max_staleness_overrun
+        if self.neg_cache is not None:
+            stats.neg_cache = self.neg_cache.counters()
+            stats.neg_cache_keys = self.neg_cache.num_keys
+            stats.neg_pending_keys = self.neg_cache.pending_keys
+        return stats
 
     # ---------------------------------------------------------------- private
 

@@ -56,13 +56,20 @@ class RetriesExhausted(RuntimeError):
         self.attempts = attempts
 
 
-class FaultyPSChannel:
-    """Per-machine retrying RPC shim in front of the parameter server.
+class RetryingChannel:
+    """The retry core both fault channels share.
+
+    One attempt's fate (outage, then seeded drop), the metering of a failed
+    attempt's wasted wire traffic, the timeout + jittered-backoff wait and
+    the injected in-flight delay are identical for the training RPC shim
+    (:class:`FaultyPSChannel`) and the serving shard channel
+    (:class:`repro.serving.channel.FaultyShardChannel`); a subclass says
+    only where shard owners and wasted-attempt bytes come from
+    (:meth:`_shards`, :meth:`_wasted`) and, optionally, how to log an
+    incident (:meth:`_event`).
 
     Parameters
     ----------
-    server:
-        The real (shared) parameter server.
     machine:
         The machine this channel belongs to (its faults, its clock).
     injector:
@@ -70,6 +77,110 @@ class FaultyPSChannel:
     clock:
         The machine's simulated clock; timeouts/backoffs/delays are
         charged here under ``"communication"``.
+    """
+
+    def __init__(self, machine: int, injector: FaultInjector, clock: SimClock) -> None:
+        self.machine = machine
+        self.injector = injector
+        self.policy = injector.plan.retry
+        self.clock = clock
+        #: Current step/batch index (1-based), set by the owner before each
+        #: step so fault windows line up with progress.
+        self.iteration = 0
+        #: Observability scope, bound by the owner when tracing is on.
+        self.trace = NULL_SCOPE
+
+    # ------------------------------------------------------------------ hooks
+
+    def _shards(self, kind: str, ids: np.ndarray) -> np.ndarray:
+        """Distinct shard ids an operation on ``ids`` contacts."""
+        raise NotImplementedError
+
+    def _wasted(self, kind: str, ids: np.ndarray) -> CommRecord:
+        """Wire traffic of one attempt whose payload was lost."""
+        raise NotImplementedError
+
+    def _event(self, kind: str, detail: str) -> None:
+        """Log one retry/degradation incident (no-op by default)."""
+
+    # ------------------------------------------------------------- retry core
+
+    def _attempts(self, kind: str, ids: np.ndarray, send):
+        """Run ``send()`` through the retry budget: ``(value, comm, ok)``.
+
+        ``send`` performs the real operation and returns ``(value,
+        CommRecord)``; all failed-attempt traffic is merged into ``comm``
+        (as retransmits) and all waiting time is already on the clock.
+        ``ok=False`` means the budget burned without ``send`` running.
+        """
+        comm = CommRecord()
+        for attempt in range(1, self.policy.max_attempts + 1):
+            if self._attempt_fails(kind, ids):
+                self._record_failure(comm, kind, ids, attempt)
+                continue
+            value, final = send()
+            self._apply_delay()
+            comm.merge(final)
+            return value, comm, True
+        return None, comm, False
+
+    def _attempt_fails(self, kind: str, ids: np.ndarray) -> bool:
+        """One attempt's fate: outage (deterministic) or drop (seeded)."""
+        injector = self.injector
+        if injector.plan.outages and injector.ps_unavailable(
+            self._shards(kind, ids), self.iteration
+        ):
+            return True
+        return injector.should_drop(self.machine, self.iteration)
+
+    def _record_failure(
+        self, comm: CommRecord, kind: str, ids: np.ndarray, attempt: int
+    ) -> None:
+        """Meter a failed attempt's wasted wire traffic and wait it out."""
+        wasted = self._wasted(kind, ids)
+        wasted.retransmit_bytes = wasted.total_bytes
+        comm.merge(wasted)
+        self.injector.stats.retries += 1
+        self.trace.count("rpc.retries")
+        self._event("retry", f"{kind} attempt {attempt}")
+        backoff = self.policy.backoff(attempt)
+        if backoff > 0.0 and self.policy.backoff_jitter > 0.0:
+            backoff *= 1.0 + self.policy.backoff_jitter * self.injector.backoff_jitter(
+                self.machine
+            )
+        self._wait(self.policy.timeout + backoff)
+
+    def _wait(self, seconds: float) -> None:
+        """Charge timeout/backoff time to the machine's clock."""
+        if seconds <= 0.0:
+            return
+        self.injector.stats.retry_wait_seconds += seconds
+        with self.trace.span("rpc.retry_wait", "communication") as span:
+            self.clock.advance(seconds, "communication")
+            span.set(seconds=seconds)
+
+    def _apply_delay(self) -> None:
+        """Inject scheduled in-flight latency into a successful attempt."""
+        plan = self.injector.plan
+        if not plan.delays:
+            return
+        extra = self.injector.delay_seconds(self.machine, self.iteration)
+        if extra > 0.0:
+            self.trace.count("rpc.delays")
+            with self.trace.span("rpc.injected_delay", "communication") as span:
+                self.clock.advance(extra, "communication")
+                span.set(seconds=extra)
+
+
+class FaultyPSChannel(RetryingChannel):
+    """Per-machine retrying RPC shim in front of the parameter server.
+
+    Parameters
+    ----------
+    server:
+        The real (shared) parameter server.
+    machine / injector / clock:
+        See :class:`RetryingChannel`.
     telemetry:
         Optional :class:`~repro.core.telemetry.Telemetry`; retry and
         degradation events are recorded as
@@ -84,17 +195,9 @@ class FaultyPSChannel:
         clock: SimClock,
         telemetry=None,
     ) -> None:
+        super().__init__(machine, injector, clock)
         self.server = server
-        self.machine = machine
-        self.injector = injector
-        self.policy = injector.plan.retry
-        self.clock = clock
         self.telemetry = telemetry
-        #: Current worker-local step index (1-based), updated by the worker
-        #: before each step so fault windows line up with training progress.
-        self.iteration = 0
-        #: Observability scope, bound by the trainer when tracing is on.
-        self.trace = NULL_SCOPE
 
     # ------------------------------------------------------------------- pulls
 
@@ -128,7 +231,12 @@ class FaultyPSChannel:
             self.injector.stats.stale_overruns += 1
             self.trace.count("rpc.degraded_reads")
             self._event("stale_overrun", f"{kind} x{len(np.atleast_1d(ids))}")
-        return (rows if ok else None), comm
+        return rows, comm
+
+    def _pull_attempts(self, kind: str, ids: np.ndarray):
+        return self._attempts(
+            kind, ids, lambda: self.server.pull(kind, ids, self.machine)
+        )
 
     # ------------------------------------------------------------------ pushes
 
@@ -139,85 +247,22 @@ class FaultyPSChannel:
         the gradient (asynchronous SGD tolerates it; the worker's local
         cache copy already absorbed the update), counted as ``lost_pushes``.
         """
-        comm = CommRecord()
-        attempt = 0
-        while attempt < self.policy.max_attempts:
-            attempt += 1
-            if self._attempt_fails(kind, ids):
-                self._record_failure(comm, kind, ids, attempt)
-                continue
-            final = self.server.push(kind, ids, grads, self.machine)
-            self._apply_delay()
-            comm.merge(final)
-            return comm
-        self.injector.stats.lost_pushes += 1
-        self.trace.count("rpc.lost_pushes")
-        self._event("lost_push", f"{kind} x{len(np.atleast_1d(ids))}")
+        _, comm, ok = self._attempts(
+            kind, ids, lambda: (None, self.server.push(kind, ids, grads, self.machine))
+        )
+        if not ok:
+            self.injector.stats.lost_pushes += 1
+            self.trace.count("rpc.lost_pushes")
+            self._event("lost_push", f"{kind} x{len(np.atleast_1d(ids))}")
         return comm
 
-    # ---------------------------------------------------------------- internal
+    # ------------------------------------------------------------------ hooks
 
-    def _pull_attempts(self, kind: str, ids: np.ndarray):
-        """Shared retry loop for reads: ``(rows, comm, succeeded)``."""
-        comm = CommRecord()
-        attempt = 0
-        while attempt < self.policy.max_attempts:
-            attempt += 1
-            if self._attempt_fails(kind, ids):
-                self._record_failure(comm, kind, ids, attempt)
-                continue
-            rows, final = self.server.pull(kind, ids, self.machine)
-            self._apply_delay()
-            comm.merge(final)
-            return rows, comm, True
-        return None, comm, False
+    def _shards(self, kind: str, ids: np.ndarray) -> np.ndarray:
+        return self.server.touched_shards(kind, ids)
 
-    def _attempt_fails(self, kind: str, ids: np.ndarray) -> bool:
-        """One attempt's fate: outage (deterministic) or drop (seeded)."""
-        injector = self.injector
-        if injector.plan.outages and injector.ps_unavailable(
-            self.server.touched_shards(kind, ids), self.iteration
-        ):
-            return True
-        return injector.should_drop(self.machine, self.iteration)
-
-    def _record_failure(
-        self, comm: CommRecord, kind: str, ids: np.ndarray, attempt: int
-    ) -> None:
-        """Meter a failed attempt's wasted wire traffic and wait it out."""
-        wasted = self.server.meter(kind, ids, self.machine)
-        wasted.retransmit_bytes = wasted.total_bytes
-        comm.merge(wasted)
-        self.injector.stats.retries += 1
-        self.trace.count("rpc.retries")
-        self._event("retry", f"{kind} attempt {attempt}")
-        backoff = self.policy.backoff(attempt)
-        if backoff > 0.0 and self.policy.backoff_jitter > 0.0:
-            backoff *= 1.0 + self.policy.backoff_jitter * self.injector.backoff_jitter(
-                self.machine
-            )
-        self._wait(self.policy.timeout + backoff)
-
-    def _wait(self, seconds: float) -> None:
-        """Charge timeout/backoff time to the machine's clock."""
-        if seconds <= 0.0:
-            return
-        self.injector.stats.retry_wait_seconds += seconds
-        with self.trace.span("rpc.retry_wait", "communication") as span:
-            self.clock.advance(seconds, "communication")
-            span.set(seconds=seconds)
-
-    def _apply_delay(self) -> None:
-        """Inject scheduled in-flight latency into a successful attempt."""
-        plan = self.injector.plan
-        if not plan.delays:
-            return
-        extra = self.injector.delay_seconds(self.machine, self.iteration)
-        if extra > 0.0:
-            self.trace.count("rpc.delays")
-            with self.trace.span("rpc.injected_delay", "communication") as span:
-                self.clock.advance(extra, "communication")
-                span.set(seconds=extra)
+    def _wasted(self, kind: str, ids: np.ndarray) -> CommRecord:
+        return self.server.meter(kind, ids, self.machine)
 
     def _event(self, kind: str, detail: str) -> None:
         if self.telemetry is not None:

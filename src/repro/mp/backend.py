@@ -12,8 +12,10 @@ multi-process run:
    checkpoints) the same memory the children train;
 3. one child process per worker runs :func:`repro.mp.worker.worker_main`;
    the parent collects per-epoch losses at a barrier, evaluates while the
-   children are parked, and assembles a normal
-   :class:`~repro.core.trainer.TrainResult` — with per-epoch losses
+   children are parked, and builds a normal
+   :class:`~repro.core.trainer.TrainResult` from the children's
+   ``Worker.stats()`` with the simulator's own
+   :func:`repro.core.ledger.summarize` — with per-epoch losses
    re-interleaved in the simulator's iteration-major/worker-minor order,
    which is what makes the ``sync`` schedule's ``np.mean`` (and therefore
    the golden fingerprints) bit-identical;
@@ -34,11 +36,11 @@ import time
 
 import numpy as np
 
-from repro.core.convergence import HistoryPoint, TrainingHistory
+from repro.core.convergence import TrainingHistory
+from repro.core.ledger import epoch_point, summarize
 from repro.mp.shm import SharedArena
 from repro.mp.worker import MPControls, WorkerSpec, worker_main
 from repro.ps.network import CommRecord
-from repro.utils.simclock import SimClock
 
 #: Seconds between liveness checks while waiting on children.
 _POLL_S = 0.1
@@ -117,7 +119,6 @@ def run_mp_training(
     controls: MPControls | None = None
     history = TrainingHistory()
     telemetry_records: list = []
-    summaries: dict[int, dict] = {}
     wall_start = time.perf_counter()
     try:
         # ---- move the global state into shared memory -------------------
@@ -180,46 +181,51 @@ def run_mp_training(
                 for i in range(iterations)
                 for rank in range(num_workers)
             ]
-            metrics: dict[str, float] = {}
-            is_last = epoch == cfg.epochs
-            due = eval_every is not None and epoch % eval_every == 0
-            if eval_graph is not None and (due or is_last):
-                result = trainer.evaluate(
-                    eval_graph,
-                    filter_set=filter_set,
-                    max_queries=eval_max_queries,
-                    num_candidates=eval_candidates,
-                )
-                metrics = {
-                    "mrr": result.mrr,
-                    "mr": result.mr,
-                    **{f"hits@{k}": v for k, v in result.hits.items()},
-                }
             history.append(
-                HistoryPoint(
-                    epoch=epoch,
-                    sim_time=max(epoch_clocks),
-                    loss=float(np.mean(interleaved)) if interleaved else 0.0,
-                    metrics=metrics,
+                epoch_point(
+                    trainer,
+                    epoch,
+                    max(epoch_clocks),
+                    interleaved,
+                    eval_graph,
+                    filter_set,
+                    eval_every,
+                    eval_max_queries,
+                    eval_candidates,
                 )
             )
             _set_gate(controls, epoch)  # release the next epoch's writes
 
         # ---- final reports ---------------------------------------------
         done = _collect(controls, procs, "done", num_workers, deadline, stash)
-        summaries = {rank: payload[0] for rank, payload in done.items()}
         for proc in procs:
             proc.join(timeout=max(0.0, deadline - time.monotonic()))
         wall_time_s = time.perf_counter() - wall_start
         memory_report = store.memory_report()
 
-        if telemetry is not None:
-            for rank in range(num_workers):
-                telemetry_records.extend(summaries[rank]["telemetry"])
-                for name, value in summaries[rank].get(
-                    "telemetry_counters", {}
-                ).items():
+        stats = []
+        comm_totals = CommRecord()
+        worker_wall: dict[int, dict] = {}
+        for rank in range(num_workers):
+            s, child_comm, wall, child_telemetry = done[rank]
+            stats.append(s)
+            comm_totals.merge(child_comm)
+            worker_wall[s.machine] = {
+                **wall,
+                "steps": s.iterations,
+                "staleness_overruns": s.staleness_overruns,
+                "max_staleness_overrun": s.max_staleness_overrun,
+                # Simulated counterparts, so repro.obs.reconcile can line the
+                # model's prediction up against this worker's measurements.
+                "sim_elapsed": s.clock.elapsed,
+                "sim_comm": s.clock.category("communication"),
+                "sim_compute": s.clock.category("compute"),
+            }
+            if telemetry is not None:
+                telemetry_records.extend(child_telemetry.records)
+                for name, value in child_telemetry.counters.items():
                     telemetry.bump(name, value)
+        if telemetry is not None:
             # Restore the simulator's global step order (cumulative
             # per-worker iteration, then worker position).
             telemetry_records.sort(
@@ -228,16 +234,18 @@ def run_mp_training(
             telemetry.records.extend(telemetry_records)
             telemetry.record_memory(memory_report)
 
-        return _assemble_result(
-            TrainResult,
-            cfg,
-            trainer,
-            history,
-            summaries,
-            num_workers,
-            schedule,
-            wall_time_s,
-            memory_report,
+        # The children's exit stats are their deltas (fresh processes), so
+        # the simulator's own summariser builds the result.
+        return TrainResult(
+            config=cfg,
+            system=trainer.system_name,
+            history=history,
+            final_metrics=history.points[-1].metrics if history.points else {},
+            memory_report=memory_report,
+            backend=f"mp/{schedule}",
+            wall_time_s=wall_time_s,
+            worker_wall=worker_wall,
+            **summarize(stats, comm_totals).fields_for(TrainResult),
         )
     except BaseException:
         _abort(controls, procs)
@@ -307,7 +315,7 @@ def _collect(
     """Gather ``count`` messages of kind ``want`` (one per rank).
 
     Workers run ahead of the parent: a fast worker's final-epoch report
-    and its ``done`` summary can both be queued while a slower peer is
+    and its ``done`` report can both be queued while a slower peer is
     still stepping, so messages of *other* kinds are stashed (in ``stash``,
     shared across calls) rather than treated as protocol errors.  A child
     found dead without having delivered its message marks the run as
@@ -369,77 +377,3 @@ def _stashed(stash: dict[str, list] | None, rank: int) -> bool:
     if not stash:
         return False
     return any(m[1] == rank for messages in stash.values() for m in messages)
-
-
-def _assemble_result(
-    result_cls,
-    cfg,
-    trainer,
-    history,
-    summaries: dict[int, dict],
-    num_workers: int,
-    schedule: str,
-    wall_time_s: float,
-    memory_report: dict,
-):
-    clocks = []
-    comm_totals = CommRecord()
-    hit_ratios = []
-    worker_wall: dict[int, dict] = {}
-    leaks = 0
-    scored = 0
-    neg_counters: dict[str, int] = {}
-    neg_comm = CommRecord()
-    for rank in range(num_workers):
-        s = summaries[rank]
-        clocks.append(SimClock(s["clock_elapsed"], dict(s["clock_by_category"])))
-        comm_totals.merge(CommRecord(**s["comm_totals"]))
-        hit_ratios.append(s["cache_hit_ratio"])
-        leaks += s.get("false_negative_leaks", 0)
-        scored += s.get("scored_candidates", 0)
-        for name, value in s.get("neg_cache", {}).items():
-            neg_counters[name] = neg_counters.get(name, 0) + value
-        neg_comm.merge(CommRecord(**s.get("neg_cache_comm", {})))
-        worker_wall[s["machine"]] = {
-            "wall_s": s["wall_s"],
-            "stall_s": s["stall_s"],
-            "stalls": s["stalls"],
-            "comm_wall_s": s["comm_wall_s"],
-            "comm_calls": s["comm_calls"],
-            "steps": s["steps"],
-            "staleness_overruns": s["staleness_overruns"],
-            "max_staleness_overrun": s["max_staleness_overrun"],
-            # Simulated counterparts, so repro.obs.reconcile can line the
-            # model's prediction up against this worker's measurements.
-            "sim_elapsed": s["clock_elapsed"],
-            "sim_comm": dict(s["clock_by_category"]).get("communication", 0.0),
-            "sim_compute": dict(s["clock_by_category"]).get("compute", 0.0),
-        }
-    slowest = max(clocks, key=lambda c: c.elapsed)
-    neg_cache_stats: dict = {}
-    if neg_counters:
-        neg_cache_stats = {
-            **neg_counters,
-            "refresh_bytes": neg_comm.total_bytes,
-            "refresh_remote_bytes": neg_comm.remote_bytes,
-            "refresh_messages": neg_comm.total_messages,
-            "neg_cache_time": slowest.category("neg_cache"),
-        }
-    return result_cls(
-        config=cfg,
-        system=trainer.system_name,
-        history=history,
-        sim_time=slowest.elapsed,
-        compute_time=slowest.category("compute"),
-        communication_time=slowest.category("communication"),
-        comm_totals=comm_totals,
-        cache_hit_ratio=float(np.mean(hit_ratios)) if hit_ratios else 0.0,
-        final_metrics=history.points[-1].metrics if history.points else {},
-        memory_report=memory_report,
-        backend=f"mp/{schedule}",
-        wall_time_s=wall_time_s,
-        worker_wall=worker_wall,
-        false_negative_leaks=leaks,
-        scored_candidates=scored,
-        neg_cache_stats=neg_cache_stats,
-    )

@@ -352,53 +352,14 @@ def _run(spec: WorkerSpec, controls: MPControls, arrays) -> None:
             # there are no further writes to fence off.
             stall_s += _await_gate(controls, epoch + 1)
 
-    summary = {
-        "machine": spec.machine,
-        "clock_elapsed": worker.clock.elapsed,
-        "clock_by_category": dict(worker.clock.by_category),
-        "comm_totals": {
-            "local_bytes": network.totals.local_bytes,
-            "remote_bytes": network.totals.remote_bytes,
-            "local_messages": network.totals.local_messages,
-            "remote_messages": network.totals.remote_messages,
-            "retransmit_bytes": network.totals.retransmit_bytes,
-        },
-        "cache_hit_ratio": worker.cache_hit_ratio(),
-        "staleness_overruns": (
-            worker.cache.staleness_overruns if worker.cache else 0
-        ),
-        "max_staleness_overrun": (
-            worker.cache.max_staleness_overrun if worker.cache else 0
-        ),
+    wall = {
         "wall_s": time.perf_counter() - wall_start,
         "stall_s": stall_s,
         "stalls": stalls,
         "comm_wall_s": channel.comm_wall_s,
         "comm_calls": channel.comm_calls,
-        "steps": done_steps,
-        "telemetry": telemetry.records if telemetry is not None else [],
-        "telemetry_counters": (
-            dict(telemetry.counters) if telemetry is not None else {}
-        ),
-        "false_negative_leaks": (
-            worker.sampler.negative_sampler.false_negative_leaks
-        ),
-        "scored_candidates": worker.scored_candidates,
-        "neg_cache": (
-            {
-                **worker.neg_cache.counters(),
-                "cache_keys": worker.neg_cache.num_keys,
-                "pending_keys": worker.neg_cache.pending_keys,
-            }
-            if worker.neg_cache is not None
-            else {}
-        ),
-        "neg_cache_comm": {
-            "local_bytes": worker.neg_cache_comm.local_bytes,
-            "remote_bytes": worker.neg_cache_comm.remote_bytes,
-            "local_messages": worker.neg_cache_comm.local_messages,
-            "remote_messages": worker.neg_cache_comm.remote_messages,
-            "retransmit_bytes": worker.neg_cache_comm.retransmit_bytes,
-        },
     }
-    controls.queue.put(("done", spec.rank, summary))
+    # A fresh process: the lifetime stats are this run's deltas.
+    controls.queue.put(
+        ("done", spec.rank, worker.stats(), network.totals, wall, telemetry)
+    )

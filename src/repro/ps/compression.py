@@ -25,6 +25,36 @@ import numpy as np
 from repro.ps.network import BYTES_PER_ELEMENT
 
 
+#: Quantization levels of the 8-bit codec (256 values per row range).
+_INT8_LEVELS = 255
+
+
+def fp16_encode(rows: np.ndarray) -> np.ndarray:
+    return np.asarray(rows, dtype=np.float64).astype(np.float16)
+
+
+def fp16_decode(half: np.ndarray) -> np.ndarray:
+    return half.astype(np.float64)
+
+
+def int8_encode(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row linear quantization: ``(q uint8, row minimum, row span)``.
+
+    A constant row has zero range; its span is stored as 1 so decoding
+    never divides by zero (every ``q`` is 0 and the row decodes exactly).
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    lo = rows.min(axis=1, keepdims=True)
+    hi = rows.max(axis=1, keepdims=True)
+    span = np.where(hi - lo > 0, hi - lo, 1.0)
+    q = np.round((rows - lo) / span * _INT8_LEVELS).astype(np.uint8)
+    return q, lo, span
+
+
+def int8_decode(q: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.ndarray:
+    return lo + q.astype(np.float64) / _INT8_LEVELS * span
+
+
 class Compressor(ABC):
     """A lossy wire codec for embedding/gradient rows."""
 
@@ -69,7 +99,7 @@ class Fp16Compression(Compressor):
         return 2.0
 
     def roundtrip(self, rows: np.ndarray) -> np.ndarray:
-        return rows.astype(np.float16).astype(np.float64)
+        return fp16_decode(fp16_encode(rows))
 
 
 class Int8Compression(Compressor):
@@ -81,9 +111,6 @@ class Int8Compression(Compressor):
 
     name = "int8"
 
-    def __init__(self) -> None:
-        self._levels = 255
-
     @property
     def bytes_per_element(self) -> float:
         return 1.0
@@ -91,11 +118,7 @@ class Int8Compression(Compressor):
     def roundtrip(self, rows: np.ndarray) -> np.ndarray:
         if rows.size == 0:
             return rows
-        lo = rows.min(axis=1, keepdims=True)
-        hi = rows.max(axis=1, keepdims=True)
-        span = np.where(hi - lo > 0, hi - lo, 1.0)
-        q = np.round((rows - lo) / span * self._levels)
-        return lo + q / self._levels * span
+        return int8_decode(*int8_encode(rows))
 
 
 _COMPRESSORS = {

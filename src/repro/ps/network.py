@@ -16,7 +16,6 @@ paper's units.  Defaults approximate the paper's testbed.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro.utils.validation import check_positive
@@ -132,23 +131,6 @@ class NetworkModel:
         """
         self.totals.merge(record)
         return self.cost(record)
-
-    def time_for(self, record: CommRecord) -> float:
-        """Deprecated: estimating and accounting in one call double-counts.
-
-        Historic behaviour (kept for compatibility): identical to
-        :meth:`charge`.  Callers that only want an estimate must use
-        :meth:`cost`; callers accounting real traffic must use
-        :meth:`charge`.
-        """
-        warnings.warn(
-            "NetworkModel.time_for() mutates totals as a side effect and is "
-            "deprecated; use cost() for pure estimates or charge() to "
-            "account traffic",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.charge(record)
 
     def reset_totals(self) -> None:
         self.totals = CommRecord()

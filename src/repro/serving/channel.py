@@ -31,15 +31,17 @@ Batches, not training steps, index the fault windows here: batch ``k``
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.faults.injector import FaultInjector
-from repro.obs.tracer import NULL_SCOPE
-from repro.ps.network import BYTES_PER_ELEMENT, CommRecord
+from repro.faults.rpc import RetryingChannel
+from repro.ps.network import CommRecord
 from repro.utils.simclock import SimClock
 
 
-class FaultyShardChannel:
+class FaultyShardChannel(RetryingChannel):
     """Per-frontend retrying pull path over the sharded embedding store.
 
     Parameters
@@ -47,15 +49,13 @@ class FaultyShardChannel:
     store:
         The :class:`~repro.serving.store.EmbeddingStore` (or a
         :class:`~repro.serving.deploy.VersionedStore`) owning the shard map.
-    machine:
-        The frontend's co-located shard (its fault stream, its clock).
-    injector:
-        The cluster-wide deterministic fault source.
-    clock:
-        The frontend's simulated clock; timeouts/backoffs/delays are
-        charged here under ``"communication"``.
-    byte_scale:
-        Wire-dimension byte multiplier (mirrors the frontend's).
+    machine / injector / clock:
+        See :class:`~repro.faults.rpc.RetryingChannel` (the frontend's
+        co-located shard and its serving clock).
+    meter:
+        The frontend's miss-pull metering, ``(kind, miss_ids) ->
+        CommRecord`` — a failed attempt wastes exactly what a successful
+        one would have moved.
     """
 
     def __init__(
@@ -64,42 +64,17 @@ class FaultyShardChannel:
         machine: int,
         injector: FaultInjector,
         clock: SimClock,
-        byte_scale: float = 1.0,
+        meter: Callable[[str, np.ndarray], CommRecord],
     ) -> None:
+        super().__init__(machine, injector, clock)
         self.store = store
-        self.machine = machine
-        self.injector = injector
-        self.policy = injector.plan.retry
-        self.clock = clock
-        self.byte_scale = byte_scale
-        #: Current batch index (1-based), set by the frontend before each
-        #: dispatch so fault windows line up with serving progress.
-        self.iteration = 0
-        #: Observability scope, bound by the frontend.
-        self.trace = NULL_SCOPE
+        self.meter = meter
 
-    # -------------------------------------------------------------- metering
+    def _wasted(self, kind: str, ids: np.ndarray) -> CommRecord:
+        return self.meter(kind, ids)
 
-    def meter(self, kind: str, miss_ids: np.ndarray) -> CommRecord:
-        """Traffic to pull ``miss_ids`` to this frontend (same accounting
-        as :meth:`repro.serving.frontend.ServingFrontend._meter`)."""
-        store = self.store.store
-        row_bytes = store.row_width(kind) * BYTES_PER_ELEMENT * self.byte_scale
-        local_ids, remote_ids = store.split_local_remote(
-            kind, miss_ids, self.machine
-        )
-        remote_shards = store.remote_machine_count(kind, miss_ids, self.machine)
-        return CommRecord(
-            local_bytes=int(len(local_ids) * row_bytes),
-            remote_bytes=int(len(remote_ids) * row_bytes),
-            local_messages=1 if len(local_ids) else 0,
-            remote_messages=remote_shards,
-        )
-
-    def touched_shards(self, kind: str, ids: np.ndarray) -> np.ndarray:
+    def _shards(self, kind: str, ids: np.ndarray) -> np.ndarray:
         return np.unique(self.store.store.owners(kind, ids))
-
-    # ----------------------------------------------------------------- pulls
 
     def pull(self, kind: str, miss_ids: np.ndarray) -> tuple[CommRecord, bool]:
         """Attempt one miss pull through faults: ``(comm, ok)``.
@@ -109,58 +84,7 @@ class FaultyShardChannel:
         merged into ``comm`` (as retransmits) and all waiting time is
         already on the clock.
         """
-        comm = CommRecord()
-        attempt = 0
-        while attempt < self.policy.max_attempts:
-            attempt += 1
-            if self._attempt_fails(kind, miss_ids):
-                self._record_failure(comm, kind, miss_ids, attempt)
-                continue
-            comm.merge(self.meter(kind, miss_ids))
-            self._apply_delay()
-            return comm, True
-        return comm, False
-
-    # -------------------------------------------------------------- internal
-
-    def _attempt_fails(self, kind: str, ids: np.ndarray) -> bool:
-        injector = self.injector
-        if injector.plan.outages and injector.ps_unavailable(
-            self.touched_shards(kind, ids), self.iteration
-        ):
-            return True
-        return injector.should_drop(self.machine, self.iteration)
-
-    def _record_failure(
-        self, comm: CommRecord, kind: str, ids: np.ndarray, attempt: int
-    ) -> None:
-        wasted = self.meter(kind, ids)
-        wasted.retransmit_bytes = wasted.total_bytes
-        comm.merge(wasted)
-        self.injector.stats.retries += 1
-        self.trace.count("rpc.retries")
-        backoff = self.policy.backoff(attempt)
-        if backoff > 0.0 and self.policy.backoff_jitter > 0.0:
-            backoff *= 1.0 + self.policy.backoff_jitter * self.injector.backoff_jitter(
-                self.machine
-            )
-        self._wait(self.policy.timeout + backoff)
-
-    def _wait(self, seconds: float) -> None:
-        if seconds <= 0.0:
-            return
-        self.injector.stats.retry_wait_seconds += seconds
-        with self.trace.span("rpc.retry_wait", "communication") as span:
-            self.clock.advance(seconds, "communication")
-            span.set(seconds=seconds)
-
-    def _apply_delay(self) -> None:
-        plan = self.injector.plan
-        if not plan.delays:
-            return
-        extra = self.injector.delay_seconds(self.machine, self.iteration)
-        if extra > 0.0:
-            self.trace.count("rpc.delays")
-            with self.trace.span("rpc.injected_delay", "communication") as span:
-                self.clock.advance(extra, "communication")
-                span.set(seconds=extra)
+        _, comm, ok = self._attempts(
+            kind, miss_ids, lambda: (None, self.meter(kind, miss_ids))
+        )
+        return comm, ok

@@ -150,7 +150,7 @@ class ServingFrontend:
 
             self.injector = FaultInjector(faults)
             self.channel = FaultyShardChannel(
-                store, machine, self.injector, self.clock, byte_scale=byte_scale
+                store, machine, self.injector, self.clock, meter=self._meter
             )
             self.channel.trace = self.trace
         self._batches_dispatched = 0

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.ledger import RunLedger
 from repro.core.trainer import HETKGTrainer
 from repro.kg.graph import HEAD, REL, TAIL, KnowledgeGraph, TripleIndex
 from repro.ps.network import BYTES_PER_ELEMENT, CommRecord
@@ -319,10 +320,9 @@ class OnlineTrainer:
         cfg = trainer.config
         total_steps = cfg.epochs * trainer.steps_per_epoch
 
-        comm_base = trainer.network.totals.copy()
-        clock_base = {
-            w.machine: w.clock.copy() for w in trainer.workers
-        }
+        ledger = RunLedger(
+            lambda: [w.stats() for w in trainer.workers], trainer.network
+        )
 
         for worker in trainer.workers:
             worker.start()
@@ -346,53 +346,14 @@ class OnlineTrainer:
         if self.eval_every is None and self.evaluator.holdout_size:
             self._evaluate(total_steps)
 
-        workers = trainer.workers
-        elapsed = {
-            w.machine: w.clock.elapsed - clock_base[w.machine].elapsed
-            for w in workers
-        }
-        slowest = max(workers, key=lambda w: elapsed[w.machine])
-        base = clock_base[slowest.machine]
-        hit_ratios = [w.cache_hit_ratio() for w in workers]
         rebuilds = sum(
             w.strategy.rebuilds
-            for w in workers
+            for w in trainer.workers
             if isinstance(w.strategy, AdaptiveStale)
         )
-        neg_cache_stats: dict = {}
-        if any(w.neg_cache is not None for w in workers):
-            refresh_comm = CommRecord()
-            for w in workers:
-                if w.neg_cache is None:
-                    continue
-                for name, value in w.neg_cache.counters().items():
-                    neg_cache_stats[name] = neg_cache_stats.get(name, 0) + value
-                neg_cache_stats["cache_keys"] = (
-                    neg_cache_stats.get("cache_keys", 0) + w.neg_cache.num_keys
-                )
-                neg_cache_stats["pending_keys"] = (
-                    neg_cache_stats.get("pending_keys", 0)
-                    + w.neg_cache.pending_keys
-                )
-                refresh_comm.merge(w.neg_cache_comm)
-            neg_cache_stats["refresh_bytes"] = refresh_comm.total_bytes
-            neg_cache_stats["refresh_remote_bytes"] = refresh_comm.remote_bytes
-            neg_cache_stats["refresh_messages"] = refresh_comm.total_messages
-            neg_cache_stats["neg_cache_time"] = slowest.clock.category(
-                "neg_cache"
-            ) - base.category("neg_cache")
         return OnlineTrainResult(
             system=trainer.system_name,
             steps=total_steps,
-            sim_time=elapsed[slowest.machine],
-            compute_time=slowest.clock.category("compute")
-            - base.category("compute"),
-            communication_time=slowest.clock.category("communication")
-            - base.category("communication"),
-            ingest_time=slowest.clock.category("ingest")
-            - base.category("ingest"),
-            comm_totals=trainer.network.totals.difference(comm_base),
-            cache_hit_ratio=float(np.mean(hit_ratios)) if hit_ratios else 0.0,
             mean_loss=float(np.mean(losses)) if losses else 0.0,
             prequential=self.evaluator.result,
             updates_applied=self.updates_applied,
@@ -402,8 +363,8 @@ class OnlineTrainer:
             relations_added=self.relations_added,
             cache_rows_invalidated=self.cache_rows_invalidated,
             neg_cache_keys_invalidated=self.neg_cache_keys_invalidated,
-            neg_cache_stats=neg_cache_stats,
             adaptive_rebuilds=rebuilds,
+            **ledger.summary().fields_for(OnlineTrainResult),
         )
 
     # ------------------------------------------------------------------ evals

@@ -3,8 +3,9 @@
 The cold tier stores *encoded* blocks (the full-precision copy is
 abandoned), so unlike the wire codecs in :mod:`repro.ps.compression` —
 which only need ``roundtrip`` — these codecs keep the encoded form and
-decode on demand.  The arithmetic is deliberately identical to the wire
-codecs: ``decode(encode(rows))`` is bit-equal to
+decode on demand.  The arithmetic *is* the wire codecs' (both call the
+``encode``/``decode`` pairs in :mod:`repro.ps.compression`), so
+``decode(encode(rows))`` is bit-equal to
 ``get_compressor(name).roundtrip(rows)``, which the tests pin.  That
 makes the accuracy story composable: a cold read is exactly one wire
 round-trip's worth of quantization error, no new error model.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_INT8_LEVELS = 255  # must match Int8Compression._levels
+from repro.ps.compression import fp16_decode, fp16_encode, int8_decode, int8_encode
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class Fp16BlockCodec(BlockCodec):
     name = "fp16"
 
     def encode(self, rows: np.ndarray) -> EncodedBlock:
-        half = np.asarray(rows, dtype=np.float64).astype(np.float16)
+        half = fp16_encode(rows)
         return EncodedBlock(
             payload=(half,),
             nbytes=int(half.nbytes),
@@ -63,7 +64,7 @@ class Fp16BlockCodec(BlockCodec):
 
     def decode(self, block: EncodedBlock) -> np.ndarray:
         (half,) = block.payload
-        return half.astype(np.float64)
+        return fp16_decode(half)
 
     def bytes_per_row(self, width: int) -> int:
         return 2 * width
@@ -72,30 +73,23 @@ class Fp16BlockCodec(BlockCodec):
 class Int8BlockCodec(BlockCodec):
     """Per-row linear 8-bit quantization: 1 byte/element + 16 bytes/row.
 
-    Mirrors ``Int8Compression.roundtrip`` exactly — same per-row min/max
-    range, same degenerate-row span guard, same reconstruction order of
-    operations — but keeps ``(q, lo, span)`` instead of decoding eagerly.
+    ``Int8Compression.roundtrip``'s arithmetic, keeping ``(q, lo, span)``
+    instead of decoding eagerly.
     """
 
     name = "int8"
 
     def encode(self, rows: np.ndarray) -> EncodedBlock:
-        rows = np.asarray(rows, dtype=np.float64)
-        lo = rows.min(axis=1, keepdims=True)
-        hi = rows.max(axis=1, keepdims=True)
-        span = np.where(hi - lo > 0, hi - lo, 1.0)
-        q = np.round((rows - lo) / span * _INT8_LEVELS).astype(np.uint8)
-        nbytes = int(q.nbytes + lo.nbytes + span.nbytes)
+        q, lo, span = int8_encode(rows)
         return EncodedBlock(
             payload=(q, lo, span),
-            nbytes=nbytes,
+            nbytes=int(q.nbytes + lo.nbytes + span.nbytes),
             rows=rows.shape[0],
             width=rows.shape[1],
         )
 
     def decode(self, block: EncodedBlock) -> np.ndarray:
-        q, lo, span = block.payload
-        return lo + q.astype(np.float64) / _INT8_LEVELS * span
+        return int8_decode(*block.payload)
 
     def bytes_per_row(self, width: int) -> int:
         return width + 16

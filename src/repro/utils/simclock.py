@@ -62,6 +62,16 @@ class SimClock:
     def copy(self) -> "SimClock":
         return SimClock(self.elapsed, dict(self.by_category))
 
+    def difference(self, baseline: "SimClock") -> "SimClock":
+        """Time accumulated since ``baseline`` (a prior :meth:`copy`)."""
+        return SimClock(
+            self.elapsed - baseline.elapsed,
+            {
+                name: seconds - baseline.category(name)
+                for name, seconds in self.by_category.items()
+            },
+        )
+
     def reset(self) -> None:
         self.elapsed = 0.0
         self.by_category.clear()

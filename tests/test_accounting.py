@@ -13,6 +13,7 @@ from repro.core.config import TrainingConfig
 from repro.core.telemetry import Telemetry
 from repro.core.trainer import HETKGTrainer
 from repro.kg.graph import KnowledgeGraph
+from repro.stream import EventStream, OnlineTrainer
 
 
 def config(**overrides):
@@ -150,6 +151,48 @@ class TestRepeatedTrainCalls:
         assert second.sim_time < 1.5 * first.sim_time
         assert second.history.points[-1].sim_time == pytest.approx(
             second.sim_time
+        )
+
+    def test_second_train_hit_ratio_is_per_call(self, small_split):
+        """Regression: the second call reported the workers' *lifetime*
+        hit ratio, while its time and traffic were already per-call."""
+        trainer = HETKGTrainer(config())
+        trainer.train(small_split.train)
+        before = [w.cache.combined_stats() for w in trainer.workers]
+        second = trainer.train(small_split.train)
+        own = []
+        for worker, then in zip(trainer.workers, before):
+            now = worker.cache.combined_stats()
+            hits, misses = now.hits - then.hits, now.misses - then.misses
+            own.append(hits / (hits + misses))
+        lifetime = np.mean([w.stats().cache_hit_ratio for w in trainer.workers])
+        assert second.cache_hit_ratio == float(np.mean(own))
+        assert second.cache_hit_ratio != lifetime
+
+    def test_second_online_train_neg_cache_stats_are_per_call(self, small_graph):
+        """Regression: ``OnlineTrainer.train`` summed the neg-cache lifetime
+        counters and refresh traffic; only the two key counts are gauges."""
+        trainer = HETKGTrainer(config(neg_cache="nscaching", epochs=1))
+        online = OnlineTrainer(trainer, EventStream(updates=[]))
+        first = online.train(small_graph).neg_cache_stats
+        counters = [w.neg_cache.counters() for w in trainer.workers]
+        comm = [w.neg_cache_comm.copy() for w in trainer.workers]
+        second = online.train(small_graph).neg_cache_stats
+        assert first["refreshes"] > 0
+        for name in ("refreshes", "refreshed_keys", "candidates_scored"):
+            assert second[name] == sum(
+                w.neg_cache.counters()[name] - then[name]
+                for w, then in zip(trainer.workers, counters)
+            )
+        assert second["refresh_bytes"] == sum(
+            w.neg_cache_comm.difference(then).total_bytes
+            for w, then in zip(trainer.workers, comm)
+        )
+        assert second["cache_keys"] == sum(
+            w.neg_cache.num_keys for w in trainer.workers
+        )
+        assert second["pending_keys"] == sum(
+            w.neg_cache.pending_keys for w in trainer.workers
         )
 
     def test_pbg_second_train_reports_equal_totals(self):

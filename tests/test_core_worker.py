@@ -90,12 +90,12 @@ class TestWorkerCached:
         worker = make_worker(world, cached=True)
         for _ in range(6):
             worker.step()
-        assert worker.cache_hit_ratio() > 0.0
+        assert worker.stats().cache_hit_ratio > 0.0
 
     def test_hit_ratio_zero_without_cache(self, world):
         worker = make_worker(world, cached=False)
         worker.step()
-        assert worker.cache_hit_ratio() == 0.0
+        assert worker.stats().cache_hit_ratio == 0.0
 
     def test_mismatched_strategy_cache_rejected(self, world):
         graph, model, server, network, compute = world

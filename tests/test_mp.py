@@ -305,6 +305,31 @@ class TestSyncBitIdentity:
         assert r_mp.wall_time_s > 0
         _assert_identical(_fingerprint(sim, r_sim), _fingerprint(mp, r_mp))
 
+    def test_every_summary_field_equals_simulator(self, mp_data):
+        """Both backends build their result with one ``summarize``; every
+        field it produces must agree, without this test naming them."""
+        from dataclasses import fields
+
+        from repro.core.ledger import RunSummary
+        from repro.core.trainer import TrainResult
+
+        _, split = mp_data
+        cfg = mp_config(neg_cache="nscaching", filter_false_negatives=True)
+        r_sim = make_trainer("hetkg-d", cfg).train(split.train)
+        r_mp = make_trainer("hetkg-d", cfg).train_mp(
+            split.train, schedule="sync", start_method="fork"
+        )
+        shared = {f.name for f in fields(RunSummary)} & {
+            f.name for f in fields(TrainResult)
+        }
+        assert {"sim_time", "cache_hit_ratio", "neg_cache_stats"} <= shared
+        assert r_sim.neg_cache_stats["refreshes"] > 0
+        for name in sorted(shared):
+            assert getattr(r_mp, name) == getattr(r_sim, name), name
+        assert [p.sim_time for p in r_mp.history.points] == [
+            p.sim_time for p in r_sim.history.points
+        ]
+
     def test_spawn_start_method(self, mp_data):
         # One spawn-method run keeps the pickled-spec path honest (fork
         # inherits module state that spawn must reconstruct).

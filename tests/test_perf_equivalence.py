@@ -38,7 +38,6 @@ from repro.cache.policies import EvictionPolicy, LFUCache
 from repro.cache.table import CacheTable
 from repro.core.evaluation import (
     FilterIndex,
-    _full_ranks_reference,
     _ranks_batched,
     evaluate_link_prediction,
 )
@@ -47,6 +46,7 @@ from repro.models import get_model
 from repro.optim.base import coalesce
 from repro.sampling.negative import NegativeSampler
 from repro.utils.kernels import scatter_add_rows
+from tests.reference.evaluation_reference import full_ranks_reference
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -383,7 +383,7 @@ class TestEvaluationEquivalence:
     ):
         model, ent, rel, graph = eval_setup
         filter_index = FilterIndex(graph.triple_set()) if filtered else None
-        ref = _full_ranks_reference(
+        ref = full_ranks_reference(
             model, ent, rel, graph.triples, replace_head, filter_index
         )
         vec = _ranks_batched(

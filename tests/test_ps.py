@@ -73,13 +73,6 @@ class TestNetworkModel:
         net.reset_totals()
         assert net.totals.remote_bytes == 0
 
-    def test_time_for_deprecated_but_compatible(self):
-        net = NetworkModel()
-        with pytest.deprecated_call():
-            t = net.time_for(CommRecord(remote_bytes=100))
-        assert t == pytest.approx(net.cost(CommRecord(remote_bytes=100)))
-        assert net.totals.remote_bytes == 100  # historic charging behaviour
-
     def test_comm_record_copy_and_difference(self):
         net = NetworkModel()
         net.charge(CommRecord(remote_bytes=100, local_bytes=10, remote_messages=2))
