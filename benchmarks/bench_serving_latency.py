@@ -8,9 +8,13 @@ versus serving without a cache.
 """
 
 from repro.experiments.serving_study import run_serving_cache
+from repro.serving.metrics import ServingReport
 
-#: Column indices of ServingReport.as_row().
-QPS, P50, P95, P99, HIT, REMOTE_MB = 2, 3, 4, 5, 6, 7
+#: Column indices of ServingReport.as_row(), by header name.
+P50, P99, HIT, REMOTE_MB = (
+    ServingReport.headers().index(name)
+    for name in ("p50 (ms)", "p99 (ms)", "hit ratio", "remote MB")
+)
 
 
 def test_serving_cache_latency(benchmark, record_result):

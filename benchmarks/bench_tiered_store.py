@@ -3,8 +3,7 @@
 Times the tiered table's access paths against the dense ndarray gather
 they stand in for, on the same machine in the same process — so the
 **overhead factors are machine-independent** and CI can gate on them
-(same discipline as ``bench_hotpath.py``: relative ratios, not absolute
-nanoseconds).
+(relative ratios, not absolute nanoseconds).
 
 Gated paths:
 

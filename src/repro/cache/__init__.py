@@ -2,7 +2,8 @@
 
 * :mod:`repro.cache.core` — the unified policy-pluggable cache engine:
   :class:`CacheCore` + :class:`CapacityLedger` (centralized capacity
-  accounting), the :class:`EvictionStrategy` registry, and trace-level
+  accounting), the :class:`EvictionStrategy` registry (FIFO/LRU/LFU/CLOCK/
+  2Q/ARC/pinned, built only through :func:`make_cache`), and trace-level
   CPS/DPS/ADAPTIVE membership replay (see ``docs/caching.md``).
 * :mod:`repro.cache.table` — the fixed-capacity cache embedding table.
 * :mod:`repro.cache.prefetch` — Algorithm 1 (prefetch D iterations of samples).
@@ -11,8 +12,6 @@
 * :mod:`repro.cache.strategies` — CPS and DPS hot-table construction.
 * :mod:`repro.cache.sync` — bounded-staleness synchronization (Algorithms 3/4,
   worker side).
-* :mod:`repro.cache.policies` — FIFO/LRU/LFU/importance baselines (Table VI),
-  facades over the unified core.
 """
 
 from repro.cache.core import (
@@ -25,6 +24,7 @@ from repro.cache.core import (
     make_cache,
     register_policy,
     replay_membership_trace,
+    replay_trace,
 )
 from repro.cache.table import CacheTable, CacheStats
 from repro.cache.prefetch import prefetch, PrefetchResult
@@ -35,17 +35,6 @@ from repro.cache.strategies import (
     DynamicPartialStale,
 )
 from repro.cache.sync import HotEmbeddingCache
-from repro.cache.policies import (
-    EvictionPolicy,
-    FIFOCache,
-    LRUCache,
-    LFUCache,
-    ClockCache,
-    TwoQueueCache,
-    ARCCache,
-    ImportanceCache,
-    replay_trace,
-)
 
 __all__ = [
     "CacheCore",
@@ -57,6 +46,7 @@ __all__ = [
     "make_cache",
     "register_policy",
     "replay_membership_trace",
+    "replay_trace",
     "CacheTable",
     "CacheStats",
     "prefetch",
@@ -68,13 +58,4 @@ __all__ = [
     "ConstantPartialStale",
     "DynamicPartialStale",
     "HotEmbeddingCache",
-    "EvictionPolicy",
-    "FIFOCache",
-    "LRUCache",
-    "LFUCache",
-    "ClockCache",
-    "TwoQueueCache",
-    "ARCCache",
-    "ImportanceCache",
-    "replay_trace",
 ]

@@ -5,11 +5,11 @@ Fang et al. (arXiv:2208.05321) frame HET-KG-style systems as
 ARC is only the policy — membership construction, admission, eviction,
 and refresh cadence — while capacity accounting, hit metering, and the
 residency invariant are the same everywhere.  This repo grew five
-independent engines (``repro.cache.policies``, the CPS/DPS strategies,
-``sync.HotEmbeddingCache``, ``serving.ServingCache``, and the streaming
-ADAPTIVE strategy) and the duplication leaked real bugs: segment caps
-that sum past the capacity, slot splits that round both sides up, and an
-adaptive target compared through ``int()`` truncation.
+independent engines (the Table VI eviction baselines, the CPS/DPS
+strategies, ``sync.HotEmbeddingCache``, ``serving.ServingCache``, and the
+streaming ADAPTIVE strategy) and the duplication leaked real bugs: segment
+caps that sum past the capacity, slot splits that round both sides up, and
+an adaptive target compared through ``int()`` truncation.
 
 This module is the single engine they all now share:
 
@@ -28,7 +28,9 @@ This module is the single engine they all now share:
     The ~50-line contract a new policy implements: ``lookup`` /
     ``on_hit`` / ``on_miss``, mutating residency only through the core's
     ``admit``/``evict`` primitives.  Register with
-    :func:`register_policy`; construct by name with :func:`make_cache`.
+    :func:`register_policy`; construct by name with :func:`make_cache`
+    (the only way to obtain an eviction cache) and replay a key trace
+    through it with :func:`replay_trace`.
 :class:`PinnedStrategy`
     Static membership (importance caches, CPS hot sets, the serving
     tier's log-profiled cache) as just another strategy: admission by
@@ -279,8 +281,8 @@ def register_policy(name: str) -> Callable[[type], type]:
 
     This is the whole cost of landing a new policy: write the strategy
     class, decorate it, and it is immediately constructible by name
-    everywhere — the Table-VI facades, ``ServingCache.dynamic``, the
-    ``cache-shootout`` experiment, and the property-test matrix.
+    everywhere — :func:`make_cache`, ``ServingCache.dynamic`` and the
+    ``--cache-policy`` choices, and the property-test matrix.
     """
 
     def decorate(cls: type) -> type:
@@ -305,6 +307,13 @@ def make_cache(name: str, capacity: int, **kwargs) -> CacheCore:
             f"unknown policy {name!r}; available: {available_policies()}"
         ) from None
     return CacheCore(capacity, strategy_cls(**kwargs), label=name)
+
+
+def replay_trace(cache: CacheCore, keys: Iterable[int]) -> float:
+    """Feed every key in ``keys`` through ``cache``; returns its hit ratio."""
+    for key in keys:
+        cache.access(key)
+    return cache.hit_ratio
 
 
 # ----------------------------------------------------------- the strategies
@@ -729,8 +738,9 @@ class HotnessMembershipCache:
         One global top-``capacity`` from the whole trace, fixed for the
         run (the prefetch-the-entire-subgraph strategy).
     ``dps``
-        Top-``capacity`` of each upcoming ``window``-batch chunk —
-        bit-equal to :func:`repro.cache.policies.hotness_window_hit_ratio`.
+        Top-``capacity`` of each upcoming ``window``-batch chunk (Table
+        VI's "HET-KG" column) — bit-equal to the vectorised oracle
+        ``tests/reference/hotness_window.py``.
     ``adaptive``
         The streaming drift-adaptive strategy at trace level: observes at
         half-``window`` granularity, keeps the current membership while
@@ -802,10 +812,6 @@ class HotnessMembershipCache:
             )
             yield flat
 
-    def _access_all(self, flat: np.ndarray) -> None:
-        for key in flat:
-            self._core.access(int(key))
-
     def replay(self, batches: Sequence[np.ndarray]) -> float:
         """Feed a per-batch access trace through; returns the hit ratio."""
         if self.mode == "cps":
@@ -815,13 +821,13 @@ class HotnessMembershipCache:
                 else np.empty(0, dtype=np.int64)
             )
             self._install(_top_keys(all_keys, self.capacity))
-            self._access_all(all_keys)
+            replay_trace(self._core, all_keys)
         elif self.mode == "dps":
             for flat in self._chunks(batches, self.window):
                 if len(flat) == 0:
                     continue
                 self._install(_top_keys(flat, self.capacity))
-                self._access_all(flat)
+                replay_trace(self._core, flat)
         else:
             self._replay_adaptive(batches)
         return self.hit_ratio
@@ -880,7 +886,7 @@ class HotnessMembershipCache:
                 triggered = signal.triggered
             if triggered:
                 self._install(candidate)
-            self._access_all(flat)
+            replay_trace(self._core, flat)
 
 
 def replay_membership_trace(

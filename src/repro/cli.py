@@ -13,11 +13,14 @@ what produced EXPERIMENTS.md.
 from __future__ import annotations
 
 import argparse
+import difflib
 import inspect
 import sys
 import time
+from typing import Any, Callable, NamedTuple
 
 from repro.experiments.registry import EXPERIMENTS, get_experiment, list_experiments
+from repro.serving.cache import ServingCache, cache_policies
 
 
 def _add_trace_flag(parser: argparse.ArgumentParser) -> None:
@@ -30,13 +33,137 @@ def _add_trace_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-#: Execution backends ``train``/``serve-bench`` accept (validated by hand
-#: so a typo gets a did-you-mean instead of argparse's terse choices dump).
-BACKENDS = ("sim", "mp")
+#: Free-text options validated by hand, so a typo gets a did-you-mean
+#: instead of argparse's terse choices dump: dest -> (what the error calls
+#: it, plural for the "valid ..." line, the values it accepts).
+CHOICES: dict[str, tuple[str, str, tuple[str, ...]]] = {
+    "backend": ("backend", "backends", ("sim", "mp")),
+    "neg_cache": ("--neg-cache mode", "modes", ("off", "nscaching", "auto")),
+    "experiment": ("experiment", "ids", ("all", *list_experiments())),
+}
 
-#: Hard-negative cache modes ``--neg-cache`` accepts (same hand-rolled
-#: validation: typos get a did-you-mean and exit code 2).
-NEG_CACHE_CHOICES = ("off", "nscaching", "auto")
+
+class Rule(NamedTuple):
+    """``flag`` (as typed) cannot be used where a ``blocked_in`` context holds."""
+
+    flag: str
+    commands: tuple[str, ...]  #: subcommands that carry the flag
+    engaged: Callable[[Any], bool]  #: did this invocation use it?
+    blocked_in: tuple[str, ...]  #: names from :data:`CONTEXTS`
+    reason: str
+
+
+def _given(dest: str) -> Callable[[Any], bool]:
+    return lambda args: getattr(args, dest) is not None
+
+
+def _is(dest: str, value: str) -> Callable[[Any], bool]:
+    return lambda args: getattr(args, dest).lower() == value
+
+
+#: Where a flag can be unusable: name -> (does it hold for this
+#: invocation?, how the error line says so).  Predicates read attributes
+#: with a default because not every subcommand has every flag.
+CONTEXTS: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "mp": (
+        lambda args: getattr(args, "backend", None) == "mp",
+        "is not supported with --backend mp (see docs/parallelism.md)",
+    ),
+    "sim": (
+        lambda args: getattr(args, "backend", None) == "sim",
+        "requires --backend mp",
+    ),
+    "pbg": (
+        lambda args: getattr(args, "system", "").lower() == "pbg",
+        "is not supported for the PBG baseline",
+    ),
+    "resident": (
+        lambda args: getattr(args, "backing", None) == "resident",
+        "requires --backing tiered",
+    ),
+    "checkpoint": (
+        lambda args: getattr(args, "checkpoint", None) is not None,
+        "cannot be combined with --checkpoint",
+    ),
+    "stream": (
+        lambda args: args.command == "stream",
+        "is not supported by the stream command",
+    ),
+}
+
+_TRAIN, _SERVE = ("train",), ("serve-bench",)
+_OVERLOAD = (
+    "the overload layer (admission windows, shed ladders, deploy swaps, "
+    "retrying pulls) is stateful per stream and modelled single-frontend"
+)
+_MP_ONLY = "it configures the mp backend's processes"
+
+#: Every flag-compatibility rule of ``train``/``serve-bench``/``stream``,
+#: stated once.  :func:`usage_errors` checks an invocation against it
+#: before any work starts; it is plain data, so a scenario generator can
+#: use the same rows as its validity oracle.
+RULES: tuple[Rule, ...] = (
+    Rule("--trace", _TRAIN + _SERVE, _given("trace"), ("mp",),
+         "the span tracer is process-local"),
+    Rule("--faults", _TRAIN, _given("faults"), ("mp", "pbg"),
+         "fault channels splice into the simulator's in-process PS workers"),
+    Rule("--checkpoint-every", _TRAIN, _given("checkpoint_every"), ("mp", "pbg"),
+         "crash recovery snapshots the simulator's in-process PS shards"),
+    Rule("--backing tiered", _TRAIN + _SERVE, _is("backing", "tiered"), ("mp", "pbg"),
+         "tiered tables live in one process's parameter-server store (file "
+         "handles are process-local, and PBG has no such store)"),
+    Rule("--system pbg", _TRAIN + ("stream",), _is("system", "pbg"), ("mp", "stream"),
+         "PBG runs its own block-swap loop in one address space, with no "
+         "parameter-server workers or cache to drive"),
+    Rule("--neg-cache", _TRAIN, lambda args: args.neg_cache not in (None, "off"), ("pbg",),
+         "PBG's corruption loop never goes through the NegativeSampler "
+         "seam the cache plugs into"),
+    Rule("--checkpoint", _TRAIN, _given("checkpoint"), ("pbg",),
+         "a checkpoint saves the parameter server's tables and PBG has no "
+         "parameter server"),
+    Rule("--tenants", _SERVE, _given("tenants"), ("mp",), _OVERLOAD),
+    Rule("--admission", _SERVE, _given("admission"), ("mp",), _OVERLOAD),
+    Rule("--slo", _SERVE, _given("slo"), ("mp",), _OVERLOAD),
+    Rule("--faults", _SERVE, _given("faults"), ("mp",), _OVERLOAD),
+    Rule("--deploy-every", _SERVE, _given("deploy_every"), ("mp",), _OVERLOAD),
+    Rule("--deploy-every", _SERVE, _given("deploy_every"), ("checkpoint",),
+         "it snapshots a live trainer, which a served checkpoint does not have"),
+    Rule("--memory-budget", _TRAIN + _SERVE, _given("memory_budget"), ("resident",),
+         "it is the tiered store's resident-byte budget"),
+    Rule("--mp-schedule", _TRAIN + _SERVE, _given("mp_schedule"), ("sim",), _MP_ONLY),
+    Rule("--mp-staleness", _TRAIN + _SERVE, _given("mp_staleness"), ("sim",), _MP_ONLY),
+    Rule("--mp-start", _TRAIN + _SERVE, _given("mp_start"), ("sim",), _MP_ONLY),
+    Rule("--mp-workers", _SERVE, _given("mp_workers"), ("sim",), _MP_ONLY),
+)
+
+
+def usage_errors(args: Any) -> list[str]:
+    """One line per :data:`RULES` row this invocation violates."""
+    return [
+        f"{rule.flag} {CONTEXTS[context][1]}: {rule.reason}"
+        for rule in RULES
+        if args.command in rule.commands and rule.engaged(args)
+        for context in rule.blocked_in
+        if CONTEXTS[context][0](args)
+    ]
+
+
+def _check_usage(args: argparse.Namespace) -> int:
+    """Reject unknown values and incompatible flags on stderr with exit
+    code 2, before any work starts; 0 means the invocation may run."""
+    for dest, (what, plural, valid) in CHOICES.items():
+        value = getattr(args, dest, None)
+        if value is not None and value not in valid:
+            close = difflib.get_close_matches(value, valid, n=3, cutoff=0.4)
+            print(f"unknown {what} {value!r}", file=sys.stderr)
+            if close:
+                print("did you mean: " + ", ".join(close), file=sys.stderr)
+            print(f"valid {plural}: " + ", ".join(valid), file=sys.stderr)
+            return 2
+    errors = usage_errors(args)
+    for line in errors:
+        print(line, file=sys.stderr)
+    return 2 if errors else 0
 
 
 def _add_neg_cache_flag(parser: argparse.ArgumentParser) -> None:
@@ -48,21 +175,6 @@ def _add_neg_cache_flag(parser: argparse.ArgumentParser) -> None:
         "hard-negative caches with hotness-ordered refreshes), or auto "
         "(annealed exploration->exploitation; see docs/sampling.md)",
     )
-
-
-def _validate_neg_cache(args: argparse.Namespace) -> int | None:
-    """Validate --neg-cache; return an exit code to fail fast, or None."""
-    mode = getattr(args, "neg_cache", None)
-    if mode is None or mode in NEG_CACHE_CHOICES:
-        return None
-    import difflib
-
-    close = difflib.get_close_matches(mode, NEG_CACHE_CHOICES, n=2, cutoff=0.4)
-    print(f"unknown --neg-cache mode {mode!r}", file=sys.stderr)
-    if close:
-        print("did you mean: " + ", ".join(close), file=sys.stderr)
-    print("valid modes: " + ", ".join(NEG_CACHE_CHOICES), file=sys.stderr)
-    return 2
 
 
 def _add_backend_flags(
@@ -107,39 +219,6 @@ def _add_backend_flags(
             help="frontend replica processes for --backend mp "
             "(default: one per available core)",
         )
-
-
-def _validate_backend(args: argparse.Namespace) -> int | None:
-    """Validate --backend and its satellite flags; return an exit code to
-    fail fast, or None to proceed."""
-    if args.backend not in BACKENDS:
-        import difflib
-
-        close = difflib.get_close_matches(args.backend, BACKENDS, n=2, cutoff=0.4)
-        print(f"unknown backend {args.backend!r}", file=sys.stderr)
-        if close:
-            print("did you mean: " + ", ".join(close), file=sys.stderr)
-        print("valid backends: " + ", ".join(BACKENDS), file=sys.stderr)
-        return 2
-    if args.backend != "mp":
-        engaged = [
-            flag
-            for flag, value in (
-                ("--mp-schedule", args.mp_schedule),
-                ("--mp-staleness", args.mp_staleness),
-                ("--mp-start", args.mp_start),
-                ("--mp-workers", getattr(args, "mp_workers", None)),
-            )
-            if value is not None
-        ]
-        if engaged:
-            print(
-                f"{', '.join(engaged)} require{'s' if len(engaged) == 1 else ''}"
-                " --backend mp",
-                file=sys.stderr,
-            )
-            return 2
-    return None
 
 
 def _add_fault_flags(parser: argparse.ArgumentParser) -> None:
@@ -231,6 +310,20 @@ def _print_memory_report(report: dict) -> None:
         f"{format_bytes(report['logical_bytes'])} logical "
         f"(budget {format_bytes(report['budget_bytes'])})"
         + (f" | {per_kind}" if per_kind else "")
+    )
+
+
+def _neg_cache_line(stats: dict) -> str:
+    """The ``neg cache:`` summary ``train`` and ``stream`` print."""
+    return (
+        f"neg cache: {stats.get('refreshes', 0)} refreshes over "
+        f"{stats.get('refreshed_keys', 0)} keys, "
+        f"{stats.get('candidates_scored', 0)} candidates scored, "
+        f"{stats.get('hard_negatives_served', 0)} hard negatives "
+        f"served, {stats.get('cache_keys', 0)} keys cached, "
+        f"{stats.get('pending_keys', 0)} pending, "
+        f"{stats.get('refresh_bytes', 0) / 1e6:.1f} MB refresh "
+        f"traffic, {stats.get('neg_cache_time', 0.0):.3f}s simulated"
     )
 
 
@@ -369,7 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--cache-policy",
         default="static",
-        choices=["static", "lru", "lfu", "fifo", "clock", "2q", "arc", "none"],
+        choices=cache_policies(),
         help="serving cache variant (static = log-profiled hot set; "
         "the rest are reactive policies from the unified cache core)",
     )
@@ -532,41 +625,7 @@ def _train(args: argparse.Namespace) -> int:
     from repro.kg.splits import split_triples
     from repro.utils.tables import format_table
 
-    status = _validate_backend(args)
-    if status is not None:
-        return status
-    status = _validate_neg_cache(args)
-    if status is not None:
-        return status
-    if args.neg_cache not in (None, "off") and args.system.lower() == "pbg":
-        # PBG's block trainer has its own corruption loop that never goes
-        # through the NegativeSampler seam the cache plugs into.
-        print(
-            "--neg-cache is not supported for the PBG baseline",
-            file=sys.stderr,
-        )
-        return 2
     use_mp = args.backend == "mp"
-    if use_mp:
-        # Fail fast on combinations the mp backend does not carry: the
-        # observability tracer and fault channels splice per-step into a
-        # single process, tiered tables hold process-local file handles,
-        # and PBG has its own non-PS training loop.
-        blockers = [
-            ("--trace", args.trace is not None),
-            ("--faults", bool(args.faults)),
-            ("--checkpoint-every", args.checkpoint_every is not None),
-            ("--backing tiered", args.backing == "tiered"),
-            ("--system pbg", args.system.lower() == "pbg"),
-        ]
-        engaged = [flag for flag, on in blockers if on]
-        if engaged:
-            print(
-                f"--backend mp does not support {', '.join(engaged)} "
-                "(see docs/parallelism.md)",
-                file=sys.stderr,
-            )
-            return 2
 
     if args.tsv is not None:
         graph = load_tsv(args.tsv)
@@ -577,12 +636,6 @@ def _train(args: argparse.Namespace) -> int:
     split = split_triples(graph, seed=args.seed)
     print(f"dataset: {source} -> {graph}")
 
-    if args.backing == "tiered" and args.system.lower() == "pbg":
-        print("--backing tiered is not supported for the PBG baseline")
-        return 2
-    if args.memory_budget is not None and args.backing != "tiered":
-        print("--memory-budget requires --backing tiered")
-        return 2
     config = TrainingConfig(
         model=args.model,
         dim=args.dim,
@@ -602,10 +655,6 @@ def _train(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     fault_plan = None
-    if args.faults or args.checkpoint_every is not None:
-        if args.system.lower() == "pbg":
-            print("--faults/--checkpoint-every are not supported for the PBG baseline")
-            return 2
     if args.faults:
         from repro.faults import FaultPlan
 
@@ -670,21 +719,8 @@ def _train(args: argparse.Namespace) -> int:
         }
         print(f"fault stats: {interesting or 'no faults fired'}")
     if result.neg_cache_stats:
-        stats = result.neg_cache_stats
-        print(
-            f"neg cache: {stats.get('refreshes', 0)} refreshes over "
-            f"{stats.get('refreshed_keys', 0)} keys, "
-            f"{stats.get('candidates_scored', 0)} candidates scored, "
-            f"{stats.get('hard_negatives_served', 0)} hard negatives "
-            f"served, {stats.get('cache_keys', 0)} keys cached, "
-            f"{stats.get('pending_keys', 0)} pending, "
-            f"{stats.get('refresh_bytes', 0) / 1e6:.1f} MB refresh "
-            f"traffic, {stats.get('neg_cache_time', 0.0):.3f}s simulated"
-        )
+        print(_neg_cache_line(result.neg_cache_stats))
     if args.checkpoint is not None:
-        if args.system.lower() == "pbg":
-            print("checkpointing is not supported for the PBG baseline")
-            return 1
         save_checkpoint(trainer, args.checkpoint)
         print(f"checkpoint written to {args.checkpoint}")
     return 0
@@ -697,17 +733,12 @@ def _serve_bench(args: argparse.Namespace) -> int:
         split_warmup,
         trained_store,
     )
-    from repro.serving.cache import ServingCache
     from repro.serving.store import EmbeddingStore
     from repro.serving.workload import WorkloadSpec, ZipfianWorkload
     from repro.utils.tables import format_table
     from repro.serving.metrics import ServingReport
 
-    status = _validate_backend(args)
-    if status is not None:
-        return status
     use_mp = args.backend == "mp"
-
     overload = (
         args.tenants is not None
         or args.admission is not None
@@ -715,32 +746,6 @@ def _serve_bench(args: argparse.Namespace) -> int:
         or args.faults is not None
         or args.deploy_every is not None
     )
-    if use_mp:
-        # The overload layer (admission windows, shed ladders, deploy
-        # swaps) is stateful per-stream and is modelled single-frontend;
-        # tiered backings hold process-local file handles; the tracer is
-        # process-local.  Fail fast rather than silently measure the
-        # wrong thing.
-        blockers = [
-            ("--tenants", args.tenants is not None),
-            ("--admission", args.admission is not None),
-            ("--slo", args.slo is not None),
-            ("--faults", args.faults is not None),
-            ("--deploy-every", args.deploy_every is not None),
-            ("--backing tiered", args.backing == "tiered"),
-            ("--trace", args.trace is not None),
-        ]
-        engaged = [flag for flag, on in blockers if on]
-        if engaged:
-            print(
-                f"--backend mp does not support {', '.join(engaged)} "
-                "(see docs/parallelism.md)",
-                file=sys.stderr,
-            )
-            return 2
-    if args.deploy_every is not None and args.checkpoint is not None:
-        print("--deploy-every snapshots a live trainer; drop --checkpoint")
-        return 2
     spec = WorkloadSpec(
         num_queries=args.queries,
         arrival_rate=args.rate,
@@ -748,9 +753,6 @@ def _serve_bench(args: argparse.Namespace) -> int:
         num_candidates=args.candidates,
         seed=args.seed + 11,
     )
-    if args.memory_budget is not None and args.backing != "tiered":
-        print("--memory-budget requires --backing tiered")
-        return 2
     tier_cfg = _tier_config(args)
     trainer = None
     if args.checkpoint is not None:
@@ -789,14 +791,7 @@ def _serve_bench(args: argparse.Namespace) -> int:
         2, int(args.hot_fraction * (store.num_entities + store.num_relations))
     )
 
-    def _make_cache():
-        if args.cache_policy == "none":
-            return None
-        if args.cache_policy == "static":
-            return ServingCache.from_query_log(warmup, capacity)
-        return ServingCache.dynamic(capacity, policy=args.cache_policy)
-
-    cache = _make_cache()
+    cache = ServingCache.from_policy(args.cache_policy, capacity, warmup)
     label = args.cache_policy if cache is not None else "no-cache"
     title = (
         f"[serve-bench] {len(measured)} measured queries, "
@@ -1011,13 +1006,6 @@ def _stream(args: argparse.Namespace) -> int:
     from repro.stream import OnlineTrainer, make_stream
     from repro.utils.tables import format_table
 
-    if args.system.lower() == "pbg":
-        print("the PBG block baseline has no PS cache path to stream into")
-        return 2
-    status = _validate_neg_cache(args)
-    if status is not None:
-        return status
-
     graph = generate_dataset(args.dataset, scale=args.scale)
     config = TrainingConfig(
         model=args.model,
@@ -1083,13 +1071,8 @@ def _stream(args: argparse.Namespace) -> int:
         f"relations, {result.cache_rows_invalidated} cache rows invalidated"
     )
     if result.neg_cache_stats:
-        stats = result.neg_cache_stats
         print(
-            f"neg cache: {stats.get('refreshes', 0)} refreshes, "
-            f"{stats.get('candidates_scored', 0)} candidates scored, "
-            f"{stats.get('cache_keys', 0)} keys cached, "
-            f"{stats.get('pending_keys', 0)} pending, "
-            f"{stats.get('refresh_bytes', 0) / 1e6:.1f} MB refresh traffic, "
+            f"{_neg_cache_line(result.neg_cache_stats)}, "
             f"{result.neg_cache_keys_invalidated} keys invalidated by "
             "stream deletes"
         )
@@ -1139,6 +1122,9 @@ def _sweep(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    status = _check_usage(args)
+    if status:
+        return status
 
     trace_path = getattr(args, "trace", None)
     if trace_path is None:
@@ -1183,26 +1169,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "sweep":
         return _sweep(args)
 
-    status = _validate_neg_cache(args)
-    if status is not None:
-        return status
     names = list_experiments() if args.experiment == "all" else [args.experiment]
-    runners = []
-    for name in names:
-        try:
-            runners.append(get_experiment(name))
-        except KeyError:
-            import difflib
-
-            valid = list_experiments()
-            close = difflib.get_close_matches(name, valid, n=3, cutoff=0.4)
-            print(f"unknown experiment {name!r}", file=sys.stderr)
-            if close:
-                print(
-                    "did you mean: " + ", ".join(close), file=sys.stderr
-                )
-            print("valid ids: " + ", ".join(valid), file=sys.stderr)
-            return 2
+    runners = [get_experiment(name) for name in names]
 
     jobs = getattr(args, "jobs", 1)
     if jobs > 1 and len(names) > 1:

@@ -53,42 +53,19 @@ class Telemetry:
     :attr:`events` — kept separate from the per-step records so the CSV
     schema and summaries of fault-free runs are unchanged.
 
-    Trainers also snapshot the store's per-tier byte breakdown
-    (``ShardedKVStore.memory_report()``) into :attr:`memory_reports` at
-    the end of each ``train()`` call — again a separate channel, so the
-    per-step CSV schema is untouched.
+    Run-level totals (false-negative leaks, neg-cache refresh counts, the
+    store's memory report) are not repeated here: they are fields of the
+    ``TrainResult`` the same ``train()`` call returns.
     """
 
     records: list[IterationRecord] = field(default_factory=list)
     events: list[FaultEvent] = field(default_factory=list)
-    memory_reports: list[dict] = field(default_factory=list)
-    #: Named monotone counters (e.g. ``false_negative_leaks``,
-    #: ``neg_cache_refreshes``) — yet another separate channel, so the
-    #: per-step CSV schema stays frozen while subsystems report rare
-    #: incidents without one row per occurrence.
-    counters: dict[str, int] = field(default_factory=dict)
 
     def add(self, record: IterationRecord) -> None:
         self.records.append(record)
 
     def add_event(self, event: FaultEvent) -> None:
         self.events.append(event)
-
-    def bump(self, name: str, by: int = 1) -> None:
-        """Increment the named counter (created at 0 on first use)."""
-        self.counters[name] = self.counters.get(name, 0) + int(by)
-
-    def counter(self, name: str) -> int:
-        """Current value of the named counter (0 if never bumped)."""
-        return self.counters.get(name, 0)
-
-    def record_memory(self, report: dict) -> None:
-        """Snapshot a store memory report (one per completed train() call)."""
-        self.memory_reports.append(report)
-
-    def latest_memory(self) -> dict:
-        """The most recent memory report (empty dict if none recorded)."""
-        return self.memory_reports[-1] if self.memory_reports else {}
 
     def __len__(self) -> int:
         return len(self.records)

@@ -496,16 +496,13 @@ class HETKGTrainer:
             fault_stats["recovery_time"] = summary.recovery_time
         if checkpoints is not None:
             fault_stats["checkpoints"] = checkpoints.saves
-        memory_report = self.server.store.memory_report()
-        if telemetry is not None:
-            telemetry.record_memory(memory_report)
         return TrainResult(
             config=cfg,
             system=self.system_name,
             history=history,
             final_metrics=history.points[-1].metrics if history.points else {},
             fault_stats=fault_stats,
-            memory_report=memory_report,
+            memory_report=self.server.store.memory_report(),
             wall_time_s=time.perf_counter() - wall_start,
             **summary.fields_for(TrainResult),
         )

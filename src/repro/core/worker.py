@@ -99,7 +99,6 @@ class Worker:
         #: plus neg-cache refresh scoring) — the experiment's "scored
         #: candidates" efficiency axis.
         self.scored_candidates = 0
-        self._leaks_seen = 0
         self.clock = SimClock()
         #: Observability scope for this worker's phase spans (bound by the
         #: trainer when tracing is on; the null scope costs nothing).
@@ -262,11 +261,6 @@ class Worker:
         self.trace.count("worker.steps")
         if self._step_comm is not None and self._step_comm.remote_bytes:
             self.trace.count("worker.remote_bytes", self._step_comm.remote_bytes)
-        leaks = self.sampler.negative_sampler.false_negative_leaks
-        if leaks > self._leaks_seen:
-            if self.telemetry is not None:
-                self.telemetry.bump("false_negative_leaks", leaks - self._leaks_seen)
-            self._leaks_seen = leaks
         if self.telemetry is not None:
             if self.cache is not None:
                 stats = self.cache.combined_stats()
@@ -327,9 +321,6 @@ class Worker:
                 scores=scored,
             )
         self.trace.count("worker.neg_refreshes")
-        if self.telemetry is not None:
-            self.telemetry.bump("neg_cache_refreshes")
-            self.telemetry.bump("neg_cache_candidates_scored", scored)
 
     def _charge_neg_comm(self, comm: CommRecord) -> None:
         """Account refresh traffic once, under the ``neg_cache`` category."""

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cache.core import make_cache, replay_membership_trace
+from repro.cache.core import make_cache, replay_membership_trace, replay_trace
 from repro.experiments.common import (
     ExperimentResult,
     base_config,
@@ -41,7 +41,8 @@ from repro.experiments.cache_study import _access_trace
 from repro.experiments.parallel import parallel_map
 from repro.serving.workload import WorkloadSpec, ZipfianWorkload, zipf_probabilities
 
-#: Reactive policies (registry names in repro.cache.core).
+#: Reactive policies in report-column order (the registry of
+#: repro.cache.core minus ``pinned``; a test keeps the two equal).
 REACTIVE_POLICIES = ("fifo", "lru", "lfu", "clock", "2q", "arc")
 
 #: Prefetch-based membership strategies (HotnessMembershipCache modes).
@@ -137,15 +138,10 @@ def _run_cell(task: tuple[str, str, float, int]):
         hit_ratio = replay_membership_trace(
             batches, capacity, mode=policy, window=WINDOW
         )
-        resident = capacity  # membership caches install up to capacity
     else:
         core = make_cache(policy, capacity)
-        for batch in batches:
-            for key in batch:
-                core.access(int(key))
-        hit_ratio = core.hit_ratio
-        resident = len(core)
-        assert resident <= capacity, (policy, resident, capacity)
+        hit_ratio = replay_trace(core, np.concatenate(batches))
+        assert len(core) <= capacity, (policy, len(core), capacity)
     return trace_name, policy, hit_ratio, capacity
 
 

@@ -6,18 +6,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cache.optimal import belady_hit_ratio
-from repro.cache.policies import (
-    ARCCache,
-    ClockCache,
-    FIFOCache,
-    LFUCache,
-    LRUCache,
-    ImportanceCache,
-    TwoQueueCache,
-    hotness_window_hit_ratio,
+from repro.cache.core import (
+    CacheCore,
+    make_cache,
+    replay_membership_trace,
     replay_trace,
 )
+from repro.cache.optimal import belady_hit_ratio
 from repro.experiments.common import (
     ExperimentResult,
     base_config,
@@ -248,6 +243,15 @@ def _access_trace(
     return batches, importance
 
 
+def _importance_cache(capacity: int, importance: dict[int, float]) -> CacheCore:
+    """Static cache pinning the top-``capacity`` keys by importance (ties:
+    lowest id); everything else is never admitted."""
+    cache = make_cache("pinned", capacity)
+    ranked = sorted(importance, key=lambda key: (-importance[key], key))
+    cache.strategy.install(ranked[:capacity])
+    return cache
+
+
 def run_table6(
     scale: float = 0.05,
     seed: int = 0,
@@ -256,9 +260,9 @@ def run_table6(
     """Table VI: hit ratio of HET-KG's hotness cache vs FIFO/LRU/importance.
 
     All policies replay the identical one-epoch access trace with the same
-    capacity.  The HET-KG column is the DPS oracle-window cache (top-k of
-    each prefetched window).  Paper shape: HET-KG > importance > LRU >
-    FIFO on every dataset.
+    capacity on the same :mod:`repro.cache.core` engine.  The HET-KG column
+    is the DPS membership replay (top-k of each prefetched window).  Paper
+    shape: HET-KG > importance > LRU > FIFO on every dataset.
 
     The trace uses the paper's small-batch setting (b = 32) so the cache
     capacity is comfortably larger than one batch's working set — the
@@ -275,11 +279,13 @@ def run_table6(
         rows.append(
             [
                 dataset,
-                replay_trace(FIFOCache(capacity), flat),
-                replay_trace(LRUCache(capacity), flat),
-                replay_trace(LFUCache(capacity), flat),
-                replay_trace(ImportanceCache(capacity, importance), flat),
-                hotness_window_hit_ratio(batches, capacity, config.dps_window),
+                replay_trace(make_cache("fifo", capacity), flat),
+                replay_trace(make_cache("lru", capacity), flat),
+                replay_trace(make_cache("lfu", capacity), flat),
+                replay_trace(_importance_cache(capacity, importance), flat),
+                replay_membership_trace(
+                    batches, capacity, "dps", config.dps_window
+                ),
             ]
         )
     return ExperimentResult(
@@ -314,10 +320,12 @@ def run_policies_extended(
         rows.append(
             [
                 dataset,
-                replay_trace(ClockCache(capacity), flat),
-                replay_trace(TwoQueueCache(capacity), flat),
-                replay_trace(ARCCache(capacity), flat),
-                hotness_window_hit_ratio(batches, capacity, config.dps_window),
+                replay_trace(make_cache("clock", capacity), flat),
+                replay_trace(make_cache("2q", capacity), flat),
+                replay_trace(make_cache("arc", capacity), flat),
+                replay_membership_trace(
+                    batches, capacity, "dps", config.dps_window
+                ),
                 belady_hit_ratio(flat.tolist(), capacity),
             ]
         )

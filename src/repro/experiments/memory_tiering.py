@@ -33,7 +33,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.core.telemetry import Telemetry
 from repro.core.trainer import make_trainer
 from repro.experiments.common import (
     ExperimentResult,
@@ -191,7 +190,6 @@ def _train_leg(epochs: int, seed: int) -> list[dict]:
     assert identical, "tiered backing with unlimited budget diverged from resident"
     exact.server.store.close()
 
-    telemetry = Telemetry()
     budget = "24K"
     tight = make_trainer(
         "hetkg-d",
@@ -199,8 +197,8 @@ def _train_leg(epochs: int, seed: int) -> list[dict]:
             backing="tiered", memory_budget=budget, tier_block_rows=16
         ),
     )
-    tight_result = tight.train(bundle.split.train, telemetry=telemetry)
-    report = telemetry.latest_memory()
+    tight_result = tight.train(bundle.split.train)
+    report = tight_result.memory_report
     assert report["backing"] == "tiered"
     assert report["resident_bytes"] <= report["budget_bytes"]
     tight.server.store.close()

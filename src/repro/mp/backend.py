@@ -223,8 +223,6 @@ def run_mp_training(
             }
             if telemetry is not None:
                 telemetry_records.extend(child_telemetry.records)
-                for name, value in child_telemetry.counters.items():
-                    telemetry.bump(name, value)
         if telemetry is not None:
             # Restore the simulator's global step order (cumulative
             # per-worker iteration, then worker position).
@@ -232,7 +230,6 @@ def run_mp_training(
                 key=lambda r: (r.iteration, rank_of[r.worker])
             )
             telemetry.records.extend(telemetry_records)
-            telemetry.record_memory(memory_report)
 
         # The children's exit stats are their deltas (fresh processes), so
         # the simulator's own summariser builds the result.

@@ -31,11 +31,8 @@ import numpy as np
 
 from repro.mp.pool import process_map
 from repro.mp.shm import SharedArena
+from repro.serving.cache import ServingCache, cache_policies
 from repro.serving.metrics import ServingReport, latency_percentile
-
-#: Cache policies a frontend replica can rebuild locally from its spec
-#: (mirrors the serve-bench ``--cache-policy`` choices).
-_CACHE_POLICIES = ("static", "lru", "lfu", "fifo", "clock", "2q", "arc", "none")
 
 
 @dataclass
@@ -85,10 +82,10 @@ def serve_mp(
         shared ``warmup`` log, dynamic policies start cold.  Replicas do
         not share cache state — matching real replicated frontends.
     """
-    if cache_policy not in _CACHE_POLICIES:
+    if cache_policy not in cache_policies():
         raise ValueError(
             f"unknown cache policy {cache_policy!r}; "
-            f"choose from {_CACHE_POLICIES}"
+            f"choose from {cache_policies()}"
         )
     if cache_policy == "static" and warmup is None:
         raise ValueError("cache_policy='static' needs a warmup log")
@@ -169,8 +166,8 @@ def _replica_body(spec: dict, arrays) -> dict:
     from repro.ps.kvstore import ShardedKVStore
     from repro.ps.network import NetworkModel
     from repro.serving.batcher import QueryBatcher
-    from repro.serving.cache import ServingCache
     from repro.serving.frontend import ServingFrontend
+    from repro.serving.queries import ADMITTED, QueryLog
     from repro.serving.store import EmbeddingStore
 
     store = ShardedKVStore(
@@ -181,18 +178,9 @@ def _replica_body(spec: dict, arrays) -> dict:
     )
     serving = EmbeddingStore(get_model(spec["model"], spec["dim"]), store)
 
-    policy = spec["cache_policy"]
-    if policy == "none":
-        cache = None
-    elif policy == "static":
-        from repro.serving.queries import QueryLog
-
-        cache = ServingCache.from_query_log(
-            QueryLog(spec["warmup"]), spec["capacity"]
-        )
-    else:
-        cache = ServingCache.dynamic(spec["capacity"], policy=policy)
-
+    cache = ServingCache.from_policy(
+        spec["cache_policy"], spec["capacity"], QueryLog(spec["warmup"])
+    )
     frontend = ServingFrontend(
         serving,
         batcher=QueryBatcher(
@@ -207,8 +195,6 @@ def _replica_body(spec: dict, arrays) -> dict:
         spec["queries"], label=f"{spec['label']}#{spec['rank']}"
     )
     wall_s = time.perf_counter() - wall0
-    from repro.serving.queries import ADMITTED
-
     # Percentiles are computed over the admitted subset, matching
     # aggregate_results' single-frontend convention.
     latencies = [

@@ -161,15 +161,6 @@ class ShardedKVStore:
 
     # ------------------------------------------------------------ bookkeeping
 
-    def split_local_remote(
-        self, kind: str, ids: np.ndarray, machine: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Partition ``ids`` into (local-to-machine, remote) sub-arrays."""
-        ids = np.asarray(ids, dtype=np.int64)
-        owners = self.owners(kind, ids)
-        local_mask = owners == machine
-        return ids[local_mask], ids[~local_mask]
-
     def owned_ids(self, kind: str, machine: int) -> np.ndarray:
         """All row ids whose shard lives on ``machine``.
 
@@ -177,13 +168,6 @@ class ShardedKVStore:
         owned are lost and must be restored from the last checkpoint.
         """
         return np.flatnonzero(self._owners[kind] == machine).astype(np.int64)
-
-    def remote_machine_count(self, kind: str, ids: np.ndarray, machine: int) -> int:
-        """Number of distinct remote machines holding rows in ``ids``."""
-        ids = np.asarray(ids, dtype=np.int64)
-        owners = self.owners(kind, ids)
-        others = np.unique(owners[owners != machine])
-        return len(others)
 
     def memory_bytes(self) -> int:
         """Total *logical* embedding storage in bytes (for capacity reports).

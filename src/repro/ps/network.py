@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.utils.validation import check_positive
 
 #: Wire size of one embedding element (float32).
@@ -74,6 +76,34 @@ class CommRecord:
             remote_messages=self.remote_messages - baseline.remote_messages,
             retransmit_bytes=self.retransmit_bytes - baseline.retransmit_bytes,
         )
+
+
+def meter_rows(
+    owners: np.ndarray,
+    machine: int,
+    row_bytes: float,
+    remote_factor: float = 1.0,
+) -> CommRecord:
+    """Traffic for moving one row per entry of ``owners`` to/from ``machine``.
+
+    ``owners`` is the owning machine of each row (one ownership gather,
+    made by the caller); rows ``machine`` owns move locally, the rest
+    remotely at ``remote_factor`` bytes per byte (a wire codec's ratio),
+    one message per contacted shard.  The local/remote split and the
+    distinct-shard count both come from one ``np.bincount`` — owner ids
+    are dense machine indices, so counting beats sorting.
+    """
+    counts = np.bincount(owners)
+    n_local = int(counts[machine]) if machine < len(counts) else 0
+    present = counts > 0
+    if machine < len(counts):
+        present[machine] = False
+    return CommRecord(
+        local_bytes=int(n_local * row_bytes),
+        remote_bytes=int((len(owners) - n_local) * row_bytes * remote_factor),
+        local_messages=1 if n_local else 0,
+        remote_messages=int(present.sum()),
+    )
 
 
 @dataclass

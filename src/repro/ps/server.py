@@ -22,7 +22,7 @@ from repro.obs.tracer import NULL_SCOPE, TraceScope
 from repro.optim.base import SparseOptimizer
 from repro.ps.compression import Compressor, NoCompression
 from repro.ps.kvstore import ShardedKVStore
-from repro.ps.network import BYTES_PER_ELEMENT, CommRecord
+from repro.ps.network import BYTES_PER_ELEMENT, CommRecord, meter_rows
 
 
 class ParameterServer:
@@ -155,28 +155,11 @@ class ParameterServer:
     def _meter_owned(
         self, kind: str, owners: np.ndarray, machine: int
     ) -> CommRecord:
-        """Metering from a precomputed ownership array.
-
-        ``pull``/``push`` gather ownership once and reuse it here, instead
-        of the previous ``split_local_remote`` + ``remote_machine_count``
-        pair that re-gathered ``owners[ids]`` twice more and ran two
-        ``np.unique`` passes; the local/remote split and the distinct-shard
-        count both derive from one ``np.bincount`` over the gather (owner
-        ids are dense machine indices, so counting beats sorting).
-        """
-        row_bytes = self.store.row_width(kind) * BYTES_PER_ELEMENT * self.byte_scale
-        counts = np.bincount(owners)
-        n_local = int(counts[machine]) if machine < len(counts) else 0
-        n_remote = len(owners) - n_local
-        present = counts > 0
-        if machine < len(counts):
-            present[machine] = False
-        remote_shards = int(present.sum())
-        return CommRecord(
-            local_bytes=int(n_local * row_bytes),
-            remote_bytes=int(
-                n_remote * row_bytes * self.compressor.byte_factor
-            ),
-            local_messages=1 if n_local else 0,
-            remote_messages=remote_shards,
+        """Metering from a precomputed ownership array: ``pull``/``push``
+        gather ownership once and reuse it here."""
+        return meter_rows(
+            owners,
+            machine,
+            self.store.row_width(kind) * BYTES_PER_ELEMENT * self.byte_scale,
+            self.compressor.byte_factor,
         )

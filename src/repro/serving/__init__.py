@@ -28,7 +28,7 @@ Quickstart
 """
 
 from repro.serving.batcher import QueryBatcher
-from repro.serving.cache import DYNAMIC_POLICIES, ServingCache
+from repro.serving.cache import ServingCache, cache_policies
 from repro.serving.frontend import ServingFrontend
 from repro.serving.metrics import ServingReport, latency_percentile
 from repro.serving.queries import (
@@ -44,7 +44,6 @@ from repro.serving.store import EmbeddingStore
 from repro.serving.workload import WorkloadSpec, ZipfianWorkload, zipf_probabilities
 
 __all__ = [
-    "DYNAMIC_POLICIES",
     "EmbeddingStore",
     "HEAD_PREDICTION",
     "QUERY_KINDS",
@@ -59,6 +58,7 @@ __all__ = [
     "TAIL_PREDICTION",
     "WorkloadSpec",
     "ZipfianWorkload",
+    "cache_policies",
     "latency_percentile",
     "zipf_probabilities",
 ]

@@ -13,10 +13,10 @@ Two variants, mirroring the paper's training-side strategies:
   nothing is ever evicted.  The ``entity_ratio`` knob carries over: the
   heterogeneity fix matters at inference too, since every query touches
   a relation row.
-* **dynamic** — a reactive eviction policy per table (any non-pinned
-  policy registered with :mod:`repro.cache.core`: LRU/LFU/FIFO/CLOCK/
-  2Q/ARC), for workloads whose hot set drifts faster than the log can
-  be re-profiled.  Capacity is divided between the entity and relation
+* **dynamic** — a reactive eviction policy per table (any of
+  :func:`reactive_policies`: LRU/LFU/FIFO/CLOCK/2Q/ARC and whatever else
+  is registered), for workloads whose hot set drifts faster than the log
+  can be re-profiled.  Capacity is divided between the entity and relation
   tables by the *same* :func:`~repro.cache.filtering.split_slots` rule
   the training filter uses, so the two tiers always agree on the split
   and the slots sum to exactly ``capacity``.
@@ -44,26 +44,33 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cache.core import (
-    POLICIES,
     CacheCore,
-    EvictionStrategy,
     PinnedStrategy,
+    available_policies,
+    make_cache,
 )
 from repro.cache.filtering import HotSet, filter_hot_ids, split_slots
 from repro.utils.validation import check_positive
 
-#: Dynamic policy registry for :meth:`ServingCache.dynamic` — every
-#: registered core policy except the static pinned one.
-DYNAMIC_POLICIES: dict[str, type[EvictionStrategy]] = {
-    name: cls for name, cls in POLICIES.items() if name != "pinned"
-}
+
+def reactive_policies() -> list[str]:
+    """Registered core policies that admit on a miss (all but ``pinned``)."""
+    return [name for name in available_policies() if name != "pinned"]
+
+
+def cache_policies() -> tuple[str, ...]:
+    """The serving-level policy vocabulary, as ``--cache-policy`` and
+    :meth:`ServingCache.from_policy` accept it: ``static``, every reactive
+    policy, ``none``."""
+    return ("static", *reactive_policies(), "none")
 
 
 class ServingCache:
     """Frontend-local cache over entity and relation rows.
 
-    Use the constructors :meth:`static`, :meth:`from_query_log`, or
-    :meth:`dynamic` rather than ``__init__`` directly.
+    Use the constructors :meth:`from_policy`, :meth:`static`,
+    :meth:`from_query_log`, or :meth:`dynamic` rather than ``__init__``
+    directly.
     """
 
     def __init__(self, tables: dict[str, CacheCore], label: str) -> None:
@@ -77,6 +84,19 @@ class ServingCache:
         self.misses = 0
 
     # ----------------------------------------------------------- constructors
+
+    @classmethod
+    def from_policy(
+        cls, policy: str, capacity: int, warmup
+    ) -> "ServingCache | None":
+        """The cache a :func:`cache_policies` name stands for: ``static``
+        profiles the ``warmup`` :class:`~repro.serving.queries.QueryLog`,
+        a reactive policy starts cold, ``none`` is no cache."""
+        if policy == "none":
+            return None
+        if policy == "static":
+            return cls.from_query_log(warmup, capacity)
+        return cls.dynamic(capacity, policy=policy)
 
     @classmethod
     def static(cls, hot_set: HotSet) -> "ServingCache":
@@ -124,16 +144,14 @@ class ServingCache:
         exactly ``capacity`` (a zero-slot side never admits).
         """
         check_positive("capacity", capacity)
-        try:
-            strategy_cls = DYNAMIC_POLICIES[policy]
-        except KeyError:
+        if policy not in reactive_policies():
             raise KeyError(
-                f"unknown policy {policy!r}; available: {sorted(DYNAMIC_POLICIES)}"
-            ) from None
+                f"unknown policy {policy!r}; available: {reactive_policies()}"
+            )
         entity_slots, relation_slots = split_slots(capacity, entity_ratio)
         tables = {
-            "entity": CacheCore(entity_slots, strategy_cls(), label=policy),
-            "relation": CacheCore(relation_slots, strategy_cls(), label=policy),
+            "entity": make_cache(policy, entity_slots),
+            "relation": make_cache(policy, relation_slots),
         }
         return cls(tables, label=policy)
 

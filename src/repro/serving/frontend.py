@@ -50,6 +50,7 @@ from repro.ps.network import (
     CommRecord,
     ComputeModel,
     NetworkModel,
+    meter_rows,
 )
 from repro.serving.admission import (
     DEGRADED,
@@ -393,22 +394,12 @@ class ServingFrontend:
             )
 
     def _meter(self, kind: str, miss_ids: np.ndarray) -> CommRecord:
-        """Traffic to pull ``miss_ids`` to this frontend (mirrors
-        :meth:`repro.ps.server.ParameterServer._meter`)."""
-        row_bytes = (
-            self.store.store.row_width(kind) * BYTES_PER_ELEMENT * self.byte_scale
-        )
-        local_ids, remote_ids = self.store.store.split_local_remote(
-            kind, miss_ids, self.machine
-        )
-        remote_shards = self.store.store.remote_machine_count(
-            kind, miss_ids, self.machine
-        )
-        return CommRecord(
-            local_bytes=int(len(local_ids) * row_bytes),
-            remote_bytes=int(len(remote_ids) * row_bytes),
-            local_messages=1 if len(local_ids) else 0,
-            remote_messages=remote_shards,
+        """Traffic to pull ``miss_ids`` to this frontend."""
+        kv = self.store.store
+        return meter_rows(
+            kv.owners(kind, miss_ids),
+            self.machine,
+            kv.row_width(kind) * BYTES_PER_ELEMENT * self.byte_scale,
         )
 
     def _answer(self, query: Query) -> float | np.ndarray:

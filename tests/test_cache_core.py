@@ -2,8 +2,8 @@
 
 Covers the centralized capacity ledger, the per-access residency
 invariant across every registered policy, trace equivalence between the
-facades and independent reference implementations of the pre-core
-policies, the four capacity/overflow bug regressions from ISSUE 7, and
+registry-built caches and independent reference implementations of the
+pre-core policies, the four capacity/overflow bug regressions from ISSUE 7, and
 the CPS/DPS/ADAPTIVE membership replay engine.
 """
 
@@ -26,20 +26,13 @@ from repro.cache.core import (
     available_policies,
     make_cache,
     replay_membership_trace,
-)
-from repro.cache.filtering import filter_hot_ids, split_slots
-from repro.cache.policies import (
-    ARCCache,
-    ClockCache,
-    FIFOCache,
-    ImportanceCache,
-    LRUCache,
-    TwoQueueCache,
-    hotness_window_hit_ratio,
     replay_trace,
 )
+from repro.cache.filtering import filter_hot_ids, split_slots
 from repro.cache.table import CacheTable
+from repro.experiments.cache_study import _importance_cache
 from repro.serving.cache import ServingCache
+from tests.reference.hotness_window import hotness_window_hit_ratio
 
 #: Every reactive policy registered with the core (pinned is membership-
 #: driven and exercised separately).
@@ -263,27 +256,27 @@ class TestTwoQueueRegression:
     def test_capacity_one_holds_one(self):
         """The pre-core 2Q gave both segments max(1, ...) slots and held
         two resident keys in a capacity-1 cache."""
-        cache = TwoQueueCache(1)
+        cache = make_cache("2q", 1)
         for key in (1, 2, 1, 1, 3, 1):
             cache.access(key)
             assert len(cache) <= 1
 
     @pytest.mark.parametrize("capacity", range(1, 16))
     def test_segment_caps_sum_to_capacity(self, capacity):
-        strategy = TwoQueueCache(capacity)._core.strategy
+        strategy = make_cache("2q", capacity).strategy
         assert strategy.probation_cap + strategy.protected_cap == capacity
         assert strategy.probation_cap >= 1
 
     def test_probation_hit_without_protected_segment(self):
         """At capacity 1 a probation hit stays probationary (and hits)."""
-        cache = TwoQueueCache(1)
+        cache = make_cache("2q", 1)
         assert not cache.access(7)
         assert cache.access(7)
         assert len(cache) == 1
 
     def test_invalid_probation_fraction(self):
         with pytest.raises(ValueError, match="probation_fraction"):
-            TwoQueueCache(4, probation_fraction=1.0)
+            make_cache("2q", 4, probation_fraction=1.0)
 
 
 class TestSplitSlots:
@@ -423,9 +416,9 @@ ARC_DIVERGENCE_TRACE = [
 
 class TestARCRegression:
     def test_pinned_trace_matches_exact_p_reference(self):
-        """Regression (ISSUE 7): ARCCache must follow the exact-p REPLACE."""
+        """Regression (ISSUE 7): ARC must follow the exact-p REPLACE."""
         ref = RefARC(ARC_DIVERGENCE_CAPACITY)
-        cache = ARCCache(ARC_DIVERGENCE_CAPACITY)
+        cache = make_cache("arc", ARC_DIVERGENCE_CAPACITY)
         ref_hits = [ref.access(k) for k in ARC_DIVERGENCE_TRACE]
         new_hits = [cache.access(k) for k in ARC_DIVERGENCE_TRACE]
         assert new_hits == ref_hits
@@ -443,18 +436,18 @@ class TestARCRegression:
     @given(trace=TRACES, capacity=CAPACITIES)
     def test_trace_equivalence_with_reference(self, trace, capacity):
         ref = RefARC(capacity)
-        cache = ARCCache(capacity)
+        cache = make_cache("arc", capacity)
         for key in trace:
             assert cache.access(key) == ref.access(key)
             assert len(cache) <= capacity
         assert len(cache) == len(ref.t1) + len(ref.t2)
 
     def test_p_exposed_as_float(self):
-        cache = ARCCache(4)
-        assert isinstance(cache.p, float)
+        cache = make_cache("arc", 4)
+        assert isinstance(cache.strategy.p, float)
 
 
-# --------------------------------------------- facade trace equivalence
+# ------------------------------------ registry-vs-reference trace equivalence
 
 
 class RefFIFO:
@@ -540,22 +533,18 @@ class RefTwoQueue:
 
 
 class TestFacadeTraceEquivalence:
-    """The unified-core facades pick the same hits/victims as independent
+    """The registry-built caches pick the same hits/victims as independent
     copies of the pre-core implementations (golden trace equivalence)."""
 
     @pytest.mark.parametrize(
-        "make_new, make_ref",
-        [
-            (FIFOCache, RefFIFO),
-            (LRUCache, RefLRU),
-            (ClockCache, RefClock),
-        ],
+        "policy, make_ref",
+        [("fifo", RefFIFO), ("lru", RefLRU), ("clock", RefClock)],
         ids=["fifo", "lru", "clock"],
     )
     @settings(max_examples=40, deadline=None)
     @given(trace=TRACES, capacity=CAPACITIES)
-    def test_hit_sequences_identical(self, make_new, make_ref, trace, capacity):
-        new = make_new(capacity)
+    def test_hit_sequences_identical(self, policy, make_ref, trace, capacity):
+        new = make_cache(policy, capacity)
         ref = make_ref(capacity)
         for key in trace:
             assert new.access(key) == ref.access(key)
@@ -563,14 +552,14 @@ class TestFacadeTraceEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(trace=TRACES, capacity=st.integers(min_value=2, max_value=12))
     def test_two_queue_identical_above_capacity_one(self, trace, capacity):
-        new = TwoQueueCache(capacity)
+        new = make_cache("2q", capacity)
         ref = RefTwoQueue(capacity)
         for key in trace:
             assert new.access(key) == ref.access(key)
 
     def test_importance_cache_semantics_preserved(self):
         importance = {0: 5.0, 1: 4.0, 2: 4.0, 3: 1.0}
-        cache = ImportanceCache(3, importance)
+        cache = _importance_cache(3, importance)
         # Top 3 by (-importance, id): 0, 1, 2.  3 is never admitted.
         assert replay_trace(cache, [0, 1, 2, 3, 3, 3]) == pytest.approx(0.5)
         assert len(cache) == 3
@@ -590,8 +579,8 @@ class TestHotnessMembershipReplay:
     @settings(max_examples=30, deadline=None)
     @given(batches=BATCH_TRACES, capacity=st.integers(min_value=1, max_value=20))
     def test_dps_matches_hotness_window_exactly(self, batches, capacity):
-        """The core-replayed DPS must agree bit-for-bit with the oracle
-        window function Table VI uses."""
+        """The core-replayed DPS (Table VI's HET-KG column) must agree
+        bit-for-bit with the vectorised oracle in tests/reference/."""
         arrays = [np.asarray(b, dtype=np.int64) for b in batches]
         expected = hotness_window_hit_ratio(arrays, capacity, window=4)
         replayed = replay_membership_trace(
@@ -721,6 +710,13 @@ class TestCacheShootout:
         from repro.experiments.registry import EXPERIMENTS
 
         assert "cache-shootout" in EXPERIMENTS
+
+    def test_columns_are_the_registry_minus_pinned(self):
+        """The shootout's tuple fixes the report's column order; it must
+        still name every reactive policy the registry holds."""
+        from repro.experiments.cache_shootout import REACTIVE_POLICIES
+
+        assert sorted(REACTIVE_POLICIES) == list(REACTIVE)
 
     def test_parallel_identical_to_serial(self):
         """The --jobs grid must reproduce the serial report exactly."""

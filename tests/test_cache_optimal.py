@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.optimal import belady_hit_ratio
-from repro.cache.policies import (
-    ARCCache,
-    FIFOCache,
-    LFUCache,
-    LRUCache,
+from repro.cache.core import (
+    available_policies,
+    make_cache,
+    replay_membership_trace,
     replay_trace,
 )
+from repro.cache.optimal import belady_hit_ratio
 
 
 class TestBelady:
@@ -49,16 +48,15 @@ class TestBelady:
         """Belady's ratio must be >= every implementable policy's ratio on
         every trace — the defining optimality property."""
         optimal = belady_hit_ratio(trace, capacity)
-        for cls in (FIFOCache, LRUCache, LFUCache, ARCCache):
-            online = replay_trace(cls(capacity), trace)
-            assert optimal >= online - 1e-12
+        for policy in available_policies():
+            if policy != "pinned":
+                online = replay_trace(make_cache(policy, capacity), trace)
+                assert optimal >= online - 1e-12, policy
 
     def test_upper_bounds_hotness_window(self, rng):
         """HET-KG's windowed oracle approximates Belady from below."""
-        from repro.cache.policies import hotness_window_hit_ratio
-
         keys = rng.zipf(1.4, size=3000) % 120
         batches = [keys[i : i + 30] for i in range(0, len(keys), 30)]
-        window = hotness_window_hit_ratio(batches, capacity=12, window=8)
+        window = replay_membership_trace(batches, 12, "dps", window=8)
         optimal = belady_hit_ratio(keys.tolist(), capacity=12)
         assert optimal >= window - 1e-12

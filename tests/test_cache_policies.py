@@ -1,28 +1,28 @@
-"""Tests for the eviction-policy baselines (Table VI machinery)."""
+"""Tests for the eviction-policy baselines (Table VI machinery): every
+cache is built the one way there is, ``make_cache(name, capacity)``."""
 
 import numpy as np
 import pytest
 
-from repro.cache.policies import (
-    FIFOCache,
-    ImportanceCache,
-    LFUCache,
-    LRUCache,
-    hotness_window_hit_ratio,
-    replay_trace,
-)
+from repro.cache.core import make_cache, replay_membership_trace, replay_trace
+from repro.experiments.cache_study import _importance_cache
+
+
+def dps_hit_ratio(batches, capacity, window):
+    """Table VI's "HET-KG" column: the DPS membership replay."""
+    return replay_membership_trace(batches, capacity, "dps", window)
 
 
 class TestFIFO:
     def test_admits_until_full(self):
-        cache = FIFOCache(2)
+        cache = make_cache("fifo", 2)
         assert not cache.access(1)
         assert not cache.access(2)
         assert cache.access(1)
         assert len(cache) == 2
 
     def test_evicts_oldest(self):
-        cache = FIFOCache(2)
+        cache = make_cache("fifo", 2)
         cache.access(1)
         cache.access(2)
         cache.access(3)  # evicts 1
@@ -30,7 +30,7 @@ class TestFIFO:
         assert cache.access(3)
 
     def test_hit_does_not_refresh_position(self):
-        cache = FIFOCache(2)
+        cache = make_cache("fifo", 2)
         cache.access(1)
         cache.access(2)
         cache.access(1)  # hit; FIFO ignores recency
@@ -40,7 +40,7 @@ class TestFIFO:
 
 class TestLRU:
     def test_evicts_least_recent(self):
-        cache = LRUCache(2)
+        cache = make_cache("lru", 2)
         cache.access(1)
         cache.access(2)
         cache.access(1)  # refresh 1
@@ -54,14 +54,14 @@ class TestLRU:
         trace = []
         for i in range(100):
             trace.extend([0, 100 + i, 200 + i])  # key 0 recurs every 3 steps
-        lru = replay_trace(LRUCache(3), trace)
-        fifo = replay_trace(FIFOCache(3), trace)
+        lru = replay_trace(make_cache("lru", 3), trace)
+        fifo = replay_trace(make_cache("fifo", 3), trace)
         assert lru >= fifo
 
 
 class TestLFU:
     def test_evicts_least_frequent(self):
-        cache = LFUCache(2)
+        cache = make_cache("lfu", 2)
         cache.access(1)
         cache.access(1)
         cache.access(2)
@@ -70,7 +70,7 @@ class TestLFU:
         assert not cache.access(2)
 
     def test_keeps_heavy_hitters(self):
-        cache = LFUCache(1)
+        cache = make_cache("lfu", 1)
         for _ in range(5):
             cache.access(7)
         cache.access(8)  # evicts 7? No: 8 admitted, 7 evicted (only slot)
@@ -81,77 +81,70 @@ class TestLFU:
 
 class TestImportance:
     def test_static_membership(self):
-        cache = ImportanceCache(2, {1: 10.0, 2: 5.0, 3: 1.0})
+        cache = _importance_cache(2, {1: 10.0, 2: 5.0, 3: 1.0})
         assert cache.access(1)
         assert cache.access(2)
         assert not cache.access(3)
         assert not cache.access(3)  # never admitted
 
     def test_capacity_respected(self):
-        cache = ImportanceCache(1, {1: 2.0, 2: 1.0})
+        cache = _importance_cache(1, {1: 2.0, 2: 1.0})
         assert len(cache) == 1
         assert cache.access(1)
         assert not cache.access(2)
 
     def test_deterministic_tie_break(self):
-        a = ImportanceCache(1, {5: 1.0, 3: 1.0})
+        a = _importance_cache(1, {5: 1.0, 3: 1.0})
         assert a.access(3)
 
 
 class TestHitRatioAccounting:
     def test_ratio(self):
-        cache = LRUCache(4)
+        cache = make_cache("lru", 4)
         replay_trace(cache, [1, 1, 1, 2])
         assert cache.hit_ratio == 0.5
         assert cache.hits == 2 and cache.misses == 2
 
     def test_empty_trace(self):
-        cache = LRUCache(4)
+        cache = make_cache("lru", 4)
         assert replay_trace(cache, []) == 0.0
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            FIFOCache(0)
 
 
 class TestHotnessWindow:
     def test_perfect_when_capacity_covers_window(self):
         batches = [np.array([1, 2]), np.array([2, 3])]
-        assert hotness_window_hit_ratio(batches, capacity=4, window=2) == 1.0
+        assert dps_hit_ratio(batches, capacity=4, window=2) == 1.0
 
     def test_partial_coverage(self):
         # Window of one batch with 4 distinct keys, capacity 2 -> 50%.
         batches = [np.array([1, 2, 3, 4])]
-        assert hotness_window_hit_ratio(batches, capacity=2, window=1) == 0.5
+        assert dps_hit_ratio(batches, capacity=2, window=1) == 0.5
 
     def test_prefers_frequent_keys(self):
         batches = [np.array([7, 7, 7, 1, 2, 3])]
-        ratio = hotness_window_hit_ratio(batches, capacity=1, window=1)
+        ratio = dps_hit_ratio(batches, capacity=1, window=1)
         assert ratio == 0.5  # the three 7s hit
 
     def test_windows_are_independent(self):
         batches = [np.array([1, 1]), np.array([2, 2])]
-        assert hotness_window_hit_ratio(batches, capacity=1, window=1) == 1.0
+        assert dps_hit_ratio(batches, capacity=1, window=1) == 1.0
 
     def test_empty(self):
-        assert hotness_window_hit_ratio([], 4, 2) == 0.0
+        assert dps_hit_ratio([], 4, 2) == 0.0
 
     def test_beats_lru_on_skewed_trace(self, rng):
         """The Table VI headline: hotness windows beat recency eviction on
         Zipf-skewed pull streams."""
         keys = rng.zipf(1.5, size=4000) % 200
         batches = [keys[i : i + 40] for i in range(0, len(keys), 40)]
-        hot = hotness_window_hit_ratio(batches, capacity=20, window=8)
-        lru = replay_trace(LRUCache(20), keys)
+        hot = dps_hit_ratio(batches, capacity=20, window=8)
+        lru = replay_trace(make_cache("lru", 20), keys)
         assert hot > lru
-
-
-from repro.cache.policies import ARCCache, ClockCache, TwoQueueCache
 
 
 class TestClock:
     def test_second_chance(self):
-        cache = ClockCache(2)
+        cache = make_cache("clock", 2)
         cache.access(1)
         cache.access(2)
         cache.access(1)  # sets 1's reference bit
@@ -160,21 +153,21 @@ class TestClock:
         assert not cache.access(2)
 
     def test_capacity(self):
-        cache = ClockCache(3)
+        cache = make_cache("clock", 3)
         for k in range(10):
             cache.access(k)
         assert len(cache) == 3
 
     def test_behaves_between_fifo_and_lru(self, rng):
         keys = (rng.zipf(1.3, size=3000) % 100).tolist()
-        fifo = replay_trace(FIFOCache(10), keys)
-        clock = replay_trace(ClockCache(10), keys)
+        fifo = replay_trace(make_cache("fifo", 10), keys)
+        clock = replay_trace(make_cache("clock", 10), keys)
         assert clock >= fifo - 0.02
 
 
 class TestTwoQueue:
     def test_promotion_on_second_access(self):
-        cache = TwoQueueCache(4, probation_fraction=0.5)
+        cache = make_cache("2q", 4, probation_fraction=0.5)
         cache.access(1)  # probation
         assert cache.access(1)  # promoted
         # Flood the probation queue; 1 must survive in protected.
@@ -183,7 +176,7 @@ class TestTwoQueue:
         assert cache.access(1)
 
     def test_one_hit_wonders_do_not_evict_protected(self):
-        cache = TwoQueueCache(4, probation_fraction=0.25)
+        cache = make_cache("2q", 4, probation_fraction=0.25)
         cache.access(1)
         cache.access(1)  # protected
         for k in range(100, 140):
@@ -191,19 +184,19 @@ class TestTwoQueue:
         assert cache.access(1)
 
     def test_capacity(self):
-        cache = TwoQueueCache(4)
+        cache = make_cache("2q", 4)
         for k in range(50):
             cache.access(k % 7)
         assert len(cache) <= 4
 
     def test_invalid_fraction(self):
         with pytest.raises(ValueError):
-            TwoQueueCache(4, probation_fraction=1.0)
+            make_cache("2q", 4, probation_fraction=1.0)
 
 
 class TestARC:
     def test_frequent_keys_survive_scan(self):
-        cache = ARCCache(4)
+        cache = make_cache("arc", 4)
         for _ in range(5):
             cache.access(1)
             cache.access(2)
@@ -211,7 +204,7 @@ class TestARC:
             cache.access(k)
         # ARC's frequency segment should have protected 1 and 2 better
         # than plain LRU would.
-        lru = LRUCache(4)
+        lru = make_cache("lru", 4)
         for _ in range(5):
             lru.access(1)
             lru.access(2)
@@ -222,19 +215,19 @@ class TestARC:
         assert arc_hits >= lru_hits
 
     def test_capacity_bound(self, rng):
-        cache = ARCCache(8)
+        cache = make_cache("arc", 8)
         for k in (rng.integers(0, 50, size=2000)).tolist():
             cache.access(k)
         assert len(cache) <= 8
 
     def test_hit_accounting(self):
-        cache = ARCCache(4)
+        cache = make_cache("arc", 4)
         assert not cache.access(1)
         assert cache.access(1)
         assert cache.hits == 1 and cache.misses == 1
 
     def test_at_least_lru_on_skewed_trace(self, rng):
         keys = (rng.zipf(1.4, size=4000) % 150).tolist()
-        arc = replay_trace(ARCCache(15), keys)
-        lru = replay_trace(LRUCache(15), keys)
+        arc = replay_trace(make_cache("arc", 15), keys)
+        lru = replay_trace(make_cache("lru", 15), keys)
         assert arc >= lru - 0.03

@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
 
+import pathlib
+
 import pytest
 
-from repro.cli import main
+from repro.cli import CONTEXTS, RULES, _build_parser, main, usage_errors
 
 
 class TestList:
@@ -123,6 +125,8 @@ class TestTrain:
         assert ckpt.exists()
 
     def test_train_pbg_rejects_checkpoint(self, tmp_path, capsys):
+        """Used to train to completion, print the error to stdout and
+        exit 1; it is a usage error, raised before the dataset exists."""
         rc = main(
             [
                 "train", "--dataset", "wn18", "--scale", "0.02",
@@ -130,7 +134,10 @@ class TestTrain:
                 "--checkpoint", str(tmp_path / "x.npz"),
             ]
         )
-        assert rc == 1
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "--checkpoint" in captured.err and "PBG" in captured.err
+        assert captured.out == ""
 
 
 class TestBackendFlag:
@@ -199,3 +206,109 @@ class TestBackendFlag:
         assert "static#0" in out
         assert "static#1" in out
         assert "q/s wall" in out
+
+
+# ------------------------------------------------------------ the rule table
+
+#: A value for every flag of the table that takes one.
+FLAG_VALUES = {
+    "--trace": "t.json", "--faults": "drop=0.1", "--checkpoint-every": "4",
+    "--neg-cache": "auto", "--checkpoint": "x.npz", "--tenants": "gold,free",
+    "--admission": "gold=100", "--slo": "0.01", "--deploy-every": "100",
+    "--memory-budget": "8M", "--mp-schedule": "sync", "--mp-staleness": "2",
+    "--mp-start": "fork", "--mp-workers": "2",
+}
+#: Per context: the subcommands it can hold on and the argv that makes it
+#: hold there (the defaults are sim, resident, no checkpoint).
+CONTEXT_ARGV = {
+    "mp": (("train", "serve-bench"), ["--backend", "mp"]),
+    "sim": (("train", "serve-bench"), []),
+    "pbg": (("train",), ["--system", "pbg"]),
+    "resident": (("train", "serve-bench"), []),
+    "checkpoint": (("serve-bench",), ["--checkpoint", "x.npz"]),
+    "stream": (("stream",), []),
+}
+
+
+def _flag_argv(flag):
+    return flag.split() + ([FLAG_VALUES[flag]] if flag in FLAG_VALUES else [])
+
+
+def _blocked_invocations():
+    for rule in RULES:
+        for context in rule.blocked_in:
+            commands, context_argv = CONTEXT_ARGV[context]
+            reachable = [c for c in rule.commands if c in commands]
+            assert reachable, f"no command reaches {rule.flag} in {context}"
+            for command in reachable:
+                yield pytest.param(
+                    rule, context, [command, *context_argv, *_flag_argv(rule.flag)],
+                    id=f"{command}-{rule.flag.lstrip('-')}-in-{context}".replace(" ", "="),
+                )
+
+
+class TestRuleTable:
+    @pytest.mark.parametrize("rule, context, argv", _blocked_invocations())
+    def test_blocked_combination_is_a_usage_error(self, rule, context, argv, capsys):
+        """Every row x every blocked context: exit 2, flag and reason on
+        stderr, and nothing on stdout (no dataset was generated)."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{rule.flag} {CONTEXTS[context][1]}" in captured.err
+        assert rule.reason in captured.err
+
+    def test_rows_fire_only_in_their_contexts(self):
+        """Outside its blocked contexts every flag of the table is accepted
+        (``stream`` is skipped: there the command itself is the context)."""
+        parser = _build_parser()
+        leave = {"sim": ["--backend", "mp"], "resident": ["--backing", "tiered"]}
+        for rule in RULES:
+            for command in set(rule.commands) - {"stream"}:
+                argv = [command, *_flag_argv(rule.flag)]
+                for context in rule.blocked_in:
+                    argv += leave.get(context, [])
+                assert usage_errors(parser.parse_args(argv)) == [], argv
+
+    def test_parallelism_doc_lists_the_mp_rows(self):
+        """docs/parallelism.md names every flag --backend mp rejects:
+        train's in section 1, serve-bench's in section 6."""
+        doc = (
+            pathlib.Path(__file__).parent.parent / "docs" / "parallelism.md"
+        ).read_text()
+        sections = {
+            "train": doc.split("## 1.")[1].split("## 2.")[0],
+            "serve-bench": doc.split("## 6.")[1].split("## 7.")[0],
+        }
+        for rule in RULES:
+            if "mp" in rule.blocked_in:
+                for command in rule.commands:
+                    if command in sections:
+                        assert f"`{rule.flag}`" in sections[command], (
+                            command, rule.flag
+                        )
+
+
+class TestCachePolicyVocabulary:
+    def test_cli_choices_are_the_serving_vocabulary_and_construct(self):
+        from repro.cache.core import available_policies
+        from repro.serving.cache import ServingCache, cache_policies
+        from repro.serving.queries import Query, QueryLog
+
+        reactive = [p for p in available_policies() if p != "pinned"]
+        assert cache_policies() == ("static", *reactive, "none")
+        parser = _build_parser()
+        with pytest.raises(SystemExit):
+            parser.parse_args(["serve-bench", "--cache-policy", "pinned"])
+        warmup = QueryLog(
+            [Query(qid=0, kind="score", head=1, relation=0, tail=2, arrival=0.0)]
+        )
+        for name in cache_policies():
+            args = parser.parse_args(["serve-bench", "--cache-policy", name])
+            cache = ServingCache.from_policy(args.cache_policy, 8, warmup)
+            if name == "none":
+                assert cache is None
+            else:
+                assert cache.label == name
+                cache.lookup("entity", [1, 2])
+                assert 0 < cache.size() <= 8

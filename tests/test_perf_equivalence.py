@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 
 from repro.cache.filtering import _top_ids, filter_hot_ids
 from repro.cache.prefetch import _count_batch, _fold_counts
-from repro.cache.policies import EvictionPolicy, LFUCache
+from repro.cache.core import make_cache
 from repro.cache.table import CacheTable
 from repro.core.evaluation import (
     FilterIndex,
@@ -424,23 +424,26 @@ class TestEvaluationEquivalence:
 # --------------------------------------------------------------- LFU policy
 
 
-class RefLFU(EvictionPolicy):
+class RefLFU:
     """The former O(capacity) min-scan LFU."""
 
     def __init__(self, capacity: int) -> None:
-        super().__init__(capacity)
+        self.capacity = capacity
+        self.hits = self.misses = 0
         self._counts: Counter[int] = Counter()
         self._members: OrderedDict[int, None] = OrderedDict()
 
-    def _access(self, key: int) -> bool:
+    def access(self, key: int) -> bool:
         self._counts[key] += 1
         if key in self._members:
             self._members.move_to_end(key)
+            self.hits += 1
             return True
         if len(self._members) >= self.capacity:
             victim = min(self._members, key=lambda k: (self._counts[k], 0))
             del self._members[victim]
         self._members[key] = None
+        self.misses += 1
         return False
 
     def __len__(self) -> int:
@@ -459,7 +462,7 @@ class TestLFUBucketEquivalence:
     ):
         rng = np.random.default_rng(seed)
         trace = rng.zipf(1.4, size=length) % 40
-        fast, ref = LFUCache(capacity), RefLFU(capacity)
+        fast, ref = make_cache("lfu", capacity), RefLFU(capacity)
         for key in trace:
             assert fast.access(int(key)) == ref.access(int(key))
         assert fast.hits == ref.hits and fast.misses == ref.misses

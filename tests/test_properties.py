@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.cache.filtering import filter_hot_ids
-from repro.cache.policies import FIFOCache, LFUCache, LRUCache, replay_trace
+from repro.cache.core import make_cache, replay_trace
 from repro.cache.table import CacheTable
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.stats import gini, top_fraction_share
@@ -74,15 +74,15 @@ class TestEvictionPolicyProperties:
     )
     @settings(max_examples=50, deadline=None)
     def test_capacity_never_exceeded(self, trace, capacity):
-        for cls in (FIFOCache, LRUCache, LFUCache):
-            cache = cls(capacity)
+        for policy in ("fifo", "lru", "lfu"):
+            cache = make_cache(policy, capacity)
             replay_trace(cache, trace)
             assert len(cache) <= capacity
 
     @given(trace=st.lists(st.integers(0, 5), min_size=1, max_size=100))
     @settings(max_examples=50, deadline=None)
     def test_hit_ratio_one_when_capacity_covers_universe(self, trace):
-        cache = LRUCache(6)
+        cache = make_cache("lru", 6)
         ratio = replay_trace(cache, trace)
         misses = len(set(trace))
         assert cache.misses == misses  # each key misses exactly once
@@ -93,8 +93,8 @@ class TestEvictionPolicyProperties:
     )
     @settings(max_examples=30, deadline=None)
     def test_hit_ratio_bounds(self, trace, capacity):
-        for cls in (FIFOCache, LRUCache, LFUCache):
-            assert 0.0 <= replay_trace(cls(capacity), trace) <= 1.0
+        for policy in ("fifo", "lru", "lfu"):
+            assert 0.0 <= replay_trace(make_cache(policy, capacity), trace) <= 1.0
 
 
 class TestFilterProperties:

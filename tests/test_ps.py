@@ -2,10 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.optim.sgd import SparseSGD
 from repro.ps.kvstore import ShardedKVStore
-from repro.ps.network import BYTES_PER_ELEMENT, CommRecord, ComputeModel, NetworkModel
+from repro.ps.network import (
+    BYTES_PER_ELEMENT,
+    CommRecord,
+    ComputeModel,
+    NetworkModel,
+    meter_rows,
+)
 from repro.ps.server import ParameterServer
 
 
@@ -93,6 +101,35 @@ class TestNetworkModel:
             NetworkModel(latency=-1)
 
 
+class TestMeterRows:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        owners=st.lists(st.integers(0, 5), max_size=40),
+        machine=st.integers(0, 7),
+        width=st.integers(1, 64),
+        byte_scale=st.sampled_from([1.0, 25.0, 0.3]),
+    )
+    def test_equals_the_frontend_arithmetic_it_replaced(
+        self, owners, machine, width, byte_scale
+    ):
+        """``ServingFrontend._meter`` used to split ids into local/remote
+        sub-arrays and count distinct remote owners with ``np.unique``
+        (``ShardedKVStore.split_local_remote``/``remote_machine_count``);
+        that arithmetic, inlined here, is what the shared function must
+        reproduce bit for bit."""
+        owners = np.asarray(owners, dtype=np.int64)
+        row_bytes = width * BYTES_PER_ELEMENT * byte_scale
+        local = owners[owners == machine]
+        remote = owners[owners != machine]
+        expected = CommRecord(
+            local_bytes=int(len(local) * row_bytes),
+            remote_bytes=int(len(remote) * row_bytes),
+            local_messages=1 if len(local) else 0,
+            remote_messages=len(np.unique(remote)),
+        )
+        assert meter_rows(owners, machine, row_bytes) == expected
+
+
 class TestComputeModel:
     def test_batch_time_scales_linearly(self):
         cm = ComputeModel(throughput=1e6)
@@ -121,15 +158,6 @@ class TestShardedKVStore:
 
     def test_relation_round_robin(self, store):
         assert list(store.owners("relation", np.array([0, 1, 2, 3]))) == [0, 1, 2, 0]
-
-    def test_split_local_remote(self, store):
-        local, remote = store.split_local_remote("entity", np.array([0, 3, 9]), 0)
-        assert list(local) == [0, 9]
-        assert list(remote) == [3]
-
-    def test_remote_machine_count(self, store):
-        assert store.remote_machine_count("entity", np.array([0, 3, 6]), 0) == 2
-        assert store.remote_machine_count("entity", np.array([0, 1]), 0) == 0
 
     def test_write(self, store):
         store.write("entity", np.array([2]), np.array([[7.0, 8.0]]))

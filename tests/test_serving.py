@@ -132,6 +132,9 @@ class TestServingCache:
     def test_unknown_policy(self):
         with pytest.raises(KeyError, match="unknown policy"):
             ServingCache.dynamic(capacity=4, policy="belady")
+        # Registered, but static: a pinned table never admits on a miss.
+        with pytest.raises(KeyError, match="unknown policy"):
+            ServingCache.dynamic(capacity=4, policy="pinned")
 
     def test_invalidate_empties(self):
         log = QueryLog([score_query(0, head=1, tail=2)])
