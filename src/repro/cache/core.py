@@ -51,7 +51,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.utils.validation import check_fraction, check_positive
+from repro.utils.validation import check_positive
 
 
 class CapacityError(ValueError):
@@ -756,17 +756,14 @@ class HotnessMembershipCache:
         mode: str = "dps",
         window: int = 8,
         threshold: float = 0.65,
-        decay: float = 0.5,
     ) -> None:
         check_positive("capacity", capacity)
         check_positive("window", window)
-        check_fraction("decay", decay)
         if mode not in self.MODES:
             raise ValueError(f"mode must be one of {self.MODES}, got {mode!r}")
         self.mode = mode
         self.window = window
         self.threshold = threshold
-        self.decay = decay
         self.rebuilds = 0
         self._strategy = PinnedStrategy()
         self._core = CacheCore(capacity, self._strategy, label=mode)
@@ -839,19 +836,11 @@ class HotnessMembershipCache:
 
         detector = DriftDetector(self.threshold)
         half = max(1, self.window // 2)
-        acc: dict[int, float] = {}
         first = True
         for flat in self._chunks(batches, half):
             if len(flat) == 0:
                 continue
             ids, counts = np.unique(flat, return_counts=True)
-            if self.decay == 0.0:
-                acc.clear()
-            elif self.decay != 1.0:
-                for k in acc:
-                    acc[k] *= self.decay
-            for i, c in zip(ids.tolist(), counts.tolist()):
-                acc[i] = acc.get(i, 0.0) + c
             candidate = _top_keys(flat, self.capacity)
             current = np.fromiter(
                 sorted(self._strategy.members), dtype=np.int64

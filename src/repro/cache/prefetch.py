@@ -44,44 +44,16 @@ class PrefetchResult:
         return sum(self.relation_counts.values())
 
 
-def _count_batch(
-    batch: MiniBatch,
-    entity_counts: dict[int, int],
-    relation_counts: dict[int, int],
-) -> None:
-    """Per-batch reference counter (line 7-8 of Alg. 1).
-
-    Kept as the readable single-batch oracle: :func:`prefetch` now folds
-    all batches of a window through one vectorized count
-    (:func:`_fold_counts`), which must agree with applying this function
-    batch by batch (see ``tests/test_perf_equivalence.py``).
-    """
-    touched_entities = np.concatenate(
-        [
-            batch.positives[:, HEAD],
-            batch.positives[:, TAIL],
-            batch.neg_entities.ravel(),
-        ]
-    )
-    ids, counts = np.unique(touched_entities, return_counts=True)
-    for e, c in zip(ids.tolist(), counts.tolist()):
-        entity_counts[e] = entity_counts.get(e, 0) + c
-    # Each negative reuses its positive's relation embedding.
-    rel_ids, rel_counts = np.unique(batch.positives[:, REL], return_counts=True)
-    weight = 1 + batch.num_negatives
-    for r, c in zip(rel_ids.tolist(), rel_counts.tolist()):
-        relation_counts[r] = relation_counts.get(r, 0) + c * weight
-
-
 def _fold_counts(
     chunks: list[np.ndarray], weights: list[int] | None = None
 ) -> dict[int, int]:
     """Vectorized id -> access-count fold over many id chunks.
 
     One concatenate + one ``np.unique``/``np.bincount`` pass replaces the
-    per-batch Python dict merge.  ``weights`` (one int per chunk) scales
-    every occurrence of a chunk — used for relations, where each negative
-    reuses its positive's relation embedding.
+    per-batch Python dict merge (lines 7-8 of Alg. 1; the per-batch oracle
+    is ``tests/reference/prefetch_reference.py``).  ``weights`` (one int
+    per chunk) scales every occurrence of a chunk — used for relations,
+    where each negative reuses its positive's relation embedding.
     """
     if not chunks:
         return {}

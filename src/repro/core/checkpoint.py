@@ -22,10 +22,19 @@ import warnings
 import numpy as np
 
 from repro.core.trainer import HETKGTrainer
-from repro.optim.adagrad import SparseAdagrad
+from repro.ps.server import OPT_PREFIX
 
 #: Bump when the archive layout changes.
 FORMAT_VERSION = 1
+
+#: Archive key of each :meth:`ParameterServer.state_arrays` name.  The
+#: ``adagrad_`` keys predate optimizer-agnostic state and are the format.
+ARCHIVE_KEYS = {
+    "entity": "entity_table",
+    "relation": "relation_table",
+    "opt_entity": "adagrad_entity",
+    "opt_relation": "adagrad_relation",
+}
 
 
 def save_checkpoint(trainer: HETKGTrainer, path: str | os.PathLike[str]) -> None:
@@ -37,23 +46,16 @@ def save_checkpoint(trainer: HETKGTrainer, path: str | os.PathLike[str]) -> None
     """
     if trainer.server is None:
         raise RuntimeError("trainer has no state yet; call setup() or train()")
-    store = trainer.server.store
+    state = trainer.server.state_arrays()
     meta = {
         "format_version": FORMAT_VERSION,
         "model": trainer.config.model,
         "dim": trainer.config.dim,
-        "num_entities": len(store.table("entity")),
-        "num_relations": len(store.table("relation")),
+        "num_entities": len(state["entity"]),
+        "num_relations": len(state["relation"]),
     }
-    arrays = {
-        "entity_table": store.table("entity"),
-        "relation_table": store.table("relation"),
-        "meta_json": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-    }
-    optimizer = trainer.server.optimizer
-    if isinstance(optimizer, SparseAdagrad):
-        for name, acc in optimizer._accumulators.items():
-            arrays[f"adagrad_{name}"] = acc
+    arrays = {ARCHIVE_KEYS[name]: array for name, array in state.items()}
+    arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
 
     # Stage in the same directory (same filesystem) so os.replace is an
     # atomic rename; a crash between write and replace leaves only a
@@ -76,6 +78,28 @@ def save_checkpoint(trainer: HETKGTrainer, path: str | os.PathLike[str]) -> None
         raise
 
 
+def read_checkpoint(
+    path: str | os.PathLike[str], names=tuple(ARCHIVE_KEYS)
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """Parse an archive into ``(meta, arrays)``, ``arrays`` keyed by state
+    name: of ``names`` (serving asks for the two tables only), the tables
+    are required and optimizer state is present iff the archive carries
+    it.  The one reader behind training resume and serving load."""
+    with np.load(path) as data:
+        meta = json.loads(bytes(data["meta_json"]).decode())
+        if meta.get("format_version") != FORMAT_VERSION:
+            raise ValueError(
+                f"checkpoint format {meta.get('format_version')} is not "
+                f"supported (expected {FORMAT_VERSION})"
+            )
+        arrays = {
+            n: data[ARCHIVE_KEYS[n]]
+            for n in names
+            if not n.startswith(OPT_PREFIX) or ARCHIVE_KEYS[n] in data
+        }
+    return meta, arrays
+
+
 def load_checkpoint(trainer: HETKGTrainer, path: str | os.PathLike[str]) -> None:
     """Restore a checkpoint into a set-up trainer, in place.
 
@@ -87,54 +111,39 @@ def load_checkpoint(trainer: HETKGTrainer, path: str | os.PathLike[str]) -> None
     """
     if trainer.server is None:
         raise RuntimeError("set up the trainer (setup()/train()) before loading")
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta_json"]).decode())
-        if meta.get("format_version") != FORMAT_VERSION:
+    meta, arrays = read_checkpoint(path)
+    state = trainer.server.state_arrays()
+    for field in ("model", "dim"):
+        expected = getattr(trainer.config, field)
+        if meta[field] != expected:
             raise ValueError(
-                f"checkpoint format {meta.get('format_version')} is not "
-                f"supported (expected {FORMAT_VERSION})"
+                f"checkpoint {field}={meta[field]!r} does not match "
+                f"trainer {field}={expected!r}"
             )
-        store = trainer.server.store
-        for field in ("model", "dim"):
-            expected = getattr(trainer.config, field)
-            if meta[field] != expected:
-                raise ValueError(
-                    f"checkpoint {field}={meta[field]!r} does not match "
-                    f"trainer {field}={expected!r}"
-                )
-        for kind, key in (("entity", "num_entities"), ("relation", "num_relations")):
-            if meta[key] != len(store.table(kind)):
-                raise ValueError(
-                    f"checkpoint has {meta[key]} {kind} rows, trainer has "
-                    f"{len(store.table(kind))}"
-                )
-        accumulator_keys = [k for k in data.files if k.startswith("adagrad_")]
-        optimizer = trainer.server.optimizer
-        if accumulator_keys and not isinstance(optimizer, SparseAdagrad):
-            warnings.warn(
-                "checkpoint carries AdaGrad accumulator state but the "
-                f"trainer's optimizer is {type(optimizer).__name__}; the "
-                "accumulators are ignored and the optimizer resumes cold",
-                RuntimeWarning,
-                stacklevel=2,
+    for kind, key in (("entity", "num_entities"), ("relation", "num_relations")):
+        if meta[key] != len(state[kind]):
+            raise ValueError(
+                f"checkpoint has {meta[key]} {kind} rows, trainer has "
+                f"{len(state[kind])}"
             )
-        # Validate accumulator shapes against the live tables *before*
-        # mutating anything, so a bad archive cannot leave the trainer
-        # half-restored (and the error names the mismatch instead of a
-        # later broadcast crash inside the optimizer).
-        if isinstance(optimizer, SparseAdagrad):
-            for name in ("entity", "relation"):
-                key = f"adagrad_{name}"
-                if key in data and data[key].shape != store.table(name).shape:
-                    raise ValueError(
-                        f"checkpoint {key} has shape {data[key].shape}, but "
-                        f"the live {name} table is {store.table(name).shape}"
-                    )
-        store.table("entity")[:] = data["entity_table"]
-        store.table("relation")[:] = data["relation_table"]
-        if isinstance(optimizer, SparseAdagrad):
-            optimizer.reset()
-            for name in ("entity", "relation"):
-                key = f"adagrad_{name}"
-                if key in data:
-                    optimizer._accumulators[name] = data[key].copy()
+    if arrays.keys() - state.keys():  # tables are always live: optimizer state
+        warnings.warn(
+            "checkpoint carries AdaGrad accumulator state but the "
+            f"trainer's optimizer is {type(trainer.server.optimizer).__name__}; "
+            "the accumulators are ignored and the optimizer resumes cold",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    # Validate every shape against the live arrays *before* mutating
+    # anything, so a bad archive cannot leave the trainer half-restored
+    # (and the error names the mismatch instead of a later broadcast
+    # crash inside the optimizer).
+    for name, live in state.items():
+        if name in arrays and arrays[name].shape != live.shape:
+            raise ValueError(
+                f"checkpoint {ARCHIVE_KEYS[name]} has shape {arrays[name].shape}, "
+                f"but the live {name} array is {live.shape}"
+            )
+    for name, live in state.items():
+        # Optimizer state the archive lacks resumes cold.
+        live[:] = arrays.get(name, 0.0)

@@ -43,45 +43,6 @@ class LinkPredictionResult:
         return [self.mrr, self.hits.get(1, 0.0), self.hits.get(10, 0.0)]
 
 
-def _rank_one_side(
-    model: KGEModel,
-    entity_table: np.ndarray,
-    relation_table: np.ndarray,
-    h: int,
-    r: int,
-    t: int,
-    replace_head: bool,
-    candidates: np.ndarray,
-    filter_index: "FilterIndex | None",
-) -> int:
-    """Filtered rank of the true entity for one corruption side."""
-    true_entity = h if replace_head else t
-    cand_rows = entity_table[candidates]
-    n = len(candidates)
-    if replace_head:
-        h_rows = cand_rows
-        t_rows = np.broadcast_to(entity_table[t], (n, entity_table.shape[1]))
-    else:
-        h_rows = np.broadcast_to(entity_table[h], (n, entity_table.shape[1]))
-        t_rows = cand_rows
-    r_rows = np.broadcast_to(relation_table[r], (n, relation_table.shape[1]))
-    scores = model.score(np.ascontiguousarray(h_rows), np.ascontiguousarray(r_rows), np.ascontiguousarray(t_rows))
-
-    true_mask = candidates == true_entity
-    true_score = model.score(
-        entity_table[h][None, :], relation_table[r][None, :], entity_table[t][None, :]
-    )[0]
-
-    if filter_index is not None:
-        known = filter_index.known_entities(h, r, t, replace_head)
-        if len(known):
-            drop = np.isin(candidates, known) & ~true_mask
-            scores = np.where(drop, -np.inf, scores)
-    # Rank = 1 + number of (non-true) candidates scoring strictly higher.
-    better = np.count_nonzero(scores[~true_mask] > true_score)
-    return 1 + int(better)
-
-
 class FilterIndex:
     """Per-query lookup of known true triples for filtered ranking.
 
@@ -123,8 +84,8 @@ def _ranks_batched(
 
     Scores ``(queries x all entities)`` through the model in flat blocks of
     at most ``block_rows`` rows, avoiding the per-query Python loop.  Ranks
-    are bit-identical to one :func:`_rank_one_side` call per query (scores
-    are the same per-row arithmetic, only the batching differs; the oracle
+    are bit-identical to one ``_rank_one_side`` call per query (scores are
+    the same per-row arithmetic, only the batching differs; the oracle
     lives in ``tests/reference/evaluation_reference.py``).
     """
     n_ent = len(entity_table)
@@ -280,7 +241,6 @@ def evaluate_link_prediction(
     max_queries: int | None = None,
     num_candidates: int | None = None,
     seed: int | np.random.Generator | None = None,
-    batched: bool = True,
 ) -> LinkPredictionResult:
     """Evaluate embeddings on ``test`` with head and tail corruption.
 
@@ -296,11 +256,10 @@ def evaluate_link_prediction(
     num_candidates:
         Sample this many negative candidate entities per query instead of
         ranking against all entities (plus the true one).
-    batched:
-        Use the vectorized block-scoring kernels (the default).  Results
-        are bit-identical to the per-query reference implementation
-        (``batched=False``), which is kept as the equivalence oracle —
-        see :func:`_ranks_batched` / :func:`_ranks_sampled_batched`.
+
+    Scoring runs through the block kernels :func:`_ranks_batched` /
+    :func:`_ranks_sampled_batched`; the per-query loop they replaced is the
+    equivalence oracle in ``tests/reference/evaluation_reference.py``.
     """
     rng = make_rng(seed)
     triples = test.triples
@@ -311,50 +270,25 @@ def evaluate_link_prediction(
 
     num_entities = len(entity_table)
     full_ranking = num_candidates is None or num_candidates >= num_entities
-    if batched and len(triples):
-        if full_ranking:
-            head_ranks = _ranks_batched(
-                model, entity_table, relation_table, triples, True, filter_index
-            )
-            tail_ranks = _ranks_batched(
-                model, entity_table, relation_table, triples, False, filter_index
-            )
-        else:
-            head_ranks, tail_ranks = _ranks_sampled_batched(
-                model,
-                entity_table,
-                relation_table,
-                triples,
-                num_candidates,
-                filter_index,
-                rng,
-            )
-        return _aggregate(head_ranks, tail_ranks, hits_at)
-
-    head_ranks: list[int] = []
-    tail_ranks: list[int] = []
-    for h, r, t in triples:
-        h, r, t = int(h), int(r), int(t)
-        for replace_head in (True, False):
-            true_entity = h if replace_head else t
-            if num_candidates is not None and num_candidates < num_entities:
-                sampled = rng.choice(num_entities, size=num_candidates, replace=False)
-                candidates = np.unique(np.append(sampled, true_entity))
-            else:
-                candidates = np.arange(num_entities)
-            rank = _rank_one_side(
-                model,
-                entity_table,
-                relation_table,
-                h,
-                r,
-                t,
-                replace_head,
-                candidates,
-                filter_index,
-            )
-            (head_ranks if replace_head else tail_ranks).append(rank)
-
+    if not len(triples):
+        return _aggregate([], [], hits_at)
+    if full_ranking:
+        head_ranks = _ranks_batched(
+            model, entity_table, relation_table, triples, True, filter_index
+        )
+        tail_ranks = _ranks_batched(
+            model, entity_table, relation_table, triples, False, filter_index
+        )
+    else:
+        head_ranks, tail_ranks = _ranks_sampled_batched(
+            model,
+            entity_table,
+            relation_table,
+            triples,
+            num_candidates,
+            filter_index,
+            rng,
+        )
     return _aggregate(head_ranks, tail_ranks, hits_at)
 
 

@@ -330,8 +330,12 @@ class HETKGTrainer:
                 )
             )
 
-    def _wire_tracer(self, tracer: Tracer) -> None:
-        """Bind observability scopes across layers (worker/cache/RPC/PS)."""
+    def wire_tracer(self, tracer: Tracer | None = None) -> None:
+        """Bind observability scopes across layers (worker/cache/RPC/PS)
+        when ``tracer`` — by default the process-wide one — is enabled."""
+        tracer = tracer if tracer is not None else get_tracer()
+        if not tracer.enabled:
+            return
         assert self.server is not None
         for worker in self.workers:
             worker.trace = tracer.scope(f"worker{worker.machine}", worker.clock)
@@ -441,9 +445,7 @@ class HETKGTrainer:
         injector, checkpoints = self._install_faults(
             faults, checkpoint_every, checkpoint_path, telemetry
         )
-        active_tracer = tracer if tracer is not None else get_tracer()
-        if active_tracer.enabled:
-            self._wire_tracer(active_tracer)
+        self.wire_tracer(tracer)
         assert self.server is not None
         cfg = self.config
         history = TrainingHistory()

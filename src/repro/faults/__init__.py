@@ -37,7 +37,7 @@ from repro.faults.plan import (
     StragglerWindow,
 )
 from repro.faults.recovery import CheckpointManager, CheckpointSnapshot, ShardRecovery
-from repro.faults.rpc import FaultyPSChannel, RetriesExhausted
+from repro.faults.rpc import FaultyPSChannel
 
 __all__ = [
     "CheckpointManager",
@@ -50,7 +50,6 @@ __all__ = [
     "FaultStats",
     "FaultyPSChannel",
     "OutageWindow",
-    "RetriesExhausted",
     "RetryPolicy",
     "ShardRecovery",
     "StragglerWindow",

@@ -10,10 +10,11 @@ The simulated cluster co-locates one worker and one PS shard per machine
   checkpoint.  Rows owned by surviving shards keep their progress, exactly
   as in a real sharded-PS recovery.
 
-:class:`CheckpointManager` takes an in-memory snapshot (tables + AdaGrad
-accumulators) every ``every`` global iterations, and — when given a path —
-also persists it through :func:`repro.core.checkpoint.save_checkpoint`,
-whose atomic write guarantees a crash mid-save never corrupts the archive.
+:class:`CheckpointManager` takes an in-memory snapshot (a copy of the
+server's state arrays) every ``every`` global iterations, and — when
+given a path — also persists it through
+:func:`repro.core.checkpoint.save_checkpoint`, whose atomic write
+guarantees a crash mid-save never corrupts the archive.
 Snapshotting itself is *not* charged to any clock (modelled as an
 asynchronous copy-on-write snapshot); recovery is charged in full to the
 crashed machine's clock by the worker.
@@ -21,22 +22,21 @@ crashed machine's clock by the worker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.optim.adagrad import SparseAdagrad
 from repro.ps.network import BYTES_PER_ELEMENT
-from repro.ps.server import ParameterServer
+from repro.ps.server import ParameterServer, state_kind
 
 
 @dataclass
 class CheckpointSnapshot:
-    """One point-in-time copy of the global training state."""
+    """One point-in-time copy of the global training state: a copy of every
+    :meth:`~repro.ps.server.ParameterServer.state_arrays` entry, by name."""
 
     step: int
-    tables: dict[str, np.ndarray]
-    accumulators: dict[str, np.ndarray] = field(default_factory=dict)
+    arrays: dict[str, np.ndarray]
 
 
 class CheckpointManager:
@@ -71,20 +71,13 @@ class CheckpointManager:
         return True
 
     def snapshot(self, step: int) -> CheckpointSnapshot:
-        """Copy the global tables (+ optimizer state) right now."""
+        """Copy the server's state arrays right now."""
         server = self.trainer.server
         if server is None:
             raise RuntimeError("trainer has no state yet; call setup() or train()")
-        tables = {
-            kind: server.store.table(kind).copy() for kind in ("entity", "relation")
-        }
-        accumulators: dict[str, np.ndarray] = {}
-        if isinstance(server.optimizer, SparseAdagrad):
-            accumulators = {
-                name: acc.copy()
-                for name, acc in server.optimizer._accumulators.items()
-            }
-        self.last = CheckpointSnapshot(step, tables, accumulators)
+        self.last = CheckpointSnapshot(
+            step, {name: a.copy() for name, a in server.state_arrays().items()}
+        )
         self.saves += 1
         if self.path is not None:
             from repro.core.checkpoint import save_checkpoint
@@ -116,20 +109,18 @@ class ShardRecovery:
         if snap is None:
             return 0
         store = self.server.store
-        optimizer = self.server.optimizer
         restored_bytes = 0
-        for kind in ("entity", "relation"):
+        for name, live in self.server.state_arrays().items():
+            kind = state_kind(name)
             ids = store.owned_ids(kind, machine)
             if ids.size == 0:
                 continue
-            store.table(kind)[ids] = snap.tables[kind][ids]
-            restored_bytes += int(
-                ids.size
-                * store.row_width(kind)
-                * BYTES_PER_ELEMENT
-                * self.server.byte_scale
-            )
-            if kind in snap.accumulators and isinstance(optimizer, SparseAdagrad):
-                acc = optimizer._accumulator_for(kind, store.table(kind))
-                acc[ids] = snap.accumulators[kind][ids]
+            live[ids] = snap.arrays[name][ids]
+            if name == kind:  # the reload is charged per table row
+                restored_bytes += int(
+                    ids.size
+                    * store.row_width(kind)
+                    * BYTES_PER_ELEMENT
+                    * self.server.byte_scale
+                )
         return restored_bytes

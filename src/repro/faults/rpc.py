@@ -44,18 +44,6 @@ from repro.ps.server import ParameterServer
 from repro.utils.simclock import SimClock
 
 
-class RetriesExhausted(RuntimeError):
-    """An RPC burned its whole retry budget without reaching the PS."""
-
-    def __init__(self, op: str, kind: str, attempts: int) -> None:
-        super().__init__(
-            f"{op}({kind!r}) failed after {attempts} attempts (retry budget)"
-        )
-        self.op = op
-        self.kind = kind
-        self.attempts = attempts
-
-
 class RetryingChannel:
     """The retry core both fault channels share.
 

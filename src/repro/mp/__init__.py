@@ -6,9 +6,9 @@ every "parallel" number is simulated.  This package runs the *same* worker
 loop (:func:`repro.core.trainer.build_worker`) in actual OS processes over
 ``multiprocessing.shared_memory``-backed parameter-server tables:
 
-* :mod:`repro.mp.shm` — SharedMemory-backed ndarray storage for PS shards
-  and optimizer accumulators, with zero-copy attach in children, a growth
-  protocol compatible with :meth:`repro.ps.kvstore.ShardedKVStore.grow`,
+* :mod:`repro.mp.shm` — SharedMemory-backed ndarray storage for the
+  parameter server's state arrays, with zero-copy attach in children,
+  in-place growth within a segment's capacity (``SharedArray.grow``),
   and leak-proof cleanup (pid-guarded finalizers + context managers).
 * :mod:`repro.mp.pool` — small process-pool utilities shared with the
   ``--jobs`` parallel experiment runner.
@@ -34,7 +34,7 @@ cache's sync period ``P``).
 from repro.mp.backend import MPUnsupportedError, MPWorkerCrashed, run_mp_training
 from repro.mp.pool import default_jobs, process_map
 from repro.mp.serve import MPServingResult, serve_mp
-from repro.mp.shm import SharedArena, SharedArray, SharedKVStore, shm_segments
+from repro.mp.shm import SharedArena, SharedArray, shm_segments
 
 __all__ = [
     "MPServingResult",
@@ -46,6 +46,5 @@ __all__ = [
     "serve_mp",
     "SharedArena",
     "SharedArray",
-    "SharedKVStore",
     "shm_segments",
 ]

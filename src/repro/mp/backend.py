@@ -6,10 +6,11 @@ multi-process run:
 1. ``trainer.setup(graph)`` builds the partition, tables, and (parent
    copies of) the workers exactly as the simulator would — including
    drawing the per-worker stream seeds;
-2. the PS tables and AdaGrad accumulators move into a
-   :class:`~repro.mp.shm.SharedArena` and the parent's store/optimizer are
-   swapped onto the shared views, so the parent evaluates (and later
-   checkpoints) the same memory the children train;
+2. every array of the server's state
+   (:meth:`~repro.ps.server.ParameterServer.state_arrays`) is copied into
+   a :class:`~repro.mp.shm.SharedArena` segment of the same name and the
+   server is rebound onto the shared views, so the parent evaluates the
+   same memory the children train;
 3. one child process per worker runs :func:`repro.mp.worker.worker_main`;
    the parent collects per-epoch losses at a barrier, evaluates while the
    children are parked, and builds a normal
@@ -20,9 +21,9 @@ multi-process run:
    which is what makes the ``sync`` schedule's ``np.mean`` (and therefore
    the golden fingerprints) bit-identical;
 4. teardown is unconditional: whether the run finishes, raises, or a
-   child dies mid-epoch, the shared tables are copied back into private
-   arrays *before* the arena unlinks its segments (ndarray views into a
-   closed segment are fatal), and no ``/dev/shm`` entry survives.
+   child dies mid-epoch, the server is rebound onto private copies
+   *before* the arena unlinks its segments (ndarray views into a closed
+   segment are fatal), and no ``/dev/shm`` entry survives.
 
 Crash propagation: a child that exits without delivering its report trips
 :class:`MPWorkerCrashed`; the abort event + barrier abort unblock every
@@ -122,15 +123,12 @@ def run_mp_training(
     wall_start = time.perf_counter()
     try:
         # ---- move the global state into shared memory -------------------
-        for kind in ("entity", "relation"):
-            shared = arena.create(kind, store.table(kind))
-            store._tables[kind] = shared.view()
-        optimizer = server.optimizer
-        if hasattr(optimizer, "_accumulator_for"):
-            for kind in ("entity", "relation"):
-                acc = optimizer._accumulator_for(kind, store.table(kind))
-                shared = arena.create(f"acc_{kind}", acc)
-                optimizer._accumulators[kind] = shared.view()
+        server.rebind(
+            {
+                name: arena.create(name, array).view()
+                for name, array in server.state_arrays().items()
+            }
+        )
 
         # ---- spawn children --------------------------------------------
         controls = MPControls(ctx, num_workers)
@@ -146,7 +144,7 @@ def run_mp_training(
                 num_entities=train_graph.num_entities,
                 num_relations=train_graph.num_relations,
                 triple_idx=trainer.partition.triples_of(machine),
-                entity_owner=store._owners["entity"],
+                entity_owner=store.entity_owner,
                 neg_seed=trainer._worker_seeds[2 * machine],
                 sampler_seed=trainer._worker_seeds[2 * machine + 1],
                 iterations=iterations,
@@ -274,15 +272,9 @@ def _restore_private(trainer) -> None:
     trainer object outlives the run (evaluate, checkpoint, repeated
     train calls), so it must leave holding private memory.
     """
-    if trainer.server is None:
-        return
-    store = trainer.server.store
-    for kind, table in list(store._tables.items()):
-        store._tables[kind] = np.array(table, copy=True)
-    optimizer = trainer.server.optimizer
-    if hasattr(optimizer, "_accumulators"):
-        for kind, acc in list(optimizer._accumulators.items()):
-            optimizer._accumulators[kind] = np.array(acc, copy=True)
+    server = trainer.server
+    if server is not None:
+        server.rebind({n: np.array(a) for n, a in server.state_arrays().items()})
 
 
 def _set_gate(controls: MPControls, value: int) -> None:

@@ -103,12 +103,11 @@ def serve_mp(
     with SharedArena() as arena:
         for kind in ("entity", "relation"):
             arena.create(kind, np.asarray(kv.table(kind)))
-        n = np.arange(len(kv.table("entity")), dtype=np.int64)
         specs = [
             {
                 "rank": rank,
                 "shm_specs": arena.specs(),
-                "entity_owner": kv.owners("entity", n),
+                "entity_owner": kv.entity_owner,
                 "num_machines": kv.num_machines,
                 "model": store.model.name,
                 "dim": store.model.dim,

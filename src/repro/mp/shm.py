@@ -1,6 +1,6 @@
 """SharedMemory-backed ndarray storage for the mp training backend.
 
-The parameter-server tables (and the optimizer's AdaGrad accumulators) are
+The parameter server's state arrays (tables and optimizer history) are
 moved into ``multiprocessing.shared_memory`` segments so worker processes
 operate on the *same* physical arrays as the parent — a pull is a plain
 ndarray gather, a push applies the optimizer in place, and no gradient or
@@ -40,8 +40,6 @@ from multiprocessing import resource_tracker
 from multiprocessing.shared_memory import SharedMemory
 
 import numpy as np
-
-from repro.ps.kvstore import ShardedKVStore
 
 #: Prefix of every segment this module creates (also the test hook for
 #: asserting nothing leaked).
@@ -227,8 +225,8 @@ class SharedArray:
         """An ndarray aliasing the segment at the current row count.
 
         The view stays valid across peers' in-place writes but does *not*
-        lengthen when a peer grows the table — take a fresh view (or call
-        :meth:`SharedKVStore.table`, which does) after growth.
+        lengthen when a peer grows the table — take a fresh view after
+        growth.
         """
         self._require_open()
         return self._payload(self.rows)
@@ -308,62 +306,3 @@ class SharedArena:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-class SharedKVStore(ShardedKVStore):
-    """A :class:`ShardedKVStore` whose tables live in shared memory.
-
-    Behaves identically to the resident store — including :meth:`grow`,
-    which streaming ingestion calls mid-run — except that growth happens
-    *in place* inside the pre-allocated segment (bumping the shared row
-    header) instead of reallocating with ``np.concatenate``.  Peers
-    attached to the same segments observe appended rows on their next
-    :meth:`table` call.
-    """
-
-    def __init__(
-        self,
-        handles: dict[str, SharedArray],
-        entity_owner: np.ndarray,
-        num_machines: int,
-    ) -> None:
-        super().__init__(
-            handles["entity"].view(),
-            handles["relation"].view(),
-            entity_owner,
-            num_machines,
-        )
-        self._handles = handles
-
-    @classmethod
-    def from_store(
-        cls,
-        store: ShardedKVStore,
-        arena: SharedArena,
-        headroom_rows: int = 0,
-    ) -> "SharedKVStore":
-        """Copy a resident store's tables into ``arena`` segments.
-
-        ``headroom_rows`` pre-allocates growth capacity per table (0 for
-        static training, where tables never grow mid-run).
-        """
-        if store.tier is not None:
-            raise ValueError("tiered stores cannot be shared across processes")
-        handles = {}
-        for kind in ("entity", "relation"):
-            table = store.table(kind)
-            handles[kind] = arena.create(
-                kind, table, capacity_rows=len(table) + headroom_rows
-            )
-        return cls(handles, store._owners["entity"], store.num_machines)
-
-    def _extend_table(self, kind: str, table: np.ndarray, rows: np.ndarray):
-        return self._handles[kind].grow(rows)
-
-    def table(self, kind: str) -> np.ndarray:
-        # Re-take the view when a peer process grew the segment: the shared
-        # row header is the source of truth, cached ndarray lengths are not.
-        handle = self._handles.get(kind)
-        if handle is not None and len(self._tables[kind]) != handle.rows:
-            self._tables[kind] = handle.view()
-        return super().table(kind)

@@ -208,26 +208,19 @@ def _build(spec: WorkerSpec, arrays):
         num_entities=spec.num_entities,
         num_relations=spec.num_relations,
     )
+    views = {name: array.view() for name, array in arrays.items()}
     store = ShardedKVStore(
-        arrays["entity"].view(),
-        arrays["relation"].view(),
-        spec.entity_owner,
-        cfg.num_machines,
+        views["entity"], views["relation"], spec.entity_owner, cfg.num_machines
     )
-    optimizer = get_optimizer(cfg.optimizer, cfg.lr)
-    if "acc_entity" in arrays and hasattr(optimizer, "_accumulators"):
-        # Zero-copy adoption of the parent's shared AdaGrad state: shapes
-        # match the tables, so the lazy _accumulator_for reuses these.
-        optimizer._accumulators = {
-            "entity": arrays["acc_entity"].view(),
-            "relation": arrays["acc_relation"].view(),
-        }
     server = ParameterServer(
         store,
-        optimizer,
+        get_optimizer(cfg.optimizer, cfg.lr),
         byte_scale=cfg.byte_scale,
         compressor=get_compressor(cfg.compression),
     )
+    # Zero-copy adoption of the parent's whole state, optimizer history
+    # included: the names are the parent's ``state_arrays()``.
+    server.rebind(views)
     channel = WallClockChannel(server)
     model = get_model(cfg.model, cfg.dim)
     network = NetworkModel(bandwidth=cfg.bandwidth, latency=cfg.latency)

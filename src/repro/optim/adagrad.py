@@ -30,10 +30,11 @@ class SparseAdagrad(SparseOptimizer):
         if eps <= 0:
             raise ValueError(f"eps must be positive, got {eps}")
         self.eps = eps
-        self._accumulators: dict[str, np.ndarray] = {}
 
-    def _accumulator_for(self, table_name: str, table: np.ndarray) -> np.ndarray:
-        acc = self._accumulators.get(table_name)
+    def state_for(self, table_name: str, table: np.ndarray) -> np.ndarray:
+        """The accumulated squared gradients of ``table`` (zeros until a
+        row is first touched), grown with the table."""
+        acc = self.state.get(table_name)
         if acc is None or acc.shape != table.shape:
             grown = np.zeros_like(table)
             if (
@@ -48,7 +49,7 @@ class SparseAdagrad(SparseOptimizer):
                 # every existing embedding's learning-rate schedule.
                 grown[: acc.shape[0]] = acc
             acc = grown
-            self._accumulators[table_name] = acc
+            self.state[table_name] = acc
         return acc
 
     def update(
@@ -65,7 +66,7 @@ class SparseAdagrad(SparseOptimizer):
             ids, g = row_ids, grads
         else:
             ids, g = coalesce(row_ids, grads)
-        acc = self._accumulator_for(table_name, table)
+        acc = self.state_for(table_name, table)
         # Step from the sum just computed, not from a re-read of ``acc``:
         # on the shared accumulator of the async mp backend another worker
         # can store a stale value between the write and the read, and a
@@ -74,9 +75,6 @@ class SparseAdagrad(SparseOptimizer):
         acc[ids] = total
         table[ids] -= self.lr * g / np.sqrt(total + self.eps)
 
-    def state_size(self) -> int:
-        return int(sum(acc.size for acc in self._accumulators.values()))
-
     def reset(self) -> None:
         """Drop all accumulated state (fresh training run)."""
-        self._accumulators.clear()
+        self.state.clear()

@@ -23,6 +23,17 @@ class SparseOptimizer(ABC):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = lr
+        #: Per-table state arrays by table name (AdaGrad's accumulators;
+        #: stays empty for stateless optimizers).  Public so the state's
+        #: owner (:class:`~repro.ps.server.ParameterServer`) can name the
+        #: arrays and point the names at other storage.
+        self.state: dict[str, np.ndarray] = {}
+
+    def state_for(self, table_name: str, table: np.ndarray) -> np.ndarray | None:
+        """The state array that shadows ``table`` element for element,
+        allocated on first ask — or ``None`` when the optimizer keeps no
+        per-element state (the default)."""
+        return None
 
     @abstractmethod
     def update(
@@ -44,9 +55,9 @@ class SparseOptimizer(ABC):
         update is bit-identical to the coalesced path.
         """
 
-    @abstractmethod
     def state_size(self) -> int:
         """Total number of state floats held (for memory accounting)."""
+        return int(sum(array.size for array in self.state.values()))
 
 
 def coalesce(

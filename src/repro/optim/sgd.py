@@ -27,6 +27,3 @@ class SparseSGD(SparseOptimizer):
         else:
             ids, g = coalesce(row_ids, grads)
         table[ids] -= self.lr * g
-
-    def state_size(self) -> int:
-        return 0

@@ -29,34 +29,14 @@ from repro.ps.network import BYTES_PER_ELEMENT
 _INT8_LEVELS = 255
 
 
-def fp16_encode(rows: np.ndarray) -> np.ndarray:
-    return np.asarray(rows, dtype=np.float64).astype(np.float16)
-
-
-def fp16_decode(half: np.ndarray) -> np.ndarray:
-    return half.astype(np.float64)
-
-
-def int8_encode(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row linear quantization: ``(q uint8, row minimum, row span)``.
-
-    A constant row has zero range; its span is stored as 1 so decoding
-    never divides by zero (every ``q`` is 0 and the row decodes exactly).
-    """
-    rows = np.asarray(rows, dtype=np.float64)
-    lo = rows.min(axis=1, keepdims=True)
-    hi = rows.max(axis=1, keepdims=True)
-    span = np.where(hi - lo > 0, hi - lo, 1.0)
-    q = np.round((rows - lo) / span * _INT8_LEVELS).astype(np.uint8)
-    return q, lo, span
-
-
-def int8_decode(q: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.ndarray:
-    return lo + q.astype(np.float64) / _INT8_LEVELS * span
-
-
 class Compressor(ABC):
-    """A lossy wire codec for embedding/gradient rows."""
+    """A lossy codec for embedding/gradient rows.
+
+    On the wire only :meth:`roundtrip` matters (the error a transfer
+    injects); the tiered store's cold tier (:mod:`repro.tier.store`) keeps
+    the :meth:`encode` payload resident and decodes on demand, so a cold
+    read carries exactly one wire round-trip of quantization error.
+    """
 
     #: Registry name.
     name: str = "base"
@@ -67,8 +47,22 @@ class Compressor(ABC):
         """Wire cost per embedding element, in bytes."""
 
     @abstractmethod
+    def encode(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The encoded form of ``rows``, as a tuple of arrays."""
+
+    @abstractmethod
+    def decode(self, payload: tuple[np.ndarray, ...]) -> np.ndarray:
+        """Reconstruct float64 rows from an :meth:`encode` payload."""
+
     def roundtrip(self, rows: np.ndarray) -> np.ndarray:
         """Encode + decode ``rows``, returning the lossy reconstruction."""
+        if rows.size == 0:
+            return rows
+        return self.decode(self.encode(rows))
+
+    def resident_bytes_per_row(self, width: int) -> int:
+        """Bytes one encoded ``width``-element row occupies in memory."""
+        return sum(a.nbytes for a in self.encode(np.zeros((1, width))))
 
     @property
     def byte_factor(self) -> float:
@@ -85,8 +79,11 @@ class NoCompression(Compressor):
     def bytes_per_element(self) -> float:
         return float(BYTES_PER_ELEMENT)
 
-    def roundtrip(self, rows: np.ndarray) -> np.ndarray:
-        return rows
+    def encode(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        return (rows,)
+
+    def decode(self, payload: tuple[np.ndarray, ...]) -> np.ndarray:
+        return payload[0]
 
 
 class Fp16Compression(Compressor):
@@ -98,8 +95,11 @@ class Fp16Compression(Compressor):
     def bytes_per_element(self) -> float:
         return 2.0
 
-    def roundtrip(self, rows: np.ndarray) -> np.ndarray:
-        return fp16_decode(fp16_encode(rows))
+    def encode(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        return (np.asarray(rows, dtype=np.float64).astype(np.float16),)
+
+    def decode(self, payload: tuple[np.ndarray, ...]) -> np.ndarray:
+        return payload[0].astype(np.float64)
 
 
 class Int8Compression(Compressor):
@@ -115,10 +115,22 @@ class Int8Compression(Compressor):
     def bytes_per_element(self) -> float:
         return 1.0
 
-    def roundtrip(self, rows: np.ndarray) -> np.ndarray:
-        if rows.size == 0:
-            return rows
-        return int8_decode(*int8_encode(rows))
+    def encode(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``(q uint8, row minimum, row span)``.
+
+        A constant row has zero range; its span is stored as 1 so decoding
+        never divides by zero (every ``q`` is 0 and the row decodes exactly).
+        """
+        rows = np.asarray(rows, dtype=np.float64)
+        lo = rows.min(axis=1, keepdims=True)
+        hi = rows.max(axis=1, keepdims=True)
+        span = np.where(hi - lo > 0, hi - lo, 1.0)
+        q = np.round((rows - lo) / span * _INT8_LEVELS).astype(np.uint8)
+        return q, lo, span
+
+    def decode(self, payload: tuple[np.ndarray, ...]) -> np.ndarray:
+        q, lo, span = payload
+        return lo + q.astype(np.float64) / _INT8_LEVELS * span
 
 
 _COMPRESSORS = {

@@ -94,6 +94,31 @@ class ShardedKVStore:
         """Owner machine of each row in ``ids``."""
         return self._owners[kind][np.asarray(ids, dtype=np.int64)]
 
+    @property
+    def entity_owner(self) -> np.ndarray:
+        """The whole entity row->machine map (what the constructor took)."""
+        return self._owners[ENTITY]
+
+    def rebind(self, kind: str, array: np.ndarray) -> None:
+        """Point ``kind`` at other storage of the same shape (a shared
+        segment and back).  Tiered tables own their storage and refuse."""
+        if self.tier is not None or array.shape != self.table(kind).shape:
+            raise ValueError(
+                f"cannot rebind the {self.backing} {self.table(kind).shape} "
+                f"{kind} table to an array of shape {array.shape}"
+            )
+        self._tables[kind] = array
+
+    def copy(self, backing: str = "resident", tier=None) -> "ShardedKVStore":
+        """An independent store over the same rows and ownership, under
+        ``backing``.  A tiered target copies the rows into its own memmap,
+        so only a resident one needs a dense copy made here."""
+        dense = np.array if backing == "resident" else np.asarray
+        tables = [dense(self.table(k), dtype=np.float64) for k in (ENTITY, RELATION)]
+        return ShardedKVStore(
+            *tables, self.entity_owner.copy(), self.num_machines, backing, tier
+        )
+
     def row_width(self, kind: str) -> int:
         return self.table(kind).shape[1]
 
@@ -144,20 +169,9 @@ class ShardedKVStore:
             # growth must not rewrite the whole shard.
             table.grow(rows)
         else:
-            self._tables[kind] = self._extend_table(kind, table, rows)
+            self._tables[kind] = np.concatenate([table, rows])
         self._owners[kind] = np.concatenate([self._owners[kind], owners])
         return new_ids
-
-    def _extend_table(
-        self, kind: str, table: np.ndarray, rows: np.ndarray
-    ) -> np.ndarray:
-        """Return ``table`` with ``rows`` appended (resident backing).
-
-        Subclass hook: shared-memory stores (:class:`repro.mp.shm.
-        SharedKVStore`) grow their segment in place instead of
-        reallocating, which attached peer processes could not survive.
-        """
-        return np.concatenate([table, rows])
 
     # ------------------------------------------------------------ bookkeeping
 

@@ -21,8 +21,17 @@ import numpy as np
 from repro.obs.tracer import NULL_SCOPE, TraceScope
 from repro.optim.base import SparseOptimizer
 from repro.ps.compression import Compressor, NoCompression
-from repro.ps.kvstore import ShardedKVStore
+from repro.ps.kvstore import ENTITY, RELATION, ShardedKVStore
 from repro.ps.network import BYTES_PER_ELEMENT, CommRecord, meter_rows
+
+#: Name prefix of an optimizer-state array in
+#: :meth:`ParameterServer.state_arrays`; the rest is its table's kind.
+OPT_PREFIX = "opt_"
+
+
+def state_kind(name: str) -> str:
+    """The table kind whose rows (and ownership) a state array follows."""
+    return name.removeprefix(OPT_PREFIX)
 
 
 class ParameterServer:
@@ -72,6 +81,34 @@ class ParameterServer:
 
     def _trace(self, machine: int):
         return self._trace_scopes.get(machine, NULL_SCOPE)
+
+    # ------------------------------------------------------------------ state
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """Every array of the global training state, by name.
+
+        ``"entity"``/``"relation"`` are the tables; ``"opt_entity"``/
+        ``"opt_relation"`` the optimizer's per-element history, present
+        iff the optimizer keeps one (allocated here if still untouched —
+        zeros, so describing the state changes no value).  This is the
+        one definition of "the state" that checkpoints, crash recovery
+        and the mp backend copy, save, share and restore.
+        """
+        arrays = {kind: self.store.table(kind) for kind in (ENTITY, RELATION)}
+        for kind in (ENTITY, RELATION):
+            state = self.optimizer.state_for(kind, arrays[kind])
+            if state is not None:
+                arrays[OPT_PREFIX + kind] = state
+        return arrays
+
+    def rebind(self, arrays: dict[str, np.ndarray]) -> None:
+        """Point the :meth:`state_arrays` names at other storage holding
+        the same values (shared segments, or private copies of them)."""
+        for name, array in arrays.items():
+            if name.startswith(OPT_PREFIX):
+                self.optimizer.state[state_kind(name)] = array
+            else:
+                self.store.rebind(name, array)
 
     # ------------------------------------------------------------------ pulls
 

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ps.kvstore import ShardedKVStore
 from repro.ps.network import CommRecord
 from repro.serving.store import EmbeddingStore
 
@@ -141,16 +140,7 @@ def snapshot_from_trainer(trainer) -> EmbeddingStore:
     """
     if trainer.server is None:
         raise RuntimeError("trainer has no state yet; call setup() or train()")
-    source = trainer.server.store
-    entity = np.array(source.table("entity"), dtype=np.float64, copy=True)
-    relation = np.array(source.table("relation"), dtype=np.float64, copy=True)
-    owners = np.array(
-        source.owners("entity", np.arange(len(entity), dtype=np.int64)),
-        dtype=np.int64,
-        copy=True,
-    )
-    store = ShardedKVStore(entity, relation, owners, source.num_machines)
-    return EmbeddingStore(trainer.model, store)
+    return EmbeddingStore(trainer.model, trainer.server.store.copy())
 
 
 class _TrainerHotMembership:

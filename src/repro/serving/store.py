@@ -13,12 +13,11 @@ so it can be shared by any number of frontends.
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
 
-from repro.core.checkpoint import FORMAT_VERSION
+from repro.core.checkpoint import read_checkpoint
 from repro.models.base import KGEModel, get_model
 from repro.ps.kvstore import ShardedKVStore
 from repro.utils.validation import check_positive
@@ -78,21 +77,14 @@ class EmbeddingStore:
             tiered backing.
         """
         check_positive("num_machines", num_machines)
-        with np.load(path) as data:
-            meta = json.loads(bytes(data["meta_json"]).decode())
-            if meta.get("format_version") != FORMAT_VERSION:
-                raise ValueError(
-                    f"checkpoint format {meta.get('format_version')} is not "
-                    f"supported (expected {FORMAT_VERSION})"
-                )
-            entity_table = data["entity_table"].copy()
-            relation_table = data["relation_table"].copy()
+        meta, tables = read_checkpoint(path, ("entity", "relation"))
+        entity_table = tables["entity"]
         model = get_model(meta["model"], meta["dim"])
         if entity_owner is None:
             entity_owner = np.arange(len(entity_table), dtype=np.int64) % num_machines
         store = ShardedKVStore(
             entity_table,
-            relation_table,
+            tables["relation"],
             entity_owner,
             num_machines,
             backing=backing,
@@ -116,23 +108,10 @@ class EmbeddingStore:
         """A new store over the same embeddings under a different backing.
 
         Used by ``serve-bench --backing tiered``: re-tier a trained (or
-        loaded) store under a serving-side budget.  Tables are
-        materialized once to seed the new backing; ownership and shard
+        loaded) store under a serving-side budget; ownership and shard
         count carry over unchanged.
         """
-        entity = np.asarray(self.store.table("entity"), dtype=np.float64)
-        relation = np.asarray(self.store.table("relation"), dtype=np.float64)
-        n = len(entity)
-        owners = self.store.owners("entity", np.arange(n, dtype=np.int64))
-        store = ShardedKVStore(
-            entity,
-            relation,
-            owners,
-            self.store.num_machines,
-            backing=backing,
-            tier=tier,
-        )
-        return EmbeddingStore(self.model, store)
+        return EmbeddingStore(self.model, self.store.copy(backing, tier))
 
     # ----------------------------------------------------------------- queries
 

@@ -282,8 +282,11 @@ class OnlineTrainer:
         # (first) machine's clock — one write fan-out per update.
         if init_comm.total_bytes and machines:
             worker = by_machine[machines[0]]
-            cost = trainer.network.charge(init_comm)
-            worker.clock.advance(cost, "ingest")
+            with worker.trace.span(
+                "ingest.cold_start", "ingest", bytes=init_comm.total_bytes
+            ):
+                cost = trainer.network.charge(init_comm)
+                worker.clock.advance(cost, "ingest")
 
         # Refresh the false-negative filter against the post-update graph.
         self.graph = self.graph.mutated(
@@ -315,6 +318,7 @@ class OnlineTrainer:
         """
         trainer = self.trainer
         trainer.setup(train_graph)
+        trainer.wire_tracer()
         assert trainer.server is not None
         self.graph = train_graph
         cfg = trainer.config

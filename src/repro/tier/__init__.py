@@ -28,7 +28,6 @@ pre-tiering store.
 
 from repro.tier.budget import BudgetExceededError, MemoryBudget, format_bytes, parse_bytes
 from repro.tier.policy import TierCostModel, TierPolicy
-from repro.tier.quant import get_block_codec
 from repro.tier.runtime import TierConfig, TierRuntime
 from repro.tier.store import COLD, HOT, WARM, TierStats, TieredTable
 
@@ -45,6 +44,5 @@ __all__ = [
     "WARM",
     "COLD",
     "format_bytes",
-    "get_block_codec",
     "parse_bytes",
 ]

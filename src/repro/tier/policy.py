@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from repro.utils.simclock import SimClock
 from repro.utils.validation import check_fraction, check_positive
 
-#: Valid cold-tier codecs (names resolve via :mod:`repro.tier.quant`).
+#: Valid cold-tier codecs: ``"none"`` disables the cold tier, the others
+#: are wire codecs of :mod:`repro.ps.compression`.
 COLD_CODECS = ("none", "fp16", "int8")
 
 

@@ -17,9 +17,9 @@ Residency is tracked per *block* of ``policy.block_rows`` consecutive rows:
   copy is authoritative and the memmap copy is stale.
 * **warm** blocks live only in the authoritative ``np.memmap`` file.
   Reads are exact and charged simulated I/O.
-* **cold** blocks exist only as quantized payloads
-  (:mod:`repro.tier.quant`); the full-precision copy is abandoned, so
-  reads are lossy (exactly one wire-codec round-trip of error) until the
+* **cold** blocks exist only as the encoded payloads of a wire codec
+  (:mod:`repro.ps.compression`); the full-precision copy is abandoned, so
+  reads are lossy (exactly one wire round-trip of error) until the
   block is next written.  Writing to a cold block first revives it warm.
 
 Counters are maintained per block and a rebalance pass runs every
@@ -36,12 +36,17 @@ import numpy as np
 
 from repro.cache.table import CacheTable
 from repro.obs.tracer import NULL_SCOPE, TraceScope
+from repro.ps.compression import Compressor, get_compressor
 from repro.tier.budget import MemoryBudget
 from repro.tier.policy import TierMeter, TierPolicy
-from repro.tier.quant import BlockCodec, EncodedBlock, get_block_codec
 
 #: Per-block residency states (int8 codes in :attr:`TieredTable._state`).
 WARM, HOT, COLD = 0, 1, 2
+
+
+def _payload_bytes(payload: tuple[np.ndarray, ...]) -> int:
+    """Resident size of one encoded cold block."""
+    return sum(a.nbytes for a in payload)
 
 
 @dataclass
@@ -134,7 +139,10 @@ class TieredTable:
         self.meter = meter
         self._budget = budget
         self._slice = None if slice_bytes is None else int(slice_bytes)
-        self._codec: BlockCodec | None = get_block_codec(policy.cold_codec)
+        #: ``cold_codec="none"`` means no cold tier, not an identity codec.
+        self._codec: Compressor | None = (
+            None if policy.cold_codec == "none" else get_compressor(policy.cold_codec)
+        )
         self._path = os.fspath(path)
         self._width = int(array.shape[1])
         self._block = int(policy.block_rows)
@@ -154,7 +162,7 @@ class TieredTable:
         self._hot = CacheTable(
             self._hot_capacity(nblocks), self._block * self._width
         )
-        self._cold: dict[int, EncodedBlock] = {}
+        self._cold: dict[int, tuple[np.ndarray, ...]] = {}
         self._cold_bytes = 0
         self._accesses_window = 0
         self._hot_hits_window = 0
@@ -521,7 +529,7 @@ class TieredTable:
         if not len(cand):
             return 0
         cand = cand[np.lexsort((cand, self._counts[cand]))]
-        enc_bytes = self._codec.bytes_per_row(self._width) * self._block
+        enc_bytes = self._codec.resident_bytes_per_row(self._width) * self._block
         n_new = min(len(cand), self.policy.max_evict_per_pass)
         if self._slice is not None:
             hot_bytes = len(self._hot) * self._block_bytes
@@ -532,7 +540,7 @@ class TieredTable:
                 np.asarray(self._mm[b * self._block : (b + 1) * self._block])
             )
             self._cold[b] = enc
-            self._cold_bytes += enc.nbytes
+            self._cold_bytes += _payload_bytes(enc)
             self._state[b] = COLD
         if n_new:
             self.meter.quant(n_new * self._block * self._width)
@@ -635,8 +643,7 @@ class TieredTable:
 
     def _pop_cold(self, block: int) -> np.ndarray:
         rows = self._decode_cold(block)
-        enc = self._cold.pop(block)
-        self._cold_bytes -= enc.nbytes
+        self._cold_bytes -= _payload_bytes(self._cold.pop(block))
         return rows
 
     def _revive_cold(self, block: int) -> None:

@@ -1,9 +1,11 @@
 """Tests for checkpoint save/restore."""
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import load_checkpoint, save_checkpoint
+from repro.core.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from repro.core.config import TrainingConfig
 from repro.core.trainer import HETKGTrainer
 
@@ -41,12 +43,12 @@ class TestSaveLoad:
         trainer.train(small_split.train)
         path = tmp_path / "ckpt.npz"
         save_checkpoint(trainer, path)
-        acc_before = trainer.server.optimizer._accumulators["entity"].copy()
+        acc_before = trainer.server.optimizer.state["entity"].copy()
         for worker in trainer.workers:
             worker.step()
         load_checkpoint(trainer, path)
         np.testing.assert_array_equal(
-            acc_before, trainer.server.optimizer._accumulators["entity"]
+            acc_before, trainer.server.optimizer.state["entity"]
         )
 
     def test_resume_training_continues(self, small_split, tmp_path):
@@ -95,6 +97,85 @@ class TestSaveLoad:
         other.setup(small_split.train)
         with pytest.raises(ValueError, match="dim"):
             load_checkpoint(other, path)
+
+
+class TestArchiveContract:
+    """The archive layout is the compatibility surface: older commits read
+    what this one writes and the reverse."""
+
+    KEYS = [
+        "adagrad_entity", "adagrad_relation", "entity_table", "meta_json",
+        "relation_table",
+    ]
+    META = {"format_version", "model", "dim", "num_entities", "num_relations"}
+
+    def test_keys_and_meta_are_the_format(self, small_split, tmp_path):
+        trainer = HETKGTrainer(quick_config())
+        trainer.setup(small_split.train)  # saved before the first push
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(trainer, path)
+        with np.load(path) as data:
+            assert sorted(data.files) == self.KEYS
+            meta = json.loads(bytes(data["meta_json"]).decode())
+        assert set(meta) == self.META
+        assert meta["format_version"] == 1
+        read_meta, arrays = read_checkpoint(path)
+        assert read_meta == meta
+        assert set(arrays) == {"entity", "relation", "opt_entity", "opt_relation"}
+
+    def test_sgd_archive_carries_no_optimizer_state(self, small_split, tmp_path):
+        trainer = HETKGTrainer(quick_config(optimizer="sgd"))
+        trainer.train(small_split.train)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(trainer, path)
+        with np.load(path) as data:
+            assert sorted(data.files) == [
+                "entity_table", "meta_json", "relation_table"
+            ]
+
+    def test_tables_only_archive_leaves_optimizer_cold(self, small_split, tmp_path):
+        """A hand-built archive holding only the two tables + meta loads;
+        the optimizer history it lacks restarts from zero."""
+        trainer = HETKGTrainer(quick_config())
+        trainer.train(small_split.train)
+        store = trainer.server.store
+        entity = np.full(store.table("entity").shape, 0.25)
+        relation = np.full(store.table("relation").shape, -0.5)
+        meta = {
+            "format_version": 1, "model": "transe", "dim": 8,
+            "num_entities": len(entity), "num_relations": len(relation),
+        }
+        path = tmp_path / "bare.npz"
+        with open(path, "wb") as f:
+            np.savez(
+                f, entity_table=entity, relation_table=relation,
+                meta_json=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+            )
+        assert trainer.server.optimizer.state["entity"].any()
+        load_checkpoint(trainer, path)
+        state = trainer.server.state_arrays()
+        np.testing.assert_array_equal(state["entity"], entity)
+        np.testing.assert_array_equal(state["relation"], relation)
+        assert not state["opt_entity"].any() and not state["opt_relation"].any()
+
+    def test_checkpoint_right_after_grow_loads(self, small_split, tmp_path):
+        """The saved optimizer state follows the tables' shape even when
+        the store grew and nothing was pushed since (it used to be written
+        at its stale shape, which load_checkpoint then refused)."""
+        trainer = HETKGTrainer(quick_config())
+        trainer.train(small_split.train)
+        store = trainer.server.store
+        store.grow("entity", np.ones((3, store.row_width("entity"))))
+        path = tmp_path / "grown.npz"
+        save_checkpoint(trainer, path)
+        before = {n: a.copy() for n, a in trainer.server.state_arrays().items()}
+        assert before["opt_entity"].shape == before["entity"].shape
+        assert not before["opt_entity"][-3:].any()
+        for worker in trainer.workers:
+            worker.step()
+        load_checkpoint(trainer, path)
+        for name, array in trainer.server.state_arrays().items():
+            np.testing.assert_array_equal(array, before[name], err_msg=name)
 
 
 class TestAtomicity:
@@ -166,7 +247,7 @@ class TestAccumulatorValidation:
             np.savez(f, **arrays)
 
         entity_before = trainer.server.store.table("entity").copy()
-        acc_before = trainer.server.optimizer._accumulators["entity"].copy()
+        acc_before = trainer.server.optimizer.state["entity"].copy()
         with pytest.raises(ValueError, match="adagrad_entity.*shape"):
             load_checkpoint(trainer, bad)
         # Nothing was half-restored.
@@ -174,7 +255,7 @@ class TestAccumulatorValidation:
             entity_before, trainer.server.store.table("entity")
         )
         np.testing.assert_array_equal(
-            acc_before, trainer.server.optimizer._accumulators["entity"]
+            acc_before, trainer.server.optimizer.state["entity"]
         )
 
     def test_foreign_optimizer_warns_but_loads_tables(

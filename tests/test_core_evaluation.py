@@ -6,6 +6,7 @@ import pytest
 from repro.core.evaluation import evaluate_link_prediction
 from repro.kg.graph import KnowledgeGraph
 from repro.models import TransE
+from tests.reference.evaluation_reference import evaluate_link_prediction_reference
 
 
 @pytest.fixture
@@ -173,7 +174,8 @@ class TestFilterIndex:
     def test_matches_set_semantics(self, small_graph, rng):
         """FilterIndex-based filtering must rank identically to a brute
         per-candidate set lookup."""
-        from repro.core.evaluation import FilterIndex, _rank_one_side
+        from repro.core.evaluation import FilterIndex
+        from tests.reference.evaluation_reference import _rank_one_side
 
         model = TransE(4)
         entity = rng.normal(size=(small_graph.num_entities, 4))
@@ -232,11 +234,11 @@ class TestBatchedPath:
         for filt in (None, small_graph.triple_set()):
             fast = evaluate_link_prediction(
                 model, entity, relation, small_graph,
-                filter_set=filt, max_queries=40, seed=3, batched=True,
+                filter_set=filt, max_queries=40, seed=3,
             )
-            slow = evaluate_link_prediction(
+            slow = evaluate_link_prediction_reference(
                 model, entity, relation, small_graph,
-                filter_set=filt, max_queries=40, seed=3, batched=False,
+                filter_set=filt, max_queries=40, seed=3,
             )
             assert fast.mrr == slow.mrr
             assert fast.mr == slow.mr
@@ -270,10 +272,10 @@ class TestBatchedPath:
         relation = rng.normal(size=(small_graph.num_relations, 4))
         a = evaluate_link_prediction(
             model, entity, relation, small_graph,
-            max_queries=10, num_candidates=20, seed=5, batched=True,
+            max_queries=10, num_candidates=20, seed=5,
         )
-        b = evaluate_link_prediction(
+        b = evaluate_link_prediction_reference(
             model, entity, relation, small_graph,
-            max_queries=10, num_candidates=20, seed=5, batched=False,
+            max_queries=10, num_candidates=20, seed=5,
         )
         assert a.mrr == b.mrr

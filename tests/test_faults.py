@@ -467,7 +467,7 @@ class TestCrashRecovery:
         dead = store.owned_ids("entity", 1)
         alive = store.owned_ids("entity", 0)
         np.testing.assert_array_equal(
-            store.table("entity")[dead], snap.tables["entity"][dead]
+            store.table("entity")[dead], snap.arrays["entity"][dead]
         )
         np.testing.assert_array_equal(
             store.table("entity")[alive], survivors_before[alive]

@@ -25,7 +25,6 @@ from repro.mp import (
     MPWorkerCrashed,
     SharedArena,
     SharedArray,
-    SharedKVStore,
     shm_segments,
 )
 
@@ -183,67 +182,11 @@ class TestSharedArena:
         assert shm_segments() == before
 
 
-class TestSharedKVStore:
-    def test_from_store_grow_matches_resident(self):
-        from repro.ps.kvstore import ShardedKVStore
-
-        rng = np.random.default_rng(0)
-        entity = rng.normal(size=(6, 4))
-        relation = rng.normal(size=(2, 4))
-        owner = np.array([0, 1, 0, 1, 0, 1])
-        resident = ShardedKVStore(entity.copy(), relation.copy(), owner, 2)
-        with SharedArena() as arena:
-            shared = SharedKVStore.from_store(
-                ShardedKVStore(entity.copy(), relation.copy(), owner, 2),
-                arena,
-                headroom_rows=4,
-            )
-            rows = rng.normal(size=(2, 4))
-            resident.grow("entity", rows, np.array([0, 1]))
-            shared.grow("entity", rows, np.array([0, 1]))
-            assert np.array_equal(
-                resident.table("entity"), shared.table("entity")
-            )
-            assert np.array_equal(
-                resident.owners("entity", np.arange(8)),
-                shared.owners("entity", np.arange(8)),
-            )
-
-    def test_grow_over_headroom_rejected(self):
-        from repro.ps.kvstore import ShardedKVStore
-
-        entity = np.ones((4, 2))
-        relation = np.ones((2, 2))
-        owner = np.array([0, 1, 0, 1])
-        with SharedArena() as arena:
-            shared = SharedKVStore.from_store(
-                ShardedKVStore(entity, relation, owner, 2), arena
-            )
-            with pytest.raises(ValueError, match="capacity"):
-                shared.grow("entity", np.ones((1, 2)), np.array([0]))
-
-    def test_tiered_store_rejected(self):
-        from repro.ps.kvstore import ShardedKVStore
-        from repro.tier import TierConfig
-
-        store = ShardedKVStore(
-            np.ones((4, 2)),
-            np.ones((2, 2)),
-            np.array([0, 1, 0, 1]),
-            2,
-            backing="tiered",
-            tier=TierConfig(),
-        )
-        with SharedArena() as arena:
-            with pytest.raises(ValueError, match="tiered"):
-                SharedKVStore.from_store(store, arena)
-
-
 # ------------------------------------------------------- sync bit-identity
 
 
 def _fingerprint(trainer, result):
-    acc = getattr(trainer.server.optimizer, "_accumulators", {})
+    acc = trainer.server.optimizer.state
     return {
         "losses": [float(p.loss).hex() for p in result.history.points],
         "sim_time": float(result.sim_time).hex(),

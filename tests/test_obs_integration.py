@@ -14,7 +14,7 @@ from repro import cli
 from repro.core.config import TrainingConfig
 from repro.core.trainer import HETKGTrainer
 from repro.obs.export import validate_chrome_trace, validate_chrome_trace_file
-from repro.obs.tracer import NULL_SCOPE, Tracer, get_tracer
+from repro.obs.tracer import NULL_SCOPE, Tracer, get_tracer, set_tracer
 from repro.serving.frontend import ServingFrontend
 from repro.serving.store import EmbeddingStore
 from repro.serving.workload import WorkloadSpec, ZipfianWorkload
@@ -85,6 +85,52 @@ class TestTrainerReconciliation:
         assert summary["seconds[communication]"] > 0
 
 
+class TestStreamReconciliation:
+    """``OnlineTrainer.train`` runs its own step loop; it must bind the
+    same scopes ``HETKGTrainer.train`` binds, and every clock charge of
+    the ingest path must sit inside a span."""
+
+    @pytest.fixture(scope="class")
+    def traced_stream(self):
+        from repro.core.trainer import make_trainer
+        from repro.kg.datasets import generate_dataset
+        from repro.stream import OnlineTrainer, make_stream
+
+        graph = generate_dataset("fb15k", scale=0.012, seed=7)
+        stream = make_stream(
+            "rotation", graph, steps=200, seed=5, interval=8, inserts_per_update=16
+        )
+        trainer = make_trainer("hetkg-a", config(epochs=1, dps_window=8))
+        tracer = Tracer()
+        set_tracer(tracer)  # what the CLI's --trace installs
+        try:
+            result = OnlineTrainer(trainer, stream, eval_every=32).train(graph)
+        finally:
+            set_tracer(None)
+        return tracer, trainer, result
+
+    def test_span_totals_equal_clock_breakdown(self, traced_stream):
+        tracer, trainer, result = traced_stream
+        assert result.entities_added > 0  # the vocabulary grew mid-run
+        ingest = 0.0
+        for worker in trainer.workers:
+            totals = tracer.sink.category_totals(f"worker{worker.machine}")
+            for category, seconds in worker.clock.by_category.items():
+                assert totals.get(category, 0.0) == pytest.approx(
+                    seconds, rel=1e-9
+                ), (worker.machine, category)
+            assert sum(totals.values()) == pytest.approx(worker.clock.elapsed)
+            ingest += totals.get("ingest", 0.0)
+        assert ingest > 0
+
+    def test_ingest_and_step_spans_present(self, traced_stream):
+        tracer, trainer, result = traced_stream
+        names = {s.name for s in tracer.sink.spans}
+        assert {"ingest.apply", "ingest.cold_start", "sample", "compute"} <= names
+        steps = tracer.metrics.counter("worker.steps").value
+        assert steps == sum(w.iterations for w in trainer.workers) > 0
+
+
 class TestDisabledByDefault:
     def test_untraced_train_keeps_null_scopes(self, small_split):
         trainer = HETKGTrainer(config(epochs=1))
@@ -145,3 +191,17 @@ class TestCliTrace:
         # file is plain JSON that chrome://tracing accepts
         trace = json.loads(out.read_text())
         assert isinstance(trace["traceEvents"], list)
+
+    def test_stream_trace_smoke(self, tmp_path, capsys):
+        out = tmp_path / "stream.json"
+        status = cli.main(
+            [
+                "stream", "--profile", "rotation", "--system", "hetkg-a",
+                "--scale", "0.02", "--epochs", "1", "--trace", str(out),
+            ]
+        )
+        assert status == 0
+        assert validate_chrome_trace_file(str(out))["spans"] > 0
+        names = {e["name"] for e in json.loads(out.read_text())["traceEvents"]}
+        assert {"ingest.apply", "compute"} <= names
+        assert get_tracer().enabled is False

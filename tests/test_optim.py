@@ -135,7 +135,7 @@ class TestSparseAdagrad:
 
         table = np.zeros((1, 2))
         opt = SparseAdagrad(lr=0.1)
-        opt._accumulators["t"] = np.zeros((1, 2)).view(_PeerOverwrites)
+        opt.state["t"] = np.zeros((1, 2)).view(_PeerOverwrites)
         opt.update("t", table, np.array([0]), np.array([[4.0, -9.0]]))
         np.testing.assert_allclose(table[0], [-0.1, 0.1], rtol=1e-4)
 

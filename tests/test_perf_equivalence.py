@@ -33,7 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.filtering import _top_ids, filter_hot_ids
-from repro.cache.prefetch import _count_batch, _fold_counts
+from repro.cache.prefetch import _fold_counts
 from repro.cache.core import make_cache
 from repro.cache.table import CacheTable
 from repro.core.evaluation import (
@@ -46,7 +46,11 @@ from repro.models import get_model
 from repro.optim.base import coalesce
 from repro.sampling.negative import NegativeSampler
 from repro.utils.kernels import scatter_add_rows
-from tests.reference.evaluation_reference import full_ranks_reference
+from tests.reference.evaluation_reference import (
+    evaluate_link_prediction_reference,
+    full_ranks_reference,
+)
+from tests.reference.prefetch_reference import _count_batch
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -413,10 +417,10 @@ class TestEvaluationEquivalence:
             seed=9,
         )
         vec = evaluate_link_prediction(
-            model, ent, rel, graph, batched=True, **kwargs
+            model, ent, rel, graph, **kwargs
         )
-        ref = evaluate_link_prediction(
-            model, ent, rel, graph, batched=False, **kwargs
+        ref = evaluate_link_prediction_reference(
+            model, ent, rel, graph, **kwargs
         )
         assert vec == ref  # dataclass equality: exact float comparison
 

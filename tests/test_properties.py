@@ -326,7 +326,7 @@ class TestAdagradProperties:
             ids = rng.integers(0, 4, size=3)
             grads = rng.normal(size=(3, 2))
             opt.update("t", table, ids, grads)
-            acc = opt._accumulators["t"]
+            acc = opt.state["t"]
             assert np.all(acc >= prev - 1e-15)
             prev = acc.copy()
 

@@ -175,6 +175,46 @@ class TestShardedKVStore:
         with pytest.raises(ValueError, match="out of range"):
             ShardedKVStore(np.zeros((2, 2)), np.zeros((1, 2)), np.array([0, 5]), 2)
 
+    def test_copy_is_equal_and_independent(self, store):
+        clone = store.copy()
+        for kind in ("entity", "relation"):
+            assert np.array_equal(clone.table(kind), store.table(kind))
+            assert not np.shares_memory(clone.table(kind), store.table(kind))
+        assert np.array_equal(clone.entity_owner, store.entity_owner)
+        assert not np.shares_memory(clone.entity_owner, store.entity_owner)
+        assert clone.num_machines == store.num_machines
+        assert np.array_equal(
+            clone.owners("relation", np.arange(4)), store.owners("relation", np.arange(4))
+        )
+        clone.write("entity", np.array([0]), np.array([[-1.0, -1.0]]))
+        clone.grow("entity", np.zeros((1, 2)))
+        assert store.table("entity")[0].tolist() == [0.0, 1.0]
+        assert len(store.table("entity")) == 10
+
+    def test_copy_to_tiered_backing(self, store):
+        tiered = store.copy(backing="tiered")
+        try:
+            assert tiered.backing == "tiered"
+            assert np.array_equal(np.asarray(tiered.table("entity")), store.table("entity"))
+            assert np.array_equal(tiered.entity_owner, store.entity_owner)
+            tiered.write("entity", np.array([1]), np.array([[9.0, 9.0]]))
+            assert store.table("entity")[1].tolist() == [2.0, 3.0]
+        finally:
+            tiered.close()
+
+    def test_rebind_swaps_storage_of_the_same_shape(self, store):
+        replacement = store.table("entity").copy()
+        store.rebind("entity", replacement)
+        assert store.table("entity") is replacement
+        with pytest.raises(ValueError, match="rebind"):
+            store.rebind("entity", np.zeros((3, 2)))
+        tiered = store.copy(backing="tiered")
+        try:
+            with pytest.raises(ValueError, match="rebind"):
+                tiered.rebind("entity", replacement)
+        finally:
+            tiered.close()
+
     def test_memory_bytes(self, store):
         assert store.memory_bytes() == 20 * 8 + 12 * 8
 
@@ -228,3 +268,56 @@ class TestParameterServerPush:
         comm = server.push("entity", np.array([3]), np.array([[0.0, 0.0]]), machine=0)
         assert comm.remote_bytes > 0
         assert comm.remote_messages == 1
+
+
+class TestServerState:
+    def test_state_arrays_names_follow_the_optimizer(self, store):
+        from repro.optim.adagrad import SparseAdagrad
+
+        assert list(ParameterServer(store, SparseSGD(lr=1.0)).state_arrays()) == [
+            "entity", "relation"
+        ]
+        server = ParameterServer(store, SparseAdagrad(lr=0.1))
+        state = server.state_arrays()
+        assert list(state) == ["entity", "relation", "opt_entity", "opt_relation"]
+        assert state["entity"] is store.table("entity")
+        # Describing the state allocates the history, as zeros.
+        assert state["opt_relation"].shape == store.table("relation").shape
+        assert not state["opt_entity"].any()
+        assert server.state_arrays()["opt_entity"] is state["opt_entity"]
+
+    @pytest.mark.parametrize("optimizer", ["adagrad", "sgd"])
+    def test_rebind_is_invisible(self, optimizer, small_split):
+        """k sweeps, rebind onto copies, k more sweeps == 2k sweeps straight,
+        bit for bit — the in-process image of the mp backend's
+        share -> train -> restore-to-private cycle."""
+        from repro.core.config import TrainingConfig
+        from repro.core.trainer import make_trainer
+
+        def run(rebind_after):
+            config = TrainingConfig(
+                model="transe", dim=8, epochs=1, batch_size=16, num_negatives=4,
+                num_machines=2, cache_capacity=64, sync_period=4, dps_window=4,
+                optimizer=optimizer, seed=3,
+            )
+            trainer = make_trainer("hetkg-d", config)
+            trainer.setup(small_split.train)
+            for worker in trainer.workers:
+                worker.start()
+            losses = []
+            for sweep in range(12):
+                if sweep == rebind_after:
+                    server = trainer.server
+                    old = server.state_arrays()
+                    server.rebind({n: a.copy() for n, a in old.items()})
+                    for name, array in server.state_arrays().items():
+                        assert not np.shares_memory(array, old[name]), name
+                losses += [worker.step() for worker in trainer.workers]
+            return losses, trainer.server.state_arrays()
+
+        straight_losses, straight = run(rebind_after=None)
+        losses, rebound = run(rebind_after=6)
+        assert losses == straight_losses
+        assert list(rebound) == list(straight)
+        for name in straight:
+            assert np.array_equal(rebound[name], straight[name]), name

@@ -309,7 +309,7 @@ class TestOnlineTraining:
         assert len(trainer.server.store.table("entity")) == n_final
         assert online.graph.num_entities == n_final
         # Grown accumulators follow the table shape.
-        acc = trainer.server.optimizer._accumulators["entity"]
+        acc = trainer.server.optimizer.state["entity"]
         assert acc.shape == trainer.server.store.table("entity").shape
 
     def test_deletions_invalidate_cache_rows(self):
@@ -334,7 +334,7 @@ class TestOnlineTraining:
         path = tmp_path / "grown.npz"
         save_checkpoint(trainer, path)
         entity_before = trainer.server.store.table("entity").copy()
-        acc_before = trainer.server.optimizer._accumulators["entity"].copy()
+        acc_before = trainer.server.optimizer.state["entity"].copy()
         for worker in trainer.workers:
             worker.step()
         load_checkpoint(trainer, path)
@@ -342,7 +342,7 @@ class TestOnlineTraining:
             entity_before, trainer.server.store.table("entity")
         )
         np.testing.assert_array_equal(
-            acc_before, trainer.server.optimizer._accumulators["entity"]
+            acc_before, trainer.server.optimizer.state["entity"]
         )
 
 

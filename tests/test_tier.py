@@ -34,7 +34,6 @@ from repro.tier import (
     parse_bytes,
 )
 from repro.tier.policy import TierMeter
-from repro.tier.quant import Fp16BlockCodec, Int8BlockCodec, get_block_codec
 from repro.tier.store import COLD, HOT, WARM
 from repro.utils.rng import make_rng
 from repro.utils.simclock import SimClock
@@ -129,32 +128,46 @@ class TestMemoryBudget:
 
 
 class TestBlockCodecs:
+    @staticmethod
+    def _blockwise(codec, rows, block=4):
+        """What the cold tier does: keep each block's ``encode`` payload,
+        read it back through ``decode``."""
+        payloads = [codec.encode(rows[i : i + block]) for i in range(0, len(rows), block)]
+        return np.concatenate([codec.decode(p) for p in payloads])
+
     def test_int8_matches_wire_codec_bitwise(self):
         """Cold reads must cost exactly one wire round-trip of error —
         pinned by bit-equality with ``Int8Compression.roundtrip``."""
         rows = rand_table(16, 8, seed=3)
         rows[2] = 5.0  # degenerate row exercises the span guard
-        codec = Int8BlockCodec()
-        wire = get_compressor("int8")
-        assert np.array_equal(codec.decode(codec.encode(rows)), wire.roundtrip(rows))
+        codec = get_compressor("int8")
+        assert np.array_equal(self._blockwise(codec, rows), codec.roundtrip(rows))
 
     def test_fp16_matches_wire_codec_bitwise(self):
         rows = rand_table(16, 8, seed=4)
-        codec = Fp16BlockCodec()
-        wire = get_compressor("fp16")
-        assert np.array_equal(codec.decode(codec.encode(rows)), wire.roundtrip(rows))
+        codec = get_compressor("fp16")
+        assert np.array_equal(self._blockwise(codec, rows), codec.roundtrip(rows))
+        assert np.array_equal(
+            codec.roundtrip(rows), rows.astype(np.float16).astype(np.float64)
+        )
 
     def test_nbytes_accounts_payload(self):
         rows = rand_table(8, 6)
-        enc = Int8BlockCodec().encode(rows)
-        assert enc.nbytes == 8 * 6 + 2 * 8 * 8  # q + lo + span
-        assert Int8BlockCodec().bytes_per_row(6) == 6 + 16
-        assert Fp16BlockCodec().bytes_per_row(6) == 12
+        payload = get_compressor("int8").encode(rows)
+        assert sum(a.nbytes for a in payload) == 8 * 6 + 2 * 8 * 8  # q + lo + span
+        assert get_compressor("int8").resident_bytes_per_row(6) == 6 + 16
+        assert get_compressor("fp16").resident_bytes_per_row(6) == 12
 
     def test_none_codec(self):
-        assert get_block_codec("none") is None
+        """``"none"`` is the identity on the wire and "no cold tier" to a
+        tiered table; unknown names are rejected by both."""
+        rows = rand_table(4, 4)
+        none = get_compressor("none")
+        assert none.decode(none.encode(rows)) is rows
         with pytest.raises(KeyError):
-            get_block_codec("zstd")
+            get_compressor("zstd")
+        with pytest.raises(ValueError):
+            TierPolicy(cold_codec="zstd")
 
 
 # ------------------------------------------------------------- table facade
