@@ -67,37 +67,44 @@ def compute_batch_gradients(
     r_rows = relation_rows[r_pos]
 
     # ---- forward ---------------------------------------------------------
-    pos_scores = model.score(h_rows, r_rows, t_rows)
+    # What each ``score`` call leaves in its dict, the ``grad`` call on the
+    # same rows picks up instead of recomputing it.
+    pos_shared: dict = {}
+    neg_shared: dict = {}
+    pos_scores = model.score(h_rows, r_rows, t_rows, pos_shared)
 
     # Negative triples: corrupt head or tail per row of the batch.
-    corrupt_head = batch.corrupt_head  # (b,)
+    corrupt_head = np.repeat(batch.corrupt_head, n_neg)  # (b * n_neg,)
     rep = np.repeat(np.arange(b), n_neg)
     neg_flat = neg_pos.ravel()
-    neg_h_idx = np.where(np.repeat(corrupt_head, n_neg), neg_flat, h_pos[rep])
-    neg_t_idx = np.where(np.repeat(corrupt_head, n_neg), t_pos[rep], neg_flat)
+    neg_h_idx = np.where(corrupt_head, neg_flat, h_pos[rep])
+    neg_t_idx = np.where(corrupt_head, t_pos[rep], neg_flat)
+    neg_r_idx = r_pos[rep]
     neg_h = entity_rows[neg_h_idx]
     neg_t = entity_rows[neg_t_idx]
-    neg_r = relation_rows[r_pos[rep]]
-    neg_scores = model.score(neg_h, neg_r, neg_t).reshape(b, n_neg)
+    neg_r = relation_rows[neg_r_idx]
+    neg_scores = model.score(neg_h, neg_r, neg_t, neg_shared).reshape(b, n_neg)
 
     result = loss.compute(pos_scores, neg_scores)
 
     # ---- backward --------------------------------------------------------
-    gh, gr, gt = model.grad(h_rows, r_rows, t_rows, result.grad_pos)
-    gnh, gnr, gnt = model.grad(neg_h, neg_r, neg_t, result.grad_neg.ravel())
+    gh, gr, gt = model.grad(h_rows, r_rows, t_rows, result.grad_pos, pos_shared)
+    gnh, gnr, gnt = model.grad(
+        neg_h, neg_r, neg_t, result.grad_neg.ravel(), neg_shared
+    )
 
-    # One bincount-based scatter per table replaces six np.add.at passes.
+    # One order-preserving scatter per table replaces six np.add.at passes.
     # The concatenation preserves the reference pass order (gh, gt, gnh,
     # gnt — and gr, gnr for relations), so every gradient slot sees its
     # float contributions in the same left-to-right order and the result
-    # is bit-identical (enforced by the golden-run equivalence suite).
+    # is bit-identical (enforced against tests/reference/compute_reference).
     ent_grads = scatter_add_rows(
         np.concatenate([h_pos, t_pos, neg_h_idx, neg_t_idx]),
         np.concatenate([gh, gt, gnh, gnt]),
         len(entity_ids),
     )
     rel_grads = scatter_add_rows(
-        np.concatenate([r_pos, r_pos[rep]]),
+        np.concatenate([r_pos, neg_r_idx]),
         np.concatenate([gr, gnr]),
         len(relation_ids),
     )

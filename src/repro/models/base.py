@@ -54,11 +54,23 @@ class KGEModel(ABC):
     # --------------------------------------------------------------- scoring
 
     @abstractmethod
-    def score(self, h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def score(
+        self,
+        h: np.ndarray,
+        r: np.ndarray,
+        t: np.ndarray,
+        shared: dict | None = None,
+    ) -> np.ndarray:
         """Plausibility score for each row of the batch.
 
         ``h``/``t`` have shape ``(batch, entity_dim)`` and ``r`` has shape
         ``(batch, relation_dim)``; returns shape ``(batch,)``.
+
+        ``shared``, when given, is an empty dict the caller owns: the model
+        may leave intermediates of this call in it (``h + r - t``, say) for
+        a later :meth:`grad` on the *same* ``h``, ``r``, ``t`` to reuse.
+        Its contents are the model's business; the model object itself
+        keeps no per-call state.
         """
 
     @abstractmethod
@@ -68,11 +80,20 @@ class KGEModel(ABC):
         r: np.ndarray,
         t: np.ndarray,
         upstream: np.ndarray,
+        shared: dict | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Gradients of ``sum(upstream * score)`` w.r.t. ``h``, ``r``, ``t``.
 
         ``upstream`` has shape ``(batch,)`` — the loss gradient flowing into
         each score.  Returns gradients with the same shapes as the inputs.
+
+        ``shared`` is the dict a :meth:`score` call on the same ``h``,
+        ``r``, ``t`` filled; without it (or with an empty one) everything
+        is recomputed, to the same bits.
+
+        The returned arrays are **read-only for the caller**: they may
+        share memory with each other (TransE's ``gh`` *is* its ``gr``) and
+        with the arrays in ``shared``.  Copy before writing into one.
         """
 
     # ---------------------------------------------------------------- params

@@ -30,7 +30,13 @@ class ComplEx(KGEModel):
     def _split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return x[:, : self.dim], x[:, self.dim :]
 
-    def score(self, h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def score(
+        self,
+        h: np.ndarray,
+        r: np.ndarray,
+        t: np.ndarray,
+        shared: dict | None = None,
+    ) -> np.ndarray:
         hr, hi = self._split(h)
         rr, ri = self._split(r)
         tr, ti = self._split(t)
@@ -48,6 +54,7 @@ class ComplEx(KGEModel):
         r: np.ndarray,
         t: np.ndarray,
         upstream: np.ndarray,
+        shared: dict | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         hr, hi = self._split(h)
         rr, ri = self._split(r)

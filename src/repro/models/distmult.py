@@ -16,7 +16,13 @@ from repro.models.base import KGEModel, register_model
 class DistMult(KGEModel):
     """Diagonal bilinear scoring ``<h, diag(r), t>``."""
 
-    def score(self, h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def score(
+        self,
+        h: np.ndarray,
+        r: np.ndarray,
+        t: np.ndarray,
+        shared: dict | None = None,
+    ) -> np.ndarray:
         return (h * r * t).sum(axis=1)
 
     def grad(
@@ -25,6 +31,7 @@ class DistMult(KGEModel):
         r: np.ndarray,
         t: np.ndarray,
         upstream: np.ndarray,
+        shared: dict | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         up = upstream[:, None]
         return (r * t) * up, (h * t) * up, (h * r) * up

@@ -35,7 +35,13 @@ def circular_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class HolE(KGEModel):
     """Holographic embedding model."""
 
-    def score(self, h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def score(
+        self,
+        h: np.ndarray,
+        r: np.ndarray,
+        t: np.ndarray,
+        shared: dict | None = None,
+    ) -> np.ndarray:
         return (r * circular_correlation(h, t)).sum(axis=1)
 
     def grad(
@@ -44,6 +50,7 @@ class HolE(KGEModel):
         r: np.ndarray,
         t: np.ndarray,
         upstream: np.ndarray,
+        shared: dict | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         up = upstream[:, None]
         gr = circular_correlation(h, t) * up

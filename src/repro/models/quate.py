@@ -71,7 +71,13 @@ class QuatE(KGEModel):
         norm = np.sqrt(ra**2 + rb**2 + rc**2 + rd**2 + _EPS)
         return (ra / norm, rb / norm, rc / norm, rd / norm), norm
 
-    def score(self, h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def score(
+        self,
+        h: np.ndarray,
+        r: np.ndarray,
+        t: np.ndarray,
+        shared: dict | None = None,
+    ) -> np.ndarray:
         hq = _split(h, self.dim)
         tq = _split(t, self.dim)
         r_hat, _ = self._normalize(r)
@@ -84,6 +90,7 @@ class QuatE(KGEModel):
         r: np.ndarray,
         t: np.ndarray,
         upstream: np.ndarray,
+        shared: dict | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         hq = _split(h, self.dim)
         tq = _split(t, self.dim)

@@ -34,7 +34,13 @@ class RESCAL(KGEModel):
     def _mats(self, r: np.ndarray) -> np.ndarray:
         return r.reshape(len(r), self.dim, self.dim)
 
-    def score(self, h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def score(
+        self,
+        h: np.ndarray,
+        r: np.ndarray,
+        t: np.ndarray,
+        shared: dict | None = None,
+    ) -> np.ndarray:
         mats = self._mats(r)
         return np.einsum("bi,bij,bj->b", h, mats, t)
 
@@ -44,6 +50,7 @@ class RESCAL(KGEModel):
         r: np.ndarray,
         t: np.ndarray,
         upstream: np.ndarray,
+        shared: dict | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         mats = self._mats(r)
         up = upstream[:, None]

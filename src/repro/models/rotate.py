@@ -51,7 +51,13 @@ class RotatE(KGEModel):
         modulus = np.sqrt(dre**2 + dim_**2 + _EPS)
         return dre, dim_, modulus, cos, sin, rot_re, rot_im
 
-    def score(self, h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def score(
+        self,
+        h: np.ndarray,
+        r: np.ndarray,
+        t: np.ndarray,
+        shared: dict | None = None,
+    ) -> np.ndarray:
         _, _, modulus, *_ = self._diff(h, r, t)
         return -modulus.sum(axis=1)
 
@@ -61,6 +67,7 @@ class RotatE(KGEModel):
         r: np.ndarray,
         t: np.ndarray,
         upstream: np.ndarray,
+        shared: dict | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         dre, dim_, modulus, cos, sin, rot_re, rot_im = self._diff(h, r, t)
         up = upstream[:, None]

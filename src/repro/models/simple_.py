@@ -32,7 +32,13 @@ class SimplE(KGEModel):
     def _split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return x[:, : self.dim], x[:, self.dim :]
 
-    def score(self, h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def score(
+        self,
+        h: np.ndarray,
+        r: np.ndarray,
+        t: np.ndarray,
+        shared: dict | None = None,
+    ) -> np.ndarray:
         hh, ht = self._split(h)
         rf, ri = self._split(r)
         th, tt = self._split(t)
@@ -46,6 +52,7 @@ class SimplE(KGEModel):
         r: np.ndarray,
         t: np.ndarray,
         upstream: np.ndarray,
+        shared: dict | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         hh, ht = self._split(h)
         rf, ri = self._split(r)

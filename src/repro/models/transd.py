@@ -35,7 +35,13 @@ class TransD(KGEModel):
     def _split(self, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return row[:, : self.dim], row[:, self.dim :]
 
-    def score(self, h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def score(
+        self,
+        h: np.ndarray,
+        r: np.ndarray,
+        t: np.ndarray,
+        shared: dict | None = None,
+    ) -> np.ndarray:
         hv, hp = self._split(h)
         rv, rp = self._split(r)
         tv, tp = self._split(t)
@@ -50,6 +56,7 @@ class TransD(KGEModel):
         r: np.ndarray,
         t: np.ndarray,
         upstream: np.ndarray,
+        shared: dict | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         hv, hp = self._split(h)
         rv, rp = self._split(r)

@@ -25,8 +25,16 @@ class TransE(KGEModel):
         check_in("norm", norm, ("l1", "l2"))
         self.norm = norm
 
-    def score(self, h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def score(
+        self,
+        h: np.ndarray,
+        r: np.ndarray,
+        t: np.ndarray,
+        shared: dict | None = None,
+    ) -> np.ndarray:
         diff = h + r - t
+        if shared is not None:
+            shared["diff"] = diff
         if self.norm == "l1":
             return -np.abs(diff).sum(axis=1)
         return -np.sqrt((diff**2).sum(axis=1) + _EPS)
@@ -37,13 +45,16 @@ class TransE(KGEModel):
         r: np.ndarray,
         t: np.ndarray,
         upstream: np.ndarray,
+        shared: dict | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        diff = h + r - t
+        diff = shared["diff"] if shared else h + r - t
         if self.norm == "l1":
             # d(-|x|)/dx = -sign(x)
-            base = -np.sign(diff)
+            gt = np.sign(diff)
         else:
-            dist = np.sqrt((diff**2).sum(axis=1, keepdims=True) + _EPS)
-            base = -diff / dist
-        scaled = base * upstream[:, None]
-        return scaled, scaled.copy(), -scaled
+            gt = diff / np.sqrt((diff**2).sum(axis=1, keepdims=True) + _EPS)
+        # gt = -gh: negation is exact, so scaling the positive side and
+        # negating once gives the bits of scaling each side separately.
+        gt *= upstream[:, None]
+        gh = -gt
+        return gh, gh, gt

@@ -42,7 +42,13 @@ class TransH(KGEModel):
         u = h + d_r - t + c * w  # h_perp + d_r - t_perp
         return u, w, a
 
-    def score(self, h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def score(
+        self,
+        h: np.ndarray,
+        r: np.ndarray,
+        t: np.ndarray,
+        shared: dict | None = None,
+    ) -> np.ndarray:
         u, _, _ = self._residual(h, r, t)
         return -np.sqrt((u**2).sum(axis=1) + _EPS)
 
@@ -52,6 +58,7 @@ class TransH(KGEModel):
         r: np.ndarray,
         t: np.ndarray,
         upstream: np.ndarray,
+        shared: dict | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         w_raw = r[:, : self.dim]
         norm = np.linalg.norm(w_raw, axis=1, keepdims=True) + _EPS

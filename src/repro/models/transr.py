@@ -45,7 +45,13 @@ class TransR(KGEModel):
         noise = rng.normal(0.0, 0.01, size=(count, self.dim * self.dim))
         return np.concatenate([r_vec, eye[None, :] + noise], axis=1)
 
-    def score(self, h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def score(
+        self,
+        h: np.ndarray,
+        r: np.ndarray,
+        t: np.ndarray,
+        shared: dict | None = None,
+    ) -> np.ndarray:
         r_vec, mats = self._split(r)
         u = np.einsum("bij,bj->bi", mats, h - t) + r_vec
         return -np.sqrt((u**2).sum(axis=1) + _EPS)
@@ -56,6 +62,7 @@ class TransR(KGEModel):
         r: np.ndarray,
         t: np.ndarray,
         upstream: np.ndarray,
+        shared: dict | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         r_vec, mats = self._split(r)
         diff = h - t

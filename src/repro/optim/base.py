@@ -75,7 +75,7 @@ def coalesce(
     returns them that way), so a strictly-increasing id array is passed
     through untouched — no ``np.unique``, no scatter.  The general path
     sums duplicates with one :func:`~repro.utils.kernels.scatter_add_rows`
-    (input-order ``np.bincount``), matching the former ``np.add.at``
+    (input-order one-hot product), matching the former ``np.add.at``
     accumulation bit for bit.
     """
     row_ids = np.asarray(row_ids, dtype=np.int64)

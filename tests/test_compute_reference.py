@@ -1,0 +1,169 @@
+"""The live step math against ``tests/reference/compute_reference.py``.
+
+Every golden and every ``bench/expected.json`` fingerprint trains TransE-L1
+under the margin loss, where each gradient entry is an integer in
+``[-n_neg, n_neg]``: any summation order gives the same bits, so none of
+them can see a reordered scatter.  This suite can — it compares loss,
+entity and relation gradients *byte for byte* on real-valued gradients, for
+every registered model, and the scatter kernel alone over the full float
+range.  It is also what pins scipy's ``csc_matvecs`` column order: a scipy
+that walks the one-hot columns in another order fails here, loudly.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.compute import compute_batch_gradients
+from repro.kg.graph import KnowledgeGraph
+from repro.models import MODEL_REGISTRY, get_model
+from repro.models.losses import get_loss
+from repro.sampling.negative import NegativeSampler
+from repro.utils.kernels import scatter_add_rows
+from tests.reference import compute_reference as reference
+
+LOSSES = ("ranking", "logistic", "self-adversarial")
+#: Every registered model, TransE under both of its norms.
+MODELS = [pytest.param(name, {}, id=name) for name in sorted(MODEL_REGISTRY)]
+MODELS.append(pytest.param("transe", {"norm": "l2"}, id="transe-l2"))
+#: The models whose ``score`` hands intermediates to ``grad``.
+CARRYING = [m for m in MODELS if m.values[0] == "transe"]
+
+
+def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
+    """Equal shape, dtype and bytes — signed zeros and infinities included;
+    NaNs must sit in the same cells (their payload bits are the FPU's)."""
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(actual), nan)
+    assert np.array_equal(
+        np.where(nan, 0.0, actual).view(np.uint64),
+        np.where(nan, 0.0, expected).view(np.uint64),
+    )
+
+
+# ------------------------------------------------------------------- scatter
+
+
+class TestScatterAgainstBincount:
+    @given(
+        seed=st.integers(0, 10_000),
+        n_out=st.integers(1, 40),
+        n=st.integers(0, 200),
+        d=st.integers(1, 9),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_full_float_range_with_specials(self, seed, n_out, n, d):
+        """Magnitudes 1e-300 ... 1e300, so the order of additions decides
+        what is absorbed, what overflows and where inf - inf turns nan."""
+        rng = np.random.default_rng(seed)
+        rows = rng.choice([-1.0, 1.0], size=(n, d)) * 10.0 ** rng.uniform(-300, 300, (n, d))
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        special = rng.random((n, d)) < 0.15
+        rows[special] = rng.choice(specials, size=int(special.sum()))
+        idx = rng.integers(0, n_out, size=n)
+        with np.errstate(all="ignore"):
+            expected = reference.scatter_add_rows(idx, rows, n_out)
+            actual = scatter_add_rows(idx, rows, n_out)
+        assert_same_bits(actual, expected)
+
+    def test_negative_zero_rows_sum_to_positive_zero(self):
+        """The chain starts at +0.0, as ``np.add.at`` into zeros does."""
+        out = scatter_add_rows(np.array([1, 1]), np.full((2, 3), -0.0), 2)
+        assert not np.signbit(out).any()
+
+
+# ------------------------------------------------------------------- compute
+
+
+def _case(model, strategy, filtered, b, n_neg, seed):
+    """A batch from the real sampler over a graph small enough that entity
+    ids repeat inside it, and rows salted with signed zeros."""
+    rng = np.random.default_rng(seed)
+    num_entities, num_relations = int(rng.integers(4, 24)), int(rng.integers(1, 5))
+    triples = np.column_stack(
+        [
+            rng.integers(0, num_entities, 40),
+            rng.integers(0, num_relations, 40),
+            rng.integers(0, num_entities, 40),
+        ]
+    )
+    graph = KnowledgeGraph(triples, num_entities, num_relations)
+    sampler = NegativeSampler(
+        num_entities,
+        num_negatives=n_neg,
+        strategy=strategy,
+        chunk_size=4,
+        filter_graph=graph if filtered else None,
+        seed=seed,
+    )
+    batch = sampler.corrupt(graph.triples[rng.integers(0, len(graph.triples), b)])
+    entity_ids, relation_ids = batch.unique_entities(), batch.unique_relations()
+
+    def rows(count, width):
+        out = rng.normal(size=(count, width))
+        salt = rng.random(out.shape)
+        out[salt < 0.05] = 0.0
+        out[salt > 0.95] = -0.0
+        return out
+
+    return (
+        batch,
+        entity_ids,
+        rows(len(entity_ids), model.entity_dim),
+        relation_ids,
+        rows(len(relation_ids), model.relation_dim),
+    )
+
+
+class TestComputeAgainstReference:
+    @pytest.mark.parametrize("loss_name", LOSSES)
+    @pytest.mark.parametrize("model_name, kwargs", MODELS)
+    @given(
+        strategy=st.sampled_from(["chunked", "independent"]),
+        filtered=st.booleans(),
+        dim=st.sampled_from([1, 8, 33]),
+        b=st.sampled_from([1, 7, 64]),
+        n_neg=st.sampled_from([1, 5]),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_loss_and_gradients_byte_for_byte(
+        self, model_name, kwargs, loss_name, strategy, filtered, dim, b, n_neg, seed
+    ):
+        model = get_model(model_name, dim, **kwargs)
+        loss = get_loss(loss_name, margin=1.0)
+        case = _case(model, strategy, filtered, b, n_neg, seed)
+        actual = compute_batch_gradients(model, loss, *case)
+        expected = reference.compute_batch_gradients(
+            reference.reference_model(model), loss, *case
+        )
+        assert np.float64(actual.loss).tobytes() == np.float64(expected.loss).tobytes()
+        assert_same_bits(actual.entity_grads, expected.entity_grads)
+        assert_same_bits(actual.relation_grads, expected.relation_grads)
+        assert np.array_equal(actual.entity_ids, expected.entity_ids)
+        assert np.array_equal(actual.relation_ids, expected.relation_ids)
+        assert actual.num_scores == expected.num_scores
+
+    @pytest.mark.parametrize("model_name, kwargs", CARRYING)
+    def test_carrier_is_optional_and_changes_no_bits(self, model_name, kwargs):
+        """``grad`` with the dict ``score`` filled == ``grad`` without it ==
+        the pre-carrier model, and ``score`` is the same with or without."""
+        rng = np.random.default_rng(3)
+        model = get_model(model_name, 8, **kwargs)
+        old = reference.reference_model(model)
+        attributes = dict(vars(model))
+        h, t = rng.normal(size=(2, 50, model.entity_dim))
+        r = rng.normal(size=(50, model.relation_dim))
+        upstream = rng.normal(size=50)
+        shared: dict = {}
+        assert_same_bits(model.score(h, r, t, shared), old.score(h, r, t))
+        assert_same_bits(model.score(h, r, t), old.score(h, r, t))
+        assert shared, "score left nothing for grad to reuse"
+        for got in (model.grad(h, r, t, upstream, shared), model.grad(h, r, t, upstream)):
+            for a, e in zip(got, old.grad(h, r, t, upstream)):
+                assert_same_bits(a, e)
+        assert vars(model) == attributes, "the model object kept per-call state"

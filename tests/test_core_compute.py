@@ -127,3 +127,32 @@ class TestComputeBatchGradients:
             )
             single.append(g1.entity_grads[3])
         np.testing.assert_allclose(grads.entity_grads[3], single[0] + single[1])
+
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    def test_never_writes_into_what_the_model_returns(self, setup, norm):
+        """``KGEModel.grad``'s arrays may alias each other and the carried
+        intermediates, so they are read-only for the caller: a model that
+        enforces it (and freezes what ``score`` left in the carrier) must
+        train exactly as one that does not."""
+
+        def freeze(*arrays):
+            for array in arrays:
+                array.setflags(write=False)
+
+        class Frozen(TransE):
+            def score(self, h, r, t, shared=None):
+                scores = super().score(h, r, t, shared)
+                freeze(scores, *shared.values())
+                return scores
+
+            def grad(self, h, r, t, upstream, shared=None):
+                grads = super().grad(h, r, t, upstream, shared)
+                freeze(*grads)
+                return grads
+
+        _, loss, *rest = setup
+        frozen = compute_batch_gradients(Frozen(4, norm=norm), loss, *rest)
+        plain = compute_batch_gradients(TransE(4, norm=norm), loss, *rest)
+        assert frozen.loss == plain.loss
+        assert np.array_equal(frozen.entity_grads, plain.entity_grads)
+        assert np.array_equal(frozen.relation_grads, plain.relation_grads)

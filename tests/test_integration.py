@@ -2,6 +2,11 @@
 graphs, checking that the system *learns* and that the paper's headline
 relationships hold."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -155,3 +160,55 @@ class TestStalenessEffect:
         tight = make_trainer("hetkg-c", config(sync_period=1, epochs=2)).train(split.train)
         loose = make_trainer("hetkg-c", config(sync_period=32, epochs=2)).train(split.train)
         assert tight.communication_time > loose.communication_time
+
+
+_FOOTPRINT_SCRIPT = """
+import json, runpy, sys
+
+seen = {}
+import repro
+seen["import repro"] = "scipy" in sys.modules
+
+from repro import TrainingConfig, generate_dataset, make_trainer, split_triples
+from repro.serving.frontend import ServingFrontend
+from repro.serving.queries import Query
+from repro.serving.store import EmbeddingStore
+
+train = split_triples(generate_dataset("fb15k", scale=0.02, seed=11), seed=11).train
+trainer = make_trainer("hetkg-d", TrainingConfig(dim=8, num_machines=2, seed=2))
+trainer.setup(train)
+frontend = ServingFrontend(EmbeddingStore.from_trainer(trainer))
+frontend.run([Query(qid=0, kind="score", head=0, relation=0, tail=1, arrival=0.0)])
+seen["serving a query"] = "scipy" in sys.modules
+
+sys.argv = ["repro", "--help"]
+try:
+    runpy.run_module("repro", run_name="__main__")
+except SystemExit:
+    pass
+seen["python -m repro --help"] = "scipy" in sys.modules
+
+trainer.workers[0].step()
+seen["one Worker.step"] = "scipy" in sys.modules
+print("\\n" + json.dumps(seen))
+"""
+
+
+class TestImportFootprint:
+    def test_only_training_imports_scipy(self):
+        """``scatter_add_rows`` imports ``scipy.sparse`` at first use (a
+        module-top import is +13 MiB of peak RSS on every entry point):
+        importing the package, serving and the CLI's help never load it, the
+        first training step does."""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == {
+            "import repro": False,
+            "serving a query": False,
+            "python -m repro --help": False,
+            "one Worker.step": True,
+        }

@@ -263,6 +263,61 @@ class TestScatterAdd:
         assert np.array_equal(unique, ref_unique)
         assert np.array_equal(summed, ref_summed)
 
+    # The one-hot product writes through ``indices`` unchecked in C, so the
+    # kernel owns the range check (np.bincount used to reject negatives;
+    # an index >= n_out died later, in reshape, with a size message).
+
+    @pytest.mark.parametrize("bad", [-1, -7, 5, 9])
+    def test_out_of_range_index_names_itself_and_n_out(self, bad):
+        idx = np.array([0, 4, bad, 2])
+        with pytest.raises(ValueError, match=rf"index {bad} is out of range for n_out=5"):
+            scatter_add_rows(idx, np.ones((4, 3)), 5)
+
+    def test_rejects_indices_that_are_not_one_integer_per_row(self):
+        rows = np.ones((3, 2))
+        for idx in (np.array([0, 1]), np.array([[0, 1, 2]]), np.array([0.0, 1.0, 2.0])):
+            with pytest.raises(ValueError, match="indices must be 3 integers"):
+                scatter_add_rows(idx, rows, 4)
+
+    def test_empty_shapes(self):
+        none = np.array([], dtype=np.int64)
+        assert np.array_equal(scatter_add_rows(none, np.zeros((0, 3)), 4), np.zeros((4, 3)))
+        assert scatter_add_rows(none, np.zeros((0, 3)), 0).shape == (0, 3)
+        # np.array([]) is float64: nothing to scatter, so nothing to reject.
+        assert np.array_equal(scatter_add_rows(np.array([]), np.zeros((0, 3)), 4), np.zeros((4, 3)))
+        assert scatter_add_rows(np.array([1, 1]), np.zeros((2, 0)), 4).shape == (4, 0)
+        with pytest.raises(ValueError, match="index 0 is out of range for n_out=0"):
+            scatter_add_rows(np.array([0]), np.ones((1, 3)), 0)
+
+    def test_single_column_takes_scipys_matvec_path(self):
+        idx = np.array([2, 0, 2, 2])
+        rows = np.array([[0.1], [0.2], [0.3], [1e17]])
+        ref = np.zeros((3, 1))
+        np.add.at(ref, idx, rows)
+        out = scatter_add_rows(idx, rows, 3)
+        assert out.shape == (3, 1) and np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.intp, np.int64, np.uint8])
+    def test_index_dtypes(self, dtype):
+        rng = np.random.default_rng(0)
+        idx = rng.integers(0, 6, size=50)
+        rows = rng.standard_normal((50, 4))
+        assert np.array_equal(
+            scatter_add_rows(idx.astype(dtype), rows, 6), scatter_add_rows(idx, rows, 6)
+        )
+
+    def test_float32_and_non_contiguous_rows(self):
+        rng = np.random.default_rng(1)
+        idx = rng.integers(0, 6, size=50)
+        wide = rng.standard_normal((50, 8))
+        for rows in (wide.astype(np.float32), wide[:, ::2], wide.T[:4].T, wide[::-1]):
+            assert not (rows.flags.c_contiguous and rows.dtype == np.float64)
+            ref = np.zeros((6, rows.shape[1]))
+            np.add.at(ref, idx, rows.astype(np.float64))
+            out = scatter_add_rows(idx, rows, 6)
+            assert out.dtype == np.float64 and out.flags.c_contiguous
+            assert np.array_equal(out, ref)
+
 
 # ------------------------------------------------------------- triple index
 
