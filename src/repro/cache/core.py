@@ -20,17 +20,25 @@ This module is the single engine they all now share:
     silently hold more keys than it was budgeted.
 :class:`CacheCore`
     The engine: hit/miss metering, the ledger, and a pluggable
-    :class:`EvictionStrategy`.  After every access it audits
+    :class:`EvictionStrategy`.  Its one way in is
+    :meth:`CacheCore.access_many` — a whole batch of keys (a serving
+    micro-batch's distinct rows, a replayed trace) per call, with exactly
+    the semantics of accessing them one after the other; ``access(key)``
+    is that call on one key.  After every call it audits
     ``len(strategy) == ledger.resident <= capacity``, so the
     capacity-honesty invariant is enforced in one place instead of being
     re-derived per policy.
 :class:`EvictionStrategy`
-    The ~50-line contract a new policy implements: ``lookup`` /
-    ``on_hit`` / ``on_miss``, mutating residency only through the core's
-    ``admit``/``evict`` primitives.  Register with
-    :func:`register_policy`; construct by name with :func:`make_cache`
-    (the only way to obtain an eviction cache) and replay a key trace
-    through it with :func:`replay_trace`.
+    The ~50-line contract a new policy implements, in one of two shapes:
+    the per-key trio ``lookup`` / ``on_hit`` / ``on_miss``, mutating
+    residency through the core's ``admit``/``evict`` primitives (the
+    ledger moves and is audited at every key), *or* one ``access_many``
+    loop over its own structures that reports what it admitted and
+    evicted for the core to settle once per call — a dozen Python frames
+    per missed key cheaper, which is why FIFO/LRU/LFU/CLOCK/pinned are
+    written that way.  Register with :func:`register_policy`; construct
+    by name with :func:`make_cache` (the only way to obtain an eviction
+    cache) and replay a key trace through it with :func:`replay_trace`.
 :class:`PinnedStrategy`
     Static membership (importance caches, CPS hot sets, the serving
     tier's log-profiled cache) as just another strategy: admission by
@@ -51,6 +59,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from repro.cache.filtering import HotSet
 from repro.utils.validation import check_positive
 
 
@@ -139,12 +148,21 @@ class EvictionStrategy(ABC):
     """Pure policy logic, pluggable into :class:`CacheCore`.
 
     A strategy owns its ordering structures (queues, buckets, clock
-    hands, ghost lists) but **not** the residency count: every key that
-    becomes resident must go through ``self.core.admit(key)`` and every
-    key that stops being resident through ``self.core.evict(key)``.  The
-    core audits ``len(strategy)`` against the ledger after each access,
-    so forgetting either call is an immediate :class:`CapacityError`,
-    not a latent overflow.
+    hands, ghost lists) but **not** the residency count, and is written
+    in one of two shapes, never both:
+
+    * the per-key trio :meth:`lookup` / :meth:`on_hit` / :meth:`on_miss`:
+      every key that becomes resident goes through
+      ``self.core.admit(key)`` and every key that stops being resident
+      through ``self.core.evict(key)``; the inherited :meth:`access_many`
+      drives the trio and audits ``len(strategy)`` against the ledger at
+      every key, so forgetting either call raises :class:`CapacityError`
+      at the offending key;
+    * one :meth:`access_many` override looping over local variables,
+      which *counts* its admissions and evictions and leaves the ledger
+      to the core: the core charges or releases the net once per call and
+      audits ``len(strategy)``, so an overflow still raises from the
+      ledger, at the call that caused it.
     """
 
     #: Registry name, set by :func:`register_policy`.
@@ -157,18 +175,43 @@ class EvictionStrategy(ABC):
         """Attach to the owning core (called once, by the core)."""
         self.core = core
 
-    @abstractmethod
     def lookup(self, key: int) -> bool:
         """Is ``key`` resident?  Must not mutate any state."""
+        raise NotImplementedError(
+            f"{type(self).__name__} implements neither the per-key trio "
+            "nor access_many"
+        )
 
-    @abstractmethod
     def on_hit(self, key: int) -> None:
         """Update recency/frequency bookkeeping for a resident key."""
+        raise NotImplementedError
 
-    @abstractmethod
     def on_miss(self, key: int) -> None:
         """Decide admission/eviction for a missing key (may admit
         nothing).  Only called when ``capacity > 0``."""
+        raise NotImplementedError
+
+    def access_many(self, keys: list[int]) -> tuple[list[int], int, int]:
+        """Access ``keys`` in order (only called when ``capacity > 0``).
+
+        Returns ``(hit_positions, admitted, evicted)``: the indices into
+        ``keys`` that hit, and how many keys became / stopped being
+        resident *without the ledger having been told* — the core settles
+        those counts after the call.  This default drives the per-key
+        trio, whose ``core.admit``/``core.evict`` calls move the ledger
+        themselves, so it audits at every key and reports nothing left to
+        settle.
+        """
+        audit = self.core.ledger.audit
+        hits = []
+        for position, key in enumerate(keys):
+            if self.lookup(key):
+                self.on_hit(key)
+                hits.append(position)
+            else:
+                self.on_miss(key)
+            audit(len(self))
+        return hits, 0, 0
 
     @abstractmethod
     def __len__(self) -> int:
@@ -183,9 +226,10 @@ class CacheCore:
     """A fixed-capacity cache over opaque integer keys, policy-pluggable.
 
     The engine behind every membership/eviction cache in the repo:
-    ``access(key)`` meters hits and misses, delegates policy decisions to
-    the bound :class:`EvictionStrategy`, and enforces the capacity
-    invariant through the :class:`CapacityLedger` after every access.
+    ``access_many(keys)`` meters hits and misses, delegates policy
+    decisions to the bound :class:`EvictionStrategy`, and enforces the
+    capacity invariant through the :class:`CapacityLedger` after every
+    call.
 
     ``capacity == 0`` is a legal degenerate cache: every access misses
     and nothing is ever admitted (one side of a split cache may own zero
@@ -239,24 +283,42 @@ class CacheCore:
 
     # ----------------------------------------------------------------- access
 
-    def access(self, key: int) -> bool:
-        """Record one access; returns ``True`` on hit.
+    def access_many(self, keys) -> np.ndarray:
+        """Record one access per key, in order; returns the hit mask.
 
-        The capacity invariant ``len(cache) <= capacity`` is checked here,
-        after the policy ran — centrally, for every policy, on every
-        access.
+        Exactly the semantics of accessing the keys one after the other:
+        a key evicted by an earlier miss of the same call misses, a
+        repeated key hits the second time.  ``keys`` is any 1-D sequence
+        of integers (validated once, never truncated).  The strategy's
+        admissions and evictions are settled with the ledger as one net
+        charge or release — a call may evict more keys than were resident
+        when it began — and the capacity invariant ``len(cache) <=
+        capacity`` is audited here, centrally, for every policy, on every
+        call.
         """
-        key = int(key)
-        hit = self.strategy.lookup(key)
-        if hit:
-            self.strategy.on_hit(key)
-            self.hits += 1
-        else:
-            if self.capacity > 0:
-                self.strategy.on_miss(key)
-            self.misses += 1
-        self.ledger.audit(len(self.strategy))
-        return hit
+        keys = np.asarray(keys)
+        if keys.ndim != 1 or (keys.size and keys.dtype.kind not in "iu"):
+            raise ValueError(
+                f"keys must be a 1-D sequence of integers; got shape "
+                f"{keys.shape}, dtype {keys.dtype}"
+            )
+        mask = np.zeros(len(keys), dtype=bool)
+        hits: list[int] = []
+        if self.capacity > 0 and len(keys):
+            hits, admitted, evicted = self.strategy.access_many(keys.tolist())
+            if admitted >= evicted:
+                self.ledger.charge(admitted - evicted)
+            else:
+                self.ledger.release(evicted - admitted)
+            self.ledger.audit(len(self.strategy))
+            mask[hits] = True
+        self.hits += len(hits)
+        self.misses += len(keys) - len(hits)
+        return mask
+
+    def access(self, key: int) -> bool:
+        """Record one access; returns ``True`` on hit."""
+        return bool(self.access_many([key])[0])
 
     def clear(self) -> None:
         """Drop all resident keys and policy state (counters survive)."""
@@ -309,10 +371,9 @@ def make_cache(name: str, capacity: int, **kwargs) -> CacheCore:
     return CacheCore(capacity, strategy_cls(**kwargs), label=name)
 
 
-def replay_trace(cache: CacheCore, keys: Iterable[int]) -> float:
+def replay_trace(cache: CacheCore, keys: Sequence[int]) -> float:
     """Feed every key in ``keys`` through ``cache``; returns its hit ratio."""
-    for key in keys:
-        cache.access(key)
+    cache.access_many(keys)
     return cache.hit_ratio
 
 
@@ -327,18 +388,22 @@ class FIFOStrategy(EvictionStrategy):
         super().__init__()
         self._queue: OrderedDict[int, None] = OrderedDict()
 
-    def lookup(self, key: int) -> bool:
-        return key in self._queue
-
-    def on_hit(self, key: int) -> None:
-        pass  # FIFO ignores recency
-
-    def on_miss(self, key: int) -> None:
-        if self.core.full:
-            victim, _ = self._queue.popitem(last=False)
-            self.core.evict(victim)
-        self._queue[key] = None
-        self.core.admit(key)
+    def access_many(self, keys: list[int]) -> tuple[list[int], int, int]:
+        queue = self._queue
+        room = self.core.capacity - len(queue)
+        hits = []
+        evicted = 0
+        for position, key in enumerate(keys):
+            if key in queue:
+                hits.append(position)  # FIFO ignores recency
+                continue
+            if room:
+                room -= 1
+            else:
+                queue.popitem(last=False)
+                evicted += 1
+            queue[key] = None
+        return hits, len(keys) - len(hits), evicted
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -355,18 +420,23 @@ class LRUStrategy(EvictionStrategy):
         super().__init__()
         self._order: OrderedDict[int, None] = OrderedDict()
 
-    def lookup(self, key: int) -> bool:
-        return key in self._order
-
-    def on_hit(self, key: int) -> None:
-        self._order.move_to_end(key)
-
-    def on_miss(self, key: int) -> None:
-        if self.core.full:
-            victim, _ = self._order.popitem(last=False)
-            self.core.evict(victim)
-        self._order[key] = None
-        self.core.admit(key)
+    def access_many(self, keys: list[int]) -> tuple[list[int], int, int]:
+        order = self._order
+        room = self.core.capacity - len(order)
+        hits = []
+        evicted = 0
+        for position, key in enumerate(keys):
+            if key in order:
+                order.move_to_end(key)
+                hits.append(position)
+                continue
+            if room:
+                room -= 1
+            else:
+                order.popitem(last=False)
+                evicted += 1
+            order[key] = None
+        return hits, len(keys) - len(hits), evicted
 
     def __len__(self) -> int:
         return len(self._order)
@@ -384,7 +454,7 @@ class LFUStrategy(EvictionStrategy):
     ordered by last access; a lazy min-heap of occupied counts finds the
     coldest bucket in O(log n), and the victim (earliest last-accessed
     key among the minimum-count members) is identical to the O(capacity)
-    min-scan reference (``tests/test_perf_equivalence.py``).
+    min-scan reference (``RefLFU``, ``tests/reference/``).
     """
 
     def __init__(self) -> None:
@@ -395,37 +465,37 @@ class LFUStrategy(EvictionStrategy):
         self._count_heap: list[int] = []
         self._members: set[int] = set()
 
-    def _bucket_add(self, key: int, count: int) -> None:
-        bucket = self._buckets.get(count)
-        if bucket is None:
-            bucket = self._buckets[count] = OrderedDict()
-        if not bucket:
-            heapq.heappush(self._count_heap, count)
-        bucket[key] = None
-
-    def lookup(self, key: int) -> bool:
-        return key in self._members
-
-    def on_hit(self, key: int) -> None:
-        self._counts[key] += 1
-        count = self._counts[key]
-        del self._buckets[count - 1][key]
-        self._bucket_add(key, count)
-
-    def on_miss(self, key: int) -> None:
-        self._counts[key] += 1
-        if self.core.full:
-            while True:
-                coldest = self._buckets.get(self._count_heap[0])
-                if coldest:
-                    break
-                heapq.heappop(self._count_heap)  # stale: bucket drained
-            victim, _ = coldest.popitem(last=False)
-            self._members.discard(victim)
-            self.core.evict(victim)
-        self._members.add(key)
-        self._bucket_add(key, self._counts[key])
-        self.core.admit(key)
+    def access_many(self, keys: list[int]) -> tuple[list[int], int, int]:
+        counts, buckets = self._counts, self._buckets
+        heap, members = self._count_heap, self._members
+        room = self.core.capacity - len(members)
+        hits = []
+        evicted = 0
+        for position, key in enumerate(keys):
+            count = counts[key] = counts[key] + 1
+            if key in members:
+                del buckets[count - 1][key]
+                hits.append(position)
+            else:
+                if room:
+                    room -= 1
+                else:
+                    while True:
+                        coldest = buckets.get(heap[0])
+                        if coldest:
+                            break
+                        heapq.heappop(heap)  # stale: bucket drained
+                    victim, _ = coldest.popitem(last=False)
+                    members.discard(victim)
+                    evicted += 1
+                members.add(key)
+            bucket = buckets.get(count)
+            if bucket is None:
+                bucket = buckets[count] = OrderedDict()
+            if not bucket:
+                heapq.heappush(heap, count)
+            bucket[key] = None
+        return hits, len(keys) - len(hits), evicted
 
     def __len__(self) -> int:
         return len(self._members)
@@ -447,28 +517,31 @@ class ClockStrategy(EvictionStrategy):
         self._referenced: dict[int, bool] = {}
         self._hand = 0
 
-    def lookup(self, key: int) -> bool:
-        return key in self._referenced
-
-    def on_hit(self, key: int) -> None:
-        self._referenced[key] = True
-
-    def on_miss(self, key: int) -> None:
-        if not self.core.full:
-            self._keys.append(key)
-        else:
-            capacity = self.core.capacity
-            # Advance the hand past referenced keys, clearing their bit.
-            while self._referenced[self._keys[self._hand]]:
-                self._referenced[self._keys[self._hand]] = False
-                self._hand = (self._hand + 1) % capacity
-            victim = self._keys[self._hand]
-            del self._referenced[victim]
-            self.core.evict(victim)
-            self._keys[self._hand] = key
-            self._hand = (self._hand + 1) % capacity
-        self._referenced[key] = False
-        self.core.admit(key)
+    def access_many(self, keys: list[int]) -> tuple[list[int], int, int]:
+        ring, referenced = self._keys, self._referenced
+        capacity = self.core.capacity
+        hand = self._hand
+        hits = []
+        evicted = 0
+        for position, key in enumerate(keys):
+            if key in referenced:
+                referenced[key] = True
+                hits.append(position)
+                continue
+            if len(ring) < capacity:
+                ring.append(key)
+            else:
+                # Advance the hand past referenced keys, clearing their bit.
+                while referenced[ring[hand]]:
+                    referenced[ring[hand]] = False
+                    hand = (hand + 1) % capacity
+                del referenced[ring[hand]]
+                evicted += 1
+                ring[hand] = key
+                hand = (hand + 1) % capacity
+            referenced[key] = False
+        self._hand = hand
+        return hits, len(keys) - len(hits), evicted
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -670,17 +743,18 @@ class PinnedStrategy(EvictionStrategy):
         self._members: set[int] = set()
         self._warming: set[int] = set()
 
-    def lookup(self, key: int) -> bool:
-        return key in self._members
-
-    def on_hit(self, key: int) -> None:
-        pass  # static membership: nothing to reorder
-
-    def on_miss(self, key: int) -> None:
-        if key in self._warming:
-            self._warming.discard(key)
-            self._members.add(key)
-            self.core.admit(key)
+    def access_many(self, keys: list[int]) -> tuple[list[int], int, int]:
+        members, warming = self._members, self._warming
+        hits = []
+        admitted = 0
+        for position, key in enumerate(keys):
+            if key in members:
+                hits.append(position)  # static membership: nothing to reorder
+            elif key in warming:
+                warming.discard(key)
+                members.add(key)
+                admitted += 1
+        return hits, admitted, 0
 
     def install(self, keys: Iterable[int]) -> None:
         """Replace the membership wholesale (ledger-checked)."""
@@ -860,8 +934,6 @@ class HotnessMembershipCache:
                 triggered = True
                 first = False
             else:
-                from repro.cache.filtering import HotSet
-
                 signal = detector.observe(
                     HotSet(
                         entities=candidate,

@@ -162,16 +162,13 @@ class ServingCache:
 
         ``ids`` should already be deduplicated by the caller — the
         frontend looks up each distinct row once per batch, matching how
-        a real dispatch gathers unique rows.
+        a real dispatch gathers unique rows — and reaches the table as
+        one :meth:`~repro.cache.core.CacheCore.access_many` call.
         """
-        ids = np.asarray(ids, dtype=np.int64)
-        table = self._tables[kind]
-        mask = np.fromiter(
-            (table.access(int(i)) for i in ids), dtype=bool, count=len(ids)
-        )
-        hits = int(mask.sum())
+        mask = self._tables[kind].access_many(ids)
+        hits = int(np.count_nonzero(mask))
         self.hits += hits
-        self.misses += len(ids) - hits
+        self.misses += len(mask) - hits
         return mask
 
     # ------------------------------------------------------------------ stats
@@ -229,16 +226,11 @@ class ServingCache:
             else:
                 hits_before, misses_before = table.hits, table.misses
                 table.clear()
-                for key in members:
-                    table.access(key)
+                table.access_many(members)
                 # Pre-admission is background warming, not served traffic:
                 # keep the table's own meters where they were.
                 table.hits, table.misses = hits_before, misses_before
         return self
-
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
 
     def __repr__(self) -> str:
         return (

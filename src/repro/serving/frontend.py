@@ -298,9 +298,14 @@ class ServingFrontend:
 
         pulled_ok = True
         with self.trace.span("serve.fetch", "communication") as span:
-            entity_ids = np.unique(np.concatenate([q.entity_ids() for q in batch]))
-            relation_ids = np.unique(
-                np.concatenate([q.relation_ids() for q in batch])
+            # The batch's distinct rows, ascending (the order a reactive
+            # cache sees them in decides what it evicts).
+            entities: set[int] = set()
+            for query in batch:
+                entities.update(query.anchors(), query.candidates)
+            entity_ids = np.array(sorted(entities), dtype=np.int64)
+            relation_ids = np.array(
+                sorted({q.relation for q in batch}), dtype=np.int64
             )
             comm = CommRecord()
             misses = 0

@@ -69,15 +69,19 @@ class Query:
 
     # ------------------------------------------------------------- accesses
 
+    def anchors(self) -> tuple[int, ...]:
+        """The given (non-candidate) entity rows this query touches."""
+        if self.kind == SCORE:
+            return (self.head, self.tail)
+        if self.kind == TAIL_PREDICTION:
+            return (self.head,)
+        return (self.tail,)
+
     def entity_ids(self) -> np.ndarray:
         """Entity rows this query touches (duplicates preserved)."""
-        if self.kind == SCORE:
-            base = [self.head, self.tail]
-        elif self.kind == TAIL_PREDICTION:
-            base = [self.head]
-        else:
-            base = [self.tail]
-        return np.asarray(base + list(self.candidates), dtype=np.int64)
+        return np.asarray(
+            [*self.anchors(), *self.candidates], dtype=np.int64
+        )
 
     def relation_ids(self) -> np.ndarray:
         """Relation rows this query touches."""

@@ -1,15 +1,22 @@
 """Tests for the unified cache core (repro.cache.core).
 
-Covers the centralized capacity ledger, the per-access residency
-invariant across every registered policy, trace equivalence between the
-registry-built caches and independent reference implementations of the
-pre-core policies, the four capacity/overflow bug regressions from ISSUE 7, and
-the CPS/DPS/ADAPTIVE membership replay engine.
+Covers the centralized capacity ledger, the batch entry point
+(``access_many``: key validation, per-call ledger settlement), the residency
+invariant across every registered policy and any split of a trace into calls,
+trace equivalence between the registry-built caches and independent reference
+implementations of the pre-core policies (``tests/reference/
+cache_policies_reference.py``), the four capacity/overflow bug regressions
+from ISSUE 7, the CPS/DPS/ADAPTIVE membership replay engine, and the replayed
+hit ratios of the shootout and Table VI pinned to the per-key engine's.
 """
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+import functools
+import importlib.util
+import json
+import pathlib
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -32,6 +39,15 @@ from repro.cache.filtering import filter_hot_ids, split_slots
 from repro.cache.table import CacheTable
 from repro.experiments.cache_study import _importance_cache
 from repro.serving.cache import ServingCache
+from tests.reference.cache_policies_reference import (
+    RefARC,
+    RefClock,
+    RefFIFO,
+    RefLFU,
+    RefLRU,
+    RefTwoQueue,
+    split_into_calls,
+)
 from tests.reference.hotness_window import hotness_window_hit_ratio
 
 #: Every reactive policy registered with the core (pinned is membership-
@@ -41,6 +57,11 @@ REACTIVE = tuple(p for p in available_policies() if p != "pinned")
 #: Hypothesis trace: keys from a small space so evictions actually occur.
 TRACES = st.lists(st.integers(min_value=0, max_value=30), max_size=200)
 CAPACITIES = st.integers(min_value=1, max_value=12)
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+
+CUTS = st.lists(st.integers(min_value=0, max_value=200), max_size=10)
 
 
 # ----------------------------------------------------------------- ledger
@@ -212,6 +233,183 @@ class TestCacheCore:
         with pytest.raises(CapacityError):
             core.access(2)
 
+    def test_trio_overflow_raises_at_the_offending_key(self):
+        """The inherited ``access_many`` moves the ledger per key: the
+        strategy below is never asked about the key after the overflow."""
+        seen = []
+
+        class LeakyTrio(EvictionStrategy):
+            def __init__(self):
+                super().__init__()
+                self._members = set()
+
+            def lookup(self, key):
+                seen.append(key)
+                return key in self._members
+
+            def on_hit(self, key):
+                pass
+
+            def on_miss(self, key):
+                self._members.add(key)
+                self.core.admit(key)
+
+            def __len__(self):
+                return len(self._members)
+
+            def clear(self):
+                self._members.clear()
+
+        core = CacheCore(2, LeakyTrio())
+        with pytest.raises(CapacityError):
+            core.access_many([1, 2, 3, 4, 5])
+        assert seen == [1, 2, 3]
+
+    def test_batch_loop_overflow_is_caught_by_the_call(self):
+        """A leaky policy written as an ``access_many`` override: the call
+        that overflows raises, from the ledger's one net charge."""
+
+        class LeakyBatch(EvictionStrategy):
+            def __init__(self):
+                super().__init__()
+                self._members = set()
+
+            def access_many(self, keys):
+                hits = [i for i, key in enumerate(keys) if key in self._members]
+                before = len(self._members)
+                self._members.update(keys)  # admits unconditionally
+                return hits, len(self._members) - before, 0
+
+            def __len__(self):
+                return len(self._members)
+
+            def clear(self):
+                self._members.clear()
+
+        core = CacheCore(3, LeakyBatch())
+        assert not core.access_many([1, 2]).any()
+        assert core.access_many([1, 2, 3]).tolist() == [True, True, False]
+        with pytest.raises(CapacityError, match="admitting 1"):
+            core.access_many([3, 4])
+
+    def test_batch_loop_miscount_is_caught_by_the_audit(self):
+        """Reporting fewer admissions than the structures hold is a
+        ``CapacityError`` too: nothing but the ledger owns the count."""
+
+        class Miscounting(EvictionStrategy):
+            def __init__(self):
+                super().__init__()
+                self._members = set()
+
+            def access_many(self, keys):
+                self._members.update(keys)
+                return [], 0, 0
+
+            def __len__(self):
+                return len(self._members)
+
+            def clear(self):
+                self._members.clear()
+
+        with pytest.raises(CapacityError, match="ledger says 0/4"):
+            CacheCore(4, Miscounting()).access_many([1])
+
+    def test_strategy_with_neither_shape_says_so(self):
+        class Shapeless(EvictionStrategy):
+            def __len__(self):
+                return 0
+
+            def clear(self):
+                pass
+
+        with pytest.raises(NotImplementedError, match="neither"):
+            CacheCore(1, Shapeless()).access(1)
+
+    @pytest.mark.parametrize("policy", REACTIVE)
+    def test_one_call_may_evict_more_than_was_resident(self, policy):
+        """Settling is net: 1 resident key, then a call that admits 10 and
+        evicts 9 must not ask the ledger to release 9 of 1."""
+        core = make_cache(policy, 2)
+        core.access(100)
+        assert not core.access_many(list(range(10))).any()
+        # (2Q never promotes a key seen once: its protected slot stays empty.)
+        full = 1 if policy == "2q" else 2
+        assert len(core) == core.ledger.resident == full
+        core.access_many(list(range(50, 90)))
+        assert len(core) == core.ledger.resident == full
+
+
+# ------------------------------------------------ keys: validated, once a call
+
+
+class TestAccessManyKeys:
+    def test_sequential_semantics_within_one_call(self):
+        core = make_cache("lru", 2)
+        # 1 is evicted by 3 inside the call (so it misses again); the
+        # repeated 3 hits the second time.
+        mask = core.access_many([1, 2, 3, 1, 3])
+        assert mask.dtype == bool
+        assert mask.tolist() == [False, False, False, False, True]
+        assert (core.hits, core.misses) == (1, 4)
+
+    def test_non_integer_keys_raise_instead_of_truncating(self):
+        """``lookup("entity", [3.7, 3.2])`` used to answer [False, True]:
+        both floats truncated to key 3."""
+        cache = ServingCache.dynamic(capacity=8)
+        with pytest.raises(ValueError, match=r"shape \(2,\), dtype float64"):
+            cache.lookup("entity", [3.7, 3.2])
+        assert cache.hits == cache.misses == 0
+        core = make_cache("lru", 4)
+        for bad in (np.array([1.0]), np.array([True, False]), ["1"], [None]):
+            with pytest.raises(ValueError, match="1-D sequence of integers"):
+                core.access_many(bad)
+        with pytest.raises(ValueError, match="dtype float64"):
+            core.access(3.7)
+        assert core.hits == core.misses == len(core) == 0
+
+    def test_non_1d_keys_raise_naming_the_shape(self):
+        core = make_cache("fifo", 4)
+        with pytest.raises(ValueError, match=r"shape \(2, 2\), dtype int64"):
+            core.access_many(np.arange(4).reshape(2, 2))
+        with pytest.raises(ValueError, match=r"shape \(\)"):
+            core.access_many(np.int64(3))
+        with pytest.raises(ValueError, match=r"shape \(0, 3\)"):
+            core.access_many(np.empty((0, 3), dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "dtype", [np.int8, np.uint8, np.int16, np.int32, np.uint32, np.int64, np.uint64]
+    )
+    def test_any_integer_dtype(self, dtype):
+        core = make_cache("lru", 4)
+        assert not core.access_many(np.array([1, 2, 3], dtype=dtype)).any()
+        # The same keys as plain ints, and as another dtype, are the same keys.
+        assert core.access_many([1, 2, 3]).all()
+        assert core.access_many(np.array([3], dtype=np.int64)).all()
+
+    @pytest.mark.parametrize("empty", [[], (), np.empty(0, dtype=np.int64), np.empty(0)])
+    def test_empty_input_touches_nothing(self, empty):
+        core = make_cache("lfu", 4)
+        core.access_many([1, 1])
+        mask = core.access_many(empty)
+        assert mask.shape == (0,) and mask.dtype == bool
+        assert (core.hits, core.misses, len(core)) == (1, 1, 1)
+        assert replay_trace(make_cache("lru", 4), empty) == 0.0
+
+    def test_capacity_zero_never_calls_the_strategy(self):
+        class Untouchable(EvictionStrategy):
+            def access_many(self, keys):
+                raise AssertionError("a zero-slot cache has no policy to run")
+
+            def __len__(self):
+                return 0
+
+            def clear(self):
+                pass
+
+        core = CacheCore(0, Untouchable())
+        assert core.access_many([1, 1, 2]).tolist() == [False] * 3
+        assert (core.hits, core.misses, len(core)) == (0, 3, 0)
+
 
 # ----------------------------------------------- the capacity invariant
 
@@ -228,6 +426,27 @@ class TestCapacityInvariant:
             core.access(key)
             assert len(core) <= capacity
         assert core.hits + core.misses == len(trace)
+
+    @pytest.mark.parametrize("policy", available_policies())
+    @settings(max_examples=40, deadline=None)
+    @given(trace=TRACES, cuts=CUTS, capacity=st.integers(0, 12))
+    def test_invariant_holds_across_any_split_into_calls(
+        self, policy, trace, cuts, capacity
+    ):
+        """Every registered policy (pinned warming included): after every
+        call, however the trace is cut, the cache is within capacity, the
+        ledger agrees with it, and every key seen was metered once."""
+        core = make_cache(policy, capacity)
+        if policy == "pinned":
+            core.strategy.install(sorted(set(trace))[:capacity])
+            core.strategy.invalidate_rows()
+        seen = 0
+        for call in split_into_calls(trace, cuts):
+            mask = core.access_many(call)
+            seen += len(call)
+            assert len(mask) == len(call)
+            assert 0 <= len(core) == core.ledger.resident <= capacity
+            assert core.hits + core.misses == seen
 
     @pytest.mark.parametrize("policy", REACTIVE)
     def test_capacity_one(self, policy):
@@ -329,68 +548,6 @@ class TestSplitSlots:
 # ------------------------------------------------------------ ARC regression
 
 
-class RefARC:
-    """Reference ARC following Megiddo & Modha's Fig. 4 pseudocode with
-    the **exact** (float) target ``p`` in REPLACE — the comparison the
-    pre-core implementation truncated with ``int(p)``."""
-
-    def __init__(self, capacity: int) -> None:
-        self.c = capacity
-        self.t1: list[int] = []  # LRU at index 0
-        self.t2: list[int] = []
-        self.b1: list[int] = []
-        self.b2: list[int] = []
-        self.p = 0.0
-
-    def _replace(self, in_b2: bool) -> None:
-        if self.t1 and (len(self.t1) > self.p or (in_b2 and len(self.t1) >= self.p)):
-            self.b1.append(self.t1.pop(0))
-        elif self.t2:
-            self.b2.append(self.t2.pop(0))
-        elif self.t1:
-            self.b1.append(self.t1.pop(0))
-
-    def access(self, key: int) -> bool:
-        if key in self.t1:
-            self.t1.remove(key)
-            self.t2.append(key)
-            return True
-        if key in self.t2:
-            self.t2.remove(key)
-            self.t2.append(key)
-            return True
-        if key in self.b1:
-            self.p = min(
-                float(self.c), self.p + max(1.0, len(self.b2) / max(1, len(self.b1)))
-            )
-            self.b1.remove(key)
-            self._replace(in_b2=False)
-            self.t2.append(key)
-            return False
-        if key in self.b2:
-            self.p = max(
-                0.0, self.p - max(1.0, len(self.b1) / max(1, len(self.b2)))
-            )
-            self.b2.remove(key)
-            self._replace(in_b2=True)
-            self.t2.append(key)
-            return False
-        if len(self.t1) + len(self.b1) == self.c:
-            if len(self.t1) < self.c:
-                self.b1.pop(0)
-                self._replace(in_b2=False)
-            else:
-                self.t1.pop(0)
-        elif len(self.t1) + len(self.b1) < self.c:
-            total = len(self.t1) + len(self.t2) + len(self.b1) + len(self.b2)
-            if total >= self.c:
-                if total == 2 * self.c and self.b2:
-                    self.b2.pop(0)
-                self._replace(in_b2=False)
-        self.t1.append(key)
-        return False
-
-
 class OldIntPARC(RefARC):
     """The pre-fix REPLACE: ``len(t1) == int(p)`` instead of ``>= p``."""
 
@@ -448,88 +605,6 @@ class TestARCRegression:
 
 
 # ------------------------------------ registry-vs-reference trace equivalence
-
-
-class RefFIFO:
-    """Reference FIFO (the pre-core implementation, verbatim semantics)."""
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._queue: OrderedDict[int, None] = OrderedDict()
-
-    def access(self, key: int) -> bool:
-        if key in self._queue:
-            return True
-        if len(self._queue) >= self.capacity:
-            self._queue.popitem(last=False)
-        self._queue[key] = None
-        return False
-
-
-class RefLRU:
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._order: OrderedDict[int, None] = OrderedDict()
-
-    def access(self, key: int) -> bool:
-        if key in self._order:
-            self._order.move_to_end(key)
-            return True
-        if len(self._order) >= self.capacity:
-            self._order.popitem(last=False)
-        self._order[key] = None
-        return False
-
-
-class RefClock:
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._keys: list[int] = []
-        self._referenced: dict[int, bool] = {}
-        self._hand = 0
-
-    def access(self, key: int) -> bool:
-        if key in self._referenced:
-            self._referenced[key] = True
-            return True
-        if len(self._keys) < self.capacity:
-            self._keys.append(key)
-        else:
-            while self._referenced[self._keys[self._hand]]:
-                self._referenced[self._keys[self._hand]] = False
-                self._hand = (self._hand + 1) % self.capacity
-            victim = self._keys[self._hand]
-            del self._referenced[victim]
-            self._keys[self._hand] = key
-            self._hand = (self._hand + 1) % self.capacity
-        self._referenced[key] = False
-        return False
-
-
-class RefTwoQueue:
-    """Pre-core 2Q for capacities >= 2, where its segment arithmetic was
-    correct; the unified strategy must agree there exactly."""
-
-    def __init__(self, capacity: int, probation_fraction: float = 0.25) -> None:
-        self._probation_cap = max(1, int(capacity * probation_fraction))
-        self._protected_cap = max(1, capacity - self._probation_cap)
-        self._probation: OrderedDict[int, None] = OrderedDict()
-        self._protected: OrderedDict[int, None] = OrderedDict()
-
-    def access(self, key: int) -> bool:
-        if key in self._protected:
-            self._protected.move_to_end(key)
-            return True
-        if key in self._probation:
-            del self._probation[key]
-            if len(self._protected) >= self._protected_cap:
-                self._protected.popitem(last=False)
-            self._protected[key] = None
-            return True
-        if len(self._probation) >= self._probation_cap:
-            self._probation.popitem(last=False)
-        self._probation[key] = None
-        return False
 
 
 class TestFacadeTraceEquivalence:
@@ -672,32 +747,12 @@ class TestCacheTableLedger:
 # ------------------------------------------------------------- LFU parity
 
 
-class RefLFUCounts:
-    """Min-scan LFU with historical counts (the pre-bucketing reference)."""
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._counts: Counter[int] = Counter()
-        self._members: OrderedDict[int, None] = OrderedDict()
-
-    def access(self, key: int) -> bool:
-        self._counts[key] += 1
-        if key in self._members:
-            self._members.move_to_end(key)
-            return True
-        if len(self._members) >= self.capacity:
-            victim = min(self._members, key=lambda k: (self._counts[k], 0))
-            del self._members[victim]
-        self._members[key] = None
-        return False
-
-
 class TestLFUStrategyEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(trace=TRACES, capacity=CAPACITIES)
     def test_matches_min_scan_reference(self, trace, capacity):
         new = make_cache("lfu", capacity)
-        ref = RefLFUCounts(capacity)
+        ref = RefLFU(capacity)
         for key in trace:
             assert new.access(key) == ref.access(key)
 
@@ -722,7 +777,38 @@ class TestCacheShootout:
         """The --jobs grid must reproduce the serial report exactly."""
         from repro.experiments.cache_shootout import run_cache_shootout
 
-        serial = run_cache_shootout(scale=0.02, jobs=1)
+        serial = _replay_reports()["cache-shootout"]
         parallel = run_cache_shootout(scale=0.02, jobs=2)
-        assert serial.rows == parallel.rows
-        assert serial.headers == parallel.headers
+        assert serial["rows"] == parallel.rows
+        assert serial["headers"] == parallel.headers
+
+
+@functools.lru_cache(maxsize=None)
+def _replay_reports() -> dict:
+    """Shootout + Table VI + its extension, replayed once per session."""
+    spec = importlib.util.spec_from_file_location(
+        "cache_replay_capture", GOLDEN_DIR / "capture_cache_replay.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.capture()
+
+
+class TestReplayedHitRatiosPinned:
+    """What "the replays get the batch call for free" means: every hit
+    ratio the shootout and Table VI report equals, as an exact float, what
+    the per-key engine reported at the commit before ``access_many``."""
+
+    golden = json.loads((GOLDEN_DIR / "cache_replay_golden.json").read_text())
+
+    @pytest.mark.parametrize("report", sorted(golden))
+    def test_hit_ratios_equal_the_per_key_engines(self, report):
+        fresh = _replay_reports()[report]
+        assert fresh["headers"] == self.golden[report]["headers"]
+        for fresh_row, golden_row in zip(
+            fresh["rows"], self.golden[report]["rows"], strict=True
+        ):
+            assert fresh_row == golden_row, (
+                f"{report}/{golden_row[0]}: a replayed hit ratio moved "
+                "(exact float comparison: this is a policy change)"
+            )

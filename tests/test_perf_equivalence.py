@@ -25,7 +25,6 @@ from __future__ import annotations
 import importlib.util
 import json
 import pathlib
-from collections import Counter, OrderedDict
 
 import numpy as np
 import pytest
@@ -46,6 +45,7 @@ from repro.models import get_model
 from repro.optim.base import coalesce
 from repro.sampling.negative import NegativeSampler
 from repro.utils.kernels import scatter_add_rows
+from tests.reference.cache_policies_reference import RefLFU
 from tests.reference.evaluation_reference import (
     evaluate_link_prediction_reference,
     full_ranks_reference,
@@ -481,32 +481,6 @@ class TestEvaluationEquivalence:
 
 
 # --------------------------------------------------------------- LFU policy
-
-
-class RefLFU:
-    """The former O(capacity) min-scan LFU."""
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self.hits = self.misses = 0
-        self._counts: Counter[int] = Counter()
-        self._members: OrderedDict[int, None] = OrderedDict()
-
-    def access(self, key: int) -> bool:
-        self._counts[key] += 1
-        if key in self._members:
-            self._members.move_to_end(key)
-            self.hits += 1
-            return True
-        if len(self._members) >= self.capacity:
-            victim = min(self._members, key=lambda k: (self._counts[k], 0))
-            del self._members[victim]
-        self._members[key] = None
-        self.misses += 1
-        return False
-
-    def __len__(self) -> int:
-        return len(self._members)
 
 
 class TestLFUBucketEquivalence:

@@ -347,6 +347,41 @@ class TestServingFrontend:
             else:
                 assert np.array_equal(a.answer, b.answer)
 
+    def test_each_dispatch_looks_each_table_up_once_in_unique_order(self, trained):
+        """The micro-batch reaches the cache as a batch: per dispatch, one
+        ``lookup`` per table, over the batch's distinct rows ascending —
+        what ``np.unique`` over the per-query id arrays gives (a reactive
+        cache's eviction order depends on that order)."""
+        trainer, graph, _ = trained
+        store = EmbeddingStore.from_trainer(trainer)
+        log = ZipfianWorkload.from_graph(
+            graph, WorkloadSpec(num_queries=80, seed=5)
+        ).generate()
+        cache = ServingCache.dynamic(32, policy="lru")
+        seen = []
+        lookup = cache.lookup
+        cache.lookup = lambda kind, ids: seen.append((kind, ids)) or lookup(kind, ids)
+        frontend = ServingFrontend(
+            store, batcher=QueryBatcher(max_batch=8, max_wait=2e-3), cache=cache
+        )
+        frontend.run(log.queries)
+
+        batches, members = [], {}
+        for result in frontend.results:  # appended batch by batch
+            if result.completion not in members:
+                batches.append(members.setdefault(result.completion, []))
+            members[result.completion].append(log.queries[result.qid])
+        assert [kind for kind, _ in seen] == ["entity", "relation"] * len(batches)
+        for batch, (_, entity_ids), (_, relation_ids) in zip(
+            batches, seen[0::2], seen[1::2], strict=True
+        ):
+            for ids, per_query in (
+                (entity_ids, [q.entity_ids() for q in batch]),
+                (relation_ids, [q.relation_ids() for q in batch]),
+            ):
+                assert ids.dtype == np.int64
+                assert np.array_equal(ids, np.unique(np.concatenate(per_query)))
+
     def test_hot_cache_beats_no_cache_on_zipf_stream(self, trained):
         """Acceptance: a 10%-of-entities hot set yields a measurably higher
         hit ratio and lower p99 than serving without a cache."""

@@ -467,6 +467,45 @@ class TestWarmFrom:
         assert cache.size() == 6
         assert bool(cache.lookup("entity", np.asarray([100]))[0])
 
+    @pytest.mark.parametrize("policy", ["static", "lru", "arc"])
+    def test_rewarmed_leaves_every_meter_where_it_was(self, policy):
+        """Pre-admission is background warming, not served traffic: the
+        cache's meters and both tables' meters read the same after
+        ``rewarmed`` as before it, and the membership is resident."""
+        from repro.cache.filtering import HotSet
+
+        old = HotSet(
+            entities=np.arange(6, dtype=np.int64),
+            relations=np.arange(2, dtype=np.int64),
+        )
+        cache = (
+            ServingCache.static(old)
+            if policy == "static"
+            else ServingCache.dynamic(16, policy=policy)
+        )
+        cache.lookup("entity", np.asarray([0, 1, 90, 0]))
+        cache.lookup("relation", np.asarray([0, 70]))
+        cache.lookup("entity", np.asarray([1, 91]))
+
+        def meters():
+            return [
+                (m.hits, m.misses, m.hit_ratio)
+                for m in (cache, cache.table("entity"), cache.table("relation"))
+            ]
+
+        before = meters()
+        assert cache.hits + cache.misses == 8 and cache.hits > 0
+        new = HotSet(
+            entities=np.arange(100, 120, dtype=np.int64),
+            relations=np.arange(50, 60, dtype=np.int64),
+        )
+        assert cache.rewarmed(new) is cache
+        assert meters() == before
+        for kind, ids in (("entity", new.entities), ("relation", new.relations)):
+            table = cache.table(kind)
+            assert len(table) == min(table.capacity, len(ids))
+            assert cache.lookup(kind, ids[: table.capacity]).all()
+
 
 class TestVersionedStore:
     def test_delegates_to_active_version(self, served):
