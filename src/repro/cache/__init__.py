@@ -6,6 +6,8 @@
   2Q/ARC/pinned, built only through :func:`make_cache`), and trace-level
   CPS/DPS/ADAPTIVE membership replay (see ``docs/caching.md``).
 * :mod:`repro.cache.table` — the fixed-capacity cache embedding table.
+* :mod:`repro.cache.hotness` — the hotness table: access counts as arrays,
+  and the one place "top-k by (-count, id)" is written.
 * :mod:`repro.cache.prefetch` — Algorithm 1 (prefetch D iterations of samples).
 * :mod:`repro.cache.filtering` — Algorithm 2 (top-k frequency filtering with
   an entity/relation ratio).
@@ -27,6 +29,7 @@ from repro.cache.core import (
     replay_trace,
 )
 from repro.cache.table import CacheTable, CacheStats
+from repro.cache.hotness import HotnessTable, top_merged
 from repro.cache.prefetch import prefetch, PrefetchResult
 from repro.cache.filtering import filter_hot_ids, split_slots, HotSet
 from repro.cache.strategies import (
@@ -49,6 +52,8 @@ __all__ = [
     "replay_trace",
     "CacheTable",
     "CacheStats",
+    "HotnessTable",
+    "top_merged",
     "prefetch",
     "PrefetchResult",
     "filter_hot_ids",

@@ -60,6 +60,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro.cache.filtering import HotSet
+from repro.cache.hotness import HotnessTable
 from repro.utils.validation import check_positive
 
 
@@ -788,15 +789,6 @@ class PinnedStrategy(EvictionStrategy):
 # ------------------------------------------- hotness membership construction
 
 
-def _top_keys(keys: np.ndarray, k: int) -> np.ndarray:
-    """Top-``k`` keys of an access array by frequency, ties by key id."""
-    if k <= 0 or len(keys) == 0:
-        return np.empty(0, dtype=np.int64)
-    ids, counts = np.unique(np.asarray(keys, dtype=np.int64), return_counts=True)
-    order = np.lexsort((ids, -counts))
-    return ids[order[:k]]
-
-
 class HotnessMembershipCache:
     """CPS/DPS/ADAPTIVE membership construction, replayed on the core.
 
@@ -891,13 +883,13 @@ class HotnessMembershipCache:
                 if len(batches)
                 else np.empty(0, dtype=np.int64)
             )
-            self._install(_top_keys(all_keys, self.capacity))
+            self._install(HotnessTable.count([all_keys]).top(self.capacity))
             replay_trace(self._core, all_keys)
         elif self.mode == "dps":
             for flat in self._chunks(batches, self.window):
                 if len(flat) == 0:
                     continue
-                self._install(_top_keys(flat, self.capacity))
+                self._install(HotnessTable.count([flat]).top(self.capacity))
                 replay_trace(self._core, flat)
         else:
             self._replay_adaptive(batches)
@@ -914,22 +906,14 @@ class HotnessMembershipCache:
         for flat in self._chunks(batches, half):
             if len(flat) == 0:
                 continue
-            ids, counts = np.unique(flat, return_counts=True)
-            candidate = _top_keys(flat, self.capacity)
+            counts = HotnessTable.count([flat])
+            candidate = counts.top(self.capacity)
             current = np.fromiter(
                 sorted(self._strategy.members), dtype=np.int64
             )
-            total = int(counts.sum())
-            coverage = (
-                float(counts[np.isin(ids, current)].sum()) / total
-                if total
-                else 1.0
-            )
-            candidate_cov = (
-                float(counts[np.isin(ids, candidate)].sum()) / total
-                if total
-                else 1.0
-            )
+            total = counts.total
+            coverage = counts.mass(current) / total
+            candidate_cov = counts.mass(candidate) / total
             if first:
                 triggered = True
                 first = False

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cache.hotness import HotnessTable, top_merged
 from repro.utils.validation import check_fraction, check_positive
 
 
@@ -30,29 +31,6 @@ class HotSet:
     @property
     def size(self) -> int:
         return len(self.entities) + len(self.relations)
-
-
-def _as_arrays(counts: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """(ids, counts) column arrays of a count dict (insertion order)."""
-    n = len(counts)
-    ids = np.fromiter(counts.keys(), dtype=np.int64, count=n)
-    vals = np.fromiter(counts.values(), dtype=np.int64, count=n)
-    return ids, vals
-
-
-def _top_ids(counts: dict[int, int], k: int) -> np.ndarray:
-    """Ids of the ``k`` highest counts, descending (ties broken by id for
-    determinism).
-
-    Vectorized: one ``np.lexsort`` on ``(-count, id)`` keys replaces the
-    Python ``sorted(counts.items())`` pass, preserving the exact
-    deterministic tie-break order (lexsort's last key is primary).
-    """
-    if k <= 0 or not counts:
-        return np.empty(0, dtype=np.int64)
-    ids, vals = _as_arrays(counts)
-    order = np.lexsort((ids, -vals))
-    return ids[order[:k]]
 
 
 def split_slots(capacity: int, entity_ratio: float) -> tuple[int, int]:
@@ -74,8 +52,8 @@ def split_slots(capacity: int, entity_ratio: float) -> tuple[int, int]:
 
 
 def filter_hot_ids(
-    entity_counts: dict[int, int],
-    relation_counts: dict[int, int],
+    entity_counts: HotnessTable,
+    relation_counts: HotnessTable,
     capacity: int,
     entity_ratio: float | None = 0.25,
 ) -> HotSet:
@@ -94,37 +72,21 @@ def filter_hot_ids(
     """
     check_positive("capacity", capacity)
     if entity_ratio is None:
-        # Highest count first; deterministic tie-break on (kind, id) —
-        # one lexsort over the merged (count, kind, id) columns.
-        e_ids, e_vals = _as_arrays(entity_counts)
-        r_ids, r_vals = _as_arrays(relation_counts)
-        ids = np.concatenate([e_ids, r_ids])
-        vals = np.concatenate([e_vals, r_vals])
-        kinds = np.concatenate(
-            [
-                np.zeros(len(e_ids), dtype=np.int64),
-                np.ones(len(r_ids), dtype=np.int64),
-            ]
+        entities, relations = top_merged(
+            entity_counts, relation_counts, capacity, id_major=False
         )
-        top = np.lexsort((ids, kinds, -vals))[:capacity]
-        top_kinds = kinds[top]
-        return HotSet(
-            entities=ids[top[top_kinds == 0]],
-            relations=ids[top[top_kinds == 1]],
-        )
+        return HotSet(entities=entities, relations=relations)
 
     entity_slots, relation_slots = split_slots(capacity, entity_ratio)
-    entities = _top_ids(entity_counts, entity_slots)
-    relations = _top_ids(relation_counts, relation_slots)
+    entities = entity_counts.top(entity_slots)
+    relations = relation_counts.top(relation_slots)
 
     # Reassign slots one side could not fill (small graphs may have fewer
     # distinct relations than reserved slots).
     spare = (entity_slots - len(entities)) + (relation_slots - len(relations))
     if spare > 0:
         if len(relations) < relation_slots:
-            extra = _top_ids(entity_counts, entity_slots + spare)
-            entities = extra
+            entities = entity_counts.top(entity_slots + spare)
         elif len(entities) < entity_slots:
-            extra = _top_ids(relation_counts, relation_slots + spare)
-            relations = extra
+            relations = relation_counts.top(relation_slots + spare)
     return HotSet(entities=entities, relations=relations)

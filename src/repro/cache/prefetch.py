@@ -8,10 +8,11 @@ batches; the access lists feed Algorithm 2 (filtering).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cache.hotness import HotnessTable
 from repro.kg.graph import HEAD, REL, TAIL
 from repro.sampling.minibatch import EpochSampler
 from repro.sampling.negative import MiniBatch
@@ -26,51 +27,22 @@ class PrefetchResult:
     batches:
         ``L_s`` — the prefetched mini-batches, in training order.
     entity_counts:
-        id -> access count over the window (positives and negatives).
+        Access counts over the window (positives and negatives).
     relation_counts:
-        id -> access count over the window.
+        Access counts over the window.
     """
 
     batches: list[MiniBatch]
-    entity_counts: dict[int, int] = field(default_factory=dict)
-    relation_counts: dict[int, int] = field(default_factory=dict)
+    entity_counts: HotnessTable
+    relation_counts: HotnessTable
 
     @property
     def total_entity_accesses(self) -> int:
-        return sum(self.entity_counts.values())
+        return self.entity_counts.total
 
     @property
     def total_relation_accesses(self) -> int:
-        return sum(self.relation_counts.values())
-
-
-def _fold_counts(
-    chunks: list[np.ndarray], weights: list[int] | None = None
-) -> dict[int, int]:
-    """Vectorized id -> access-count fold over many id chunks.
-
-    One concatenate + one ``np.unique``/``np.bincount`` pass replaces the
-    per-batch Python dict merge (lines 7-8 of Alg. 1; the per-batch oracle
-    is ``tests/reference/prefetch_reference.py``).  ``weights`` (one int
-    per chunk) scales every occurrence of a chunk — used for relations,
-    where each negative reuses its positive's relation embedding.
-    """
-    if not chunks:
-        return {}
-    ids = np.concatenate(chunks)
-    if len(ids) == 0:
-        return {}
-    if weights is None:
-        uniq, counts = np.unique(ids, return_counts=True)
-    else:
-        per_element = np.concatenate(
-            [np.full(len(c), w, dtype=np.int64) for c, w in zip(chunks, weights)]
-        )
-        uniq, inverse = np.unique(ids, return_inverse=True)
-        counts = np.bincount(
-            inverse, weights=per_element, minlength=len(uniq)
-        ).astype(np.int64)
-    return dict(zip(uniq.tolist(), counts.tolist()))
+        return self.relation_counts.total
 
 
 def prefetch(sampler: EpochSampler, iterations: int) -> PrefetchResult:
@@ -95,6 +67,6 @@ def prefetch(sampler: EpochSampler, iterations: int) -> PrefetchResult:
         rel_weights.append(1 + batch.num_negatives)
     return PrefetchResult(
         batches=batches,
-        entity_counts=_fold_counts(ent_chunks),
-        relation_counts=_fold_counts(rel_chunks, rel_weights),
+        entity_counts=HotnessTable.count(ent_chunks),
+        relation_counts=HotnessTable.count(rel_chunks, rel_weights),
     )

@@ -173,7 +173,8 @@ class Worker:
         ):
             self._crash_restart(step_index)
         self._step_comm = CommRecord()
-        if self.cache is not None:
+        # The before/after cache-stat pair exists only for the telemetry row.
+        if self.telemetry is not None and self.cache is not None:
             stats_before = self.cache.combined_stats()
             hits_before, misses_before = stats_before.hits, stats_before.misses
         else:

@@ -12,6 +12,7 @@ from repro.cache.core import (
     replay_membership_trace,
     replay_trace,
 )
+from repro.cache.hotness import HotnessTable
 from repro.cache.optimal import belady_hit_ratio
 from repro.experiments.common import (
     ExperimentResult,
@@ -207,7 +208,7 @@ def run_fig9(
 
 def _access_trace(
     bundle, config, seed: int
-) -> tuple[list[np.ndarray], dict[int, float]]:
+) -> tuple[list[np.ndarray], HotnessTable]:
     """One epoch's per-batch *pull* trace plus structural importance.
 
     A worker pulls each embedding once per batch regardless of how many
@@ -235,20 +236,17 @@ def _access_trace(
                 [batch.unique_entities(), batch.unique_relations() + offset]
             )
         )
-    importance = {
-        int(e): float(d) for e, d in enumerate(graph.entity_degrees())
-    }
-    for r, c in enumerate(graph.relation_counts()):
-        importance[offset + int(r)] = float(c)
+    importance = HotnessTable.dense(
+        np.concatenate([graph.entity_degrees(), graph.relation_counts()])
+    )
     return batches, importance
 
 
-def _importance_cache(capacity: int, importance: dict[int, float]) -> CacheCore:
+def _importance_cache(capacity: int, importance: HotnessTable) -> CacheCore:
     """Static cache pinning the top-``capacity`` keys by importance (ties:
     lowest id); everything else is never admitted."""
     cache = make_cache("pinned", capacity)
-    ranked = sorted(importance, key=lambda key: (-importance[key], key))
-    cache.strategy.install(ranked[:capacity])
+    cache.strategy.install(importance.top(capacity))
     return cache
 
 

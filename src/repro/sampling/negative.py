@@ -120,12 +120,9 @@ class NegativeSampler:
         self.num_negatives = num_negatives
         self.strategy = strategy
         self.chunk_size = chunk_size
-        if filter_graph is not None:
-            self._filter = filter_graph.triple_set()
-            self._filter_index = filter_graph.triple_index()
-        else:
-            self._filter = None
-            self._filter_index = None
+        self._filter_index = (
+            filter_graph.triple_index() if filter_graph is not None else None
+        )
         if entity_pool is not None:
             entity_pool = np.asarray(entity_pool, dtype=np.int64)
             if len(entity_pool) == 0:
@@ -172,7 +169,7 @@ class NegativeSampler:
                 neg[start:stop] = shared[None, :]
                 corrupt_head[start:stop] = self._rng.random() < 0.5
         batch = MiniBatch(positives, neg, corrupt_head)
-        if self._filter is not None:
+        if self._filter_index is not None:
             self._resample_false_negatives(batch)
         return batch
 
@@ -205,7 +202,6 @@ class NegativeSampler:
             )
         self.num_entities = num_entities
         if filter_graph is not None:
-            self._filter = filter_graph.triple_set()
             self._filter_index = filter_graph.triple_index()
 
     # ---------------------------------------------------------------- private
@@ -220,7 +216,7 @@ class NegativeSampler:
         row-major order, so the RNG draw sequence is bit-identical to the
         scalar reference that checked every entry.
         """
-        assert self._filter is not None and self._filter_index is not None
+        assert self._filter_index is not None
         n = batch.num_negatives
         if batch.size == 0 or n == 0:
             return
@@ -241,11 +237,11 @@ class NegativeSampler:
             e = int(batch.neg_entities[i, j])
             candidate = (e, r, t) if head else (h, r, e)
             attempts = 0
-            while candidate in self._filter and attempts < retries:
+            while self._filter_index.contains(*candidate) and attempts < retries:
                 e = int(self._draw_entities(1)[0])
                 candidate = (e, r, t) if head else (h, r, e)
                 attempts += 1
-            if candidate in self._filter:
+            if self._filter_index.contains(*candidate):
                 # Retries exhausted on a dense filter neighbourhood: the
                 # false negative stays in the batch (resampling forever
                 # could spin on fully-connected anchors).  Count the leak

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.cache.hotness import HotnessTable
+
 #: Recognised query kinds.
 SCORE, TAIL_PREDICTION, HEAD_PREDICTION = "score", "tail", "head"
 
@@ -143,13 +145,9 @@ class QueryLog:
     def __iter__(self):
         return iter(self.queries)
 
-    def access_counts(self) -> tuple[dict[int, int], dict[int, int]]:
+    def access_counts(self) -> tuple[HotnessTable, HotnessTable]:
         """``(entity_counts, relation_counts)`` over the whole log."""
-        entity_counts: dict[int, int] = {}
-        relation_counts: dict[int, int] = {}
-        for query in self.queries:
-            for eid in query.entity_ids().tolist():
-                entity_counts[eid] = entity_counts.get(eid, 0) + 1
-            for rid in query.relation_ids().tolist():
-                relation_counts[rid] = relation_counts.get(rid, 0) + 1
-        return entity_counts, relation_counts
+        return (
+            HotnessTable.count([q.entity_ids() for q in self.queries]),
+            HotnessTable.count([q.relation_ids() for q in self.queries]),
+        )

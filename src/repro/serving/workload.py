@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cache.hotness import HotnessTable
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.stats import access_frequencies
 from repro.serving.queries import (
@@ -138,14 +139,12 @@ class ZipfianWorkload:
         on the same celebrities the training epochs did.
         """
         ent_counts, rel_counts = access_frequencies(graph)
-        entity_order = np.lexsort((np.arange(len(ent_counts)), -ent_counts))
-        relation_order = np.lexsort((np.arange(len(rel_counts)), -rel_counts))
         return cls(
             graph.num_entities,
             graph.num_relations,
             spec,
-            entity_order=entity_order,
-            relation_order=relation_order,
+            entity_order=HotnessTable.dense(ent_counts).top(len(ent_counts)),
+            relation_order=HotnessTable.dense(rel_counts).top(len(rel_counts)),
         )
 
     # ------------------------------------------------------------- generation

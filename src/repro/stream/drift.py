@@ -28,41 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cache.filtering import HotSet, filter_hot_ids
+from repro.cache.hotness import HotnessTable, top_merged
 from repro.cache.prefetch import PrefetchResult, prefetch
 from repro.cache.strategies import HotEmbeddingStrategy
 from repro.sampling.minibatch import EpochSampler
 from repro.sampling.negative import MiniBatch
 from repro.utils.validation import check_fraction, check_positive
-
-
-def _top_ids_float(counts: dict[int, float], k: int) -> np.ndarray:
-    """Top-``k`` ids of a float-valued count dict, hottest first.
-
-    :func:`repro.cache.filtering._top_ids` coerces counts to int64, which
-    would truncate the decayed (fractional) accumulators to meaningless
-    ties — so ADAPTIVE ranks floats directly.  Ties break by id ascending,
-    matching the integer filter's determinism contract.
-    """
-    if k <= 0 or not counts:
-        return np.empty(0, dtype=np.int64)
-    n = len(counts)
-    ids = np.fromiter(counts.keys(), dtype=np.int64, count=n)
-    vals = np.fromiter(counts.values(), dtype=np.float64, count=n)
-    order = np.lexsort((ids, -vals))
-    return ids[order[:k]]
-
-
-def _decay_into(
-    acc: dict[int, float], window: dict[int, int], decay: float
-) -> None:
-    """``acc = decay * acc + window`` in place."""
-    if decay == 0.0:
-        acc.clear()
-    elif decay != 1.0:
-        for key in acc:
-            acc[key] *= decay
-    for key, count in window.items():
-        acc[key] = acc.get(key, 0.0) + count
 
 
 def _jaccard(a: np.ndarray, b: np.ndarray) -> float:
@@ -163,8 +134,9 @@ class AdaptiveStale(HotEmbeddingStrategy):
     ----------
     capacity, entity_ratio:
         As in the other strategies; ``entity_ratio`` here is only the
-        *initial* split — triggers re-tune it toward the observed access
-        mix (unless it is ``None``, the heterogeneity-ignorant ablation).
+        *initial* split — every observed window re-tunes it toward the
+        observed access mix, whether or not that window triggers a rebuild
+        (unless it is ``None``, the heterogeneity-ignorant ablation).
     window:
         Budget window ``D`` in iterations (same knob as DPS).  ADAPTIVE
         *observes* at half that granularity — finer-grained drift
@@ -199,8 +171,8 @@ class AdaptiveStale(HotEmbeddingStrategy):
         self._sampler: EpochSampler | None = None
         self._queue: list[MiniBatch] = []
         self._next_hot: HotSet | None = None
-        self._entity_acc: dict[int, float] = {}
-        self._relation_acc: dict[int, float] = {}
+        self._entity_acc = HotnessTable.empty()
+        self._relation_acc = HotnessTable.empty()
         self._cached_entities = np.empty(0, dtype=np.int64)
         self._cached_relations = np.empty(0, dtype=np.int64)
 
@@ -216,16 +188,10 @@ class AdaptiveStale(HotEmbeddingStrategy):
         total = result.total_entity_accesses + result.total_relation_accesses
         if total == 0:
             return 1.0
-        served = 0
-        for cached, counts in (
-            (entities, result.entity_counts),
-            (relations, result.relation_counts),
-        ):
-            if len(cached) == 0 or not counts:
-                continue
-            ids = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
-            vals = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
-            served += int(vals[np.isin(ids, cached)].sum())
+        served = (
+            result.entity_counts.mass(entities)
+            + result.relation_counts.mass(relations)
+        )
         return served / total
 
     def _tuned_ratio(self) -> float | None:
@@ -238,16 +204,13 @@ class AdaptiveStale(HotEmbeddingStrategy):
         """
         if self.entity_ratio is None:
             return None
-        merged = _top_ids_float(
-            {
-                **{2 * k: v for k, v in self._relation_acc.items()},
-                **{2 * k + 1: v for k, v in self._entity_acc.items()},
-            },
-            self.capacity,
+        entities, relations = top_merged(
+            self._entity_acc, self._relation_acc, self.capacity, id_major=True
         )
-        if len(merged) == 0:
+        picked = len(entities) + len(relations)
+        if picked == 0:
             return self.entity_ratio
-        share = float((merged % 2 == 1).mean())
+        share = len(entities) / picked
         tuned = 0.5 * self.entity_ratio + 0.5 * share
         return float(np.clip(tuned, 0.05, 0.75))
 
@@ -261,6 +224,10 @@ class AdaptiveStale(HotEmbeddingStrategy):
         slots the window could not fill: a half-size window may name
         fewer distinct ids than the cache holds, and leaving those slots
         empty would waste capacity DPS's full window uses.
+
+        Runs for every observed window (the detector needs the candidate
+        to decide), so ``entity_ratio`` is re-tuned on each one, trigger
+        or not.
         """
         ratio = self._tuned_ratio()
         if ratio is not None:
@@ -274,22 +241,15 @@ class AdaptiveStale(HotEmbeddingStrategy):
         spare = self.capacity - hot.size
         if spare <= 0:
             return hot
-        chosen_ent = set(hot.entities.tolist())
-        chosen_rel = set(hot.relations.tolist())
-        leftover = {
-            2 * k: v for k, v in self._relation_acc.items() if k not in chosen_rel
-        }
-        leftover.update(
-            (2 * k + 1, v)
-            for k, v in self._entity_acc.items()
-            if k not in chosen_ent
+        extra_entities, extra_relations = top_merged(
+            self._entity_acc.without(hot.entities),
+            self._relation_acc.without(hot.relations),
+            spare,
+            id_major=True,
         )
-        extra = _top_ids_float(leftover, spare)
-        if len(extra) == 0:
-            return hot
         return HotSet(
-            entities=np.concatenate([hot.entities, extra[extra % 2 == 1] // 2]),
-            relations=np.concatenate([hot.relations, extra[extra % 2 == 0] // 2]),
+            entities=np.concatenate([hot.entities, extra_entities]),
+            relations=np.concatenate([hot.relations, extra_relations]),
         )
 
     def _refill(self, force_rebuild: bool) -> None:
@@ -300,8 +260,12 @@ class AdaptiveStale(HotEmbeddingStrategy):
             result.total_entity_accesses + result.total_relation_accesses
         )
         self.windows_observed += 1
-        _decay_into(self._entity_acc, result.entity_counts, self.decay)
-        _decay_into(self._relation_acc, result.relation_counts, self.decay)
+        self._entity_acc = self._entity_acc.decayed_add(
+            result.entity_counts, self.decay
+        )
+        self._relation_acc = self._relation_acc.decayed_add(
+            result.relation_counts, self.decay
+        )
         window_hot = self._build_hot(result)
         if force_rebuild:
             triggered = True

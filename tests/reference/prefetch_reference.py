@@ -2,8 +2,8 @@
 
 This is ``repro.cache.prefetch._count_batch``, moved verbatim when
 :func:`repro.cache.prefetch.prefetch` started folding a whole window
-through one vectorized count (``_fold_counts``): the fold must agree with
-applying this function batch by batch
+through one vectorized count (now ``HotnessTable.count``): the fold must
+agree with applying this function batch by batch
 (``tests/test_perf_equivalence.py``).  Not imported by ``src/``.
 """
 

@@ -48,6 +48,7 @@ from tests.reference.cache_policies_reference import (
     RefTwoQueue,
     split_into_calls,
 )
+from tests.hotness_tables import as_table
 from tests.reference.hotness_window import hotness_window_hit_ratio
 
 #: Every reactive policy registered with the core (pinned is membership-
@@ -516,8 +517,8 @@ class TestSplitSlots:
 
     def test_matches_training_filter(self):
         """filter_hot_ids divides slots by the same rule (no spare)."""
-        entity_counts = {i: 100 - i for i in range(50)}
-        relation_counts = {i: 100 - i for i in range(50)}
+        entity_counts = as_table({i: 100 - i for i in range(50)})
+        relation_counts = as_table({i: 100 - i for i in range(50)})
         for capacity, ratio in ((8, 0.25), (11, 0.5), (1, 0.25)):
             hot = filter_hot_ids(entity_counts, relation_counts, capacity, ratio)
             entity_slots, relation_slots = split_slots(capacity, ratio)
@@ -634,7 +635,7 @@ class TestFacadeTraceEquivalence:
 
     def test_importance_cache_semantics_preserved(self):
         importance = {0: 5.0, 1: 4.0, 2: 4.0, 3: 1.0}
-        cache = _importance_cache(3, importance)
+        cache = _importance_cache(3, as_table(importance))
         # Top 3 by (-importance, id): 0, 1, 2.  3 is never admitted.
         assert replay_trace(cache, [0, 1, 2, 3, 3, 3]) == pytest.approx(0.5)
         assert len(cache) == 3

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cache.core import make_cache, replay_membership_trace, replay_trace
 from repro.experiments.cache_study import _importance_cache
+from tests.hotness_tables import as_table
 
 
 def dps_hit_ratio(batches, capacity, window):
@@ -81,20 +82,20 @@ class TestLFU:
 
 class TestImportance:
     def test_static_membership(self):
-        cache = _importance_cache(2, {1: 10.0, 2: 5.0, 3: 1.0})
+        cache = _importance_cache(2, as_table({1: 10.0, 2: 5.0, 3: 1.0}))
         assert cache.access(1)
         assert cache.access(2)
         assert not cache.access(3)
         assert not cache.access(3)  # never admitted
 
     def test_capacity_respected(self):
-        cache = _importance_cache(1, {1: 2.0, 2: 1.0})
+        cache = _importance_cache(1, as_table({1: 2.0, 2: 1.0}))
         assert len(cache) == 1
         assert cache.access(1)
         assert not cache.access(2)
 
     def test_deterministic_tie_break(self):
-        a = _importance_cache(1, {5: 1.0, 3: 1.0})
+        a = _importance_cache(1, as_table({5: 1.0, 3: 1.0}))
         assert a.access(3)
 
 

@@ -31,8 +31,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.filtering import _top_ids, filter_hot_ids
-from repro.cache.prefetch import _fold_counts
+from repro.cache.filtering import filter_hot_ids
+from repro.cache.hotness import HotnessTable
 from repro.cache.core import make_cache
 from repro.cache.table import CacheTable
 from repro.core.evaluation import (
@@ -45,6 +45,7 @@ from repro.models import get_model
 from repro.optim.base import coalesce
 from repro.sampling.negative import NegativeSampler
 from repro.utils.kernels import scatter_add_rows
+from tests.hotness_tables import as_dict, as_table
 from tests.reference.cache_policies_reference import RefLFU
 from tests.reference.evaluation_reference import (
     evaluate_link_prediction_reference,
@@ -150,7 +151,7 @@ class TestCacheTableVsDictMap:
 # -------------------------------------------------------- top-k tie-breaking
 
 
-def ref_top_ids(counts: dict[int, int], k: int) -> np.ndarray:
+def ref_top_ids(counts: dict, k: int) -> np.ndarray:
     """Pre-vectorization Python sort on (-count, id)."""
     if k <= 0 or not counts:
         return np.empty(0, dtype=np.int64)
@@ -167,7 +168,22 @@ class TestTopKTieBreaking:
     @given(counts=counts_strategy, k=st.integers(0, 70))
     @settings(max_examples=80, deadline=None)
     def test_lexsort_matches_python_sort(self, counts, k):
-        assert np.array_equal(_top_ids(counts, k), ref_top_ids(counts, k))
+        assert np.array_equal(as_table(counts).top(k), ref_top_ids(counts, k))
+
+    @given(
+        # Quarter steps: decayed counts that collide exactly, not nearly.
+        counts=st.dictionaries(
+            st.integers(0, 80),
+            st.integers(1, 12).map(lambda q: q / 4),
+            max_size=60,
+        ),
+        k=st.integers(0, 70),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_float_counts_with_exact_ties(self, counts, k):
+        table = as_table(counts)
+        assert len(table) == 0 or table.counts.dtype == np.float64
+        assert np.array_equal(table.top(k), ref_top_ids(counts, k))
 
     @given(
         ent=counts_strategy, rel=counts_strategy, capacity=st.integers(1, 60)
@@ -175,7 +191,9 @@ class TestTopKTieBreaking:
     @settings(max_examples=60, deadline=None)
     def test_frequency_only_merge_matches_reference(self, ent, rel, capacity):
         """HET-KG-N path: merged (count desc, kind, id) ordering."""
-        hot = filter_hot_ids(ent, rel, capacity, entity_ratio=None)
+        hot = filter_hot_ids(
+            as_table(ent), as_table(rel), capacity, entity_ratio=None
+        )
         merged = [(-c, 0, e) for e, c in ent.items()]
         merged += [(-c, 1, r) for r, c in rel.items()]
         merged.sort()
@@ -197,7 +215,8 @@ class TestFoldCounts:
     @given(seed=st.integers(0, 1000), n_batches=st.integers(0, 6))
     @settings(max_examples=40, deadline=None)
     def test_fold_matches_per_batch_counter(self, seed, n_batches):
-        """_fold_counts must agree with applying _count_batch batch by batch."""
+        """HotnessTable.count must agree with applying _count_batch batch by
+        batch (weighted relation counts included)."""
         from repro.sampling.negative import MiniBatch
 
         rng = np.random.default_rng(seed)
@@ -225,8 +244,13 @@ class TestFoldCounts:
             ]
             rel_chunks.append(batch.positives[:, REL])
             rel_weights.append(1 + batch.num_negatives)
-        assert _fold_counts(ent_chunks) == ref_ent
-        assert _fold_counts(rel_chunks, rel_weights) == ref_rel
+        ent = HotnessTable.count(ent_chunks)
+        rel = HotnessTable.count(rel_chunks, rel_weights)
+        assert as_dict(ent) == ref_ent
+        assert as_dict(rel) == ref_rel
+        for table in (ent, rel):
+            assert table.ids.dtype == table.counts.dtype == np.int64
+            assert np.all(np.diff(table.ids) > 0)
 
 
 # ------------------------------------------------------ scatter-add kernels
@@ -357,8 +381,9 @@ class TestTripleIndex:
 
 
 class TestNegativeResamplerRNGFaithful:
-    def _reference_resample(self, sampler, batch, retries=10):
-        """The pre-vectorization per-entry scan, verbatim."""
+    def _reference_resample(self, sampler, truth, batch, retries=10):
+        """The pre-vectorization per-entry scan, verbatim, over its own
+        Python set of true triples (the sampler keeps only the index)."""
         pos = batch.positives
         for i in range(batch.size):
             h, r, t = (int(x) for x in pos[i])
@@ -367,7 +392,7 @@ class TestNegativeResamplerRNGFaithful:
                 e = int(batch.neg_entities[i, j])
                 candidate = (e, r, t) if head else (h, r, e)
                 attempts = 0
-                while candidate in sampler._filter and attempts < retries:
+                while candidate in truth and attempts < retries:
                     e = int(sampler._draw_entities(1)[0])
                     candidate = (e, r, t) if head else (h, r, e)
                     attempts += 1
@@ -397,11 +422,9 @@ class TestNegativeResamplerRNGFaithful:
         # corrupt() already resampled via the vectorized path in both;
         # instead drive the reference loop manually on a pristine batch.
         ref2 = build(seed)
-        ref2._filter_index = None  # force manual control
-        ref2._filter = None  # disable in-corrupt resampling
+        ref2._filter_index = None  # disable in-corrupt resampling
         raw = ref2.corrupt(positives)
-        ref2._filter = small_graph.triple_set()
-        self._reference_resample(ref2, raw)
+        self._reference_resample(ref2, small_graph.triple_set(), raw)
 
         assert np.array_equal(vec_batch.neg_entities, raw.neg_entities)
         assert np.array_equal(vec_batch.neg_entities, ref_batch.neg_entities)

@@ -16,6 +16,7 @@ from repro.optim.base import coalesce
 from repro.partition.metis import MetisPartitioner
 from repro.partition.quality import cut_fraction
 from repro.utils.simclock import SimClock
+from tests.hotness_tables import as_table
 
 ids_strategy = st.lists(st.integers(0, 50), min_size=1, max_size=40)
 
@@ -110,7 +111,7 @@ class TestFilterProperties:
         rng = np.random.default_rng(seed)
         ents = {i: int(rng.integers(1, 100)) for i in range(n_ent)}
         rels = {i: int(rng.integers(1, 100)) for i in range(n_rel)}
-        hot = filter_hot_ids(ents, rels, capacity, ratio)
+        hot = filter_hot_ids(as_table(ents), as_table(rels), capacity, ratio)
         assert hot.size <= capacity
         assert len(np.unique(hot.entities)) == len(hot.entities)
         assert len(np.unique(hot.relations)) == len(hot.relations)
@@ -120,7 +121,9 @@ class TestFilterProperties:
     def test_selected_are_hottest(self, capacity, seed):
         rng = np.random.default_rng(seed)
         counts = {i: int(c) for i, c in enumerate(rng.integers(1, 1000, size=30))}
-        hot = filter_hot_ids(counts, {}, capacity, entity_ratio=1.0)
+        hot = filter_hot_ids(
+            as_table(counts), as_table({}), capacity, entity_ratio=1.0
+        )
         chosen = set(hot.entities.tolist())
         min_chosen = min(counts[i] for i in chosen)
         max_rejected = max(

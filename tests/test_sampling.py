@@ -68,6 +68,29 @@ class TestNegativeSampler:
                 if triple in tiny_graph.triple_set():
                     pytest.skip("all retries collided (tiny corruption pool)")
 
+    def test_filter_is_the_triple_index_only(self, small_graph, monkeypatch):
+        """One false-negative filter: neither construction nor resize builds
+        the |E|-tuple Python set, and resampling still works without it."""
+
+        def no_set(self):
+            raise AssertionError("NegativeSampler must not build triple_set()")
+
+        monkeypatch.setattr(type(small_graph), "triple_set", no_set)
+        sampler = _sampler(small_graph, filter_graph=small_graph, num_negatives=4)
+        sampler.resize(small_graph.num_entities, filter_graph=small_graph)
+        assert not hasattr(sampler, "_filter")
+        batch = sampler.corrupt(small_graph.triples[:64])
+        n = batch.num_negatives
+        heads = np.repeat(batch.corrupt_head, n)
+        flat = batch.neg_entities.ravel()
+        pos = batch.positives
+        collide = small_graph.triple_index().contains_batch(
+            np.where(heads, flat, np.repeat(pos[:, 0], n)),
+            np.repeat(pos[:, 1], n),
+            np.where(heads, np.repeat(pos[:, 2], n), flat),
+        )
+        assert int(collide.sum()) == sampler.false_negative_leaks
+
     def test_entity_pool_restricts_draws(self, small_graph):
         pool = np.array([1, 2, 3])
         sampler = NegativeSampler(
