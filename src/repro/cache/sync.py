@@ -282,15 +282,15 @@ class HotEmbeddingCache:
         ids = np.asarray(ids, dtype=np.int64)
         if len(ids) == 0 or table.occupied == 0:
             return 0
-        current = table.ids
-        keep_mask = ~np.isin(current, ids)
-        evicted = int((~keep_mask).sum())
-        if evicted == 0:
+        cached, slots = table.lookup(ids)
+        if not cached.any():
             return 0
-        kept = current[keep_mask]
-        _, slots = table.lookup(kept)
-        rows = table.rows_view()[slots].copy()
-        table.install(kept, rows)
+        # Slot order is install order, so masking slots keeps that order.
+        keep_mask = np.ones(table.occupied, dtype=bool)
+        keep_mask[slots[cached]] = False
+        evicted = table.occupied - int(keep_mask.sum())
+        rows = table.rows_view()[: table.occupied][keep_mask]
+        table.install(table.ids[keep_mask], rows)
         self._local_optimizers[kind] = SparseAdagrad(self.local_lr)
         self.trace.count("cache.invalidations")
         return evicted

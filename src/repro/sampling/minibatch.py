@@ -12,7 +12,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.kg.graph import KnowledgeGraph
+from repro.kg.graph import KnowledgeGraph, renumber_rows
 from repro.sampling.negative import MiniBatch, NegativeSampler
 from repro.utils.rng import make_rng
 from repro.utils.validation import check_positive
@@ -83,15 +83,17 @@ class EpochSampler:
     # -------------------------------------------------------------- streaming
 
     def apply_update(
-        self, new_graph: KnowledgeGraph, keep_mask: np.ndarray | None = None
+        self, new_graph: KnowledgeGraph, dead_rows: np.ndarray | None = None
     ) -> None:
         """Swap in a mutated local subgraph without breaking the epoch walk.
 
         Online ingestion (:mod:`repro.stream`) removes some of this
-        worker's triples and appends new ones.  ``keep_mask`` flags which
-        of the *old* triples survive (``None`` = all); ``new_graph`` holds
-        the surviving rows first (in original order) followed by the
-        appended rows, over possibly larger vocabularies.
+        worker's triples and appends new ones.  ``dead_rows`` are the
+        ascending rows of the *old* graph that were removed (``None`` =
+        none, as :meth:`~repro.kg.graph.KnowledgeGraph.mutated_with_dead_rows`
+        returns them); ``new_graph`` holds the surviving rows first (in
+        original order) followed by the appended rows, over possibly
+        larger vocabularies.
 
         The in-flight epoch is preserved deterministically: surviving
         not-yet-consumed positions keep their shuffled order (remapped to
@@ -103,30 +105,28 @@ class EpochSampler:
         old_n = self.graph.num_triples
         self.graph = new_graph
         self.negative_sampler.resize(new_graph.num_entities)
-        if keep_mask is None:
-            keep_mask = np.ones(old_n, dtype=bool)
-        else:
-            keep_mask = np.asarray(keep_mask, dtype=bool)
-            if len(keep_mask) != old_n:
-                raise ValueError(
-                    f"keep_mask has {len(keep_mask)} entries for {old_n} triples"
-                )
+        dead_rows = np.asarray(
+            [] if dead_rows is None else dead_rows, dtype=np.int64
+        )
+        if len(dead_rows) and not 0 <= dead_rows[0] <= dead_rows[-1] < old_n:
+            raise ValueError(
+                f"dead_rows span [{dead_rows[0]}, {dead_rows[-1]}] "
+                f"for {old_n} triples"
+            )
         if len(self._order) == 0:
             # First epoch not started yet; next_batch() reshuffles lazily.
             return
-        # Old row index -> new row index for survivors (-1 for deleted).
-        new_index = np.cumsum(keep_mask, dtype=np.int64) - 1
-        new_index[~keep_mask] = -1
-        consumed = self._order[: self._cursor]
-        pending = self._order[self._cursor :]
-        consumed = new_index[consumed]
-        consumed = consumed[consumed >= 0]
-        pending = new_index[pending]
-        pending = pending[pending >= 0]
-        n_kept = int(keep_mask.sum())
-        appended = np.arange(n_kept, new_graph.num_triples, dtype=np.int64)
-        self._order = np.concatenate([consumed, pending, appended])
-        self._cursor = len(consumed)
+        order = self._order
+        if len(dead_rows):
+            # Old row index -> new row index for survivors (-1 for deleted).
+            order = renumber_rows(old_n, dead_rows)[order]
+            alive = order >= 0
+            self._cursor = int(np.count_nonzero(alive[: self._cursor]))
+            order = order[alive]
+        appended = np.arange(
+            old_n - len(dead_rows), new_graph.num_triples, dtype=np.int64
+        )
+        self._order = np.concatenate([order, appended])
 
     def prefetch(self, count: int) -> list[MiniBatch]:
         """Produce the next ``count`` batches eagerly (Algorithm 1's input).

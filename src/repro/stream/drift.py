@@ -322,11 +322,13 @@ class AdaptiveStale(HotEmbeddingStrategy):
         touched by deletions; removing them from the strategy's view makes
         the next window's Jaccard/coverage reflect the true membership.
         """
+        # Both records are sorted and unique (``np.sort`` of a hot set), so
+        # masking is ``np.setdiff1d`` without its two ``np.unique`` sorts.
         if len(entities):
-            self._cached_entities = np.setdiff1d(
-                self._cached_entities, np.asarray(entities, dtype=np.int64)
-            )
+            self._cached_entities = self._cached_entities[
+                ~np.isin(self._cached_entities, entities)
+            ]
         if len(relations):
-            self._cached_relations = np.setdiff1d(
-                self._cached_relations, np.asarray(relations, dtype=np.int64)
-            )
+            self._cached_relations = self._cached_relations[
+                ~np.isin(self._cached_relations, relations)
+            ]

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.core.ledger import RunLedger
 from repro.core.trainer import HETKGTrainer
-from repro.kg.graph import HEAD, REL, TAIL, KnowledgeGraph, TripleIndex
+from repro.kg.graph import HEAD, REL, TAIL, KnowledgeGraph
 from repro.ps.network import BYTES_PER_ELEMENT, CommRecord
 from repro.sampling.cache import CachedNegativeSampler
 from repro.stream.drift import AdaptiveStale
@@ -115,6 +115,10 @@ class OnlineTrainer:
         self.stream = stream
         self.eval_every = eval_every
         self.graph: KnowledgeGraph | None = None
+        #: Fixed for a run, set by :meth:`train`: the workers in machine
+        #: order, and the machine an insert goes to for each owner id the
+        #: store can name.
+        self._routing: tuple[list, np.ndarray] | None = None
         self._cursor = 0
         self._ingest_rng = derive_stream(trainer.config.seed, INGEST_STREAM_SALT)
         self.evaluator = PrequentialEvaluator(
@@ -178,9 +182,6 @@ class OnlineTrainer:
         inserts = np.asarray(update.inserts, dtype=np.int64).reshape(-1, 3)
         deletes = np.asarray(update.deletes, dtype=np.int64).reshape(-1, 3)
         n_ent, n_rel = update.num_entities, update.num_relations
-        drop_index = (
-            TripleIndex(deletes, n_ent, n_rel) if len(deletes) else None
-        )
         affected_entities = (
             np.unique(np.concatenate([deletes[:, HEAD], deletes[:, TAIL]]))
             if len(deletes)
@@ -194,55 +195,26 @@ class OnlineTrainer:
 
         # Route inserts to the machine owning the head entity (the
         # co-located layout streaming writes follow too).
-        by_machine = {w.machine: w for w in trainer.workers}
-        machines = sorted(by_machine)
-        if len(inserts):
-            owners = store.owners("entity", inserts[:, HEAD])
-            owners = np.where(
-                np.isin(owners, machines),
-                owners,
-                np.asarray(machines, dtype=np.int64)[
-                    owners % len(machines)
-                ],
-            )
-        else:
-            owners = np.empty(0, dtype=np.int64)
+        assert self._routing is not None
+        workers, machine_of_owner = self._routing
+        owners = machine_of_owner[store.owners("entity", inserts[:, HEAD])]
 
         deleted_total = 0
-        for machine in machines:
-            worker = by_machine[machine]
+        for worker in workers:
             local = worker.sampler.graph
-            local_inserts = inserts[owners == machine] if len(inserts) else inserts
-            if drop_index is not None and local.num_triples:
-                t = local.triples
-                keep = ~drop_index.contains_batch(
-                    t[:, HEAD], t[:, REL], t[:, TAIL]
-                )
-            else:
-                keep = np.ones(local.num_triples, dtype=bool)
-            deleted_here = int((~keep).sum())
-            deleted_total += deleted_here
-            if (
-                len(local_inserts) == 0
-                and deleted_here == 0
-                and n_ent == local.num_entities
-                and n_rel == local.num_relations
-            ):
+            local_inserts = inserts[owners == worker.machine]
+            new_local, dead_rows = local.mutated_with_dead_rows(
+                local_inserts, deletes, n_ent, n_rel
+            )
+            if new_local is local:
                 continue
+            deleted_here = len(dead_rows)
+            deleted_total += deleted_here
             with worker.trace.span(
                 "ingest.apply", "ingest",
                 inserts=len(local_inserts), deletes=deleted_here,
             ):
-                survivors = local.triples[keep]
-                new_triples = (
-                    np.concatenate([survivors, local_inserts])
-                    if len(local_inserts)
-                    else survivors
-                )
-                new_local = KnowledgeGraph(
-                    new_triples, num_entities=n_ent, num_relations=n_rel
-                )
-                worker.sampler.apply_update(new_local, keep_mask=keep)
+                worker.sampler.apply_update(new_local, dead_rows)
                 # Stale cache rows: ids whose graph structure was deleted.
                 if worker.cache is not None:
                     evicted = worker.cache.invalidate_ids(
@@ -280,8 +252,8 @@ class OnlineTrainer:
 
         # Cold-start rows land on their owning shards; charge the slowest
         # (first) machine's clock — one write fan-out per update.
-        if init_comm.total_bytes and machines:
-            worker = by_machine[machines[0]]
+        if init_comm.total_bytes and workers:
+            worker = workers[0]
             with worker.trace.span(
                 "ingest.cold_start", "ingest", bytes=init_comm.total_bytes
             ):
@@ -289,12 +261,7 @@ class OnlineTrainer:
                 worker.clock.advance(cost, "ingest")
 
         # Refresh the false-negative filter against the post-update graph.
-        self.graph = self.graph.mutated(
-            inserts=inserts if len(inserts) else None,
-            deletes=deletes if len(deletes) else None,
-            num_entities=n_ent,
-            num_relations=n_rel,
-        )
+        self.graph = self.graph.mutated(inserts, deletes, n_ent, n_rel)
         if trainer.config.filter_false_negatives:
             for worker in trainer.workers:
                 worker.sampler.negative_sampler.resize(
@@ -321,6 +288,18 @@ class OnlineTrainer:
         trainer.wire_tracer()
         assert trainer.server is not None
         self.graph = train_graph
+        by_machine = {w.machine: w for w in trainer.workers}
+        machines = sorted(by_machine)
+        owner_ids = np.arange(trainer.server.store.num_machines)
+        self._routing = (
+            [by_machine[machine] for machine in machines],
+            # An owner without a worker hands its inserts round-robin.
+            np.where(
+                np.isin(owner_ids, machines),
+                owner_ids,
+                np.asarray(machines, dtype=np.int64)[owner_ids % len(machines)],
+            ),
+        )
         cfg = trainer.config
         total_steps = cfg.epochs * trainer.steps_per_epoch
 

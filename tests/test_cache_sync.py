@@ -146,3 +146,38 @@ class TestSync:
     def test_invalid_sync_period(self, server):
         with pytest.raises(ValueError):
             HotEmbeddingCache(server, 0, 4, 4, 2, 2, sync_period=0, local_lr=1.0)
+
+
+class TestInvalidateIds:
+    """Streaming eviction: survivors keep install order and values."""
+
+    @pytest.fixture
+    def full(self, server):
+        cache = HotEmbeddingCache(server, 0, 6, 4, 2, 2, sync_period=3, local_lr=1.0)
+        cache.install(HotSet(np.array([7, 1, 9, 3, 5]), np.array([2, 0])))
+        return cache
+
+    def test_survivors_keep_slot_order_and_rows(self, full):
+        before = {i: full.fetch("entity", np.array([i]))[0][0].copy() for i in (7, 9, 5)}
+        optimizer = full._local_optimizers["entity"]
+        # 3 and 1 are cached, 4 is not, 3 is named twice.
+        assert full.invalidate_ids("entity", np.array([3, 4, 1, 3])) == 2
+        assert full.cached_ids("entity").tolist() == [7, 9, 5]
+        for i, row in before.items():
+            rows, comm = full.fetch("entity", np.array([i]))
+            assert rows[0].tolist() == row.tolist() and comm.total_bytes == 0
+        assert full._local_optimizers["entity"] is not optimizer
+        # The other table is untouched.
+        assert full.cached_ids("relation").tolist() == [2, 0]
+
+    def test_nothing_cached_is_a_no_op(self, full):
+        optimizer = full._local_optimizers["entity"]
+        assert full.invalidate_ids("entity", np.array([4, 8])) == 0
+        assert full.invalidate_ids("entity", np.array([], dtype=np.int64)) == 0
+        assert full.cached_ids("entity").tolist() == [7, 1, 9, 3, 5]
+        assert full._local_optimizers["entity"] is optimizer
+
+    def test_evicting_everything(self, full):
+        assert full.invalidate_ids("relation", np.array([0, 2])) == 2
+        assert full.cached_ids("relation").tolist() == []
+        assert full.invalidate_ids("relation", np.array([0])) == 0

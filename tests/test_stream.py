@@ -242,6 +242,17 @@ class TestAdaptiveStrategy:
         strategy = AdaptiveStale(capacity=16, window=8)
         assert strategy.window == 4
 
+    def test_drop_ids_is_a_set_difference(self):
+        strategy = AdaptiveStale(capacity=16, window=8)
+        strategy._cached_entities = np.array([1, 4, 6, 9], dtype=np.int64)
+        strategy._cached_relations = np.array([0, 2], dtype=np.int64)
+        strategy.drop_ids(np.array([9, 5, 1, 9]), np.array([], dtype=np.int64))
+        assert strategy._cached_entities.tolist() == [4, 6]
+        assert strategy._cached_entities.dtype == np.int64
+        assert strategy._cached_relations.tolist() == [0, 2]
+        strategy.drop_ids(np.array([], dtype=np.int64), np.array([2, 0]))
+        assert strategy._cached_relations.tolist() == []
+
 
 # ------------------------------------------------------- zero-drift invariant
 
