@@ -100,8 +100,12 @@ class TestMetisPartitioner:
         assert len(left) == 1 and len(right) == 1 and left != right
 
     def test_invalid_params(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="imbalance must be >= 0"):
             MetisPartitioner(imbalance=-0.1)
+        with pytest.raises(ValueError, match="coarsen_to must be >= 1"):
+            MetisPartitioner(coarsen_to=0)
+        with pytest.raises(ValueError, match="refine_passes must be >= 0"):
+            MetisPartitioner(refine_passes=-1)
 
 
 class TestQualityMetrics:
