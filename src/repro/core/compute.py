@@ -29,6 +29,10 @@ class BatchGradients:
     relation_ids: np.ndarray  # (U_r,) unique, sorted
     relation_grads: np.ndarray  # (U_r, relation_dim)
     num_scores: int  # positives + negatives scored (for the compute model)
+    #: Negatives the loss left active: non-zero upstream or non-finite score
+    #: (None: not recorded).  The backward pass runs on these alone whenever
+    #: they are at most half of the negatives scored.
+    active_negatives: int | None = None
 
 
 def compute_batch_gradients(
@@ -88,10 +92,26 @@ def compute_batch_gradients(
     result = loss.compute(pos_scores, neg_scores)
 
     # ---- backward --------------------------------------------------------
+    # Only the negatives the loss left active go back.  A row whose upstream
+    # is exactly 0.0 and whose score is finite has a gradient of +-0.0 in
+    # every cell; each output cell's chain starts at +0.0, which no addition
+    # can turn into -0.0, and ``s + +-0.0`` is ``s`` to the bit for every
+    # other ``s`` — so leaving those rows out of ``grad`` and of the scatter
+    # changes no bit.  Rows with a non-finite score stay (0.0 * inf is NaN,
+    # and must surface exactly where it did).  Gathering the survivors costs
+    # what dropping the rest saves once more than about half survive
+    # (docs/performance.md §10), so a batch like that — and a loss with no
+    # exact zeros, logistic or self-adversarial — goes back whole and pays
+    # only the mask.
+    upstream = result.grad_neg.ravel()
+    keep = np.flatnonzero((upstream != 0) | ~np.isfinite(neg_scores.ravel()))
+    if 2 * len(keep) <= len(upstream):
+        upstream = upstream[keep]
+        neg_h_idx, neg_r_idx, neg_t_idx = neg_h_idx[keep], neg_r_idx[keep], neg_t_idx[keep]
+        neg_h, neg_r, neg_t = neg_h[keep], neg_r[keep], neg_t[keep]
+        neg_shared = {name: rows[keep] for name, rows in neg_shared.items()}
     gh, gr, gt = model.grad(h_rows, r_rows, t_rows, result.grad_pos, pos_shared)
-    gnh, gnr, gnt = model.grad(
-        neg_h, neg_r, neg_t, result.grad_neg.ravel(), neg_shared
-    )
+    gnh, gnr, gnt = model.grad(neg_h, neg_r, neg_t, upstream, neg_shared)
 
     # One order-preserving scatter per table replaces six np.add.at passes.
     # The concatenation preserves the reference pass order (gh, gt, gnh,
@@ -116,4 +136,5 @@ def compute_batch_gradients(
         relation_ids=relation_ids,
         relation_grads=rel_grads,
         num_scores=b * (1 + n_neg),
+        active_negatives=len(keep),
     )

@@ -237,7 +237,7 @@ class Worker:
                 )
             self.clock.advance(batch_time, "compute")
             self.scored_candidates += grads.num_scores
-            span.set(scores=grads.num_scores)
+            span.set(scores=grads.num_scores, active=grads.active_negatives)
 
         # 5. local cache update + push everything to the PS.
         with self.trace.span("push", "communication") as span:
@@ -260,6 +260,7 @@ class Worker:
 
         self.iterations += 1
         self.trace.count("worker.steps")
+        self.trace.count("worker.active_negatives", grads.active_negatives)
         if self._step_comm is not None and self._step_comm.remote_bytes:
             self.trace.count("worker.remote_bytes", self._step_comm.remote_bytes)
         if self.telemetry is not None:

@@ -64,13 +64,16 @@ class KGEModel(ABC):
         """Plausibility score for each row of the batch.
 
         ``h``/``t`` have shape ``(batch, entity_dim)`` and ``r`` has shape
-        ``(batch, relation_dim)``; returns shape ``(batch,)``.
+        ``(batch, relation_dim)``; returns shape ``(batch,)``.  ``batch``
+        may be zero.
 
         ``shared``, when given, is an empty dict the caller owns: the model
         may leave intermediates of this call in it (``h + r - t``, say) for
         a later :meth:`grad` on the *same* ``h``, ``r``, ``t`` to reuse.
-        Its contents are the model's business; the model object itself
-        keeps no per-call state.
+        Which intermediates is the model's business, but every value is an
+        array whose first axis is the batch row, so a caller that goes on
+        with rows ``keep`` only hands ``grad`` ``{k: v[keep]}``; the model
+        object itself keeps no per-call state.
         """
 
     @abstractmethod
@@ -85,7 +88,10 @@ class KGEModel(ABC):
         """Gradients of ``sum(upstream * score)`` w.r.t. ``h``, ``r``, ``t``.
 
         ``upstream`` has shape ``(batch,)`` — the loss gradient flowing into
-        each score.  Returns gradients with the same shapes as the inputs.
+        each score.  Returns gradients with the same shapes as the inputs;
+        zero rows in, ``(0, entity_dim)``, ``(0, relation_dim)``,
+        ``(0, entity_dim)`` out (a batch whose every negative the hinge
+        switched off reaches ``grad`` like that).
 
         ``shared`` is the dict a :meth:`score` call on the same ``h``,
         ``r``, ``t`` filled; without it (or with an empty one) everything

@@ -57,4 +57,4 @@ class RESCAL(KGEModel):
         gh = np.einsum("bij,bj->bi", mats, t) * up  # M t
         gt = np.einsum("bij,bi->bj", mats, h) * up  # M^T h
         gm = np.einsum("bi,bj->bij", h, t) * upstream[:, None, None]  # h t^T
-        return gh, gm.reshape(len(r), -1), gt
+        return gh, gm.reshape(len(r), self.dim * self.dim), gt

@@ -74,5 +74,5 @@ class TransR(KGEModel):
         gt = -gh
         g_rvec = g
         g_mat = np.einsum("bi,bj->bij", g, diff)  # g (h - t)^T
-        gr = np.concatenate([g_rvec, g_mat.reshape(len(r), -1)], axis=1)
+        gr = np.concatenate([g_rvec, g_mat.reshape(len(r), self.dim * self.dim)], axis=1)
         return gh, gr, gt

@@ -41,6 +41,10 @@ class Compressor(ABC):
     #: Registry name.
     name: str = "base"
 
+    #: True when :meth:`roundtrip` returns its argument bit for bit, so a
+    #: transfer need not be split into local and remote rows at all.
+    is_identity: bool = False
+
     @property
     @abstractmethod
     def bytes_per_element(self) -> float:
@@ -74,6 +78,7 @@ class NoCompression(Compressor):
     """Identity codec (the default float32 wire format)."""
 
     name = "none"
+    is_identity = True
 
     @property
     def bytes_per_element(self) -> float:

@@ -123,8 +123,9 @@ class ShardedKVStore:
         return self.table(kind).shape[1]
 
     def read(self, kind: str, ids: np.ndarray) -> np.ndarray:
-        """Copy of the rows ``ids`` (a pull's payload)."""
-        return self.table(kind)[np.asarray(ids, dtype=np.int64)].copy()
+        """Copy of the rows ``ids`` (a pull's payload): indexing by an id
+        array already yields a fresh array on every backing."""
+        return self.table(kind)[np.asarray(ids, dtype=np.int64)]
 
     def write(self, kind: str, ids: np.ndarray, rows: np.ndarray) -> None:
         """Overwrite rows (used for checkpoint restore, not training)."""

@@ -127,9 +127,10 @@ class ParameterServer:
             # One ownership gather feeds both the compression split and the
             # traffic metering (previously three gathers + two np.unique).
             owners = self.store.owners(kind, ids)
-            remote = owners != machine
-            if remote.any():
-                rows[remote] = self.compressor.roundtrip(rows[remote])
+            if not self.compressor.is_identity:
+                remote = owners != machine
+                if remote.any():
+                    rows[remote] = self.compressor.roundtrip(rows[remote])
             comm = self._meter_owned(kind, owners, machine)
             span.set(
                 rows=len(ids),
@@ -153,10 +154,11 @@ class ParameterServer:
         with self._trace(machine).span("ps.push", "ps", kind=kind) as span:
             owners = self.store.owners(kind, ids)
             comm = self._meter_owned(kind, owners, machine)
-            remote = owners != machine
-            if remote.any():
-                grads = np.asarray(grads, dtype=np.float64).copy()
-                grads[remote] = self.compressor.roundtrip(grads[remote])
+            if not self.compressor.is_identity:
+                remote = owners != machine
+                if remote.any():
+                    grads = np.asarray(grads, dtype=np.float64).copy()
+                    grads[remote] = self.compressor.roundtrip(grads[remote])
             self.optimizer.update(kind, self.store.table(kind), ids, grads)
             self.version += 1
             span.set(

@@ -77,6 +77,17 @@ class TestGradShapes:
         assert gr.shape == r.shape
         assert gt.shape == t.shape
 
+    def test_zero_rows_are_legal(self, name):
+        """A batch whose every negative the hinge switched off reaches
+        ``grad`` with zero rows (RESCAL and TransR used to raise on the
+        ``reshape(0, -1)`` of their matrix gradient)."""
+        model = get_model(name, DIM)
+        h = t = np.zeros((0, model.entity_dim))
+        r = np.zeros((0, model.relation_dim))
+        assert model.score(h, r, t).shape == (0,)
+        shapes = [g.shape for g in model.grad(h, r, t, np.zeros(0))]
+        assert shapes == [(0, model.entity_dim), (0, model.relation_dim), (0, model.entity_dim)]
+
     def test_zero_upstream_zero_grad(self, name):
         model = get_model(name, DIM)
         h, r, t, _ = _random_batch(model, make_rng(5))

@@ -153,6 +153,30 @@ class TestShardedKVStore:
         rows[0, 0] = 999.0
         assert store.table("entity")[0, 0] == 0.0
 
+    @pytest.mark.parametrize("backing", ["resident", "shared", "tiered"])
+    def test_read_never_shares_memory_with_the_table(self, store, backing):
+        """``read`` makes no copy of its own: indexing by an id array is
+        already a fresh array on every backing, whatever its length."""
+        from repro.mp.shm import SharedArena
+
+        with SharedArena() as arena:
+            if backing == "tiered":
+                store = store.copy(backing="tiered")
+            elif backing == "shared":
+                store.rebind("entity", arena.create("entity", store.table("entity")).view())
+            try:
+                before = np.array(store.table("entity"))
+                for ids in ([], [4], list(range(10))):
+                    rows = store.read("entity", np.array(ids, dtype=np.int64))
+                    assert rows.shape == (len(ids), 2) and rows.flags.writeable
+                    assert np.array_equal(rows, before[ids])
+                    if backing != "tiered":
+                        assert not np.shares_memory(rows, store.table("entity"))
+                    rows += 1000.0
+                    assert np.array_equal(np.asarray(store.table("entity")), before)
+            finally:
+                store.close()
+
     def test_owners(self, store):
         assert list(store.owners("entity", np.array([0, 3, 6]))) == [0, 1, 2]
 

@@ -99,6 +99,41 @@ class TestServerIntegration:
         expected = grad[0].astype(np.float16).astype(np.float64)
         np.testing.assert_array_equal(applied, expected)
 
+    @pytest.mark.parametrize("codec", ["none", "fp16", "int8"])
+    def test_pull_and_push_are_the_split_written_out(self, store, codec, rng):
+        """The wire contract, spelled the long way: local rows move raw,
+        remote rows go through one ``roundtrip`` — which the identity codec
+        skips (no split, no copy of the block) without changing a byte."""
+        compressor = get_compressor(codec)
+        server = ParameterServer(store, SparseSGD(1.0), compressor=compressor)
+        ids = np.array([1, 7, 3, 9, 8])  # 7, 9, 8 are remote for machine 0
+        remote = np.array([False, True, False, True, True])
+        table = store.table("entity")
+        table[:] = rng.normal(size=table.shape)
+
+        expected = table[ids].copy()
+        expected[remote] = compressor.roundtrip(expected[remote])
+        rows, _ = server.pull("entity", ids, machine=0)
+        assert rows.tobytes() == expected.tobytes()
+        assert not np.shares_memory(rows, table)
+
+        grads = rng.normal(size=(5, 2))
+        sent = grads.copy()
+        applied = grads.copy()
+        applied[remote] = compressor.roundtrip(applied[remote])
+        after = table.copy()
+        after[ids] -= applied
+        server.push("entity", ids, grads, machine=0)
+        assert table.tobytes() == after.tobytes()
+        assert grads.tobytes() == sent.tobytes(), "push wrote into the caller's block"
+
+    def test_only_the_identity_codec_says_so(self, rng):
+        rows = rng.normal(size=(6, 5))
+        for codec in ("none", "fp16", "int8"):
+            compressor = get_compressor(codec)
+            same = compressor.roundtrip(rows).tobytes() == rows.tobytes()
+            assert compressor.is_identity == same == (codec == "none")
+
     def test_end_to_end_training_with_compression(self, small_split):
         """Compressed training must still learn (loss decreases)."""
         from repro.core.config import TrainingConfig
