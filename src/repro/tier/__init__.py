@@ -8,8 +8,8 @@ byte budget.
 
 Three tiers, by descending access frequency:
 
-* **hot**  — resident float64 block copies (exact, fastest), held in a
-  :class:`~repro.cache.table.CacheTable` keyed by block id;
+* **hot**  — resident float64 block copies (exact, fastest) in one flat
+  array, found through a block -> slot map (one gather per access);
 * **warm** — the authoritative ``np.memmap`` shard file (exact, charged
   simulated I/O per read);
 * **cold** — blocks idle for several passes are *quantized* in place

@@ -224,6 +224,66 @@ class TestTieredTableFacade:
             t[:] = rand_table(31, 4)
 
 
+# ------------------------------------------------------------------ key forms
+
+
+KEY_FORMS = {
+    "int": 3,
+    "negative int": -2,
+    "slice": slice(1, 9, 3),
+    "int array": np.array([0, 9, 3, 3, -1]),
+    "2-D int array": np.array([[1, 2], [8, -10]]),
+    "bool mask": np.arange(10) % 3 == 0,
+    "short bool mask": np.array([True, False]),
+    "float array": np.array([3.7]),
+    "list": [4, 0, -10],
+}
+
+
+def _outcome(fn):
+    """What ``fn()`` returned, or the type of the error it raised."""
+    try:
+        return fn()
+    except (IndexError, ValueError) as exc:
+        return type(exc)
+
+
+class TestKeyForms:
+    """Every key form answers as a resident ndarray answers it: the same
+    rows, or the same exception type, on reads and on writes, with the
+    table's blocks split between the hot and the warm tier."""
+
+    @staticmethod
+    def _tables(tmp_path):
+        dense = rand_table(10, 3, seed=24)
+        t = make_table(
+            tmp_path, dense, block_rows=4, pass_rows=10**9,
+            target_hit_rate=1.0, cold_codec="none",
+        )
+        t.read(np.arange(8))
+        t.rebalance()
+        assert t.hot_blocks().tolist() == [0, 1]  # rows 8 and 9 stay warm
+        return dense, t
+
+    @pytest.mark.parametrize("form", list(KEY_FORMS))
+    def test_read(self, tmp_path, form):
+        dense, t = self._tables(tmp_path)
+        key = KEY_FORMS[form]
+        want, got = _outcome(lambda: dense[key]), _outcome(lambda: t[key])
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("form", list(KEY_FORMS))
+    def test_write(self, tmp_path, form):
+        dense, t = self._tables(tmp_path)
+        key, row = KEY_FORMS[form], np.array([0.25, -1.5, 4.0])
+        want = _outcome(lambda: dense.__setitem__(key, row))
+        assert _outcome(lambda: t.__setitem__(key, row)) is want
+        assert np.array_equal(np.asarray(t), dense)
+
+
 # ------------------------------------------------------------ residency/budget
 
 
@@ -264,12 +324,12 @@ class TestResidency:
         )
         t.read(np.arange(32))  # blocks 0..3 hot
         t.rebalance()
-        assert sorted(t._hot.ids.tolist()) == [0, 1, 2, 3]
+        assert t.hot_blocks().tolist() == [0, 1, 2, 3]
         for _ in range(4):  # new hotness: blocks 8..11
             t.read(np.arange(64, 96))
         t.rebalance()
         assert t.stats.evicted_blocks == 2  # churn bounded below the 4 desired
-        assert len(t._hot.ids) == 4
+        assert len(t.hot_blocks()) == 4
 
     def test_target_hit_rate_short_circuits_pass(self, tmp_path):
         t = make_table(
@@ -301,7 +361,7 @@ class TestResidency:
             )
             for ids in traffic:
                 t.read(ids)
-            members.append(t._hot.ids.tolist())
+            members.append(t.hot_blocks().tolist())
             snapshots.append(np.asarray(t))
         assert members[0] == members[1]
         assert np.array_equal(snapshots[0], snapshots[1])
