@@ -29,16 +29,13 @@ This module is the single engine they all now share:
     capacity-honesty invariant is enforced in one place instead of being
     re-derived per policy.
 :class:`EvictionStrategy`
-    The ~50-line contract a new policy implements, in one of two shapes:
-    the per-key trio ``lookup`` / ``on_hit`` / ``on_miss``, mutating
-    residency through the core's ``admit``/``evict`` primitives (the
-    ledger moves and is audited at every key), *or* one ``access_many``
+    The ~50-line contract a new policy implements: one ``access_many``
     loop over its own structures that reports what it admitted and
-    evicted for the core to settle once per call — a dozen Python frames
-    per missed key cheaper, which is why FIFO/LRU/LFU/CLOCK/pinned are
-    written that way.  Register with :func:`register_policy`; construct
-    by name with :func:`make_cache` (the only way to obtain an eviction
-    cache) and replay a key trace through it with :func:`replay_trace`.
+    evicted for the core to settle once per call.  Every registered
+    policy — FIFO, LRU, LFU, CLOCK, 2Q, ARC and pinned — is written that
+    way.  Register with :func:`register_policy`; construct by name with
+    :func:`make_cache` (the only way to obtain an eviction cache) and
+    replay a key trace through it with :func:`replay_trace`.
 :class:`PinnedStrategy`
     Static membership (importance caches, CPS hot sets, the serving
     tier's log-profiled cache) as just another strategy: admission by
@@ -149,21 +146,12 @@ class EvictionStrategy(ABC):
     """Pure policy logic, pluggable into :class:`CacheCore`.
 
     A strategy owns its ordering structures (queues, buckets, clock
-    hands, ghost lists) but **not** the residency count, and is written
-    in one of two shapes, never both:
-
-    * the per-key trio :meth:`lookup` / :meth:`on_hit` / :meth:`on_miss`:
-      every key that becomes resident goes through
-      ``self.core.admit(key)`` and every key that stops being resident
-      through ``self.core.evict(key)``; the inherited :meth:`access_many`
-      drives the trio and audits ``len(strategy)`` against the ledger at
-      every key, so forgetting either call raises :class:`CapacityError`
-      at the offending key;
-    * one :meth:`access_many` override looping over local variables,
-      which *counts* its admissions and evictions and leaves the ledger
-      to the core: the core charges or releases the net once per call and
-      audits ``len(strategy)``, so an overflow still raises from the
-      ledger, at the call that caused it.
+    hands, ghost lists) but **not** the residency count.  Its one access
+    method is :meth:`access_many`, a loop over local variables that
+    *counts* its admissions and evictions and leaves the ledger to the
+    core: the core charges or releases the net once per call and audits
+    ``len(strategy)``, so an overflow raises from the ledger, at the call
+    that caused it.
     """
 
     #: Registry name, set by :func:`register_policy`.
@@ -176,43 +164,17 @@ class EvictionStrategy(ABC):
         """Attach to the owning core (called once, by the core)."""
         self.core = core
 
-    def lookup(self, key: int) -> bool:
-        """Is ``key`` resident?  Must not mutate any state."""
-        raise NotImplementedError(
-            f"{type(self).__name__} implements neither the per-key trio "
-            "nor access_many"
-        )
-
-    def on_hit(self, key: int) -> None:
-        """Update recency/frequency bookkeeping for a resident key."""
-        raise NotImplementedError
-
-    def on_miss(self, key: int) -> None:
-        """Decide admission/eviction for a missing key (may admit
-        nothing).  Only called when ``capacity > 0``."""
-        raise NotImplementedError
-
     def access_many(self, keys: list[int]) -> tuple[list[int], int, int]:
         """Access ``keys`` in order (only called when ``capacity > 0``).
 
         Returns ``(hit_positions, admitted, evicted)``: the indices into
         ``keys`` that hit, and how many keys became / stopped being
-        resident *without the ledger having been told* — the core settles
-        those counts after the call.  This default drives the per-key
-        trio, whose ``core.admit``/``core.evict`` calls move the ledger
-        themselves, so it audits at every key and reports nothing left to
-        settle.
+        resident during the call — the core settles those counts with the
+        ledger after the call.
         """
-        audit = self.core.ledger.audit
-        hits = []
-        for position, key in enumerate(keys):
-            if self.lookup(key):
-                self.on_hit(key)
-                hits.append(position)
-            else:
-                self.on_miss(key)
-            audit(len(self))
-        return hits, 0, 0
+        raise NotImplementedError(
+            f"{type(self).__name__} does not implement access_many"
+        )
 
     @abstractmethod
     def __len__(self) -> int:
@@ -268,15 +230,7 @@ class CacheCore:
     def __len__(self) -> int:
         return self.ledger.resident
 
-    # ------------------------------------- residency primitives (strategies)
-
-    def admit(self, key: int) -> None:
-        """Charge one admitted key to the ledger (strategies only)."""
-        self.ledger.charge(1)
-
-    def evict(self, key: int) -> None:
-        """Release one evicted key from the ledger (strategies only)."""
-        self.ledger.release(1)
+    # ------------------------------------------ wholesale installs (pinned)
 
     def reinstall(self, count: int) -> None:
         """Wholesale residency replacement (pinned installs)."""
@@ -586,27 +540,30 @@ class TwoQueueStrategy(EvictionStrategy):
             )
             self.protected_cap = capacity - self.probation_cap
 
-    def lookup(self, key: int) -> bool:
-        return key in self._protected or key in self._probation
-
-    def on_hit(self, key: int) -> None:
-        if key in self._protected:
-            self._protected.move_to_end(key)
-            return
-        if self.protected_cap == 0:
-            return  # capacity 1: nowhere to promote to; stay probationary
-        del self._probation[key]
-        if len(self._protected) >= self.protected_cap:
-            victim, _ = self._protected.popitem(last=False)
-            self.core.evict(victim)
-        self._protected[key] = None
-
-    def on_miss(self, key: int) -> None:
-        if len(self._probation) >= self.probation_cap:
-            victim, _ = self._probation.popitem(last=False)
-            self.core.evict(victim)
-        self._probation[key] = None
-        self.core.admit(key)
+    def access_many(self, keys: list[int]) -> tuple[list[int], int, int]:
+        probation, protected = self._probation, self._protected
+        probation_cap, protected_cap = self.probation_cap, self.protected_cap
+        hits = []
+        evicted = 0
+        for position, key in enumerate(keys):
+            if key in protected:
+                protected.move_to_end(key)
+                hits.append(position)
+            elif key in probation:
+                hits.append(position)
+                if protected_cap == 0:
+                    continue  # capacity 1: nowhere to promote to; stay probationary
+                del probation[key]
+                if len(protected) >= protected_cap:
+                    protected.popitem(last=False)
+                    evicted += 1
+                protected[key] = None
+            else:
+                if len(probation) >= probation_cap:
+                    probation.popitem(last=False)
+                    evicted += 1
+                probation[key] = None
+        return hits, len(keys) - len(hits), evicted
 
     def __len__(self) -> int:
         return len(self._probation) + len(self._protected)
@@ -642,74 +599,70 @@ class ARCStrategy(EvictionStrategy):
         """The adaptive T1 target (exposed for tests/diagnostics)."""
         return self._p
 
-    def _replace(self, in_b2: bool) -> None:
+    def _replace(self, in_b2: bool) -> bool:
+        """REPLACE: demote one resident key to its ghost list; returns
+        whether there was one to demote."""
         if self._t1 and (
             len(self._t1) > self._p or (in_b2 and len(self._t1) >= self._p)
         ):
             victim, _ = self._t1.popitem(last=False)
             self._b1[victim] = None
-            self.core.evict(victim)
         elif self._t2:
             victim, _ = self._t2.popitem(last=False)
             self._b2[victim] = None
-            self.core.evict(victim)
         elif self._t1:
             victim, _ = self._t1.popitem(last=False)
             self._b1[victim] = None
-            self.core.evict(victim)
-
-    def lookup(self, key: int) -> bool:
-        return key in self._t1 or key in self._t2
-
-    def on_hit(self, key: int) -> None:
-        if key in self._t1:
-            del self._t1[key]
-            self._t2[key] = None
         else:
-            self._t2.move_to_end(key)
+            return False
+        return True
 
-    def on_miss(self, key: int) -> None:
+    def access_many(self, keys: list[int]) -> tuple[list[int], int, int]:
+        t1, t2, b1, b2 = self._t1, self._t2, self._b1, self._b2
         capacity = self.core.capacity
-        if key in self._b1:
-            # Recency ghost hit: grow t1's target.
-            self._p = min(
-                float(capacity),
-                self._p + max(1.0, len(self._b2) / max(1, len(self._b1))),
-            )
-            del self._b1[key]
-            self._replace(in_b2=False)
-            self._t2[key] = None
-            self.core.admit(key)
-            return
-        if key in self._b2:
-            # Frequency ghost hit: shrink t1's target.
-            self._p = max(
-                0.0, self._p - max(1.0, len(self._b1) / max(1, len(self._b2)))
-            )
-            del self._b2[key]
-            self._replace(in_b2=True)
-            self._t2[key] = None
-            self.core.admit(key)
-            return
-
-        # Cold miss: case IV of the ARC paper.
-        if len(self._t1) + len(self._b1) == capacity:
-            if len(self._t1) < capacity:
-                self._b1.popitem(last=False)
-                self._replace(in_b2=False)
+        hits = []
+        evicted = 0
+        for position, key in enumerate(keys):
+            if key in t1:
+                del t1[key]
+                t2[key] = None
+                hits.append(position)
+            elif key in t2:
+                t2.move_to_end(key)
+                hits.append(position)
+            elif key in b1:
+                # Recency ghost hit: grow t1's target.
+                self._p = min(
+                    float(capacity), self._p + max(1.0, len(b2) / max(1, len(b1)))
+                )
+                del b1[key]
+                evicted += self._replace(in_b2=False)
+                t2[key] = None
+            elif key in b2:
+                # Frequency ghost hit: shrink t1's target.
+                self._p = max(
+                    0.0, self._p - max(1.0, len(b1) / max(1, len(b2)))
+                )
+                del b2[key]
+                evicted += self._replace(in_b2=True)
+                t2[key] = None
             else:
-                victim, _ = self._t1.popitem(last=False)
-                self.core.evict(victim)
-        elif len(self._t1) + len(self._b1) < capacity:
-            total = (
-                len(self._t1) + len(self._t2) + len(self._b1) + len(self._b2)
-            )
-            if total >= capacity:
-                if total == 2 * capacity and self._b2:
-                    self._b2.popitem(last=False)
-                self._replace(in_b2=False)
-        self._t1[key] = None
-        self.core.admit(key)
+                # Cold miss: case IV of the ARC paper.
+                if len(t1) + len(b1) == capacity:
+                    if len(t1) < capacity:
+                        b1.popitem(last=False)
+                        evicted += self._replace(in_b2=False)
+                    else:
+                        t1.popitem(last=False)
+                        evicted += 1
+                elif len(t1) + len(b1) < capacity:
+                    total = len(t1) + len(t2) + len(b1) + len(b2)
+                    if total >= capacity:
+                        if total == 2 * capacity and b2:
+                            b2.popitem(last=False)
+                        evicted += self._replace(in_b2=False)
+                t1[key] = None
+        return hits, len(keys) - len(hits), evicted
 
     def __len__(self) -> int:
         return len(self._t1) + len(self._t2)

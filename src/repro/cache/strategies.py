@@ -12,6 +12,12 @@
 Both strategies also hand the worker the exact batches that were
 prefetched, so training is equivalent to sampling live (Algorithm 1 returns
 the sample list ``L_s`` for this reason).
+
+The window loop — the sampler, the queue of prefetched batches, ``setup``
+and ``next_batch`` — is written once, in :class:`HotEmbeddingStrategy`.
+CPS, DPS and the streaming ADAPTIVE (:mod:`repro.stream.drift`) differ
+only in ``_refill``: what each window prefetches and which hot set, if
+any, it installs.
 """
 
 from __future__ import annotations
@@ -34,6 +40,11 @@ class HotEmbeddingStrategy(ABC):
     ``hot_set`` is ``None`` unless the table membership must change before
     training on ``batch``.
 
+    This class owns Algorithm 1's window loop: the sampler, the queue of
+    prefetched batches, and when to refill it.  A strategy implements
+    only :meth:`_refill` — what to prefetch and which hot set, if any, to
+    install before the new window.
+
     ``consume_overhead_items()`` reports how many bookkeeping items
     (counted accesses) the strategy processed since the last call, so the
     worker can charge prefetch/filter time to its simulated clock — this is
@@ -50,15 +61,29 @@ class HotEmbeddingStrategy(ABC):
         #: :class:`repro.cache.core.CapacityError` at construction time
         #: instead of overflowing the worker's cache tables downstream.
         self._ledger = CapacityLedger(capacity)
+        self._sampler: EpochSampler | None = None
+        self._queue: list[MiniBatch] = []
 
     @abstractmethod
+    def _refill(self, first: bool) -> HotSet | None:
+        """Prefetch the next window into ``_queue``; return the hot set to
+        install before it, or ``None`` to keep the membership.  ``first``
+        is set for the window :meth:`setup` builds, which must return one."""
+
     def setup(self, sampler: EpochSampler) -> HotSet:
         """Prefetch and build the initial hot set."""
+        self._sampler = sampler
+        hot = self._refill(first=True)
+        assert hot is not None
+        return hot
 
-    @abstractmethod
     def next_batch(self) -> tuple[MiniBatch, HotSet | None]:
         """The next training batch, plus a new hot set when membership
         changes."""
+        if self._sampler is None:
+            raise RuntimeError("setup() must be called before next_batch()")
+        hot = None if self._queue else self._refill(first=False)
+        return self._queue.pop(0), hot
 
     def consume_overhead_items(self) -> int:
         """Bookkeeping items processed since last call (then reset)."""
@@ -85,37 +110,19 @@ class HotEmbeddingStrategy(ABC):
 class ConstantPartialStale(HotEmbeddingStrategy):
     """CPS: one global top-k, fixed for the whole run.
 
-    ``horizon`` controls how many iterations are prefetched to estimate the
-    global frequencies (defaults to one full epoch, the paper's
-    "prefetches the entire subgraph").
+    The first window is one full epoch (the paper's "prefetches the
+    entire subgraph"), filtered once; every later epoch is sampled fresh
+    with the same membership and no filtering overhead.
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        entity_ratio: float | None = 0.25,
-        horizon: int | None = None,
-    ) -> None:
-        super().__init__(capacity, entity_ratio)
-        self.horizon = horizon
-        self._sampler: EpochSampler | None = None
-        self._queue: list[MiniBatch] = []
-
-    def setup(self, sampler: EpochSampler) -> HotSet:
-        self._sampler = sampler
-        horizon = self.horizon or sampler.batches_per_epoch
-        result = prefetch(sampler, horizon)
+    def _refill(self, first: bool) -> HotSet | None:
+        epoch = self._sampler.batches_per_epoch
+        if not first:
+            self._queue = self._sampler.prefetch(epoch)
+            return None
+        result = prefetch(self._sampler, epoch)
         self._queue = list(result.batches)
         return self._filter(result)
-
-    def next_batch(self) -> tuple[MiniBatch, HotSet | None]:
-        if self._sampler is None:
-            raise RuntimeError("setup() must be called before next_batch()")
-        if not self._queue:
-            # New epoch: fresh samples, same hot set (membership is
-            # constant), and no new filtering overhead.
-            self._queue = self._sampler.prefetch(self._sampler.batches_per_epoch)
-        return self._queue.pop(0), None
 
 
 class DynamicPartialStale(HotEmbeddingStrategy):
@@ -130,29 +137,8 @@ class DynamicPartialStale(HotEmbeddingStrategy):
         super().__init__(capacity, entity_ratio)
         check_positive("window", window)
         self.window = window
-        self._sampler: EpochSampler | None = None
-        self._queue: list[MiniBatch] = []
-        self._next_hot: HotSet | None = None
 
-    def _refill(self) -> None:
-        assert self._sampler is not None
+    def _refill(self, first: bool) -> HotSet:
         result = prefetch(self._sampler, self.window)
         self._queue = list(result.batches)
-        self._next_hot = self._filter(result)
-
-    def setup(self, sampler: EpochSampler) -> HotSet:
-        self._sampler = sampler
-        self._refill()
-        hot = self._next_hot
-        self._next_hot = None
-        assert hot is not None
-        return hot
-
-    def next_batch(self) -> tuple[MiniBatch, HotSet | None]:
-        if self._sampler is None:
-            raise RuntimeError("setup() must be called before next_batch()")
-        if not self._queue:
-            self._refill()
-        hot = self._next_hot
-        self._next_hot = None
-        return self._queue.pop(0), hot
+        return self._filter(result)

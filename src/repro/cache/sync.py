@@ -163,13 +163,7 @@ class HotEmbeddingCache:
         self, kind: str, ids: np.ndarray, grads: np.ndarray
     ) -> None:
         """Apply the worker's own gradients to cached rows (non-cached ids
-        are ignored; the PS push covers them).
-
-        Uses :meth:`CacheTable.lookup`, so when ``ids`` is the same array
-        the step's fetch already partitioned (the worker passes the batch's
-        unique-id array through unchanged), the membership scan is answered
-        from the table's memo instead of being repeated.
-        """
+        are ignored; the PS push covers them)."""
         table = self._tables[kind]
         ids = np.asarray(ids, dtype=np.int64)
         mask, all_slots = table.lookup(ids)

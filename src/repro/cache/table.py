@@ -7,19 +7,14 @@ row updates, and hit-ratio accounting.
 
 Implementation note (the determinism contract)
 ----------------------------------------------
-Membership is a *sorted* id array plus a slot permutation, so every lookup
-(``membership_mask`` / ``slot_of`` / ``partition_hits``) is one
-``np.searchsorted`` gather instead of a Python dict loop.  Slot assignment
-is pinned: ``install(ids, rows)`` stores ``ids[i]`` at slot ``i`` exactly
-as the dict-based implementation did, so ``rows_view()`` layouts, optimizer
+Membership is an id -> slot map: ``_slot`` is one int64 per id, holding
+the id's slot or ``-1``, sized to the largest installed id + 1.  Every
+lookup (``lookup`` / ``slot_of`` / ``partition_hits`` / ``get``) is one
+gather from it; ids below zero or past its end miss.  Slot assignment is
+pinned: ``install(ids, rows)`` stores ``ids[i]`` at slot ``i`` exactly as
+the dict-based implementation did, so ``rows_view()`` layouts, optimizer
 state addressing, and the :attr:`ids` order are bit-compatible with the
 pre-vectorization code (see ``docs/performance.md``).
-
-Because one worker step asks the same id batch several times (hit
-partitioning on fetch, membership + slots on the gradient write-back), the
-table memoises the most recent lookup: repeated queries for the same id
-array are answered from the memo without rescanning (the memo is
-invalidated whenever membership changes).
 """
 
 from __future__ import annotations
@@ -80,11 +75,8 @@ class CacheTable:
         self._rows = np.zeros((capacity, width), dtype=np.float64)
         #: Install-order ids; ``_ids[i]`` lives at slot ``i``.
         self._ids: np.ndarray = _EMPTY_IDS
-        #: ``_ids`` sorted ascending, plus the slot of each sorted id.
-        self._sorted_ids: np.ndarray = _EMPTY_IDS
-        self._sorted_slots: np.ndarray = _EMPTY_IDS
-        #: One-entry lookup memo: (query ids, mask, slots).
-        self._memo: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        #: ``_slot[id]`` is the id's slot, ``-1`` when it is not cached.
+        self._slot: np.ndarray = _EMPTY_IDS
         self.stats = CacheStats()
 
     # ------------------------------------------------------------- membership
@@ -94,8 +86,7 @@ class CacheTable:
 
     def __contains__(self, item: int) -> bool:
         item = int(item)
-        pos = int(np.searchsorted(self._sorted_ids, item))
-        return pos < len(self._sorted_ids) and int(self._sorted_ids[pos]) == item
+        return 0 <= item < len(self._slot) and self._slot[item] >= 0
 
     @property
     def ids(self) -> np.ndarray:
@@ -106,23 +97,32 @@ class CacheTable:
         """Replace the entire membership with ``ids`` -> ``rows``.
 
         This is the hot-embedding table (re)construction step: CPS calls it
-        once before training, DPS every ``D`` iterations.  Hit/miss counters
-        are preserved across installs (they measure the whole run).
+        once before training, DPS every ``D`` iterations.  ``ids`` must be
+        unique and non-negative.  Hit/miss counters are preserved across
+        installs (they measure the whole run).
         """
         ids = np.asarray(ids, dtype=np.int64)
         self._ledger.check_fits(len(ids))
         if len(ids) != len(rows):
             raise ValueError(f"{len(ids)} ids but {len(rows)} rows")
-        order = np.argsort(ids, kind="stable")
-        sorted_ids = ids[order]
-        if len(ids) > 1 and bool((sorted_ids[1:] == sorted_ids[:-1]).any()):
-            raise ValueError("install ids must be unique")
+        top = 0
+        if len(ids):
+            ordered = np.sort(ids)
+            if ordered[0] < 0:
+                raise ValueError(
+                    f"install ids must be non-negative, got {int(ordered[0])}"
+                )
+            if bool((ordered[1:] == ordered[:-1]).any()):
+                raise ValueError("install ids must be unique")
+            top = int(ordered[-1]) + 1
         previous = len(self._ids)
         self._ledger.reinstall(len(ids))
+        self._slot[self._ids] = -1
+        if top > len(self._slot):
+            # Every entry is -1 once the outgoing members are cleared.
+            self._slot = np.full(top, -1, dtype=np.int64)
+        self._slot[ids] = np.arange(len(ids))
         self._ids = ids.copy()
-        self._sorted_ids = sorted_ids
-        self._sorted_slots = order
-        self._memo = None
         self._rows[: len(ids)] = rows
         if len(ids) < previous:
             # Zero the tail on shrink: rows_view() hands the backing array
@@ -133,30 +133,21 @@ class CacheTable:
     # ------------------------------------------------------------------ reads
 
     def lookup(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized membership + slot resolution in one pass.
+        """Vectorized membership + slot resolution in one gather.
 
         Returns ``(mask, slots)`` where ``mask[i]`` says whether ``ids[i]``
-        is cached and ``slots[i]`` is its slot (``-1`` for misses).  The
-        most recent query is memoised, so a fetch's hit partitioning and
-        the subsequent gradient write-back for the *same* id batch cost a
-        single membership scan per step.  Treat both arrays as read-only.
+        is cached and ``slots[i]`` is its slot (``-1`` for misses).
         """
         ids = np.asarray(ids, dtype=np.int64)
-        memo = self._memo
-        if memo is not None:
-            memo_ids, mask, slots = memo
-            if memo_ids is ids or (
-                len(memo_ids) == len(ids) and np.array_equal(memo_ids, ids)
-            ):
-                return mask, slots
-        mask, slots = self._lookup(ids)
-        self._memo = (ids, mask, slots)
-        return mask, slots
-
-    def membership_mask(self, ids: np.ndarray) -> np.ndarray:
-        """Boolean mask of which ``ids`` are currently cached (no stats)."""
-        mask, _ = self.lookup(ids)
-        return mask
+        slot = self._slot
+        # Negative ids wrap past every id as uint64: one compare bounds both.
+        inside = ids.view(np.uint64) < len(slot)
+        if inside.all():
+            slots = slot[ids]
+        else:
+            slots = np.full(len(ids), -1, dtype=np.int64)
+            slots[inside] = slot[ids[inside]]
+        return slots >= 0, slots
 
     def partition_hits(
         self, ids: np.ndarray
@@ -175,20 +166,15 @@ class CacheTable:
 
     def get(self, ids: np.ndarray) -> np.ndarray:
         """Rows for ``ids`` (every id must be cached). Returns a copy."""
-        slots = self._slots(ids)
+        slots = self.slot_of(ids)
         return self._rows[slots].copy()
 
     # ----------------------------------------------------------------- writes
 
     def set(self, ids: np.ndarray, rows: np.ndarray) -> None:
         """Overwrite cached rows (used by the periodic synchronization)."""
-        slots = self._slots(ids)
+        slots = self.slot_of(ids)
         self._rows[slots] = rows
-
-    def add_inplace(self, ids: np.ndarray, deltas: np.ndarray) -> None:
-        """Accumulate ``deltas`` into cached rows, coalescing duplicates."""
-        slots = self._slots(ids)
-        np.add.at(self._rows, slots, deltas)
 
     @property
     def occupied(self) -> int:
@@ -204,26 +190,7 @@ class CacheTable:
         return self._rows
 
     def slot_of(self, ids: np.ndarray) -> np.ndarray:
-        """Slot index of each cached id (public alias used by optimizers)."""
-        return self._slots(ids)
-
-    # ---------------------------------------------------------------- private
-
-    def _lookup(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Uncached searchsorted membership + slot gather."""
-        n = len(self._sorted_ids)
-        if n == 0 or len(ids) == 0:
-            return (
-                np.zeros(len(ids), dtype=bool),
-                np.full(len(ids), -1, dtype=np.int64),
-            )
-        pos = np.searchsorted(self._sorted_ids, ids)
-        pos = np.minimum(pos, n - 1)
-        mask = self._sorted_ids[pos] == ids
-        slots = np.where(mask, self._sorted_slots[pos], -1)
-        return mask, slots
-
-    def _slots(self, ids: np.ndarray) -> np.ndarray:
+        """Slot index of each cached id; raises ``KeyError`` for a miss."""
         ids = np.asarray(ids, dtype=np.int64)
         mask, slots = self.lookup(ids)
         if not mask.all():

@@ -38,6 +38,15 @@ ADMITTED, REJECTED, SHED, TIMEOUT = "admitted", "rejected", "shed", "timeout"
 OUTCOMES = (ADMITTED, REJECTED, SHED, TIMEOUT)
 
 
+def _check_id(name: str, value, optional: bool = False) -> None:
+    """A row id is a non-negative Python or NumPy int, never a bool: a
+    negative id would silently index from the end of the table."""
+    if value is None and optional:
+        return
+    if type(value) is bool or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"query {name} must be a non-negative integer id, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Query:
     """One inference request.
@@ -47,13 +56,18 @@ class Query:
     against a curated candidate list (recommendation retrieval) or a
     sampled one; carrying the set on the query keeps the frontend
     deterministic and lets the workload generator control its skew.
+
+    ``head``, ``relation``, ``tail`` and every candidate are non-negative
+    integer ids (``ValueError`` otherwise); the side a prediction query
+    leaves open (``tail`` of a ``tail`` query, ``head`` of a ``head``
+    query) may be ``None``.
     """
 
     qid: int
     kind: str
-    head: int
+    head: int | None
     relation: int
-    tail: int
+    tail: int | None
     arrival: float
     candidates: tuple[int, ...] = ()
     #: Multi-tenant serving: which tenant issued the query.  The empty
@@ -68,6 +82,13 @@ class Query:
             )
         if self.arrival < 0:
             raise ValueError(f"arrival must be non-negative, got {self.arrival}")
+        # A prediction leaves one side open; only that side may be None.
+        _check_id("relation", self.relation)
+        _check_id("head", self.head, optional=self.kind == HEAD_PREDICTION)
+        _check_id("tail", self.tail, optional=self.kind == TAIL_PREDICTION)
+        if not all(type(c) is int and c >= 0 for c in self.candidates):
+            for c in self.candidates:
+                _check_id("candidates", c)
 
     # ------------------------------------------------------------- accesses
 

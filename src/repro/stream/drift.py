@@ -31,8 +31,6 @@ from repro.cache.filtering import HotSet, filter_hot_ids
 from repro.cache.hotness import HotnessTable, top_merged
 from repro.cache.prefetch import PrefetchResult, prefetch
 from repro.cache.strategies import HotEmbeddingStrategy
-from repro.sampling.minibatch import EpochSampler
-from repro.sampling.negative import MiniBatch
 from repro.utils.validation import check_fraction, check_positive
 
 
@@ -168,9 +166,6 @@ class AdaptiveStale(HotEmbeddingStrategy):
         self.detector = DriftDetector(threshold)
         self.rebuilds = 0
         self.windows_observed = 0
-        self._sampler: EpochSampler | None = None
-        self._queue: list[MiniBatch] = []
-        self._next_hot: HotSet | None = None
         self._entity_acc = HotnessTable.empty()
         self._relation_acc = HotnessTable.empty()
         self._cached_entities = np.empty(0, dtype=np.int64)
@@ -252,8 +247,7 @@ class AdaptiveStale(HotEmbeddingStrategy):
             relations=np.concatenate([hot.relations, extra_relations]),
         )
 
-    def _refill(self, force_rebuild: bool) -> None:
-        assert self._sampler is not None
+    def _refill(self, first: bool) -> HotSet | None:
         result = prefetch(self._sampler, self.window)
         self._queue = list(result.batches)
         self._pending_overhead += (
@@ -267,9 +261,7 @@ class AdaptiveStale(HotEmbeddingStrategy):
             result.relation_counts, self.decay
         )
         window_hot = self._build_hot(result)
-        if force_rebuild:
-            triggered = True
-        else:
+        if not first:
             signal = self.detector.observe(
                 window_hot,
                 self._cached_entities,
@@ -283,37 +275,18 @@ class AdaptiveStale(HotEmbeddingStrategy):
                     np.asarray(window_hot.relations),
                 ),
             )
-            triggered = signal.triggered
-        if triggered:
-            self.rebuilds += 1
-            # Charge the new membership to the inherited capacity ledger:
-            # the spare-slot top-up in _build_hot must never push the hot
-            # set past capacity, and this is where that would surface.
-            self._ledger.reinstall(window_hot.size)
-            self._next_hot = window_hot
-            self._cached_entities = np.sort(np.asarray(window_hot.entities))
-            self._cached_relations = np.sort(np.asarray(window_hot.relations))
-        else:
-            self._next_hot = None
+            if not signal.triggered:
+                return None
+        self.rebuilds += 1
+        # Charge the new membership to the inherited capacity ledger: the
+        # spare-slot top-up in _build_hot must never push the hot set past
+        # capacity, and this is where that would surface.
+        self._ledger.reinstall(window_hot.size)
+        self._cached_entities = np.sort(np.asarray(window_hot.entities))
+        self._cached_relations = np.sort(np.asarray(window_hot.relations))
+        return window_hot
 
     # ------------------------------------------------------------- public API
-
-    def setup(self, sampler: EpochSampler) -> HotSet:
-        self._sampler = sampler
-        self._refill(force_rebuild=True)
-        hot = self._next_hot
-        self._next_hot = None
-        assert hot is not None
-        return hot
-
-    def next_batch(self) -> tuple[MiniBatch, HotSet | None]:
-        if self._sampler is None:
-            raise RuntimeError("setup() must be called before next_batch()")
-        if not self._queue:
-            self._refill(force_rebuild=False)
-        hot = self._next_hot
-        self._next_hot = None
-        return self._queue.pop(0), hot
 
     def drop_ids(self, entities: np.ndarray, relations: np.ndarray) -> None:
         """Keep the membership record honest after external invalidation.

@@ -7,9 +7,9 @@ Two families, neither imported by ``src/``:
   (``lookup`` → ``on_hit``/``on_miss`` → ledger audit, one key at a time)
   and :class:`PerKeyFIFO` / :class:`PerKeyLRU` / :class:`PerKeyLFU` /
   :class:`PerKeyClock` / :class:`PerKeyPinned` are the five strategy bodies
-  that ``src/`` replaced with one batch loop each, kept verbatim.  2Q and
-  ARC still *are* per-key trios in ``src/``, so :func:`per_key_cache` pairs
-  those two production strategies with :class:`PerKeyCore`.
+  that ``src/`` replaced with one batch loop each, kept verbatim.
+  :class:`PerKeyTwoQueue` / :class:`PerKeyARC` are the 2Q and ARC trios,
+  kept verbatim when ``src/`` rewrote them as batch loops too.
   ``tests/test_cache_batch_equivalence.py`` drives this engine next to
   ``CacheCore.access_many`` and requires the same hit sequence, meters,
   residency and final eviction order for any split of a trace into calls.
@@ -27,6 +27,7 @@ from typing import Iterable
 
 from repro.cache.core import (
     POLICIES,
+    CacheCore,
     CapacityLedger,
     EvictionStrategy,
 )
@@ -277,6 +278,158 @@ class PerKeyPinned(EvictionStrategy):
         self._warming.clear()
 
 
+class PerKeyTwoQueue(EvictionStrategy):
+    """2Q: a probationary FIFO in front of a protected LRU, with segment
+    caps carved out of the core's capacity."""
+
+    def __init__(self, probation_fraction: float = 0.25) -> None:
+        super().__init__()
+        if not 0.0 < probation_fraction < 1.0:
+            raise ValueError(
+                f"probation_fraction must be in (0, 1), got {probation_fraction}"
+            )
+        self.probation_fraction = probation_fraction
+        self._probation: OrderedDict[int, None] = OrderedDict()
+        self._protected: OrderedDict[int, None] = OrderedDict()
+        self.probation_cap = 0
+        self.protected_cap = 0
+
+    def bind(self, core: CacheCore) -> None:
+        super().bind(core)
+        capacity = core.capacity
+        if capacity > 0:
+            self.probation_cap = min(
+                capacity, max(1, int(capacity * self.probation_fraction))
+            )
+            self.protected_cap = capacity - self.probation_cap
+
+    def lookup(self, key: int) -> bool:
+        return key in self._protected or key in self._probation
+
+    def on_hit(self, key: int) -> None:
+        if key in self._protected:
+            self._protected.move_to_end(key)
+            return
+        if self.protected_cap == 0:
+            return  # capacity 1: nowhere to promote to; stay probationary
+        del self._probation[key]
+        if len(self._protected) >= self.protected_cap:
+            victim, _ = self._protected.popitem(last=False)
+            self.core.evict(victim)
+        self._protected[key] = None
+
+    def on_miss(self, key: int) -> None:
+        if len(self._probation) >= self.probation_cap:
+            victim, _ = self._probation.popitem(last=False)
+            self.core.evict(victim)
+        self._probation[key] = None
+        self.core.admit(key)
+
+    def __len__(self) -> int:
+        return len(self._probation) + len(self._protected)
+
+    def clear(self) -> None:
+        self._probation.clear()
+        self._protected.clear()
+
+
+class PerKeyARC(EvictionStrategy):
+    """ARC: recency/frequency segments, their ghost lists and the exact
+    float target ``p`` in REPLACE."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._t1: OrderedDict[int, None] = OrderedDict()  # recent, once
+        self._t2: OrderedDict[int, None] = OrderedDict()  # frequent
+        self._b1: OrderedDict[int, None] = OrderedDict()  # ghosts of t1
+        self._b2: OrderedDict[int, None] = OrderedDict()  # ghosts of t2
+        self._p = 0.0  # adaptive target size of t1
+
+    @property
+    def p(self) -> float:
+        """The adaptive T1 target (exposed for tests/diagnostics)."""
+        return self._p
+
+    def _replace(self, in_b2: bool) -> None:
+        if self._t1 and (
+            len(self._t1) > self._p or (in_b2 and len(self._t1) >= self._p)
+        ):
+            victim, _ = self._t1.popitem(last=False)
+            self._b1[victim] = None
+            self.core.evict(victim)
+        elif self._t2:
+            victim, _ = self._t2.popitem(last=False)
+            self._b2[victim] = None
+            self.core.evict(victim)
+        elif self._t1:
+            victim, _ = self._t1.popitem(last=False)
+            self._b1[victim] = None
+            self.core.evict(victim)
+
+    def lookup(self, key: int) -> bool:
+        return key in self._t1 or key in self._t2
+
+    def on_hit(self, key: int) -> None:
+        if key in self._t1:
+            del self._t1[key]
+            self._t2[key] = None
+        else:
+            self._t2.move_to_end(key)
+
+    def on_miss(self, key: int) -> None:
+        capacity = self.core.capacity
+        if key in self._b1:
+            # Recency ghost hit: grow t1's target.
+            self._p = min(
+                float(capacity),
+                self._p + max(1.0, len(self._b2) / max(1, len(self._b1))),
+            )
+            del self._b1[key]
+            self._replace(in_b2=False)
+            self._t2[key] = None
+            self.core.admit(key)
+            return
+        if key in self._b2:
+            # Frequency ghost hit: shrink t1's target.
+            self._p = max(
+                0.0, self._p - max(1.0, len(self._b1) / max(1, len(self._b2)))
+            )
+            del self._b2[key]
+            self._replace(in_b2=True)
+            self._t2[key] = None
+            self.core.admit(key)
+            return
+
+        # Cold miss: case IV of the ARC paper.
+        if len(self._t1) + len(self._b1) == capacity:
+            if len(self._t1) < capacity:
+                self._b1.popitem(last=False)
+                self._replace(in_b2=False)
+            else:
+                victim, _ = self._t1.popitem(last=False)
+                self.core.evict(victim)
+        elif len(self._t1) + len(self._b1) < capacity:
+            total = (
+                len(self._t1) + len(self._t2) + len(self._b1) + len(self._b2)
+            )
+            if total >= capacity:
+                if total == 2 * capacity and self._b2:
+                    self._b2.popitem(last=False)
+                self._replace(in_b2=False)
+        self._t1[key] = None
+        self.core.admit(key)
+
+    def __len__(self) -> int:
+        return len(self._t1) + len(self._t2)
+
+    def clear(self) -> None:
+        self._t1.clear()
+        self._t2.clear()
+        self._b1.clear()
+        self._b2.clear()
+        self._p = 0.0
+
+
 #: Registry name -> the per-key strategy body that left ``src/``.
 PER_KEY_STRATEGIES: dict[str, type[EvictionStrategy]] = {
     "fifo": PerKeyFIFO,
@@ -284,13 +437,15 @@ PER_KEY_STRATEGIES: dict[str, type[EvictionStrategy]] = {
     "lfu": PerKeyLFU,
     "clock": PerKeyClock,
     "pinned": PerKeyPinned,
+    "2q": PerKeyTwoQueue,
+    "arc": PerKeyARC,
 }
 
 
 def per_key_cache(name: str, capacity: int) -> PerKeyCore:
     """The per-key oracle for a registered policy name: the verbatim old
-    strategy where ``src/`` now has a batch loop, the production trio (2Q,
-    ARC) otherwise — always on the per-key :class:`PerKeyCore`."""
+    strategy body (the production class for a policy registered without
+    one) — always on the per-key :class:`PerKeyCore`."""
     strategy_cls = PER_KEY_STRATEGIES.get(name) or POLICIES[name]
     return PerKeyCore(capacity, strategy_cls())
 

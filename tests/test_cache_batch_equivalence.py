@@ -1,14 +1,14 @@
 """``CacheCore.access_many`` == the per-key engine, for any split into calls.
 
 The oracle is ``tests/reference/cache_policies_reference.py``: the old
-``CacheCore.access`` body (``PerKeyCore``) driving the five strategy bodies
-that left ``src/`` verbatim (and the production 2Q/ARC trios, which did not
-leave).  For every registered policy × capacity {0, 1, 2, 3, 7, 64} ×
-hypothesis traces over a small key space × an arbitrary split of the trace
-into calls — empty calls, single-key calls, calls longer than the capacity —
-the batched engine must report the same hit mask, meters and residency after
-every call, the same ARC target and LFU historical counts at the end, and
-then evict in the same order while a fixed suffix of fresh keys drains it.
+``CacheCore.access`` body (``PerKeyCore``) driving the seven per-key
+strategy bodies that left ``src/``, verbatim.  For every registered
+policy × capacity {0, 1, 2, 3, 7, 64} × hypothesis traces over a small key
+space × an arbitrary split of the trace into calls — empty calls,
+single-key calls, calls longer than the capacity — the batched engine must
+report the same hit mask, meters and residency after every call, the same
+ARC target and LFU historical counts at the end, and then evict in the same
+order while a fixed suffix of fresh keys drains it.
 
 The last class mutation-checks the suite itself: two plausible-looking wrong
 LRU batch loops must fail it.

@@ -179,18 +179,22 @@ class TestCacheCore:
                 super().__init__()
                 self._order = OrderedDict()
 
-            def lookup(self, key):
-                return key in self._order
-
-            def on_hit(self, key):
-                self._order.move_to_end(key)
-
-            def on_miss(self, key):
-                if self.core.full:
-                    victim, _ = self._order.popitem(last=True)
-                    self.core.evict(victim)
-                self._order[key] = None
-                self.core.admit(key)
+            def access_many(self, keys):
+                order = self._order
+                room = self.core.capacity - len(order)
+                hits, evicted = [], 0
+                for position, key in enumerate(keys):
+                    if key in order:
+                        order.move_to_end(key)
+                        hits.append(position)
+                        continue
+                    if room:
+                        room -= 1
+                    else:
+                        order.popitem(last=True)
+                        evicted += 1
+                    order[key] = None
+                return hits, len(keys) - len(hits), evicted
 
             def __len__(self):
                 return len(self._order)
@@ -213,15 +217,15 @@ class TestCacheCore:
                 super().__init__()
                 self._members = set()
 
-            def lookup(self, key):
-                return key in self._members
-
-            def on_hit(self, key):
-                pass
-
-            def on_miss(self, key):  # admits unconditionally: overflows
-                self._members.add(key)
-                self.core.admit(key)
+            def access_many(self, keys):
+                members = self._members
+                hits = []
+                for position, key in enumerate(keys):
+                    if key in members:
+                        hits.append(position)
+                    else:  # admits unconditionally: overflows
+                        members.add(key)
+                return hits, len(keys) - len(hits), 0
 
             def __len__(self):
                 return len(self._members)
@@ -233,38 +237,6 @@ class TestCacheCore:
         core.access(1)
         with pytest.raises(CapacityError):
             core.access(2)
-
-    def test_trio_overflow_raises_at_the_offending_key(self):
-        """The inherited ``access_many`` moves the ledger per key: the
-        strategy below is never asked about the key after the overflow."""
-        seen = []
-
-        class LeakyTrio(EvictionStrategy):
-            def __init__(self):
-                super().__init__()
-                self._members = set()
-
-            def lookup(self, key):
-                seen.append(key)
-                return key in self._members
-
-            def on_hit(self, key):
-                pass
-
-            def on_miss(self, key):
-                self._members.add(key)
-                self.core.admit(key)
-
-            def __len__(self):
-                return len(self._members)
-
-            def clear(self):
-                self._members.clear()
-
-        core = CacheCore(2, LeakyTrio())
-        with pytest.raises(CapacityError):
-            core.access_many([1, 2, 3, 4, 5])
-        assert seen == [1, 2, 3]
 
     def test_batch_loop_overflow_is_caught_by_the_call(self):
         """A leaky policy written as an ``access_many`` override: the call
@@ -316,6 +288,9 @@ class TestCacheCore:
             CacheCore(4, Miscounting()).access_many([1])
 
     def test_strategy_with_neither_shape_says_so(self):
+        """A strategy without ``access_many`` fails at its first access,
+        naming the method it lacks."""
+
         class Shapeless(EvictionStrategy):
             def __len__(self):
                 return 0
@@ -323,7 +298,9 @@ class TestCacheCore:
             def clear(self):
                 pass
 
-        with pytest.raises(NotImplementedError, match="neither"):
+        with pytest.raises(
+            NotImplementedError, match="Shapeless does not implement access_many"
+        ):
             CacheCore(1, Shapeless()).access(1)
 
     @pytest.mark.parametrize("policy", REACTIVE)

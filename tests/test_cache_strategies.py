@@ -46,10 +46,11 @@ class TestCPS:
         strategy.next_batch()
         assert strategy.consume_overhead_items() == 0
 
-    def test_custom_horizon(self, small_graph):
-        strategy = ConstantPartialStale(capacity=16, horizon=3)
-        strategy.setup(make_sampler(small_graph))
-        assert len(strategy._queue) == 3
+    def test_first_window_is_one_epoch(self, small_graph):
+        sampler = make_sampler(small_graph)
+        strategy = ConstantPartialStale(capacity=16)
+        strategy.setup(sampler)
+        assert len(strategy._queue) == sampler.batches_per_epoch
 
     def test_next_batch_before_setup(self):
         with pytest.raises(RuntimeError, match="setup"):

@@ -29,6 +29,15 @@ class TestInstall:
         with pytest.raises(ValueError, match="unique"):
             t.install(np.array([1, 1]), np.zeros((2, 1)))
 
+    def test_rejected_install_changes_nothing(self, table):
+        before = table.rows_view().copy()
+        for ids in ([7, 7], [5, -2]):
+            with pytest.raises(ValueError):
+                table.install(np.array(ids), np.ones((2, 2)))
+            assert table.ids.tolist() == [10, 20, 30]
+            assert 7 not in table and 5 not in table
+            assert np.array_equal(table.rows_view(), before)
+
     def test_mismatched_rows_rejected(self):
         t = CacheTable(4, 1)
         with pytest.raises(ValueError, match="ids"):
@@ -108,8 +117,10 @@ class TestReads:
         assert table.stats.hits == 2
         assert table.stats.misses == 1
 
-    def test_membership_mask_no_stats(self, table):
-        table.membership_mask(np.array([10, 99]))
+    def test_lookup_no_stats(self, table):
+        mask, slots = table.lookup(np.array([10, 99, -1, 30]))
+        assert mask.tolist() == [True, False, False, True]
+        assert slots.tolist() == [0, -1, -1, 2]
         assert table.stats.accesses == 0
 
 
@@ -117,12 +128,6 @@ class TestWrites:
     def test_set(self, table):
         table.set(np.array([20]), np.array([[8.0, 8.0]]))
         assert table.get(np.array([20]))[0].tolist() == [8.0, 8.0]
-
-    def test_add_inplace_coalesces_duplicates(self, table):
-        table.add_inplace(
-            np.array([10, 10]), np.array([[1.0, 0.0], [1.0, 0.0]])
-        )
-        assert table.get(np.array([10]))[0, 0] == 2.0
 
     def test_slot_of(self, table):
         slots = table.slot_of(np.array([20]))

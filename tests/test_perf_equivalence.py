@@ -147,6 +147,86 @@ class TestCacheTableVsDictMap:
         # install assigns ids[i] -> slot i, exactly like the dict map did.
         assert np.array_equal(slots, np.arange(len(ids)))
 
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_install_sequences_agree(self, data):
+        """Re-installs grow, shrink, replace, empty and widen the id range;
+        after each one every read agrees with a fresh dict map, stale and
+        out-of-range ids miss, and the slots past the membership are zero."""
+        capacity, width = 12, 3
+        table = CacheTable(capacity, width)
+        current: list[int] = []
+        seen: set[int] = set()
+        hits = misses = 0
+        for step in range(data.draw(st.integers(1, 6), label="installs")):
+            ids = self._next_install(data, current, capacity)
+            rows = 1.0 + step * 100 + np.arange(width * len(ids), dtype=np.float64)
+            rows = rows.reshape(len(ids), width)
+            table.install(np.asarray(ids, dtype=np.int64), rows)
+            ref = RefDictTable(np.asarray(ids, dtype=np.int64), rows)
+            current = ids
+            seen.update(ids)
+            top = max(seen, default=0)
+            queries = np.asarray(
+                data.draw(
+                    st.lists(
+                        st.one_of(
+                            st.sampled_from(sorted(seen) or [0]),
+                            st.integers(-3, -1),
+                            st.integers(top + 1, top + 3),
+                            st.just(2**40),
+                        ),
+                        max_size=30,
+                    ),
+                    label="queries",
+                ),
+                dtype=np.int64,
+            )
+
+            mask, hit_ids, miss_ids = table.partition_hits(queries)
+            ref_mask, ref_hits, ref_misses = ref.partition(queries)
+            assert np.array_equal(mask, ref_mask)
+            assert np.array_equal(hit_ids, ref_hits)
+            assert np.array_equal(miss_ids, ref_misses)
+            hits += len(ref_hits)
+            misses += len(ref_misses)
+            assert (table.stats.hits, table.stats.misses) == (hits, misses)
+            if len(hit_ids):
+                assert np.array_equal(table.get(hit_ids), ref.get(hit_ids))
+            assert table.ids.tolist() == ids
+            assert table.occupied == len(table) == len(ids)
+            assert not table.rows_view()[len(ids):].any()
+
+    @staticmethod
+    def _next_install(data, current: list[int], capacity: int) -> list[int]:
+        shape = data.draw(
+            st.sampled_from(["grow", "shrink", "disjoint", "empty", "jump"]),
+            label="shape",
+        )
+        if shape == "empty":
+            return []
+        if shape == "shrink":
+            if not current:
+                return []
+            return data.draw(
+                st.lists(
+                    st.sampled_from(current), unique=True,
+                    max_size=len(current) - 1,
+                ),
+                label="kept",
+            )
+        fresh = st.integers(0, 60).filter(lambda i: i not in current)
+        if shape == "jump":  # the largest id moves far past every earlier one
+            fresh = st.integers(1_000, 50_000)
+        room = capacity - (len(current) if shape == "grow" else 0)
+        new = data.draw(
+            st.lists(fresh, unique=True, min_size=1, max_size=max(1, room)),
+            label="new",
+        )
+        if shape == "grow":
+            return current + new[:room]
+        return new
+
 
 # -------------------------------------------------------- top-k tie-breaking
 

@@ -39,11 +39,60 @@ class TestQuery:
 
     def test_prediction_touches_anchor_plus_candidates(self):
         q = Query(
-            qid=0, kind="tail", head=3, relation=1, tail=-1, arrival=0.0,
+            qid=0, kind="tail", head=3, relation=1, tail=None, arrival=0.0,
             candidates=(7, 8, 9),
         )
         assert q.entity_ids().tolist() == [3, 7, 8, 9]
         assert q.num_scores == 3
+
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("tail", "head", -1),
+            ("tail", "head", 2.9),
+            ("tail", "head", True),
+            ("tail", "head", None),
+            ("tail", "head", "3"),
+            ("tail", "relation", -2),
+            ("tail", "relation", np.float64(1.0)),
+            ("tail", "relation", None),
+            ("head", "tail", -1),
+            ("head", "tail", np.bool_(True)),
+            ("tail", "tail", -1),
+            ("score", "head", None),
+            ("score", "tail", None),
+            ("score", "tail", np.int64(-4)),
+            ("tail", "candidates", (7, -1)),
+            ("tail", "candidates", (7, 2.5)),
+            ("tail", "candidates", (False, 8)),
+            ("head", "candidates", (np.int32(7), None)),
+        ],
+    )
+    def test_rejects_ids_that_are_not_non_negative_ints(self, kind, field, value):
+        """A negative id would rank the last entity's row; a float one
+        would crash the frontend after the fetch was charged."""
+        fields = dict(head=3, relation=1, tail=5, candidates=(7, 8))
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"query {field} must be"):
+            Query(qid=0, kind=kind, arrival=0.0, **fields)
+
+    @pytest.mark.parametrize(
+        "kind, head, tail",
+        [
+            ("tail", np.int64(3), None),
+            ("head", None, np.int32(5)),
+            ("score", np.uint8(0), 5),
+            ("tail", 3, 5),
+        ],
+    )
+    def test_accepts_numpy_ints_and_the_open_side_as_none(self, kind, head, tail):
+        q = Query(
+            qid=0, kind=kind, head=head, relation=np.int64(1), tail=tail,
+            arrival=0.0, candidates=(np.int64(7), 8),
+        )
+        assert q.entity_ids().tolist() == [
+            *(int(a) for a in q.anchors()), 7, 8
+        ]
 
     def test_log_access_counts(self):
         log = QueryLog([score_query(0, head=1, tail=2), score_query(1, head=1, tail=3)])
