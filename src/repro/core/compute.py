@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kg.graph import HEAD, REL, TAIL
 from repro.models.base import KGEModel
 from repro.models.losses import Loss
 from repro.sampling.negative import MiniBatch
@@ -35,6 +34,22 @@ class BatchGradients:
     active_negatives: int | None = None
 
 
+def _positions(
+    ids: np.ndarray, own: np.ndarray, positions: np.ndarray, table: str
+) -> np.ndarray:
+    """Map positions into a batch's own sorted unique ids ``own`` onto
+    positions into the caller's ``ids``: one ``searchsorted`` over the
+    unique ids, then one gather.  Every id of ``own`` must be in ``ids``
+    (a miss would silently train on a neighbour's row)."""
+    remap = np.searchsorted(ids, own)
+    if len(own) and not (len(ids) and (np.take(ids, remap, mode="clip") == own).all()):
+        raise ValueError(
+            f"{table} id {own[~np.isin(own, ids)][0]} is in the batch but not "
+            f"in the {len(ids)} {table} ids given"
+        )
+    return remap[positions]
+
+
 def compute_batch_gradients(
     model: KGEModel,
     loss: Loss,
@@ -49,26 +64,31 @@ def compute_batch_gradients(
     Parameters
     ----------
     entity_ids / relation_ids:
-        Sorted unique ids the batch touches (from
-        :meth:`MiniBatch.unique_entities` / ``unique_relations``).
+        Sorted unique ids covering every id the batch touches — normally
+        :meth:`MiniBatch.unique_entities` / ``unique_relations`` themselves;
+        a superset gets zero rows for the ids the batch does not touch.  An
+        id of the batch missing here raises ``ValueError``.
     entity_rows / relation_rows:
         Embedding rows aligned with those ids (wherever they were fetched
         from — cache or parameter server).
 
     Returns the loss and gradients *coalesced per unique id*, ready to push.
     """
-    pos = batch.positives
     b = batch.size
     n_neg = batch.num_negatives
 
-    h_pos = np.searchsorted(entity_ids, pos[:, HEAD])
-    t_pos = np.searchsorted(entity_ids, pos[:, TAIL])
-    r_pos = np.searchsorted(relation_ids, pos[:, REL])
-    neg_pos = np.searchsorted(entity_ids, batch.neg_entities)  # (b, n_neg)
+    # The batch resolved each of its ids once (MiniBatch.index); only its
+    # unique ids are looked up in the caller's.
+    index = batch.index()
+    ent_pos = _positions(entity_ids, index.entities, index.entity_positions, "entity")
+    r_pos = _positions(
+        relation_ids, index.relations, index.relation_positions, "relation"
+    )
+    h_pos, t_pos, neg_flat = ent_pos[:b], ent_pos[b : 2 * b], ent_pos[2 * b :]
 
-    h_rows = entity_rows[h_pos]
-    t_rows = entity_rows[t_pos]
-    r_rows = relation_rows[r_pos]
+    h_rows = np.take(entity_rows, h_pos, axis=0)
+    t_rows = np.take(entity_rows, t_pos, axis=0)
+    r_rows = np.take(relation_rows, r_pos, axis=0)
 
     # ---- forward ---------------------------------------------------------
     # What each ``score`` call leaves in its dict, the ``grad`` call on the
@@ -79,14 +99,12 @@ def compute_batch_gradients(
 
     # Negative triples: corrupt head or tail per row of the batch.
     corrupt_head = np.repeat(batch.corrupt_head, n_neg)  # (b * n_neg,)
-    rep = np.repeat(np.arange(b), n_neg)
-    neg_flat = neg_pos.ravel()
-    neg_h_idx = np.where(corrupt_head, neg_flat, h_pos[rep])
-    neg_t_idx = np.where(corrupt_head, t_pos[rep], neg_flat)
-    neg_r_idx = r_pos[rep]
-    neg_h = entity_rows[neg_h_idx]
-    neg_t = entity_rows[neg_t_idx]
-    neg_r = relation_rows[neg_r_idx]
+    neg_h_idx = np.where(corrupt_head, neg_flat, np.repeat(h_pos, n_neg))
+    neg_t_idx = np.where(corrupt_head, np.repeat(t_pos, n_neg), neg_flat)
+    neg_r_idx = np.repeat(r_pos, n_neg)
+    neg_h = np.take(entity_rows, neg_h_idx, axis=0)
+    neg_t = np.take(entity_rows, neg_t_idx, axis=0)
+    neg_r = np.take(relation_rows, neg_r_idx, axis=0)
     neg_scores = model.score(neg_h, neg_r, neg_t, neg_shared).reshape(b, n_neg)
 
     result = loss.compute(pos_scores, neg_scores)
@@ -108,26 +126,24 @@ def compute_batch_gradients(
     if 2 * len(keep) <= len(upstream):
         upstream = upstream[keep]
         neg_h_idx, neg_r_idx, neg_t_idx = neg_h_idx[keep], neg_r_idx[keep], neg_t_idx[keep]
-        neg_h, neg_r, neg_t = neg_h[keep], neg_r[keep], neg_t[keep]
-        neg_shared = {name: rows[keep] for name, rows in neg_shared.items()}
+        neg_h, neg_r, neg_t = (
+            np.take(rows, keep, axis=0) for rows in (neg_h, neg_r, neg_t)
+        )
+        neg_shared = {
+            name: np.take(rows, keep, axis=0) for name, rows in neg_shared.items()
+        }
     gh, gr, gt = model.grad(h_rows, r_rows, t_rows, result.grad_pos, pos_shared)
     gnh, gnr, gnt = model.grad(neg_h, neg_r, neg_t, upstream, neg_shared)
 
-    # One order-preserving scatter per table replaces six np.add.at passes.
-    # The concatenation preserves the reference pass order (gh, gt, gnh,
-    # gnt — and gr, gnr for relations), so every gradient slot sees its
-    # float contributions in the same left-to-right order and the result
-    # is bit-identical (enforced against tests/reference/compute_reference).
+    # One scatter per table, its blocks in the reference pass order (gh, gt,
+    # gnh, gnt — and gr, gnr for relations): every gradient slot sees its
+    # float contributions in the same left-to-right order, so the result is
+    # bit-identical (enforced against tests/reference/compute_reference).
     ent_grads = scatter_add_rows(
-        np.concatenate([h_pos, t_pos, neg_h_idx, neg_t_idx]),
-        np.concatenate([gh, gt, gnh, gnt]),
+        [(h_pos, gh), (t_pos, gt), (neg_h_idx, gnh), (neg_t_idx, gnt)],
         len(entity_ids),
     )
-    rel_grads = scatter_add_rows(
-        np.concatenate([r_pos, neg_r_idx]),
-        np.concatenate([gr, gnr]),
-        len(relation_ids),
-    )
+    rel_grads = scatter_add_rows([(r_pos, gr), (neg_r_idx, gnr)], len(relation_ids))
 
     return BatchGradients(
         loss=result.value,

@@ -75,11 +75,11 @@ def coalesce(
     returns them that way), so a strictly-increasing id array is passed
     through untouched — no ``np.unique``, no scatter.  The general path
     sums duplicates with one :func:`~repro.utils.kernels.scatter_add_rows`
-    (input-order one-hot product), matching the former ``np.add.at``
+    (one block, added row by row in input order), matching the former ``np.add.at``
     accumulation bit for bit.
     """
     row_ids = np.asarray(row_ids, dtype=np.int64)
     if len(row_ids) < 2 or bool(np.all(row_ids[:-1] < row_ids[1:])):
         return row_ids, np.asarray(grads)
     unique, inverse = np.unique(row_ids, return_inverse=True)
-    return unique, scatter_add_rows(inverse, grads, len(unique))
+    return unique, scatter_add_rows([(inverse, grads)], len(unique))

@@ -121,7 +121,7 @@ class ParameterServer:
         from the local shard vs over the network.  Rows are returned in the
         order of ``ids``.
         """
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = self._checked_ids(kind, ids)
         with self._trace(machine).span("ps.pull", "ps", kind=kind) as span:
             rows = self.store.read(kind, ids)
             # One ownership gather feeds both the compression split and the
@@ -146,7 +146,7 @@ class ParameterServer:
     ) -> CommRecord:
         """Send gradients for rows ``ids``; the server applies the optimizer
         immediately (asynchronous protocol, no barrier)."""
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = self._checked_ids(kind, ids)
         if len(ids) != len(grads):
             raise ValueError(
                 f"push got {len(ids)} ids but {len(grads)} gradient rows"
@@ -178,13 +178,37 @@ class ParameterServer:
         attempts whose payload was lost in transit (a dropped push must not
         apply the optimizer, but its bytes still crossed the network).
         """
-        return self._meter(kind, np.asarray(ids, dtype=np.int64), machine)
+        return self._meter(kind, self._checked_ids(kind, ids), machine)
 
     def touched_shards(self, kind: str, ids: np.ndarray) -> np.ndarray:
         """Distinct shard (machine) ids an operation on ``ids`` contacts."""
-        return np.unique(self.store.owners(kind, np.asarray(ids, dtype=np.int64)))
+        return np.unique(self.store.owners(kind, self._checked_ids(kind, ids)))
 
     # ---------------------------------------------------------------- private
+
+    def _checked_ids(self, kind: str, ids) -> np.ndarray:
+        """``ids`` as int64 row ids of table ``kind``, or ``ValueError``
+        naming the table and a bad id.  The one check at the PS boundary:
+        a cast alone would read row 2 for id 2.9, the last row for -1 and
+        rows 1, 0 for ``[True, False]`` — on every backing, and through the
+        fault and mp channels that call in here."""
+        ids = np.asarray(ids)
+        if ids.size == 0:
+            return ids.astype(np.int64)
+        if ids.dtype.kind not in "iu":
+            raise ValueError(
+                f"{kind} ids must be integers; got {ids.flat[0].item()!r} "
+                f"(dtype {ids.dtype})"
+            )
+        rows = len(self.store.table(kind))
+        # One reduction: viewed unsigned, a negative id is a huge one.
+        if int(ids.view(f"u{ids.itemsize}").max()) >= rows:
+            lo, hi = ids.min(), ids.max()
+            raise ValueError(
+                f"{kind} id {lo if lo < 0 else hi} is out of range for a "
+                f"table of {rows} rows"
+            )
+        return ids.astype(np.int64, copy=False)
 
     def _meter(self, kind: str, ids: np.ndarray, machine: int) -> CommRecord:
         """Byte/message accounting for moving rows ``ids`` to/from

@@ -15,13 +15,41 @@ filter out corruptions that collide with true triples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.kg.graph import HEAD, REL, TAIL, KnowledgeGraph
 from repro.utils.rng import make_rng
 from repro.utils.validation import check_in, check_positive
+
+
+@dataclass(frozen=True)
+class BatchIndex:
+    """Where every id occurrence of a :class:`MiniBatch` sits in the
+    batch's sorted unique ids (what :meth:`MiniBatch.index` returns).
+
+    ``entities[entity_positions]`` is the concatenation of the heads, the
+    tails and the row-major negatives; ``relations[relation_positions]``
+    is the positives' relation column.  All four arrays are read-only.
+    """
+
+    entities: np.ndarray
+    entity_positions: np.ndarray
+    relations: np.ndarray
+    relation_positions: np.ndarray
+
+    def __post_init__(self) -> None:
+        for array in vars(self).values():
+            array.flags.writeable = False
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A view of ``array`` that refuses writes (``array`` itself keeps its
+    flags, so no caller-owned array is frozen behind its owner's back)."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass
@@ -36,11 +64,24 @@ class MiniBatch:
         ``(b, n_neg)`` entity ids that corrupt each positive.
     corrupt_head:
         ``(b,)`` bool; ``True`` rows corrupt the head, others the tail.
+
+    The batch carries its own index: the first call to :meth:`index` (or
+    :meth:`unique_entities` / :meth:`unique_relations`) takes one
+    ``np.unique(..., return_inverse=True)`` over the entity occurrences and
+    one over the relations and caches the result, so a step resolves each
+    id once.  Taking the index freezes the batch — the three attributes
+    become read-only views, and a later in-place rewrite raises instead of
+    training on a stale index.  Every in-place writer (false-negative
+    resampling, the hard-negative cache's mix) runs inside the sampler's
+    ``corrupt``, before the batch is handed out.
     """
 
     positives: np.ndarray
     neg_entities: np.ndarray
     corrupt_head: np.ndarray
+    _index: BatchIndex | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def size(self) -> int:
@@ -50,21 +91,38 @@ class MiniBatch:
     def num_negatives(self) -> int:
         return self.neg_entities.shape[1]
 
+    def index(self) -> BatchIndex:
+        """The batch's sorted unique ids and every occurrence's position in
+        them (computed once, then cached; freezes the batch)."""
+        if self._index is None:
+            self.positives = _read_only(self.positives)
+            self.neg_entities = _read_only(self.neg_entities)
+            self.corrupt_head = _read_only(self.corrupt_head)
+            entities, entity_positions = np.unique(
+                np.concatenate(
+                    [
+                        self.positives[:, HEAD],
+                        self.positives[:, TAIL],
+                        self.neg_entities.ravel(),
+                    ]
+                ),
+                return_inverse=True,
+            )
+            relations, relation_positions = np.unique(
+                self.positives[:, REL], return_inverse=True
+            )
+            self._index = BatchIndex(
+                entities, entity_positions, relations, relation_positions
+            )
+        return self._index
+
     def unique_entities(self) -> np.ndarray:
         """Sorted unique entity ids this batch touches (pos + neg)."""
-        return np.unique(
-            np.concatenate(
-                [
-                    self.positives[:, HEAD],
-                    self.positives[:, TAIL],
-                    self.neg_entities.ravel(),
-                ]
-            )
-        )
+        return self.index().entities
 
     def unique_relations(self) -> np.ndarray:
         """Sorted unique relation ids this batch touches."""
-        return np.unique(self.positives[:, REL])
+        return self.index().relations
 
     def negative_triples(self) -> np.ndarray:
         """Materialise all ``(b * n_neg, 3)`` corrupted triples."""

@@ -80,7 +80,7 @@ class TestScatterAgainstBincount:
         idx = rng.integers(0, n_out, size=n)
         with np.errstate(all="ignore"):
             expected = reference.scatter_add_rows(idx, rows, n_out)
-            actual = scatter_add_rows(idx, rows, n_out)
+            actual = scatter_add_rows([(idx, rows)], n_out)
         assert_same_bits(actual, expected)
 
     @given(
@@ -102,17 +102,49 @@ class TestScatterAgainstBincount:
         where = np.sort(rng.integers(0, n + 1, size=extra))
         zeros = rng.choice([0.0, -0.0], size=(extra, d))
         with np.errstate(all="ignore"):
-            without = scatter_add_rows(idx, rows, n_out)
+            without = scatter_add_rows([(idx, rows)], n_out)
             with_zeros = scatter_add_rows(
-                np.insert(idx, where, rng.integers(0, n_out, size=extra)),
-                np.insert(rows, where, zeros, axis=0),
+                [
+                    (
+                        np.insert(idx, where, rng.integers(0, n_out, size=extra)),
+                        np.insert(rows, where, zeros, axis=0),
+                    )
+                ],
                 n_out,
             )
         assert_same_bits(with_zeros, without)
 
+    @given(
+        seed=st.integers(0, 10_000),
+        n_out=st.integers(1, 40),
+        n=st.integers(0, 200),
+        d=st.sampled_from([0, 1, 3, 9]),
+        cuts=st.lists(st.integers(0, 200), max_size=6),
+        dtype=st.sampled_from([np.int32, np.intp, np.uint8]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_blocks_split_anywhere_match_the_unsplit_call_and_bincount(
+        self, seed, n_out, n, d, cuts, dtype
+    ):
+        """Blocks add in order and rows in order within a block, so any
+        split of the concatenation — empty blocks included — gives every
+        output cell the concatenation's addition chain."""
+        rng = np.random.default_rng(seed)
+        rows = _full_range_rows(rng, n, d)
+        idx = rng.integers(0, n_out, size=n).astype(dtype)
+        bounds = [0, *sorted(min(c, n) for c in cuts), n]
+        blocks = [(idx[a:b], rows[a:b]) for a, b in zip(bounds, bounds[1:])]
+        with np.errstate(all="ignore"):
+            whole = scatter_add_rows([(idx, rows)], n_out)
+            split = scatter_add_rows(blocks, n_out)
+            oracle = reference.scatter_add_rows(idx.astype(np.int64), rows, n_out)
+        assert split.shape == (n_out, d)
+        assert_same_bits(split, whole)
+        assert_same_bits(split, oracle)
+
     def test_negative_zero_rows_sum_to_positive_zero(self):
         """The chain starts at +0.0, as ``np.add.at`` into zeros does."""
-        out = scatter_add_rows(np.array([1, 1]), np.full((2, 3), -0.0), 2)
+        out = scatter_add_rows([(np.array([1, 1]), np.full((2, 3), -0.0))], 2)
         assert not np.signbit(out).any()
 
 

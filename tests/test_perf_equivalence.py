@@ -352,7 +352,7 @@ class TestScatterAdd:
         rows = rng.standard_normal((n_in, dim))
         ref = np.zeros((n_out, dim))
         np.add.at(ref, idx, rows)
-        assert np.array_equal(scatter_add_rows(idx, rows, n_out), ref)
+        assert np.array_equal(scatter_add_rows([(idx, rows)], n_out), ref)
 
     @given(seed=st.integers(0, 1000), n_in=st.integers(0, 60))
     @settings(max_examples=60, deadline=None)
@@ -367,7 +367,7 @@ class TestScatterAdd:
         assert np.array_equal(unique, ref_unique)
         assert np.array_equal(summed, ref_summed)
 
-    # The one-hot product writes through ``indices`` unchecked in C, so the
+    # The compiled loop writes through ``indices`` unchecked, so the
     # kernel owns the range check (np.bincount used to reject negatives;
     # an index >= n_out died later, in reshape, with a size message).
 
@@ -375,30 +375,32 @@ class TestScatterAdd:
     def test_out_of_range_index_names_itself_and_n_out(self, bad):
         idx = np.array([0, 4, bad, 2])
         with pytest.raises(ValueError, match=rf"index {bad} is out of range for n_out=5"):
-            scatter_add_rows(idx, np.ones((4, 3)), 5)
+            scatter_add_rows([(idx, np.ones((4, 3)))], 5)
 
     def test_rejects_indices_that_are_not_one_integer_per_row(self):
         rows = np.ones((3, 2))
         for idx in (np.array([0, 1]), np.array([[0, 1, 2]]), np.array([0.0, 1.0, 2.0])):
             with pytest.raises(ValueError, match="indices must be 3 integers"):
-                scatter_add_rows(idx, rows, 4)
+                scatter_add_rows([(idx, rows)], 4)
 
     def test_empty_shapes(self):
         none = np.array([], dtype=np.int64)
-        assert np.array_equal(scatter_add_rows(none, np.zeros((0, 3)), 4), np.zeros((4, 3)))
-        assert scatter_add_rows(none, np.zeros((0, 3)), 0).shape == (0, 3)
+        assert np.array_equal(scatter_add_rows([(none, np.zeros((0, 3)))], 4), np.zeros((4, 3)))
+        assert scatter_add_rows([(none, np.zeros((0, 3)))], 0).shape == (0, 3)
         # np.array([]) is float64: nothing to scatter, so nothing to reject.
-        assert np.array_equal(scatter_add_rows(np.array([]), np.zeros((0, 3)), 4), np.zeros((4, 3)))
-        assert scatter_add_rows(np.array([1, 1]), np.zeros((2, 0)), 4).shape == (4, 0)
+        assert np.array_equal(
+            scatter_add_rows([(np.array([]), np.zeros((0, 3)))], 4), np.zeros((4, 3))
+        )
+        assert scatter_add_rows([(np.array([1, 1]), np.zeros((2, 0)))], 4).shape == (4, 0)
         with pytest.raises(ValueError, match="index 0 is out of range for n_out=0"):
-            scatter_add_rows(np.array([0]), np.ones((1, 3)), 0)
+            scatter_add_rows([(np.array([0]), np.ones((1, 3)))], 0)
 
     def test_single_column_takes_scipys_matvec_path(self):
         idx = np.array([2, 0, 2, 2])
         rows = np.array([[0.1], [0.2], [0.3], [1e17]])
         ref = np.zeros((3, 1))
         np.add.at(ref, idx, rows)
-        out = scatter_add_rows(idx, rows, 3)
+        out = scatter_add_rows([(idx, rows)], 3)
         assert out.shape == (3, 1) and np.array_equal(out, ref)
 
     @pytest.mark.parametrize("dtype", [np.int32, np.intp, np.int64, np.uint8])
@@ -407,8 +409,49 @@ class TestScatterAdd:
         idx = rng.integers(0, 6, size=50)
         rows = rng.standard_normal((50, 4))
         assert np.array_equal(
-            scatter_add_rows(idx.astype(dtype), rows, 6), scatter_add_rows(idx, rows, 6)
+            scatter_add_rows([(idx.astype(dtype), rows)], 6), scatter_add_rows([(idx, rows)], 6)
         )
+
+    def test_every_block_is_checked_before_the_kernel_runs(self, monkeypatch):
+        """The compiled loop writes through its indices unchecked, so an
+        out-of-range index in the *last* block must stop the call before
+        any block is added."""
+        from scipy.sparse import _sparsetools
+
+        calls = []
+        monkeypatch.setattr(
+            _sparsetools, "csc_matvecs", lambda *args: calls.append(args)
+        )
+        good = (np.array([0, 1]), np.ones((2, 3)))
+        for bad, message in (
+            ((np.array([2, 5]), np.ones((2, 3))), "index 5 is out of range for n_out=5"),
+            ((np.array([-1]), np.ones((1, 3))), "index -1 is out of range"),
+            ((np.array([0.0]), np.ones((1, 3))), "indices must be 1 integers"),
+            ((np.array([0]), np.ones((1, 2))), "every block must be 3 wide"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                scatter_add_rows([good, good, bad], 5)
+        assert calls == []
+        with pytest.raises(ValueError, match="at least one block"):
+            scatter_add_rows([], 5)
+
+    def test_csc_matvecs_accumulates_into_y(self):
+        """The private loop the kernel calls: ``y += A @ x`` for a CSC
+        ``A`` — it adds into a non-zero ``y`` rather than overwriting it, in
+        column order, and takes int64 ``indptr`` / ``indices``.  A scipy
+        that renames it or changes either fails here first."""
+        from scipy.sparse import _sparsetools
+
+        indptr = np.arange(5, dtype=np.int64)
+        indices = np.array([2, 0, 2, 1], dtype=np.int64)
+        x = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [1e17, -1.0]])
+        y = np.full((3, 2), 10.0)
+        _sparsetools.csc_matvecs(3, 4, 2, indptr, indices, np.ones(4), x.ravel(), y.reshape(-1))
+        expected = np.full((3, 2), 10.0)
+        for i, row in zip(indices, x):
+            expected[i] += row
+        assert np.array_equal(y, expected)
+        assert np.array_equal(y, [[13.0, 14.0], [10.0 + 1e17, 9.0], [16.0, 18.0]])
 
     def test_float32_and_non_contiguous_rows(self):
         rng = np.random.default_rng(1)
@@ -418,7 +461,7 @@ class TestScatterAdd:
             assert not (rows.flags.c_contiguous and rows.dtype == np.float64)
             ref = np.zeros((6, rows.shape[1]))
             np.add.at(ref, idx, rows.astype(np.float64))
-            out = scatter_add_rows(idx, rows, 6)
+            out = scatter_add_rows([(idx, rows)], 6)
             assert out.dtype == np.float64 and out.flags.c_contiguous
             assert np.array_equal(out, ref)
 

@@ -294,6 +294,60 @@ class TestParameterServerPush:
         assert comm.remote_messages == 1
 
 
+#: Ids a cast to int64 used to turn into some row: ``(ids, message)``.
+BAD_IDS = [
+    pytest.param([2.9], "entity ids must be integers; got 2.9", id="float"),
+    pytest.param([True, False], "entity ids must be integers; got True", id="bool"),
+    pytest.param([0, -1], "entity id -1 is out of range for a table of 10 rows", id="negative"),
+    pytest.param([3, 10], "entity id 10 is out of range for a table of 10 rows", id="past-end"),
+]
+
+
+class TestParameterServerIds:
+    @pytest.mark.parametrize("bad, message", BAD_IDS)
+    @pytest.mark.parametrize("backing", ["resident", "tiered"])
+    @pytest.mark.parametrize("op", ["pull", "push", "meter", "touched_shards"])
+    def test_rejects_ids_that_name_no_row(self, store, op, backing, bad, message):
+        """Each of these used to reach a row — 2.9 read row 2, -1 the last
+        row, ``[True, False]`` rows 1 and 0 — and a push trained it."""
+        from repro.optim.adagrad import SparseAdagrad
+
+        if backing == "tiered":
+            store = store.copy(backing="tiered")
+        try:
+            server = ParameterServer(store, SparseAdagrad(lr=0.1))
+            before = {n: np.array(a) for n, a in server.state_arrays().items()}
+            calls = {
+                "pull": lambda: server.pull("entity", bad, machine=0),
+                "push": lambda: server.push(
+                    "entity", bad, np.ones((len(bad), 2)), machine=0
+                ),
+                "meter": lambda: server.meter("entity", bad, machine=0),
+                "touched_shards": lambda: server.touched_shards("entity", bad),
+            }
+            with pytest.raises(ValueError, match=message):
+                calls[op]()
+            after = server.state_arrays()
+            assert list(after) == list(before)
+            for name, array in before.items():
+                assert np.asarray(after[name]).tobytes() == array.tobytes(), name
+            assert server.version == 0
+        finally:
+            store.close()
+
+    def test_names_the_relation_table(self, server):
+        with pytest.raises(ValueError, match="relation id 4 is out of range for a table of 4 rows"):
+            server.pull("relation", [4], machine=0)
+
+    def test_integer_ids_of_any_width_and_empty_requests_pass(self, server):
+        for ids in ([3, 0], np.array([3, 0], dtype=np.int32), np.array([3, 0], dtype=np.uint8)):
+            rows, _ = server.pull("entity", ids, machine=0)
+            assert rows.tolist() == [[6.0, 7.0], [0.0, 1.0]]
+        rows, comm = server.pull("entity", [], machine=0)
+        assert rows.shape == (0, 2) and comm.total_bytes == 0
+        assert server.meter("entity", np.array([]), machine=0).total_bytes == 0
+
+
 class TestServerState:
     def test_state_arrays_names_follow_the_optimizer(self, store):
         from repro.optim.adagrad import SparseAdagrad
