@@ -60,9 +60,8 @@ def main() -> None:
     )
 
     # 4. Aggregated counters, independent of the span stream.
-    snapshot = tracer.metrics.snapshot()
-    for name in sorted(snapshot):
-        print(f"{name:24s} {snapshot[name]:,.0f}")
+    for name, total in sorted(tracer.totals.items()):
+        print(f"{name:24s} {total:,.0f}")
 
     # 5. Export and validate the Chrome trace.
     trace = tracer.chrome_trace()

@@ -195,17 +195,16 @@ class HotEmbeddingCache:
     def force_sync(self):
         """Pull the latest version of every cached row from the PS now.
 
-        When the server is wrapped in a fault-injecting RPC channel (it
-        exposes ``try_pull``), a refresh whose retry budget exhausts during
-        a PS outage *degrades gracefully*: the affected table keeps serving
-        its current (stale) rows past the staleness bound ``P``, the
-        overrun is recorded, and the sync counter is **not** reset so the
-        next iteration retries immediately.
+        Rows come through the server's degradable read, ``try_pull``:
+        behind a fault-injecting RPC channel, a refresh whose retry budget
+        exhausts during a PS outage *degrades gracefully*: the affected
+        table keeps serving its current (stale) rows past the staleness
+        bound ``P``, the overrun is recorded, and the sync counter is
+        **not** reset so the next iteration retries immediately.
         """
         from repro.ps.network import CommRecord
 
         comm = CommRecord()
-        degradable_pull = getattr(self.server, "try_pull", None)
         with self.trace.span("cache.sync", "cache") as span:
             refreshed = 0
             degraded = False
@@ -213,10 +212,7 @@ class HotEmbeddingCache:
                 ids = table.ids
                 if not len(ids):
                     continue
-                if degradable_pull is not None:
-                    rows, c = degradable_pull(kind, ids)
-                else:
-                    rows, c = self.server.pull(kind, ids, self.machine)
+                rows, c = self.server.try_pull(kind, ids, self.machine)
                 comm.merge(c)
                 if rows is None:
                     degraded = True

@@ -90,7 +90,9 @@ class PBGTrainer:
         self.relation_table: np.ndarray | None = None
         self._entity_part: np.ndarray | None = None
         self._buckets: dict[tuple[int, int], np.ndarray] = {}
+        #: Per-machine clocks and the bytes each one paid for.
         self._clocks: list[SimClock] = []
+        self._comms: list[CommRecord] = []
 
     # ------------------------------------------------------------------ setup
 
@@ -122,6 +124,7 @@ class PBGTrainer:
         self._entity_opt = get_optimizer(cfg.optimizer, cfg.lr)
         self._relation_opt = get_optimizer(cfg.optimizer, cfg.lr)
         self._clocks = [SimClock() for _ in range(cfg.num_machines)]
+        self._comms = [CommRecord() for _ in range(cfg.num_machines)]
 
     # ------------------------------------------------------------------ train
 
@@ -147,19 +150,25 @@ class PBGTrainer:
         )
         return CommRecord(remote_bytes=2 * bytes_one_way, remote_messages=2)
 
+    def _charge(self, machine: int, record: CommRecord) -> None:
+        """Book ``record`` on ``machine``: bytes and clock, exactly once."""
+        self._comms[machine].merge(record)
+        self._clocks[machine].advance(self.network.cost(record), "communication")
+
     def _train_bucket(
         self,
         train_graph: KnowledgeGraph,
         key: tuple[int, int],
         triple_idx: np.ndarray,
-        clock: SimClock,
+        machine: int,
         rng: np.random.Generator,
     ) -> list[float]:
         assert self.entity_table is not None and self.relation_table is not None
         assert self._entity_part is not None
         cfg = self.config
+        clock = self._clocks[machine]
 
-        clock.advance(self.network.charge(self._swap_cost(key)), "communication")
+        self._charge(machine, self._swap_cost(key))
 
         pool_mask = np.isin(
             self._entity_part, np.unique(np.asarray(key, dtype=np.int64))
@@ -204,14 +213,11 @@ class PBGTrainer:
                 grads.relation_ids,
                 grads.relation_grads,
             )
-            clock.advance(
-                self.network.charge(self._dense_relation_cost()),
-                "communication",
-            )
+            self._charge(machine, self._dense_relation_cost())
             losses.append(grads.loss)
 
         # Save the partitions back to the shared filesystem.
-        clock.advance(self.network.charge(self._swap_cost(key)), "communication")
+        self._charge(machine, self._swap_cost(key))
         return losses
 
     def train(
@@ -231,10 +237,9 @@ class PBGTrainer:
 
         ledger = RunLedger(
             lambda: [
-                WorkerStats(machine=m, clock=c.copy())
-                for m, c in enumerate(self._clocks)
-            ],
-            self.network,
+                WorkerStats(machine=m, clock=c.copy(), comm=comm.copy())
+                for m, (c, comm) in enumerate(zip(self._clocks, self._comms))
+            ]
         )
 
         ordered = sorted(self._buckets.items())
@@ -256,7 +261,7 @@ class PBGTrainer:
                     clock.advance(ready - rel, "communication")
                 losses.extend(
                     self._train_bucket(
-                        train_graph, key, idx, clock, bucket_rngs[i]
+                        train_graph, key, idx, machine, bucket_rngs[i]
                     )
                 )
                 for p in set(key):
@@ -279,7 +284,6 @@ class PBGTrainer:
             config=cfg,
             system=self.system_name,
             history=history,
-            final_metrics=history.points[-1].metrics if history.points else {},
             **ledger.summary().fields_for(TrainResult),
         )
 

@@ -27,7 +27,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from repro.core.convergence import HistoryPoint
-from repro.ps.network import CommRecord, NetworkModel
+from repro.ps.network import CommRecord
 from repro.utils.simclock import SimClock
 
 
@@ -44,7 +44,9 @@ class WorkerStats:
     false_negative_leaks: int = 0
     staleness_overruns: int = 0
     max_staleness_overrun: int = 0
-    #: Traffic the hard-negative refreshes paid for.
+    #: Every byte this machine moved (booked where its clock paid for it).
+    comm: CommRecord = field(default_factory=CommRecord)
+    #: The part of ``comm`` the hard-negative refreshes paid for.
     neg_cache_comm: CommRecord = field(default_factory=CommRecord)
     #: ``CachedNegativeSampler.counters()``; empty without a neg cache.
     neg_cache: dict[str, int] = field(default_factory=dict)
@@ -110,11 +112,12 @@ class RunSummary:
         return {k: v for k, v in vars(self).items() if k in wanted}
 
 
-def summarize(
-    deltas: list[WorkerStats], comm_totals: CommRecord, tier_time: float = 0.0
-) -> RunSummary:
+def summarize(deltas: list[WorkerStats], tier_time: float = 0.0) -> RunSummary:
     """Merge per-worker deltas into one run's reported numbers."""
     slowest = max(deltas, key=lambda d: d.clock.elapsed).clock  # first max
+    comm_totals = CommRecord()
+    for d in deltas:
+        comm_totals.merge(d.comm)
     neg_cache_stats: dict = {}
     cached = [d for d in deltas if d.neg_cache]
     if cached:
@@ -149,22 +152,19 @@ def summarize(
 class RunLedger:
     """One in-process ``train()`` call's books: open at entry, read at exit.
 
-    ``stats`` returns the current per-worker snapshots; ``network`` and the
-    optional ``tier_clock`` are the cluster-wide totals a call is also
-    reported relative to.
+    ``stats`` returns the current per-worker snapshots; the optional
+    ``tier_clock`` is the one cluster-wide clock a call is also reported
+    relative to.
     """
 
     def __init__(
         self,
         stats: Callable[[], list[WorkerStats]],
-        network: NetworkModel,
         tier_clock: SimClock | None = None,
     ) -> None:
         self._stats = stats
-        self._network = network
         self._tier_clock = tier_clock if tier_clock is not None else SimClock()
         self.entry = stats()
-        self._entry_comm = network.totals.copy()
         self._entry_tier = self._tier_clock.elapsed
 
     def deltas(self) -> list[WorkerStats]:
@@ -175,11 +175,7 @@ class RunLedger:
         return max(d.clock.elapsed for d in self.deltas())
 
     def summary(self) -> RunSummary:
-        return summarize(
-            self.deltas(),
-            self._network.totals.difference(self._entry_comm),
-            self._tier_clock.elapsed - self._entry_tier,
-        )
+        return summarize(self.deltas(), self._tier_clock.elapsed - self._entry_tier)
 
 
 def epoch_point(

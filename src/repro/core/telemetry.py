@@ -28,60 +28,23 @@ class IterationRecord:
     cache_misses: int
 
 
-@dataclass(frozen=True)
-class FaultEvent:
-    """One fault-injection or recovery incident (see :mod:`repro.faults`).
-
-    ``kind`` is one of ``"retry"``, ``"forced_pull"``, ``"lost_push"``,
-    ``"stale_overrun"``, ``"crash_restart"``; ``sim_time`` is the affected
-    worker's clock when the event was recorded.
-    """
-
-    worker: int
-    iteration: int
-    kind: str
-    sim_time: float
-    detail: str = ""
-
-
 @dataclass
 class Telemetry:
     """Collects :class:`IterationRecord` objects across all workers.
 
-    When fault injection is active (:mod:`repro.faults`), retry/recovery
-    incidents are additionally collected as :class:`FaultEvent` rows in
-    :attr:`events` — kept separate from the per-step records so the CSV
-    schema and summaries of fault-free runs are unchanged.
-
     Run-level totals (false-negative leaks, neg-cache refresh counts, the
-    store's memory report) are not repeated here: they are fields of the
-    ``TrainResult`` the same ``train()`` call returns.
+    store's memory report, the fault-incident log) are not repeated here:
+    they are fields of the ``TrainResult`` the same ``train()`` call
+    returns.
     """
 
     records: list[IterationRecord] = field(default_factory=list)
-    events: list[FaultEvent] = field(default_factory=list)
 
     def add(self, record: IterationRecord) -> None:
         self.records.append(record)
 
-    def add_event(self, event: FaultEvent) -> None:
-        self.events.append(event)
-
     def __len__(self) -> int:
         return len(self.records)
-
-    # ----------------------------------------------------------- fault views
-
-    def events_of(self, kind: str) -> list[FaultEvent]:
-        """All fault events of one kind (e.g. ``"retry"``)."""
-        return [e for e in self.events if e.kind == kind]
-
-    def fault_summary(self) -> dict[str, int]:
-        """Event counts by kind (empty dict for a fault-free run)."""
-        counts: dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
 
     # ------------------------------------------------------------------ views
 
@@ -159,16 +122,6 @@ class Telemetry:
                 writer.writerow([getattr(r, name) for name in self._CSV_FIELDS])
         if clear:
             self.records.clear()
-
-    _EVENT_CSV_FIELDS = ("worker", "iteration", "kind", "sim_time", "detail")
-
-    def export_events_csv(self, path: str | os.PathLike[str]) -> None:
-        """Write the fault-event log as CSV (one row per incident)."""
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(self._EVENT_CSV_FIELDS)
-            for e in self.events:
-                writer.writerow([getattr(e, name) for name in self._EVENT_CSV_FIELDS])
 
     @classmethod
     def from_csv(cls, path: str | os.PathLike[str]) -> "Telemetry":

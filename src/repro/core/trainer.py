@@ -162,8 +162,8 @@ class TrainResult:
 
     ``sim_time`` is the slowest machine's simulated clock — the paper's
     "Time" column.  ``compute_time``/``communication_time`` are that same
-    machine's breakdown (Fig. 7).  ``comm_totals`` aggregates the bytes all
-    machines moved.
+    machine's breakdown (Fig. 7).  ``comm_totals`` sums the bytes each
+    machine booked (:attr:`repro.core.worker.Worker.comm`).
     """
 
     config: TrainingConfig
@@ -174,10 +174,13 @@ class TrainResult:
     communication_time: float
     comm_totals: CommRecord
     cache_hit_ratio: float
-    final_metrics: dict[str, float] = field(default_factory=dict)
     #: Fault/recovery counters when a FaultPlan was active (see
     #: :class:`repro.faults.FaultStats.as_dict`; empty for fault-free runs).
     fault_stats: dict[str, float] = field(default_factory=dict)
+    #: The injector's incident log behind ``fault_stats`` — one
+    #: :class:`repro.faults.FaultEvent` per retry, forced pull, stale
+    #: overrun, lost push and crash restart (empty for fault-free runs).
+    fault_events: list = field(default_factory=list)
     #: Simulated seconds spent moving/(de)quantizing tier data this run
     #: (0.0 for the resident backing).
     tier_time: float = 0.0
@@ -212,6 +215,11 @@ class TrainResult:
     #: refreshes paid for) and ``neg_cache_time`` (the slowest machine's
     #: ``"neg_cache"`` clock category).  Empty when the cache is off.
     neg_cache_stats: dict = field(default_factory=dict)
+
+    @property
+    def final_metrics(self) -> dict[str, float]:
+        """The last epoch's evaluation metrics (empty if none ran)."""
+        return self.history.points[-1].metrics if self.history.points else {}
 
     @property
     def communication_fraction(self) -> float:
@@ -256,9 +264,6 @@ class HETKGTrainer:
         if self.config.partitioner == "metis":
             return MetisPartitioner(seed=self._rng)
         return RandomPartitioner(seed=self._rng)
-
-    def _make_strategy(self) -> HotEmbeddingStrategy | None:
-        return make_strategy(self.config)
 
     @property
     def steps_per_epoch(self) -> int:
@@ -354,7 +359,7 @@ class HETKGTrainer:
             tier = self.server.store.tier
             tier.bind_trace(tracer.scope("tier", tier.clock))
 
-    def _install_faults(self, faults, checkpoint_every, checkpoint_path, telemetry):
+    def _install_faults(self, faults, checkpoint_every, checkpoint_path):
         """Build the chaos layer for this train() call (or tear it down).
 
         Returns ``(injector, checkpoints)``.  Passing ``faults=None``
@@ -386,11 +391,7 @@ class HETKGTrainer:
         )
         for worker in self.workers:
             channel = FaultyPSChannel(
-                self.server,
-                worker.machine,
-                injector,
-                worker.clock,
-                telemetry=telemetry,
+                self.server, worker.machine, injector, worker.clock
             )
             worker.install_faults(channel, injector, recovery)
         return injector, checkpoints
@@ -443,7 +444,7 @@ class HETKGTrainer:
             for worker in self.workers:
                 worker.telemetry = telemetry
         injector, checkpoints = self._install_faults(
-            faults, checkpoint_every, checkpoint_path, telemetry
+            faults, checkpoint_every, checkpoint_path
         )
         self.wire_tracer(tracer)
         assert self.server is not None
@@ -456,7 +457,6 @@ class HETKGTrainer:
         tier = self.server.store.tier
         ledger = RunLedger(
             lambda: [w.stats() for w in self.workers],
-            self.network,
             tier.clock if tier is not None else None,
         )
         wall_start = time.perf_counter()
@@ -493,17 +493,19 @@ class HETKGTrainer:
 
         summary = ledger.summary()
         fault_stats: dict[str, float] = {}
+        fault_events: list = []
         if injector is not None:
             fault_stats = injector.stats.as_dict()
             fault_stats["recovery_time"] = summary.recovery_time
+            fault_events = injector.events
         if checkpoints is not None:
             fault_stats["checkpoints"] = checkpoints.saves
         return TrainResult(
             config=cfg,
             system=self.system_name,
             history=history,
-            final_metrics=history.points[-1].metrics if history.points else {},
             fault_stats=fault_stats,
+            fault_events=fault_events,
             memory_report=self.server.store.memory_report(),
             wall_time_s=time.perf_counter() - wall_start,
             **summary.fields_for(TrainResult),

@@ -12,9 +12,11 @@ A worker owns a partition of the training triples and iterates:
 5. apply its own gradients to cached rows and push *all* gradients to the
    parameter server (the server applies AdaGrad — Algorithm 4).
 
-Every fetch/push advances the worker's simulated clock through the network
-model; every score/backprop advances it through the compute model.  With
-``cache=None`` and a live sampler this is exactly the DGL-KE worker loop.
+Every fetch/push is booked once, by :meth:`Worker.charge`: its bytes into
+the worker's cumulative :attr:`Worker.comm`, its cost (through the network
+model) onto the worker's simulated clock; every score/backprop advances the
+clock through the compute model.  With ``cache=None`` and a live sampler
+this is exactly the DGL-KE worker loop.
 """
 
 from __future__ import annotations
@@ -94,6 +96,9 @@ class Worker:
         # so the disabled path is bit-identical to the pre-cache worker.
         neg = getattr(sampler, "negative_sampler", None)
         self.neg_cache = neg if isinstance(neg, CachedNegativeSampler) else None
+        #: Every byte this machine moved (its one traffic book; see charge).
+        self.comm = CommRecord()
+        #: The part of ``comm`` the hard-negative refreshes paid for.
         self.neg_cache_comm = CommRecord()
         #: Candidate triples scored on this worker (training forward passes
         #: plus neg-cache refresh scoring) — the experiment's "scored
@@ -103,7 +108,6 @@ class Worker:
         #: Observability scope for this worker's phase spans (bound by the
         #: trainer when tracing is on; the null scope costs nothing).
         self.trace = NULL_SCOPE
-        self._step_comm: CommRecord | None = None
         self.iterations = 0
         self._started = False
         # Fault-injection hooks (installed by the trainer when a FaultPlan
@@ -111,7 +115,6 @@ class Worker:
         self._fault_channel = None
         self._fault_injector = None
         self._shard_recovery = None
-        self.recoveries = 0
 
     # ----------------------------------------------------------------- faults
 
@@ -155,7 +158,7 @@ class Worker:
             self._charge_overhead()
         with self.trace.span("install", "communication") as span:
             comm = self.cache.install(hot)
-            self._charge_comm(comm)
+            self.charge(comm)
             span.set(bytes=comm.total_bytes)
 
     # ------------------------------------------------------------------- step
@@ -172,7 +175,9 @@ class Worker:
             self.machine, step_index
         ):
             self._crash_restart(step_index)
-        self._step_comm = CommRecord()
+        # This step's traffic is what ``comm`` gains from here on (crash
+        # reinstalls above stay out of the step record).
+        local_before, remote_before = self.comm.local_bytes, self.comm.remote_bytes
         # The before/after cache-stat pair exists only for the telemetry row.
         if self.telemetry is not None and self.cache is not None:
             stats_before = self.cache.combined_stats()
@@ -188,14 +193,14 @@ class Worker:
             if new_hot is not None:
                 with self.trace.span("rebuild", "communication") as span:
                     rebuild_comm = self.cache.install(new_hot)
-                    self._charge_comm(rebuild_comm)
+                    self.charge(rebuild_comm)
                     span.set(bytes=rebuild_comm.total_bytes)
                 self.trace.count("worker.rebuilds")
             # 2. bounded-staleness synchronization (every P iterations).
             sync_comm = self.cache.tick()
             if sync_comm is not None:
                 with self.trace.span("sync", "communication") as span:
-                    self._charge_comm(sync_comm)
+                    self.charge(sync_comm)
                     span.set(bytes=sync_comm.total_bytes)
                 self.trace.count("worker.syncs")
         else:
@@ -220,8 +225,8 @@ class Worker:
             else:
                 ent_rows, comm_e = self.server.pull("entity", ent_ids, self.machine)
                 rel_rows, comm_r = self.server.pull("relation", rel_ids, self.machine)
-            self._charge_comm(comm_e)
-            self._charge_comm(comm_r)
+            self.charge(comm_e)
+            self.charge(comm_r)
             span.set(bytes=comm_e.total_bytes + comm_r.total_bytes)
 
         # 4. forward + backward.
@@ -254,15 +259,16 @@ class Worker:
             push_r = self.server.push(
                 "relation", grads.relation_ids, grads.relation_grads, self.machine
             )
-            self._charge_comm(push_e)
-            self._charge_comm(push_r)
+            self.charge(push_e)
+            self.charge(push_r)
             span.set(bytes=push_e.total_bytes + push_r.total_bytes)
 
         self.iterations += 1
         self.trace.count("worker.steps")
         self.trace.count("worker.active_negatives", grads.active_negatives)
-        if self._step_comm is not None and self._step_comm.remote_bytes:
-            self.trace.count("worker.remote_bytes", self._step_comm.remote_bytes)
+        step_remote = self.comm.remote_bytes - remote_before
+        if step_remote:
+            self.trace.count("worker.remote_bytes", step_remote)
         if self.telemetry is not None:
             if self.cache is not None:
                 stats = self.cache.combined_stats()
@@ -275,14 +281,13 @@ class Worker:
                     worker=self.machine,
                     iteration=self.iterations,
                     loss=grads.loss,
-                    local_bytes=self._step_comm.local_bytes,
-                    remote_bytes=self._step_comm.remote_bytes,
+                    local_bytes=self.comm.local_bytes - local_before,
+                    remote_bytes=step_remote,
                     sim_time=self.clock.elapsed,
                     cache_hits=hits,
                     cache_misses=misses,
                 )
             )
-        self._step_comm = None
         return grads.loss
 
     # -------------------------------------------------------------- neg cache
@@ -307,8 +312,8 @@ class Worker:
             rel_rows, comm_r = self.server.pull(
                 "relation", plan.relation_ids, self.machine
             )
-            self._charge_neg_comm(comm_e)
-            self._charge_neg_comm(comm_r)
+            self.charge(comm_e, "neg_cache")
+            self.charge(comm_r, "neg_cache")
             scored = self.neg_cache.complete_refresh(
                 plan, self.model, ent_rows, rel_rows
             )
@@ -323,13 +328,6 @@ class Worker:
                 scores=scored,
             )
         self.trace.count("worker.neg_refreshes")
-
-    def _charge_neg_comm(self, comm: CommRecord) -> None:
-        """Account refresh traffic once, under the ``neg_cache`` category."""
-        self.neg_cache_comm.merge(comm)
-        if self._step_comm is not None:
-            self._step_comm.merge(comm)
-        self.clock.advance(self.network.charge(comm), "neg_cache")
 
     # --------------------------------------------------------------- recovery
 
@@ -361,24 +359,28 @@ class Worker:
                     self._charge_overhead()
                 with self.trace.span("recover.install", "communication") as s:
                     comm = self.cache.install(hot)
-                    self._charge_comm(comm)
+                    self.charge(comm)
                     s.set(bytes=comm.total_bytes)
-            self._fault_injector.stats.recoveries += 1
             self._fault_injector.stats.recovery_seconds += downtime
-        self.recoveries += 1
         self.trace.count("worker.recoveries")
-        if self.telemetry is not None:
-            from repro.core.telemetry import FaultEvent
+        self._fault_injector.record(
+            "crash_restart",
+            self.machine,
+            step_index,
+            self.clock.elapsed,
+            f"restored {restored_bytes} B",
+        )
 
-            self.telemetry.add_event(
-                FaultEvent(
-                    worker=self.machine,
-                    iteration=step_index,
-                    kind="crash_restart",
-                    sim_time=self.clock.elapsed,
-                    detail=f"restored {restored_bytes} B",
-                )
-            )
+    # ------------------------------------------------------------------ books
+
+    def charge(self, comm: CommRecord, category: str = "communication") -> None:
+        """Book ``comm`` on this machine, exactly once: its bytes into
+        :attr:`comm` (and :attr:`neg_cache_comm` for refresh traffic), its
+        cost onto this worker's clock under ``category``."""
+        self.comm.merge(comm)
+        if category == "neg_cache":
+            self.neg_cache_comm.merge(comm)
+        self.clock.advance(self.network.cost(comm), category)
 
     # ------------------------------------------------------------------ stats
 
@@ -392,6 +394,7 @@ class Worker:
             iterations=self.iterations,
             scored_candidates=self.scored_candidates,
             false_negative_leaks=self.sampler.negative_sampler.false_negative_leaks,
+            comm=self.comm.copy(),
             neg_cache_comm=self.neg_cache_comm.copy(),
         )
         if self.cache is not None:
@@ -406,13 +409,6 @@ class Worker:
         return stats
 
     # ---------------------------------------------------------------- private
-
-    def _charge_comm(self, comm: CommRecord) -> None:
-        """Account ``comm`` into the network totals (exactly once) and
-        advance this worker's clock by its cost."""
-        if self._step_comm is not None:
-            self._step_comm.merge(comm)
-        self.clock.advance(self.network.charge(comm), "communication")
 
     def _charge_overhead(self) -> None:
         if self.strategy is None:

@@ -10,7 +10,9 @@ makes those failures *first-class, reproducible simulation inputs*:
   PS-shard outages (plus the :class:`RetryPolicy` governing recovery).
 * :mod:`repro.faults.injector` — :class:`FaultInjector`, the deterministic
   runtime that answers "does this message drop?" from per-machine RNG
-  streams, so two runs with the same seed and plan are bit-identical.
+  streams, so two runs with the same seed and plan are bit-identical, and
+  the one book of incidents: each is recorded once, as a
+  :class:`FaultStats` count and a :class:`FaultEvent` in its log.
 * :mod:`repro.faults.rpc` — :class:`FaultyPSChannel`, a retrying RPC shim
   between workers/caches and the parameter server: timeouts, exponential
   backoff with jitter, retry budgets, and graceful degradation — every
@@ -26,7 +28,7 @@ it changes *nothing* — not a single RNG draw, clock tick, or metered byte
 (asserted by the invariant tests).
 """
 
-from repro.faults.injector import FaultInjector, FaultStats
+from repro.faults.injector import FaultEvent, FaultInjector, FaultStats, export_events_csv
 from repro.faults.plan import (
     CrashEvent,
     DelayWindow,
@@ -45,6 +47,7 @@ __all__ = [
     "CrashEvent",
     "DelayWindow",
     "DropWindow",
+    "FaultEvent",
     "FaultInjector",
     "FaultPlan",
     "FaultStats",
@@ -53,4 +56,5 @@ __all__ = [
     "RetryPolicy",
     "ShardRecovery",
     "StragglerWindow",
+    "export_events_csv",
 ]

@@ -13,7 +13,9 @@ active windows never draws at all, preserving the no-op invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import csv
+import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,18 +61,57 @@ class FaultStats:
             setattr(self, name, getattr(self, name) + value)
 
 
+@dataclass(frozen=True)
+class FaultEvent:
+    """One fault-injection or recovery incident.
+
+    ``kind`` is one of ``"retry"``, ``"forced_pull"``, ``"lost_push"``,
+    ``"stale_overrun"``, ``"crash_restart"``; ``sim_time`` is the affected
+    machine's clock when the event was recorded.
+    """
+
+    worker: int
+    iteration: int
+    kind: str
+    sim_time: float
+    detail: str = ""
+
+
+#: The :class:`FaultStats` counter each event kind bumps.
+EVENT_COUNTERS = {
+    "retry": "retries",
+    "forced_pull": "forced_pulls",
+    "stale_overrun": "stale_overruns",
+    "lost_push": "lost_pushes",
+    "crash_restart": "recoveries",
+}
+
+_EVENT_CSV_FIELDS = ("worker", "iteration", "kind", "sim_time", "detail")
+
+
+def export_events_csv(events: list[FaultEvent], path: str | os.PathLike[str]) -> None:
+    """Write a fault-event log as CSV (one row per incident)."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(_EVENT_CSV_FIELDS)
+        for e in events:
+            writer.writerow([getattr(e, name) for name in _EVENT_CSV_FIELDS])
+
+
 class FaultInjector:
     """Answers the simulation's "does this fault fire?" questions.
 
     One injector serves the whole cluster; per-machine streams keep each
     machine's fault sequence independent of its peers' draw counts (the
     same isolation discipline :func:`repro.utils.rng.spawn_rngs` gives the
-    samplers).
+    samplers).  It also keeps the run's one incident log, :attr:`events`
+    (see :meth:`record`).
     """
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         self.stats = FaultStats()
+        self.events: list[FaultEvent] = []
         self._streams: dict[int, np.random.Generator] = {}
         self._pending_crashes: dict[int, set[int]] = {}
         for event in plan.crashes:
@@ -148,6 +189,17 @@ class FaultInjector:
             self.stats.crashes += 1
             return True
         return False
+
+    # ----------------------------------------------------------------- records
+
+    def record(
+        self, kind: str, machine: int, iteration: int, sim_time: float, detail: str = ""
+    ) -> None:
+        """Book one incident: bump its :class:`FaultStats` counter and
+        append it to :attr:`events`."""
+        counter = EVENT_COUNTERS[kind]
+        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+        self.events.append(FaultEvent(machine, iteration, kind, sim_time, detail))
 
     # ------------------------------------------------------------------ jitter
 

@@ -19,8 +19,9 @@ All waiting time lands on the machine's :class:`~repro.utils.simclock.SimClock`
 under ``"communication"`` (inside an ``rpc.retry_wait`` span), so fault
 overhead shows up directly in the Fig. 7-style compute/communication
 breakdown; all failed-attempt traffic is merged into the returned
-:class:`~repro.ps.network.CommRecord`, which the worker charges into the
-shared :class:`~repro.ps.network.NetworkModel` exactly once, as always.
+:class:`~repro.ps.network.CommRecord`, which the worker books exactly once,
+as always (:meth:`~repro.core.worker.Worker.charge`).  Every incident is
+booked once too, by :meth:`~repro.faults.injector.FaultInjector.record`.
 
 Retry-budget exhaustion degrades rather than deadlocks:
 
@@ -53,8 +54,7 @@ class RetryingChannel:
     (:class:`FaultyPSChannel`) and the serving shard channel
     (:class:`repro.serving.channel.FaultyShardChannel`); a subclass says
     only where shard owners and wasted-attempt bytes come from
-    (:meth:`_shards`, :meth:`_wasted`) and, optionally, how to log an
-    incident (:meth:`_event`).
+    (:meth:`_shards`, :meth:`_wasted`).
 
     Parameters
     ----------
@@ -88,8 +88,12 @@ class RetryingChannel:
         """Wire traffic of one attempt whose payload was lost."""
         raise NotImplementedError
 
-    def _event(self, kind: str, detail: str) -> None:
-        """Log one retry/degradation incident (no-op by default)."""
+    def _record(self, kind: str, detail: str) -> None:
+        """Book one retry/degradation incident on the injector, stamped
+        with this machine's clock."""
+        self.injector.record(
+            kind, self.machine, self.iteration, self.clock.elapsed, detail
+        )
 
     # ------------------------------------------------------------- retry core
 
@@ -128,9 +132,8 @@ class RetryingChannel:
         wasted = self._wasted(kind, ids)
         wasted.retransmit_bytes = wasted.total_bytes
         comm.merge(wasted)
-        self.injector.stats.retries += 1
         self.trace.count("rpc.retries")
-        self._event("retry", f"{kind} attempt {attempt}")
+        self._record("retry", f"{kind} attempt {attempt}")
         backoff = self.policy.backoff(attempt)
         if backoff > 0.0 and self.policy.backoff_jitter > 0.0:
             backoff *= 1.0 + self.policy.backoff_jitter * self.injector.backoff_jitter(
@@ -169,10 +172,6 @@ class FaultyPSChannel(RetryingChannel):
         The real (shared) parameter server.
     machine / injector / clock:
         See :class:`RetryingChannel`.
-    telemetry:
-        Optional :class:`~repro.core.telemetry.Telemetry`; retry and
-        degradation events are recorded as
-        :class:`~repro.core.telemetry.FaultEvent` rows.
     """
 
     def __init__(
@@ -181,11 +180,9 @@ class FaultyPSChannel(RetryingChannel):
         machine: int,
         injector: FaultInjector,
         clock: SimClock,
-        telemetry=None,
     ) -> None:
         super().__init__(machine, injector, clock)
         self.server = server
-        self.telemetry = telemetry
 
     # ------------------------------------------------------------------- pulls
 
@@ -198,16 +195,15 @@ class FaultyPSChannel(RetryingChannel):
         """
         rows, comm, ok = self._pull_attempts(kind, ids)
         if not ok:
-            self.injector.stats.forced_pulls += 1
             self.trace.count("rpc.forced_pulls")
-            self._event("forced_pull", f"{kind} x{len(np.atleast_1d(ids))}")
+            self._record("forced_pull", f"{kind} x{len(np.atleast_1d(ids))}")
             # Failover read: pay one more full timeout, then the real pull.
             self._wait(self.policy.timeout)
             rows, final = self.server.pull(kind, ids, self.machine)
             comm.merge(final)
         return rows, comm
 
-    def try_pull(self, kind: str, ids: np.ndarray):
+    def try_pull(self, kind: str, ids: np.ndarray, machine: int | None = None):
         """Fetch rows, retrying through faults; may give up.
 
         Returns ``(rows, comm)`` with ``rows=None`` when the retry budget
@@ -216,9 +212,8 @@ class FaultyPSChannel(RetryingChannel):
         """
         rows, comm, ok = self._pull_attempts(kind, ids)
         if not ok:
-            self.injector.stats.stale_overruns += 1
             self.trace.count("rpc.degraded_reads")
-            self._event("stale_overrun", f"{kind} x{len(np.atleast_1d(ids))}")
+            self._record("stale_overrun", f"{kind} x{len(np.atleast_1d(ids))}")
         return rows, comm
 
     def _pull_attempts(self, kind: str, ids: np.ndarray):
@@ -239,9 +234,8 @@ class FaultyPSChannel(RetryingChannel):
             kind, ids, lambda: (None, self.server.push(kind, ids, grads, self.machine))
         )
         if not ok:
-            self.injector.stats.lost_pushes += 1
             self.trace.count("rpc.lost_pushes")
-            self._event("lost_push", f"{kind} x{len(np.atleast_1d(ids))}")
+            self._record("lost_push", f"{kind} x{len(np.atleast_1d(ids))}")
         return comm
 
     # ------------------------------------------------------------------ hooks
@@ -251,17 +245,3 @@ class FaultyPSChannel(RetryingChannel):
 
     def _wasted(self, kind: str, ids: np.ndarray) -> CommRecord:
         return self.server.meter(kind, ids, self.machine)
-
-    def _event(self, kind: str, detail: str) -> None:
-        if self.telemetry is not None:
-            from repro.core.telemetry import FaultEvent
-
-            self.telemetry.add_event(
-                FaultEvent(
-                    worker=self.machine,
-                    iteration=self.iteration,
-                    kind=kind,
-                    sim_time=self.clock.elapsed,
-                    detail=detail,
-                )
-            )

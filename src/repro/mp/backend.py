@@ -41,7 +41,6 @@ from repro.core.convergence import TrainingHistory
 from repro.core.ledger import epoch_point, summarize
 from repro.mp.shm import SharedArena
 from repro.mp.worker import MPControls, WorkerSpec, worker_main
-from repro.ps.network import CommRecord
 
 #: Seconds between liveness checks while waiting on children.
 _POLL_S = 0.1
@@ -202,12 +201,10 @@ def run_mp_training(
         memory_report = store.memory_report()
 
         stats = []
-        comm_totals = CommRecord()
         worker_wall: dict[int, dict] = {}
         for rank in range(num_workers):
-            s, child_comm, wall, child_telemetry = done[rank]
+            s, wall, child_telemetry = done[rank]
             stats.append(s)
-            comm_totals.merge(child_comm)
             worker_wall[s.machine] = {
                 **wall,
                 "steps": s.iterations,
@@ -235,12 +232,11 @@ def run_mp_training(
             config=cfg,
             system=trainer.system_name,
             history=history,
-            final_metrics=history.points[-1].metrics if history.points else {},
             memory_report=memory_report,
             backend=f"mp/{schedule}",
             wall_time_s=wall_time_s,
             worker_wall=worker_wall,
-            **summarize(stats, comm_totals).fields_for(TrainResult),
+            **summarize(stats).fields_for(TrainResult),
         )
     except BaseException:
         _abort(controls, procs)

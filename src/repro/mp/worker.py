@@ -111,12 +111,8 @@ class MPControls:
 
 
 class WallClockChannel:
-    """Times real seconds spent in PS pull/push (transparent otherwise).
-
-    Deliberately does **not** grow a ``try_pull`` attribute: the cache's
-    ``force_sync`` treats its presence as "degradable fault channel", and
-    this wrapper must not change the sync semantics it is measuring.
-    """
+    """Times real seconds spent in PS pull/try_pull/push (transparent
+    otherwise)."""
 
     def __init__(self, server: ParameterServer) -> None:
         self._mp_server = server
@@ -130,6 +126,13 @@ class WallClockChannel:
         self.comm_calls += 1
         return result
 
+    def try_pull(self, kind, ids, machine):
+        t0 = time.perf_counter()
+        result = self._mp_server.try_pull(kind, ids, machine)
+        self.comm_wall_s += time.perf_counter() - t0
+        self.comm_calls += 1
+        return result
+
     def push(self, kind, ids, grads, machine):
         t0 = time.perf_counter()
         result = self._mp_server.push(kind, ids, grads, machine)
@@ -138,8 +141,6 @@ class WallClockChannel:
         return result
 
     def __getattr__(self, name):
-        if name == "try_pull":
-            raise AttributeError(name)
         return getattr(self._mp_server, name)
 
 
@@ -223,7 +224,6 @@ def _build(spec: WorkerSpec, arrays):
     server.rebind(views)
     channel = WallClockChannel(server)
     model = get_model(cfg.model, cfg.dim)
-    network = NetworkModel(bandwidth=cfg.bandwidth, latency=cfg.latency)
     worker = build_worker(
         spec.machine,
         graph,
@@ -231,12 +231,12 @@ def _build(spec: WorkerSpec, arrays):
         channel,
         model,
         get_loss(cfg.loss, cfg.margin),
-        network,
+        NetworkModel(bandwidth=cfg.bandwidth, latency=cfg.latency),
         cfg,
         spec.neg_seed,
         spec.sampler_seed,
     )
-    return worker, channel, network
+    return worker, channel
 
 
 # ---------------------------------------------------------------------- main
@@ -280,7 +280,7 @@ def _run(spec: WorkerSpec, controls: MPControls, arrays) -> None:
     frame's death releases every ndarray view into the shared segments
     before the caller detaches them.
     """
-    worker, channel, network = _build(spec, arrays)
+    worker, channel = _build(spec, arrays)
     telemetry = Telemetry() if spec.collect_telemetry else None
     if telemetry is not None:
         worker.telemetry = telemetry
@@ -353,6 +353,4 @@ def _run(spec: WorkerSpec, controls: MPControls, arrays) -> None:
         "comm_calls": channel.comm_calls,
     }
     # A fresh process: the lifetime stats are this run's deltas.
-    controls.queue.put(
-        ("done", spec.rank, worker.stats(), network.totals, wall, telemetry)
-    )
+    controls.queue.put(("done", spec.rank, worker.stats(), wall, telemetry))

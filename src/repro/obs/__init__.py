@@ -5,8 +5,8 @@ The observability layer (see ``docs/observability.md``):
 * :class:`Tracer` / :class:`TraceScope` — spans timed against
   :class:`~repro.utils.simclock.SimClock`, so durations reconcile
   exactly with the accounting the paper's tables are built from.
-* :class:`MetricsRegistry` — counters and gauges with timestamped
-  samples.
+* :attr:`Tracer.totals` — the one counter table (cumulative values; the
+  timestamped samples go to the sink).
 * :mod:`repro.obs.export` — Chrome-trace JSON for ``chrome://tracing``
   and Perfetto, plus a schema validator used by CI.
 * :func:`set_tracer` / :func:`get_tracer` — process-wide tracer the CLI
@@ -20,7 +20,6 @@ from repro.obs.export import (
     validate_chrome_trace_file,
     write_chrome_trace,
 )
-from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.reconcile import ReconcileReport, WorkerReconcile, reconcile
 from repro.obs.sinks import CounterSample, InMemorySink, NullSink, SpanRecord, TraceSink
 from repro.obs.tracer import (
@@ -35,11 +34,8 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
-    "Counter",
     "CounterSample",
-    "Gauge",
     "InMemorySink",
-    "MetricsRegistry",
     "NULL_SCOPE",
     "NULL_SPAN",
     "NULL_TRACER",

@@ -26,7 +26,6 @@ is read.
 
 from __future__ import annotations
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import CounterSample, InMemorySink, SpanRecord, TraceSink
 from repro.utils.simclock import SimClock
 
@@ -98,28 +97,32 @@ class TraceScope:
         return Span(self, name, category, dict(attrs))
 
     def count(self, name: str, value: float = 1.0) -> None:
-        """Bump counter ``name`` and emit a timestamped sample."""
-        total = self.tracer.metrics.counter(name).add(value)
+        """Bump counter ``name`` and emit a timestamped sample of its
+        cumulative value."""
+        if value < 0:
+            raise ValueError(f"counter {name!r} cannot decrease (got {value})")
+        totals = self.tracer.totals
+        total = totals[name] = totals.get(name, 0.0) + value
         self.tracer.sink.emit_counter(
             CounterSample(name=name, track=self.track, ts=self.clock.elapsed, value=total)
         )
 
-    def gauge(self, name: str, value: float) -> None:
-        """Set gauge ``name`` and emit a timestamped sample."""
-        self.tracer.metrics.gauge(name).set(value)
-        self.tracer.sink.emit_counter(
-            CounterSample(name=name, track=self.track, ts=self.clock.elapsed, value=value)
-        )
-
 
 class Tracer:
-    """Factory for :class:`TraceScope` objects sharing one sink/registry."""
+    """Factory for :class:`TraceScope` objects sharing one sink and one
+    counter table.
+
+    :attr:`totals` maps each counter name to its cumulative value over
+    every scope ("how much of X happened": steps, rebuilds, bytes, batch
+    flushes); the sink receives the timestamped samples, which become
+    ``ph: "C"`` counter tracks in the Chrome-trace export.
+    """
 
     enabled = True
 
     def __init__(self, sink: TraceSink | None = None) -> None:
         self.sink: TraceSink = sink if sink is not None else InMemorySink()
-        self.metrics = MetricsRegistry()
+        self.totals: dict[str, float] = {}
 
     def scope(self, track: str, clock: SimClock) -> TraceScope:
         return TraceScope(self, track, clock)
@@ -175,9 +178,6 @@ class _NullScope:
         return NULL_SPAN
 
     def count(self, name: str, value: float = 1.0) -> None:
-        pass
-
-    def gauge(self, name: str, value: float) -> None:
         pass
 
 

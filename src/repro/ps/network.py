@@ -16,7 +16,7 @@ paper's units.  Defaults approximate the paper's testbed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,9 +127,6 @@ class NetworkModel:
     local_bandwidth: float = 12.5e9  # ~100 Gbps shared memory
     local_latency: float = 2e-6
 
-    #: Cumulative traffic routed through this model (for reports).
-    totals: CommRecord = field(default_factory=CommRecord)
-
     def __post_init__(self) -> None:
         check_positive("bandwidth", self.bandwidth)
         check_positive("local_bandwidth", self.local_bandwidth)
@@ -139,8 +136,10 @@ class NetworkModel:
     def cost(self, record: CommRecord) -> float:
         """Seconds to complete the transfers described by ``record``.
 
-        Pure estimate: does **not** touch :attr:`totals`.  Safe for
-        what-if costing, tracing, and calling any number of times.
+        A pure function of ``record``: the model keeps no books.  The
+        component whose clock advances by this cost keeps the bytes (a
+        :class:`~repro.core.worker.Worker`'s ``comm``, PBG's per-machine
+        records, the serving frontend's ``comm_totals``).
         """
         remote = (
             record.remote_messages * self.latency
@@ -151,19 +150,6 @@ class NetworkModel:
             + record.local_bytes / self.local_bandwidth
         )
         return remote + local
-
-    def charge(self, record: CommRecord) -> float:
-        """Account ``record`` into :attr:`totals` and return its cost.
-
-        The accounting invariant the comm tables rest on: every
-        :class:`CommRecord` produced by the simulation is charged
-        **exactly once**, by the component whose clock advances for it.
-        """
-        self.totals.merge(record)
-        return self.cost(record)
-
-    def reset_totals(self) -> None:
-        self.totals = CommRecord()
 
 
 @dataclass

@@ -139,6 +139,15 @@ class ParameterServer:
             )
         return rows, comm
 
+    def try_pull(
+        self, kind: str, ids: np.ndarray, machine: int
+    ) -> tuple[np.ndarray | None, CommRecord]:
+        """The degradable read a cache refresh uses: like :meth:`pull`,
+        but ``rows`` may be ``None`` when a channel in front of the server
+        gives up (:class:`repro.faults.rpc.FaultyPSChannel`).  The server
+        itself always answers."""
+        return self.pull(kind, ids, machine)
+
     # ----------------------------------------------------------------- pushes
 
     def push(

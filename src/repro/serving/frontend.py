@@ -329,7 +329,7 @@ class ServingFrontend:
                 misses += len(miss_ids)
             self.comm_totals.merge(comm)
             if pulled_ok:
-                self.clock.advance(self.network.charge(comm), "communication")
+                self.clock.advance(self.network.cost(comm), "communication")
             span.set(
                 batch=len(batch), misses=misses, bytes=comm.total_bytes, reason=reason
             )

@@ -15,10 +15,9 @@ records at iteration boundaries.  Each applied update
   consuming training randomness;
 * evicts cache rows whose ids were touched by deletions
   (:meth:`~repro.cache.sync.HotEmbeddingCache.invalidate_ids`);
-* charges the delivery and cold-start traffic through the trainer's
-  :class:`~repro.ps.network.NetworkModel` and advances the receiving
-  machines' clocks under the ``"ingest"`` category, with obs spans to
-  match;
+* books the delivery and cold-start traffic on the receiving machines
+  (:meth:`~repro.core.worker.Worker.charge` under the ``"ingest"`` clock
+  category), with obs spans to match;
 * feeds the inserts to the prequential evaluator *before* they are
   trained on (test-then-train).
 
@@ -246,8 +245,7 @@ class OnlineTrainer:
                     remote_bytes=record_count * TRIPLE_RECORD_BYTES,
                     remote_messages=1 if record_count else 0,
                 )
-                cost = trainer.network.charge(comm)
-                worker.clock.advance(cost, "ingest")
+                worker.charge(comm, "ingest")
             worker.trace.count("worker.ingests")
 
         # Cold-start rows land on their owning shards; charge the slowest
@@ -257,8 +255,7 @@ class OnlineTrainer:
             with worker.trace.span(
                 "ingest.cold_start", "ingest", bytes=init_comm.total_bytes
             ):
-                cost = trainer.network.charge(init_comm)
-                worker.clock.advance(cost, "ingest")
+                worker.charge(init_comm, "ingest")
 
         # Refresh the false-negative filter against the post-update graph.
         self.graph = self.graph.mutated(inserts, deletes, n_ent, n_rel)
@@ -303,9 +300,7 @@ class OnlineTrainer:
         cfg = trainer.config
         total_steps = cfg.epochs * trainer.steps_per_epoch
 
-        ledger = RunLedger(
-            lambda: [w.stats() for w in trainer.workers], trainer.network
-        )
+        ledger = RunLedger(lambda: [w.stats() for w in trainer.workers])
 
         for worker in trainer.workers:
             worker.start()

@@ -9,7 +9,9 @@ resulting keep mask, and the ``OnlineTrainer._apply_update`` whose
 per-worker block wrote "mask, survivors, concat, construct" a second time.
 All four are moved verbatim (methods of ``KnowledgeGraph`` /
 ``EpochSampler`` became functions of one; the trainer subclass calls the
-three others where the original called their successors).
+three others where the original called their successors, and books its
+traffic through ``Worker.charge``, which replaced the network model's
+``charge``).
 ``tests/test_graph_mutation.py`` holds the carried-forward index to them
 update after update.  Not imported by ``src/``.
 
@@ -350,8 +352,7 @@ class OnlineTrainerReference(OnlineTrainer):
                     remote_bytes=record_count * TRIPLE_RECORD_BYTES,
                     remote_messages=1 if record_count else 0,
                 )
-                cost = trainer.network.charge(comm)
-                worker.clock.advance(cost, "ingest")
+                worker.charge(comm, "ingest")
             worker.trace.count("worker.ingests")
 
         # Cold-start rows land on their owning shards; charge the slowest
@@ -361,8 +362,7 @@ class OnlineTrainerReference(OnlineTrainer):
             with worker.trace.span(
                 "ingest.cold_start", "ingest", bytes=init_comm.total_bytes
             ):
-                cost = trainer.network.charge(init_comm)
-                worker.clock.advance(cost, "ingest")
+                worker.charge(init_comm, "ingest")
 
         # Refresh the false-negative filter against the post-update graph.
         self.graph = mutated_reference(

@@ -1,9 +1,13 @@
 """Accounting conservation tests: the simulation's books must balance.
 
-The cost models, per-worker clocks, telemetry, and the network's global
-byte counters all observe the same underlying events from different
-angles; these tests assert they agree.
+Each count has one book — bytes on the machine whose clock paid for them,
+time on that clock — and every report (result totals, telemetry rows,
+epoch histories) is derived from those books; these tests assert the
+derivations agree.
 """
+
+import importlib.util
+import pathlib
 
 import numpy as np
 import pytest
@@ -55,13 +59,23 @@ class TestClockConservation:
 class TestByteConservation:
     def test_telemetry_bytes_bounded_by_network_totals(self, run):
         """Telemetry records step traffic only (no install/start traffic),
-        so its total must be <= the network model's global totals, and
-        close to them."""
+        so its total must be <= the run's comm totals, and close to
+        them."""
         trainer, result, telemetry = run
         step_remote = sum(r.remote_bytes for r in telemetry.records)
         total_remote = result.comm_totals.remote_bytes
         assert step_remote <= total_remote
         assert step_remote > 0.5 * total_remote  # installs are the minority
+
+    def test_worker_books_sum_to_comm_totals(self, run):
+        """A first ``train()`` call's totals are exactly the per-machine
+        books summed (every ``CommRecord`` field is an int)."""
+        trainer, result, _ = run
+        for field in ("local_bytes", "remote_bytes", "local_messages",
+                      "remote_messages", "retransmit_bytes"):
+            books = sum(getattr(w.comm, field) for w in trainer.workers)
+            assert books == getattr(result.comm_totals, field), field
+        assert result.comm_totals.total_bytes > 0
 
     def test_network_totals_cover_both_directions(self, run):
         """Pull and push both meter; total bytes must exceed either
@@ -208,3 +222,27 @@ class TestRepeatedTrainCalls:
         assert second.comm_totals.remote_bytes == first.comm_totals.remote_bytes
         assert second.comm_totals.total_messages == first.comm_totals.total_messages
         assert second.sim_time == pytest.approx(first.sim_time)
+
+
+class TestPBGGolden:
+    """PBG on the golden config, which ``tests/golden/train_golden.json``
+    does not cover (it pins hetkg-c/d and dglke).  Captured while PBG's
+    bytes were still accumulated by the shared network model, before they
+    moved onto per-machine records beside its clocks."""
+
+    def test_comm_totals_and_sim_time(self):
+        path = pathlib.Path(__file__).parent / "golden" / "capture.py"
+        spec = importlib.util.spec_from_file_location("golden_capture", path)
+        capture = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(capture)
+        from repro.kg.datasets import generate_dataset
+        from repro.kg.splits import split_triples
+
+        split = split_triples(generate_dataset("fb15k", scale=0.02, seed=3), seed=3)
+        result = PBGTrainer(capture.golden_config()).train(split.train)
+        comm = result.comm_totals
+        assert (
+            comm.local_bytes, comm.remote_bytes, comm.local_messages,
+            comm.remote_messages, comm.retransmit_bytes,
+        ) == (0, 426835200, 0, 1472, 0)
+        assert float(result.sim_time).hex() == "0x1.c3fe7ac4c23f3p+1"

@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import TrainingConfig
-from repro.core.telemetry import FaultEvent, Telemetry
 from repro.core.trainer import make_trainer
 from repro.faults import (
     CheckpointManager,
     CrashEvent,
     DelayWindow,
     DropWindow,
+    FaultEvent,
     FaultInjector,
     FaultPlan,
     FaultyPSChannel,
@@ -22,6 +26,7 @@ from repro.faults import (
     RetryPolicy,
     ShardRecovery,
     StragglerWindow,
+    export_events_csv,
 )
 
 
@@ -40,9 +45,9 @@ def _config(**overrides) -> TrainingConfig:
     return TrainingConfig(**defaults)
 
 
-def _train(split, system="hetkg-d", telemetry=None, **train_kwargs):
+def _train(split, system="hetkg-d", **train_kwargs):
     trainer = make_trainer(system, _config())
-    result = trainer.train(split.train, telemetry=telemetry, **train_kwargs)
+    result = trainer.train(split.train, **train_kwargs)
     return trainer, result
 
 
@@ -421,12 +426,52 @@ class TestChaosDeterminism:
             p.loss for p in b.history.points
         ]
 
+    #: The run's incident log, captured before the log moved from
+    #: ``Telemetry`` to the injector: ``(worker, iteration, kind,
+    #: sim_time.hex(), detail)`` for all 407 events, as the sha256 of its
+    #: JSON, and every event that is not a retry spelled out.
+    EVENTS = 407
+    EVENTS_SHA256 = "fb08735f98ff4976f62e97b45c840d09bed852783fb0a5e2e999226692cd412e"
+    NON_RETRY_EVENTS = [
+        (1, 5, "crash_restart", "0x1.11e96aa349bb2p+0", "restored 254400 B"),
+        (0, 8, "stale_overrun", "0x1.c956660d0516dp-1", "entity x32"),
+        (0, 8, "stale_overrun", "0x1.7821a27788473p+0", "relation x96"),
+        (0, 8, "forced_pull", "0x1.07043c75828e7p+1", "entity x29"),
+        (0, 8, "forced_pull", "0x1.5682b551a7211p+1", "relation x3"),
+        (0, 8, "lost_push", "0x1.a80da7437463fp+1", "entity x44"),
+        (0, 8, "lost_push", "0x1.f2542f81ca658p+1", "relation x23"),
+        (1, 8, "stale_overrun", "0x1.b5b13cb4e3d81p+0", "entity x32"),
+        (1, 8, "stale_overrun", "0x1.23901ec3576f0p+1", "relation x96"),
+        (1, 8, "forced_pull", "0x1.6d190c2d3d3e8p+1", "entity x30"),
+        (1, 8, "lost_push", "0x1.bd1b33b5bf633p+1", "entity x44"),
+        (1, 8, "lost_push", "0x1.0333ec3618e5bp+2", "relation x20"),
+        (0, 9, "stale_overrun", "0x1.1e058b5194a58p+2", "entity x32"),
+        (0, 9, "stale_overrun", "0x1.42ef382179076p+2", "relation x96"),
+        (0, 9, "forced_pull", "0x1.68bc56a78c113p+2", "entity x31"),
+        (0, 9, "forced_pull", "0x1.906707ee7dc5dp+2", "relation x3"),
+        (0, 9, "lost_push", "0x1.b8eb8b23ded72p+2", "entity x47"),
+        (0, 9, "lost_push", "0x1.dd4c18e7794fcp+2", "relation x24"),
+        (1, 9, "stale_overrun", "0x1.2898ec87457fap+2", "entity x32"),
+        (1, 9, "stale_overrun", "0x1.4d173a2b27565p+2", "relation x96"),
+        (1, 9, "forced_pull", "0x1.72500cb30fd1dp+2", "entity x30"),
+        (1, 9, "lost_push", "0x1.9a8165490294cp+2", "entity x49"),
+        (1, 9, "lost_push", "0x1.bee5fe3061b58p+2", "relation x19"),
+        (0, 10, "stale_overrun", "0x1.00edc5505b0f7p+3", "entity x32"),
+        (0, 10, "stale_overrun", "0x1.13449bf345640p+3", "relation x96"),
+        (0, 10, "forced_pull", "0x1.25ce13857cd81p+3", "entity x35"),
+        (0, 10, "lost_push", "0x1.3c1f4e6bf2dd9p+3", "entity x49"),
+        (0, 10, "lost_push", "0x1.4e73bf1958997p+3", "relation x21"),
+        (1, 10, "stale_overrun", "0x1.e368a4011e26bp+2", "entity x32"),
+        (1, 10, "stale_overrun", "0x1.04106542df2f3p+3", "relation x96"),
+        (1, 10, "forced_pull", "0x1.167bfd7f9f241p+3", "entity x35"),
+        (1, 10, "forced_pull", "0x1.2ac8b12bac526p+3", "relation x1"),
+        (1, 10, "lost_push", "0x1.3ea5ea565b4bbp+3", "entity x50"),
+        (1, 10, "lost_push", "0x1.5137640c181e7p+3", "relation x22"),
+    ]
+
     def test_fault_overhead_is_visible_everywhere(self, small_split):
-        telemetry = Telemetry()
         _, clean = _train(small_split)
-        _, chaotic = _train(
-            small_split, faults=self.PLAN, checkpoint_every=4, telemetry=telemetry
-        )
+        _, chaotic = _train(small_split, faults=self.PLAN, checkpoint_every=4)
         stats = chaotic.fault_stats
         assert stats["retries"] >= 1
         assert stats["recoveries"] == 1
@@ -437,11 +482,25 @@ class TestChaosDeterminism:
         # CommRecord totals carry the wasted attempts.
         assert chaotic.comm_totals.retransmit_bytes > 0
         assert chaotic.comm_totals.remote_bytes > clean.comm_totals.remote_bytes
-        # Telemetry carries the incident log.
-        summary = telemetry.fault_summary()
-        assert summary.get("retry", 0) >= 1
-        assert summary.get("crash_restart", 0) == 1
-        assert all(isinstance(e, FaultEvent) for e in telemetry.events)
+        # The injector's log carries every incident, once: the same
+        # sequence as before the move, and the same counts as fault_stats.
+        assert all(isinstance(e, FaultEvent) for e in chaotic.fault_events)
+        events = [
+            (e.worker, e.iteration, e.kind, float(e.sim_time).hex(), e.detail)
+            for e in chaotic.fault_events
+        ]
+        assert len(events) == self.EVENTS
+        assert [e for e in events if e[2] != "retry"] == self.NON_RETRY_EVENTS
+        digest = hashlib.sha256(json.dumps(events).encode()).hexdigest()
+        assert digest == self.EVENTS_SHA256
+        kinds = Counter(e.kind for e in chaotic.fault_events)
+        assert kinds == {
+            "retry": stats["retries"],
+            "forced_pull": stats["forced_pulls"],
+            "stale_overrun": stats["stale_overruns"],
+            "lost_push": stats["lost_pushes"],
+            "crash_restart": stats["recoveries"],
+        }
 
     def test_losses_stay_finite_under_chaos(self, small_split):
         _, chaotic = _train(small_split, faults=self.PLAN, checkpoint_every=4)
@@ -486,7 +545,8 @@ class TestCrashRecovery:
         plan = FaultPlan(crashes=(CrashEvent(1, 3),))
         trainer, result = _train(small_split, faults=plan, checkpoint_every=2)
         crashed = next(w for w in trainer.workers if w.machine == 1)
-        assert crashed.recoveries == 1
+        restarts = [e for e in result.fault_events if e.kind == "crash_restart"]
+        assert [(e.worker, e.iteration) for e in restarts] == [(1, 3)]
         # The hot table was rebuilt after invalidation (non-empty again).
         assert len(crashed.cache.cached_ids("entity")) > 0
         # Recovery time landed on the crashed worker's clock.
@@ -532,24 +592,28 @@ class TestDegradedPS:
         assert all(np.isfinite(p.loss) for p in result.history.points)
 
 
-# ------------------------------------------------------------------ telemetry
+# ------------------------------------------------------------------ event log
 
 
 class TestFaultTelemetry:
     def test_event_log_and_export(self, tmp_path):
-        telemetry = Telemetry()
-        telemetry.add_event(FaultEvent(0, 3, "retry", 0.5, "entity attempt 1"))
-        telemetry.add_event(FaultEvent(1, 7, "crash_restart", 2.0))
-        assert telemetry.fault_summary() == {"retry": 1, "crash_restart": 1}
-        assert len(telemetry.events_of("retry")) == 1
+        injector = FaultInjector(FaultPlan.none())
+        injector.record("retry", 0, 3, 0.5, "entity attempt 1")
+        injector.record("crash_restart", 1, 7, 2.0)
+        assert injector.events == [
+            FaultEvent(0, 3, "retry", 0.5, "entity attempt 1"),
+            FaultEvent(1, 7, "crash_restart", 2.0),
+        ]
+        assert (injector.stats.retries, injector.stats.recoveries) == (1, 1)
         out = tmp_path / "events.csv"
-        telemetry.export_events_csv(out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "worker,iteration,kind,sim_time,detail"
-        assert len(lines) == 3
+        export_events_csv(injector.events, out)
+        assert out.read_bytes() == (
+            b"worker,iteration,kind,sim_time,detail\r\n"
+            b"0,3,retry,0.5,entity attempt 1\r\n"
+            b"1,7,crash_restart,2.0,\r\n"
+        )
 
     def test_fault_free_run_has_no_events(self, small_split):
-        telemetry = Telemetry()
-        _train(small_split, telemetry=telemetry)
-        assert telemetry.events == []
-        assert telemetry.fault_summary() == {}
+        _, result = _train(small_split)
+        assert result.fault_events == []
+        assert result.fault_stats == {}

@@ -446,6 +446,22 @@ class TestServeMP:
             serve_mp(store, measured, num_frontends=1, cache_policy="mru")
 
 
+# ------------------------------------------------------- wall-clock channel
+
+
+class TestWallClockChannel:
+    def test_comm_calls_pinned(self, mp_data):
+        """The channel times every PS call, the cache refresh's
+        ``try_pull`` included; the counts are the ones captured when the
+        refresh still reached the channel through ``pull``."""
+        _, split = mp_data
+        trainer = make_trainer("hetkg-d", mp_config())
+        result = trainer.train_mp(split.train, schedule="sync", start_method="fork")
+        walls = result.worker_wall
+        assert {m: w["comm_calls"] for m, w in walls.items()} == {0: 1861, 1: 1858}
+        assert all(w["comm_wall_s"] > 0 for w in walls.values())
+
+
 # ------------------------------------------------------------- reconcile
 
 

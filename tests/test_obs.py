@@ -1,4 +1,4 @@
-"""Unit tests for repro.obs: tracer, metrics, sinks, Chrome-trace export."""
+"""Unit tests for repro.obs: tracer, counters, sinks, Chrome-trace export."""
 
 import json
 
@@ -10,7 +10,6 @@ from repro.obs.export import (
     validate_chrome_trace_file,
     write_chrome_trace,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import InMemorySink, NullSink, SpanRecord, TraceSink
 from repro.obs.tracer import (
     NULL_SCOPE,
@@ -95,25 +94,19 @@ class TestSpans:
         scope.count("steps")
         assert tracer.sink.counters[-1].value == 2.0
 
-    def test_gauge_samples(self, tracer, clock):
-        scope = tracer.scope("w", clock)
-        scope.gauge("occupancy", 0.75)
-        scope.gauge("occupancy", 0.5)
-        assert tracer.metrics.gauge("occupancy").value == 0.5
-        assert [s.value for s in tracer.sink.counters] == [0.75, 0.5]
 
+class TestCounterTotals:
+    def test_counter_accumulates(self, tracer, clock):
+        # One table across scopes: two tracks bump the same counter.
+        tracer.scope("a", clock).count("x")
+        tracer.scope("b", clock).count("x", 4)
+        assert tracer.totals == {"x": 5.0}
+        assert [s.value for s in tracer.sink.counters] == [1.0, 5.0]
 
-class TestMetricsRegistry:
-    def test_counter_accumulates(self):
-        reg = MetricsRegistry()
-        reg.counter("x").add()
-        reg.counter("x").add(4)
-        assert reg.snapshot() == {"x": 5.0}
-        assert "x" in reg and "y" not in reg
-
-    def test_counter_rejects_negative(self):
+    def test_counter_rejects_negative(self, tracer, clock):
         with pytest.raises(ValueError, match="cannot decrease"):
-            MetricsRegistry().counter("x").add(-1)
+            tracer.scope("w", clock).count("x", -1)
+        assert tracer.totals == {} and tracer.sink.counters == []
 
 
 class TestDisabledPath:
@@ -154,7 +147,7 @@ class TestSinks:
             clock.advance(1.0)
         scope.count("c")
         # counters still aggregate even when samples are dropped
-        assert tracer.metrics.snapshot() == {"c": 1.0}
+        assert tracer.totals == {"c": 1.0}
 
     def test_clear(self, tracer, clock):
         make_nested_trace(tracer, clock)

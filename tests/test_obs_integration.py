@@ -65,9 +65,9 @@ class TestTrainerReconciliation:
 
     def test_step_counters_match_iterations(self, traced_run):
         tracer, trainer, _ = traced_run
-        steps = tracer.metrics.counter("worker.steps").value
+        steps = tracer.totals["worker.steps"]
         assert steps == sum(w.iterations for w in trainer.workers)
-        assert tracer.metrics.counter("worker.syncs").value > 0
+        assert tracer.totals["worker.syncs"] > 0
 
     def test_fetch_spans_carry_byte_attrs(self, traced_run):
         tracer, _, result = traced_run
@@ -127,7 +127,7 @@ class TestStreamReconciliation:
         tracer, trainer, result = traced_stream
         names = {s.name for s in tracer.sink.spans}
         assert {"ingest.apply", "ingest.cold_start", "sample", "compute"} <= names
-        steps = tracer.metrics.counter("worker.steps").value
+        steps = tracer.totals["worker.steps"]
         assert steps == sum(w.iterations for w in trainer.workers) > 0
 
 
@@ -166,8 +166,8 @@ class TestServingReconciliation:
             assert totals.get(category, 0.0) == pytest.approx(
                 frontend.clock.category(category)
             ), category
-        assert tracer.metrics.counter("serve.queries").value == 120
-        assert tracer.metrics.counter("serve.batches").value > 0
+        assert tracer.totals["serve.queries"] == 120
+        assert tracer.totals["serve.batches"] > 0
         validate_chrome_trace(tracer.chrome_trace())
 
 
