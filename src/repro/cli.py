@@ -14,12 +14,16 @@ from __future__ import annotations
 
 import argparse
 import difflib
-import inspect
 import sys
 import time
 from typing import Any, Callable, NamedTuple
 
-from repro.experiments.registry import EXPERIMENTS, get_experiment, list_experiments
+from repro.experiments.registry import (
+    EXPERIMENTS,
+    list_experiments,
+    run_experiment,
+    run_experiments,
+)
 from repro.serving.cache import ServingCache, cache_policies
 
 
@@ -40,6 +44,7 @@ CHOICES: dict[str, tuple[str, str, tuple[str, ...]]] = {
     "backend": ("backend", "backends", ("sim", "mp")),
     "neg_cache": ("--neg-cache mode", "modes", ("off", "nscaching", "auto")),
     "experiment": ("experiment", "ids", ("all", *list_experiments())),
+    "only": ("experiment", "ids", tuple(list_experiments())),
 }
 
 
@@ -152,14 +157,15 @@ def _check_usage(args: argparse.Namespace) -> int:
     """Reject unknown values and incompatible flags on stderr with exit
     code 2, before any work starts; 0 means the invocation may run."""
     for dest, (what, plural, valid) in CHOICES.items():
-        value = getattr(args, dest, None)
-        if value is not None and value not in valid:
-            close = difflib.get_close_matches(value, valid, n=3, cutoff=0.4)
-            print(f"unknown {what} {value!r}", file=sys.stderr)
-            if close:
-                print("did you mean: " + ", ".join(close), file=sys.stderr)
-            print(f"valid {plural}: " + ", ".join(valid), file=sys.stderr)
-            return 2
+        given = getattr(args, dest, None)
+        for value in given if isinstance(given, list) else [given]:
+            if value is not None and value not in valid:
+                close = difflib.get_close_matches(value, valid, n=3, cutoff=0.4)
+                print(f"unknown {what} {value!r}", file=sys.stderr)
+                if close:
+                    print("did you mean: " + ", ".join(close), file=sys.stderr)
+                print(f"valid {plural}: " + ", ".join(valid), file=sys.stderr)
+                return 2
     errors = usage_errors(args)
     for line in errors:
         print(line, file=sys.stderr)
@@ -366,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--output", default="EXPERIMENTS.md", help="markdown file to write"
     )
     report.add_argument(
-        "--only", nargs="*", default=None, help="subset of experiment ids"
+        "--only", nargs="+", default=None, help="subset of experiment ids"
     )
     report.add_argument(
         "--append",
@@ -603,17 +609,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "seeded run)",
     )
     return parser
-
-
-def _runner_kwargs(runner, args: argparse.Namespace) -> dict:
-    """Only pass overrides the runner's signature accepts."""
-    accepted = inspect.signature(runner).parameters
-    kwargs = {}
-    for name in ("scale", "epochs", "seed", "faults", "jobs", "neg_cache"):
-        value = getattr(args, name, None)
-        if value is not None and name in accepted:
-            kwargs[name] = value
-    return kwargs
 
 
 def _train(args: argparse.Namespace) -> int:
@@ -1170,19 +1165,15 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _sweep(args)
 
     names = list_experiments() if args.experiment == "all" else [args.experiment]
-    runners = [get_experiment(name) for name in names]
+    settings = {
+        name: getattr(args, name)
+        for name in ("scale", "epochs", "seed", "faults", "jobs", "neg_cache")
+    }
 
-    jobs = getattr(args, "jobs", 1)
+    jobs = args.jobs
     if jobs > 1 and len(names) > 1:
-        from repro.experiments.parallel import run_experiments
-
         start = time.time()
-        outcomes = run_experiments(
-            names,
-            jobs=jobs,
-            kwargs_per_name=[_runner_kwargs(r, args) for r in runners],
-        )
-        for _, result in outcomes:
+        for result in run_experiments(names, settings, jobs=jobs):
             print(result.to_text())
             print()
         print(
@@ -1191,9 +1182,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         return 0
 
-    for name, runner in zip(names, runners):
+    for name in names:
         start = time.time()
-        result = runner(**_runner_kwargs(runner, args))
+        result = run_experiment(name, **settings)
         print(result.to_text())
         print(f"(wall time: {time.time() - start:.1f}s)")
         print()

@@ -38,7 +38,7 @@ from repro.experiments.common import (
     dataset_bundle,
 )
 from repro.experiments.cache_study import _access_trace
-from repro.experiments.parallel import parallel_map
+from repro.mp.pool import process_map
 from repro.serving.workload import WorkloadSpec, ZipfianWorkload, zipf_probabilities
 
 #: Reactive policies in report-column order (the registry of
@@ -162,7 +162,7 @@ def run_cache_shootout(
         for trace in TRACES
         for policy in policies
     ]
-    outcomes = parallel_map(_run_cell, tasks, jobs=jobs)
+    outcomes = process_map(_run_cell, tasks, jobs=jobs)
 
     hit: dict[tuple[str, str], float] = {}
     capacities: dict[str, int] = {}

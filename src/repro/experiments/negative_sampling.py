@@ -36,7 +36,7 @@ from repro.experiments.common import (
     dataset_bundle,
     run_system,
 )
-from repro.experiments.parallel import parallel_map
+from repro.mp.pool import process_map
 
 #: Model kernels raced (a spread of geometries: translation, bilinear,
 #: rotation — every kernel in repro.models accepts the same knobs).
@@ -106,7 +106,7 @@ def run_negative_sampling(
         for model in NEG_MODELS
         for arm in arms
     ]
-    outcomes = parallel_map(_run_cell, tasks, jobs=jobs)
+    outcomes = process_map(_run_cell, tasks, jobs=jobs)
 
     rows = []
     mrr: dict[tuple[str, str], float] = {}

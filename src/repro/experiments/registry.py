@@ -1,8 +1,11 @@
-"""Registry mapping paper experiment ids to runner functions."""
+"""Registry mapping paper experiment ids to runner functions, and the one
+way to run them: :func:`run_experiment` (one id) and :func:`run_experiments`
+(several, optionally across processes)."""
 
 from __future__ import annotations
 
-from typing import Callable
+import inspect
+from typing import Any, Callable, Sequence
 
 from repro.experiments.ablations import (
     run_ablation_compression,
@@ -31,6 +34,7 @@ from repro.experiments.negative_sampling import run_negative_sampling
 from repro.experiments.serving_scale import run_serving_scale
 from repro.experiments.serving_study import run_serving_batcher, run_serving_cache
 from repro.experiments.streaming_drift import run_streaming_drift
+from repro.mp.pool import process_map
 
 #: Every reproducible table/figure, keyed by the paper's numbering.
 EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
@@ -79,3 +83,31 @@ def get_experiment(name: str) -> Callable[..., ExperimentResult]:
 def list_experiments() -> list[str]:
     """All experiment ids, tables/figures first, ablations last."""
     return sorted(EXPERIMENTS)
+
+
+def run_experiment(name: str, **settings: Any) -> ExperimentResult:
+    """Run one experiment with the settings its runner's signature accepts.
+
+    Settings the runner does not take, and ``None`` values, are dropped, so
+    one settings dict (the CLI's flags, a report scale) serves every runner.
+    """
+    runner = get_experiment(name)
+    accepted = inspect.signature(runner).parameters
+    return runner(
+        **{k: v for k, v in settings.items() if v is not None and k in accepted}
+    )
+
+
+def _run_task(task: tuple[str, dict[str, Any]]) -> ExperimentResult:
+    """Worker body for :func:`run_experiments` (module-level: picklable)."""
+    name, settings = task
+    return run_experiment(name, **settings)
+
+
+def run_experiments(
+    names: Sequence[str], settings: dict[str, Any], jobs: int = 1
+) -> list[ExperimentResult]:
+    """:func:`run_experiment` each of ``names`` with the same ``settings`` on
+    ``jobs`` processes; results come back in the order of ``names``, equal
+    to the serial run's (every runner seeds its own generators)."""
+    return process_map(_run_task, [(name, settings) for name in names], jobs=jobs)

@@ -1,18 +1,17 @@
 """EXPERIMENTS.md generation: paper values next to measured values.
 
 ``generate_report`` runs every registered experiment at its *report* scale
-(larger than the bench scale, still laptop-friendly) and renders a markdown
+(larger than the test scale, still laptop-friendly) and renders a markdown
 document with, per experiment: the paper's published numbers/claims, our
 measured table, and the shape that reproduced.
 """
 
 from __future__ import annotations
 
-import inspect
 import time
 
 from repro.experiments.paper_reference import PAPER_REFERENCES
-from repro.experiments.registry import EXPERIMENTS, list_experiments
+from repro.experiments.registry import list_experiments, run_experiment
 
 #: Per-experiment overrides for the full report run (defaults otherwise).
 REPORT_SETTINGS: dict[str, dict] = {
@@ -61,23 +60,13 @@ All runs are deterministic (seeded); regenerate any single entry with
 """
 
 
-def _run_one(name: str) -> tuple[str, float]:
-    runner = EXPERIMENTS[name]
-    accepted = inspect.signature(runner).parameters
-    kwargs = {
-        k: v for k, v in REPORT_SETTINGS.get(name, {}).items() if k in accepted
-    }
-    start = time.time()
-    result = runner(**kwargs)
-    elapsed = time.time() - start
-    return result.to_text(), elapsed
-
-
 def render_section(name: str) -> str:
     """Run one experiment and render its markdown section."""
     ref = PAPER_REFERENCES.get(name)
-    text, elapsed = _run_one(name)
     settings = REPORT_SETTINGS.get(name, {})
+    start = time.time()
+    text = run_experiment(name, **settings).to_text()
+    elapsed = time.time() - start
     lines = [f"## {name}"]
     if ref is not None:
         lines.append(f"**Paper ({ref.paper_label}).** {ref.paper_values}")

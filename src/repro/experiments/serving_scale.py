@@ -35,8 +35,8 @@ from repro.experiments.common import (
     base_config,
     dataset_bundle,
 )
-from repro.experiments.parallel import parallel_map
 from repro.faults.plan import FaultPlan
+from repro.mp.pool import process_map
 from repro.serving.admission import (
     AdmissionController,
     LoadShedder,
@@ -173,7 +173,7 @@ def run_serving_scale(
     ]
     # Fault-stressed point at ~2x saturation.
     tasks.append((64_000.0, scale, epochs, seed, num_queries, FAULT_SPEC))
-    outcomes = parallel_map(_serve_point, tasks, jobs=jobs)
+    outcomes = process_map(_serve_point, tasks, jobs=jobs)
 
     rows = []
     series: dict[str, list[tuple[float, float]]] = {

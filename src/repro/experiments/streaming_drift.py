@@ -30,7 +30,7 @@ from repro.experiments.common import (
     base_config,
     dataset_bundle,
 )
-from repro.experiments.parallel import parallel_map
+from repro.mp.pool import process_map
 from repro.stream import OnlineTrainer, make_stream
 
 #: Systems compared (PBG's block loop has no PS cache path to adapt).
@@ -87,7 +87,7 @@ def run_streaming_drift(
         for profile in STREAM_PROFILES
         for system in STREAM_SYSTEMS
     ]
-    outcomes = parallel_map(_run_cell, tasks, jobs=jobs)
+    outcomes = process_map(_run_cell, tasks, jobs=jobs)
 
     rows = []
     hit: dict[tuple[str, str], float] = {}

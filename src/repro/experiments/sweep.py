@@ -14,8 +14,8 @@ from typing import Any, Sequence
 
 from repro.core.config import TrainingConfig
 from repro.core.trainer import make_trainer
-from repro.experiments.parallel import parallel_map
 from repro.kg.splits import Split
+from repro.mp.pool import process_map
 from repro.utils.tables import format_table
 
 
@@ -48,7 +48,7 @@ class SweepResult:
 def _sweep_point(task: tuple) -> dict[str, Any]:
     """Train one grid point and summarise its outcome.
 
-    Module-level so :func:`~repro.experiments.parallel.parallel_map` can
+    Module-level so :func:`~repro.mp.pool.process_map` can
     ship it to worker processes; with ``jobs=1`` it runs inline, so the
     serial and parallel paths execute the exact same code.
     """
@@ -127,5 +127,5 @@ def run_sweep(
     ]
     return SweepResult(
         parameters=parameters,
-        records=parallel_map(_sweep_point, tasks, jobs=jobs),
+        records=process_map(_sweep_point, tasks, jobs=jobs),
     )

@@ -2,9 +2,9 @@
 
 Two consumers, one contract:
 
-* the ``--jobs`` parallel experiment runner
-  (:mod:`repro.experiments.parallel`) maps hermetic experiment tasks over
-  a pool and requires submission-order results so parallel reports are
+* ``--jobs`` (:func:`repro.experiments.registry.run_experiments`, sweeps
+  and the grid runners) maps hermetic experiment tasks over a pool and
+  requires submission-order results so parallel reports are
   byte-identical to serial ones;
 * the mp serving path fans measured query streams over frontend processes.
 

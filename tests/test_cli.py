@@ -50,6 +50,25 @@ class TestRun:
         assert main(["run", "table2", "--scale", "0.015", "--epochs", "3"]) == 0
 
 
+class TestReport:
+    def test_unknown_only_id_leaves_the_report_untouched(self, tmp_path, capsys):
+        out = tmp_path / "EXPERIMENTS.md"
+        out.write_text("# kept\n")
+        assert main(["report", "--only", "tabel3", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown experiment 'tabel3'" in err
+        assert "did you mean: table3" in err
+        assert out.read_bytes() == b"# kept\n"
+
+    def test_only_needs_an_id(self, tmp_path):
+        out = tmp_path / "EXPERIMENTS.md"
+        out.write_text("# kept\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["report", "--only", "--output", str(out)])
+        assert exit_info.value.code == 2
+        assert out.read_bytes() == b"# kept\n"
+
+
 class TestServeBench:
     def test_serve_bench_trains_and_serves(self, capsys):
         rc = main(

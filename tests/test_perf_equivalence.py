@@ -652,12 +652,12 @@ class TestLFUBucketEquivalence:
 
 
 class TestParallelRunner:
-    def test_parallel_map_preserves_order_inline_and_pooled(self):
-        from repro.experiments.parallel import parallel_map
+    def test_process_map_preserves_order_inline_and_pooled(self):
+        from repro.mp.pool import process_map
 
         items = list(range(7))
-        assert parallel_map(_square, items, jobs=1) == [i * i for i in items]
-        assert parallel_map(_square, items, jobs=2) == [i * i for i in items]
+        assert process_map(_square, items, jobs=1) == [i * i for i in items]
+        assert process_map(_square, items, jobs=2) == [i * i for i in items]
 
     def test_sweep_jobs2_identical_to_serial(self, small_graph):
         from repro.core.config import TrainingConfig

@@ -701,15 +701,15 @@ class TestServingScaleExperiment:
     def test_jobs_parallelism_is_bit_identical(self):
         """Each load point is hermetic: a process pool must reproduce the
         serial results byte for byte."""
-        from repro.experiments.parallel import parallel_map
         from repro.experiments.serving_scale import _serve_point
+        from repro.mp.pool import process_map
 
         tasks = [
             (8_000.0, 0.02, 1, 0, 200, None),
             (32_000.0, 0.02, 1, 0, 200, None),
         ]
         serial = [_serve_point(task) for task in tasks]
-        parallel = parallel_map(_serve_point, tasks, jobs=2)
+        parallel = process_map(_serve_point, tasks, jobs=2)
         for (s_rate, s_report, s_retries), (p_rate, p_report, p_retries) in zip(
             serial, parallel
         ):
