@@ -27,6 +27,18 @@ from repro.experiments.registry import (
 from repro.serving.cache import ServingCache, cache_policies
 
 
+def _count(text: str) -> int:
+    """argparse ``type`` of a count flag: an integer >= 1, so a zero or
+    negative count exits 2 at parse time with the flag named."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _add_trace_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace",
@@ -204,7 +216,7 @@ def _add_backend_flags(
     )
     parser.add_argument(
         "--mp-staleness",
-        type=int,
+        type=_count,
         default=None,
         metavar="S",
         help="async schedule: max steps any worker may run ahead of the "
@@ -219,7 +231,7 @@ def _add_backend_flags(
     if serving:
         parser.add_argument(
             "--mp-workers",
-            type=int,
+            type=_count,
             default=None,
             metavar="N",
             help="frontend replica processes for --backend mp "
@@ -238,7 +250,7 @@ def _add_fault_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=_count,
         default=None,
         metavar="N",
         help="auto-checkpoint the global state every N iterations "
@@ -266,7 +278,7 @@ def _add_tier_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--tier-block-rows",
-        type=int,
+        type=_count,
         default=64,
         metavar="N",
         help="rows per residency block (tiered backing promotion granularity)",
@@ -345,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one experiment (or 'all')")
     run.add_argument("experiment", help="experiment id from 'list', or 'all'")
     run.add_argument("--scale", type=float, default=None, help="dataset scale factor")
-    run.add_argument("--epochs", type=int, default=None, help="training epochs")
+    run.add_argument("--epochs", type=_count, default=None, help="training epochs")
     run.add_argument("--seed", type=int, default=None, help="master seed")
     run.add_argument(
         "--jobs",
@@ -406,15 +418,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="hetkg-c | hetkg-d | dglke | pbg",
     )
     train.add_argument("--model", default="transe", help="scoring model name")
-    train.add_argument("--dim", type=int, default=16)
-    train.add_argument("--epochs", type=int, default=5)
-    train.add_argument("--machines", type=int, default=4)
+    train.add_argument("--dim", type=_count, default=16)
+    train.add_argument("--epochs", type=_count, default=5)
+    train.add_argument("--machines", type=_count, default=4)
     train.add_argument("--lr", type=float, default=0.1)
-    train.add_argument("--batch-size", type=int, default=128)
-    train.add_argument("--negatives", type=int, default=16)
+    train.add_argument("--batch-size", type=_count, default=128)
+    train.add_argument("--negatives", type=_count, default=16)
     _add_neg_cache_flag(train)
-    train.add_argument("--cache-capacity", type=int, default=1024)
-    train.add_argument("--sync-period", type=int, default=8)
+    train.add_argument("--cache-capacity", type=_count, default=1024)
+    train.add_argument("--sync-period", type=_count, default=8)
     train.add_argument("--seed", type=int, default=0)
     train.add_argument(
         "--eval-queries", type=int, default=200, help="test triples to rank"
@@ -447,9 +459,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--dataset", default="fb15k", help="dataset to train on")
     serve.add_argument("--scale", type=float, default=0.05, help="dataset scale")
-    serve.add_argument("--epochs", type=int, default=2, help="training epochs")
-    serve.add_argument("--machines", type=int, default=4, help="store shards")
-    serve.add_argument("--queries", type=int, default=4000, help="stream length")
+    serve.add_argument("--epochs", type=_count, default=2, help="training epochs")
+    serve.add_argument("--machines", type=_count, default=4, help="store shards")
+    serve.add_argument("--queries", type=_count, default=4000, help="stream length")
     serve.add_argument(
         "--rate", type=float, default=2000.0, help="arrival rate (queries/s)"
     )
@@ -457,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--zipf", type=float, default=1.1, help="workload Zipf exponent"
     )
     serve.add_argument(
-        "--candidates", type=int, default=16, help="candidates per prediction query"
+        "--candidates", type=_count, default=16, help="candidates per prediction query"
     )
     serve.add_argument(
         "--hot-fraction",
@@ -472,7 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="serving cache variant (static = log-profiled hot set; "
         "the rest are reactive policies from the unified cache core)",
     )
-    serve.add_argument("--max-batch", type=int, default=32, help="batcher capacity")
+    serve.add_argument("--max-batch", type=_count, default=32, help="batcher capacity")
     serve.add_argument(
         "--max-wait", type=float, default=2e-3, help="batcher timeout (s)"
     )
@@ -523,7 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--deploy-every",
-        type=int,
+        type=_count,
         default=None,
         metavar="N",
         help="snapshot the trainer and atomically swap the serving "
@@ -568,18 +580,18 @@ def _build_parser() -> argparse.ArgumentParser:
         help="drift profile: none | rotation | zipf-shift | burst",
     )
     stream.add_argument("--model", default="transe", help="scoring model name")
-    stream.add_argument("--epochs", type=int, default=3)
-    stream.add_argument("--machines", type=int, default=4)
-    stream.add_argument("--cache-capacity", type=int, default=1024)
+    stream.add_argument("--epochs", type=_count, default=3)
+    stream.add_argument("--machines", type=_count, default=4)
+    stream.add_argument("--cache-capacity", type=_count, default=1024)
     stream.add_argument(
-        "--interval", type=int, default=8, help="steps between stream updates"
+        "--interval", type=_count, default=8, help="steps between stream updates"
     )
     stream.add_argument(
-        "--inserts", type=int, default=64, help="triples inserted per update"
+        "--inserts", type=_count, default=64, help="triples inserted per update"
     )
     stream.add_argument(
         "--eval-every",
-        type=int,
+        type=_count,
         default=32,
         help="prequential-evaluation cadence in steps",
     )
@@ -597,7 +609,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--dataset", default="fb15k")
     sweep.add_argument("--scale", type=float, default=0.05)
     sweep.add_argument("--system", default="hetkg-d")
-    sweep.add_argument("--epochs", type=int, default=4)
+    sweep.add_argument("--epochs", type=_count, default=4)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument(
         "--jobs",
@@ -723,24 +735,13 @@ def _train(args: argparse.Namespace) -> int:
 
 def _serve_bench(args: argparse.Namespace) -> int:
     """The ``serve-bench`` subcommand: checkpoint/train -> workload -> SLOs."""
-    from repro.experiments.serving_study import (
-        serve_once,
-        split_warmup,
-        trained_store,
-    )
+    from repro.experiments.serving_study import split_warmup, trained_store
+    from repro.serving.admission import AdmissionController, assign_tenants
+    from repro.serving.metrics import ServingReport
     from repro.serving.store import EmbeddingStore
     from repro.serving.workload import WorkloadSpec, ZipfianWorkload
     from repro.utils.tables import format_table
-    from repro.serving.metrics import ServingReport
 
-    use_mp = args.backend == "mp"
-    overload = (
-        args.tenants is not None
-        or args.admission is not None
-        or args.slo is not None
-        or args.faults is not None
-        or args.deploy_every is not None
-    )
     spec = WorkloadSpec(
         num_queries=args.queries,
         arrival_rate=args.rate,
@@ -760,21 +761,12 @@ def _serve_bench(args: argparse.Namespace) -> int:
         workload = ZipfianWorkload(store.num_entities, store.num_relations, spec)
         print(f"serving checkpoint {args.checkpoint}: {store}")
     else:
-        if args.deploy_every is not None:
-            store, bundle, trainer = trained_store(
-                dataset=args.dataset,
-                scale=args.scale,
-                seed=args.seed,
-                epochs=args.epochs,
-                with_trainer=True,
-            )
-        else:
-            store, bundle = trained_store(
-                dataset=args.dataset,
-                scale=args.scale,
-                seed=args.seed,
-                epochs=args.epochs,
-            )
+        store, bundle, trainer = trained_store(
+            dataset=args.dataset,
+            scale=args.scale,
+            seed=args.seed,
+            epochs=args.epochs,
+        )
         workload = ZipfianWorkload.from_graph(bundle.graph, spec)
         print(f"trained {args.dataset} @ scale {args.scale}: {store}")
         if args.backing == "tiered":
@@ -785,37 +777,29 @@ def _serve_bench(args: argparse.Namespace) -> int:
     capacity = max(
         2, int(args.hot_fraction * (store.num_entities + store.num_relations))
     )
-
-    cache = ServingCache.from_policy(args.cache_policy, capacity, warmup)
-    label = args.cache_policy if cache is not None else "no-cache"
     title = (
         f"[serve-bench] {len(measured)} measured queries, "
         f"cache capacity {capacity} rows"
     )
-
-    if use_mp:
+    if args.backend == "mp":
         return _serve_bench_mp(args, store, measured, warmup, capacity, title)
 
-    if overload:
-        return _serve_bench_overload(
-            args, store, trainer, measured, cache, label, title
-        )
-
-    def _run(cache_obj, label):
-        return serve_once(
-            store,
-            measured,
-            cache_obj,
-            max_batch=args.max_batch,
-            max_wait=args.max_wait,
-            byte_scale=args.byte_scale,
-            label=label,
-        )
+    tenant_names = [
+        t.strip() for t in (args.tenants or "").split(",") if t.strip()
+    ]
+    if not tenant_names and args.admission is not None:
+        tenant_names = [
+            n for n in AdmissionController.parse(args.admission).specs if n != "*"
+        ]
+    queries = list(measured.queries)
+    if tenant_names:
+        queries = assign_tenants(queries, tenant_names)
 
     rows = []
     if not args.no_baseline:
-        rows.append(_run(None, "no-cache").as_row())
-    report = _run(cache, label)
+        rows.append(_serve(args, store, trainer, queries, None)[0].as_row())
+    cache = ServingCache.from_policy(args.cache_policy, capacity, warmup)
+    report, frontend, deployment = _serve(args, store, trainer, queries, cache)
     rows.append(report.as_row())
     print(format_table(ServingReport.headers(), rows, title=title))
     print(
@@ -825,9 +809,84 @@ def _serve_bench(args: argparse.Namespace) -> int:
         f"p99 {report.latency_p99 * 1e3:.3f} ms | "
         f"hit ratio {report.hit_ratio:.3f}"
     )
+    print(
+        f"outcomes: admitted {report.num_admitted} | "
+        f"rejected {report.num_rejected} | shed {report.num_shed} | "
+        f"timeout {report.num_timeout} | degraded {report.num_degraded}"
+    )
+    slo_note = f" (SLO {report.slo * 1e3:.1f} ms)" if report.slo is not None else ""
+    print(
+        f"shed rate {report.shed_rate:.3f} | "
+        f"goodput {report.goodput:.0f} q/s{slo_note}"
+    )
+    if report.tenant_p99:
+        print(
+            "tenant p99: "
+            + " | ".join(
+                f"{t}={v * 1e3:.3f} ms" for t, v in report.tenant_p99.items()
+            )
+        )
+    if frontend.injector is not None:
+        stats = frontend.injector.stats
+        print(
+            f"faults: retries={stats.retries}, "
+            f"retry wait={stats.retry_wait_seconds:.4f}s simulated"
+        )
+    if deployment is not None:
+        versioned = deployment.versioned
+        print(
+            f"deploy: {versioned.swaps} swaps, "
+            f"staleness {versioned.staleness} steps, "
+            f"{deployment.warm_traffic.total_bytes / 1e6:.3f} MB re-warm traffic"
+            + ("" if deployment.rewarm else " (re-warming off)")
+        )
     if args.backing == "tiered":
         _print_memory_report(store.memory_report())
     return 0
+
+
+def _serve(args: argparse.Namespace, store, trainer, queries, cache):
+    """Replay ``queries`` through one simulated frontend configured from
+    the flags -> ``(report, frontend, deployment)``.
+
+    Each overload knob (``--admission``, ``--slo``, ``--faults``) is off
+    when its flag is absent.  With ``--deploy-every`` the frontend serves
+    a snapshot of ``trainer`` and swaps in a fresh one between chunks;
+    ``deployment`` is ``None`` otherwise.
+    """
+    from repro.faults import FaultPlan
+    from repro.serving.admission import AdmissionController, LoadShedder
+    from repro.serving.batcher import QueryBatcher
+    from repro.serving.deploy import (
+        ContinuousDeployment,
+        VersionedStore,
+        snapshot_from_trainer,
+    )
+    from repro.serving.frontend import ServingFrontend
+
+    if args.deploy_every is not None:
+        store = VersionedStore(snapshot_from_trainer(trainer))
+    frontend = ServingFrontend(
+        store,
+        batcher=QueryBatcher(max_batch=args.max_batch, max_wait=args.max_wait),
+        cache=cache,
+        byte_scale=args.byte_scale,
+        admission=(
+            AdmissionController.parse(args.admission)
+            if args.admission is not None
+            else None
+        ),
+        shedder=LoadShedder(slo=args.slo) if args.slo is not None else None,
+        faults=FaultPlan.parse(args.faults) if args.faults else None,
+    )
+    if args.deploy_every is None:
+        return frontend.run(queries), frontend, None
+    deployment = ContinuousDeployment(store, frontend, rewarm=not args.no_rewarm)
+    for start in range(0, len(queries), args.deploy_every):
+        if start:
+            deployment.publish(trainer, step=start)
+        frontend.run(queries[start : start + args.deploy_every])
+    return frontend.report(), frontend, deployment
 
 
 def _serve_bench_mp(
@@ -874,122 +933,6 @@ def _serve_bench_mp(
         f"hit ratio {merged.hit_ratio:.3f} | "
         f"wall {result.wall_time_s:.2f}s across {frontends} processes"
     )
-    return 0
-
-
-def _serve_bench_overload(
-    args: argparse.Namespace, store, trainer, measured, cache, label, title
-) -> int:
-    """serve-bench with any of the overload knobs engaged.
-
-    Builds the frontend directly (admission/shedder/faults threaded in)
-    and, with ``--deploy-every``, replays the stream in chunks with an
-    atomic version swap published between chunks.
-    """
-    from repro.ps.network import NetworkModel
-    from repro.serving.admission import (
-        AdmissionController,
-        LoadShedder,
-        assign_tenants,
-    )
-    from repro.serving.batcher import QueryBatcher
-    from repro.serving.frontend import ServingFrontend
-    from repro.serving.metrics import ServingReport
-    from repro.utils.tables import format_table
-
-    fault_plan = None
-    if args.faults:
-        from repro.faults import FaultPlan
-
-        fault_plan = FaultPlan.parse(args.faults)
-    tenant_names = [
-        t.strip() for t in (args.tenants or "").split(",") if t.strip()
-    ]
-    if not tenant_names and args.admission is not None:
-        tenant_names = [
-            n for n in AdmissionController.parse(args.admission).specs if n != "*"
-        ]
-    queries = list(measured.queries)
-    if tenant_names:
-        queries = assign_tenants(queries, tenant_names)
-
-    serving_store = store
-    deploy = None
-    if args.deploy_every is not None:
-        from repro.serving.deploy import (
-            ContinuousDeployment,
-            VersionedStore,
-            snapshot_from_trainer,
-        )
-
-        serving_store = VersionedStore(snapshot_from_trainer(trainer))
-
-    frontend = ServingFrontend(
-        serving_store,
-        batcher=QueryBatcher(max_batch=args.max_batch, max_wait=args.max_wait),
-        cache=cache,
-        network=NetworkModel(),
-        byte_scale=args.byte_scale,
-        admission=(
-            AdmissionController.parse(args.admission)
-            if args.admission is not None
-            else None
-        ),
-        shedder=LoadShedder(slo=args.slo) if args.slo is not None else None,
-        faults=fault_plan,
-    )
-    if args.deploy_every is not None:
-        deploy = ContinuousDeployment(
-            serving_store, frontend, rewarm=not args.no_rewarm
-        )
-        for start in range(0, len(queries), args.deploy_every):
-            if start:
-                deploy.publish(trainer, step=start)
-            frontend.run(queries[start : start + args.deploy_every])
-        report = frontend.report(label=label)
-    else:
-        report = frontend.run(queries, label=label)
-
-    print(format_table(ServingReport.headers(), [report.as_row()], title=title))
-    print(
-        f"throughput {report.throughput:.0f} q/s | "
-        f"p50 {report.latency_p50 * 1e3:.3f} ms | "
-        f"p95 {report.latency_p95 * 1e3:.3f} ms | "
-        f"p99 {report.latency_p99 * 1e3:.3f} ms | "
-        f"hit ratio {report.hit_ratio:.3f}"
-    )
-    print(
-        f"outcomes: admitted {report.num_admitted} | "
-        f"rejected {report.num_rejected} | shed {report.num_shed} | "
-        f"timeout {report.num_timeout} | degraded {report.num_degraded}"
-    )
-    slo_note = f" (SLO {args.slo * 1e3:.1f} ms)" if args.slo is not None else ""
-    print(
-        f"shed rate {report.shed_rate:.3f} | "
-        f"goodput {report.goodput:.0f} q/s{slo_note}"
-    )
-    if report.tenant_p99:
-        print(
-            "tenant p99: "
-            + " | ".join(
-                f"{t}={v * 1e3:.3f} ms" for t, v in report.tenant_p99.items()
-            )
-        )
-    if frontend.injector is not None:
-        stats = frontend.injector.stats
-        print(
-            f"faults: retries={stats.retries}, "
-            f"retry wait={stats.retry_wait_seconds:.4f}s simulated"
-        )
-    if deploy is not None:
-        print(
-            f"deploy: {serving_store.swaps} swaps, "
-            f"staleness {serving_store.staleness} steps, "
-            f"{deploy.warm_traffic.total_bytes / 1e6:.3f} MB re-warm traffic"
-            + (" (re-warming off)" if args.no_rewarm else "")
-        )
-    if args.backing == "tiered":
-        _print_memory_report(store.memory_report())
     return 0
 
 

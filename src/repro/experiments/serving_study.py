@@ -43,24 +43,20 @@ def trained_store(
     seed: int = 0,
     epochs: int = 2,
     bundle: DatasetBundle | None = None,
-    with_trainer: bool = False,
 ):
-    """Train HET-KG-D briefly and wrap its tables in a serving store.
+    """Train HET-KG-D briefly -> ``(store, bundle, trainer)``.
 
-    The store shares the trainer's METIS ownership map, so serving-side
-    shard locality matches the training partition.  With ``with_trainer``
-    the trainer itself is returned too (the continuous-deployment path
-    snapshots fresh checkpoints and hot membership from it).
+    The serving store wraps the trainer's tables and shares its METIS
+    ownership map, so serving-side shard locality matches the training
+    partition.  The trainer is what continuous deployment snapshots fresh
+    checkpoints and hot membership from.
     """
     if bundle is None:
         bundle = dataset_bundle(dataset, scale=scale, seed=seed)
     config = base_config(epochs=epochs, seed=seed)
     trainer = make_trainer("hetkg-d", config)
     trainer.train(bundle.split.train)
-    store = EmbeddingStore.from_trainer(trainer)
-    if with_trainer:
-        return store, bundle, trainer
-    return store, bundle
+    return EmbeddingStore.from_trainer(trainer), bundle, trainer
 
 
 def split_warmup(log: QueryLog, fraction: float = WARMUP_FRACTION) -> tuple[QueryLog, QueryLog]:
@@ -106,7 +102,7 @@ def run_serving_cache(
     prefix of the stream and measured on the suffix; an LRU cache of the
     same capacity and the cache-off baseline bracket it.
     """
-    store, bundle = trained_store(scale=scale, seed=seed, epochs=epochs)
+    store, bundle, _ = trained_store(scale=scale, seed=seed, epochs=epochs)
     spec = WorkloadSpec(num_queries=num_queries, seed=seed + 11)
     workload = ZipfianWorkload.from_graph(bundle.graph, spec)
     warmup, measured = split_warmup(workload.generate())
@@ -156,7 +152,7 @@ def run_serving_batcher(
     larger batches amortise per-message latency into higher throughput at
     the cost of queueing delay in the tail.
     """
-    store, bundle = trained_store(scale=scale, seed=seed, epochs=epochs)
+    store, bundle, _ = trained_store(scale=scale, seed=seed, epochs=epochs)
     spec = WorkloadSpec(num_queries=num_queries, seed=seed + 13)
     workload = ZipfianWorkload.from_graph(bundle.graph, spec)
     warmup, measured = split_warmup(workload.generate())

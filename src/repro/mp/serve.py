@@ -13,13 +13,14 @@ process statistically identical to the full stream's — each replica sees
 the same Zipfian mix and the same arrival cadence scaled by ``1/n`` —
 which is how a load balancer spreading a stream over replicas behaves.
 
-The parent merges the per-replica outcomes into one
-:class:`~repro.serving.metrics.ServingReport`: latency percentiles are
-computed **exactly** over the concatenated per-query latencies (not
-averaged from per-replica percentiles), traffic and batch counts are
-summed, hit ratio is re-derived from summed hit/miss counters, and the
-simulated duration is the slowest replica's (they run concurrently).
-Wall-clock throughput over the whole fan-out is reported alongside.
+The parent folds every replica's completion records through
+:func:`~repro.serving.metrics.aggregate_results`, the fold one frontend
+reports with: latency percentiles are **exact** over all completions
+(not averaged from per-replica percentiles), and the simulated duration
+runs from the first arrival to the last completion of any replica (they
+run concurrently).  Traffic, hits and batches are summed; each clock
+category is the busiest replica's.  Wall-clock throughput over the whole
+fan-out is reported alongside.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ import numpy as np
 
 from repro.mp.pool import process_map
 from repro.mp.shm import SharedArena
+from repro.ps.network import CommRecord
 from repro.serving.cache import ServingCache, cache_policies
-from repro.serving.metrics import ServingReport, latency_percentile
+from repro.serving.metrics import ServingReport, aggregate_results
 
 
 @dataclass
@@ -129,7 +131,25 @@ def serve_mp(
         wall_time_s = time.perf_counter() - wall0
 
     reports = [o["report"] for o in outcomes]
-    merged = _merge_reports(label, outcomes)
+    results = [r for o in outcomes for r in o["results"]]
+    hits = sum(o["hits"] for o in outcomes)
+    looked_up = hits + sum(o["misses"] for o in outcomes)
+    comm = CommRecord()
+    for report in reports:
+        comm.merge(report.comm)
+    batches = sum(r.num_batches for r in reports)
+    batched = sum(1 for r in results if r.batch_size)  # rejected and shed: size 0
+    merged = aggregate_results(
+        label=label,
+        results=results,
+        hit_ratio=hits / looked_up if looked_up else 0.0,
+        comm=comm,
+        num_batches=batches,
+        mean_batch_size=batched / batches if batches else 0.0,
+        compute_time=max(r.compute_time for r in reports),
+        communication_time=max(r.communication_time for r in reports),
+        idle_time=max(r.idle_time for r in reports),
+    )
     return MPServingResult(
         report=merged,
         per_frontend=reports,
@@ -166,7 +186,7 @@ def _replica_body(spec: dict, arrays) -> dict:
     from repro.ps.network import NetworkModel
     from repro.serving.batcher import QueryBatcher
     from repro.serving.frontend import ServingFrontend
-    from repro.serving.queries import ADMITTED, QueryLog
+    from repro.serving.queries import QueryLog
     from repro.serving.store import EmbeddingStore
 
     store = ShardedKVStore(
@@ -189,70 +209,12 @@ def _replica_body(spec: dict, arrays) -> dict:
         network=NetworkModel(),
         byte_scale=spec["byte_scale"],
     )
-    wall0 = time.perf_counter()
     report = frontend.run(
         spec["queries"], label=f"{spec['label']}#{spec['rank']}"
     )
-    wall_s = time.perf_counter() - wall0
-    # Percentiles are computed over the admitted subset, matching
-    # aggregate_results' single-frontend convention.
-    latencies = [
-        r.latency for r in frontend.results if r.outcome == ADMITTED
-    ]
     return {
         "report": report,
-        "latencies": latencies,
+        "results": frontend.results,
         "hits": cache.hits if cache is not None else 0,
         "misses": cache.misses if cache is not None else 0,
-        "wall_s": wall_s,
     }
-
-
-def _merge_reports(label: str, outcomes: list[dict]) -> ServingReport:
-    """Fold replica outcomes into one exact cross-replica report."""
-    from repro.ps.network import CommRecord
-
-    latencies: list[float] = []
-    comm = CommRecord()
-    hits = misses = 0
-    num_queries = num_batches = 0
-    num_admitted = num_good = 0
-    batch_size_weighted = 0.0
-    duration = compute = communication = idle = 0.0
-    for o in outcomes:
-        r: ServingReport = o["report"]
-        latencies.extend(o["latencies"])
-        comm.merge(r.comm)
-        hits += o["hits"]
-        misses += o["misses"]
-        num_queries += r.num_queries
-        num_admitted += r.num_admitted
-        num_good += r.num_good
-        num_batches += r.num_batches
-        batch_size_weighted += r.mean_batch_size * r.num_batches
-        duration = max(duration, r.duration)
-        compute = max(compute, r.compute_time)
-        communication = max(communication, r.communication_time)
-        idle = max(idle, r.idle_time)
-    lat = np.asarray(latencies, dtype=np.float64)
-    return ServingReport(
-        label=label,
-        num_queries=num_queries,
-        duration=duration,
-        latency_mean=float(lat.mean()) if len(lat) else 0.0,
-        latency_p50=latency_percentile(lat, 50),
-        latency_p95=latency_percentile(lat, 95),
-        latency_p99=latency_percentile(lat, 99),
-        latency_max=float(lat.max()) if len(lat) else 0.0,
-        hit_ratio=hits / (hits + misses) if (hits + misses) else 0.0,
-        comm=comm,
-        num_batches=num_batches,
-        mean_batch_size=(
-            batch_size_weighted / num_batches if num_batches else 0.0
-        ),
-        compute_time=compute,
-        communication_time=communication,
-        idle_time=idle,
-        num_admitted=num_admitted,
-        num_good=num_good,
-    )

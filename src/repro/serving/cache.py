@@ -80,8 +80,6 @@ class ServingCache:
             )
         self._tables = tables
         self.label = label
-        self.hits = 0
-        self.misses = 0
 
     # ----------------------------------------------------------- constructors
 
@@ -165,13 +163,18 @@ class ServingCache:
         a real dispatch gathers unique rows — and reaches the table as
         one :meth:`~repro.cache.core.CacheCore.access_many` call.
         """
-        mask = self._tables[kind].access_many(ids)
-        hits = int(np.count_nonzero(mask))
-        self.hits += hits
-        self.misses += len(mask) - hits
-        return mask
+        return self._tables[kind].access_many(ids)
 
     # ------------------------------------------------------------------ stats
+
+    @property
+    def hits(self) -> int:
+        """Lookups that hit, summed over the two tables' own meters."""
+        return sum(t.hits for t in self._tables.values())
+
+    @property
+    def misses(self) -> int:
+        return sum(t.misses for t in self._tables.values())
 
     @property
     def hit_ratio(self) -> float:

@@ -62,6 +62,7 @@ from repro.serving.batcher import QueryBatcher
 from repro.serving.cache import ServingCache
 from repro.serving.metrics import ServingReport, aggregate_results
 from repro.serving.queries import (
+    ADMITTED,
     REJECTED,
     SCORE,
     SHED,
@@ -240,7 +241,7 @@ class ServingFrontend:
         if self.admission is not None and not self.admission.admit(
             query.tenant, query.arrival
         ):
-            self._finish_unserved(query, REJECTED)
+            self._complete([query], query.arrival, REJECTED)
             self.trace.count("serve.rejected")
             return None
         if self.shedder is not None:
@@ -257,7 +258,7 @@ class ServingFrontend:
             )
             decision = self.shedder.assess(priority, projected)
             if decision == SHED_DECISION:
-                self._finish_unserved(query, SHED)
+                self._complete([query], query.arrival, SHED)
                 self.trace.count("serve.shed")
                 return None
             if decision == DEGRADED and len(query.candidates) > 1:
@@ -267,21 +268,6 @@ class ServingFrontend:
                     self._degraded_qids.add(query.qid)
                     self.trace.count("serve.degraded")
         return query
-
-    def _finish_unserved(self, query: Query, outcome: str) -> None:
-        """Record a rejection/shed: completes instantly, answerless."""
-        self.results.append(
-            QueryResult(
-                qid=query.qid,
-                kind=query.kind,
-                arrival=query.arrival,
-                completion=query.arrival,
-                batch_size=0,
-                answer=None,
-                outcome=outcome,
-                tenant=query.tenant,
-            )
-        )
 
     # --------------------------------------------------------------- dispatch
 
@@ -334,50 +320,40 @@ class ServingFrontend:
                 batch=len(batch), misses=misses, bytes=comm.total_bytes, reason=reason
             )
 
-        if not pulled_ok:
-            # Retry budget exhausted mid-pull: the whole batch times out
-            # at the post-retry clock.  No scores are computed, no compute
-            # time is charged — the client simply never gets an answer.
-            self.trace.count("serve.batches")
-            self.trace.count(f"serve.flush.{reason}")
-            self.trace.count("serve.timeouts", len(batch))
-            completion = self.clock.elapsed
-            for query in batch:
-                self._degraded_qids.discard(query.qid)
-                self.results.append(
-                    QueryResult(
-                        qid=query.qid,
-                        kind=query.kind,
-                        arrival=query.arrival,
-                        completion=completion,
-                        batch_size=len(batch),
-                        answer=None,
-                        outcome=TIMEOUT,
-                        tenant=query.tenant,
+        if pulled_ok:
+            with self.trace.span("serve.compute", "compute") as span:
+                num_scores = sum(q.num_scores for q in batch)
+                compute_time = self.compute.batch_time(
+                    num_scores, self.store.model.dim, backward=False
+                )
+                if self.injector is not None:
+                    compute_time *= self.injector.straggler_factor(
+                        self.machine, self._batches_dispatched
                     )
-                )
-            if self.shedder is not None:
-                self.shedder.observe_batch(
-                    len(batch), self.clock.elapsed - service_start
-                )
-            return
-
-        with self.trace.span("serve.compute", "compute") as span:
-            num_scores = sum(q.num_scores for q in batch)
-            compute_time = self.compute.batch_time(
-                num_scores, self.store.model.dim, backward=False
-            )
-            if self.injector is not None:
-                compute_time *= self.injector.straggler_factor(
-                    self.machine, self._batches_dispatched
-                )
-            self.clock.advance(compute_time, "compute")
-            span.set(batch=len(batch), scores=num_scores)
+                self.clock.advance(compute_time, "compute")
+                span.set(batch=len(batch), scores=num_scores)
         self.trace.count("serve.batches")
         self.trace.count(f"serve.flush.{reason}")
-        self.trace.count("serve.queries", len(batch))
-        completion = self.clock.elapsed
-        for query in batch:
+        # A retry budget exhausted mid-pull times the whole batch out at
+        # the post-retry clock: no scores, no compute time, no answer.
+        self.trace.count("serve.queries" if pulled_ok else "serve.timeouts", len(batch))
+        self._complete(batch, self.clock.elapsed, ADMITTED if pulled_ok else TIMEOUT)
+        if self.shedder is not None:
+            self.shedder.observe_batch(
+                len(batch), self.clock.elapsed - service_start
+            )
+
+    def _complete(
+        self, queries: Sequence[Query], completion: float, outcome: str = ADMITTED
+    ) -> None:
+        """Record one completion per query at simulated time ``completion``.
+
+        Only admitted queries are answered.  Rejected and shed queries
+        never reached a batch, so they complete with batch size 0.
+        """
+        answered = outcome == ADMITTED
+        batch_size = 0 if outcome in (REJECTED, SHED) else len(queries)
+        for query in queries:
             degraded = query.qid in self._degraded_qids
             if degraded:
                 self._degraded_qids.discard(query.qid)
@@ -387,15 +363,12 @@ class ServingFrontend:
                     kind=query.kind,
                     arrival=query.arrival,
                     completion=completion,
-                    batch_size=len(batch),
-                    answer=self._answer(query),
+                    batch_size=batch_size,
+                    answer=self._answer(query) if answered else None,
+                    outcome=outcome,
                     tenant=query.tenant,
-                    degraded=degraded,
+                    degraded=degraded and answered,
                 )
-            )
-        if self.shedder is not None:
-            self.shedder.observe_batch(
-                len(batch), self.clock.elapsed - service_start
             )
 
     def _meter(self, kind: str, miss_ids: np.ndarray) -> CommRecord:

@@ -82,6 +82,8 @@ class TestServeBench:
         assert "no-cache" in out
         assert "p99" in out
         assert "hit" in out
+        assert "outcomes: admitted 300 | rejected 0 | shed 0 | timeout 0 | degraded 0" in out
+        assert "shed rate 0.000 | goodput " in out
 
     def test_serve_bench_from_checkpoint(self, tmp_path, capsys):
         ckpt = tmp_path / "serve.npz"
@@ -102,6 +104,59 @@ class TestServeBench:
         assert rc == 0
         out = capsys.readouterr().out
         assert "lru" in out
+
+    def test_overload_flags_report_outcomes_faults_and_tenants(self, capsys):
+        out = _serve_bench_out(capsys, *SERVE_OVERLOAD)
+        assert _row(out, "static") == [
+            "static", "450", "2479.694", "4.497", "4.547", "6.677", "6.719",
+            "0.196", "0.622", "32.000", "0.716", "705.335",
+        ]
+        assert "outcomes: admitted 128 | rejected 31 | shed 259 | timeout 32 | degraded 30" in out
+        assert "shed rate 0.716 | goodput 705 q/s (SLO 10.0 ms)" in out
+        assert "tenant p99: free=6.706 ms | gold=6.716 ms | silver=6.709 ms" in out
+        assert "faults: retries=4, retry wait=0.1733s simulated" in out
+        assert _row(out, "no-cache")[:2] == ["no-cache", "450"]
+
+    def test_deploy_every_swaps_between_chunks(self, capsys):
+        out = _serve_bench_out(capsys, "--deploy-every", "200")
+        assert _row(out, "static") == [
+            "static", "450", "2002.049", "2.345", "2.400", "3.309", "3.498",
+            "0.181", "3.496", "4.945", "0.000", "2002.049",
+        ]
+        assert "outcomes: admitted 450 | rejected 0 | shed 0 | timeout 0 | degraded 0" in out
+        assert "shed rate 0.000 | goodput 2002 q/s" in out
+        assert "deploy: 2 swaps, staleness 0 steps, 1.242 MB re-warm traffic" in out
+        assert _row(out, "no-cache")[:2] == ["no-cache", "450"]
+
+    def test_no_baseline_drops_the_no_cache_row(self, capsys):
+        out = _serve_bench_out(capsys, "--deploy-every", "200", "--no-baseline")
+        assert "no-cache" not in out
+        assert "deploy: 2 swaps" in out
+
+
+#: serve-bench's overload layer all at once: tenants past their buckets,
+#: a deadline-projecting shedder and a fault window on the shard pulls.
+SERVE_OVERLOAD = (
+    "--rate", "64000", "--slo", "0.01", "--tenants", "gold,silver,free",
+    "--admission", "gold=1000000/512/p2,silver=1000000/512/p1,free=8000/64",
+    "--faults", "seed=7,retries=4x0.004,ps-out=0@5:8,drop=0.3@9:40",
+)
+
+
+def _serve_bench_out(capsys, *flags):
+    """stdout of a 600-query serve-bench on a freshly trained tiny model."""
+    argv = [
+        "serve-bench", "--dataset", "fb15k", "--scale", "0.015",
+        "--epochs", "1", "--queries", "600", *flags,
+    ]
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def _row(out, label):
+    """The fields of the results-table row whose config column is ``label``."""
+    (line,) = [line for line in out.splitlines() if line.startswith(label + " ")]
+    return line.split()
 
 
 class TestTrain:
@@ -225,6 +280,52 @@ class TestBackendFlag:
         assert "static#0" in out
         assert "static#1" in out
         assert "q/s wall" in out
+
+
+# ----------------------------------------------------------- count flags
+
+#: Every integer count the code downstream requires to be >= 1, with the
+#: positionals its subcommand needs to get as far as parsing it.
+COUNT_FLAGS = [
+    *(("run table2", f) for f in ["--epochs"]),
+    *(
+        ("train", f)
+        for f in [
+            "--dim", "--epochs", "--machines", "--batch-size", "--negatives",
+            "--cache-capacity", "--sync-period", "--checkpoint-every",
+            "--tier-block-rows", "--mp-staleness",
+        ]
+    ),
+    *(
+        ("serve-bench", f)
+        for f in [
+            "--epochs", "--machines", "--queries", "--candidates", "--max-batch",
+            "--deploy-every", "--mp-workers", "--tier-block-rows", "--mp-staleness",
+        ]
+    ),
+    *(
+        ("stream", f)
+        for f in [
+            "--epochs", "--machines", "--cache-capacity", "--interval", "--inserts",
+            "--eval-every",
+        ]
+    ),
+    *(("sweep sync_period 4", f) for f in ["--epochs"]),
+]
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "command, flag", COUNT_FLAGS, ids=[f"{c.split()[0]}{f}" for c, f in COUNT_FLAGS]
+    )
+    def test_non_positive_count_is_a_usage_error(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command.split(), flag, value])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {flag}: must be a positive integer, got '{value}'" in err
 
 
 # ------------------------------------------------------------ the rule table

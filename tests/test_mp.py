@@ -397,21 +397,35 @@ class TestCheckpointRoundTrip:
 # ------------------------------------------------------------- mp serving
 
 
+@pytest.fixture(scope="module")
+def served_stream(mp_data):
+    """A briefly trained store and a (warmup, measured) 400-query stream."""
+    from repro.experiments.serving_study import split_warmup
+    from repro.serving.store import EmbeddingStore
+    from repro.serving.workload import WorkloadSpec, ZipfianWorkload
+
+    graph, split = mp_data
+    trainer = make_trainer("hetkg-d", mp_config(epochs=1))
+    trainer.train(split.train)
+    workload = ZipfianWorkload.from_graph(graph, WorkloadSpec(num_queries=400, seed=11))
+    return EmbeddingStore.from_trainer(trainer), *split_warmup(workload.generate())
+
+
+def _frontend(store, cache=None):
+    """A simulator frontend shaped like each ``serve_mp`` replica."""
+    from repro.serving.batcher import QueryBatcher
+    from repro.serving.frontend import ServingFrontend
+
+    return ServingFrontend(
+        store, batcher=QueryBatcher(max_batch=32, max_wait=2e-3), cache=cache, byte_scale=25.0
+    )
+
+
 class TestServeMP:
-    def test_replicas_cover_stream_exactly(self, mp_data):
-        from repro.experiments.serving_study import split_warmup
+    def test_replicas_cover_stream_exactly(self, served_stream):
         from repro.mp.serve import serve_mp
-        from repro.serving.store import EmbeddingStore
-        from repro.serving.workload import WorkloadSpec, ZipfianWorkload
 
-        graph, split = mp_data
-        trainer = make_trainer("hetkg-d", mp_config(epochs=1))
-        trainer.train(split.train)
-        store = EmbeddingStore.from_trainer(trainer)
-        spec = WorkloadSpec(num_queries=400, seed=11)
-        workload = ZipfianWorkload.from_graph(graph, spec)
-        warmup, measured = split_warmup(workload.generate())
-
+        store, warmup, measured = served_stream
         result = serve_mp(
             store,
             measured,
@@ -429,19 +443,46 @@ class TestServeMP:
         assert 0.0 <= result.report.hit_ratio <= 1.0
         assert result.report.latency_p50 <= result.report.latency_p99
 
-    def test_bad_policy_rejected(self, mp_data):
-        from repro.experiments.serving_study import split_warmup
-        from repro.mp.serve import serve_mp
-        from repro.serving.store import EmbeddingStore
-        from repro.serving.workload import WorkloadSpec, ZipfianWorkload
+    def test_one_replica_reports_what_one_frontend_does(self, served_stream):
+        """The merged report of a single replica is the simulator's report
+        of the same stream and cache, field for field (label aside)."""
+        import dataclasses
 
-        graph, split = mp_data
-        trainer = make_trainer("hetkg-d", mp_config(epochs=1))
-        trainer.train(split.train)
-        store = EmbeddingStore.from_trainer(trainer)
-        spec = WorkloadSpec(num_queries=40, seed=11)
-        workload = ZipfianWorkload.from_graph(graph, spec)
-        _, measured = split_warmup(workload.generate())
+        from repro.mp.serve import serve_mp
+        from repro.serving.cache import ServingCache
+
+        store, warmup, measured = served_stream
+        merged = serve_mp(
+            store, measured, num_frontends=1, cache_policy="lru",
+            warmup=warmup, capacity=32, start_method="fork",
+        ).report
+        alone = _frontend(store, ServingCache.from_policy("lru", 32, warmup)).run(
+            measured.queries
+        )
+        assert dataclasses.replace(merged, label=alone.label) == alone
+
+    def test_merged_duration_spans_every_replica(self, served_stream):
+        """Two replicas: ``duration`` runs from the first arrival to the
+        last completion over both replicas' completions."""
+        from repro.mp.serve import serve_mp
+
+        store, _, measured = served_stream
+        result = serve_mp(store, measured, num_frontends=2, start_method="fork")
+        # Each replica replays its round-robin slice cache-off; replaying
+        # the slices here yields the completions the replicas produced.
+        completions = []
+        for rank in range(2):
+            frontend = _frontend(store)
+            frontend.run(measured.queries[rank::2])
+            completions += frontend.results
+        first = min(r.arrival for r in completions)
+        last = max(r.completion for r in completions)
+        assert result.report.duration == last - first
+
+    def test_bad_policy_rejected(self, served_stream):
+        from repro.mp.serve import serve_mp
+
+        store, _, measured = served_stream
         with pytest.raises(ValueError, match="policy"):
             serve_mp(store, measured, num_frontends=1, cache_policy="mru")
 
