@@ -122,6 +122,8 @@ _MP_ONLY = "it configures the mp backend's processes"
 RULES: tuple[Rule, ...] = (
     Rule("--trace", _TRAIN + _SERVE, _given("trace"), ("mp",),
          "the span tracer is process-local"),
+    Rule("--trace", _TRAIN, _given("trace"), ("pbg",),
+         "PBG's block-swap loop emits no spans"),
     Rule("--faults", _TRAIN, _given("faults"), ("mp", "pbg"),
          "fault channels splice into the simulator's in-process PS workers"),
     Rule("--checkpoint-every", _TRAIN, _given("checkpoint_every"), ("mp", "pbg"),

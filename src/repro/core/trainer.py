@@ -248,7 +248,6 @@ class HETKGTrainer:
         self.network = NetworkModel(
             bandwidth=config.bandwidth, latency=config.latency
         )
-        self.compute = ComputeModel(throughput=config.compute_throughput)
         self._rng = make_rng(config.seed)
         self.server: ParameterServer | None = None
         self.workers: list[Worker] = []
@@ -335,66 +334,66 @@ class HETKGTrainer:
                 )
             )
 
-    def wire_tracer(self, tracer: Tracer | None = None) -> None:
-        """Bind observability scopes across layers (worker/cache/RPC/PS)
-        when ``tracer`` — by default the process-wide one — is enabled."""
-        tracer = tracer if tracer is not None else get_tracer()
-        if not tracer.enabled:
-            return
-        assert self.server is not None
-        for worker in self.workers:
-            worker.trace = tracer.scope(f"worker{worker.machine}", worker.clock)
-            if worker.cache is not None:
-                worker.cache.trace = tracer.scope(
-                    f"cache{worker.machine}", worker.clock
-                )
-            if worker._fault_channel is not None:
-                worker._fault_channel.trace = tracer.scope(
-                    f"rpc{worker.machine}", worker.clock
-                )
-            self.server.bind_trace(
-                worker.machine, tracer.scope(f"ps@w{worker.machine}", worker.clock)
-            )
-        if self.server.store.tier is not None:
-            tier = self.server.store.tier
-            tier.bind_trace(tracer.scope("tier", tier.clock))
+    def _begin(
+        self,
+        train_graph: KnowledgeGraph,
+        telemetry: Telemetry | None = None,
+        tracer: Tracer | None = None,
+        faults=None,
+        checkpoint_every: int | None = None,
+        checkpoint_path=None,
+    ):
+        """Start one training call; returns ``(ledger, injector, checkpoints)``.
 
-    def _install_faults(self, faults, checkpoint_every, checkpoint_path):
-        """Build the chaos layer for this train() call (or tear it down).
-
-        Returns ``(injector, checkpoints)``.  Passing ``faults=None``
-        restores direct PS access, so a later fault-free ``train()`` call
-        on the same trainer is exactly an injector-free run.
+        Every per-call instrument is set on every worker each time, and
+        one the call does not pass is off: a later call on the same
+        trainer records into no telemetry or tracer of an earlier one and
+        talks to the PS directly unless it passes ``faults``.  The ledger
+        opens before ``worker.start()``, so a first call's hot-table
+        install is on its books and a later call reports only itself.
         """
-        assert self.server is not None
-        checkpoints = None
+        self.setup(train_graph)
+        server = self.server
+        assert server is not None
+        tracer = tracer if tracer is not None else get_tracer()
+        checkpoints = injector = recovery = None
         if checkpoint_every is not None or checkpoint_path is not None:
             from repro.faults.recovery import CheckpointManager
 
             checkpoints = CheckpointManager(
                 self, every=checkpoint_every, path=checkpoint_path
             )
-        if faults is None:
-            for worker in self.workers:
-                if worker._fault_channel is not None:
-                    worker.uninstall_faults(self.server)
-            return None, checkpoints
-        from repro.faults.injector import FaultInjector
-        from repro.faults.recovery import ShardRecovery
-        from repro.faults.rpc import FaultyPSChannel
+        if faults is not None:
+            from repro.faults.injector import FaultInjector
+            from repro.faults.recovery import ShardRecovery
+            from repro.faults.rpc import FaultyPSChannel
 
-        injector = FaultInjector(faults)
-        recovery = (
-            ShardRecovery(self.server, checkpoints)
-            if checkpoints is not None
-            else None
-        )
+            injector = FaultInjector(faults)
+            if checkpoints is not None:
+                recovery = ShardRecovery(server, checkpoints)
         for worker in self.workers:
-            channel = FaultyPSChannel(
-                self.server, worker.machine, injector, worker.clock
+            machine, clock = worker.machine, worker.clock
+            channel = server
+            if injector is not None:
+                channel = FaultyPSChannel(server, machine, injector, clock)
+                channel.trace = tracer.scope(f"rpc{machine}", clock)
+            worker.attach(
+                channel,
+                telemetry=telemetry,
+                trace=tracer.scope(f"worker{machine}", clock),
+                cache_trace=tracer.scope(f"cache{machine}", clock),
+                faults=injector,
+                recovery=recovery,
             )
-            worker.install_faults(channel, injector, recovery)
-        return injector, checkpoints
+            server.bind_trace(machine, tracer.scope(f"ps@w{machine}", clock))
+        tier = server.store.tier
+        if tier is not None:
+            tier.bind_trace(tracer.scope("tier", tier.clock))
+        ledger = RunLedger(
+            lambda: [w.stats() for w in self.workers],
+            tier.clock if tier is not None else None,
+        )
+        return ledger, injector, checkpoints
 
     # ------------------------------------------------------------------ train
 
@@ -439,26 +438,12 @@ class HETKGTrainer:
             Optional ``.npz`` path; every auto-checkpoint is also written
             to disk atomically.
         """
-        self.setup(train_graph)
-        if telemetry is not None:
-            for worker in self.workers:
-                worker.telemetry = telemetry
-        injector, checkpoints = self._install_faults(
-            faults, checkpoint_every, checkpoint_path
+        ledger, injector, checkpoints = self._begin(
+            train_graph, telemetry, tracer, faults, checkpoint_every, checkpoint_path
         )
-        self.wire_tracer(tracer)
-        assert self.server is not None
         cfg = self.config
         history = TrainingHistory()
         iterations = self.steps_per_epoch
-
-        # Opened before worker.start(): a first call's hot-table install is
-        # on its books, a later call (already started) reports only itself.
-        tier = self.server.store.tier
-        ledger = RunLedger(
-            lambda: [w.stats() for w in self.workers],
-            tier.clock if tier is not None else None,
-        )
         wall_start = time.perf_counter()
 
         for worker in self.workers:

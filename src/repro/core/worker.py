@@ -58,8 +58,9 @@ class Worker:
     cost_dim:
         Dimension the compute model charges per score (defaults to the
         model's actual ``dim``; trainers pass the wire dimension).
-    telemetry:
-        Optional per-iteration recorder (see :mod:`repro.core.telemetry`).
+
+    Per-call instruments (telemetry, trace scopes, fault channel) are set
+    by :meth:`attach` at the start of every training call.
     """
 
     def __init__(
@@ -74,13 +75,11 @@ class Worker:
         strategy: HotEmbeddingStrategy | None = None,
         cache: HotEmbeddingCache | None = None,
         cost_dim: int | None = None,
-        telemetry: Telemetry | None = None,
     ) -> None:
         if (strategy is None) != (cache is None):
             raise ValueError("strategy and cache must be provided together")
         self.machine = machine
         self.sampler = sampler
-        self.server = server
         self.model = model
         self.loss = loss
         self.network = network
@@ -88,7 +87,6 @@ class Worker:
         self.strategy = strategy
         self.cache = cache
         self.cost_dim = cost_dim if cost_dim is not None else model.dim
-        self.telemetry = telemetry
         # Hard-negative cache plumbing (see repro.sampling.cache): when the
         # epoch sampler wraps a CachedNegativeSampler, this worker drives
         # its hotness-ordered refreshes and charges the scoring traffic to
@@ -105,44 +103,41 @@ class Worker:
         #: candidates" efficiency axis.
         self.scored_candidates = 0
         self.clock = SimClock()
-        #: Observability scope for this worker's phase spans (bound by the
-        #: trainer when tracing is on; the null scope costs nothing).
-        self.trace = NULL_SCOPE
         self.iterations = 0
         self._started = False
-        # Fault-injection hooks (installed by the trainer when a FaultPlan
-        # is active; all None in the fault-free fast path).
-        self._fault_channel = None
-        self._fault_injector = None
-        self._shard_recovery = None
+        self.attach(server)
 
-    # ----------------------------------------------------------------- faults
+    # ----------------------------------------------------------------- attach
 
-    def install_faults(self, channel, injector, shard_recovery=None) -> None:
-        """Splice a retrying, fault-injecting RPC channel between this
-        worker (and its cache) and the parameter server.
+    def attach(
+        self,
+        server,
+        *,
+        telemetry: Telemetry | None = None,
+        trace=NULL_SCOPE,
+        cache_trace=NULL_SCOPE,
+        faults=None,
+        recovery=None,
+    ) -> None:
+        """Set this worker's per-call instruments; one not passed is off.
 
-        ``channel`` must expose the :class:`~repro.ps.server.ParameterServer`
-        ``pull``/``push`` signature (see
-        :class:`~repro.faults.rpc.FaultyPSChannel`); ``shard_recovery`` is
-        the crash-restart hook restoring this machine's PS shard from the
-        last checkpoint.
+        ``server`` is what this worker and its cache pull from and push
+        to: the :class:`~repro.ps.server.ParameterServer` itself, a
+        :class:`~repro.faults.rpc.FaultyPSChannel` in front of it (then
+        ``faults`` is the channel's injector and ``recovery`` the
+        crash-restart hook restoring this machine's PS shard from the last
+        checkpoint) or the mp backend's wall-clock channel.  ``trace`` and
+        ``cache_trace`` are the worker's and the cache's observability
+        scopes (the null scope costs nothing).
         """
-        self._fault_channel = channel
-        self._fault_injector = injector
-        self._shard_recovery = shard_recovery
-        self.server = channel
-        if self.cache is not None:
-            self.cache.server = channel
-
-    def uninstall_faults(self, server: ParameterServer) -> None:
-        """Remove the fault channel, restoring direct PS access."""
-        self._fault_channel = None
-        self._fault_injector = None
-        self._shard_recovery = None
         self.server = server
+        self.telemetry = telemetry
+        self.trace = trace
+        self.faults = faults
+        self.recovery = recovery
         if self.cache is not None:
             self.cache.server = server
+            self.cache.trace = cache_trace
 
     # ------------------------------------------------------------------ setup
 
@@ -168,13 +163,11 @@ class Worker:
         if not self._started:
             self.start()
         step_index = self.iterations + 1
-        if self._fault_channel is not None:
+        if self.faults is not None:
             # Line the RPC channel's fault windows up with this step.
-            self._fault_channel.iteration = step_index
-        if self._fault_injector is not None and self._fault_injector.crash_due(
-            self.machine, step_index
-        ):
-            self._crash_restart(step_index)
+            self.server.iteration = step_index
+            if self.faults.crash_due(self.machine, step_index):
+                self._crash_restart(step_index)
         # This step's traffic is what ``comm`` gains from here on (crash
         # reinstalls above stay out of the step record).
         local_before, remote_before = self.comm.local_bytes, self.comm.remote_bytes
@@ -235,9 +228,9 @@ class Worker:
                 self.model, self.loss, batch, ent_ids, ent_rows, rel_ids, rel_rows
             )
             batch_time = self.compute.batch_time(grads.num_scores, self.cost_dim)
-            if self._fault_injector is not None:
+            if self.faults is not None:
                 # Transient straggler windows slow this machine's compute.
-                batch_time *= self._fault_injector.straggler_factor(
+                batch_time *= self.faults.straggler_factor(
                     self.machine, step_index
                 )
             self.clock.advance(batch_time, "compute")
@@ -343,12 +336,12 @@ class Worker:
            (prefetch/filter overhead as ``"compute"``) and the hot table is
            re-installed, re-pulling every hot row (``"communication"``).
         """
-        assert self._fault_injector is not None
-        plan = self._fault_injector.plan
+        assert self.faults is not None
+        plan = self.faults.plan
         with self.trace.span("crash_restart", "recovery") as span:
             restored_bytes = 0
-            if self._shard_recovery is not None:
-                restored_bytes = self._shard_recovery.restore(self.machine)
+            if self.recovery is not None:
+                restored_bytes = self.recovery.restore(self.machine)
             downtime = plan.restart_delay + restored_bytes / plan.recovery_bandwidth
             self.clock.advance(downtime, "recovery")
             span.set(restored_bytes=restored_bytes, downtime=downtime)
@@ -361,9 +354,9 @@ class Worker:
                     comm = self.cache.install(hot)
                     self.charge(comm)
                     s.set(bytes=comm.total_bytes)
-            self._fault_injector.stats.recovery_seconds += downtime
+            self.faults.stats.recovery_seconds += downtime
         self.trace.count("worker.recoveries")
-        self._fault_injector.record(
+        self.faults.record(
             "crash_restart",
             self.machine,
             step_index,

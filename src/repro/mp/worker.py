@@ -222,13 +222,12 @@ def _build(spec: WorkerSpec, arrays):
     # Zero-copy adoption of the parent's whole state, optimizer history
     # included: the names are the parent's ``state_arrays()``.
     server.rebind(views)
-    channel = WallClockChannel(server)
     model = get_model(cfg.model, cfg.dim)
     worker = build_worker(
         spec.machine,
         graph,
         spec.triple_idx,
-        channel,
+        server,
         model,
         get_loss(cfg.loss, cfg.margin),
         NetworkModel(bandwidth=cfg.bandwidth, latency=cfg.latency),
@@ -236,7 +235,7 @@ def _build(spec: WorkerSpec, arrays):
         spec.neg_seed,
         spec.sampler_seed,
     )
-    return worker, channel
+    return worker, WallClockChannel(server)
 
 
 # ---------------------------------------------------------------------- main
@@ -281,9 +280,9 @@ def _run(spec: WorkerSpec, controls: MPControls, arrays) -> None:
     before the caller detaches them.
     """
     worker, channel = _build(spec, arrays)
-    telemetry = Telemetry() if spec.collect_telemetry else None
-    if telemetry is not None:
-        worker.telemetry = telemetry
+    worker.attach(
+        channel, telemetry=Telemetry() if spec.collect_telemetry else None
+    )
 
     wall_start = time.perf_counter()
     stall_s = 0.0
@@ -353,4 +352,4 @@ def _run(spec: WorkerSpec, controls: MPControls, arrays) -> None:
         "comm_calls": channel.comm_calls,
     }
     # A fresh process: the lifetime stats are this run's deltas.
-    controls.queue.put(("done", spec.rank, worker.stats(), wall, telemetry))
+    controls.queue.put(("done", spec.rank, worker.stats(), wall, worker.telemetry))

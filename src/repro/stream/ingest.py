@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.ledger import RunLedger
 from repro.core.trainer import HETKGTrainer
 from repro.kg.graph import HEAD, REL, TAIL, KnowledgeGraph
 from repro.ps.network import BYTES_PER_ELEMENT, CommRecord
@@ -78,7 +77,6 @@ class OnlineTrainResult:
     #: :attr:`repro.core.trainer.TrainResult.neg_cache_stats`.
     neg_cache_stats: dict = field(default_factory=dict)
     adaptive_rebuilds: int = 0
-    extra: dict[str, float] = field(default_factory=dict)
 
 
 class OnlineTrainer:
@@ -127,14 +125,6 @@ class OnlineTrainer:
             max_queries=eval_queries,
             seed=trainer.config.seed + 13,
         )
-        # Counters
-        self.updates_applied = 0
-        self.triples_inserted = 0
-        self.triples_deleted = 0
-        self.entities_added = 0
-        self.relations_added = 0
-        self.cache_rows_invalidated = 0
-        self.neg_cache_keys_invalidated = 0
 
     # -------------------------------------------------------------- ingestion
 
@@ -281,9 +271,17 @@ class OnlineTrainer:
         more steps.
         """
         trainer = self.trainer
-        trainer.setup(train_graph)
-        trainer.wire_tracer()
-        assert trainer.server is not None
+        ledger, _, _ = trainer._begin(train_graph)
+        # This call's counts: what the ingest loop below adds to them.
+        self.updates_applied = self.triples_inserted = self.triples_deleted = 0
+        self.entities_added = self.relations_added = 0
+        self.cache_rows_invalidated = self.neg_cache_keys_invalidated = 0
+        adaptive = [
+            w.strategy for w in trainer.workers
+            if isinstance(w.strategy, AdaptiveStale)
+        ]
+        rebuilds_before = sum(strategy.rebuilds for strategy in adaptive)
+        points_before = len(self.evaluator.result.points)
         self.graph = train_graph
         by_machine = {w.machine: w for w in trainer.workers}
         machines = sorted(by_machine)
@@ -299,8 +297,6 @@ class OnlineTrainer:
         )
         cfg = trainer.config
         total_steps = cfg.epochs * trainer.steps_per_epoch
-
-        ledger = RunLedger(lambda: [w.stats() for w in trainer.workers])
 
         for worker in trainer.workers:
             worker.start()
@@ -324,16 +320,11 @@ class OnlineTrainer:
         if self.eval_every is None and self.evaluator.holdout_size:
             self._evaluate(total_steps)
 
-        rebuilds = sum(
-            w.strategy.rebuilds
-            for w in trainer.workers
-            if isinstance(w.strategy, AdaptiveStale)
-        )
         return OnlineTrainResult(
             system=trainer.system_name,
             steps=total_steps,
             mean_loss=float(np.mean(losses)) if losses else 0.0,
-            prequential=self.evaluator.result,
+            prequential=PrequentialResult(self.evaluator.result.points[points_before:]),
             updates_applied=self.updates_applied,
             triples_inserted=self.triples_inserted,
             triples_deleted=self.triples_deleted,
@@ -341,7 +332,7 @@ class OnlineTrainer:
             relations_added=self.relations_added,
             cache_rows_invalidated=self.cache_rows_invalidated,
             neg_cache_keys_invalidated=self.neg_cache_keys_invalidated,
-            adaptive_rebuilds=rebuilds,
+            adaptive_rebuilds=sum(s.rebuilds for s in adaptive) - rebuilds_before,
             **ledger.summary().fields_for(OnlineTrainResult),
         )
 

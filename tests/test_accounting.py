@@ -17,7 +17,7 @@ from repro.core.config import TrainingConfig
 from repro.core.telemetry import Telemetry
 from repro.core.trainer import HETKGTrainer
 from repro.kg.graph import KnowledgeGraph
-from repro.stream import EventStream, OnlineTrainer
+from repro.stream import EventStream, OnlineTrainer, make_stream
 
 
 def config(**overrides):
@@ -207,6 +207,38 @@ class TestRepeatedTrainCalls:
         )
         assert second["pending_keys"] == sum(
             w.neg_cache.pending_keys for w in trainer.workers
+        )
+
+    def test_second_online_train_reports_only_itself(self, small_graph):
+        """Regression: a second ``OnlineTrainer.train`` reported the ingest
+        counters and ADAPTIVE rebuilds of both calls, and returned the
+        first call's prequential result, which it then kept appending to."""
+        trainer = HETKGTrainer(config(cache_strategy="adaptive", epochs=1))
+        trainer.setup(small_graph)
+        stream = make_stream(
+            "rotation", small_graph, steps=trainer.steps_per_epoch, seed=5,
+            interval=2, inserts_per_update=16,
+        )
+        online = OnlineTrainer(trainer, stream, eval_every=4)
+        first = online.train(small_graph)
+        first_points = list(first.prequential.points)
+        rebuilds = sum(w.strategy.rebuilds for w in trainer.workers)
+        second = online.train(small_graph)  # the stream is used up
+        assert first.updates_applied == len(stream.updates) > 0
+        assert first.entities_added > 0 and first.cache_rows_invalidated > 0
+        for name in (
+            "updates_applied", "triples_inserted", "triples_deleted",
+            "entities_added", "relations_added", "cache_rows_invalidated",
+            "neg_cache_keys_invalidated",
+        ):
+            assert getattr(second, name) == 0, name
+        assert second.adaptive_rebuilds == (
+            sum(w.strategy.rebuilds for w in trainer.workers) - rebuilds
+        )
+        assert first.prequential.points == first_points
+        assert second.prequential.points
+        assert online.evaluator.result.points == (
+            first_points + second.prequential.points
         )
 
     def test_pbg_second_train_reports_equal_totals(self):

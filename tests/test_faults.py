@@ -399,11 +399,25 @@ class TestNoOpInvariant:
     def test_fault_run_then_clean_run_uninstalls_channel(self, small_split):
         trainer = make_trainer("hetkg-d", _config())
         trainer.train(small_split.train, faults=FaultPlan.uniform_drop(0.2, seed=1))
-        assert trainer.workers[0]._fault_channel is not None
+        assert isinstance(trainer.workers[0].server, FaultyPSChannel)
         trainer.train(small_split.train)  # no faults: channel must come off
         for worker in trainer.workers:
-            assert worker._fault_channel is None
             assert worker.server is trainer.server
+            assert worker.cache.server is trainer.server
+
+
+    def test_online_train_after_fault_run_talks_to_ps(self, small_graph):
+        """Regression: ``OnlineTrainer.train`` never took an earlier call's
+        fault channels off, so it trained through the old injector."""
+        from repro.stream import EventStream, OnlineTrainer
+
+        trainer = make_trainer("hetkg-d", _config(epochs=1))
+        trainer.train(small_graph, faults=FaultPlan.uniform_drop(0.2, seed=1))
+        OnlineTrainer(trainer, EventStream(updates=[])).train(small_graph)
+        for worker in trainer.workers:
+            assert worker.server is trainer.server
+            assert worker.cache.server is trainer.server
+            assert worker.faults is None
 
 
 class TestChaosDeterminism:
@@ -617,3 +631,38 @@ class TestFaultTelemetry:
         _, result = _train(small_split)
         assert result.fault_events == []
         assert result.fault_stats == {}
+
+
+# ------------------------------------------------------------------ chaos smoke
+
+
+class TestChaosSmoke:
+    def test_drop_and_crash_degrade_gracefully(self):
+        """Train under drops and a crash on the CI smoke configuration:
+        losses stay finite, retries and a recovery happen, and the event
+        log agrees with the counters (one book of incidents)."""
+        import math
+
+        from repro.kg.datasets import generate_dataset
+        from repro.kg.splits import split_triples
+
+        graph = generate_dataset("fb15k", scale=0.02, seed=0)
+        split = split_triples(graph, seed=0)
+        config = TrainingConfig(
+            model="transe", dim=8, epochs=2, batch_size=64,
+            num_negatives=4, num_machines=2, cache_strategy="dps",
+            cache_capacity=256, sync_period=4, seed=0,
+        )
+        plan = FaultPlan.parse("drop=0.15,crash=w1@5,seed=3")
+        trainer = make_trainer("hetkg-d", config)
+        result = trainer.train(split.train, faults=plan, checkpoint_every=4)
+        stats = result.fault_stats
+        losses = result.history.losses()
+        assert losses and all(math.isfinite(l) for l in losses), losses
+        assert stats["retries"] >= 1, stats
+        assert stats["recoveries"] >= 1, stats
+        assert result.comm_totals.retransmit_bytes > 0, result.comm_totals
+        kinds = Counter(event.kind for event in result.fault_events)
+        assert result.fault_events, "no fault events logged"
+        assert kinds["retry"] == stats["retries"], (kinds, stats)
+        assert kinds["crash_restart"] == stats["recoveries"], (kinds, stats)

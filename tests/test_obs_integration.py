@@ -12,6 +12,7 @@ import pytest
 
 from repro import cli
 from repro.core.config import TrainingConfig
+from repro.core.telemetry import Telemetry
 from repro.core.trainer import HETKGTrainer
 from repro.obs.export import validate_chrome_trace, validate_chrome_trace_file
 from repro.obs.tracer import NULL_SCOPE, Tracer, get_tracer, set_tracer
@@ -133,12 +134,29 @@ class TestStreamReconciliation:
 
 class TestDisabledByDefault:
     def test_untraced_train_keeps_null_scopes(self, small_split):
-        trainer = HETKGTrainer(config(epochs=1))
-        trainer.train(small_split.train)
-        assert get_tracer().enabled is False
-        for worker in trainer.workers:
-            assert worker.trace is NULL_SCOPE
-            assert worker.cache.trace is NULL_SCOPE
+        """A call without a tracer binds the null scope on every layer —
+        also when the trainer's previous call was traced, whose tracer and
+        telemetry then gain no span and no record (regression: both stayed
+        on the workers and kept recording)."""
+        for traced_first in (False, True):
+            trainer = HETKGTrainer(
+                config(epochs=1, backing="tiered", memory_budget="4K")
+            )
+            telemetry, tracer = Telemetry(), Tracer()
+            if traced_first:
+                trainer.train(small_split.train, telemetry=telemetry, tracer=tracer)
+                assert len(telemetry) > 0 and len(tracer.sink.spans) > 0
+            records, spans = len(telemetry), len(tracer.sink.spans)
+            trainer.train(small_split.train)
+            assert (len(telemetry), len(tracer.sink.spans)) == (records, spans)
+            assert get_tracer().enabled is False
+            server = trainer.server
+            for worker in trainer.workers:
+                assert worker.trace is NULL_SCOPE, traced_first
+                assert worker.cache.trace is NULL_SCOPE, traced_first
+                assert server._trace(worker.machine) is NULL_SCOPE, traced_first
+            for table in server.store.tier.tables.values():
+                assert table._trace is NULL_SCOPE, traced_first
 
     def test_results_identical_with_and_without_tracing(self, small_split):
         plain = HETKGTrainer(config()).train(small_split.train)
@@ -185,6 +203,7 @@ class TestCliTrace:
         assert status == 0
         summary = validate_chrome_trace_file(str(out))
         assert summary["spans"] > 0
+        assert summary["counters"] > 0
         assert "trace written" in capsys.readouterr().out
         # the CLI must uninstall its process-wide tracer afterwards
         assert get_tracer().enabled is False
