@@ -22,7 +22,6 @@ from repro.cache.filtering import HotSet
 from repro.cache.table import CacheStats, CacheTable
 from repro.obs.tracer import NULL_SCOPE
 from repro.optim.adagrad import SparseAdagrad
-from repro.ps.server import ParameterServer
 from repro.utils.validation import check_positive
 
 
@@ -31,10 +30,6 @@ class HotEmbeddingCache:
 
     Parameters
     ----------
-    server:
-        The shared parameter server.
-    machine:
-        The machine this cache lives on (for local/remote traffic split).
     entity_capacity, relation_capacity:
         Row budgets per table.  The CPS/DPS strategies guarantee the hot
         set's *combined* size stays within the configured total capacity,
@@ -53,8 +48,6 @@ class HotEmbeddingCache:
 
     def __init__(
         self,
-        server: ParameterServer,
-        machine: int,
         entity_capacity: int,
         relation_capacity: int,
         entity_width: int,
@@ -63,8 +56,9 @@ class HotEmbeddingCache:
         local_lr: float,
     ) -> None:
         check_positive("sync_period", sync_period)
-        self.server = server
-        self.machine = machine
+        #: The owning worker's :class:`~repro.faults.rpc.PSChannel`, set
+        #: by :meth:`~repro.core.worker.Worker.attach`.
+        self.server = None
         self.sync_period = sync_period
         self.local_lr = local_lr
         self._tables = {
@@ -115,7 +109,7 @@ class HotEmbeddingCache:
                         rows[retained] = table.rows_view()[slots[retained]]
                     fresh_ids = ids[~retained]
                     if len(fresh_ids):
-                        pulled, c = self.server.pull(kind, fresh_ids, self.machine)
+                        pulled, c = self.server.pull(kind, fresh_ids)
                         comm.merge(c)
                         rows[~retained] = pulled
                     retained_total += int(retained.sum())
@@ -151,7 +145,7 @@ class HotEmbeddingCache:
             if len(hit_ids):
                 rows[hit_mask] = table.get(hit_ids)
             if len(miss_ids):
-                pulled, comm_pull = self.server.pull(kind, miss_ids, self.machine)
+                pulled, comm_pull = self.server.pull(kind, miss_ids)
                 comm.merge(comm_pull)
                 rows[~hit_mask] = pulled
             span.set(hits=len(hit_ids), misses=len(miss_ids), bytes=comm.total_bytes)
@@ -195,9 +189,9 @@ class HotEmbeddingCache:
     def force_sync(self):
         """Pull the latest version of every cached row from the PS now.
 
-        Rows come through the server's degradable read, ``try_pull``:
-        behind a fault-injecting RPC channel, a refresh whose retry budget
-        exhausts during a PS outage *degrades gracefully*: the affected
+        Rows come through the channel's degradable read, ``try_pull``:
+        under injected faults, a refresh whose retry budget exhausts
+        during a PS outage *degrades gracefully*: the affected
         table keeps serving its current (stale) rows past the staleness
         bound ``P``, the overrun is recorded, and the sync counter is
         **not** reset so the next iteration retries immediately.
@@ -212,7 +206,7 @@ class HotEmbeddingCache:
                 ids = table.ids
                 if not len(ids):
                     continue
-                rows, c = self.server.try_pull(kind, ids, self.machine)
+                rows, c = self.server.try_pull(kind, ids)
                 comm.merge(c)
                 if rows is None:
                     degraded = True

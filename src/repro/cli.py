@@ -125,7 +125,7 @@ RULES: tuple[Rule, ...] = (
     Rule("--trace", _TRAIN, _given("trace"), ("pbg",),
          "PBG's block-swap loop emits no spans"),
     Rule("--faults", _TRAIN, _given("faults"), ("mp", "pbg"),
-         "fault channels splice into the simulator's in-process PS workers"),
+         "faults are injected into the PS channels of the simulator's in-process workers"),
     Rule("--checkpoint-every", _TRAIN, _given("checkpoint_every"), ("mp", "pbg"),
          "crash recovery snapshots the simulator's in-process PS shards"),
     Rule("--backing tiered", _TRAIN + _SERVE, _is("backing", "tiered"), ("mp", "pbg"),
@@ -168,8 +168,9 @@ def usage_errors(args: Any) -> list[str]:
 
 
 def _check_usage(args: argparse.Namespace) -> int:
-    """Reject unknown values and incompatible flags on stderr with exit
-    code 2, before any work starts; 0 means the invocation may run."""
+    """Reject unknown values, malformed specs and incompatible flags on
+    stderr with exit code 2, before any work starts; 0 means the
+    invocation may run."""
     for dest, (what, plural, valid) in CHOICES.items():
         given = getattr(args, dest, None)
         for value in given if isinstance(given, list) else [given]:
@@ -180,10 +181,41 @@ def _check_usage(args: argparse.Namespace) -> int:
                     print("did you mean: " + ", ".join(close), file=sys.stderr)
                 print(f"valid {plural}: " + ", ".join(valid), file=sys.stderr)
                 return 2
-    errors = usage_errors(args)
+    errors = usage_errors(args) + _spec_errors(args)
     for line in errors:
         print(line, file=sys.stderr)
     return 2 if errors else 0
+
+
+def _spec_errors(args: Any) -> list[str]:
+    """One ``<flag>: <message>`` line per spec-valued flag that does not
+    parse, or whose fault plan names a machine or shard the run lacks."""
+    from repro.experiments.common import base_config
+    from repro.faults import FaultPlan
+    from repro.serving.admission import AdmissionController
+    from repro.tier.budget import parse_bytes
+
+    errors = []
+    for dest, parse in (
+        ("faults", FaultPlan.parse),
+        ("admission", AdmissionController.parse),
+        ("memory_budget", parse_bytes),
+    ):
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        try:
+            spec = parse(value)
+            if dest == "faults" and hasattr(args, "machines"):
+                # serve-bench trains its own store unless it serves a
+                # checkpoint, which it splits over --machines shards.
+                trains_own = args.command == "serve-bench" and args.checkpoint is None
+                spec.check_cluster(
+                    base_config().num_machines if trains_own else args.machines
+                )
+        except ValueError as exc:
+            errors.append(f"--{dest.replace('_', '-')}: {exc}")
+    return errors
 
 
 def _add_neg_cache_flag(parser: argparse.ArgumentParser) -> None:

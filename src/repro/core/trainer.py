@@ -133,8 +133,6 @@ def build_worker(
         # one side cannot fill), bounding the *combined* size by the
         # configured capacity.
         cache = HotEmbeddingCache(
-            server,
-            machine,
             entity_capacity=cfg.cache_capacity,
             relation_capacity=cfg.cache_capacity,
             entity_width=model.entity_dim,
@@ -348,7 +346,7 @@ class HETKGTrainer:
         Every per-call instrument is set on every worker each time, and
         one the call does not pass is off: a later call on the same
         trainer records into no telemetry or tracer of an earlier one and
-        talks to the PS directly unless it passes ``faults``.  The ledger
+        its channels inject no faults unless it passes ``faults``.  The ledger
         opens before ``worker.start()``, so a first call's hot-table
         install is on its books and a later call reports only itself.
         """
@@ -366,26 +364,19 @@ class HETKGTrainer:
         if faults is not None:
             from repro.faults.injector import FaultInjector
             from repro.faults.recovery import ShardRecovery
-            from repro.faults.rpc import FaultyPSChannel
 
+            faults.check_cluster(self.config.num_machines)
             injector = FaultInjector(faults)
             if checkpoints is not None:
                 recovery = ShardRecovery(server, checkpoints)
         for worker in self.workers:
-            machine, clock = worker.machine, worker.clock
-            channel = server
-            if injector is not None:
-                channel = FaultyPSChannel(server, machine, injector, clock)
-                channel.trace = tracer.scope(f"rpc{machine}", clock)
             worker.attach(
-                channel,
+                server,
                 telemetry=telemetry,
-                trace=tracer.scope(f"worker{machine}", clock),
-                cache_trace=tracer.scope(f"cache{machine}", clock),
+                tracer=tracer,
                 faults=injector,
                 recovery=recovery,
             )
-            server.bind_trace(machine, tracer.scope(f"ps@w{machine}", clock))
         tier = server.store.tier
         if tier is not None:
             tier.bind_trace(tracer.scope("tier", tier.clock))

@@ -26,7 +26,8 @@ from repro.cache.sync import HotEmbeddingCache
 from repro.core.compute import compute_batch_gradients
 from repro.core.ledger import WorkerStats
 from repro.core.telemetry import IterationRecord, Telemetry
-from repro.obs.tracer import NULL_SCOPE
+from repro.faults.rpc import PSChannel
+from repro.obs.tracer import NULL_TRACER
 from repro.models.base import KGEModel
 from repro.models.losses import Loss
 from repro.ps.network import CommRecord, ComputeModel, NetworkModel
@@ -59,8 +60,9 @@ class Worker:
         Dimension the compute model charges per score (defaults to the
         model's actual ``dim``; trainers pass the wire dimension).
 
-    Per-call instruments (telemetry, trace scopes, fault channel) are set
-    by :meth:`attach` at the start of every training call.
+    Per-call instruments (the PS channel, telemetry, trace scopes, fault
+    injector) are set by :meth:`attach` at the start of every training
+    call.
     """
 
     def __init__(
@@ -111,33 +113,39 @@ class Worker:
 
     def attach(
         self,
-        server,
+        server: ParameterServer,
         *,
         telemetry: Telemetry | None = None,
-        trace=NULL_SCOPE,
-        cache_trace=NULL_SCOPE,
+        tracer=NULL_TRACER,
         faults=None,
         recovery=None,
     ) -> None:
         """Set this worker's per-call instruments; one not passed is off.
 
-        ``server`` is what this worker and its cache pull from and push
-        to: the :class:`~repro.ps.server.ParameterServer` itself, a
-        :class:`~repro.faults.rpc.FaultyPSChannel` in front of it (then
-        ``faults`` is the channel's injector and ``recovery`` the
-        crash-restart hook restoring this machine's PS shard from the last
-        checkpoint) or the mp backend's wall-clock channel.  ``trace`` and
-        ``cache_trace`` are the worker's and the cache's observability
-        scopes (the null scope costs nothing).
+        Builds the one :class:`~repro.faults.rpc.PSChannel` this worker and
+        its cache pull from and push to, with ``faults`` (the run's
+        injector, or ``None``) as its fault source, and the four trace
+        scopes on this machine's clock: ``worker{m}``, ``cache{m}``,
+        ``rpc{m}`` (the channel's retries) and ``ps@w{m}`` (the server
+        calls).  ``recovery`` is the crash-restart hook restoring this
+        machine's PS shard from the last checkpoint.
         """
-        self.server = server
+        machine, clock = self.machine, self.clock
+        self.server = PSChannel(
+            server,
+            machine,
+            clock,
+            faults,
+            trace=tracer.scope(f"rpc{machine}", clock),
+            ps_trace=tracer.scope(f"ps@w{machine}", clock),
+        )
         self.telemetry = telemetry
-        self.trace = trace
+        self.trace = tracer.scope(f"worker{machine}", clock)
         self.faults = faults
         self.recovery = recovery
         if self.cache is not None:
-            self.cache.server = server
-            self.cache.trace = cache_trace
+            self.cache.server = self.server
+            self.cache.trace = tracer.scope(f"cache{machine}", clock)
 
     # ------------------------------------------------------------------ setup
 
@@ -146,15 +154,8 @@ class Worker:
         if self._started:
             return
         self._started = True
-        if self.strategy is None or self.cache is None:
-            return
-        with self.trace.span("setup", "compute"):
-            hot = self.strategy.setup(self.sampler)
-            self._charge_overhead()
-        with self.trace.span("install", "communication") as span:
-            comm = self.cache.install(hot)
-            self.charge(comm)
-            span.set(bytes=comm.total_bytes)
+        if self.strategy is not None and self.cache is not None:
+            self._install_hot_set("")
 
     # ------------------------------------------------------------------- step
 
@@ -163,11 +164,10 @@ class Worker:
         if not self._started:
             self.start()
         step_index = self.iterations + 1
-        if self.faults is not None:
-            # Line the RPC channel's fault windows up with this step.
-            self.server.iteration = step_index
-            if self.faults.crash_due(self.machine, step_index):
-                self._crash_restart(step_index)
+        # Line the channel's fault windows up with this step.
+        self.server.iteration = step_index
+        if self.faults is not None and self.faults.crash_due(self.machine, step_index):
+            self._crash_restart(step_index)
         # This step's traffic is what ``comm`` gains from here on (crash
         # reinstalls above stay out of the step record).
         local_before, remote_before = self.comm.local_bytes, self.comm.remote_bytes
@@ -216,8 +216,8 @@ class Worker:
                 ent_rows, comm_e = self.cache.fetch("entity", ent_ids)
                 rel_rows, comm_r = self.cache.fetch("relation", rel_ids)
             else:
-                ent_rows, comm_e = self.server.pull("entity", ent_ids, self.machine)
-                rel_rows, comm_r = self.server.pull("relation", rel_ids, self.machine)
+                ent_rows, comm_e = self.server.pull("entity", ent_ids)
+                rel_rows, comm_r = self.server.pull("relation", rel_ids)
             self.charge(comm_e)
             self.charge(comm_r)
             span.set(bytes=comm_e.total_bytes + comm_r.total_bytes)
@@ -246,11 +246,9 @@ class Worker:
                 self.cache.apply_local_gradients(
                     "relation", grads.relation_ids, grads.relation_grads
                 )
-            push_e = self.server.push(
-                "entity", grads.entity_ids, grads.entity_grads, self.machine
-            )
+            push_e = self.server.push("entity", grads.entity_ids, grads.entity_grads)
             push_r = self.server.push(
-                "relation", grads.relation_ids, grads.relation_grads, self.machine
+                "relation", grads.relation_ids, grads.relation_grads
             )
             self.charge(push_e)
             self.charge(push_r)
@@ -288,8 +286,7 @@ class Worker:
     def _refresh_neg_cache(self) -> None:
         """Run one hard-negative cache refresh (see repro.sampling.cache).
 
-        Pulls the candidate/anchor rows through whatever server channel is
-        installed (direct PS, fault channel, or the mp wall-clock channel),
+        Pulls the candidate/anchor rows through this machine's channel,
         charges the pull traffic and the forward-only scoring flops to the
         ``"neg_cache"`` clock category, and lets the sampler rewrite the
         due caches from the scores.
@@ -299,12 +296,8 @@ class Worker:
         if plan is None:
             return
         with self.trace.span("neg_refresh", "neg_cache") as span:
-            ent_rows, comm_e = self.server.pull(
-                "entity", plan.entity_ids, self.machine
-            )
-            rel_rows, comm_r = self.server.pull(
-                "relation", plan.relation_ids, self.machine
-            )
+            ent_rows, comm_e = self.server.pull("entity", plan.entity_ids)
+            rel_rows, comm_r = self.server.pull("relation", plan.relation_ids)
             self.charge(comm_e, "neg_cache")
             self.charge(comm_r, "neg_cache")
             scored = self.neg_cache.complete_refresh(
@@ -347,13 +340,7 @@ class Worker:
             span.set(restored_bytes=restored_bytes, downtime=downtime)
             if self.cache is not None and self.strategy is not None:
                 self.cache.invalidate()
-                with self.trace.span("recover.setup", "compute"):
-                    hot = self.strategy.setup(self.sampler)
-                    self._charge_overhead()
-                with self.trace.span("recover.install", "communication") as s:
-                    comm = self.cache.install(hot)
-                    self.charge(comm)
-                    s.set(bytes=comm.total_bytes)
+                self._install_hot_set("recover.")
             self.faults.stats.recovery_seconds += downtime
         self.trace.count("worker.recoveries")
         self.faults.record(
@@ -402,6 +389,17 @@ class Worker:
         return stats
 
     # ---------------------------------------------------------------- private
+
+    def _install_hot_set(self, prefix: str) -> None:
+        """Run the strategy's setup and install its hot set, charging both
+        (spans ``{prefix}setup`` and ``{prefix}install``)."""
+        with self.trace.span(f"{prefix}setup", "compute"):
+            hot = self.strategy.setup(self.sampler)
+            self._charge_overhead()
+        with self.trace.span(f"{prefix}install", "communication") as span:
+            comm = self.cache.install(hot)
+            self.charge(comm)
+            span.set(bytes=comm.total_bytes)
 
     def _charge_overhead(self) -> None:
         if self.strategy is None:

@@ -13,8 +13,8 @@ cliff on purpose and checks that the overload layer
   predictability instead of letting every tenant's tail collapse
   together.
 * **Fault window** — one over-saturation point additionally runs a
-  PS-shard outage + drop window through the retrying
-  :class:`~repro.serving.channel.FaultyShardChannel`: retries are
+  PS-shard outage + drop window through the frontend's retrying
+  :class:`~repro.serving.channel.ShardChannel`: retries are
   metered, nothing raises, and timed-out batches surface as first-class
   ``timeout`` outcomes.
 * **Version swap** — a mid-stream checkpoint publish

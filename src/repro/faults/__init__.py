@@ -13,11 +13,12 @@ makes those failures *first-class, reproducible simulation inputs*:
   streams, so two runs with the same seed and plan are bit-identical, and
   the one book of incidents: each is recorded once, as a
   :class:`FaultStats` count and a :class:`FaultEvent` in its log.
-* :mod:`repro.faults.rpc` — :class:`FaultyPSChannel`, a retrying RPC shim
-  between workers/caches and the parameter server: timeouts, exponential
-  backoff with jitter, retry budgets, and graceful degradation — every
-  retry is re-charged to the worker's :class:`~repro.utils.simclock.SimClock`
-  and metered in :class:`~repro.ps.network.CommRecord`.
+* :mod:`repro.faults.rpc` — :class:`PSChannel`, every worker's and
+  cache's one path to the parameter server; with an injector it retries:
+  timeouts, exponential backoff with jitter, retry budgets, and graceful
+  degradation — every retry is re-charged to the worker's
+  :class:`~repro.utils.simclock.SimClock` and metered in
+  :class:`~repro.ps.network.CommRecord`.
 * :mod:`repro.faults.recovery` — :class:`CheckpointManager` (periodic
   atomic snapshots) and :class:`ShardRecovery` (crash-restart: a dead
   machine loses its cache, its PS shard rewinds to the last checkpoint,
@@ -39,7 +40,7 @@ from repro.faults.plan import (
     StragglerWindow,
 )
 from repro.faults.recovery import CheckpointManager, CheckpointSnapshot, ShardRecovery
-from repro.faults.rpc import FaultyPSChannel
+from repro.faults.rpc import PSChannel
 
 __all__ = [
     "CheckpointManager",
@@ -51,8 +52,8 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultStats",
-    "FaultyPSChannel",
     "OutageWindow",
+    "PSChannel",
     "RetryPolicy",
     "ShardRecovery",
     "StragglerWindow",

@@ -155,7 +155,7 @@ class RetryPolicy:
     seconds (jittered by up to ``backoff_jitter`` of itself, drawn from the
     machine's deterministic fault stream) before attempt ``k+1``.  After
     ``max_attempts`` total attempts the operation degrades (see
-    :class:`~repro.faults.rpc.FaultyPSChannel`).
+    :class:`~repro.faults.rpc.PSChannel`).
     """
 
     timeout: float = 0.05
@@ -234,6 +234,27 @@ class FaultPlan:
             and not self.crashes
             and not self.outages
         )
+
+    def check_cluster(self, size: int) -> None:
+        """Raise :class:`ValueError` naming the first clause that targets a
+        machine or PS shard outside a cluster of ``size``: it could never
+        fire."""
+        targets = (
+            [("machine", w.machine, f"slow=w{w.machine}x{w.slowdown!r}") for w in self.stragglers]
+            + [("machine", e.machine, f"crash=w{e.machine}@{e.iteration}") for e in self.crashes]
+            + [("shard", w.shard, f"ps-out={w.shard}@{w.start}:{w.stop or ''}")
+               for w in self.outages]
+            + [("machine", m, f"drop={w.probability!r} on w{m}")
+               for w in self.drops for m in w.machines or ()]
+            + [("machine", m, f"delay={w.probability!r}x{w.delay!r} on w{m}")
+               for w in self.delays for m in w.machines or ()]
+        )
+        for noun, index, clause in targets:
+            if index >= size:
+                raise ValueError(
+                    f"bad fault clause {clause!r}: {noun} {index} is not in a "
+                    f"cluster of {size}"
+                )
 
     def with_overrides(self, **kwargs) -> "FaultPlan":
         """A copy with some fields replaced (re-validated)."""

@@ -18,9 +18,9 @@ parent's tables:
   effective staleness in the regime the paper's bounded-staleness
   synchronization assumes.
 
-Wall-clock accounting: the worker's :class:`~repro.ps.server.
-ParameterServer` is wrapped in a :class:`WallClockChannel` that times real
-seconds spent inside pull/push, and every protocol wait (turn, staleness,
+Wall-clock accounting: the worker's :class:`~repro.faults.rpc.PSChannel`
+(the one every backend pulls and pushes through) times the real seconds
+spent inside the server, and every protocol wait (turn, staleness,
 barrier) is accumulated as stall time.  Both land in the final report for
 :func:`repro.obs.reconcile.reconcile` to compare against the simulated
 clock's predictions.
@@ -110,40 +110,6 @@ class MPControls:
         self.progress = ctx.Array("q", num_workers, lock=True)
 
 
-class WallClockChannel:
-    """Times real seconds spent in PS pull/try_pull/push (transparent
-    otherwise)."""
-
-    def __init__(self, server: ParameterServer) -> None:
-        self._mp_server = server
-        self.comm_wall_s = 0.0
-        self.comm_calls = 0
-
-    def pull(self, kind, ids, machine):
-        t0 = time.perf_counter()
-        result = self._mp_server.pull(kind, ids, machine)
-        self.comm_wall_s += time.perf_counter() - t0
-        self.comm_calls += 1
-        return result
-
-    def try_pull(self, kind, ids, machine):
-        t0 = time.perf_counter()
-        result = self._mp_server.try_pull(kind, ids, machine)
-        self.comm_wall_s += time.perf_counter() - t0
-        self.comm_calls += 1
-        return result
-
-    def push(self, kind, ids, grads, machine):
-        t0 = time.perf_counter()
-        result = self._mp_server.push(kind, ids, grads, machine)
-        self.comm_wall_s += time.perf_counter() - t0
-        self.comm_calls += 1
-        return result
-
-    def __getattr__(self, name):
-        return getattr(self._mp_server, name)
-
-
 # --------------------------------------------------------------------- waits
 
 
@@ -202,7 +168,8 @@ def _await_staleness(
 
 
 def _build(spec: WorkerSpec, arrays):
-    """Rebuild this child's world: graph, shared server, worker."""
+    """Rebuild this child's world: ``(worker, server)`` over the shared
+    tables."""
     cfg = spec.config
     graph = KnowledgeGraph(
         spec.triples,
@@ -235,7 +202,7 @@ def _build(spec: WorkerSpec, arrays):
         spec.neg_seed,
         spec.sampler_seed,
     )
-    return worker, WallClockChannel(server)
+    return worker, server
 
 
 # ---------------------------------------------------------------------- main
@@ -279,10 +246,8 @@ def _run(spec: WorkerSpec, controls: MPControls, arrays) -> None:
     frame's death releases every ndarray view into the shared segments
     before the caller detaches them.
     """
-    worker, channel = _build(spec, arrays)
-    worker.attach(
-        channel, telemetry=Telemetry() if spec.collect_telemetry else None
-    )
+    worker, server = _build(spec, arrays)
+    worker.attach(server, telemetry=Telemetry() if spec.collect_telemetry else None)
 
     wall_start = time.perf_counter()
     stall_s = 0.0
@@ -348,8 +313,8 @@ def _run(spec: WorkerSpec, controls: MPControls, arrays) -> None:
         "wall_s": time.perf_counter() - wall_start,
         "stall_s": stall_s,
         "stalls": stalls,
-        "comm_wall_s": channel.comm_wall_s,
-        "comm_calls": channel.comm_calls,
+        "comm_wall_s": worker.server.comm_wall_s,
+        "comm_calls": worker.server.comm_calls,
     }
     # A fresh process: the lifetime stats are this run's deltas.
     controls.queue.put(("done", spec.rank, worker.stats(), wall, worker.telemetry))

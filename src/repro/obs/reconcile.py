@@ -3,8 +3,8 @@
 The simulator charges every pull/push against a :class:`~repro.utils.
 simclock.SimClock` using the paper's analytical network model; the mp
 backend additionally measures *real* seconds — per-worker wall span,
-protocol stall time, and time spent inside parameter-server calls
-(:class:`~repro.mp.worker.WallClockChannel`).  :func:`reconcile` lines the
+protocol stall time, and time spent inside parameter-server calls (timed
+by each worker's :class:`~repro.faults.rpc.PSChannel`).  :func:`reconcile` lines the
 two up:
 
 * **predicted** communication fraction: the simulated clock's

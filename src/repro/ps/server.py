@@ -11,14 +11,15 @@ Implements the server side of the paper's Algorithm 4:
 
 Every call returns a :class:`~repro.ps.network.CommRecord`; the caller
 (worker) converts it to simulated seconds via its machine's
-:class:`~repro.ps.network.NetworkModel` and advances its clock.
+:class:`~repro.ps.network.NetworkModel` and advances its clock.  Workers
+call in through their machine's :class:`~repro.faults.rpc.PSChannel`,
+which traces, times and (under faults) retries each call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.obs.tracer import NULL_SCOPE, TraceScope
 from repro.optim.base import SparseOptimizer
 from repro.ps.compression import Compressor, NoCompression
 from repro.ps.kvstore import ENTITY, RELATION, ShardedKVStore
@@ -67,20 +68,6 @@ class ParameterServer:
         self.optimizer = optimizer
         self.byte_scale = byte_scale
         self.compressor = compressor if compressor is not None else NoCompression()
-        #: Monotone update counter, bumped once per push; used by caches to
-        #: reason about staleness.
-        self.version = 0
-        #: Per-machine observability scopes (the PS is shared, so spans are
-        #: timestamped with the *calling* worker's clock).  Populated by
-        #: :meth:`bind_trace`; machines without a scope trace for free.
-        self._trace_scopes: dict[int, TraceScope] = {}
-
-    def bind_trace(self, machine: int, scope: TraceScope) -> None:
-        """Attach an observability scope for calls made by ``machine``."""
-        self._trace_scopes[machine] = scope
-
-    def _trace(self, machine: int):
-        return self._trace_scopes.get(machine, NULL_SCOPE)
 
     # ------------------------------------------------------------------ state
 
@@ -122,31 +109,15 @@ class ParameterServer:
         order of ``ids``.
         """
         ids = self._checked_ids(kind, ids)
-        with self._trace(machine).span("ps.pull", "ps", kind=kind) as span:
-            rows = self.store.read(kind, ids)
-            # One ownership gather feeds both the compression split and the
-            # traffic metering (previously three gathers + two np.unique).
-            owners = self.store.owners(kind, ids)
-            if not self.compressor.is_identity:
-                remote = owners != machine
-                if remote.any():
-                    rows[remote] = self.compressor.roundtrip(rows[remote])
-            comm = self._meter_owned(kind, owners, machine)
-            span.set(
-                rows=len(ids),
-                bytes=comm.total_bytes,
-                remote_bytes=comm.remote_bytes,
-            )
-        return rows, comm
-
-    def try_pull(
-        self, kind: str, ids: np.ndarray, machine: int
-    ) -> tuple[np.ndarray | None, CommRecord]:
-        """The degradable read a cache refresh uses: like :meth:`pull`,
-        but ``rows`` may be ``None`` when a channel in front of the server
-        gives up (:class:`repro.faults.rpc.FaultyPSChannel`).  The server
-        itself always answers."""
-        return self.pull(kind, ids, machine)
+        rows = self.store.read(kind, ids)
+        # One ownership gather feeds both the compression split and the
+        # traffic metering (previously three gathers + two np.unique).
+        owners = self.store.owners(kind, ids)
+        if not self.compressor.is_identity:
+            remote = owners != machine
+            if remote.any():
+                rows[remote] = self.compressor.roundtrip(rows[remote])
+        return rows, self._meter_owned(kind, owners, machine)
 
     # ----------------------------------------------------------------- pushes
 
@@ -160,21 +131,14 @@ class ParameterServer:
             raise ValueError(
                 f"push got {len(ids)} ids but {len(grads)} gradient rows"
             )
-        with self._trace(machine).span("ps.push", "ps", kind=kind) as span:
-            owners = self.store.owners(kind, ids)
-            comm = self._meter_owned(kind, owners, machine)
-            if not self.compressor.is_identity:
-                remote = owners != machine
-                if remote.any():
-                    grads = np.asarray(grads, dtype=np.float64).copy()
-                    grads[remote] = self.compressor.roundtrip(grads[remote])
-            self.optimizer.update(kind, self.store.table(kind), ids, grads)
-            self.version += 1
-            span.set(
-                rows=len(ids),
-                bytes=comm.total_bytes,
-                remote_bytes=comm.remote_bytes,
-            )
+        owners = self.store.owners(kind, ids)
+        comm = self._meter_owned(kind, owners, machine)
+        if not self.compressor.is_identity:
+            remote = owners != machine
+            if remote.any():
+                grads = np.asarray(grads, dtype=np.float64).copy()
+                grads[remote] = self.compressor.roundtrip(grads[remote])
+        self.optimizer.update(kind, self.store.table(kind), ids, grads)
         return comm
 
     # --------------------------------------------------------------- metering
@@ -183,11 +147,13 @@ class ParameterServer:
         """Public traffic estimate for moving rows ``ids`` to/from
         ``machine`` **without** touching any state.
 
-        The fault-injection RPC shim uses this to account the wire cost of
-        attempts whose payload was lost in transit (a dropped push must not
-        apply the optimizer, but its bytes still crossed the network).
+        :class:`~repro.faults.rpc.PSChannel` uses this to account the wire
+        cost of attempts whose payload was lost in transit (a dropped push
+        must not apply the optimizer, but its bytes still crossed the
+        network).  One message per contacted server shard.
         """
-        return self._meter(kind, self._checked_ids(kind, ids), machine)
+        ids = self._checked_ids(kind, ids)
+        return self._meter_owned(kind, self.store.owners(kind, ids), machine)
 
     def touched_shards(self, kind: str, ids: np.ndarray) -> np.ndarray:
         """Distinct shard (machine) ids an operation on ``ids`` contacts."""
@@ -199,8 +165,7 @@ class ParameterServer:
         """``ids`` as int64 row ids of table ``kind``, or ``ValueError``
         naming the table and a bad id.  The one check at the PS boundary:
         a cast alone would read row 2 for id 2.9, the last row for -1 and
-        rows 1, 0 for ``[True, False]`` — on every backing, and through the
-        fault and mp channels that call in here."""
+        rows 1, 0 for ``[True, False]`` — on every backing."""
         ids = np.asarray(ids)
         if ids.size == 0:
             return ids.astype(np.int64)
@@ -218,11 +183,6 @@ class ParameterServer:
                 f"table of {rows} rows"
             )
         return ids.astype(np.int64, copy=False)
-
-    def _meter(self, kind: str, ids: np.ndarray, machine: int) -> CommRecord:
-        """Byte/message accounting for moving rows ``ids`` to/from
-        ``machine``.  One message per contacted server shard."""
-        return self._meter_owned(kind, self.store.owners(kind, ids), machine)
 
     def _meter_owned(
         self, kind: str, owners: np.ndarray, machine: int

@@ -1,8 +1,11 @@
-"""Retrying shard-pull channel between a frontend and the embedding store.
+"""Shard-pull channel between a frontend and the embedding store.
 
-The serving analogue of :class:`repro.faults.rpc.FaultyPSChannel`: every
-cache-miss pull consults the deterministic
-:class:`~repro.faults.injector.FaultInjector` per attempt —
+The serving analogue of :class:`repro.faults.rpc.PSChannel`: every
+cache-miss pull of a :class:`~repro.serving.frontend.ServingFrontend`
+goes through its one :class:`ShardChannel`.  Without a fault injector a
+pull is metered once and always succeeds.  With one, every pull consults
+the deterministic :class:`~repro.faults.injector.FaultInjector` per
+attempt —
 
 * **PS-shard outage** — an attempt touching a shard inside an
   :class:`~repro.faults.plan.OutageWindow` fails deterministically;
@@ -37,21 +40,22 @@ import numpy as np
 
 from repro.faults.injector import FaultInjector
 from repro.faults.rpc import RetryingChannel
+from repro.obs.tracer import NULL_SCOPE
 from repro.ps.network import CommRecord
 from repro.utils.simclock import SimClock
 
 
-class FaultyShardChannel(RetryingChannel):
-    """Per-frontend retrying pull path over the sharded embedding store.
+class ShardChannel(RetryingChannel):
+    """Per-frontend pull path over the sharded embedding store.
 
     Parameters
     ----------
     store:
         The :class:`~repro.serving.store.EmbeddingStore` (or a
         :class:`~repro.serving.deploy.VersionedStore`) owning the shard map.
-    machine / injector / clock:
+    machine / clock / injector / trace:
         See :class:`~repro.faults.rpc.RetryingChannel` (the frontend's
-        co-located shard and its serving clock).
+        co-located shard, its serving clock and its scope).
     meter:
         The frontend's miss-pull metering, ``(kind, miss_ids) ->
         CommRecord`` — a failed attempt wastes exactly what a successful
@@ -62,11 +66,12 @@ class FaultyShardChannel(RetryingChannel):
         self,
         store,
         machine: int,
-        injector: FaultInjector,
         clock: SimClock,
         meter: Callable[[str, np.ndarray], CommRecord],
+        injector: FaultInjector | None = None,
+        trace=NULL_SCOPE,
     ) -> None:
-        super().__init__(machine, injector, clock)
+        super().__init__(machine, clock, injector, trace)
         self.store = store
         self.meter = meter
 
@@ -77,7 +82,8 @@ class FaultyShardChannel(RetryingChannel):
         return np.unique(self.store.store.owners(kind, ids))
 
     def pull(self, kind: str, miss_ids: np.ndarray) -> tuple[CommRecord, bool]:
-        """Attempt one miss pull through faults: ``(comm, ok)``.
+        """Attempt one miss pull (through faults, when injected):
+        ``(comm, ok)``.
 
         ``ok=False`` means the retry budget is exhausted — the caller
         times the batch out.  All failed-attempt traffic is already

@@ -30,11 +30,11 @@ every knob off):
   each admitted arrival's completion from the backlog and sheds or
   degrades (truncated top-k) along its ladder; shed queries complete
   instantly with the ``shed`` outcome.
-* ``faults`` — a :class:`~repro.faults.plan.FaultPlan` routes every
-  cache-miss pull through a retrying
-  :class:`~repro.serving.channel.FaultyShardChannel`; retry waits land
-  on the serving clock, and a batch whose retry budget burns out
-  completes with the ``timeout`` outcome instead of raising.
+* ``faults`` — a :class:`~repro.faults.plan.FaultPlan` makes the
+  frontend's :class:`~repro.serving.channel.ShardChannel`, which every
+  cache-miss pull goes through, retry; retry waits land on the serving
+  clock, and a batch whose retry budget burns out completes with the
+  ``timeout`` outcome instead of raising.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.faults.injector import FaultInjector
 from repro.obs.tracer import Tracer, get_tracer
 from repro.ps.network import (
     BYTES_PER_ELEMENT,
@@ -60,6 +61,7 @@ from repro.serving.admission import (
 )
 from repro.serving.batcher import QueryBatcher
 from repro.serving.cache import ServingCache
+from repro.serving.channel import ShardChannel
 from repro.serving.metrics import ServingReport, aggregate_results
 from repro.serving.queries import (
     ADMITTED,
@@ -145,16 +147,12 @@ class ServingFrontend:
         self.admission = admission
         self.shedder = shedder
         self.injector = None
-        self.channel = None
         if faults is not None:
-            from repro.faults.injector import FaultInjector
-            from repro.serving.channel import FaultyShardChannel
-
+            faults.check_cluster(store.store.num_machines)
             self.injector = FaultInjector(faults)
-            self.channel = FaultyShardChannel(
-                store, machine, self.injector, self.clock, meter=self._meter
-            )
-            self.channel.trace = self.trace
+        self.channel = ShardChannel(
+            store, machine, self.clock, self._meter, self.injector, self.trace
+        )
         self._batches_dispatched = 0
         self._degraded_qids: set[int] = set()
 
@@ -295,8 +293,7 @@ class ServingFrontend:
             )
             comm = CommRecord()
             misses = 0
-            if self.channel is not None:
-                self.channel.iteration = self._batches_dispatched
+            self.channel.iteration = self._batches_dispatched
             for kind, ids in (("entity", entity_ids), ("relation", relation_ids)):
                 if self.cache is not None:
                     hit_mask = self.cache.lookup(kind, ids)
@@ -304,14 +301,11 @@ class ServingFrontend:
                 else:
                     miss_ids = ids
                 if len(miss_ids):
-                    if self.channel is not None:
-                        pulled, ok = self.channel.pull(kind, miss_ids)
-                        comm.merge(pulled)
-                        if not ok:
-                            pulled_ok = False
-                            break
-                    else:
-                        comm.merge(self._meter(kind, miss_ids))
+                    pulled, ok = self.channel.pull(kind, miss_ids)
+                    comm.merge(pulled)
+                    if not ok:
+                        pulled_ok = False
+                        break
                 misses += len(miss_ids)
             self.comm_totals.merge(comm)
             if pulled_ok:

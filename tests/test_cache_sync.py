@@ -5,9 +5,11 @@ import pytest
 
 from repro.cache.filtering import HotSet
 from repro.cache.sync import HotEmbeddingCache
+from repro.faults.rpc import PSChannel
 from repro.optim.sgd import SparseSGD
 from repro.ps.kvstore import ShardedKVStore
 from repro.ps.server import ParameterServer
+from repro.utils.simclock import SimClock
 
 
 @pytest.fixture
@@ -19,11 +21,19 @@ def server():
     return ParameterServer(store, SparseSGD(lr=1.0))
 
 
+def attached(server, machine, *args, **kwargs):
+    """A cache pulling through ``machine``'s channel to ``server``, as
+    ``Worker.attach`` wires it."""
+    cache = HotEmbeddingCache(*args, **kwargs)
+    cache.server = PSChannel(server, machine, SimClock())
+    return cache
+
+
 @pytest.fixture
 def cache(server):
-    c = HotEmbeddingCache(
+    c = attached(
         server,
-        machine=0,
+        0,
         entity_capacity=4,
         relation_capacity=4,
         entity_width=2,
@@ -43,18 +53,18 @@ class TestInstall:
         assert comm.total_bytes == 0  # both cached -> no PS traffic
 
     def test_install_comm_metered(self, server):
-        cache = HotEmbeddingCache(server, 0, 4, 4, 2, 2, sync_period=2, local_lr=1.0)
+        cache = attached(server, 0, 4, 4, 2, 2, sync_period=2, local_lr=1.0)
         comm = cache.install(HotSet(np.array([1, 7]), np.array([0])))
         assert comm.total_bytes > 0
         assert comm.remote_bytes > 0  # entity 7 lives on machine 1
 
     def test_install_truncates_to_capacity(self, server):
-        cache = HotEmbeddingCache(server, 0, 2, 2, 2, 2, sync_period=2, local_lr=1.0)
+        cache = attached(server, 0, 2, 2, 2, 2, sync_period=2, local_lr=1.0)
         cache.install(HotSet(np.arange(5), np.array([], dtype=np.int64)))
         assert len(cache.cached_ids("entity")) == 2
 
     def test_empty_hotset(self, server):
-        cache = HotEmbeddingCache(server, 0, 4, 4, 2, 2, sync_period=2, local_lr=1.0)
+        cache = attached(server, 0, 4, 4, 2, 2, sync_period=2, local_lr=1.0)
         comm = cache.install(
             HotSet(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
         )
@@ -145,7 +155,7 @@ class TestSync:
 
     def test_invalid_sync_period(self, server):
         with pytest.raises(ValueError):
-            HotEmbeddingCache(server, 0, 4, 4, 2, 2, sync_period=0, local_lr=1.0)
+            attached(server, 0, 4, 4, 2, 2, sync_period=0, local_lr=1.0)
 
 
 class TestInvalidateIds:
@@ -153,7 +163,7 @@ class TestInvalidateIds:
 
     @pytest.fixture
     def full(self, server):
-        cache = HotEmbeddingCache(server, 0, 6, 4, 2, 2, sync_period=3, local_lr=1.0)
+        cache = attached(server, 0, 6, 4, 2, 2, sync_period=3, local_lr=1.0)
         cache.install(HotSet(np.array([7, 1, 9, 3, 5]), np.array([2, 0])))
         return cache
 

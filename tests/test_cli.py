@@ -328,6 +328,39 @@ class TestCountFlags:
         assert f"argument {flag}: must be a positive integer, got '{value}'" in err
 
 
+#: Spec-valued flags, each checked before any dataset is built.
+BAD_SPECS = [
+    pytest.param(["train", "--faults", "bogus=1"],
+                 "--faults: bad fault clause 'bogus=1': unknown clause key", id="faults"),
+    pytest.param(["train", "--backing", "tiered", "--memory-budget", "12Q"],
+                 "--memory-budget: unknown byte suffix 'Q'", id="memory-budget"),
+    pytest.param(["serve-bench", "--admission", "gold=abc"],
+                 "--admission: bad admission clause 'gold=abc'", id="admission"),
+    pytest.param(["train", "--machines", "2", "--faults", "crash=w9@3"],
+                 "--faults: bad fault clause 'crash=w9@3': machine 9 is not in a cluster of 2",
+                 id="crash-absent-machine"),
+    pytest.param(["train", "--machines", "2", "--faults", "slow=w7x3"],
+                 "machine 7 is not in a cluster of 2", id="slow-absent-machine"),
+    pytest.param(["train", "--machines", "2", "--faults", "ps-out=9@2:40"],
+                 "shard 9 is not in a cluster of 2", id="ps-out-absent-shard"),
+    pytest.param(["serve-bench", "--faults", "ps-out=5@2:4"],
+                 "shard 5 is not in a cluster of 4", id="serve-absent-shard"),
+]
+
+
+class TestSpecFlags:
+    @pytest.mark.parametrize("argv, message", BAD_SPECS)
+    def test_bad_spec_is_a_usage_error(self, argv, message, capsys):
+        """Exit 2 naming the flag, nothing on stdout.  A malformed spec used
+        to build the dataset (or train a model) first and then exit 1 with
+        a traceback; a plan naming a machine or shard the cluster lacks
+        trained to the end with the clause never firing."""
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
+
+
 # ------------------------------------------------------------ the rule table
 
 #: A value for every flag of the table that takes one.

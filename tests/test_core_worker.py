@@ -41,7 +41,7 @@ def make_worker(world, cached: bool, machine=0):
     if cached:
         strategy = DynamicPartialStale(capacity=64, window=4)
         cache = HotEmbeddingCache(
-            server, machine, 64, 64, model.entity_dim, model.relation_dim,
+            64, 64, model.entity_dim, model.relation_dim,
             sync_period=4, local_lr=0.1,
         )
     return Worker(
@@ -116,7 +116,7 @@ class TestWorkerCached:
         sampler = EpochSampler(graph, 16, neg, seed=0)
         strategy = DynamicPartialStale(capacity=4096, window=8)
         cache = HotEmbeddingCache(
-            server, 0, 4096, 4096, model.entity_dim, model.relation_dim,
+            4096, 4096, model.entity_dim, model.relation_dim,
             sync_period=64, local_lr=0.1,
         )
         cached = Worker(

@@ -21,8 +21,8 @@ from repro.faults import (
     FaultEvent,
     FaultInjector,
     FaultPlan,
-    FaultyPSChannel,
     OutageWindow,
+    PSChannel,
     RetryPolicy,
     ShardRecovery,
     StragglerWindow,
@@ -299,20 +299,23 @@ def cluster(small_split):
     return trainer
 
 
-class TestFaultyPSChannel:
-    def _channel(self, cluster, plan, clock=None):
-        from repro.utils.simclock import SimClock
+def _channel(cluster, plan, clock=None):
+    from repro.utils.simclock import SimClock
 
-        worker = cluster.workers[0]
-        return FaultyPSChannel(
-            cluster.server, worker.machine, FaultInjector(plan), clock or SimClock()
-        )
+    injector = FaultInjector(plan) if plan is not None else None
+    machine = cluster.workers[0].machine
+    return PSChannel(cluster.server, machine, clock or SimClock(), injector)
 
-    def test_transparent_when_no_faults(self, cluster):
+
+class TestPSChannel:
+    @pytest.mark.parametrize(
+        "plan", [None, FaultPlan.none()], ids=["no-injector", "zero-plan"]
+    )
+    def test_transparent_when_no_faults(self, cluster, plan):
         from repro.utils.simclock import SimClock
 
         clock = SimClock()
-        channel = self._channel(cluster, FaultPlan.none(), clock)
+        channel = _channel(cluster, plan, clock)
         channel.iteration = 1
         ids = np.array([0, 1, 2])
         direct_rows, direct_comm = cluster.server.pull("entity", ids, 0)
@@ -321,6 +324,10 @@ class TestFaultyPSChannel:
         assert comm == direct_comm
         assert clock.elapsed == 0.0
 
+
+class TestFaultyPSChannel:
+    """``PSChannel`` with an injector whose plan fires."""
+
     def test_certain_drop_forces_pull_through(self, cluster):
         from repro.utils.simclock import SimClock
 
@@ -328,7 +335,7 @@ class TestFaultyPSChannel:
         plan = FaultPlan(
             drops=(DropWindow(1.0),), retry=RetryPolicy(max_attempts=3)
         )
-        channel = self._channel(cluster, plan, clock)
+        channel = _channel(cluster, plan, clock)
         channel.iteration = 1
         rows, comm = channel.pull("entity", np.array([0, 1]))
         assert rows is not None
@@ -341,7 +348,7 @@ class TestFaultyPSChannel:
         plan = FaultPlan(
             drops=(DropWindow(1.0),), retry=RetryPolicy(max_attempts=2)
         )
-        channel = self._channel(cluster, plan)
+        channel = _channel(cluster, plan)
         channel.iteration = 1
         rows, comm = channel.try_pull("entity", np.array([0, 1]))
         assert rows is None
@@ -352,7 +359,7 @@ class TestFaultyPSChannel:
         plan = FaultPlan(
             drops=(DropWindow(1.0),), retry=RetryPolicy(max_attempts=2)
         )
-        channel = self._channel(cluster, plan)
+        channel = _channel(cluster, plan)
         channel.iteration = 1
         ids = np.array([0, 1])
         before = cluster.server.store.read("entity", ids)
@@ -364,7 +371,7 @@ class TestFaultyPSChannel:
         plan = FaultPlan(
             outages=(OutageWindow(0, 1, 5),), retry=RetryPolicy(max_attempts=2)
         )
-        channel = self._channel(cluster, plan)
+        channel = _channel(cluster, plan)
         channel.iteration = 1
         ids = cluster.server.store.owned_ids("entity", 0)[:3]
         rows, _ = channel.try_pull("entity", ids)
@@ -399,12 +406,20 @@ class TestNoOpInvariant:
     def test_fault_run_then_clean_run_uninstalls_channel(self, small_split):
         trainer = make_trainer("hetkg-d", _config())
         trainer.train(small_split.train, faults=FaultPlan.uniform_drop(0.2, seed=1))
-        assert isinstance(trainer.workers[0].server, FaultyPSChannel)
-        trainer.train(small_split.train)  # no faults: channel must come off
+        assert trainer.workers[0].server.injector is not None
+        trainer.train(small_split.train)  # no faults: the injector must come off
         for worker in trainer.workers:
-            assert worker.server is trainer.server
-            assert worker.cache.server is trainer.server
+            assert worker.server.injector is None
+            assert worker.server.server is trainer.server
+            assert worker.cache.server is worker.server
 
+
+    def test_plan_naming_an_absent_machine_is_rejected(self, small_split):
+        """Regression: a crash of a machine the cluster lacks never fired
+        and the run ended as if fault-free."""
+        trainer = make_trainer("hetkg-d", _config())
+        with pytest.raises(ValueError, match="'crash=w2@3': machine 2 is not in a cluster of 2"):
+            trainer.train(small_split.train, faults=FaultPlan.parse("crash=w2@3"))
 
     def test_online_train_after_fault_run_talks_to_ps(self, small_graph):
         """Regression: ``OnlineTrainer.train`` never took an earlier call's
@@ -415,8 +430,9 @@ class TestNoOpInvariant:
         trainer.train(small_graph, faults=FaultPlan.uniform_drop(0.2, seed=1))
         OnlineTrainer(trainer, EventStream(updates=[])).train(small_graph)
         for worker in trainer.workers:
-            assert worker.server is trainer.server
-            assert worker.cache.server is trainer.server
+            assert worker.server.injector is None
+            assert worker.server.server is trainer.server
+            assert worker.cache.server is worker.server
             assert worker.faults is None
 
 

@@ -491,10 +491,12 @@ class TestServeMP:
 
 
 class TestWallClockChannel:
+    """The mp child's wall-clock counters, read off its ``PSChannel``."""
+
     def test_comm_calls_pinned(self, mp_data):
-        """The channel times every PS call, the cache refresh's
-        ``try_pull`` included; the counts are the ones captured when the
-        refresh still reached the channel through ``pull``."""
+        """The worker's ``PSChannel`` times every PS call, the cache
+        refresh's ``try_pull`` included; the counts are the ones captured
+        when the refresh still reached the channel through ``pull``."""
         _, split = mp_data
         trainer = make_trainer("hetkg-d", mp_config())
         result = trainer.train_mp(split.train, schedule="sync", start_method="fork")

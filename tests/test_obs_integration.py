@@ -154,7 +154,8 @@ class TestDisabledByDefault:
             for worker in trainer.workers:
                 assert worker.trace is NULL_SCOPE, traced_first
                 assert worker.cache.trace is NULL_SCOPE, traced_first
-                assert server._trace(worker.machine) is NULL_SCOPE, traced_first
+                assert worker.server.trace is NULL_SCOPE, traced_first
+                assert worker.server.ps_trace is NULL_SCOPE, traced_first
             for table in server.store.tier.tables.values():
                 assert table._trace is NULL_SCOPE, traced_first
 

@@ -686,3 +686,93 @@ class TestParallelRunner:
 
 def _square(x: int) -> int:
     return x * x
+
+
+# ------------------------------------------------------------- perf smoke
+
+
+#: The benchmark's dglke shape (fb15k x 0.2, seed 11), one epoch.
+BENCH_DGLKE = dict(
+    model="transe", dim=32, epochs=1, batch_size=128, num_negatives=16,
+    negative_strategy="chunked", num_machines=4, partitioner="metis", seed=11,
+)
+
+
+@pytest.fixture(scope="module")
+def bench_graph():
+    from repro.kg.datasets import generate_dataset
+    from repro.kg.splits import split_triples
+
+    return split_triples(generate_dataset("fb15k", scale=0.2, seed=11), seed=11).train
+
+
+class TestPerfSmoke:
+    """Counts, not times, at the benchmark's shape: each repeats exactly."""
+
+    def test_refinement_visits_the_boundary_not_the_graph(self, bench_graph):
+        """The vertices the FM passes evaluate against what a sweep of
+        every vertex on every pass would (8.2 % when this was written)."""
+        from repro.partition.metis import MetisPartitioner
+
+        partitioner = MetisPartitioner(seed=11)
+        partitioner.partition(bench_graph, 4)
+        levels = partitioner.report["levels"]
+        evaluated = sum(p["evaluated"] for lv in levels for p in lv["refine"])
+        sweep = sum(lv["vertices"] for lv in levels) * partitioner.refine_passes
+        assert evaluated <= 0.15 * sweep, (evaluated, sweep)
+
+    def test_backward_pass_sees_only_the_active_negatives(self, bench_graph, monkeypatch):
+        """The negatives ``compute_batch_gradients`` counts active (and
+        alone sends through grad and the scatter, whenever they are at most
+        half of a batch's) are exactly the non-zero entries of the hinge's
+        ``grad_neg``, and at most 45 % of the b * n scored (36.1 % when
+        this was written)."""
+        from repro.core.config import TrainingConfig
+        from repro.core.trainer import make_trainer
+        from repro.models.losses import MarginRankingLoss
+        from repro.obs.tracer import Tracer
+
+        seen = {"nonzero": 0, "scored": 0}
+        compute = MarginRankingLoss.compute
+
+        def counting(self, pos, neg):
+            result = compute(self, pos, neg)
+            seen["nonzero"] += int(np.count_nonzero(result.grad_neg))
+            seen["scored"] += result.grad_neg.size
+            return result
+
+        monkeypatch.setattr(MarginRankingLoss, "compute", counting)
+        tracer = Tracer()
+        make_trainer("dglke", TrainingConfig(**BENCH_DGLKE)).train(bench_graph, tracer=tracer)
+        active = int(tracer.totals["worker.active_negatives"])
+        assert active == seen["nonzero"], (active, seen)
+        assert 0 < active <= 0.45 * seen["scored"], (active, seen)
+
+    def test_a_step_builds_no_sparse_matrix(self, bench_graph, monkeypatch):
+        """With scipy's CSC classes made unconstructible an epoch still
+        completes — the scatter adds gradient blocks through the compiled
+        loop a CSC product ends in — and its losses and tables are the
+        unpatched run's bit for bit."""
+        import scipy.sparse
+
+        from repro.core.config import TrainingConfig
+        from repro.core.trainer import make_trainer
+
+        def run():
+            trainer = make_trainer("dglke", TrainingConfig(**BENCH_DGLKE))
+            result = trainer.train(bench_graph)
+            tables = {
+                k: trainer.server.store.table(k).tobytes() for k in ("entity", "relation")
+            }
+            return result.history.losses(), tables
+
+        plain = run()
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"a training step built a {type(self).__name__}")
+
+        monkeypatch.setattr(scipy.sparse.csc_array, "__init__", refuse)
+        monkeypatch.setattr(scipy.sparse.csc_matrix, "__init__", refuse)
+        patched = run()
+        assert patched[0] == plain[0], "losses moved"
+        assert patched[1] == plain[1], "tables moved"

@@ -271,11 +271,6 @@ class TestParameterServerPush:
         after = server.store.table("entity")[1]
         np.testing.assert_allclose(after, before - 1.0)  # SGD lr=1
 
-    def test_version_bumps(self, server):
-        v = server.version
-        server.push("entity", np.array([0]), np.array([[0.0, 0.0]]), machine=0)
-        assert server.version == v + 1
-
     def test_mismatched_grads_rejected(self, server):
         with pytest.raises(ValueError, match="gradient rows"):
             server.push("entity", np.array([0, 1]), np.array([[0.0, 0.0]]), machine=0)
@@ -323,7 +318,6 @@ class TestParameterServerIds:
             assert list(after) == list(before)
             for name, array in before.items():
                 assert np.asarray(after[name]).tobytes() == array.tobytes(), name
-            assert server.version == 0
         finally:
             store.close()
 

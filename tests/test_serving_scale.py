@@ -410,6 +410,13 @@ class TestFaultServing:
         assert frontend.clock.category("compute") == 0.0
         assert frontend.clock.category("communication") > 0.0
 
+    def test_plan_naming_an_absent_shard_is_rejected(self, served):
+        """An outage of a shard the store does not have could never fire
+        (regression: the frontend accepted it and served as if fault-free)."""
+        _, _, store = served
+        with pytest.raises(ValueError, match="'ps-out=2@1:9': shard 2 is not in a cluster of 2"):
+            overload_frontend(store, faults=FaultPlan.parse("ps-out=2@1:9"))
+
 
 # -------------------------------------------------------------- deployment
 

@@ -441,3 +441,86 @@ class TestPrequentialEvaluator:
         assert ev.holdout_size == 0
         assert ev.result.final_mrr == 0.0
         assert ev.result.points == []
+
+
+class TestStreamSmoke:
+    """The stream CLI path and the zero-drift contract at CLI-run scale."""
+
+    ARGS = ["stream", "--profile", "rotation", "--system", "hetkg-a",
+            "--scale", "0.02", "--epochs", "2"]
+
+    def _triples_deleted(self, capsys) -> int:
+        from repro import cli
+
+        assert cli.main(self.ARGS) == 0
+        out = capsys.readouterr().out
+        return int(re.search(r"updates: \+\d+/-(\d+) triples", out)[1])
+
+    def test_out_of_vocabulary_delete_removes_nothing(self, capsys, monkeypatch):
+        """The same CLI run twice; the second stream's first update also
+        deletes (h, r - 1, t + E) for a real triple (h, r, t): outside the
+        vocabulary, and the alias of that triple under
+        (h * R + r) * E + t."""
+        import dataclasses
+
+        import repro.stream
+
+        clean = self._triples_deleted(capsys)
+        assert clean > 0
+
+        def with_alias(profile, graph, **knobs):
+            stream = make_stream(profile, graph, **knobs)
+            first = stream.updates[0]
+            gone = {tuple(row) for row in first.deletes.tolist()}
+            h, r, t = next(
+                row for row in graph.triples.tolist()
+                if row[1] > 0 and tuple(row) not in gone
+            )
+            alias = np.array([[h, r - 1, t + first.num_entities]])
+            stream.updates[0] = dataclasses.replace(
+                first, deletes=np.concatenate([first.deletes, alias])
+            )
+            return stream
+
+        monkeypatch.setattr(repro.stream, "make_stream", with_alias)
+        assert self._triples_deleted(capsys) == clean, (
+            "an out-of-vocabulary delete matched a row"
+        )
+
+    def test_zero_drift_identity_and_strategy_ordering(self):
+        """An empty stream trains the static run's tables bit for bit, and
+        under rotation ADAPTIVE >= DPS >= CPS on hit ratio.  The stream's
+        horizon is the trainer's real step budget (the triples are split
+        over the machines), so every update applies."""
+        from repro.kg.datasets import generate_dataset
+
+        graph = generate_dataset("fb15k", scale=0.02, seed=0)
+        config = TrainingConfig(
+            model="transe", dim=8, epochs=2, batch_size=64,
+            num_negatives=4, num_machines=2, cache_capacity=256,
+            sync_period=4, dps_window=8, seed=0,
+        )
+        static = make_trainer("hetkg-d", config)
+        static.train(graph)
+        online = make_trainer("hetkg-d", config)
+        OnlineTrainer(online, EventStream()).train(graph)
+        for kind in ("entity", "relation"):
+            assert np.array_equal(
+                static.server.store.table(kind), online.server.store.table(kind)
+            ), f"{kind} tables diverged on the empty stream"
+
+        hit = {}
+        for system in ("hetkg-c", "hetkg-d", "hetkg-a"):
+            trainer = make_trainer(system, config)
+            trainer.setup(graph)
+            stream = make_stream(
+                "rotation", graph,
+                steps=config.epochs * trainer.steps_per_epoch, seed=17,
+                interval=8, inserts_per_update=32,
+            )
+            result = OnlineTrainer(trainer, stream).train(graph)
+            assert result.updates_applied == len(stream.updates), (
+                system, result.updates_applied, len(stream.updates),
+            )
+            hit[system] = result.cache_hit_ratio
+        assert hit["hetkg-a"] >= hit["hetkg-d"] >= hit["hetkg-c"], hit
