@@ -815,8 +815,9 @@ def _serve_bench(args: argparse.Namespace) -> int:
         f"[serve-bench] {len(measured)} measured queries, "
         f"cache capacity {capacity} rows"
     )
+    cache = ServingCache.from_policy(args.cache_policy, capacity, warmup)
     if args.backend == "mp":
-        return _serve_bench_mp(args, store, measured, warmup, capacity, title)
+        return _serve_bench_mp(args, store, measured, cache, title)
 
     tenant_names = [
         t.strip() for t in (args.tenants or "").split(",") if t.strip()
@@ -832,7 +833,6 @@ def _serve_bench(args: argparse.Namespace) -> int:
     rows = []
     if not args.no_baseline:
         rows.append(_serve(args, store, trainer, queries, None)[0].as_row())
-    cache = ServingCache.from_policy(args.cache_policy, capacity, warmup)
     report, frontend, deployment = _serve(args, store, trainer, queries, cache)
     rows.append(report.as_row())
     print(format_table(ServingReport.headers(), rows, title=title))
@@ -879,28 +879,18 @@ def _serve_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve(args: argparse.Namespace, store, trainer, queries, cache):
-    """Replay ``queries`` through one simulated frontend configured from
-    the flags -> ``(report, frontend, deployment)``.
+def _frontend(args: argparse.Namespace, store, cache):
+    """One serving frontend over ``store`` configured from the flags.
 
     Each overload knob (``--admission``, ``--slo``, ``--faults``) is off
-    when its flag is absent.  With ``--deploy-every`` the frontend serves
-    a snapshot of ``trainer`` and swaps in a fresh one between chunks;
-    ``deployment`` is ``None`` otherwise.
+    when its flag is absent.
     """
     from repro.faults import FaultPlan
     from repro.serving.admission import AdmissionController, LoadShedder
     from repro.serving.batcher import QueryBatcher
-    from repro.serving.deploy import (
-        ContinuousDeployment,
-        VersionedStore,
-        snapshot_from_trainer,
-    )
     from repro.serving.frontend import ServingFrontend
 
-    if args.deploy_every is not None:
-        store = VersionedStore(snapshot_from_trainer(trainer))
-    frontend = ServingFrontend(
+    return ServingFrontend(
         store,
         batcher=QueryBatcher(max_batch=args.max_batch, max_wait=args.max_wait),
         cache=cache,
@@ -913,6 +903,25 @@ def _serve(args: argparse.Namespace, store, trainer, queries, cache):
         shedder=LoadShedder(slo=args.slo) if args.slo is not None else None,
         faults=FaultPlan.parse(args.faults) if args.faults else None,
     )
+
+
+def _serve(args: argparse.Namespace, store, trainer, queries, cache):
+    """Replay ``queries`` through one simulated frontend configured from
+    the flags -> ``(report, frontend, deployment)``.
+
+    With ``--deploy-every`` the frontend serves a snapshot of ``trainer``
+    and swaps in a fresh one between chunks; ``deployment`` is ``None``
+    otherwise.
+    """
+    from repro.serving.deploy import (
+        ContinuousDeployment,
+        VersionedStore,
+        snapshot_from_trainer,
+    )
+
+    if args.deploy_every is not None:
+        store = VersionedStore(snapshot_from_trainer(trainer))
+    frontend = _frontend(args, store, cache)
     if args.deploy_every is None:
         return frontend.run(queries), frontend, None
     deployment = ContinuousDeployment(store, frontend, rewarm=not args.no_rewarm)
@@ -923,14 +932,13 @@ def _serve(args: argparse.Namespace, store, trainer, queries, cache):
     return frontend.report(), frontend, deployment
 
 
-def _serve_bench_mp(
-    args: argparse.Namespace, store, measured, warmup, capacity, title
-) -> int:
+def _serve_bench_mp(args: argparse.Namespace, store, measured, cache, title) -> int:
     """serve-bench over N frontend processes sharing one embedding store.
 
-    Each replica builds its own cache/batcher and replays a round-robin
-    slice of the measured stream; the merged report's percentiles are
-    exact over all completions (see :mod:`repro.mp.serve`).
+    Each replica runs its own copy of the frontend the flags configure
+    (private cache and batcher) over a round-robin slice of the measured
+    stream; the merged report's percentiles are exact over all
+    completions (see :mod:`repro.mp.serve`).
     """
     from repro.mp.pool import default_jobs
     from repro.mp.serve import serve_mp
@@ -939,15 +947,9 @@ def _serve_bench_mp(
 
     frontends = args.mp_workers or default_jobs()
     result = serve_mp(
-        store,
+        _frontend(args, store, cache),
         measured,
         num_frontends=frontends,
-        cache_policy=args.cache_policy,
-        warmup=warmup,
-        capacity=capacity,
-        max_batch=args.max_batch,
-        max_wait=args.max_wait,
-        byte_scale=args.byte_scale,
         start_method=args.mp_start,
     )
     rows = [r.as_row() for r in result.per_frontend]

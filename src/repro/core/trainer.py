@@ -48,12 +48,7 @@ from repro.utils.rng import make_rng, split_worker_streams
 
 
 def make_strategy(config: TrainingConfig) -> HotEmbeddingStrategy | None:
-    """Build the cache strategy ``config`` selects (``None`` for cacheless).
-
-    Module-level (rather than a trainer method) so mp worker processes can
-    rebuild the identical strategy from a pickled config without shipping
-    the trainer object across the process boundary.
-    """
+    """Build the cache strategy ``config`` selects (``None`` for cacheless)."""
     cfg = config
     if cfg.cache_strategy == "cps":
         return ConstantPartialStale(cfg.cache_capacity, cfg.entity_ratio)
@@ -88,13 +83,7 @@ def build_worker(
     neg_seed: int | np.random.Generator,
     sampler_seed: int | np.random.Generator,
 ) -> Worker:
-    """Assemble one machine's worker (sampler, cache, cost models).
-
-    The single construction path shared by the simulator's ``setup()`` and
-    the :mod:`repro.mp` child processes: both call this with the same
-    ``(graph, triple_idx, seeds)``, so a worker's draw sequence is
-    identical regardless of which backend hosts it.
-    """
+    """Assemble one machine's worker (sampler, cache, cost models)."""
     cfg = config
     subgraph = train_graph.subgraph(triple_idx)
     neg_kwargs = dict(
@@ -106,9 +95,6 @@ def build_worker(
         seed=neg_seed,
     )
     if cfg.neg_cache != "off":
-        # The cached sampler's side stream derives from the same integer
-        # neg_seed, so mp children rebuild the identical cache behaviour
-        # (this function is their construction path too).
         neg = CachedNegativeSampler(
             **neg_kwargs,
             mode=cfg.neg_cache,
@@ -250,10 +236,6 @@ class HETKGTrainer:
         self.server: ParameterServer | None = None
         self.workers: list[Worker] = []
         self.partition: Partition | None = None
-        #: Per-worker stream seeds drawn at setup() (2 per machine:
-        #: negative sampler, epoch sampler) — the mp backend re-derives
-        #: identical worker streams from these ints in child processes.
-        self._worker_seeds: list[int] = []
 
     # ------------------------------------------------------------------ setup
 
@@ -310,9 +292,8 @@ class HETKGTrainer:
             compressor=get_compressor(cfg.compression),
         )
 
-        # Integer seeds (not generators) so the mp backend can ship the very
-        # same streams to worker processes; see split_worker_streams.
-        self._worker_seeds = split_worker_streams(self._rng, cfg.num_machines * 2)
+        # Two streams per machine: negative sampler, epoch sampler.
+        seeds = split_worker_streams(self._rng, cfg.num_machines * 2)
         for machine in range(cfg.num_machines):
             triple_idx = self.partition.triples_of(machine)
             if len(triple_idx) == 0:
@@ -327,8 +308,8 @@ class HETKGTrainer:
                     self.loss,
                     self.network,
                     cfg,
-                    self._worker_seeds[2 * machine],
-                    self._worker_seeds[2 * machine + 1],
+                    seeds[2 * machine],
+                    seeds[2 * machine + 1],
                 )
             )
 

@@ -2,26 +2,27 @@
 
 The simulator (:mod:`repro.core.trainer`) interleaves workers round-robin
 over :class:`~repro.utils.simclock.SimClock` — perfectly deterministic, but
-every "parallel" number is simulated.  This package runs the *same* worker
-loop (:func:`repro.core.trainer.build_worker`) in actual OS processes over
+every "parallel" number is simulated.  This package runs the simulator's
+own workers in actual OS processes over
 ``multiprocessing.shared_memory``-backed parameter-server tables:
 
-* :mod:`repro.mp.shm` — SharedMemory-backed ndarray storage for the
-  parameter server's state arrays, with zero-copy attach in children,
-  in-place growth within a segment's capacity (``SharedArray.grow``),
-  and leak-proof cleanup (pid-guarded finalizers + context managers).
+* :mod:`repro.mp.shm` — SharedMemory-backed ndarray storage, one array
+  per segment: ``SharedArena.share`` moves an array into a segment,
+  ``dumps``/``loads`` pickle an object graph with those arrays travelling
+  by segment name (zero-copy attach in children), and cleanup is
+  leak-proof (pid-guarded finalizers + context managers).
 * :mod:`repro.mp.pool` — small process-pool utilities shared with the
   ``--jobs`` parallel experiment runner.
-* :mod:`repro.mp.worker` — the child-process entry point: rebuilds its
-  worker from integer seeds + pickled triples, attaches the shared tables,
-  and runs either the ``sync`` schedule (turn-taking in the simulator's
-  round-robin order — bit-identical results) or the ``async`` schedule
-  (hogwild with a bounded-staleness guard — the fast path).
+* :mod:`repro.mp.worker` — the child-process entry point: unpickles the
+  parent's worker and server over the shared tables and runs either the
+  ``sync`` schedule (turn-taking in the simulator's round-robin order —
+  bit-identical results) or the ``async`` schedule (hogwild with a
+  bounded-staleness guard — the fast path).
 * :mod:`repro.mp.backend` — the parent-side orchestrator assembling a
   normal :class:`~repro.core.trainer.TrainResult` (plus wall-clock spans)
   from the children's reports.
-* :mod:`repro.mp.serve` — multi-process ``serve-bench`` frontends over a
-  shared embedding store.
+* :mod:`repro.mp.serve` — multi-process ``serve-bench``: copies of one
+  frontend over a shared embedding store.
 
 Determinism contract: ``schedule="sync"`` serializes steps in exactly the
 simulator's order, so losses, embeddings, SimClock categories, and

@@ -3,15 +3,16 @@
 ``run_mp_training`` turns an already-configured trainer into a real
 multi-process run:
 
-1. ``trainer.setup(graph)`` builds the partition, tables, and (parent
-   copies of) the workers exactly as the simulator would — including
-   drawing the per-worker stream seeds;
+1. ``trainer.setup(graph)`` builds the partition, tables, and the
+   workers exactly as the simulator would;
 2. every array of the server's state
    (:meth:`~repro.ps.server.ParameterServer.state_arrays`) is copied into
-   a :class:`~repro.mp.shm.SharedArena` segment of the same name and the
-   server is rebound onto the shared views, so the parent evaluates the
-   same memory the children train;
-3. one child process per worker runs :func:`repro.mp.worker.worker_main`;
+   a :class:`~repro.mp.shm.SharedArena` segment and the server is rebound
+   onto the shared views, so the parent evaluates the same memory the
+   children train;
+3. each worker, attached afresh, is shipped with the server by
+   :meth:`~repro.mp.shm.SharedArena.dumps` (the shared views by segment
+   name) to one child process running :func:`repro.mp.worker.worker_main`;
    the parent collects per-epoch losses at a barrier, evaluates while the
    children are parked, and builds a normal
    :class:`~repro.core.trainer.TrainResult` from the children's
@@ -99,21 +100,20 @@ def run_mp_training(
             "hold file handles and quantized blocks that cannot be shared "
             "across processes (run --backing tiered with --backend sim)"
         )
+    bound = staleness_bound if staleness_bound is not None else cfg.sync_period
+    if bound < 1:
+        raise MPUnsupportedError(f"staleness bound must be >= 1, got {bound}")
+    ctx = multiprocessing.get_context(start_method or "spawn")
     trainer.setup(train_graph)
     if not trainer.workers:
         raise MPUnsupportedError("setup produced no workers to parallelize")
     server = trainer.server
-    store = server.store
     num_workers = len(trainer.workers)
     iterations = trainer.steps_per_epoch
-    bound = staleness_bound if staleness_bound is not None else cfg.sync_period
-    if bound < 1:
-        raise MPUnsupportedError(f"staleness bound must be >= 1, got {bound}")
     deadline = time.monotonic() + (
         timeout_s if timeout_s is not None else DEFAULT_TIMEOUT_S
     )
 
-    ctx = multiprocessing.get_context(start_method or "spawn")
     arena = SharedArena()
     procs: list = []
     controls: MPControls | None = None
@@ -123,33 +123,22 @@ def run_mp_training(
     try:
         # ---- move the global state into shared memory -------------------
         server.rebind(
-            {
-                name: arena.create(name, array).view()
-                for name, array in server.state_arrays().items()
-            }
+            {name: arena.share(a) for name, a in server.state_arrays().items()}
         )
 
         # ---- spawn children --------------------------------------------
         controls = MPControls(ctx, num_workers)
-        shm_specs = arena.specs()
         for rank, worker in enumerate(trainer.workers):
-            machine = worker.machine
+            # No instrument of an earlier call travels with the worker.
+            worker.attach(server)
             spec = WorkerSpec(
                 rank=rank,
-                machine=machine,
                 num_workers=num_workers,
-                config=cfg,
-                triples=train_graph.triples,
-                num_entities=train_graph.num_entities,
-                num_relations=train_graph.num_relations,
-                triple_idx=trainer.partition.triples_of(machine),
-                entity_owner=store.entity_owner,
-                neg_seed=trainer._worker_seeds[2 * machine],
-                sampler_seed=trainer._worker_seeds[2 * machine + 1],
+                world=arena.dumps((worker, server)),
+                epochs=cfg.epochs,
                 iterations=iterations,
                 schedule=schedule,
                 staleness_bound=bound,
-                shm_specs=shm_specs,
                 collect_telemetry=telemetry is not None,
                 crash_at_step=crash_at_step,
             )
@@ -198,7 +187,7 @@ def run_mp_training(
         for proc in procs:
             proc.join(timeout=max(0.0, deadline - time.monotonic()))
         wall_time_s = time.perf_counter() - wall_start
-        memory_report = store.memory_report()
+        memory_report = server.store.memory_report()
 
         stats = []
         worker_wall: dict[int, dict] = {}
@@ -226,8 +215,8 @@ def run_mp_training(
             )
             telemetry.records.extend(telemetry_records)
 
-        # The children's exit stats are their deltas (fresh processes), so
-        # the simulator's own summariser builds the result.
+        # The children report this call's deltas, so the simulator's own
+        # summariser builds the result.
         return TrainResult(
             config=cfg,
             system=trainer.system_name,

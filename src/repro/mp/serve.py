@@ -3,10 +3,13 @@
 ``serve-bench --backend mp`` answers the inference-side scaling question:
 how far does replicating the *frontend* (batcher + cache + scorer) go
 when every replica reads the **same** embedding tables?  The tables are
-placed in shared memory once; each frontend process attaches zero-copy,
-builds its own :class:`~repro.serving.frontend.ServingFrontend` (private
-cache, private batcher — exactly what independent serving replicas look
-like), and replays a round-robin slice of the measured query stream.
+placed in shared memory once and the parent's
+:class:`~repro.serving.frontend.ServingFrontend` is pickled around them
+(:meth:`~repro.mp.shm.SharedArena.dumps`); each frontend process
+unpickles its own copy — the tables attached zero-copy, the cache,
+batcher and clock private, exactly what independent serving replicas
+look like — and replays a round-robin slice of the measured query
+stream.
 
 Round-robin slicing (``queries[rank::n]``) keeps every slice's arrival
 process statistically identical to the full stream's — each replica sees
@@ -28,12 +31,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.mp.pool import process_map
 from repro.mp.shm import SharedArena
+from repro.ps.kvstore import ENTITY, RELATION
 from repro.ps.network import CommRecord
-from repro.serving.cache import ServingCache, cache_policies
 from repro.serving.metrics import ServingReport, aggregate_results
 
 
@@ -55,45 +56,32 @@ class MPServingResult:
 
 
 def serve_mp(
-    store,
+    frontend,
     measured,
     *,
     num_frontends: int,
-    cache_policy: str = "none",
-    warmup=None,
-    capacity: int = 2,
-    max_batch: int = 32,
-    max_wait: float = 2e-3,
-    byte_scale: float = 25.0,
-    label: str | None = None,
     start_method: str | None = None,
 ) -> MPServingResult:
-    """Replay ``measured`` across ``num_frontends`` processes; merge reports.
+    """Replay ``measured`` across ``num_frontends`` copies of ``frontend``;
+    merge their reports.
 
     Parameters
     ----------
-    store:
-        A resident-backed :class:`~repro.serving.store.EmbeddingStore`
-        (tiered backings hold process-local file handles and cannot be
-        shared; the CLI rejects the combination up front).
+    frontend:
+        A :class:`~repro.serving.frontend.ServingFrontend` over a
+        resident-backed store (tiered backings hold process-local file
+        handles and cannot be shared; the CLI rejects the combination up
+        front).  Each replica runs its own copy: a warmed static cache
+        arrives warm, a dynamic one as ``frontend`` holds it, and
+        replicas do not share cache state — matching real replicated
+        frontends.  ``frontend`` itself serves nothing.
     measured:
         The measured :class:`~repro.serving.queries.QueryLog` (post
         warmup split).
-    cache_policy / warmup / capacity:
-        Each replica builds its **own** cache: ``"static"`` profiles the
-        shared ``warmup`` log, dynamic policies start cold.  Replicas do
-        not share cache state — matching real replicated frontends.
     """
-    if cache_policy not in cache_policies():
-        raise ValueError(
-            f"unknown cache policy {cache_policy!r}; "
-            f"choose from {cache_policies()}"
-        )
-    if cache_policy == "static" and warmup is None:
-        raise ValueError("cache_policy='static' needs a warmup log")
     if num_frontends < 1:
         raise ValueError(f"num_frontends must be >= 1, got {num_frontends}")
-    kv = store.store
+    kv = frontend.store.store
     if kv.tier is not None:
         raise ValueError(
             "tiered stores cannot be served across processes; "
@@ -101,27 +89,20 @@ def serve_mp(
         )
 
     queries = list(measured)
-    label = label or cache_policy
+    label = frontend.cache.label if frontend.cache is not None else "no-cache"
+    private = {kind: kv.table(kind) for kind in (ENTITY, RELATION)}
     with SharedArena() as arena:
-        for kind in ("entity", "relation"):
-            arena.create(kind, np.asarray(kv.table(kind)))
+        # Replicas only read the tables: they are shared for the pickle
+        # alone, and the parent's store gets its private arrays back.
+        try:
+            for kind, table in private.items():
+                kv.rebind(kind, arena.share(table))
+            world = arena.dumps(frontend)
+        finally:
+            for kind, table in private.items():
+                kv.rebind(kind, table)
         specs = [
-            {
-                "rank": rank,
-                "shm_specs": arena.specs(),
-                "entity_owner": kv.entity_owner,
-                "num_machines": kv.num_machines,
-                "model": store.model.name,
-                "dim": store.model.dim,
-                "queries": queries[rank::num_frontends],
-                "cache_policy": cache_policy,
-                "warmup": list(warmup) if warmup is not None else [],
-                "capacity": capacity,
-                "max_batch": max_batch,
-                "max_wait": max_wait,
-                "byte_scale": byte_scale,
-                "label": label,
-            }
+            (world, queries[rank::num_frontends], f"{label}#{rank}")
             for rank in range(num_frontends)
         ]
         wall0 = time.perf_counter()
@@ -158,60 +139,33 @@ def serve_mp(
     )
 
 
-def _serve_replica(spec: dict) -> dict:
+def _serve_replica(spec: tuple) -> dict:
     """One frontend replica (module-level: pool-picklable).
 
-    Attach, serve, then detach *after* the serving stack's frame — and
-    with it every ndarray view into the segments — has died, so the
-    close never races live views (same discipline as the training
-    worker's entry point).
+    Unpickle, serve, then detach *after* the frontend's frame — and with
+    it every ndarray view into the segments — has died, so the close never
+    races live views (same discipline as the training worker's entry
+    point).
     """
     import gc
 
-    arrays = SharedArena.attach_all(spec["shm_specs"])
+    attached: list = []
     try:
-        return _replica_body(spec, arrays)
+        return _replica_body(spec, attached)
     finally:
         gc.collect()
-        for array in arrays.values():
+        for array in attached:
             try:
                 array.close()
             except BufferError:
                 pass  # error path pinned a view; process exit reclaims it
 
 
-def _replica_body(spec: dict, arrays) -> dict:
-    from repro.models.base import get_model
-    from repro.ps.kvstore import ShardedKVStore
-    from repro.ps.network import NetworkModel
-    from repro.serving.batcher import QueryBatcher
-    from repro.serving.frontend import ServingFrontend
-    from repro.serving.queries import QueryLog
-    from repro.serving.store import EmbeddingStore
-
-    store = ShardedKVStore(
-        arrays["entity"].view(),
-        arrays["relation"].view(),
-        spec["entity_owner"],
-        spec["num_machines"],
-    )
-    serving = EmbeddingStore(get_model(spec["model"], spec["dim"]), store)
-
-    cache = ServingCache.from_policy(
-        spec["cache_policy"], spec["capacity"], QueryLog(spec["warmup"])
-    )
-    frontend = ServingFrontend(
-        serving,
-        batcher=QueryBatcher(
-            max_batch=spec["max_batch"], max_wait=spec["max_wait"]
-        ),
-        cache=cache,
-        network=NetworkModel(),
-        byte_scale=spec["byte_scale"],
-    )
-    report = frontend.run(
-        spec["queries"], label=f"{spec['label']}#{spec['rank']}"
-    )
+def _replica_body(spec: tuple, attached: list) -> dict:
+    world, queries, label = spec
+    frontend = SharedArena.loads(world, attached)
+    report = frontend.run(queries, label=label)
+    cache = frontend.cache
     return {
         "report": report,
         "results": frontend.results,

@@ -1,4 +1,4 @@
-"""SharedMemory-backed ndarray storage for the mp training backend.
+"""SharedMemory-backed ndarray storage for the mp backends.
 
 The parameter server's state arrays (tables and optimizer history) are
 moved into ``multiprocessing.shared_memory`` segments so worker processes
@@ -6,16 +6,12 @@ operate on the *same* physical arrays as the parent — a pull is a plain
 ndarray gather, a push applies the optimizer in place, and no gradient or
 embedding ever crosses a pipe.
 
-Layout of one segment::
-
-    [ int64 row count | row capacity x width payload ]
-
-The 8-byte header makes growth visible across processes: ``grow`` appends
-rows within the pre-allocated capacity and bumps the header, and any view
-taken afterwards (in any process) sees the new length.  This mirrors the
-contract of :meth:`repro.ps.kvstore.ShardedKVStore.grow` — streaming
-ingestion appends rows mid-run — without ever remapping memory, which a
-concurrently-attached child could not survive.
+A segment holds exactly one array, and a child never learns a segment's
+role: the parent pickles its own objects with :meth:`SharedArena.dumps`,
+which writes each array :meth:`SharedArena.share` returned as its
+segment's ``{name, shape, dtype}`` spec, and the child's
+:meth:`SharedArena.loads` attaches every named segment in place of the
+array.  Everything else in the object graph travels by value.
 
 Cleanup discipline (the part that actually bites):
 
@@ -33,7 +29,9 @@ Cleanup discipline (the part that actually bites):
 
 from __future__ import annotations
 
+import io
 import os
+import pickle
 import secrets
 import weakref
 from multiprocessing import resource_tracker
@@ -44,9 +42,6 @@ import numpy as np
 #: Prefix of every segment this module creates (also the test hook for
 #: asserting nothing leaked).
 SEGMENT_PREFIX = "repro-mp-"
-
-#: Bytes reserved at the start of each segment for the int64 row count.
-_HEADER_BYTES = 8
 
 
 def shm_segments(prefix: str = SEGMENT_PREFIX) -> list[str]:
@@ -88,52 +83,32 @@ def _defer_unmap(shm: SharedMemory) -> None:
 
 
 class SharedArray:
-    """One 2-D ndarray living in a SharedMemory segment.
+    """One ndarray living in a SharedMemory segment.
 
     Create with :meth:`create` (copies an existing array in, owner side) or
     :meth:`attach` (zero-copy, child side).  ``view()`` returns an ndarray
-    aliasing the segment at the *current* row count.
+    aliasing the segment.
     """
 
     def __init__(
-        self,
-        shm: SharedMemory,
-        width: int,
-        dtype: np.dtype,
-        capacity_rows: int,
-        owner: bool,
+        self, shm: SharedMemory, shape: tuple, dtype: np.dtype, owner: bool
     ) -> None:
         self._shm = shm
-        self._width = width
+        self._shape = tuple(shape)
         self._dtype = np.dtype(dtype)
-        self._capacity_rows = capacity_rows
         self._owner = owner
         self._closed = False
 
     # ------------------------------------------------------------- lifecycle
 
     @classmethod
-    def create(
-        cls, array: np.ndarray, capacity_rows: int | None = None
-    ) -> "SharedArray":
-        """Copy ``array`` into a fresh segment (this process becomes owner).
-
-        ``capacity_rows`` pre-allocates room for growth; defaults to the
-        array's current row count (no growth headroom).
-        """
+    def create(cls, array: np.ndarray) -> "SharedArray":
+        """Copy ``array`` into a fresh segment (this process becomes owner)."""
         array = np.ascontiguousarray(array)
-        if array.ndim != 2:
-            raise ValueError(f"SharedArray holds 2-D tables, got ndim={array.ndim}")
-        rows, width = array.shape
-        capacity = rows if capacity_rows is None else int(capacity_rows)
-        if capacity < rows:
-            raise ValueError(f"capacity_rows={capacity} < current rows {rows}")
-        nbytes = _HEADER_BYTES + capacity * width * array.dtype.itemsize
         name = f"{SEGMENT_PREFIX}{os.getpid()}-{secrets.token_hex(4)}"
-        shm = SharedMemory(name=name, create=True, size=max(nbytes, 1))
-        self = cls(shm, width, array.dtype, capacity, owner=True)
-        self._payload(rows)[:] = array
-        self._set_rows(rows)
+        shm = SharedMemory(name=name, create=True, size=max(array.nbytes, 1))
+        self = cls(shm, array.shape, array.dtype, owner=True)
+        self.view()[...] = array
         return self
 
     @classmethod
@@ -151,22 +126,11 @@ class SharedArray:
             shm = SharedMemory(name=spec["name"])
         finally:
             resource_tracker.register = original_register
-        return cls(
-            shm,
-            int(spec["width"]),
-            np.dtype(spec["dtype"]),
-            int(spec["capacity_rows"]),
-            owner=False,
-        )
+        return cls(shm, spec["shape"], np.dtype(spec["dtype"]), owner=False)
 
     def spec(self) -> dict:
         """Picklable description a child needs to :meth:`attach`."""
-        return {
-            "name": self._shm.name,
-            "width": self._width,
-            "dtype": self._dtype.str,
-            "capacity_rows": self._capacity_rows,
-        }
+        return {"name": self._shm.name, "shape": self._shape, "dtype": self._dtype.str}
 
     def close(self) -> None:
         """Detach (and, for the owner, unlink).  Idempotent.
@@ -175,8 +139,8 @@ class SharedArray:
         the unmap is then deferred to the view's death or process exit.
         The *unlink* still happens regardless — removing the ``/dev/shm``
         name never waits on views — so segments cannot leak past their
-        owner, and :meth:`view`/:meth:`grow` refuse to hand out new
-        aliases once closed.
+        owner, and :meth:`view` refuses to hand out new aliases once
+        closed.
         """
         if self._closed:
             return
@@ -193,60 +157,11 @@ class SharedArray:
 
     # ---------------------------------------------------------------- access
 
-    def _require_open(self) -> None:
+    def view(self) -> np.ndarray:
+        """An ndarray aliasing the segment; peers' writes show through it."""
         if self._closed:
             raise ValueError("SharedArray is closed")
-
-    def _rows_header(self) -> np.ndarray:
-        return np.frombuffer(self._shm.buf, dtype=np.int64, count=1)
-
-    def _set_rows(self, rows: int) -> None:
-        self._rows_header()[0] = rows
-
-    def _payload(self, rows: int) -> np.ndarray:
-        flat = np.frombuffer(
-            self._shm.buf,
-            dtype=self._dtype,
-            count=rows * self._width,
-            offset=_HEADER_BYTES,
-        )
-        return flat.reshape(rows, self._width)
-
-    @property
-    def rows(self) -> int:
-        self._require_open()
-        return int(self._rows_header()[0])
-
-    @property
-    def capacity_rows(self) -> int:
-        return self._capacity_rows
-
-    def view(self) -> np.ndarray:
-        """An ndarray aliasing the segment at the current row count.
-
-        The view stays valid across peers' in-place writes but does *not*
-        lengthen when a peer grows the table — take a fresh view after
-        growth.
-        """
-        self._require_open()
-        return self._payload(self.rows)
-
-    def grow(self, new_rows: np.ndarray) -> np.ndarray:
-        """Append rows within capacity; returns the full-length view."""
-        self._require_open()
-        new_rows = np.asarray(new_rows, dtype=self._dtype).reshape(-1, self._width)
-        rows = self.rows
-        total = rows + len(new_rows)
-        if total > self._capacity_rows:
-            raise ValueError(
-                f"grow to {total} rows exceeds shared capacity "
-                f"{self._capacity_rows}; re-create the arena with more "
-                f"headroom"
-            )
-        if len(new_rows):
-            self._payload(total)[rows:] = new_rows
-            self._set_rows(total)
-        return self._payload(total)
+        return np.ndarray(self._shape, dtype=self._dtype, buffer=self._shm.buf)
 
 
 class SharedArena:
@@ -260,41 +175,70 @@ class SharedArena:
     """
 
     def __init__(self) -> None:
-        self._arrays: dict[str, SharedArray] = {}
+        self._arrays: list[SharedArray] = []
+        #: ``id(view) -> spec`` of every view :meth:`share` returned; the
+        #: arena keeps those views alive, so an id names its view only.
+        self._specs: dict[int, dict] = {}
+        self._views: list[np.ndarray] = []
         self._pid = os.getpid()
-        self._finalizer = weakref.finalize(self, SharedArena._cleanup, self._arrays, self._pid)
+        self._finalizer = weakref.finalize(
+            self, SharedArena._cleanup, self._arrays, self._specs, self._views, self._pid
+        )
 
     @staticmethod
-    def _cleanup(arrays: dict[str, SharedArray], owner_pid: int) -> None:
+    def _cleanup(arrays, specs, views, owner_pid: int) -> None:
         if os.getpid() != owner_pid:
             return  # forked copy: the segments belong to the parent
-        for array in arrays.values():
+        specs.clear()
+        views.clear()
+        for array in arrays:
             array.close()
         arrays.clear()
 
     # ------------------------------------------------------------------- api
 
-    def create(
-        self, key: str, array: np.ndarray, capacity_rows: int | None = None
-    ) -> SharedArray:
-        """Copy ``array`` into a new owned segment registered under ``key``."""
-        if key in self._arrays:
-            raise KeyError(f"arena already holds a segment for {key!r}")
-        shared = SharedArray.create(array, capacity_rows=capacity_rows)
-        self._arrays[key] = shared
-        return shared
+    def share(self, array: np.ndarray) -> np.ndarray:
+        """Copy ``array`` into a new owned segment; returns its view.
 
-    def __getitem__(self, key: str) -> SharedArray:
-        return self._arrays[key]
+        Only this very view object travels by segment name through
+        :meth:`dumps` — an array derived from it pickles by value.
+        """
+        shared = SharedArray.create(array)
+        self._arrays.append(shared)
+        view = shared.view()
+        self._views.append(view)
+        self._specs[id(view)] = shared.spec()
+        return view
 
-    def specs(self) -> dict[str, dict]:
-        """Picklable ``{key: spec}`` bundle for child processes."""
-        return {key: a.spec() for key, a in self._arrays.items()}
+    def dumps(self, obj) -> bytes:
+        """Pickle ``obj``, writing every :meth:`share` view as its spec."""
+        buffer = io.BytesIO()
+        pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+        specs = self._specs
+        pickler.persistent_id = lambda o: specs.get(id(o))
+        pickler.dump(obj)
+        return buffer.getvalue()
 
     @staticmethod
-    def attach_all(specs: dict[str, dict]) -> dict[str, SharedArray]:
-        """Attach every segment in a :meth:`specs` bundle (child side)."""
-        return {key: SharedArray.attach(spec) for key, spec in specs.items()}
+    def loads(blob: bytes, attached: list[SharedArray]):
+        """Unpickle a :meth:`dumps` blob (child side).
+
+        Each named segment is attached once, however often the object
+        graph refers to it, and recorded in ``attached``; the caller
+        closes those once every view into them is dead.
+        """
+        views: dict[str, np.ndarray] = {}
+
+        def persistent_load(spec: dict) -> np.ndarray:
+            if spec["name"] not in views:
+                shared = SharedArray.attach(spec)
+                attached.append(shared)
+                views[spec["name"]] = shared.view()
+            return views[spec["name"]]
+
+        unpickler = pickle.Unpickler(io.BytesIO(blob))
+        unpickler.persistent_load = persistent_load
+        return unpickler.load()
 
     def close(self) -> None:
         """Unlink every owned segment (idempotent)."""

@@ -1,10 +1,10 @@
 """Child-process side of the mp training backend.
 
-Each worker process rebuilds its slice of the simulated cluster from a
-picklable :class:`WorkerSpec` — integer RNG seeds, the pickled triple
-array, and shared-memory segment names — then runs the *same*
-:meth:`repro.core.worker.Worker.step` loop the simulator runs, against the
-parent's tables:
+Each worker process unpickles the parent's own worker and parameter
+server from a :class:`WorkerSpec` — shared tables arrive by segment name
+(:meth:`repro.mp.shm.SharedArena.loads`), everything else by value — then
+runs the *same* :meth:`repro.core.worker.Worker.step` loop the simulator
+runs, against the parent's tables:
 
 * ``schedule="sync"``: a global turn counter serializes steps in exactly
   the simulator's round-robin order (worker 0 step 1, worker 1 step 1, …),
@@ -31,22 +31,10 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from dataclasses import dataclass, field
-from typing import Any
-
-import numpy as np
+from dataclasses import dataclass
 
 from repro.core.telemetry import Telemetry
-from repro.core.trainer import build_worker
-from repro.kg.graph import KnowledgeGraph
-from repro.models.base import get_model
-from repro.models.losses import get_loss
 from repro.mp.shm import SharedArena
-from repro.optim import get_optimizer
-from repro.ps.compression import get_compressor
-from repro.ps.kvstore import ShardedKVStore
-from repro.ps.network import NetworkModel
-from repro.ps.server import ParameterServer
 
 #: How long a blocked protocol wait sleeps between abort checks (seconds).
 _POLL_S = 0.02
@@ -61,23 +49,15 @@ class WorkerAborted(Exception):
 
 @dataclass
 class WorkerSpec:
-    """Everything one child needs to rebuild its worker (all picklable)."""
+    """Everything one child needs to run its worker (all picklable)."""
 
     rank: int  # index in the spawned-worker order (== sim worker order)
-    machine: int  # machine id (decides embedding locality)
     num_workers: int
-    config: Any  # TrainingConfig (a plain dataclass)
-    triples: np.ndarray  # full training graph triples
-    num_entities: int
-    num_relations: int
-    triple_idx: np.ndarray  # this machine's partition
-    entity_owner: np.ndarray
-    neg_seed: int
-    sampler_seed: int
+    world: bytes  # SharedArena.dumps((worker, server)) of the parent's own
+    epochs: int
     iterations: int  # steps per epoch (global max, like the simulator)
     schedule: str  # "sync" | "async"
     staleness_bound: int
-    shm_specs: dict[str, dict] = field(default_factory=dict)
     collect_telemetry: bool = False
     crash_at_step: tuple[int, int] | None = None  # (rank, step) test hook
 
@@ -164,56 +144,14 @@ def _await_staleness(
         time.sleep(_POLL_S)
 
 
-# --------------------------------------------------------------------- build
-
-
-def _build(spec: WorkerSpec, arrays):
-    """Rebuild this child's world: ``(worker, server)`` over the shared
-    tables."""
-    cfg = spec.config
-    graph = KnowledgeGraph(
-        spec.triples,
-        num_entities=spec.num_entities,
-        num_relations=spec.num_relations,
-    )
-    views = {name: array.view() for name, array in arrays.items()}
-    store = ShardedKVStore(
-        views["entity"], views["relation"], spec.entity_owner, cfg.num_machines
-    )
-    server = ParameterServer(
-        store,
-        get_optimizer(cfg.optimizer, cfg.lr),
-        byte_scale=cfg.byte_scale,
-        compressor=get_compressor(cfg.compression),
-    )
-    # Zero-copy adoption of the parent's whole state, optimizer history
-    # included: the names are the parent's ``state_arrays()``.
-    server.rebind(views)
-    model = get_model(cfg.model, cfg.dim)
-    worker = build_worker(
-        spec.machine,
-        graph,
-        spec.triple_idx,
-        server,
-        model,
-        get_loss(cfg.loss, cfg.margin),
-        NetworkModel(bandwidth=cfg.bandwidth, latency=cfg.latency),
-        cfg,
-        spec.neg_seed,
-        spec.sampler_seed,
-    )
-    return worker, server
-
-
 # ---------------------------------------------------------------------- main
 
 
 def worker_main(spec: WorkerSpec, controls: MPControls) -> None:
     """Child-process entry point (module-level: spawn-picklable)."""
-    arrays = {}
+    attached: list = []
     try:
-        arrays = SharedArena.attach_all(spec.shm_specs)
-        _run(spec, controls, arrays)
+        _run(spec, controls, attached)
     except WorkerAborted:
         pass  # the parent is tearing the run down; exit quietly
     except BaseException:
@@ -232,22 +170,25 @@ def worker_main(spec: WorkerSpec, controls: MPControls) -> None:
         import gc
 
         gc.collect()
-        for array in arrays.values():
+        for array in attached:
             try:
                 array.close()
             except BufferError:
                 pass
 
 
-def _run(spec: WorkerSpec, controls: MPControls, arrays) -> None:
-    """Build the worker's world and run every epoch (see worker_main).
+def _run(spec: WorkerSpec, controls: MPControls, attached: list) -> None:
+    """Unpickle the worker's world and run every epoch (see worker_main).
 
     Separated from :func:`worker_main` so that, on the happy path, this
     frame's death releases every ndarray view into the shared segments
-    before the caller detaches them.
+    before the caller detaches them.  Like :class:`~repro.core.ledger.RunLedger`,
+    the books open before ``worker.start()``: every report is this call's
+    delta, so a worker a previous call advanced reports only this one.
     """
-    worker, server = _build(spec, arrays)
+    worker, server = SharedArena.loads(spec.world, attached)
     worker.attach(server, telemetry=Telemetry() if spec.collect_telemetry else None)
+    entry = worker.stats()
 
     wall_start = time.perf_counter()
     stall_s = 0.0
@@ -260,10 +201,9 @@ def _run(spec: WorkerSpec, controls: MPControls, arrays) -> None:
     # already updated, which the simulator's serial order never does.
     stall_s += _await_gate(controls, 0)
 
-    cfg = spec.config
     sync = spec.schedule == "sync"
     done_steps = 0
-    for epoch in range(cfg.epochs):
+    for epoch in range(spec.epochs):
         losses: list[float] = []
         for it in range(spec.iterations):
             if spec.crash_at_step is not None and spec.crash_at_step == (
@@ -300,10 +240,10 @@ def _run(spec: WorkerSpec, controls: MPControls, arrays) -> None:
                 spec.rank,
                 epoch + 1,
                 losses,
-                worker.clock.elapsed,
+                worker.clock.elapsed - entry.clock.elapsed,
             )
         )
-        if epoch + 1 < cfg.epochs:
+        if epoch + 1 < spec.epochs:
             # Park while the parent evaluates over the (quiescent)
             # shared tables; no gate needed after the final epoch —
             # there are no further writes to fence off.
@@ -316,5 +256,6 @@ def _run(spec: WorkerSpec, controls: MPControls, arrays) -> None:
         "comm_wall_s": worker.server.comm_wall_s,
         "comm_calls": worker.server.comm_calls,
     }
-    # A fresh process: the lifetime stats are this run's deltas.
-    controls.queue.put(("done", spec.rank, worker.stats(), wall, worker.telemetry))
+    controls.queue.put(
+        ("done", spec.rank, worker.stats().minus(entry), wall, worker.telemetry)
+    )

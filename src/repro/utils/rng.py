@@ -30,13 +30,8 @@ def make_rng(seed: int | np.random.Generator | None = None) -> np.random.Generat
 def split_worker_streams(rng: np.random.Generator, count: int) -> list[int]:
     """Derive ``count`` independent per-worker stream *seeds* from ``rng``.
 
-    This is the single source of per-worker RNG derivation shared by the
-    simulated trainer and the real-parallelism (:mod:`repro.mp`) backend:
-    both draw the same integer seeds from the master generator, so a worker
-    process given ``seeds[i]`` provably replays the exact draw sequence the
-    simulator's in-process worker ``i`` makes.  Seeds (plain ints) rather
-    than generators are returned because they cross process boundaries
-    losslessly.
+    The trainer's ``setup()`` seeds each worker's negative and epoch
+    samplers from these.
 
     The derivation is prefix-stable: ``split_worker_streams(rng, n)`` is a
     prefix of what ``split_worker_streams(rng, m)`` would have produced

@@ -281,6 +281,29 @@ class TestBackendFlag:
         assert "static#1" in out
         assert "q/s wall" in out
 
+    def test_mp_checkpoint_serves(self, tmp_path, capsys):
+        """State restored to private memory after an mp run saves, and the
+        serving loader reads it back: the whole state path."""
+        path = tmp_path / "mp.npz"
+        rc = main(
+            [
+                "train", "--dataset", "fb15k", "--scale", "0.015",
+                "--epochs", "1", "--machines", "2", "--dim", "8",
+                "--eval-queries", "2", "--backend", "mp",
+                "--mp-schedule", "sync", "--mp-start", "fork",
+                "--checkpoint", str(path),
+            ]
+        )
+        assert rc == 0
+        assert f"checkpoint written to {path}" in capsys.readouterr().out
+        rc = main(
+            ["serve-bench", "--checkpoint", str(path), "--queries", "400", "--no-baseline"]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert f"serving checkpoint {path}" in out
+        assert "throughput" in out
+
 
 # ----------------------------------------------------------- count flags
 

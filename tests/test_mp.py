@@ -74,7 +74,6 @@ class TestSharedArray:
         shared = SharedArray.create(data)
         try:
             assert np.array_equal(shared.view(), data)
-            assert shared.rows == 4
         finally:
             shared.close()
 
@@ -109,51 +108,13 @@ class TestSharedArray:
         with pytest.raises(ValueError, match="closed"):
             shared.view()
 
-    def test_non_2d_rejected(self):
-        with pytest.raises(ValueError, match="2-D"):
-            SharedArray.create(np.ones(5))
-
-    def test_grow_within_capacity(self):
-        shared = SharedArray.create(np.ones((2, 3)), capacity_rows=5)
-        try:
-            view = shared.grow(np.full((2, 3), 2.0))
-            assert shared.rows == 4
-            assert view.shape == (4, 3)
-            assert np.array_equal(view[2:], np.full((2, 3), 2.0))
-        finally:
-            shared.close()
-
-    def test_grow_visible_to_peer(self):
-        owner = SharedArray.create(np.ones((2, 3)), capacity_rows=4)
-        try:
-            peer = SharedArray.attach(owner.spec())
-            assert peer.rows == 2
-            owner.grow(np.zeros((1, 3)))
-            assert peer.rows == 3
-            assert peer.view().shape == (3, 3)
-            peer.close()
-        finally:
-            owner.close()
-
-    def test_grow_over_capacity_rejected(self):
-        shared = SharedArray.create(np.ones((2, 3)), capacity_rows=3)
-        try:
-            with pytest.raises(ValueError, match="capacity"):
-                shared.grow(np.zeros((2, 3)))
-        finally:
-            shared.close()
-
-    def test_capacity_below_rows_rejected(self):
-        with pytest.raises(ValueError, match="capacity_rows"):
-            SharedArray.create(np.ones((4, 2)), capacity_rows=2)
-
 
 class TestSharedArena:
     def test_context_manager_unlinks(self):
         before = shm_segments()
         with SharedArena() as arena:
-            arena.create("a", np.ones((2, 2)))
-            arena.create("b", np.zeros((3, 1)))
+            arena.share(np.ones((2, 2)))
+            arena.share(np.zeros(3))
             assert len(shm_segments()) == len(before) + 2
         assert shm_segments() == before
 
@@ -161,25 +122,38 @@ class TestSharedArena:
         before = shm_segments()
         with pytest.raises(RuntimeError):
             with SharedArena() as arena:
-                arena.create("a", np.ones((2, 2)))
+                arena.share(np.ones((2, 2)))
                 raise RuntimeError("boom")
         assert shm_segments() == before
-
-    def test_duplicate_key_rejected(self):
-        with SharedArena() as arena:
-            arena.create("a", np.ones((2, 2)))
-            with pytest.raises(KeyError):
-                arena.create("a", np.ones((2, 2)))
 
     def test_finalizer_cleanup_without_close(self):
         before = shm_segments()
         arena = SharedArena()
-        arena.create("a", np.ones((2, 2)))
+        arena.share(np.ones((2, 2)))
         del arena  # finalizer must unlink
         import gc
 
         gc.collect()
         assert shm_segments() == before
+
+    def test_dumps_sends_shared_views_by_name(self):
+        """A shared view travels as its segment (attached once, however
+        often it is referenced); every other array travels as a copy."""
+        with SharedArena() as arena:
+            shared = arena.share(np.zeros((3, 2)))
+            private = np.ones(4)
+            blob = arena.dumps({"a": shared, "b": shared, "private": private})
+            attached: list = []
+            got = SharedArena.loads(blob, attached)
+            assert len(attached) == 1
+            assert got["a"] is got["b"]
+            got["a"][1, 1] = 5.0
+            assert shared[1, 1] == 5.0
+            got["private"][0] = -1.0
+            assert private[0] == 1.0
+            del got
+            for array in attached:
+                array.close()
 
 
 # ------------------------------------------------------- sync bit-identity
@@ -308,6 +282,19 @@ class TestSyncBitIdentity:
                 b.loss,
             )
 
+    def test_second_call_continues_like_the_simulator(self, mp_data):
+        """The children run the parent's workers as a first call left
+        them, and report only the second call: mp-sync after ``train()``
+        equals a second ``train()``."""
+        _, split = mp_data
+        sim = make_trainer("hetkg-d", mp_config())
+        mp = make_trainer("hetkg-d", mp_config())
+        sim.train(split.train)
+        mp.train(split.train)
+        r_sim = sim.train(split.train)
+        r_mp = mp.train_mp(split.train, schedule="sync", start_method="fork")
+        _assert_identical(_fingerprint(sim, r_sim), _fingerprint(mp, r_mp))
+
 
 # ----------------------------------------------------------- async schedule
 
@@ -333,6 +320,14 @@ class TestAsyncSchedule:
         trainer = make_trainer("hetkg-d", mp_config())
         with pytest.raises(MPUnsupportedError, match="staleness"):
             trainer.train_mp(split.train, schedule="async", staleness_bound=0)
+        assert trainer.server is None  # rejected before any set-up
+
+    def test_unknown_start_method_rejected(self, mp_data):
+        _, split = mp_data
+        trainer = make_trainer("hetkg-d", mp_config())
+        with pytest.raises(ValueError, match="sporn"):
+            trainer.train_mp(split.train, start_method="sporn")
+        assert trainer.server is None
 
     def test_unknown_schedule_rejected(self, mp_data):
         _, split = mp_data
@@ -412,7 +407,7 @@ def served_stream(mp_data):
 
 
 def _frontend(store, cache=None):
-    """A simulator frontend shaped like each ``serve_mp`` replica."""
+    """A frontend shaped like ``serve-bench``'s defaults."""
     from repro.serving.batcher import QueryBatcher
     from repro.serving.frontend import ServingFrontend
 
@@ -424,15 +419,13 @@ def _frontend(store, cache=None):
 class TestServeMP:
     def test_replicas_cover_stream_exactly(self, served_stream):
         from repro.mp.serve import serve_mp
+        from repro.serving.cache import ServingCache
 
         store, warmup, measured = served_stream
         result = serve_mp(
-            store,
+            _frontend(store, ServingCache.from_policy("static", 32, warmup)),
             measured,
             num_frontends=2,
-            cache_policy="static",
-            warmup=warmup,
-            capacity=32,
             start_method="fork",
         )
         assert result.num_frontends == 2
@@ -453,8 +446,10 @@ class TestServeMP:
 
         store, warmup, measured = served_stream
         merged = serve_mp(
-            store, measured, num_frontends=1, cache_policy="lru",
-            warmup=warmup, capacity=32, start_method="fork",
+            _frontend(store, ServingCache.from_policy("lru", 32, warmup)),
+            measured,
+            num_frontends=1,
+            start_method="fork",
         ).report
         alone = _frontend(store, ServingCache.from_policy("lru", 32, warmup)).run(
             measured.queries
@@ -467,7 +462,9 @@ class TestServeMP:
         from repro.mp.serve import serve_mp
 
         store, _, measured = served_stream
-        result = serve_mp(store, measured, num_frontends=2, start_method="fork")
+        result = serve_mp(
+            _frontend(store), measured, num_frontends=2, start_method="fork"
+        )
         # Each replica replays its round-robin slice cache-off; replaying
         # the slices here yields the completions the replicas produced.
         completions = []
@@ -478,13 +475,6 @@ class TestServeMP:
         first = min(r.arrival for r in completions)
         last = max(r.completion for r in completions)
         assert result.report.duration == last - first
-
-    def test_bad_policy_rejected(self, served_stream):
-        from repro.mp.serve import serve_mp
-
-        store, _, measured = served_stream
-        with pytest.raises(ValueError, match="policy"):
-            serve_mp(store, measured, num_frontends=1, cache_policy="mru")
 
 
 # ------------------------------------------------------- wall-clock channel

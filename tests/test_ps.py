@@ -155,7 +155,7 @@ class TestShardedKVStore:
             if backing == "tiered":
                 store = store.copy(backing="tiered")
             elif backing == "shared":
-                store.rebind("entity", arena.create("entity", store.table("entity")).view())
+                store.rebind("entity", arena.share(store.table("entity")))
             try:
                 before = np.array(store.table("entity"))
                 for ids in ([], [4], list(range(10))):

@@ -71,9 +71,9 @@ class TestSplitWorkerStreams:
         )
 
     def test_matches_spawn_rngs_streams(self):
-        # spawn_rngs must be exactly "seed each stream from the split" —
-        # the mp backend ships the integer seeds to child processes and
-        # the simulator consumes the generators, and both must agree.
+        # spawn_rngs must be exactly "seed each stream from the split":
+        # trainers seed from the integers, other callers take generators,
+        # and both must agree.
         from repro.utils.rng import split_worker_streams
 
         seeds = split_worker_streams(make_rng(3), 4)
