@@ -8,8 +8,10 @@ One frontend models one inference server co-located with shard
    (when configured) — hits cost nothing, misses are pulled from their
    owning shard through the same :class:`~repro.ps.network.NetworkModel`
    cost model training uses,
-3. scores the batch (real numerics — answers are exact, only *time* is
-   simulated) and charges :class:`~repro.ps.network.ComputeModel` time,
+3. scores the batch with one entity read, one relation read and one
+   ``model.score`` (:meth:`~repro.serving.store.EmbeddingStore.answer`;
+   real numerics — answers are exact, only *time* is simulated) and
+   charges :class:`~repro.ps.network.ComputeModel` time,
 4. stamps each query's completion with the frontend's
    :class:`~repro.utils.simclock.SimClock`.
 
@@ -66,13 +68,12 @@ from repro.serving.metrics import ServingReport, aggregate_results
 from repro.serving.queries import (
     ADMITTED,
     REJECTED,
-    SCORE,
     SHED,
     TIMEOUT,
     Query,
     QueryResult,
 )
-from repro.serving.store import EmbeddingStore
+from repro.serving.store import EmbeddingStore, check_top_k
 from repro.utils.simclock import SimClock
 
 
@@ -97,7 +98,7 @@ class ServingFrontend:
         Which shard the frontend is co-located with; rows owned by other
         shards cost remote traffic.
     top_k:
-        Answer size for prediction queries.
+        Answer size for prediction queries (at least 1).
     byte_scale:
         Multiplier on metered bytes, mirroring the trainer's
         ``TrainingConfig.byte_scale`` wire-dimension correction.
@@ -126,6 +127,7 @@ class ServingFrontend:
     ) -> None:
         if byte_scale <= 0:
             raise ValueError(f"byte_scale must be positive, got {byte_scale}")
+        check_top_k(top_k)
         if not 0 <= machine < store.store.num_machines:
             raise ValueError(
                 f"machine {machine} out of range for "
@@ -314,8 +316,10 @@ class ServingFrontend:
                 batch=len(batch), misses=misses, bytes=comm.total_bytes, reason=reason
             )
 
+        answers = None
         if pulled_ok:
             with self.trace.span("serve.compute", "compute") as span:
+                answers = self.store.answer(batch, self.top_k)
                 num_scores = sum(q.num_scores for q in batch)
                 compute_time = self.compute.batch_time(
                     num_scores, self.store.model.dim, backward=False
@@ -331,23 +335,30 @@ class ServingFrontend:
         # A retry budget exhausted mid-pull times the whole batch out at
         # the post-retry clock: no scores, no compute time, no answer.
         self.trace.count("serve.queries" if pulled_ok else "serve.timeouts", len(batch))
-        self._complete(batch, self.clock.elapsed, ADMITTED if pulled_ok else TIMEOUT)
+        self._complete(
+            batch, self.clock.elapsed, ADMITTED if pulled_ok else TIMEOUT, answers
+        )
         if self.shedder is not None:
             self.shedder.observe_batch(
                 len(batch), self.clock.elapsed - service_start
             )
 
     def _complete(
-        self, queries: Sequence[Query], completion: float, outcome: str = ADMITTED
+        self,
+        queries: Sequence[Query],
+        completion: float,
+        outcome: str,
+        answers: Sequence[float | np.ndarray] | None = None,
     ) -> None:
         """Record one completion per query at simulated time ``completion``.
 
-        Only admitted queries are answered.  Rejected and shed queries
-        never reached a batch, so they complete with batch size 0.
+        Only admitted queries are answered, with the dispatch's
+        ``answers`` (one per query).  Rejected and shed queries never
+        reached a batch, so they complete with batch size 0.
         """
         answered = outcome == ADMITTED
         batch_size = 0 if outcome in (REJECTED, SHED) else len(queries)
-        for query in queries:
+        for i, query in enumerate(queries):
             degraded = query.qid in self._degraded_qids
             if degraded:
                 self._degraded_qids.discard(query.qid)
@@ -358,7 +369,7 @@ class ServingFrontend:
                     arrival=query.arrival,
                     completion=completion,
                     batch_size=batch_size,
-                    answer=self._answer(query) if answered else None,
+                    answer=answers[i] if answered else None,
                     outcome=outcome,
                     tenant=query.tenant,
                     degraded=degraded and answered,
@@ -372,25 +383,6 @@ class ServingFrontend:
             kv.owners(kind, miss_ids),
             self.machine,
             kv.row_width(kind) * BYTES_PER_ELEMENT * self.byte_scale,
-        )
-
-    def _answer(self, query: Query) -> float | np.ndarray:
-        """Compute the query's actual answer (exact numerics)."""
-        if query.kind == SCORE:
-            return float(
-                self.store.score_triples(
-                    np.asarray([query.head]),
-                    np.asarray([query.relation]),
-                    np.asarray([query.tail]),
-                )[0]
-            )
-        candidates = np.asarray(query.candidates, dtype=np.int64)
-        if query.kind == "tail":
-            return self.store.rank_candidates(
-                query.head, query.relation, None, candidates, k=self.top_k
-            )
-        return self.store.rank_candidates(
-            None, query.relation, query.tail, candidates, k=self.top_k
         )
 
     # ----------------------------------------------------------------- report

@@ -14,13 +14,27 @@ so it can be shared by any number of frontends.
 from __future__ import annotations
 
 import os
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.checkpoint import read_checkpoint
 from repro.models.base import KGEModel, get_model
 from repro.ps.kvstore import ShardedKVStore
+from repro.serving.queries import (
+    HEAD_PREDICTION,
+    SCORE,
+    TAIL_PREDICTION,
+    Query,
+)
 from repro.utils.validation import check_positive
+
+
+def check_top_k(k: int) -> None:
+    """An answer holds at least one candidate: ``k < 1`` would rank all
+    but ``-k`` of them (``k < 0``) or none (``k = 0``)."""
+    if type(k) is bool or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"top_k must be a positive integer, got {k!r}")
 
 
 class EmbeddingStore:
@@ -151,30 +165,87 @@ class EmbeddingStore:
         """Top-``k`` candidate entity ids, best first.
 
         Exactly one of ``head``/``tail`` must be ``None`` — that side is
-        filled from ``candidates``.
+        filled from ``candidates``.  One query answered as a dispatch of
+        one (:meth:`answer`).
         """
         if (head is None) == (tail is None):
             raise ValueError("exactly one of head/tail must be None")
-        candidates = np.asarray(candidates, dtype=np.int64)
-        n = len(candidates)
-        if n == 0:
-            return candidates
-        ent = self.store.table("entity")
-        rel = self.store.table("relation")
-        cand_rows = ent[candidates]
-        r_rows = np.broadcast_to(rel[relation], (n, rel.shape[1]))
-        if head is None:
-            h_rows, t_rows = cand_rows, np.broadcast_to(ent[tail], (n, ent.shape[1]))
-        else:
-            h_rows, t_rows = np.broadcast_to(ent[head], (n, ent.shape[1])), cand_rows
-        scores = self.model.score(
-            np.ascontiguousarray(h_rows),
-            np.ascontiguousarray(r_rows),
-            np.ascontiguousarray(t_rows),
+        query = Query(
+            qid=0,
+            kind=TAIL_PREDICTION if tail is None else HEAD_PREDICTION,
+            head=head,
+            relation=relation,
+            tail=tail,
+            arrival=0.0,
+            candidates=tuple(np.asarray(candidates, dtype=np.int64).tolist()),
         )
-        # Descending score; ties broken by candidate id for determinism.
-        order = np.lexsort((candidates, -scores))
-        return candidates[order[: min(k, n)]]
+        return self.answer([query], k)[0]
+
+    def answer(self, queries: Sequence[Query], k: int) -> list[float | np.ndarray]:
+        """Every query's answer from one entity read, one relation read
+        and one ``model.score``.
+
+        The entity read asks for each query's rows in query order — a
+        score query's head and tail, a prediction's anchor then its
+        candidates, nothing for a prediction without candidates — and the
+        relation read for the relation of each query that read rows, so a
+        tiered table counts the rows that scoring each query on its own
+        would.  A score query answers its score; a prediction the top
+        ``min(k, n)`` of its ``n`` candidates as a fresh int64 array: best
+        score first, ties to the lower id.
+        """
+        check_top_k(k)
+        entity_ids: list[int] = []
+        relation_ids: list[int] = []
+        anchors: list[int] = []  # where each reading query's rows start
+        sizes: list[int] = []  # rows each reading query scores
+        fills_head: list[bool] = []
+        for query in queries:
+            # A score query is its head anchoring one tail candidate.
+            if query.kind == SCORE:
+                anchor, candidates = query.head, (query.tail,)
+            elif query.candidates:
+                anchor = query.tail if query.kind == HEAD_PREDICTION else query.head
+                candidates = query.candidates
+            else:
+                continue
+            anchors.append(len(entity_ids))
+            entity_ids.append(anchor)
+            entity_ids += candidates
+            sizes.append(len(candidates))
+            relation_ids.append(query.relation)
+            fills_head.append(query.kind == HEAD_PREDICTION)
+        if not sizes:
+            return [np.empty(0, dtype=np.int64) for _ in queries]
+        entities = np.array(entity_ids, dtype=np.int64)
+        ent = self.gather("entity", entities)
+        rel = self.gather("relation", np.array(relation_ids, dtype=np.int64))
+        # Score row i, of reading query q, pairs q's anchor with the
+        # candidate at ent[i + q + 1]: q's rows are its anchor, then one
+        # row per candidate.
+        counts = np.array(sizes)
+        owner = np.arange(len(sizes)).repeat(counts)
+        cand = owner + np.arange(1, len(owner) + 1)
+        anchor = np.array(anchors).repeat(counts)
+        head_side = np.array(fills_head).repeat(counts)
+        scores = self.model.score(
+            ent.take(np.where(head_side, cand, anchor), axis=0),
+            rel.take(owner, axis=0),
+            ent.take(np.where(head_side, anchor, cand), axis=0),
+        )
+        ids = entities.take(cand)
+        order = np.lexsort((ids, -scores, owner))
+        answers: list[float | np.ndarray] = []
+        row = 0
+        for query in queries:
+            if query.kind == SCORE:
+                answers.append(float(scores[row]))
+                row += 1
+            else:
+                n = len(query.candidates)
+                answers.append(ids.take(order[row : row + min(k, n)]))
+                row += n
+        return answers
 
     def memory_bytes(self) -> int:
         return self.store.memory_bytes()

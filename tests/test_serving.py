@@ -325,7 +325,6 @@ class TestEmbeddingStore:
     def test_geometry_mismatch_rejected(self, trained):
         _, _, path = trained
         from repro.models.base import get_model
-        from repro.ps.kvstore import ShardedKVStore
 
         wrong = get_model("transe", 4)
         store = EmbeddingStore.from_checkpoint(path)
@@ -342,6 +341,18 @@ class TestEmbeddingStore:
         )
         best = candidates[np.lexsort((candidates, -scores))][:5]
         assert top.tolist() == best.tolist()
+
+    @pytest.mark.parametrize("k", [0, -1, -2])
+    def test_top_k_below_one_is_rejected(self, trained, k):
+        """``k=-1`` used to answer all but one of the candidates, and
+        ``k=0`` an empty list; a frontend took such a ``top_k`` too."""
+        trainer, graph, _ = trained
+        store = EmbeddingStore.from_trainer(trainer)
+        candidates = np.arange(min(20, graph.num_entities))
+        with pytest.raises(ValueError, match="top_k must be a positive integer"):
+            store.rank_candidates(0, 0, None, candidates, k=k)
+        with pytest.raises(ValueError, match="top_k must be a positive integer"):
+            ServingFrontend(store, top_k=k)
 
 
 # ------------------------------------------------------------------- frontend
