@@ -15,6 +15,16 @@ traffic through ``Worker.charge``, which replaced the network model's
 ``tests/test_graph_mutation.py`` holds the carried-forward index to them
 update after update.  Not imported by ``src/``.
 
+The trainer subclass also keeps the eviction side of an update as it
+stood while every update rebuilt the global graph:
+``HotEmbeddingCache.invalidate_ids`` re-``install``-ing the survivors,
+``AdaptiveStale.drop_ids`` masking with ``np.isin``, and
+``OnlineTrainer._grow_vocab`` measuring each update's vocabulary against
+``self.graph`` — verbatim, the first two as functions of the cache or
+strategy they were methods of.  ``tests/test_cache_table.py`` and
+``tests/test_cache_sync.py`` hold the live eviction and record masking to
+the first two.
+
 Known defect, kept: an id outside the vocabulary in ``deletes`` aliases
 another triple's key and removes that triple.  The suite compares on
 in-vocabulary updates and pins the fixed behaviour separately.
@@ -25,7 +35,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kg.graph import HEAD, REL, TAIL, KnowledgeGraph
-from repro.ps.network import CommRecord
+from repro.optim.adagrad import SparseAdagrad
+from repro.ps.network import BYTES_PER_ELEMENT, CommRecord
 from repro.sampling.cache import CachedNegativeSampler
 from repro.sampling.minibatch import EpochSampler
 from repro.stream.drift import AdaptiveStale
@@ -233,11 +244,96 @@ def apply_update_reference(
     sampler._cursor = len(consumed)
 
 
+# ------------------------------------------------------------------ eviction
+
+
+def invalidate_ids_reference(cache, kind: str, ids: np.ndarray) -> int:
+    """``HotEmbeddingCache.invalidate_ids`` as it was: the survivors
+    re-``install``-ed.
+
+    Evict specific rows from one table (streaming invalidation).
+
+    Online ingestion (:mod:`repro.stream`) deletes triples and rewires
+    entities; cached rows for the affected ids would serve embeddings
+    for graph structure that no longer exists, so they are dropped.
+    Surviving rows keep their values, but the local optimizer state is
+    reset (its accumulators are slot-aligned to the old membership and
+    cannot be safely permuted).  Returns the number of rows evicted.
+    """
+    table = cache._tables[kind]
+    ids = np.asarray(ids, dtype=np.int64)
+    if len(ids) == 0 or table.occupied == 0:
+        return 0
+    cached, slots = table.lookup(ids)
+    if not cached.any():
+        return 0
+    # Slot order is install order, so masking slots keeps that order.
+    keep_mask = np.ones(table.occupied, dtype=bool)
+    keep_mask[slots[cached]] = False
+    evicted = table.occupied - int(keep_mask.sum())
+    rows = table.rows_view()[: table.occupied][keep_mask]
+    table.install(table.ids[keep_mask], rows)
+    cache._local_optimizers[kind] = SparseAdagrad(cache.local_lr)
+    cache.trace.count("cache.invalidations")
+    return evicted
+
+
+def drop_ids_reference(
+    strategy: AdaptiveStale, entities: np.ndarray, relations: np.ndarray
+) -> None:
+    """``AdaptiveStale.drop_ids`` as it was, masking with ``np.isin``.
+
+    Keep the membership record honest after external invalidation.
+
+    The :class:`~repro.stream.ingest.OnlineTrainer` evicts cache rows
+    touched by deletions; removing them from the strategy's view makes
+    the next window's Jaccard/coverage reflect the true membership.
+    """
+    # Both records are sorted and unique (``np.sort`` of a hot set), so
+    # masking is ``np.setdiff1d`` without its two ``np.unique`` sorts.
+    if len(entities):
+        strategy._cached_entities = strategy._cached_entities[
+            ~np.isin(strategy._cached_entities, entities)
+        ]
+    if len(relations):
+        strategy._cached_relations = strategy._cached_relations[
+            ~np.isin(strategy._cached_relations, relations)
+        ]
+
+
 # ------------------------------------------------------------------ ingestion
 
 
 class OnlineTrainerReference(OnlineTrainer):
     """``OnlineTrainer`` applying each update the old way."""
+
+    def _grow_vocab(self, update: GraphUpdate) -> CommRecord:
+        """Append embedding rows for new ids; returns the cold-start bytes
+        per owning machine folded into one record (caller charges it)."""
+        trainer = self.trainer
+        assert trainer.server is not None and self.graph is not None
+        store = trainer.server.store
+        comm = CommRecord()
+        n_new_ent = update.num_entities - self.graph.num_entities
+        n_new_rel = update.num_relations - self.graph.num_relations
+        byte_scale = trainer.config.byte_scale
+        if n_new_ent > 0:
+            rows = trainer.model.init_entities(n_new_ent, self._ingest_rng)
+            store.grow("entity", rows)
+            comm.remote_bytes += int(
+                round(rows.size * BYTES_PER_ELEMENT * byte_scale)
+            )
+            self.entities_added += n_new_ent
+        if n_new_rel > 0:
+            rows = trainer.model.init_relations(n_new_rel, self._ingest_rng)
+            store.grow("relation", rows)
+            comm.remote_bytes += int(
+                round(rows.size * BYTES_PER_ELEMENT * byte_scale)
+            )
+            self.relations_added += n_new_rel
+        if comm.remote_bytes:
+            comm.remote_messages = 1
+        return comm
 
     def _apply_update(self, update: GraphUpdate) -> None:
         trainer = self.trainer
@@ -323,16 +419,17 @@ class OnlineTrainerReference(OnlineTrainer):
                 )
                 # Stale cache rows: ids whose graph structure was deleted.
                 if worker.cache is not None:
-                    evicted = worker.cache.invalidate_ids(
-                        "entity", affected_entities
+                    evicted = invalidate_ids_reference(
+                        worker.cache, "entity", affected_entities
                     )
-                    evicted += worker.cache.invalidate_ids(
-                        "relation", affected_relations
+                    evicted += invalidate_ids_reference(
+                        worker.cache, "relation", affected_relations
                     )
                     self.cache_rows_invalidated += evicted
                     if isinstance(worker.strategy, AdaptiveStale):
-                        worker.strategy.drop_ids(
-                            affected_entities, affected_relations
+                        drop_ids_reference(
+                            worker.strategy, affected_entities,
+                            affected_relations,
                         )
                 # Hard negatives scored against deleted structure: drop the
                 # affected keys (and purge deleted ids from survivors).

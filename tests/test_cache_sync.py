@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.filtering import HotSet
 from repro.cache.sync import HotEmbeddingCache
@@ -9,7 +11,12 @@ from repro.faults.rpc import PSChannel
 from repro.optim.sgd import SparseSGD
 from repro.ps.kvstore import ShardedKVStore
 from repro.ps.server import ParameterServer
+from repro.stream.drift import AdaptiveStale
 from repro.utils.simclock import SimClock
+from tests.reference.graph_mutation_reference import (
+    drop_ids_reference,
+    invalidate_ids_reference,
+)
 
 
 @pytest.fixture
@@ -191,3 +198,87 @@ class TestInvalidateIds:
         assert full.invalidate_ids("relation", np.array([0, 2])) == 2
         assert full.cached_ids("relation").tolist() == []
         assert full.invalidate_ids("relation", np.array([0])) == 0
+
+
+# Members, then eviction rounds: id lists over absent, duplicate and
+# negative ids, or ``None`` for "every current member, twice".
+eviction_rounds = st.tuples(
+    st.integers(1, 8).flatmap(
+        lambda capacity: st.tuples(
+            st.just(capacity),
+            st.lists(st.integers(0, 20), unique=True, max_size=capacity),
+        )
+    ),
+    st.lists(
+        st.one_of(st.none(), st.lists(st.integers(-3, 23), max_size=10)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+
+
+class TestInvalidateIdsAgainstReinstall:
+    """Eviction equals the re-``install`` of the survivors kept in
+    ``tests/reference/graph_mutation_reference.py``, round after round."""
+
+    @staticmethod
+    def _cache(capacity, members):
+        cache = HotEmbeddingCache(capacity, 1, 3, 1, sync_period=3, local_lr=1.0)
+        ids = np.asarray(members, dtype=np.int64)
+        rows = np.arange(3 * len(ids), dtype=np.float64).reshape(-1, 3) + 0.5
+        cache._tables["entity"].install(ids, rows)
+        return cache
+
+    @settings(max_examples=200, deadline=None)
+    @given(eviction_rounds)
+    def test_same_membership_rows_and_count(self, case):
+        (capacity, members), rounds = case
+        ours, theirs = self._cache(capacity, members), self._cache(capacity, members)
+        probe = np.arange(-3, 24, dtype=np.int64)
+        for evict in rounds:
+            if evict is None:
+                evict = np.repeat(ours.cached_ids("entity"), 2)
+            evict = np.asarray(evict, dtype=np.int64)
+            ours_opt = ours._local_optimizers["entity"]
+            theirs_opt = theirs._local_optimizers["entity"]
+            assert ours.invalidate_ids("entity", evict) == (
+                invalidate_ids_reference(theirs, "entity", evict)
+            )
+            assert (ours._local_optimizers["entity"] is ours_opt) == (
+                theirs._local_optimizers["entity"] is theirs_opt
+            )
+            a, b = ours._tables["entity"], theirs._tables["entity"]
+            assert a.ids.tobytes() == b.ids.tobytes()
+            assert a.rows_view().tobytes() == b.rows_view().tobytes()
+            assert len(a) == len(b) == a.occupied
+            assert a._ledger.resident == b._ledger.resident == len(a)
+            for got, want in zip(a.lookup(probe), b.lookup(probe)):
+                assert np.array_equal(got, want)
+
+
+class TestDropIdsAgainstIsin:
+    """ADAPTIVE's record loses exactly what ``np.isin`` would drop, for
+    unsorted, repeated, absent and empty inputs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 30), unique=True, max_size=12),
+        st.lists(st.integers(0, 30), unique=True, max_size=6),
+        st.lists(st.integers(-2, 32), max_size=12),
+        st.lists(st.integers(-2, 32), max_size=6),
+    )
+    def test_same_records(self, entities, relations, drop_ent, drop_rel):
+        ours, theirs = AdaptiveStale(16, window=8), AdaptiveStale(16, window=8)
+        for strategy in (ours, theirs):
+            strategy._cached_entities = np.sort(np.asarray(entities, dtype=np.int64))
+            strategy._cached_relations = np.sort(
+                np.asarray(relations, dtype=np.int64)
+            )
+        drop_ent = np.asarray(drop_ent, dtype=np.int64)
+        drop_rel = np.asarray(drop_rel, dtype=np.int64)
+        ours.drop_ids(drop_ent, drop_rel)
+        drop_ids_reference(theirs, drop_ent, drop_rel)
+        for name in ("_cached_entities", "_cached_relations"):
+            got, want = getattr(ours, name), getattr(theirs, name)
+            assert got.dtype == want.dtype == np.int64
+            assert got.tobytes() == want.tobytes()
