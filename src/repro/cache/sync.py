@@ -262,21 +262,10 @@ class HotEmbeddingCache:
         reset (its accumulators are slot-aligned to the old membership and
         cannot be safely permuted).  Returns the number of rows evicted.
         """
-        table = self._tables[kind]
-        ids = np.asarray(ids, dtype=np.int64)
-        if len(ids) == 0 or table.occupied == 0:
-            return 0
-        cached, slots = table.lookup(ids)
-        if not cached.any():
-            return 0
-        # Slot order is install order, so masking slots keeps that order.
-        keep_mask = np.ones(table.occupied, dtype=bool)
-        keep_mask[slots[cached]] = False
-        evicted = table.occupied - int(keep_mask.sum())
-        rows = table.rows_view()[: table.occupied][keep_mask]
-        table.install(table.ids[keep_mask], rows)
-        self._local_optimizers[kind] = SparseAdagrad(self.local_lr)
-        self.trace.count("cache.invalidations")
+        evicted = self._tables[kind].evict(ids)
+        if evicted:
+            self._local_optimizers[kind] = SparseAdagrad(self.local_lr)
+            self.trace.count("cache.invalidations")
         return evicted
 
     # ------------------------------------------------------------------ stats

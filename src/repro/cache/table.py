@@ -176,6 +176,33 @@ class CacheTable:
         slots = self.slot_of(ids)
         self._rows[slots] = rows
 
+    def evict(self, ids: np.ndarray) -> int:
+        """Drop ``ids`` from the membership; returns how many were cached.
+
+        ``ids`` may repeat and may name ids that are not cached.  The table
+        compacts in place: survivors keep their install order and values,
+        those past the first freed slot move down to close the gaps, the
+        freed tail is zeroed, and only evicted and moved ids change slot —
+        the layout :meth:`install` of the survivors would produce, without
+        its sort and its rewrite of every slot.
+        """
+        cached, slots = self.lookup(ids)
+        if not cached.any():
+            return 0
+        dead = np.unique(slots[cached])
+        first, end = int(dead[0]), len(self._ids)
+        keep = np.ones(end - first, dtype=bool)
+        keep[dead - first] = False
+        moved = self._ids[first:][keep]
+        top = first + len(moved)
+        self._slot[self._ids[dead]] = -1
+        self._slot[moved] = np.arange(first, top)
+        self._rows[first:top] = self._rows[first:end][keep]
+        self._rows[top:end] = 0.0
+        self._ids = np.concatenate([self._ids[:first], moved])
+        self._ledger.reinstall(top)
+        return len(dead)
+
     @property
     def occupied(self) -> int:
         """Rows of the backing array that belong to the live membership.

@@ -43,6 +43,19 @@ def _jaccard(a: np.ndarray, b: np.ndarray) -> float:
     return inter / union if union else 1.0
 
 
+def _without(record: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``record`` (sorted, unique — ``np.sort`` of a hot set) minus
+    ``ids`` (any order, repeats allowed): one ``searchsorted`` of the ids
+    into the record, no sort of either."""
+    ids = np.asarray(ids, dtype=np.int64)
+    pos = np.searchsorted(record, ids)
+    inside = pos < len(record)
+    pos = pos[inside]
+    keep = np.ones(len(record), dtype=bool)
+    keep[pos[record[pos] == ids[inside]]] = False
+    return record[keep]
+
+
 @dataclass
 class DriftSignal:
     """One window's drift measurement (telemetry / experiment reporting)."""
@@ -295,13 +308,7 @@ class AdaptiveStale(HotEmbeddingStrategy):
         touched by deletions; removing them from the strategy's view makes
         the next window's Jaccard/coverage reflect the true membership.
         """
-        # Both records are sorted and unique (``np.sort`` of a hot set), so
-        # masking is ``np.setdiff1d`` without its two ``np.unique`` sorts.
         if len(entities):
-            self._cached_entities = self._cached_entities[
-                ~np.isin(self._cached_entities, entities)
-            ]
+            self._cached_entities = _without(self._cached_entities, entities)
         if len(relations):
-            self._cached_relations = self._cached_relations[
-                ~np.isin(self._cached_relations, relations)
-            ]
+            self._cached_relations = _without(self._cached_relations, relations)

@@ -19,7 +19,10 @@ records at iteration boundaries.  Each applied update
   (:meth:`~repro.core.worker.Worker.charge` under the ``"ingest"`` clock
   category), with obs spans to match;
 * feeds the inserts to the prequential evaluator *before* they are
-  trained on (test-then-train).
+  trained on (test-then-train);
+* records its edit of the global graph, which :attr:`OnlineTrainer.graph`
+  folds in when it is read (every update with the false-negative filter
+  on, otherwise never during the run).
 
 The empty-stream invariant: with ``drift="none"`` no ingest code path
 runs, no extra RNG is drawn, and the step sequence equals the static
@@ -111,7 +114,7 @@ class OnlineTrainer:
         self.trainer = trainer
         self.stream = stream
         self.eval_every = eval_every
-        self.graph: KnowledgeGraph | None = None
+        self.graph = None
         #: Fixed for a run, set by :meth:`train`: the workers in machine
         #: order, and the machine an insert goes to for each owner id the
         #: store can name.
@@ -126,17 +129,47 @@ class OnlineTrainer:
             seed=trainer.config.seed + 13,
         )
 
+    # ------------------------------------------------------------ global graph
+
+    @property
+    def graph(self) -> KnowledgeGraph | None:
+        """The training graph with every update applied so far.
+
+        Folded in when read: an update only records its edit, and a read
+        applies the recorded edits in order, each through
+        :meth:`~repro.kg.graph.KnowledgeGraph.mutated` — the graph an
+        eager rebuild after every update would hold.  Only the
+        false-negative filter reads it during a run.
+        """
+        if self._unfolded:
+            graph = self._graph
+            for edit in self._unfolded:
+                graph = graph.mutated(*edit)
+            self._graph = graph
+            self._unfolded = []
+        return self._graph
+
+    @graph.setter
+    def graph(self, graph: KnowledgeGraph | None) -> None:
+        self._graph = graph
+        #: ``(inserts, deletes, num_entities, num_relations)`` per update
+        #: applied since ``graph`` was last read.
+        self._unfolded: list[tuple[np.ndarray, np.ndarray, int, int]] = []
+
     # -------------------------------------------------------------- ingestion
 
     def _grow_vocab(self, update: GraphUpdate) -> CommRecord:
         """Append embedding rows for new ids; returns the cold-start bytes
-        per owning machine folded into one record (caller charges it)."""
+        per owning machine folded into one record (caller charges it).
+
+        The PS tables are the vocabulary: an id is new when its table has
+        no row for it yet, whichever call minted the row."""
         trainer = self.trainer
-        assert trainer.server is not None and self.graph is not None
+        assert trainer.server is not None
         store = trainer.server.store
         comm = CommRecord()
-        n_new_ent = update.num_entities - self.graph.num_entities
-        n_new_rel = update.num_relations - self.graph.num_relations
+        n_new_ent = update.num_entities - len(store.table("entity"))
+        n_new_rel = update.num_relations - len(store.table("relation"))
         byte_scale = trainer.config.byte_scale
         if n_new_ent > 0:
             rows = trainer.model.init_entities(n_new_ent, self._ingest_rng)
@@ -158,7 +191,7 @@ class OnlineTrainer:
 
     def _apply_update(self, update: GraphUpdate) -> None:
         trainer = self.trainer
-        assert trainer.server is not None and self.graph is not None
+        assert trainer.server is not None
         store = trainer.server.store
 
         # Test-then-train: the holdout sees the inserts before any worker
@@ -247,12 +280,13 @@ class OnlineTrainer:
             ):
                 worker.charge(init_comm, "ingest")
 
+        self._unfolded.append((inserts, deletes, n_ent, n_rel))
         # Refresh the false-negative filter against the post-update graph.
-        self.graph = self.graph.mutated(inserts, deletes, n_ent, n_rel)
         if trainer.config.filter_false_negatives:
+            graph = self.graph
             for worker in trainer.workers:
                 worker.sampler.negative_sampler.resize(
-                    n_ent, filter_graph=self.graph
+                    n_ent, filter_graph=graph
                 )
 
         self.updates_applied += 1
@@ -339,11 +373,12 @@ class OnlineTrainer:
     # ------------------------------------------------------------------ evals
 
     def _evaluate(self, step: int) -> None:
-        assert self.trainer.server is not None and self.graph is not None
+        assert self.trainer.server is not None
         store = self.trainer.server.store
+        relations = store.table("relation")
         self.evaluator.evaluate(
             step,
             store.table("entity"),
-            store.table("relation"),
-            num_relations=self.graph.num_relations,
+            relations,
+            num_relations=len(relations),
         )

@@ -241,6 +241,33 @@ class TestRepeatedTrainCalls:
             first_points + second.prequential.points
         )
 
+    def test_second_online_train_grows_each_id_once(self, small_graph):
+        """Regression: ``_grow_vocab`` measured each update against the
+        graph ``train()`` had just reset, so a second call minted rows for
+        every id the first call had already added."""
+        trainer = HETKGTrainer(config(epochs=1))
+        trainer.setup(small_graph)
+        stream = make_stream(
+            "rotation", small_graph, steps=4 * trainer.steps_per_epoch,
+            seed=5, interval=2, inserts_per_update=16,
+        )
+        online = OnlineTrainer(trainer, stream)
+        first = online.train(small_graph)
+        second = online.train(small_graph)
+        assert first.entities_added > 0 and second.updates_applied > 0
+        last = stream.updates[online._cursor - 1]
+        added = last.num_entities - small_graph.num_entities
+        assert first.entities_added + second.entities_added == added
+        store = trainer.server.store
+        assert len(store.table("entity")) == online.graph.num_entities == (
+            last.num_entities
+        )
+        assert len(store.table("relation")) == last.num_relations
+        for kind in ("entity", "relation"):
+            assert trainer.server.optimizer.state[kind].shape == (
+                store.table(kind).shape
+            )
+
     def test_pbg_second_train_reports_equal_totals(self):
         graph = self._two_entity_graph()
         trainer = PBGTrainer(

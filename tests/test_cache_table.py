@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cache.sync import HotEmbeddingCache
 from repro.cache.table import CacheStats, CacheTable
+from tests.reference.graph_mutation_reference import invalidate_ids_reference
 
 
 @pytest.fixture
@@ -132,6 +136,72 @@ class TestWrites:
     def test_slot_of(self, table):
         slots = table.slot_of(np.array([20]))
         assert table.rows_view()[slots[0]].tolist() == [2.0, 3.0]
+
+
+class TestEvict:
+    def test_survivors_move_down_in_install_order(self, table):
+        assert table.evict(np.array([20, 99, 20, -4])) == 1
+        assert table.ids.tolist() == [10, 30]
+        assert table.get(np.array([30]))[0].tolist() == [4.0, 5.0]
+        assert table.rows_view()[2:].tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert 20 not in table and table.occupied == 2
+
+    def test_nothing_cached_changes_nothing(self, table):
+        rows = table.rows_view().copy()
+        assert table.evict(np.array([99, -1], dtype=np.int64)) == 0
+        assert table.evict(np.array([], dtype=np.int64)) == 0
+        assert CacheTable(2, 1).evict(np.array([0, 1])) == 0
+        assert table.ids.tolist() == [10, 20, 30]
+        assert np.array_equal(table.rows_view(), rows)
+
+    def test_freed_slots_admit_a_full_install(self, table):
+        assert table.evict(np.array([30, 10, 20])) == 3
+        assert len(table) == 0 and not table.rows_view().any()
+        table.install(np.array([1, 2, 3, 4]), np.ones((4, 2)))
+        assert len(table) == 4
+
+    # Members, then eviction rounds: id lists over absent, duplicate and
+    # negative ids, or ``None`` for "every current member, twice".
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda capacity: st.tuples(
+                st.just(capacity),
+                st.lists(st.integers(0, 20), unique=True, max_size=capacity),
+            )
+        ),
+        st.lists(
+            st.one_of(st.none(), st.lists(st.integers(-3, 23), max_size=10)),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_equals_reinstalling_the_survivors(self, members, rounds):
+        """Held to the re-``install`` kept in
+        ``tests/reference/graph_mutation_reference.py``."""
+        capacity, members = members
+        ids = np.asarray(members, dtype=np.int64)
+        rows = np.arange(2 * len(ids), dtype=np.float64).reshape(-1, 2) + 0.5
+        ours, theirs = CacheTable(capacity, 2), CacheTable(capacity, 2)
+        holder = HotEmbeddingCache(capacity, 1, 2, 1, sync_period=1, local_lr=1.0)
+        holder._tables["entity"] = theirs
+        for t in (ours, theirs):
+            t.install(ids, rows)
+        probe = np.arange(-3, 24, dtype=np.int64)
+        for evict in rounds:
+            if evict is None:
+                evict = np.repeat(ours.ids, 2)
+            evict = np.asarray(evict, dtype=np.int64)
+            assert ours.evict(evict) == invalidate_ids_reference(
+                holder, "entity", evict
+            )
+            assert ours.ids.tobytes() == theirs.ids.tobytes()
+            assert ours.rows_view().tobytes() == theirs.rows_view().tobytes()
+            assert ours._slot.tobytes() == theirs._slot.tobytes()
+            assert len(ours) == len(theirs)
+            assert ours._ledger.resident == theirs._ledger.resident == len(ours)
+            for got, want in zip(ours.lookup(probe), theirs.lookup(probe)):
+                assert np.array_equal(got, want)
 
 
 class TestCacheStats:
