@@ -5,7 +5,7 @@
 * :mod:`repro.core.worker` — one machine's training loop (with or without
   the hot-embedding cache).
 * :mod:`repro.core.ledger` — what a run reports: ``Worker.stats()``
-  snapshot → per-call delta → one ``summarize`` for every result type.
+  snapshot → per-call delta → one ``RunLedger.summary`` for every result type.
 * :mod:`repro.core.trainer` — HET-KG (CPS/DPS) and the cluster assembly.
 * :mod:`repro.core.baselines` — DGL-KE and PyTorch-BigGraph reimplementations.
 * :mod:`repro.core.evaluation` — filtered link-prediction metrics.

@@ -1,20 +1,20 @@
 """The run ledger: what a ``train()`` call reports, and relative to what.
 
 Every result this repo produces — the simulator's, PBG's, the online
-trainer's, the mp backend's — is built the same way:
+trainer's, the mp backend's — is built by one :class:`RunLedger`:
 
 1. :meth:`repro.core.worker.Worker.stats` snapshots everything one worker
    accumulates (a :class:`WorkerStats`);
 2. the snapshot taken at ``train()`` entry is subtracted from the one taken
    at exit (:meth:`WorkerStats.minus`), so a call reports only what *it*
    did — repeated ``train()`` calls cannot inflate the books;
-3. :func:`summarize` merges the per-worker deltas into the numbers every
-   result type carries (:class:`RunSummary`).
+3. :meth:`RunLedger.summary` merges the per-worker deltas into the numbers
+   every result type carries (:class:`RunSummary`).
 
-:class:`RunLedger` packages 1–3 for an in-process trainer; an mp child is a
-fresh process, so its exit ``stats()`` already *is* its delta and the parent
-calls :func:`summarize` on those directly — the ``sync`` schedule equals the
-simulator because both backends run this one function.
+The mp backend opens its ledger over ``trainer.workers`` before spawning
+and reads it after the children hand their advanced workers back, so the
+``sync`` schedule equals the simulator because both backends report
+through this one class.
 :func:`epoch_point` is the shared epoch boundary (evaluate if due →
 :class:`~repro.core.convergence.HistoryPoint`).
 """
@@ -112,45 +112,8 @@ class RunSummary:
         return {k: v for k, v in vars(self).items() if k in wanted}
 
 
-def summarize(deltas: list[WorkerStats], tier_time: float = 0.0) -> RunSummary:
-    """Merge per-worker deltas into one run's reported numbers."""
-    slowest = max(deltas, key=lambda d: d.clock.elapsed).clock  # first max
-    comm_totals = CommRecord()
-    for d in deltas:
-        comm_totals.merge(d.comm)
-    neg_cache_stats: dict = {}
-    cached = [d for d in deltas if d.neg_cache]
-    if cached:
-        refresh = CommRecord()
-        for d in cached:
-            refresh.merge(d.neg_cache_comm)
-            for name, value in d.neg_cache.items():
-                neg_cache_stats[name] = neg_cache_stats.get(name, 0) + value
-        neg_cache_stats.update(
-            cache_keys=sum(d.neg_cache_keys for d in cached),
-            pending_keys=sum(d.neg_pending_keys for d in cached),
-            refresh_bytes=refresh.total_bytes,
-            refresh_remote_bytes=refresh.remote_bytes,
-            refresh_messages=refresh.total_messages,
-            neg_cache_time=slowest.category("neg_cache"),
-        )
-    return RunSummary(
-        sim_time=slowest.elapsed,
-        compute_time=slowest.category("compute"),
-        communication_time=slowest.category("communication"),
-        ingest_time=slowest.category("ingest"),
-        comm_totals=comm_totals,
-        cache_hit_ratio=float(np.mean([d.cache_hit_ratio for d in deltas])),
-        false_negative_leaks=sum(d.false_negative_leaks for d in deltas),
-        scored_candidates=sum(d.scored_candidates for d in deltas),
-        neg_cache_stats=neg_cache_stats,
-        tier_time=tier_time,
-        recovery_time=sum(d.clock.category("recovery") for d in deltas),
-    )
-
-
 class RunLedger:
-    """One in-process ``train()`` call's books: open at entry, read at exit.
+    """One ``train()`` call's books: open at entry, read at exit.
 
     ``stats`` returns the current per-worker snapshots; the optional
     ``tier_clock`` is the one cluster-wide clock a call is also reported
@@ -175,7 +138,41 @@ class RunLedger:
         return max(d.clock.elapsed for d in self.deltas())
 
     def summary(self) -> RunSummary:
-        return summarize(self.deltas(), self._tier_clock.elapsed - self._entry_tier)
+        """Merge this call's per-worker deltas into its reported numbers."""
+        deltas = self.deltas()
+        slowest = max(deltas, key=lambda d: d.clock.elapsed).clock  # first max
+        comm_totals = CommRecord()
+        for d in deltas:
+            comm_totals.merge(d.comm)
+        neg_cache_stats: dict = {}
+        cached = [d for d in deltas if d.neg_cache]
+        if cached:
+            refresh = CommRecord()
+            for d in cached:
+                refresh.merge(d.neg_cache_comm)
+                for name, value in d.neg_cache.items():
+                    neg_cache_stats[name] = neg_cache_stats.get(name, 0) + value
+            neg_cache_stats.update(
+                cache_keys=sum(d.neg_cache_keys for d in cached),
+                pending_keys=sum(d.neg_pending_keys for d in cached),
+                refresh_bytes=refresh.total_bytes,
+                refresh_remote_bytes=refresh.remote_bytes,
+                refresh_messages=refresh.total_messages,
+                neg_cache_time=slowest.category("neg_cache"),
+            )
+        return RunSummary(
+            sim_time=slowest.elapsed,
+            compute_time=slowest.category("compute"),
+            communication_time=slowest.category("communication"),
+            ingest_time=slowest.category("ingest"),
+            comm_totals=comm_totals,
+            cache_hit_ratio=float(np.mean([d.cache_hit_ratio for d in deltas])),
+            false_negative_leaks=sum(d.false_negative_leaks for d in deltas),
+            scored_candidates=sum(d.scored_candidates for d in deltas),
+            neg_cache_stats=neg_cache_stats,
+            tier_time=self._tier_clock.elapsed - self._entry_tier,
+            recovery_time=sum(d.clock.category("recovery") for d in deltas),
+        )
 
 
 def epoch_point(

@@ -14,13 +14,14 @@ own workers in actual OS processes over
 * :mod:`repro.mp.pool` — small process-pool utilities shared with the
   ``--jobs`` parallel experiment runner.
 * :mod:`repro.mp.worker` — the child-process entry point: unpickles the
-  parent's worker and server over the shared tables and runs either the
+  parent's worker and server over the shared tables, runs either the
   ``sync`` schedule (turn-taking in the simulator's round-robin order —
   bit-identical results) or the ``async`` schedule (hogwild with a
-  bounded-staleness guard — the fast path).
-* :mod:`repro.mp.backend` — the parent-side orchestrator assembling a
-  normal :class:`~repro.core.trainer.TrainResult` (plus wall-clock spans)
-  from the children's reports.
+  bounded-staleness guard — the fast path), and hands the worker back.
+* :mod:`repro.mp.backend` — the parent-side orchestrator: puts the
+  returned workers back into the trainer and reports a normal
+  :class:`~repro.core.trainer.TrainResult` (plus wall-clock spans)
+  through the simulator's own run ledger.
 * :mod:`repro.mp.serve` — multi-process ``serve-bench``: copies of one
   frontend over a shared embedding store.
 

@@ -10,17 +10,18 @@ multi-process run:
    a :class:`~repro.mp.shm.SharedArena` segment and the server is rebound
    onto the shared views, so the parent evaluates the same memory the
    children train;
-3. each worker, attached afresh, is shipped with the server by
+3. the call's :class:`~repro.core.ledger.RunLedger` opens over
+   ``trainer.workers``, then each worker, attached afresh, is shipped by
    :meth:`~repro.mp.shm.SharedArena.dumps` (the shared views by segment
    name) to one child process running :func:`repro.mp.worker.worker_main`;
    the parent collects per-epoch losses at a barrier, evaluates while the
-   children are parked, and builds a normal
-   :class:`~repro.core.trainer.TrainResult` from the children's
-   ``Worker.stats()`` with the simulator's own
-   :func:`repro.core.ledger.summarize` — with per-epoch losses
-   re-interleaved in the simulator's iteration-major/worker-minor order,
-   which is what makes the ``sync`` schedule's ``np.mean`` (and therefore
-   the golden fingerprints) bit-identical;
+   children are parked, puts the workers the children hand back into
+   ``trainer.workers`` once every one has reported, and builds a normal
+   :class:`~repro.core.trainer.TrainResult` from the ledger, as
+   :meth:`~repro.core.trainer.HETKGTrainer.train` does — with per-epoch
+   losses re-interleaved in the simulator's iteration-major/worker-minor
+   order, which is what makes the ``sync`` schedule's ``np.mean`` (and
+   therefore the golden fingerprints) bit-identical;
 4. teardown is unconditional: whether the run finishes, raises, or a
    child dies mid-epoch, the server is rebound onto private copies
    *before* the arena unlinks its segments (ndarray views into a closed
@@ -39,8 +40,9 @@ import time
 import numpy as np
 
 from repro.core.convergence import TrainingHistory
-from repro.core.ledger import epoch_point, summarize
-from repro.mp.shm import SharedArena
+from repro.core.ledger import RunLedger, epoch_point
+from repro.core.telemetry import Telemetry
+from repro.mp.shm import SharedArena, loads
 from repro.mp.worker import MPControls, WorkerSpec, worker_main
 
 #: Seconds between liveness checks while waiting on children.
@@ -118,7 +120,7 @@ def run_mp_training(
     procs: list = []
     controls: MPControls | None = None
     history = TrainingHistory()
-    telemetry_records: list = []
+    ledger = RunLedger(lambda: [w.stats() for w in trainer.workers])
     wall_start = time.perf_counter()
     try:
         # ---- move the global state into shared memory -------------------
@@ -130,16 +132,17 @@ def run_mp_training(
         controls = MPControls(ctx, num_workers)
         for rank, worker in enumerate(trainer.workers):
             # No instrument of an earlier call travels with the worker.
-            worker.attach(server)
+            worker.attach(
+                server, telemetry=Telemetry() if telemetry is not None else None
+            )
             spec = WorkerSpec(
                 rank=rank,
                 num_workers=num_workers,
-                world=arena.dumps((worker, server)),
+                world=arena.dumps(worker),
                 epochs=cfg.epochs,
                 iterations=iterations,
                 schedule=schedule,
                 staleness_bound=bound,
-                collect_telemetry=telemetry is not None,
                 crash_at_step=crash_at_step,
             )
             proc = ctx.Process(
@@ -189,34 +192,36 @@ def run_mp_training(
         wall_time_s = time.perf_counter() - wall_start
         memory_report = server.store.memory_report()
 
-        stats = []
-        worker_wall: dict[int, dict] = {}
-        for rank in range(num_workers):
-            s, wall, child_telemetry = done[rank]
-            stats.append(s)
-            worker_wall[s.machine] = {
-                **wall,
-                "steps": s.iterations,
-                "staleness_overruns": s.staleness_overruns,
-                "max_staleness_overrun": s.max_staleness_overrun,
-                # Simulated counterparts, so repro.obs.reconcile can line the
-                # model's prediction up against this worker's measurements.
-                "sim_elapsed": s.clock.elapsed,
-                "sim_comm": s.clock.category("communication"),
-                "sim_compute": s.clock.category("compute"),
-            }
-            if telemetry is not None:
-                telemetry_records.extend(child_telemetry.records)
+        # Every rank has reported: only now do the advanced workers replace
+        # the ones the call found (the channel comes back as an id).
+        returned = [loads(done[r][0], lambda _: None) for r in range(num_workers)]
         if telemetry is not None:
             # Restore the simulator's global step order (cumulative
             # per-worker iteration, then worker position).
-            telemetry_records.sort(
-                key=lambda r: (r.iteration, rank_of[r.worker])
+            telemetry.records.extend(
+                sorted(
+                    (r for w in returned for r in w.telemetry.records),
+                    key=lambda r: (r.iteration, rank_of[r.worker]),
+                )
             )
-            telemetry.records.extend(telemetry_records)
+        for worker in returned:
+            worker.attach(server)
+        trainer.workers[:] = returned
 
-        # The children report this call's deltas, so the simulator's own
-        # summariser builds the result.
+        worker_wall = {
+            d.machine: {
+                **done[rank][1],
+                "steps": d.iterations,
+                "staleness_overruns": d.staleness_overruns,
+                "max_staleness_overrun": d.max_staleness_overrun,
+                # Simulated counterparts, so repro.obs.reconcile can line the
+                # model's prediction up against this worker's measurements.
+                "sim_elapsed": d.clock.elapsed,
+                "sim_comm": d.clock.category("communication"),
+                "sim_compute": d.clock.category("compute"),
+            }
+            for rank, d in enumerate(ledger.deltas())
+        }
         return TrainResult(
             config=cfg,
             system=trainer.system_name,
@@ -225,7 +230,7 @@ def run_mp_training(
             backend=f"mp/{schedule}",
             wall_time_s=wall_time_s,
             worker_wall=worker_wall,
-            **summarize(stats).fields_for(TrainResult),
+            **ledger.summary().fields_for(TrainResult),
         )
     except BaseException:
         _abort(controls, procs)

@@ -11,7 +11,10 @@ role: the parent pickles its own objects with :meth:`SharedArena.dumps`,
 which writes each array :meth:`SharedArena.share` returned as its
 segment's ``{name, shape, dtype}`` spec, and the child's
 :meth:`SharedArena.loads` attaches every named segment in place of the
-array.  Everything else in the object graph travels by value.
+array.  Everything else in the object graph travels by value.  The
+module-level :func:`dumps`/:func:`loads` pair underneath serves the
+other direction too: a child hands its worker back with the parent's own
+objects written as persistent ids.
 
 Cleanup discipline (the part that actually bites):
 
@@ -55,6 +58,28 @@ def shm_segments(prefix: str = SEGMENT_PREFIX) -> list[str]:
         return sorted(n for n in os.listdir("/dev/shm") if n.startswith(prefix))
     except OSError:
         return []
+
+
+def dumps(obj, persistent_id) -> bytes:
+    """Pickle ``obj``, writing each object ``persistent_id`` names as that id.
+
+    ``persistent_id(o)`` returns ``None`` for an object that travels by
+    value.  Both directions of the mp backends use this pair: the parent
+    names shared views (:meth:`SharedArena.dumps`), a child names the
+    parent's own objects its worker must not carry back.
+    """
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.persistent_id = persistent_id
+    pickler.dump(obj)
+    return buffer.getvalue()
+
+
+def loads(blob: bytes, persistent_load):
+    """Unpickle a :func:`dumps` blob, resolving each id by ``persistent_load``."""
+    unpickler = pickle.Unpickler(io.BytesIO(blob))
+    unpickler.persistent_load = persistent_load
+    return unpickler.load()
 
 
 def _defer_unmap(shm: SharedMemory) -> None:
@@ -212,12 +237,8 @@ class SharedArena:
 
     def dumps(self, obj) -> bytes:
         """Pickle ``obj``, writing every :meth:`share` view as its spec."""
-        buffer = io.BytesIO()
-        pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
         specs = self._specs
-        pickler.persistent_id = lambda o: specs.get(id(o))
-        pickler.dump(obj)
-        return buffer.getvalue()
+        return dumps(obj, lambda o: specs.get(id(o)))
 
     @staticmethod
     def loads(blob: bytes, attached: list[SharedArray]):
@@ -236,9 +257,7 @@ class SharedArena:
                 views[spec["name"]] = shared.view()
             return views[spec["name"]]
 
-        unpickler = pickle.Unpickler(io.BytesIO(blob))
-        unpickler.persistent_load = persistent_load
-        return unpickler.load()
+        return loads(blob, persistent_load)
 
     def close(self) -> None:
         """Unlink every owned segment (idempotent)."""

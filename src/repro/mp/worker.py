@@ -1,10 +1,13 @@
 """Child-process side of the mp training backend.
 
-Each worker process unpickles the parent's own worker and parameter
-server from a :class:`WorkerSpec` — shared tables arrive by segment name
-(:meth:`repro.mp.shm.SharedArena.loads`), everything else by value — then
-runs the *same* :meth:`repro.core.worker.Worker.step` loop the simulator
-runs, against the parent's tables:
+Each worker process unpickles the parent's own worker, attached to the
+parent's parameter server, from a :class:`WorkerSpec` — shared tables
+arrive by segment name (:meth:`repro.mp.shm.SharedArena.loads`),
+everything else by value — then runs the *same*
+:meth:`repro.core.worker.Worker.step` loop the simulator runs, against
+the parent's tables, and hands the advanced worker back in its ``done``
+message (its ``PSChannel`` written as a persistent id, so the server never
+travels back):
 
 * ``schedule="sync"``: a global turn counter serializes steps in exactly
   the simulator's round-robin order (worker 0 step 1, worker 1 step 1, …),
@@ -21,9 +24,9 @@ runs, against the parent's tables:
 Wall-clock accounting: the worker's :class:`~repro.faults.rpc.PSChannel`
 (the one every backend pulls and pushes through) times the real seconds
 spent inside the server, and every protocol wait (turn, staleness,
-barrier) is accumulated as stall time.  Both land in the final report for
-:func:`repro.obs.reconcile.reconcile` to compare against the simulated
-clock's predictions.
+barrier) is accumulated as stall time.  Both land in the ``wall`` dict of
+the final report for :func:`repro.obs.reconcile.reconcile` to compare
+against the simulated clock's predictions.
 """
 
 from __future__ import annotations
@@ -33,8 +36,7 @@ import time
 import traceback
 from dataclasses import dataclass
 
-from repro.core.telemetry import Telemetry
-from repro.mp.shm import SharedArena
+from repro.mp.shm import SharedArena, dumps
 
 #: How long a blocked protocol wait sleeps between abort checks (seconds).
 _POLL_S = 0.02
@@ -53,12 +55,11 @@ class WorkerSpec:
 
     rank: int  # index in the spawned-worker order (== sim worker order)
     num_workers: int
-    world: bytes  # SharedArena.dumps((worker, server)) of the parent's own
+    world: bytes  # SharedArena.dumps(worker) of the parent's own, attached
     epochs: int
     iterations: int  # steps per epoch (global max, like the simulator)
     schedule: str  # "sync" | "async"
     staleness_bound: int
-    collect_telemetry: bool = False
     crash_at_step: tuple[int, int] | None = None  # (rank, step) test hook
 
 
@@ -178,17 +179,16 @@ def worker_main(spec: WorkerSpec, controls: MPControls) -> None:
 
 
 def _run(spec: WorkerSpec, controls: MPControls, attached: list) -> None:
-    """Unpickle the worker's world and run every epoch (see worker_main).
+    """Unpickle the worker, run every epoch and send it back (see worker_main).
 
     Separated from :func:`worker_main` so that, on the happy path, this
     frame's death releases every ndarray view into the shared segments
-    before the caller detaches them.  Like :class:`~repro.core.ledger.RunLedger`,
-    the books open before ``worker.start()``: every report is this call's
-    delta, so a worker a previous call advanced reports only this one.
+    before the caller detaches them.  The parent keeps the books; the
+    clock reading at entry only makes each epoch report this call's
+    simulated seconds.
     """
-    worker, server = SharedArena.loads(spec.world, attached)
-    worker.attach(server, telemetry=Telemetry() if spec.collect_telemetry else None)
-    entry = worker.stats()
+    worker = SharedArena.loads(spec.world, attached)
+    entry_clock = worker.clock.elapsed
 
     wall_start = time.perf_counter()
     stall_s = 0.0
@@ -240,7 +240,7 @@ def _run(spec: WorkerSpec, controls: MPControls, attached: list) -> None:
                 spec.rank,
                 epoch + 1,
                 losses,
-                worker.clock.elapsed - entry.clock.elapsed,
+                worker.clock.elapsed - entry_clock,
             )
         )
         if epoch + 1 < spec.epochs:
@@ -256,6 +256,6 @@ def _run(spec: WorkerSpec, controls: MPControls, attached: list) -> None:
         "comm_wall_s": worker.server.comm_wall_s,
         "comm_calls": worker.server.comm_calls,
     }
-    controls.queue.put(
-        ("done", spec.rank, worker.stats().minus(entry), wall, worker.telemetry)
-    )
+    # The parent's server stays put: the channel to it travels as an id.
+    back = dumps(worker, lambda o: "channel" if o is worker.server else None)
+    controls.queue.put(("done", spec.rank, back, wall))

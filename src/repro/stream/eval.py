@@ -46,15 +46,6 @@ class PrequentialResult:
     def final_mrr(self) -> float:
         return self.points[-1].mrr if self.points else 0.0
 
-    @property
-    def mean_mrr(self) -> float:
-        if not self.points:
-            return 0.0
-        return float(np.mean([p.mrr for p in self.points]))
-
-    def as_series(self) -> tuple[list[int], list[float]]:
-        """(steps, mrr) columns for plotting/reporting."""
-        return [p.step for p in self.points], [p.mrr for p in self.points]
 
 
 class PrequentialEvaluator:

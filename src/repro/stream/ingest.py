@@ -316,7 +316,10 @@ class OnlineTrainer:
         ]
         rebuilds_before = sum(strategy.rebuilds for strategy in adaptive)
         points_before = len(self.evaluator.result.points)
-        self.graph = train_graph
+        # A later call continues the graph an earlier one edited, as the
+        # workers' local graphs do.
+        if self._graph is None:
+            self.graph = train_graph
         by_machine = {w.machine: w for w in trainer.workers}
         machines = sorted(by_machine)
         owner_ids = np.arange(trainer.server.store.num_machines)

@@ -268,6 +268,34 @@ class TestRepeatedTrainCalls:
                 store.table(kind).shape
             )
 
+    @pytest.mark.parametrize("filter_false_negatives", [False, True])
+    def test_second_online_train_continues_the_global_graph(
+        self, small_graph, filter_false_negatives
+    ):
+        """Regression: a second ``OnlineTrainer.train`` restarted the global
+        graph from ``train_graph``, dropping the edits the first call had
+        applied while the workers' local graphs kept them."""
+        trainer = HETKGTrainer(
+            config(
+                cache_strategy="adaptive", epochs=1,
+                filter_false_negatives=filter_false_negatives,
+            )
+        )
+        trainer.setup(small_graph)
+        stream = make_stream(
+            "rotation", small_graph, steps=4 * trainer.steps_per_epoch,
+            seed=5, interval=2, inserts_per_update=16,
+        )
+        online = OnlineTrainer(trainer, stream)
+        online.train(small_graph)
+        online.train(small_graph)
+
+        def rows(triples):
+            return sorted(map(tuple, np.asarray(triples).tolist()))
+
+        local = np.concatenate([w.sampler.graph.triples for w in trainer.workers])
+        assert rows(online.graph.triples) == rows(local)
+
     def test_pbg_second_train_reports_equal_totals(self):
         graph = self._two_entity_graph()
         trainer = PBGTrainer(

@@ -196,6 +196,21 @@ def _assert_identical(ref, got):
         assert np.array_equal(got["acc"][kind], ref["acc"][kind])
 
 
+def _assert_same_summary(ref, got):
+    """Every ``RunSummary`` field a ``TrainResult`` carries is equal."""
+    from dataclasses import fields
+
+    from repro.core.ledger import RunSummary
+    from repro.core.trainer import TrainResult
+
+    shared = {f.name for f in fields(RunSummary)} & {
+        f.name for f in fields(TrainResult)
+    }
+    assert {"sim_time", "cache_hit_ratio", "neg_cache_stats"} <= shared
+    for name in sorted(shared):
+        assert getattr(got, name) == getattr(ref, name), name
+
+
 class TestSyncBitIdentity:
     @pytest.mark.parametrize("system", ["hetkg-d", "hetkg-c", "dglke"])
     def test_identical_to_simulator(self, system, mp_data):
@@ -223,26 +238,16 @@ class TestSyncBitIdentity:
         _assert_identical(_fingerprint(sim, r_sim), _fingerprint(mp, r_mp))
 
     def test_every_summary_field_equals_simulator(self, mp_data):
-        """Both backends build their result with one ``summarize``; every
+        """Both backends build their result with one ``RunLedger``; every
         field it produces must agree, without this test naming them."""
-        from dataclasses import fields
-
-        from repro.core.ledger import RunSummary
-        from repro.core.trainer import TrainResult
-
         _, split = mp_data
         cfg = mp_config(neg_cache="nscaching", filter_false_negatives=True)
         r_sim = make_trainer("hetkg-d", cfg).train(split.train)
         r_mp = make_trainer("hetkg-d", cfg).train_mp(
             split.train, schedule="sync", start_method="fork"
         )
-        shared = {f.name for f in fields(RunSummary)} & {
-            f.name for f in fields(TrainResult)
-        }
-        assert {"sim_time", "cache_hit_ratio", "neg_cache_stats"} <= shared
         assert r_sim.neg_cache_stats["refreshes"] > 0
-        for name in sorted(shared):
-            assert getattr(r_mp, name) == getattr(r_sim, name), name
+        _assert_same_summary(r_sim, r_mp)
         assert [p.sim_time for p in r_mp.history.points] == [
             p.sim_time for p in r_sim.history.points
         ]
@@ -294,6 +299,50 @@ class TestSyncBitIdentity:
         r_sim = sim.train(split.train)
         r_mp = mp.train_mp(split.train, schedule="sync", start_method="fork")
         _assert_identical(_fingerprint(sim, r_sim), _fingerprint(mp, r_mp))
+
+
+class TestWorkersComeBack:
+    """Each child hands its advanced worker back, so ``train_mp`` is one
+    more call on the trainer: whatever follows it continues from where
+    the children left off, as after ``train()``."""
+
+    def test_train_after_mp_equals_a_second_train(self, mp_data):
+        _, split = mp_data
+        cfg = mp_config(neg_cache="nscaching", filter_false_negatives=True)
+        sim = make_trainer("hetkg-d", cfg)
+        mp = make_trainer("hetkg-d", cfg)
+        sim.train(split.train)
+        mp.train_mp(split.train, schedule="sync", start_method="fork")
+        r_sim = sim.train(split.train)
+        r_mp = mp.train(split.train)
+        _assert_identical(_fingerprint(sim, r_sim), _fingerprint(mp, r_mp))
+        _assert_same_summary(r_sim, r_mp)
+
+    def test_two_mp_calls_equal_two_trains(self, mp_data):
+        _, split = mp_data
+        sim = make_trainer("hetkg-d", mp_config())
+        mp = make_trainer("hetkg-d", mp_config())
+        for _ in range(2):
+            r_sim = sim.train(split.train)
+            r_mp = mp.train_mp(split.train, schedule="sync", start_method="fork")
+            _assert_identical(_fingerprint(sim, r_sim), _fingerprint(mp, r_mp))
+            _assert_same_summary(r_sim, r_mp)
+
+    def test_parent_workers_match_the_simulators(self, mp_data):
+        _, split = mp_data
+        sim = make_trainer("hetkg-d", mp_config())
+        mp = make_trainer("hetkg-d", mp_config())
+        sim.train(split.train)
+        mp.train_mp(split.train, schedule="sync", start_method="fork")
+        assert len(mp.workers) == len(sim.workers)
+        for ref, got in zip(sim.workers, mp.workers):
+            assert got.stats() == ref.stats()
+            assert got.sampler._cursor == ref.sampler._cursor
+            assert np.array_equal(got.sampler._order, ref.sampler._order)
+            for kind in ("entity", "relation"):
+                assert np.array_equal(
+                    got.cache.cached_ids(kind), ref.cache.cached_ids(kind)
+                )
 
 
 # ----------------------------------------------------------- async schedule
@@ -351,6 +400,9 @@ class TestCrashPropagation:
     def test_child_crash_raises_and_leaves_no_segments(self, mp_data):
         _, split = mp_data
         trainer = make_trainer("hetkg-d", mp_config(epochs=1))
+        trainer.setup(split.train)
+        workers = list(trainer.workers)
+        before = [w.stats() for w in workers]
         with pytest.raises(MPWorkerCrashed, match="worker 1"):
             trainer.train_mp(
                 split.train,
@@ -358,6 +410,10 @@ class TestCrashPropagation:
                 start_method="fork",
                 crash_at_step=(1, 5),
             )
+        # No worker comes back unless every one does.
+        assert len(trainer.workers) == len(workers)
+        assert all(got is w for got, w in zip(trainer.workers, workers))
+        assert [w.stats() for w in trainer.workers] == before
         # The autouse fixture asserts no /dev/shm residue; additionally
         # the trainer's tables must be private (not dangling shm views).
         trainer.server.store.table("entity")[0, 0] += 1.0  # must not raise
