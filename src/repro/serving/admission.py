@@ -351,9 +351,9 @@ class LoadShedder:
     def is_shedding(self, priority: int) -> bool:
         return self._active.get(priority, False)
 
-    def truncated_candidates(self, candidates: tuple) -> tuple:
-        """The degraded ladder rung: the candidate prefix to score."""
-        if not candidates:
+    def truncated_candidates(self, candidates: np.ndarray) -> np.ndarray:
+        """The degraded ladder rung: the candidate prefix to score (a view)."""
+        if not len(candidates):
             return candidates
         keep = max(1, int(len(candidates) * self.degrade_keep))
         return candidates[:keep]

@@ -286,10 +286,15 @@ class ServingFrontend:
         with self.trace.span("serve.fetch", "communication") as span:
             # The batch's distinct rows, ascending (the order a reactive
             # cache sees them in decides what it evicts).
-            entities: set[int] = set()
-            for query in batch:
-                entities.update(query.anchors(), query.candidates)
-            entity_ids = np.array(sorted(entities), dtype=np.int64)
+            anchors = [a for query in batch for a in query.anchors()]
+            entity_ids = np.unique(
+                np.concatenate(
+                    [
+                        np.array(anchors, dtype=np.int64),
+                        *(query.candidates for query in batch),
+                    ]
+                )
+            )
             relation_ids = np.array(
                 sorted({q.relation for q in batch}), dtype=np.int64
             )

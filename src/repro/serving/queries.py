@@ -17,6 +17,7 @@ the :mod:`repro.serving.workload` generator produces streams of them and
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +48,48 @@ def _check_id(name: str, value, optional: bool = False) -> None:
         raise ValueError(f"query {name} must be a non-negative integer id, got {value!r}")
 
 
-@dataclass(frozen=True)
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+#: The candidates of a query that has none (every ``score`` query).
+NO_CANDIDATES = _read_only(np.empty(0, dtype=np.int64))
+
+
+def _candidate_array(candidates) -> np.ndarray:
+    """``candidates`` as a read-only 1-D int64 array, checked before it is
+    converted: a cast would turn ``2.9`` into entity 2 and ``True`` into
+    entity 1.  A read-only 1-D int64 array comes back as given."""
+    if not len(candidates):
+        return NO_CANDIDATES
+    if not isinstance(candidates, np.ndarray):
+        if not all(type(c) is int and c >= 0 for c in candidates):
+            for c in candidates:
+                _check_id("candidates", c)
+        return _read_only(np.array(candidates, dtype=np.int64))
+    if candidates.ndim != 1:
+        raise ValueError(
+            f"query candidates must be a 1-D sequence of ids, got shape {candidates.shape}"
+        )
+    # One reduction finds the id a cast would corrupt: the smallest signed
+    # one, the largest unsigned one.  Any other dtype (bool, float) holds
+    # no ids at all.
+    kind = candidates.dtype.kind
+    if kind not in "iu":
+        worst = candidates[0]
+    else:
+        worst = candidates.min() if kind == "i" else candidates.max()
+    if kind not in "iu" or not 0 <= worst <= np.iinfo(np.int64).max:
+        raise ValueError(
+            f"query candidates must be a non-negative integer id, got {worst!r}"
+        )
+    if candidates.dtype == np.int64 and not candidates.flags.writeable:
+        return candidates
+    return _read_only(candidates.astype(np.int64))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Query:
     """One inference request.
 
@@ -56,6 +98,12 @@ class Query:
     against a curated candidate list (recommendation retrieval) or a
     sampled one; carrying the set on the query keeps the frontend
     deterministic and lets the workload generator control its skew.
+
+    The constructor takes any sequence of integer ids and stores a
+    read-only 1-D int64 array: a read-only int64 array is kept as given
+    (a generated log's candidates are row views of one array), anything
+    else is copied once.  Queries with equal fields compare equal,
+    candidates compared by value.
 
     ``head``, ``relation``, ``tail`` and every candidate are non-negative
     integer ids (``ValueError`` otherwise); the side a prediction query
@@ -69,7 +117,7 @@ class Query:
     relation: int
     tail: int | None
     arrival: float
-    candidates: tuple[int, ...] = ()
+    candidates: Sequence[int] | np.ndarray = ()
     #: Multi-tenant serving: which tenant issued the query.  The empty
     #: string is the anonymous single-tenant default and is exempt from
     #: admission control unless the controller defines a ``*`` bucket.
@@ -86,9 +134,33 @@ class Query:
         _check_id("relation", self.relation)
         _check_id("head", self.head, optional=self.kind == HEAD_PREDICTION)
         _check_id("tail", self.tail, optional=self.kind == TAIL_PREDICTION)
-        if not all(type(c) is int and c >= 0 for c in self.candidates):
-            for c in self.candidates:
-                _check_id("candidates", c)
+        object.__setattr__(self, "candidates", _candidate_array(self.candidates))
+
+    def _key(self) -> tuple:
+        return (
+            self.qid, self.kind, self.head, self.relation, self.tail,
+            self.arrival, self.tenant,
+        )
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key() and np.array_equal(
+            self.candidates, other.candidates
+        )
+
+    def __hash__(self) -> int:
+        return hash((*self._key(), self.candidates.tobytes()))
+
+    def __reduce__(self):
+        # Rebuilt through the constructor: an unpickled array is writeable.
+        return (
+            Query,
+            (
+                self.qid, self.kind, self.head, self.relation, self.tail,
+                self.arrival, self.candidates, self.tenant,
+            ),
+        )
 
     # ------------------------------------------------------------- accesses
 
@@ -102,8 +174,8 @@ class Query:
 
     def entity_ids(self) -> np.ndarray:
         """Entity rows this query touches (duplicates preserved)."""
-        return np.asarray(
-            [*self.anchors(), *self.candidates], dtype=np.int64
+        return np.concatenate(
+            (np.array(self.anchors(), dtype=np.int64), self.candidates)
         )
 
     def relation_ids(self) -> np.ndarray:

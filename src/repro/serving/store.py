@@ -177,7 +177,7 @@ class EmbeddingStore:
             relation=relation,
             tail=tail,
             arrival=0.0,
-            candidates=tuple(np.asarray(candidates, dtype=np.int64).tolist()),
+            candidates=candidates,
         )
         return self.answer([query], k)[0]
 
@@ -195,29 +195,34 @@ class EmbeddingStore:
         score first, ties to the lower id.
         """
         check_top_k(k)
-        entity_ids: list[int] = []
+        reads = []  # (anchor, candidates) of each query that reads rows
         relation_ids: list[int] = []
         anchors: list[int] = []  # where each reading query's rows start
         sizes: list[int] = []  # rows each reading query scores
         fills_head: list[bool] = []
+        rows = 0
         for query in queries:
             # A score query is its head anchoring one tail candidate.
             if query.kind == SCORE:
-                anchor, candidates = query.head, (query.tail,)
-            elif query.candidates:
+                anchor, candidates, n = query.head, query.tail, 1
+            elif len(query.candidates):
                 anchor = query.tail if query.kind == HEAD_PREDICTION else query.head
                 candidates = query.candidates
+                n = len(candidates)
             else:
                 continue
-            anchors.append(len(entity_ids))
-            entity_ids.append(anchor)
-            entity_ids += candidates
-            sizes.append(len(candidates))
+            reads.append((anchor, candidates))
+            anchors.append(rows)
+            rows += 1 + n
+            sizes.append(n)
             relation_ids.append(query.relation)
             fills_head.append(query.kind == HEAD_PREDICTION)
         if not sizes:
             return [np.empty(0, dtype=np.int64) for _ in queries]
-        entities = np.array(entity_ids, dtype=np.int64)
+        entities = np.empty(rows, dtype=np.int64)
+        for start, n, (anchor, candidates) in zip(anchors, sizes, reads):
+            entities[start] = anchor
+            entities[start + 1 : start + 1 + n] = candidates
         ent = self.gather("entity", entities)
         rel = self.gather("relation", np.array(relation_ids, dtype=np.int64))
         # Score row i, of reading query q, pairs q's anchor with the

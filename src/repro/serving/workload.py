@@ -27,6 +27,7 @@ from repro.kg.graph import KnowledgeGraph
 from repro.kg.stats import access_frequencies
 from repro.serving.queries import (
     HEAD_PREDICTION,
+    NO_CANDIDATES,
     SCORE,
     TAIL_PREDICTION,
     Query,
@@ -34,6 +35,10 @@ from repro.serving.queries import (
 )
 from repro.utils.rng import make_rng
 from repro.utils.validation import check_positive
+
+
+#: Queries whose candidates one ``Generator.choice`` call draws.
+CANDIDATE_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -185,15 +190,15 @@ class ZipfianWorkload:
         heads = self._sample_entities(rng, n)
         tails = self._sample_entities(rng, n)
         relations = self._sample_relations(rng, n)
-        candidates = self._sample_entities(rng, n * spec.num_candidates).reshape(
-            n, spec.num_candidates
-        )
+        kind_names = (SCORE, TAIL_PREDICTION, HEAD_PREDICTION)
+        candidates = self._sample_candidates(rng, kinds != kind_names.index(SCORE))
+
+        rows = iter(candidates)  # each prediction query's row view, in order
 
         queries = []
-        kind_names = (SCORE, TAIL_PREDICTION, HEAD_PREDICTION)
         for i in range(n):
             kind = kind_names[kinds[i]]
-            cand = () if kind == SCORE else tuple(candidates[i].tolist())
+            cand = NO_CANDIDATES if kind == SCORE else next(rows)
             queries.append(
                 Query(
                     qid=i,
@@ -206,3 +211,26 @@ class ZipfianWorkload:
                 )
             )
         return QueryLog(queries)
+
+    def _sample_candidates(
+        self, rng: np.random.Generator, predicts: np.ndarray
+    ) -> np.ndarray:
+        """One read-only ``(predictions, num_candidates)`` array: the
+        candidate rows of the queries ``predicts`` marks.
+
+        Every query draws its row, ``CANDIDATE_BLOCK`` queries per
+        ``choice`` call; a call spends one double per draw, so the stream
+        is the one ``n * num_candidates`` call's, without its float, rank
+        and id temporaries or the score queries' rows.
+        """
+        c = self.spec.num_candidates
+        out = np.empty((int(predicts.sum()), c), dtype=np.int64)
+        row = 0
+        for start in range(0, len(predicts), CANDIDATE_BLOCK):
+            keep = predicts[start : start + CANDIDATE_BLOCK]
+            block = self._sample_entities(rng, len(keep) * c).reshape(len(keep), c)
+            kept = block[keep]
+            out[row : row + len(kept)] = kept
+            row += len(kept)
+        out.flags.writeable = False
+        return out

@@ -19,13 +19,60 @@ no sparse matrix whose Python-side constructor and validation cost more
 than the loop at a step's sizes (docs/performance.md §13).  The module is
 private; its signature and accumulate-into-``y`` semantics are those of
 every scipy since 0.14, and ``tests/test_perf_equivalence.py`` pins both.
+
+The extension is loaded at first use and on its own (:func:`sparsetools`):
+importing the ``scipy.sparse`` package to reach it runs its whole Python
+layer, ~0.2 s of a training process's first step and ~13 MiB of peak
+RSS that nothing else here uses (docs/performance.md §6).
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from collections.abc import Sequence
+from types import ModuleType
 
 import numpy as np
+
+_SPARSETOOLS = "scipy.sparse._sparsetools"
+
+
+@functools.cache
+def sparsetools() -> ModuleType:
+    """scipy's compiled ``scipy.sparse._sparsetools``, loaded once.
+
+    The module an imported ``scipy.sparse`` loaded, when there is one;
+    otherwise the extension file itself, found through scipy's import spec
+    (which runs no ``scipy/__init__``) and loaded without importing any
+    scipy package.  ``ImportError`` naming the paths tried if it is not
+    there.
+    """
+    loaded = sys.modules.get(_SPARSETOOLS)
+    if loaded is not None:
+        return loaded
+    spec = importlib.util.find_spec("scipy")
+    roots = spec.submodule_search_locations if spec is not None else None
+    tried = [
+        os.path.join(root, "sparse", "_sparsetools" + suffix)
+        for root in roots or ()
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES
+    ]
+    for path in tried:
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(_SPARSETOOLS, path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_loader(_SPARSETOOLS, loader)
+            )
+            loader.exec_module(module)
+            return module
+    raise ImportError(
+        f"scatter_add_rows needs scipy's compiled {_SPARSETOOLS}; looked for "
+        + (", ".join(tried) if tried else "an installed scipy package")
+    )
 
 
 def scatter_add_rows(
@@ -76,17 +123,12 @@ def scatter_add_rows(
     out = np.zeros((n_out, d), dtype=np.float64)
     if not checked:
         return out
-    # Imported at first use: only training scatters, and nothing else in the
-    # package needs scipy (module-top import costs ~13 MiB of peak RSS).
-    from scipy.sparse import _sparsetools
-
+    csc_matvecs = sparsetools().csc_matvecs
     n_max = max(len(indices) for indices, _ in checked)
     indptr = np.arange(n_max + 1)
     ones = np.ones(n_max)
     flat = out.reshape(-1)
     for indices, rows in checked:
         n = len(indices)
-        _sparsetools.csc_matvecs(
-            n_out, n, d, indptr[: n + 1], indices, ones[:n], rows, flat
-        )
+        csc_matvecs(n_out, n, d, indptr[: n + 1], indices, ones[:n], rows, flat)
     return out

@@ -416,12 +416,15 @@ class TestScatterAdd:
         """The compiled loop writes through its indices unchecked, so an
         out-of-range index in the *last* block must stop the call before
         any block is added."""
-        from scipy.sparse import _sparsetools
+        from repro.utils.kernels import sparsetools
 
         calls = []
         monkeypatch.setattr(
-            _sparsetools, "csc_matvecs", lambda *args: calls.append(args)
+            sparsetools(), "csc_matvecs", lambda *args: calls.append(args)
         )
+        scatter_add_rows([(np.array([0]), np.ones((1, 3)))], 5)
+        assert len(calls) == 1, "the patch missed the module the kernel calls"
+        calls.clear()
         good = (np.array([0, 1]), np.ones((2, 3)))
         for bad, message in (
             ((np.array([2, 5]), np.ones((2, 3))), "index 5 is out of range for n_out=5"),

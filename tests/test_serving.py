@@ -66,6 +66,10 @@ class TestQuery:
             ("tail", "candidates", (7, 2.5)),
             ("tail", "candidates", (False, 8)),
             ("head", "candidates", (np.int32(7), None)),
+            ("tail", "candidates", np.array([7, -1])),
+            ("tail", "candidates", np.array([7.0, 8.0])),
+            ("tail", "candidates", np.array([True, False])),
+            ("tail", "candidates", np.array([2**63], dtype=np.uint64)),
         ],
     )
     def test_rejects_ids_that_are_not_non_negative_ints(self, kind, field, value):
@@ -93,6 +97,45 @@ class TestQuery:
         assert q.entity_ids().tolist() == [
             *(int(a) for a in q.anchors()), 7, 8
         ]
+
+    def test_candidates_are_a_read_only_int64_array(self):
+        for given in ((7, 8, 9), [7, 8, 9], np.array([7, 8, 9], dtype=np.int32)):
+            q = Query(qid=0, kind="tail", head=3, relation=1, tail=None,
+                      arrival=0.0, candidates=given)
+            assert q.candidates.dtype == np.int64 and q.candidates.ndim == 1
+            assert not q.candidates.flags.writeable
+            assert q.candidates.tolist() == [7, 8, 9]
+        assert score_query(0).candidates.shape == (0,)
+        with pytest.raises(ValueError, match="1-D"):
+            Query(qid=0, kind="tail", head=3, relation=1, tail=None,
+                  arrival=0.0, candidates=np.ones((2, 2), dtype=np.int64))
+
+    def test_a_read_only_int64_array_is_kept_and_a_writeable_one_copied(self):
+        frozen = np.array([7, 8], dtype=np.int64)
+        frozen.flags.writeable = False
+        kept = Query(qid=0, kind="tail", head=3, relation=1, tail=None,
+                     arrival=0.0, candidates=frozen)
+        assert kept.candidates is frozen
+        writeable = np.array([7, 8], dtype=np.int64)
+        copied = Query(qid=0, kind="tail", head=3, relation=1, tail=None,
+                       arrival=0.0, candidates=writeable)
+        assert not np.shares_memory(copied.candidates, writeable)
+        writeable[0] = 99
+        assert copied.candidates.tolist() == [7, 8]
+
+    def test_equal_fields_compare_equal_and_hash_alike(self):
+        import pickle
+
+        a = Query(qid=1, kind="head", head=None, relation=1, tail=4,
+                  arrival=0.5, candidates=(7, 8))
+        b = Query(qid=1, kind="head", head=None, relation=1, tail=4,
+                  arrival=0.5, candidates=np.array([7, 8], dtype=np.uint8))
+        c = Query(qid=1, kind="head", head=None, relation=1, tail=4,
+                  arrival=0.5, candidates=(7, 9))
+        assert a == b and hash(a) == hash(b)
+        assert a != c
+        back = pickle.loads(pickle.dumps(a))
+        assert back == a and not back.candidates.flags.writeable
 
     def test_log_access_counts(self):
         log = QueryLog([score_query(0, head=1, tail=2), score_query(1, head=1, tail=3)])
@@ -246,7 +289,7 @@ class TestZipfianWorkload:
         assert [q.head for q in a] == [q.head for q in b]
         assert [q.arrival for q in a] == [q.arrival for q in b]
         assert [q.kind for q in a] == [q.kind for q in b]
-        assert [q.candidates for q in a] == [q.candidates for q in b]
+        assert [q.candidates.tolist() for q in a] == [q.candidates.tolist() for q in b]
 
     def test_different_seeds_differ(self):
         a = ZipfianWorkload(50, 7, WorkloadSpec(num_queries=200, seed=1)).generate()
@@ -341,6 +384,20 @@ class TestEmbeddingStore:
         )
         best = candidates[np.lexsort((candidates, -scores))][:5]
         assert top.tolist() == best.tolist()
+
+    @pytest.mark.parametrize(
+        "candidates", [np.array([2.9, 4.2]), np.array([True, False])],
+        ids=["float", "bool"],
+    )
+    def test_rank_candidates_rejects_ids_that_are_not_integers(
+        self, trained, candidates
+    ):
+        """A cast to int64 before the check used to rank entities [2 4]
+        for [2.9, 4.2] and [0 1] for [True, False]."""
+        trainer, _, _ = trained
+        store = EmbeddingStore.from_trainer(trainer)
+        with pytest.raises(ValueError, match="query candidates must be"):
+            store.rank_candidates(0, 1, None, candidates, k=2)
 
     @pytest.mark.parametrize("k", [0, -1, -2])
     def test_top_k_below_one_is_rejected(self, trained, k):

@@ -247,6 +247,12 @@ class TestLoadShedder:
         assert shedder.truncated_candidates((7,)) == (7,)
         assert shedder.truncated_candidates(()) == ()
 
+    def test_truncated_candidates_of_an_array_is_a_view(self):
+        shedder = LoadShedder(slo=1.0, degrade_keep=0.5)
+        candidates = np.arange(4, dtype=np.int64)
+        kept = shedder.truncated_candidates(candidates)
+        assert kept.tolist() == [0, 1] and kept.base is candidates
+
     def test_projection_includes_backlog_queue_and_wait(self):
         shedder = LoadShedder(slo=1.0)
         shedder.observe_batch(1, 0.01)

@@ -733,7 +733,7 @@ class TestServingTiered:
         for q in queries:
             if q.kind == "score":
                 entity_rows += 2
-            elif q.candidates:
+            elif len(q.candidates):
                 entity_rows += 1 + len(q.candidates)
             else:
                 continue
