@@ -24,6 +24,7 @@ from repro.experiments.registry import (
     run_experiment,
     run_experiments,
 )
+from repro.mp import backend as mp_backend
 from repro.serving.cache import ServingCache, cache_policies
 
 
@@ -109,31 +110,29 @@ CONTEXTS: dict[str, tuple[Callable[[Any], bool], str]] = {
 }
 
 _TRAIN, _SERVE = ("train",), ("serve-bench",)
+_MP_ONLY = mp_backend.MP_ONLY_REASON
 _OVERLOAD = (
     "the overload layer (admission windows, shed ladders, deploy swaps, "
     "retrying pulls) is stateful per stream and modelled single-frontend"
 )
-_MP_ONLY = "it configures the mp backend's processes"
 
 #: Every flag-compatibility rule of ``train``/``serve-bench``/``stream``,
 #: stated once.  :func:`usage_errors` checks an invocation against it
 #: before any work starts; it is plain data, so a scenario generator can
-#: use the same rows as its validity oracle.
+#: use the same rows as its validity oracle.  The ``mp`` and ``sim`` rows
+#: of ``train`` quote the reasons ``HETKGTrainer.train(backend=...)``
+#: raises (:mod:`repro.mp.backend`).
 RULES: tuple[Rule, ...] = (
-    Rule("--trace", _TRAIN + _SERVE, _given("trace"), ("mp",),
-         "the span tracer is process-local"),
+    Rule("--trace", _TRAIN + _SERVE, _given("trace"), ("mp",), mp_backend.TRACE_REASON),
     Rule("--trace", _TRAIN, _given("trace"), ("pbg",),
          "PBG's block-swap loop emits no spans"),
-    Rule("--faults", _TRAIN, _given("faults"), ("mp", "pbg"),
-         "faults are injected into the PS channels of the simulator's in-process workers"),
+    Rule("--faults", _TRAIN, _given("faults"), ("mp", "pbg"), mp_backend.FAULTS_REASON),
     Rule("--checkpoint-every", _TRAIN, _given("checkpoint_every"), ("mp", "pbg"),
-         "crash recovery snapshots the simulator's in-process PS shards"),
+         mp_backend.CHECKPOINT_REASON),
     Rule("--backing tiered", _TRAIN + _SERVE, _is("backing", "tiered"), ("mp", "pbg"),
-         "tiered tables live in one process's parameter-server store (file "
-         "handles are process-local, and PBG has no such store)"),
+         mp_backend.TIERED_REASON),
     Rule("--system pbg", _TRAIN + ("stream",), _is("system", "pbg"), ("mp", "stream"),
-         "PBG runs its own block-swap loop in one address space, with no "
-         "parameter-server workers or cache to drive"),
+         mp_backend.PBG_REASON),
     Rule("--neg-cache", _TRAIN, lambda args: args.neg_cache not in (None, "off"), ("pbg",),
          "PBG's corruption loop never goes through the NegativeSampler "
          "seam the cache plugs into"),
@@ -666,8 +665,6 @@ def _train(args: argparse.Namespace) -> int:
     from repro.kg.splits import split_triples
     from repro.utils.tables import format_table
 
-    use_mp = args.backend == "mp"
-
     if args.tsv is not None:
         graph = load_tsv(args.tsv)
         source = args.tsv
@@ -703,33 +700,22 @@ def _train(args: argparse.Namespace) -> int:
 
     trainer = make_trainer(args.system, config)
     start = time.time()
-    train_kwargs = {}
+    options = dict(
+        faults=fault_plan, checkpoint_every=args.checkpoint_every,
+        schedule=args.mp_schedule, staleness_bound=args.mp_staleness, start_method=args.mp_start,
+    )
     if fault_plan is not None or args.checkpoint_every is not None:
-        train_kwargs = dict(
-            faults=fault_plan,
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_path=args.checkpoint,
-        )
-    if use_mp:
-        result = trainer.train_mp(
-            split.train,
-            eval_graph=split.test,
-            filter_set=graph.triple_set(),
-            eval_max_queries=args.eval_queries,
-            eval_candidates=None,
-            schedule=args.mp_schedule or "async",
-            staleness_bound=args.mp_staleness,
-            start_method=args.mp_start,
-        )
-    else:
-        result = trainer.train(
-            split.train,
-            eval_graph=split.test,
-            filter_set=graph.triple_set(),
-            eval_max_queries=args.eval_queries,
-            eval_candidates=None,
-            **train_kwargs,
-        )
+        options["checkpoint_path"] = args.checkpoint  # otherwise only saved at the end
+    # RULES turned down what this trainer and backend cannot take.
+    result = trainer.train(
+        split.train,
+        eval_graph=split.test,
+        filter_set=graph.triple_set(),
+        eval_max_queries=args.eval_queries,
+        eval_candidates=None,
+        backend=args.backend,
+        **{name: value for name, value in options.items() if value is not None},
+    )
     print(
         format_table(
             ["system", "MRR", "Hits@1", "Hits@10", "sim time (s)", "comm frac", "cache hits"],
@@ -747,7 +733,7 @@ def _train(args: argparse.Namespace) -> int:
         )
     )
     print(f"(wall time: {time.time() - start:.1f}s)")
-    if use_mp:
+    if args.backend == "mp":
         from repro.obs import reconcile
 
         print(reconcile(result).to_text())

@@ -16,7 +16,6 @@ from repro.core.config import TrainingConfig
 from repro.core.trainer import HETKGTrainer, TrainResult, make_trainer
 from repro.core.baselines import DGLKETrainer, PBGTrainer
 from repro.core.evaluation import evaluate_link_prediction, LinkPredictionResult
-from repro.core.classification import classify_triples, ClassificationResult
 from repro.core.checkpoint import save_checkpoint, load_checkpoint
 from repro.core.convergence import TrainingHistory, HistoryPoint
 from repro.core.telemetry import Telemetry, IterationRecord
@@ -30,8 +29,6 @@ __all__ = [
     "PBGTrainer",
     "evaluate_link_prediction",
     "LinkPredictionResult",
-    "classify_triples",
-    "ClassificationResult",
     "save_checkpoint",
     "load_checkpoint",
     "TrainingHistory",

@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.compute import compute_batch_gradients
 from repro.core.config import TrainingConfig
 from repro.core.convergence import TrainingHistory
-from repro.core.ledger import RunLedger, WorkerStats, epoch_point
+from repro.core.ledger import RunLedger, WorkerStats, check_eval_budget, epoch_point
 from repro.core.evaluation import LinkPredictionResult, evaluate_link_prediction
 from repro.core.trainer import HETKGTrainer, TrainResult
 from repro.kg.graph import KnowledgeGraph
@@ -226,10 +226,17 @@ class PBGTrainer:
         eval_graph: KnowledgeGraph | None = None,
         filter_set: set[tuple[int, int, int]] | None = None,
         eval_every: int | None = None,
-        eval_max_queries: int = 200,
+        eval_max_queries: int | None = 200,
         eval_candidates: int | None = 500,
+        *,
+        backend: str = "sim",
     ) -> TrainResult:
-        """Run ``config.epochs`` sweeps over all buckets."""
+        """Run ``config.epochs`` sweeps over all buckets (simulator only)."""
+        check_eval_budget(eval_every, eval_max_queries, eval_candidates)
+        if backend != "sim":
+            from repro.mp.backend import PBG_REASON, MPUnsupportedError
+
+            raise MPUnsupportedError(f"PBG trains with backend='sim' only: {PBG_REASON}")
         self.setup(train_graph)
         cfg = self.config
         history = TrainingHistory()

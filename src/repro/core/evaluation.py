@@ -20,6 +20,7 @@ import numpy as np
 from repro.kg.graph import KnowledgeGraph
 from repro.models.base import KGEModel
 from repro.utils.rng import make_rng
+from repro.utils.validation import check_positive
 
 
 @dataclass
@@ -261,6 +262,9 @@ def evaluate_link_prediction(
     :func:`_ranks_sampled_batched`; the per-query loop they replaced is the
     equivalence oracle in ``tests/reference/evaluation_reference.py``.
     """
+    for name, value in (("max_queries", max_queries), ("num_candidates", num_candidates)):
+        if value is not None:
+            check_positive(name, value)
     rng = make_rng(seed)
     triples = test.triples
     if max_queries is not None and len(triples) > max_queries:

@@ -11,12 +11,12 @@ trainer's, the mp backend's — is built by one :class:`RunLedger`:
 3. :meth:`RunLedger.summary` merges the per-worker deltas into the numbers
    every result type carries (:class:`RunSummary`).
 
-The mp backend opens its ledger over ``trainer.workers`` before spawning
-and reads it after the children hand their advanced workers back, so the
-``sync`` schedule equals the simulator because both backends report
-through this one class.
+``train()`` opens one ledger whichever executor runs its epochs (the mp
+children hand their advanced workers back before it is read), so mp's
+``sync`` schedule equals the simulator: both report through this class.
 :func:`epoch_point` is the shared epoch boundary (evaluate if due →
-:class:`~repro.core.convergence.HistoryPoint`).
+:class:`~repro.core.convergence.HistoryPoint`), and
+:func:`check_eval_budget` checks its budget when a call starts.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.core.convergence import HistoryPoint
 from repro.ps.network import CommRecord
+from repro.utils.validation import check_positive
 from repro.utils.simclock import SimClock
 
 
@@ -173,6 +174,18 @@ class RunLedger:
             tier_time=self._tier_clock.elapsed - self._entry_tier,
             recovery_time=sum(d.clock.category("recovery") for d in deltas),
         )
+
+
+def check_eval_budget(
+    eval_every: int | None, max_queries: int | None, num_candidates: int | None
+) -> None:
+    """Reject, before a call's first step, a budget :func:`epoch_point`
+    cannot honour (``None`` is always fine)."""
+    budget = {"eval_every": eval_every, "eval_max_queries": max_queries,
+              "eval_candidates": num_candidates}
+    for name, value in budget.items():
+        if value is not None:
+            check_positive(name, value)
 
 
 def epoch_point(

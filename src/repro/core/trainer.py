@@ -13,7 +13,9 @@ pull-everything-per-batch loop, which is how the baseline is implemented
 from __future__ import annotations
 
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
+from functools import partialmethod
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from repro.cache.strategies import (
 from repro.cache.sync import HotEmbeddingCache
 from repro.core.config import TrainingConfig
 from repro.core.convergence import TrainingHistory
-from repro.core.ledger import RunLedger, epoch_point
+from repro.core.ledger import RunLedger, check_eval_budget, epoch_point
 from repro.core.telemetry import Telemetry
 from repro.core.evaluation import LinkPredictionResult, evaluate_link_prediction
 from repro.core.worker import Worker
@@ -172,12 +174,10 @@ class TrainResult:
     #: per-kind/per-tier byte breakdown (plain dicts, picklable for the
     #: parallel experiment runner).
     memory_report: dict = field(default_factory=dict)
-    #: Which execution backend produced this result: ``"sim"`` (round-robin
-    #: simulated workers) or ``"mp"`` (real worker processes over shared
-    #: memory; see :mod:`repro.mp`).
+    #: The executor that ran the epochs: ``"sim"`` (round-robin simulated
+    #: workers) or ``"mp/<schedule>"`` (worker processes; :mod:`repro.mp`).
     backend: str = "sim"
-    #: Real elapsed seconds for the train() call (both backends measure it;
-    #: only mp's number reflects genuine parallel execution).
+    #: Real seconds the executor ran the epochs (evaluations included).
     wall_time_s: float = 0.0
     #: Per-worker wall-clock spans for mp runs: ``{machine: {"wall_s": ...,
     #: "stall_s": ..., "stalls": ...}}`` where stalls are time spent blocked
@@ -375,13 +375,20 @@ class HETKGTrainer:
         eval_graph: KnowledgeGraph | None = None,
         filter_set: set[tuple[int, int, int]] | None = None,
         eval_every: int | None = None,
-        eval_max_queries: int = 200,
+        eval_max_queries: int | None = 200,
         eval_candidates: int | None = 500,
         telemetry: Telemetry | None = None,
         tracer: Tracer | None = None,
         faults=None,
         checkpoint_every: int | None = None,
         checkpoint_path=None,
+        *,
+        backend: str = "sim",
+        schedule: str | None = None,
+        staleness_bound: int | None = None,
+        start_method: str | None = None,
+        timeout_s: float | None = None,
+        crash_at_step: tuple[int, int] | None = None,
     ) -> TrainResult:
         """Run ``config.epochs`` epochs; optionally evaluate along the way.
 
@@ -395,58 +402,63 @@ class HETKGTrainer:
         telemetry:
             Optional per-iteration recorder attached to every worker.
         tracer:
-            Optional :mod:`repro.obs` tracer; defaults to the
-            process-wide tracer (installed by the CLI ``--trace`` flag),
-            which is the zero-cost null tracer when tracing is off.
+            Optional :mod:`repro.obs` tracer; defaults to the process-wide
+            one (the zero-cost null tracer unless ``--trace`` installed one).
         faults:
-            Optional :class:`repro.faults.FaultPlan` — deterministic
-            chaos for this run.  A plan scheduling no faults reproduces
-            the injector-free run bit-for-bit (the no-op invariant).
-        checkpoint_every:
+            Optional :class:`repro.faults.FaultPlan`: deterministic chaos.
+            A plan scheduling no faults reproduces the injector-free run.
+        checkpoint_every, checkpoint_path:
             Auto-checkpoint the global state every this many iterations
             (crash recovery rewinds a dead machine's shard to the last
-            snapshot).
-        checkpoint_path:
-            Optional ``.npz`` path; every auto-checkpoint is also written
-            to disk atomically.
+            snapshot), and also write each one to this ``.npz`` path.
+        backend:
+            ``"sim"`` steps the workers round-robin in this process; ``"mp"``
+            runs one OS process per worker over shared-memory PS tables
+            (:mod:`repro.mp.backend`), and rejects a tracer, ``faults``,
+            checkpoints and tiered backing before any set-up.
+        schedule, staleness_bound, start_method, timeout_s, crash_at_step:
+            mp only.  ``schedule="sync"`` is bit-identical to the
+            simulator; ``"async"`` (the default) is hogwild, no worker more
+            than ``staleness_bound`` steps (default: the sync period) ahead.
         """
+        check_eval_budget(eval_every, eval_max_queries, eval_candidates)
+        mp_args = dict(
+            schedule=schedule, staleness_bound=staleness_bound, start_method=start_method,
+            timeout_s=timeout_s, crash_at_step=crash_at_step,
+        )
+        given = [name for name, value in mp_args.items() if value is not None]
+        if backend == "mp":
+            from repro.mp.backend import check_mp_call, mp_epochs
+
+            options = check_mp_call(
+                self, tracer, faults, checkpoint_every, checkpoint_path, **mp_args
+            )
+        elif backend != "sim":
+            raise ValueError(f"unknown backend {backend!r}; expected 'sim' or 'mp'")
+        elif given:
+            from repro.mp.backend import MP_ONLY_REASON
+
+            raise ValueError(f"{given[0]} requires backend='mp': {MP_ONLY_REASON}")
+
         ledger, injector, checkpoints = self._begin(
             train_graph, telemetry, tracer, faults, checkpoint_every, checkpoint_path
         )
-        cfg = self.config
+        worker_wall: dict = {}
+        if backend == "mp":
+            epochs = mp_epochs(self, ledger, telemetry, worker_wall, **options)
+        else:
+            epochs = self._sim_epochs(ledger, checkpoints)
         history = TrainingHistory()
-        iterations = self.steps_per_epoch
         wall_start = time.perf_counter()
-
-        for worker in self.workers:
-            worker.start()
-
-        global_iteration = 0
-        for epoch in range(1, cfg.epochs + 1):
-            losses = []
-            # Round-robin interleaving simulates concurrent asynchronous
-            # workers deterministically: each worker's cache misses the
-            # other workers' pushes until its own refresh, exactly the
-            # staleness the synchronization algorithm bounds.
-            for _ in range(iterations):
-                for worker in self.workers:
-                    losses.append(worker.step())
-                global_iteration += 1
-                if checkpoints is not None:
-                    checkpoints.maybe_snapshot(global_iteration)
-            history.append(
-                epoch_point(
-                    self,
-                    epoch,
-                    ledger.sim_time(),
-                    losses,
-                    eval_graph,
-                    filter_set,
-                    eval_every,
-                    eval_max_queries,
-                    eval_candidates,
+        with closing(epochs):
+            for epoch, (losses, sim_time) in enumerate(epochs, 1):
+                history.append(
+                    epoch_point(
+                        self, epoch, sim_time, losses, eval_graph, filter_set,
+                        eval_every, eval_max_queries, eval_candidates,
+                    )
                 )
-            )
+        wall_time_s = time.perf_counter() - wall_start
 
         summary = ledger.summary()
         fault_stats: dict[str, float] = {}
@@ -458,60 +470,40 @@ class HETKGTrainer:
         if checkpoints is not None:
             fault_stats["checkpoints"] = checkpoints.saves
         return TrainResult(
-            config=cfg,
+            config=self.config,
             system=self.system_name,
             history=history,
             fault_stats=fault_stats,
             fault_events=fault_events,
             memory_report=self.server.store.memory_report(),
-            wall_time_s=time.perf_counter() - wall_start,
+            backend=f"mp/{options['schedule']}" if backend == "mp" else "sim",
+            wall_time_s=wall_time_s,
+            worker_wall=worker_wall,
             **summary.fields_for(TrainResult),
         )
 
-    # ----------------------------------------------------------------- train_mp
+    train_mp = partialmethod(train, backend="mp")
 
-    def train_mp(
-        self,
-        train_graph: KnowledgeGraph,
-        eval_graph: KnowledgeGraph | None = None,
-        filter_set: set[tuple[int, int, int]] | None = None,
-        eval_every: int | None = None,
-        eval_max_queries: int = 200,
-        eval_candidates: int | None = 500,
-        telemetry: Telemetry | None = None,
-        *,
-        schedule: str = "async",
-        staleness_bound: int | None = None,
-        start_method: str | None = None,
-        timeout_s: float | None = None,
-        crash_at_step: tuple[int, int] | None = None,
-    ) -> TrainResult:
-        """Run ``config.epochs`` epochs with real worker processes.
-
-        Workers are OS processes over SharedMemory-backed PS tables (one
-        per machine, like the simulator).  ``schedule="sync"`` serializes
-        steps in the simulator's round-robin order and is bit-identical to
-        :meth:`train`; ``schedule="async"`` is hogwild with staleness
-        bounded by ``staleness_bound`` (default: the cache's sync period).
-        See :mod:`repro.mp` for the orchestration details.
-        """
-        from repro.mp.backend import run_mp_training
-
-        return run_mp_training(
-            self,
-            train_graph,
-            eval_graph=eval_graph,
-            filter_set=filter_set,
-            eval_every=eval_every,
-            eval_max_queries=eval_max_queries,
-            eval_candidates=eval_candidates,
-            telemetry=telemetry,
-            schedule=schedule,
-            staleness_bound=staleness_bound,
-            start_method=start_method,
-            timeout_s=timeout_s,
-            crash_at_step=crash_at_step,
-        )
+    def _sim_epochs(self, ledger: RunLedger, checkpoints):
+        """The simulator's executor: yield each epoch's ``(losses, sim
+        seconds)``, the losses in step order."""
+        for worker in self.workers:
+            worker.start()
+        iterations = self.steps_per_epoch
+        global_iteration = 0
+        for _ in range(self.config.epochs):
+            losses = []
+            # Round-robin interleaving simulates concurrent asynchronous
+            # workers deterministically: each worker's cache misses the
+            # other workers' pushes until its own refresh, exactly the
+            # staleness the synchronization algorithm bounds.
+            for _ in range(iterations):
+                for worker in self.workers:
+                    losses.append(worker.step())
+                global_iteration += 1
+                if checkpoints is not None:
+                    checkpoints.maybe_snapshot(global_iteration)
+            yield losses, ledger.sim_time()
 
     # --------------------------------------------------------------- evaluate
 

@@ -400,7 +400,8 @@ class KnowledgeGraph:
             yield int(h), int(r), int(t)
 
     def __contains__(self, triple: tuple[int, int, int]) -> bool:
-        return tuple(int(x) for x in triple) in self.triple_set()
+        # The sorted index, not triple_set(): one probe builds no Python set.
+        return self.triple_index().contains(*triple)
 
     def __repr__(self) -> str:
         return (

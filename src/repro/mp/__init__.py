@@ -18,22 +18,22 @@ own workers in actual OS processes over
   ``sync`` schedule (turn-taking in the simulator's round-robin order —
   bit-identical results) or the ``async`` schedule (hogwild with a
   bounded-staleness guard — the fast path), and hands the worker back.
-* :mod:`repro.mp.backend` — the parent-side orchestrator: puts the
-  returned workers back into the trainer and reports a normal
-  :class:`~repro.core.trainer.TrainResult` (plus wall-clock spans)
-  through the simulator's own run ledger.
+* :mod:`repro.mp.backend` — the parent-side executor of
+  ``HETKGTrainer.train(backend="mp")``: it runs the epochs in the
+  children and puts the workers they hand back into the trainer; the
+  call itself is the simulator's.
 * :mod:`repro.mp.serve` — multi-process ``serve-bench``: copies of one
   frontend over a shared embedding store.
 
 Determinism contract: ``schedule="sync"`` serializes steps in exactly the
 simulator's order, so losses, embeddings, SimClock categories, and
 CommRecord totals are bit-identical to ``backend="sim"`` (asserted against
-the PR 4 golden fingerprints).  ``schedule="async"`` trades that for real
+the golden fingerprints).  ``schedule="async"`` trades that for real
 concurrency; divergence is bounded by the staleness guard (default: the
 cache's sync period ``P``).
 """
 
-from repro.mp.backend import MPUnsupportedError, MPWorkerCrashed, run_mp_training
+from repro.mp.backend import MPUnsupportedError, MPWorkerCrashed
 from repro.mp.pool import default_jobs, process_map
 from repro.mp.serve import MPServingResult, serve_mp
 from repro.mp.shm import SharedArena, SharedArray, shm_segments
@@ -42,7 +42,6 @@ __all__ = [
     "MPServingResult",
     "MPUnsupportedError",
     "MPWorkerCrashed",
-    "run_mp_training",
     "default_jobs",
     "process_map",
     "serve_mp",

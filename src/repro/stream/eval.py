@@ -76,6 +76,8 @@ class PrequentialEvaluator:
     ) -> None:
         check_positive("window", window)
         check_positive("max_queries", max_queries)
+        if num_candidates is not None:
+            check_positive("num_candidates", num_candidates)
         self.model = model
         self.window = window
         self.num_candidates = num_candidates

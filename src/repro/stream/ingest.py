@@ -43,6 +43,7 @@ from repro.stream.drift import AdaptiveStale
 from repro.stream.eval import PrequentialEvaluator, PrequentialResult
 from repro.stream.events import EventStream, GraphUpdate
 from repro.utils.rng import derive_stream
+from repro.utils.validation import check_positive
 
 #: Wire size of one (h, r, t) triple record in an ingestion message.
 TRIPLE_RECORD_BYTES = 24  # 3 x int64
@@ -111,6 +112,8 @@ class OnlineTrainer:
         eval_candidates: int | None = 100,
         eval_queries: int = 50,
     ) -> None:
+        if eval_every is not None:
+            check_positive("eval_every", eval_every)
         self.trainer = trainer
         self.stream = stream
         self.eval_every = eval_every

@@ -384,6 +384,15 @@ class TestAsyncSchedule:
         with pytest.raises(MPUnsupportedError, match="schedule"):
             trainer.train_mp(split.train, schedule="bulk")
 
+    @pytest.mark.parametrize("timeout_s", [0, -1.0])
+    def test_non_positive_timeout_rejected(self, mp_data, timeout_s):
+        """Bad input, not a worker crash: rejected before any set-up."""
+        _, split = mp_data
+        trainer = make_trainer("hetkg-d", mp_config())
+        with pytest.raises(MPUnsupportedError, match="timeout_s"):
+            trainer.train(split.train, backend="mp", timeout_s=timeout_s)
+        assert trainer.server is None
+
     def test_tiered_backing_rejected(self, mp_data):
         _, split = mp_data
         trainer = make_trainer(
