@@ -82,7 +82,7 @@ def main() -> None:
         result = trainer.train(
             split.train,
             eval_graph=split.test,
-            filter_set=graph.triple_set(),
+            known=graph,
             eval_max_queries=None,
             eval_candidates=None,
         )

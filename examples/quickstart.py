@@ -43,7 +43,7 @@ def main() -> None:
         result = trainer.train(
             split.train,
             eval_graph=split.test,
-            filter_set=graph.triple_set(),
+            known=graph,
             eval_max_queries=200,
             eval_candidates=None,
         )

@@ -710,7 +710,7 @@ def _train(args: argparse.Namespace) -> int:
     result = trainer.train(
         split.train,
         eval_graph=split.test,
-        filter_set=graph.triple_set(),
+        known=graph,
         eval_max_queries=args.eval_queries,
         eval_candidates=None,
         backend=args.backend,
@@ -1070,7 +1070,7 @@ def _sweep(args: argparse.Namespace) -> int:
         config,
         split,
         {args.param: values},
-        filter_set=graph.triple_set(),
+        known=graph,
         jobs=args.jobs,
     )
     print(f"dataset: {args.dataset} @ scale {args.scale} -> {graph}")

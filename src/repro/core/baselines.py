@@ -25,7 +25,7 @@ from repro.core.compute import compute_batch_gradients
 from repro.core.config import TrainingConfig
 from repro.core.convergence import TrainingHistory
 from repro.core.ledger import RunLedger, WorkerStats, check_eval_budget, epoch_point
-from repro.core.evaluation import LinkPredictionResult, evaluate_link_prediction
+from repro.core.evaluation import LinkPredictionResult, check_known, evaluate_link_prediction
 from repro.core.trainer import HETKGTrainer, TrainResult
 from repro.kg.graph import KnowledgeGraph
 from repro.models.base import get_model
@@ -224,7 +224,7 @@ class PBGTrainer:
         self,
         train_graph: KnowledgeGraph,
         eval_graph: KnowledgeGraph | None = None,
-        filter_set: set[tuple[int, int, int]] | None = None,
+        known: KnowledgeGraph | None = None,
         eval_every: int | None = None,
         eval_max_queries: int | None = 200,
         eval_candidates: int | None = 500,
@@ -232,6 +232,7 @@ class PBGTrainer:
         backend: str = "sim",
     ) -> TrainResult:
         """Run ``config.epochs`` sweeps over all buckets (simulator only)."""
+        check_known(known)
         check_eval_budget(eval_every, eval_max_queries, eval_candidates)
         if backend != "sim":
             from repro.mp.backend import PBG_REASON, MPUnsupportedError
@@ -280,7 +281,7 @@ class PBGTrainer:
                     ledger.sim_time(),
                     losses,
                     eval_graph,
-                    filter_set,
+                    known,
                     eval_every,
                     eval_max_queries,
                     eval_candidates,
@@ -299,7 +300,7 @@ class PBGTrainer:
     def evaluate(
         self,
         test_graph: KnowledgeGraph,
-        filter_set: set[tuple[int, int, int]] | None = None,
+        known: KnowledgeGraph | None = None,
         max_queries: int | None = 200,
         num_candidates: int | None = 500,
     ) -> LinkPredictionResult:
@@ -310,7 +311,7 @@ class PBGTrainer:
             self.entity_table,
             self.relation_table,
             test_graph,
-            filter_set=filter_set,
+            known=known,
             max_queries=max_queries,
             num_candidates=num_candidates,
             seed=self.config.seed + 7,

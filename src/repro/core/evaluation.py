@@ -44,32 +44,13 @@ class LinkPredictionResult:
         return [self.mrr, self.hits.get(1, 0.0), self.hits.get(10, 0.0)]
 
 
-class FilterIndex:
-    """Per-query lookup of known true triples for filtered ranking.
-
-    Replaces the O(candidates) per-query membership loop with one dict
-    lookup returning the (usually tiny) array of entities that complete a
-    known triple for the query's fixed ``(relation, other-entity)`` pair.
-    """
-
-    def __init__(self, filter_set: set[tuple[int, int, int]]) -> None:
-        heads: dict[tuple[int, int], list[int]] = {}
-        tails: dict[tuple[int, int], list[int]] = {}
-        for h, r, t in filter_set:
-            heads.setdefault((r, t), []).append(h)
-            tails.setdefault((h, r), []).append(t)
-        self._heads = {k: np.asarray(v, dtype=np.int64) for k, v in heads.items()}
-        self._tails = {k: np.asarray(v, dtype=np.int64) for k, v in tails.items()}
-        self._empty = np.empty(0, dtype=np.int64)
-
-    def known_entities(
-        self, h: int, r: int, t: int, replace_head: bool
-    ) -> np.ndarray:
-        """Entities ``e`` with ``(e, r, t)`` (head side) or ``(h, r, e)``
-        (tail side) in the filter set."""
-        if replace_head:
-            return self._heads.get((r, t), self._empty)
-        return self._tails.get((h, r), self._empty)
+def check_known(known: object) -> None:
+    """Reject a ``known`` that is neither ``None`` nor a graph (a set of
+    triples passed where the graph goes) before any work is done."""
+    if known is not None and not isinstance(known, KnowledgeGraph):
+        raise TypeError(
+            f"known must be a KnowledgeGraph or None, got {type(known).__name__}"
+        )
 
 
 def _ranks_batched(
@@ -78,16 +59,18 @@ def _ranks_batched(
     relation_table: np.ndarray,
     triples: np.ndarray,
     replace_head: bool,
-    filter_index: "FilterIndex | None",
+    known: KnowledgeGraph | None,
     block_rows: int = 200_000,
 ) -> list[int]:
     """Full-candidate ranks for one corruption side, many queries at once.
 
     Scores ``(queries x all entities)`` through the model in flat blocks of
-    at most ``block_rows`` rows, avoiding the per-query Python loop.  Ranks
-    are bit-identical to one ``_rank_one_side`` call per query (scores are
-    the same per-row arithmetic, only the batching differs; the oracle
-    lives in ``tests/reference/evaluation_reference.py``).
+    at most ``block_rows`` rows, avoiding the per-query Python loop, and
+    filters each block with one ``known.triple_index()`` probe over its
+    candidate triples.  Ranks are bit-identical to one ``_rank_one_side``
+    call per query (scores are the same per-row arithmetic, only the
+    batching differs; the oracle lives in
+    ``tests/reference/evaluation_reference.py``).
     """
     n_ent = len(entity_table)
     ranks: list[int] = []
@@ -100,28 +83,20 @@ def _ranks_batched(
         t = chunk[:, 2]
         cand = np.tile(np.arange(n_ent), q)
         rep = np.repeat(np.arange(q), n_ent)
-        if replace_head:
-            h_rows = entity_table[cand]
-            t_rows = entity_table[t[rep]]
-        else:
-            h_rows = entity_table[h[rep]]
-            t_rows = entity_table[cand]
-        r_rows = relation_table[r[rep]]
-        scores = model.score(h_rows, r_rows, t_rows).reshape(q, n_ent)
+        rels = r[rep]
+        heads, tails = (cand, t[rep]) if replace_head else (h[rep], cand)
+        scores = model.score(
+            entity_table[heads], relation_table[rels], entity_table[tails]
+        ).reshape(q, n_ent)
 
         true_entity = h if replace_head else t
         true_scores = scores[np.arange(q), true_entity]
-        if filter_index is not None:
-            for i in range(q):
-                known = filter_index.known_entities(
-                    int(h[i]), int(r[i]), int(t[i]), replace_head
-                )
-                if len(known):
-                    scores[i, known] = -np.inf
-            # The true entity is in every filter set; restore its score.
-            scores[np.arange(q), true_entity] = true_scores
+        if known is not None:
+            drop = known.triple_index().contains_batch(heads, rels, tails)
+            scores[drop.reshape(q, n_ent)] = -np.inf
+        # The true entity never counts (its score, even dropped, is never
+        # > its own score taken before the drop).
         better = (scores > true_scores[:, None]).sum(axis=1)
-        # The true entity never counts (its score is never > itself).
         ranks.extend((1 + better).tolist())
     return ranks
 
@@ -132,7 +107,7 @@ def _ranks_sampled_batched(
     relation_table: np.ndarray,
     triples: np.ndarray,
     num_candidates: int,
-    filter_index: "FilterIndex | None",
+    known: KnowledgeGraph | None,
     rng: np.random.Generator,
     block_rows: int = 200_000,
 ) -> tuple[list[int], list[int]]:
@@ -169,11 +144,11 @@ def _ranks_sampled_batched(
     )
     head_ranks = _score_padded_candidates(
         model, entity_table, relation_table, triples, per_side[True],
-        True, filter_index, true_scores, block_rows,
+        True, known, true_scores, block_rows,
     )
     tail_ranks = _score_padded_candidates(
         model, entity_table, relation_table, triples, per_side[False],
-        False, filter_index, true_scores, block_rows,
+        False, known, true_scores, block_rows,
     )
     return head_ranks, tail_ranks
 
@@ -185,7 +160,7 @@ def _score_padded_candidates(
     triples: np.ndarray,
     cand_lists: list[np.ndarray],
     replace_head: bool,
-    filter_index: "FilterIndex | None",
+    known: KnowledgeGraph | None,
     true_scores: np.ndarray,
     block_rows: int,
 ) -> list[int]:
@@ -205,28 +180,16 @@ def _score_padded_candidates(
         q = stop - start
         rep = np.repeat(np.arange(start, stop), width)
         flat = chunk.ravel()
-        if replace_head:
-            h_rows = entity_table[flat]
-            t_rows = entity_table[triples[rep, 2]]
-        else:
-            h_rows = entity_table[triples[rep, 0]]
-            t_rows = entity_table[flat]
-        r_rows = relation_table[triples[rep, 1]]
-        scores = model.score(h_rows, r_rows, t_rows).reshape(q, width)
+        rels = triples[rep, 1]
+        heads, tails = (flat, triples[rep, 2]) if replace_head else (triples[rep, 0], flat)
+        scores = model.score(
+            entity_table[heads], relation_table[rels], entity_table[tails]
+        ).reshape(q, width)
         block_true = true_scores[start:stop]
         not_true = chunk != true_entities[start:stop, None]
-        if filter_index is not None:
-            for i in range(q):
-                gi = start + i
-                known = filter_index.known_entities(
-                    int(triples[gi, 0]),
-                    int(triples[gi, 1]),
-                    int(triples[gi, 2]),
-                    replace_head,
-                )
-                if len(known):
-                    drop = np.isin(chunk[i], known) & not_true[i]
-                    scores[i, drop] = -np.inf
+        if known is not None:
+            drop = known.triple_index().contains_batch(heads, rels, tails)
+            scores[drop.reshape(q, width)] = -np.inf
         better = ((scores > block_true[:, None]) & not_true).sum(axis=1)
         ranks.extend((1 + better).tolist())
     return ranks
@@ -237,7 +200,7 @@ def evaluate_link_prediction(
     entity_table: np.ndarray,
     relation_table: np.ndarray,
     test: KnowledgeGraph,
-    filter_set: set[tuple[int, int, int]] | None = None,
+    known: KnowledgeGraph | None = None,
     hits_at: tuple[int, ...] = (1, 3, 10),
     max_queries: int | None = None,
     num_candidates: int | None = None,
@@ -249,8 +212,9 @@ def evaluate_link_prediction(
     ----------
     entity_table / relation_table:
         Global embedding matrices (from the parameter server).
-    filter_set:
-        All known true triples (train+valid+test) for filtered ranking;
+    known:
+        The graph of all known true triples (train+valid+test) for
+        filtered ranking, probed through its :meth:`KnowledgeGraph.triple_index`;
         ``None`` gives raw ranking.
     max_queries:
         Evaluate at most this many test triples (uniform subsample).
@@ -262,6 +226,7 @@ def evaluate_link_prediction(
     :func:`_ranks_sampled_batched`; the per-query loop they replaced is the
     equivalence oracle in ``tests/reference/evaluation_reference.py``.
     """
+    check_known(known)
     for name, value in (("max_queries", max_queries), ("num_candidates", num_candidates)):
         if value is not None:
             check_positive(name, value)
@@ -270,7 +235,6 @@ def evaluate_link_prediction(
     if max_queries is not None and len(triples) > max_queries:
         idx = rng.choice(len(triples), size=max_queries, replace=False)
         triples = triples[idx]
-    filter_index = FilterIndex(filter_set) if filter_set is not None else None
 
     num_entities = len(entity_table)
     full_ranking = num_candidates is None or num_candidates >= num_entities
@@ -278,10 +242,10 @@ def evaluate_link_prediction(
         return _aggregate([], [], hits_at)
     if full_ranking:
         head_ranks = _ranks_batched(
-            model, entity_table, relation_table, triples, True, filter_index
+            model, entity_table, relation_table, triples, True, known
         )
         tail_ranks = _ranks_batched(
-            model, entity_table, relation_table, triples, False, filter_index
+            model, entity_table, relation_table, triples, False, known
         )
     else:
         head_ranks, tail_ranks = _ranks_sampled_batched(
@@ -290,7 +254,7 @@ def evaluate_link_prediction(
             relation_table,
             triples,
             num_candidates,
-            filter_index,
+            known,
             rng,
         )
     return _aggregate(head_ranks, tail_ranks, hits_at)

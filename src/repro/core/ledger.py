@@ -194,7 +194,7 @@ def epoch_point(
     sim_time: float,
     losses: list[float],
     eval_graph,
-    filter_set,
+    known,
     eval_every: int | None,
     max_queries: int | None,
     num_candidates: int | None,
@@ -209,7 +209,7 @@ def epoch_point(
     if eval_graph is not None and (due or epoch == trainer.config.epochs):
         result = trainer.evaluate(
             eval_graph,
-            filter_set=filter_set,
+            known=known,
             max_queries=max_queries,
             num_candidates=num_candidates,
         )

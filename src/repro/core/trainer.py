@@ -29,7 +29,7 @@ from repro.core.config import TrainingConfig
 from repro.core.convergence import TrainingHistory
 from repro.core.ledger import RunLedger, check_eval_budget, epoch_point
 from repro.core.telemetry import Telemetry
-from repro.core.evaluation import LinkPredictionResult, evaluate_link_prediction
+from repro.core.evaluation import LinkPredictionResult, check_known, evaluate_link_prediction
 from repro.core.worker import Worker
 from repro.kg.graph import KnowledgeGraph
 from repro.models.base import KGEModel, get_model
@@ -373,7 +373,7 @@ class HETKGTrainer:
         self,
         train_graph: KnowledgeGraph,
         eval_graph: KnowledgeGraph | None = None,
-        filter_set: set[tuple[int, int, int]] | None = None,
+        known: KnowledgeGraph | None = None,
         eval_every: int | None = None,
         eval_max_queries: int | None = 200,
         eval_candidates: int | None = 500,
@@ -396,6 +396,10 @@ class HETKGTrainer:
         ----------
         eval_graph:
             Validation/test triples to rank at epoch boundaries.
+        known:
+            The graph of every known true triple, for filtered ranking
+            (``None`` ranks raw); a set of triples raises ``TypeError``
+            before any set-up.
         eval_every:
             Evaluate every this many epochs (``None`` = only after the
             final epoch, and only if ``eval_graph`` is given).
@@ -421,6 +425,7 @@ class HETKGTrainer:
             simulator; ``"async"`` (the default) is hogwild, no worker more
             than ``staleness_bound`` steps (default: the sync period) ahead.
         """
+        check_known(known)
         check_eval_budget(eval_every, eval_max_queries, eval_candidates)
         mp_args = dict(
             schedule=schedule, staleness_bound=staleness_bound, start_method=start_method,
@@ -454,7 +459,7 @@ class HETKGTrainer:
             for epoch, (losses, sim_time) in enumerate(epochs, 1):
                 history.append(
                     epoch_point(
-                        self, epoch, sim_time, losses, eval_graph, filter_set,
+                        self, epoch, sim_time, losses, eval_graph, known,
                         eval_every, eval_max_queries, eval_candidates,
                     )
                 )
@@ -510,7 +515,7 @@ class HETKGTrainer:
     def evaluate(
         self,
         test_graph: KnowledgeGraph,
-        filter_set: set[tuple[int, int, int]] | None = None,
+        known: KnowledgeGraph | None = None,
         max_queries: int | None = 200,
         num_candidates: int | None = 500,
     ) -> LinkPredictionResult:
@@ -522,7 +527,7 @@ class HETKGTrainer:
             self.server.store.table("entity"),
             self.server.store.table("relation"),
             test_graph,
-            filter_set=filter_set,
+            known=known,
             max_queries=max_queries,
             num_candidates=num_candidates,
             seed=self.config.seed + 7,

@@ -64,12 +64,11 @@ class ExperimentResult:
 
 @dataclass
 class DatasetBundle:
-    """A generated dataset with its split and filter set."""
+    """A generated dataset with its split; ``graph`` is every known triple."""
 
     name: str
     graph: KnowledgeGraph
     split: Split
-    filter_set: set[tuple[int, int, int]]
 
 
 _BUNDLE_CACHE: dict[tuple[str, float, int], DatasetBundle] = {}
@@ -81,12 +80,7 @@ def dataset_bundle(name: str, scale: float = 1.0, seed: int = 0) -> DatasetBundl
     if key not in _BUNDLE_CACHE:
         graph = generate_dataset(name, scale=scale)
         split = split_triples(graph, seed=seed)
-        _BUNDLE_CACHE[key] = DatasetBundle(
-            name=name,
-            graph=graph,
-            split=split,
-            filter_set=graph.triple_set(),
-        )
+        _BUNDLE_CACHE[key] = DatasetBundle(name=name, graph=graph, split=split)
     return _BUNDLE_CACHE[key]
 
 
@@ -130,7 +124,7 @@ def run_system(
     return trainer.train(
         bundle.split.train,
         eval_graph=bundle.split.test,
-        filter_set=bundle.filter_set,
+        known=bundle.graph,
         eval_every=eval_every,
         eval_max_queries=eval_max_queries,
         eval_candidates=eval_candidates,

@@ -75,7 +75,7 @@ def run_fault_tolerance(
             result = trainer.train(
                 bundle.split.train,
                 eval_graph=bundle.split.test,
-                filter_set=bundle.filter_set,
+                known=bundle.graph,
                 eval_max_queries=100,
                 eval_candidates=300,
                 faults=plan,

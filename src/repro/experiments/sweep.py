@@ -14,6 +14,7 @@ from typing import Any, Sequence
 
 from repro.core.config import TrainingConfig
 from repro.core.trainer import make_trainer
+from repro.kg.graph import KnowledgeGraph
 from repro.kg.splits import Split
 from repro.mp.pool import process_map
 from repro.utils.tables import format_table
@@ -57,7 +58,7 @@ def _sweep_point(task: tuple) -> dict[str, Any]:
         config,
         split,
         overrides,
-        filter_set,
+        known,
         eval_max_queries,
         eval_candidates,
     ) = task
@@ -65,7 +66,7 @@ def _sweep_point(task: tuple) -> dict[str, Any]:
     outcome = trainer.train(
         split.train,
         eval_graph=split.test,
-        filter_set=filter_set,
+        known=known,
         eval_max_queries=eval_max_queries,
         eval_candidates=eval_candidates,
     )
@@ -87,7 +88,7 @@ def run_sweep(
     config: TrainingConfig,
     split: Split,
     grid: dict[str, Sequence[Any]],
-    filter_set: set[tuple[int, int, int]] | None = None,
+    known: KnowledgeGraph | None = None,
     eval_max_queries: int = 150,
     eval_candidates: int | None = 500,
     jobs: int = 1,
@@ -119,7 +120,7 @@ def run_sweep(
             config,
             split,
             dict(zip(parameters, combo)),
-            filter_set,
+            known,
             eval_max_queries,
             eval_candidates,
         )

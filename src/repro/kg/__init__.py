@@ -16,20 +16,8 @@ from repro.kg.stats import (
     top_fraction_share,
     frequency_skew_report,
 )
-from repro.kg.analytics import (
-    GraphSummary,
-    summarize,
-    powerlaw_alpha_mle,
-    hot_set_coverage,
-)
-from repro.kg.transforms import (
-    add_inverse_relations,
-    deduplicate,
-    k_core,
-    relabel_by_degree,
-    remove_self_loops,
-    subsample_triples,
-)
+from repro.kg.analytics import hot_set_coverage
+from repro.kg.transforms import relabel_by_degree
 
 __all__ = [
     "KnowledgeGraph",
@@ -45,14 +33,6 @@ __all__ = [
     "access_frequencies",
     "top_fraction_share",
     "frequency_skew_report",
-    "GraphSummary",
-    "summarize",
-    "powerlaw_alpha_mle",
     "hot_set_coverage",
-    "add_inverse_relations",
-    "deduplicate",
-    "k_core",
     "relabel_by_degree",
-    "remove_self_loops",
-    "subsample_triples",
 ]

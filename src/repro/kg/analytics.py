@@ -1,90 +1,12 @@
 """Structural analytics for knowledge graphs.
 
-Quantifies the properties the HET-KG design depends on: how heavy-tailed
-the degree distribution is (power-law exponent via the discrete MLE of
-Clauset et al.), how concentrated relation usage is, and a compact summary
-used by dataset documentation and the generator's self-checks.
+How much of the access stream a hot set of a given size can cover: the
+analytic ceiling the HET-KG cache's measured hit ratio is checked against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from repro.kg.graph import KnowledgeGraph
-from repro.kg.stats import gini
-from repro.utils.validation import check_positive
-
-
-def powerlaw_alpha_mle(values: np.ndarray, x_min: int = 1) -> float:
-    """Discrete power-law exponent by maximum likelihood.
-
-    ``alpha = 1 + n / sum(ln(x_i / (x_min - 0.5)))`` over samples
-    ``x_i >= x_min`` (Clauset, Shalizi & Newman 2009, Eq. 3.7).  Returns
-    ``nan`` when fewer than two samples qualify.
-    """
-    check_positive("x_min", x_min)
-    values = np.asarray(values, dtype=np.float64)
-    tail = values[values >= x_min]
-    if len(tail) < 2:
-        return float("nan")
-    return float(1.0 + len(tail) / np.log(tail / (x_min - 0.5)).sum())
-
-
-def degree_histogram(graph: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray]:
-    """(degrees, counts): how many entities have each degree."""
-    degrees = graph.entity_degrees()
-    values, counts = np.unique(degrees, return_counts=True)
-    return values, counts
-
-
-@dataclass
-class GraphSummary:
-    """Compact structural profile of one knowledge graph."""
-
-    num_entities: int
-    num_relations: int
-    num_triples: int
-    mean_degree: float
-    max_degree: int
-    degree_alpha: float  # power-law exponent of the degree tail
-    degree_gini: float
-    relation_gini: float
-    relation_top10_share: float  # triple share of the 10 busiest relations
-
-    def as_row(self) -> list:
-        return [
-            self.num_entities,
-            self.num_relations,
-            self.num_triples,
-            self.mean_degree,
-            self.max_degree,
-            self.degree_alpha,
-            self.degree_gini,
-            self.relation_gini,
-            self.relation_top10_share,
-        ]
-
-
-def summarize(graph: KnowledgeGraph, alpha_x_min: int = 2) -> GraphSummary:
-    """Compute a :class:`GraphSummary` for ``graph``."""
-    degrees = graph.entity_degrees()
-    rel_counts = graph.relation_counts()
-    top10 = np.sort(rel_counts)[::-1][:10].sum()
-    return GraphSummary(
-        num_entities=graph.num_entities,
-        num_relations=graph.num_relations,
-        num_triples=graph.num_triples,
-        mean_degree=float(degrees.mean()) if len(degrees) else 0.0,
-        max_degree=int(degrees.max()) if len(degrees) else 0,
-        degree_alpha=powerlaw_alpha_mle(degrees, x_min=alpha_x_min),
-        degree_gini=gini(degrees),
-        relation_gini=gini(rel_counts),
-        relation_top10_share=float(top10 / rel_counts.sum())
-        if rel_counts.sum()
-        else 0.0,
-    )
 
 
 def hot_set_coverage(

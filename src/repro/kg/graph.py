@@ -380,7 +380,6 @@ class KnowledgeGraph:
         self.entity_labels = entity_labels
         self.relation_labels = relation_labels
 
-        self._triple_set: set[tuple[int, int, int]] | None = None
         self._triple_index = triple_index
         self._degrees: np.ndarray | None = None
         self._rel_counts: np.ndarray | None = None
@@ -400,7 +399,6 @@ class KnowledgeGraph:
             yield int(h), int(r), int(t)
 
     def __contains__(self, triple: tuple[int, int, int]) -> bool:
-        # The sorted index, not triple_set(): one probe builds no Python set.
         return self.triple_index().contains(*triple)
 
     def __repr__(self) -> str:
@@ -409,20 +407,14 @@ class KnowledgeGraph:
             f"relations={self.num_relations}, triples={self.num_triples})"
         )
 
-    def triple_set(self) -> set[tuple[int, int, int]]:
-        """Set view of the triples, built lazily (used for filtered ranking)."""
-        if self._triple_set is None:
-            self._triple_set = {
-                (int(h), int(r), int(t)) for h, r, t in self.triples
-            }
-        return self._triple_set
-
     def triple_index(self) -> TripleIndex:
         """Vectorized membership index over the triples, built lazily.
 
-        Used by the negative sampler to detect false-negative collisions for
-        a whole batch of corruptions in one probe (see
-        :class:`TripleIndex`); :meth:`triple_set` remains the scalar oracle.
+        The one answer to "is this a known triple": the negative sampler
+        probes it for false-negative collisions over a whole batch of
+        corruptions, filtered ranking for the known triples in each block
+        of candidates, and ``in`` for a single triple (see
+        :class:`TripleIndex`).
         """
         if self._triple_index is None:
             self._triple_index = TripleIndex(
@@ -435,17 +427,17 @@ class KnowledgeGraph:
     def invalidate_caches(self) -> None:
         """Drop every lazily-built derived structure.
 
-        The triple set/index, degree/count vectors, and adjacency are all
+        The triple index, degree/count vectors, and adjacency are all
         memoised on first use; anything that mutates :attr:`triples` in
         place (or the instance's vocabulary sizes) **must** call this, or
-        ``contains_batch``/``entity_degrees``/... keep answering for the
-        pre-mutation graph — and :meth:`mutated`, which derives the new
+        ``in``, the sampler's false-negative filter, filtered ranking and
+        ``entity_degrees``/... keep answering for the pre-mutation graph —
+        and :meth:`mutated`, which derives the new
         graph's index from this one's, would carry the stale answers
         forward.  :meth:`mutated` itself (the copy-on-extend path used by
         :mod:`repro.stream`) never needs it: the new instance gets its own
         index and starts with every other cache cold.
         """
-        self._triple_set = None
         self._triple_index = None
         self._degrees = None
         self._rel_counts = None

@@ -25,14 +25,6 @@ class Split:
     valid: KnowledgeGraph
     test: KnowledgeGraph
 
-    def all_triples(self) -> set[tuple[int, int, int]]:
-        """Union of all three subsets' triples (used for filtered ranking)."""
-        return (
-            self.train.triple_set()
-            | self.valid.triple_set()
-            | self.test.triple_set()
-        )
-
 
 def split_triples(
     graph: KnowledgeGraph,

@@ -1,58 +1,14 @@
 """Knowledge graph transformations.
 
-Standard preprocessing steps a user applies before training: inverse
-relations (the WN18/FB15k leakage mitigation literature's staple),
-deduplication, self-loop removal, degree-ordered relabeling (which makes
-hot ids contiguous — useful for cache-locality studies), subsampling, and
-k-core pruning.  All transforms are pure: they return new graphs.
+Degree-ordered relabeling, which makes hot ids contiguous — useful for
+cache-locality studies.  Transforms are pure: they return new graphs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kg.graph import HEAD, REL, TAIL, KnowledgeGraph
-from repro.utils.rng import make_rng
-from repro.utils.validation import check_fraction, check_positive
-
-
-def add_inverse_relations(graph: KnowledgeGraph) -> KnowledgeGraph:
-    """Append an inverse triple ``(t, r + n_rel, h)`` for every triple.
-
-    Doubles the relation vocabulary; inverse relation ``r + n_rel``
-    corresponds to ``r`` read right-to-left.  Labels get a ``_inv``
-    suffix when present.
-    """
-    fwd = graph.triples
-    inv = np.stack(
-        [fwd[:, TAIL], fwd[:, REL] + graph.num_relations, fwd[:, HEAD]], axis=1
-    )
-    labels = None
-    if graph.relation_labels is not None:
-        labels = graph.relation_labels + [
-            f"{name}_inv" for name in graph.relation_labels
-        ]
-    return KnowledgeGraph(
-        np.concatenate([fwd, inv]),
-        num_entities=graph.num_entities,
-        num_relations=2 * graph.num_relations,
-        entity_labels=graph.entity_labels,
-        relation_labels=labels,
-    )
-
-
-def remove_self_loops(graph: KnowledgeGraph) -> KnowledgeGraph:
-    """Drop triples whose head equals their tail."""
-    keep = graph.triples[:, HEAD] != graph.triples[:, TAIL]
-    return graph.subgraph(np.nonzero(keep)[0])
-
-
-def deduplicate(graph: KnowledgeGraph) -> KnowledgeGraph:
-    """Keep the first occurrence of each distinct triple."""
-    if not len(graph.triples):
-        return graph
-    _, first = np.unique(graph.triples, axis=0, return_index=True)
-    return graph.subgraph(np.sort(first))
+from repro.kg.graph import HEAD, TAIL, KnowledgeGraph
 
 
 def relabel_by_degree(graph: KnowledgeGraph) -> tuple[KnowledgeGraph, np.ndarray]:
@@ -79,44 +35,4 @@ def relabel_by_degree(graph: KnowledgeGraph) -> tuple[KnowledgeGraph, np.ndarray
             relation_labels=graph.relation_labels,
         ),
         old_to_new,
-    )
-
-
-def subsample_triples(
-    graph: KnowledgeGraph,
-    fraction: float,
-    seed: int | np.random.Generator | None = None,
-) -> KnowledgeGraph:
-    """Keep a uniform ``fraction`` of triples (vocabularies unchanged)."""
-    check_fraction("fraction", fraction)
-    rng = make_rng(seed)
-    n_keep = int(round(graph.num_triples * fraction))
-    idx = rng.choice(graph.num_triples, size=n_keep, replace=False)
-    return graph.subgraph(np.sort(idx))
-
-
-def k_core(graph: KnowledgeGraph, k: int) -> KnowledgeGraph:
-    """Restrict to the k-core: iteratively drop entities with degree < k.
-
-    Triples touching a dropped entity are removed; the process repeats
-    until every remaining entity has degree >= k (possibly leaving an
-    empty graph).  Vocabulary sizes are preserved so ids stay valid.
-    """
-    check_positive("k", k)
-    triples = graph.triples
-    while len(triples):
-        degrees = np.zeros(graph.num_entities, dtype=np.int64)
-        np.add.at(degrees, triples[:, HEAD], 1)
-        np.add.at(degrees, triples[:, TAIL], 1)
-        alive = degrees >= k
-        keep = alive[triples[:, HEAD]] & alive[triples[:, TAIL]]
-        if keep.all():
-            break
-        triples = triples[keep]
-    return KnowledgeGraph(
-        triples.copy(),
-        num_entities=graph.num_entities,
-        num_relations=graph.num_relations,
-        entity_labels=graph.entity_labels,
-        relation_labels=graph.relation_labels,
     )

@@ -272,7 +272,9 @@ class NegativeSampler:
         ``b * n`` corrupted triples (it consumes no randomness); only the
         colliding entries then run the original per-entry retry loop, in
         row-major order, so the RNG draw sequence is bit-identical to the
-        scalar reference that checked every entry.
+        scalar reference that checked every entry against a Python set of
+        the true triples (kept in ``tests/test_perf_equivalence.py``; no
+        such set exists in the library).
         """
         assert self._filter_index is not None
         n = batch.num_negatives

@@ -62,7 +62,7 @@ def fingerprint(system: str, *, filtered_negatives: bool = False,
     result = trainer.train(
         split.train,
         eval_graph=split.test,
-        filter_set=graph.triple_set(),
+        known=graph,
         eval_max_queries=30,
         eval_candidates=eval_candidates,
     )

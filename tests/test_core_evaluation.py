@@ -6,7 +6,11 @@ import pytest
 from repro.core.evaluation import evaluate_link_prediction
 from repro.kg.graph import KnowledgeGraph
 from repro.models import TransE
-from tests.reference.evaluation_reference import evaluate_link_prediction_reference
+from tests.reference.evaluation_reference import (
+    FilterIndex,
+    evaluate_link_prediction_reference,
+    triple_set,
+)
 
 
 @pytest.fixture
@@ -60,9 +64,8 @@ class TestRanking:
         # so use a filter set that removes a *better* candidate instead.
         entity[2] = [1.0, 0.001]  # slightly different, same distance? make it better
         entity[2] = [1.0, 0.0]
-        filt = evaluate_link_prediction(
-            model, entity, relation, test, filter_set={(0, 0, 2), (0, 0, 1)}
-        )
+        known = KnowledgeGraph([(0, 0, 2), (0, 0, 1)], num_entities=3, num_relations=1)
+        filt = evaluate_link_prediction(model, entity, relation, test, known=known)
         assert filt.mrr >= raw.mrr
 
     def test_filter_removes_strictly_better_candidate(self):
@@ -72,9 +75,8 @@ class TestRanking:
         # (0,0,1): candidate 2 fits better than the true tail 1.
         test = KnowledgeGraph([(0, 0, 1)], num_entities=3, num_relations=1)
         raw = evaluate_link_prediction(model, entity, relation, test)
-        filtered = evaluate_link_prediction(
-            model, entity, relation, test, filter_set={(0, 0, 2), (0, 0, 1)}
-        )
+        known = KnowledgeGraph([(0, 0, 2), (0, 0, 1)], num_entities=3, num_relations=1)
+        filtered = evaluate_link_prediction(model, entity, relation, test, known=known)
         # Tail-side query: raw rank 2, filtered rank 1.
         assert filtered.mrr > raw.mrr
 
@@ -172,15 +174,14 @@ class TestSideBreakdown:
 
 class TestFilterIndex:
     def test_matches_set_semantics(self, small_graph, rng):
-        """FilterIndex-based filtering must rank identically to a brute
-        per-candidate set lookup."""
-        from repro.core.evaluation import FilterIndex
+        """The reference's FilterIndex-based filtering must rank identically
+        to a brute per-candidate set lookup."""
         from tests.reference.evaluation_reference import _rank_one_side
 
         model = TransE(4)
         entity = rng.normal(size=(small_graph.num_entities, 4))
         relation = rng.normal(size=(small_graph.num_relations, 4))
-        filter_set = small_graph.triple_set()
+        filter_set = triple_set(small_graph)
         index = FilterIndex(filter_set)
         candidates = np.arange(small_graph.num_entities)
         for h, r, t in small_graph.triples[:30]:
@@ -214,8 +215,6 @@ class TestFilterIndex:
                 assert fast == slow
 
     def test_known_entities_lookup(self):
-        from repro.core.evaluation import FilterIndex
-
         index = FilterIndex({(1, 0, 2), (3, 0, 2), (1, 0, 4)})
         heads = index.known_entities(h=9, r=0, t=2, replace_head=True)
         assert sorted(heads.tolist()) == [1, 3]
@@ -231,14 +230,14 @@ class TestBatchedPath:
         model = TransE(4)
         entity = rng.normal(size=(small_graph.num_entities, 4))
         relation = rng.normal(size=(small_graph.num_relations, 4))
-        for filt in (None, small_graph.triple_set()):
+        for known in (None, small_graph):
             fast = evaluate_link_prediction(
                 model, entity, relation, small_graph,
-                filter_set=filt, max_queries=40, seed=3,
+                known=known, max_queries=40, seed=3,
             )
             slow = evaluate_link_prediction_reference(
                 model, entity, relation, small_graph,
-                filter_set=filt, max_queries=40, seed=3,
+                known=known, max_queries=40, seed=3,
             )
             assert fast.mrr == slow.mrr
             assert fast.mr == slow.mr
@@ -248,18 +247,17 @@ class TestBatchedPath:
 
     def test_small_blocks_equivalent(self, small_graph, rng):
         """Block boundaries must not change results."""
-        from repro.core.evaluation import FilterIndex, _ranks_batched
+        from repro.core.evaluation import _ranks_batched
 
         model = TransE(4)
         entity = rng.normal(size=(small_graph.num_entities, 4))
         relation = rng.normal(size=(small_graph.num_relations, 4))
         triples = small_graph.triples[:25]
-        index = FilterIndex(small_graph.triple_set())
         big = _ranks_batched(
-            model, entity, relation, triples, False, index, block_rows=10**9
+            model, entity, relation, triples, False, small_graph, block_rows=10**9
         )
         tiny = _ranks_batched(
-            model, entity, relation, triples, False, index,
+            model, entity, relation, triples, False, small_graph,
             block_rows=small_graph.num_entities,  # one query per block
         )
         assert big == tiny

@@ -52,7 +52,7 @@ class TestLearning:
         result = trainer.train(
             split.train,
             eval_graph=split.test,
-            filter_set=graph.triple_set(),
+            known=graph,
             eval_max_queries=100,
             eval_candidates=None,
         )

@@ -3,71 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.kg.analytics import (
-    degree_histogram,
-    hot_set_coverage,
-    powerlaw_alpha_mle,
-    summarize,
-)
-
-
-class TestPowerlawMLE:
-    def test_recovers_known_exponent(self, rng):
-        """Sampling from a discrete power law and fitting must recover the
-        exponent within tolerance."""
-        alpha_true = 2.5
-        # Inverse-CDF sampling of a zeta-ish distribution via continuous
-        # approximation: x = x_min * (1 - u)^(-1/(alpha-1)).  The floor()
-        # discretisation biases the head, so fit from x_min = 5 where the
-        # discrete MLE's -0.5 correction is accurate.
-        u = rng.random(50_000)
-        samples = np.floor(1.0 * (1 - u) ** (-1.0 / (alpha_true - 1)))
-        fitted = powerlaw_alpha_mle(samples, x_min=5)
-        assert fitted == pytest.approx(alpha_true, abs=0.3)
-
-    def test_nan_for_tiny_samples(self):
-        assert np.isnan(powerlaw_alpha_mle(np.array([1.0])))
-
-    def test_x_min_filters(self):
-        values = np.array([1, 1, 1, 5, 10, 20])
-        a_all = powerlaw_alpha_mle(values, x_min=1)
-        a_tail = powerlaw_alpha_mle(values, x_min=5)
-        assert a_all != a_tail
-
-    def test_invalid_x_min(self):
-        with pytest.raises(ValueError):
-            powerlaw_alpha_mle(np.array([1, 2, 3]), x_min=0)
-
-
-class TestDegreeHistogram:
-    def test_counts_sum_to_entities(self, small_graph):
-        values, counts = degree_histogram(small_graph)
-        assert counts.sum() == small_graph.num_entities
-
-    def test_weighted_sum_is_double_triples(self, small_graph):
-        values, counts = degree_histogram(small_graph)
-        assert (values * counts).sum() == 2 * small_graph.num_triples
-
-
-class TestSummarize:
-    def test_summary_fields(self, small_graph):
-        s = summarize(small_graph)
-        assert s.num_entities == small_graph.num_entities
-        assert s.mean_degree == pytest.approx(
-            2 * small_graph.num_triples / small_graph.num_entities
-        )
-        assert s.max_degree >= s.mean_degree
-        assert 0 <= s.degree_gini <= 1
-        assert 0 <= s.relation_top10_share <= 1
-
-    def test_generated_graph_is_heavy_tailed(self, small_graph):
-        """The generator must produce a power-law-ish degree tail
-        (alpha in the 1.5-4 range typical for real KGs)."""
-        s = summarize(small_graph)
-        assert 1.2 < s.degree_alpha < 5.0
-
-    def test_as_row_length(self, small_graph):
-        assert len(summarize(small_graph).as_row()) == 9
+from repro.kg.analytics import hot_set_coverage
 
 
 class TestHotSetCoverage:

@@ -13,6 +13,7 @@ from repro.kg.datasets import (
     save_tsv,
 )
 from repro.kg.graph import HEAD, REL, TAIL
+from tests.reference.evaluation_reference import triple_set
 
 
 class TestSpecs:
@@ -81,7 +82,7 @@ class TestGenerate:
         assert not np.any(graph.triples[:, HEAD] == graph.triples[:, TAIL])
 
     def test_no_duplicate_triples(self, graph):
-        assert len(graph.triple_set()) == graph.num_triples
+        assert len(triple_set(graph)) == graph.num_triples
 
     def test_every_entity_appears(self, graph):
         assert np.all(graph.entity_degrees() > 0)

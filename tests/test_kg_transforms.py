@@ -1,66 +1,9 @@
 """Tests for repro.kg.transforms."""
 
 import numpy as np
-import pytest
 
-from repro.kg.graph import HEAD, REL, TAIL, KnowledgeGraph
-from repro.kg.transforms import (
-    add_inverse_relations,
-    deduplicate,
-    k_core,
-    relabel_by_degree,
-    remove_self_loops,
-    subsample_triples,
-)
-
-
-class TestInverseRelations:
-    def test_doubles_triples_and_relations(self, tiny_graph):
-        out = add_inverse_relations(tiny_graph)
-        assert out.num_triples == 2 * tiny_graph.num_triples
-        assert out.num_relations == 2 * tiny_graph.num_relations
-
-    def test_inverse_is_reversed(self, tiny_graph):
-        out = add_inverse_relations(tiny_graph)
-        n = tiny_graph.num_triples
-        for i in range(n):
-            h, r, t = tiny_graph.triples[i]
-            ih, ir, it = out.triples[n + i]
-            assert (ih, it) == (t, h)
-            assert ir == r + tiny_graph.num_relations
-
-    def test_labels_suffixed(self):
-        g = KnowledgeGraph.from_labeled_triples([("a", "likes", "b")])
-        out = add_inverse_relations(g)
-        assert out.relation_labels == ["likes", "likes_inv"]
-
-    def test_original_untouched(self, tiny_graph):
-        before = tiny_graph.triples.copy()
-        add_inverse_relations(tiny_graph)
-        np.testing.assert_array_equal(before, tiny_graph.triples)
-
-
-class TestSelfLoopsAndDedup:
-    def test_remove_self_loops(self):
-        g = KnowledgeGraph([(0, 0, 0), (0, 0, 1), (1, 1, 1)])
-        out = remove_self_loops(g)
-        assert out.num_triples == 1
-        assert tuple(out.triples[0]) == (0, 0, 1)
-
-    def test_deduplicate(self):
-        g = KnowledgeGraph([(0, 0, 1), (0, 0, 1), (1, 0, 2), (0, 0, 1)])
-        out = deduplicate(g)
-        assert out.num_triples == 2
-
-    def test_deduplicate_keeps_order(self):
-        g = KnowledgeGraph([(1, 0, 2), (0, 0, 1), (1, 0, 2)])
-        out = deduplicate(g)
-        assert tuple(out.triples[0]) == (1, 0, 2)
-        assert tuple(out.triples[1]) == (0, 0, 1)
-
-    def test_dedup_empty(self):
-        g = KnowledgeGraph(np.empty((0, 3), dtype=np.int64))
-        assert deduplicate(g).num_triples == 0
+from repro.kg.graph import HEAD, REL, TAIL
+from repro.kg.transforms import relabel_by_degree
 
 
 class TestRelabelByDegree:
@@ -83,52 +26,3 @@ class TestRelabelByDegree:
     def test_mapping_is_permutation(self, small_graph):
         _, mapping = relabel_by_degree(small_graph)
         assert sorted(mapping.tolist()) == list(range(small_graph.num_entities))
-
-
-class TestSubsample:
-    def test_fraction(self, small_graph):
-        out = subsample_triples(small_graph, 0.25, seed=0)
-        assert out.num_triples == round(0.25 * small_graph.num_triples)
-        assert out.num_entities == small_graph.num_entities
-
-    def test_deterministic(self, small_graph):
-        a = subsample_triples(small_graph, 0.5, seed=3)
-        b = subsample_triples(small_graph, 0.5, seed=3)
-        assert np.array_equal(a.triples, b.triples)
-
-    def test_subset_of_original(self, small_graph):
-        out = subsample_triples(small_graph, 0.1, seed=0)
-        assert out.triple_set() <= small_graph.triple_set()
-
-    def test_invalid_fraction(self, small_graph):
-        with pytest.raises(ValueError):
-            subsample_triples(small_graph, 1.5)
-
-
-class TestKCore:
-    def test_min_degree_holds(self, small_graph):
-        out = k_core(small_graph, 4)
-        degrees = out.entity_degrees()
-        touched = degrees[degrees > 0]
-        assert np.all(touched >= 4)
-
-    def test_chain_collapses(self):
-        """A path graph has no 2-core beyond its cycle-free structure."""
-        chain = [(i, 0, i + 1) for i in range(5)]
-        g = KnowledgeGraph(chain)
-        out = k_core(g, 2)
-        assert out.num_triples == 0
-
-    def test_cycle_survives_2core(self):
-        cycle = [(i, 0, (i + 1) % 5) for i in range(5)]
-        g = KnowledgeGraph(cycle)
-        out = k_core(g, 2)
-        assert out.num_triples == 5
-
-    def test_k1_is_identity(self, tiny_graph):
-        out = k_core(tiny_graph, 1)
-        assert out.num_triples == tiny_graph.num_triples
-
-    def test_invalid_k(self, tiny_graph):
-        with pytest.raises(ValueError):
-            k_core(tiny_graph, 0)

@@ -219,7 +219,7 @@ class TestSyncBitIdentity:
         r_sim = sim.train(
             split.train,
             eval_graph=split.test,
-            filter_set=graph.triple_set(),
+            known=graph,
             eval_max_queries=30,
             eval_candidates=40,
         )
@@ -227,7 +227,7 @@ class TestSyncBitIdentity:
         r_mp = mp.train_mp(
             split.train,
             eval_graph=split.test,
-            filter_set=graph.triple_set(),
+            known=graph,
             eval_max_queries=30,
             eval_candidates=40,
             schedule="sync",

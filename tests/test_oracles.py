@@ -12,7 +12,6 @@ import scipy.sparse as sp
 
 from repro.kg.datasets import DatasetSpec, generate_dataset
 from repro.kg.graph import HEAD, TAIL, KnowledgeGraph
-from repro.kg.transforms import k_core
 from repro.partition.quality import edge_cut
 from repro.partition.random_partition import RandomPartitioner
 
@@ -28,34 +27,6 @@ def _to_nx(graph: KnowledgeGraph) -> nx.MultiGraph:
 def random_graph():
     spec = DatasetSpec("oracle", 120, 6, 900, seed=13)
     return generate_dataset(spec)
-
-
-class TestKCoreOracle:
-    def test_matches_networkx_surviving_nodes(self, random_graph):
-        """Entities surviving our k-core must equal networkx's k-core node
-        set (computed on the simple graph; multi-edges count via degree,
-        so compare on a deduplicated simple graph)."""
-        # Build a simple (non-multi) version for an apples-to-apples check.
-        simple_edges = {
-            (min(int(h), int(t)), max(int(h), int(t)))
-            for h, _, t in random_graph.triples
-            if h != t
-        }
-        triples = [(a, 0, b) for a, b in sorted(simple_edges)]
-        g = KnowledgeGraph(
-            triples,
-            num_entities=random_graph.num_entities,
-            num_relations=1,
-        )
-        for k in (2, 3, 4):
-            ours = k_core(g, k)
-            degrees = ours.entity_degrees()
-            our_nodes = set(np.nonzero(degrees > 0)[0].tolist())
-
-            nxg = nx.Graph()
-            nxg.add_edges_from(simple_edges)
-            nx_nodes = set(nx.k_core(nxg, k).nodes())
-            assert our_nodes == nx_nodes, f"k={k}"
 
 
 class TestDegreeOracle:

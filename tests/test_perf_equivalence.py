@@ -35,11 +35,7 @@ from repro.cache.filtering import filter_hot_ids
 from repro.cache.hotness import HotnessTable
 from repro.cache.core import make_cache
 from repro.cache.table import CacheTable
-from repro.core.evaluation import (
-    FilterIndex,
-    _ranks_batched,
-    evaluate_link_prediction,
-)
+from repro.core.evaluation import _ranks_batched, evaluate_link_prediction
 from repro.kg.graph import HEAD, REL, TAIL, KnowledgeGraph, TripleIndex
 from repro.models import get_model
 from repro.optim.base import coalesce
@@ -50,6 +46,7 @@ from tests.reference.cache_policies_reference import RefLFU
 from tests.reference.evaluation_reference import (
     evaluate_link_prediction_reference,
     full_ranks_reference,
+    triple_set,
 )
 from tests.reference.prefetch_reference import _count_batch
 
@@ -550,7 +547,7 @@ class TestNegativeResamplerRNGFaithful:
         ref2 = build(seed)
         ref2._filter_index = None  # disable in-corrupt resampling
         raw = ref2.corrupt(positives)
-        self._reference_resample(ref2, small_graph.triple_set(), raw)
+        self._reference_resample(ref2, triple_set(small_graph), raw)
 
         assert np.array_equal(vec_batch.neg_entities, raw.neg_entities)
         assert np.array_equal(vec_batch.neg_entities, ref_batch.neg_entities)
@@ -590,18 +587,18 @@ class TestEvaluationEquivalence:
         self, eval_setup, replace_head, filtered
     ):
         model, ent, rel, graph = eval_setup
-        filter_index = FilterIndex(graph.triple_set()) if filtered else None
+        known = graph if filtered else None
         ref = full_ranks_reference(
-            model, ent, rel, graph.triples, replace_head, filter_index
+            model, ent, rel, graph.triples, replace_head, known
         )
         vec = _ranks_batched(
-            model, ent, rel, graph.triples, replace_head, filter_index
+            model, ent, rel, graph.triples, replace_head, known
         )
         assert vec == ref
         # Tiny blocks exercise the chunking edges too.
         assert (
             _ranks_batched(
-                model, ent, rel, graph.triples, replace_head, filter_index,
+                model, ent, rel, graph.triples, replace_head, known,
                 block_rows=64,
             )
             == ref
@@ -613,9 +610,8 @@ class TestEvaluationEquivalence:
         self, eval_setup, num_candidates, filtered
     ):
         model, ent, rel, graph = eval_setup
-        filter_set = graph.triple_set() if filtered else None
         kwargs = dict(
-            filter_set=filter_set,
+            known=graph if filtered else None,
             max_queries=25,
             num_candidates=num_candidates,
             seed=9,
@@ -673,7 +669,7 @@ class TestParallelRunner:
             num_machines=2, cache_capacity=32, sync_period=4, seed=0,
         )
         kwargs = dict(
-            filter_set=small_graph.triple_set(),
+            known=small_graph,
             eval_max_queries=20,
             eval_candidates=20,
         )

@@ -21,6 +21,7 @@ from repro.mp.backend import TRACE_REASON, MPUnsupportedError
 from repro.obs import Tracer, set_tracer
 from repro.stream.events import EventStream
 from repro.stream.ingest import OnlineTrainer
+from tests.reference.evaluation_reference import triple_set
 
 
 def config(**overrides) -> TrainingConfig:
@@ -99,6 +100,41 @@ def test_link_prediction_rejects_an_empty_budget(budget, small_split):
             trainer.server.store.table("relation"),
             small_split.test,
             **budget,
+        )
+
+
+# ------------------------------------------------------------ known triples
+
+
+@pytest.mark.parametrize(
+    "system, backend",
+    [("hetkg-d", "sim"), ("hetkg-d", "mp"), ("dglke", "sim"), ("pbg", "sim")],
+    ids=["sim", "mp", "dglke", "pbg"],
+)
+def test_a_set_of_known_triples_rejected_before_any_step(
+    system, backend, small_split, small_graph, no_steps
+):
+    """The old API passed a set of triples third, where ``known`` now goes:
+    ``TypeError`` naming ``known`` before set-up, not an ``AttributeError``
+    at the first evaluation after every epoch has trained."""
+    trainer = make_trainer(system, config())
+    with pytest.raises(TypeError, match="known"):
+        trainer.train(
+            small_split.train, small_split.test, triple_set(small_graph), backend=backend
+        )
+    assert not set_up(trainer)
+
+
+def test_link_prediction_rejects_a_set_of_known_triples(small_split, small_graph):
+    trainer = make_trainer("hetkg-d", config())
+    trainer.setup(small_split.train)
+    with pytest.raises(TypeError, match="known"):
+        evaluate_link_prediction(
+            trainer.model,
+            trainer.server.store.table("entity"),
+            trainer.server.store.table("relation"),
+            small_split.test,
+            triple_set(small_graph),
         )
 
 
