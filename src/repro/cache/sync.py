@@ -132,6 +132,12 @@ class HotEmbeddingCache:
     def fetch(self, kind: str, ids: np.ndarray):
         """Rows for ``ids`` in order: cache hits locally, misses from the PS.
 
+        Every occurrence counts once in the table's hit/miss counters.  One
+        :meth:`~repro.cache.table.CacheTable.lookup` resolves the ids (and
+        :meth:`apply_local_gradients` gets the same answer back for the
+        batch's read-only ids); the hit rows are one ``take``, and when
+        every id hits no mask is built.
+
         Returns ``(rows, comm)``.
         """
         from repro.ps.network import CommRecord
@@ -139,16 +145,23 @@ class HotEmbeddingCache:
         table = self._tables[kind]
         ids = np.asarray(ids, dtype=np.int64)
         with self.trace.span("cache.fetch", "cache", kind=kind) as span:
-            hit_mask, hit_ids, miss_ids = table.partition_hits(ids)
-            rows = np.empty((len(ids), table.width), dtype=np.float64)
+            mask, slots = table.lookup(ids)
+            hits = int(np.count_nonzero(mask))
+            misses = len(ids) - hits
+            table.stats.hits += hits
+            table.stats.misses += misses
             comm = CommRecord()
-            if len(hit_ids):
-                rows[hit_mask] = table.get(hit_ids)
-            if len(miss_ids):
-                pulled, comm_pull = self.server.pull(kind, miss_ids)
+            if not misses:
+                rows = table.rows_view().take(slots, axis=0)
+            else:
+                rows = np.empty((len(ids), table.width), dtype=np.float64)
+                if hits:
+                    rows[mask] = table.rows_view().take(slots[mask], axis=0)
+                miss = ~mask
+                pulled, comm_pull = self.server.pull(kind, ids[miss])
                 comm.merge(comm_pull)
-                rows[~hit_mask] = pulled
-            span.set(hits=len(hit_ids), misses=len(miss_ids), bytes=comm.total_bytes)
+                rows[miss] = pulled
+            span.set(hits=hits, misses=misses, bytes=comm.total_bytes)
         return rows, comm
 
     # ---------------------------------------------------------------- writes
@@ -160,10 +173,12 @@ class HotEmbeddingCache:
         are ignored; the PS push covers them)."""
         table = self._tables[kind]
         ids = np.asarray(ids, dtype=np.int64)
-        mask, all_slots = table.lookup(ids)
-        if not mask.any():
+        mask, slots = table.lookup(ids)
+        hits = int(np.count_nonzero(mask))
+        if not hits:
             return
-        slots = all_slots[mask]
+        if hits < len(ids):
+            slots, grads = slots[mask], grads[mask]
         # rows_view() hands out the whole backing array; the occupied-prefix
         # invariant guarantees live slots never index the zeroed tail.
         assert int(slots.max()) < table.occupied, (
@@ -173,7 +188,7 @@ class HotEmbeddingCache:
         # ``ids`` is the batch's sorted-unique id array, so the surviving
         # slots are distinct by construction — skip the coalescing scan.
         self._local_optimizers[kind].update(
-            kind, table.rows_view(), slots, grads[mask], assume_unique=True
+            kind, table.rows_view(), slots, grads, assume_unique=True
         )
 
     # ------------------------------------------------------------------ sync

@@ -2,15 +2,18 @@
 
 One table caches one kind of embedding (entities or relations) at one
 worker.  Membership is decided externally (by the CPS/DPS strategies); the
-table provides vectorized id lookup, bulk hit/miss partitioning, in-place
-row updates, and hit-ratio accounting.
+table provides vectorized id lookup, in-place row updates, and hit-ratio
+counters (which :class:`~repro.cache.sync.HotEmbeddingCache` keeps).
 
 Implementation note (the determinism contract)
 ----------------------------------------------
 Membership is an id -> slot map: ``_slot`` is one int64 per id, holding
 the id's slot or ``-1``, sized to the largest installed id + 1.  Every
-lookup (``lookup`` / ``slot_of`` / ``partition_hits`` / ``get``) is one
-gather from it; ids below zero or past its end miss.  Slot assignment is
+lookup (``lookup`` / ``slot_of``) is one gather from it; ids below zero or
+past its end miss.  A step asks about the same read-only id array (its
+batch's :class:`~repro.sampling.negative.BatchIndex`) once to fetch and
+once to apply its own gradients, so ``lookup`` remembers its last answer
+for a read-only array until the membership changes.  Slot assignment is
 pinned: ``install(ids, rows)`` stores ``ids[i]`` at slot ``i`` exactly as
 the dict-based implementation did, so ``rows_view()`` layouts, optimizer
 state addressing, and the :attr:`ids` order are bit-compatible with the
@@ -78,6 +81,13 @@ class CacheTable:
         #: ``_slot[id]`` is the id's slot, ``-1`` when it is not cached.
         self._slot: np.ndarray = _EMPTY_IDS
         self.stats = CacheStats()
+        #: ``lookup``'s last read-only argument and its answer.
+        self._last_ids: np.ndarray | None = None
+        self._last: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __getstate__(self) -> dict:
+        # The remembered answer is worth nothing to another process.
+        return {**self.__dict__, "_last_ids": None, "_last": None}
 
     # ------------------------------------------------------------- membership
 
@@ -117,6 +127,7 @@ class CacheTable:
             top = int(ordered[-1]) + 1
         previous = len(self._ids)
         self._ledger.reinstall(len(ids))
+        self._last_ids = self._last = None
         self._slot[self._ids] = -1
         if top > len(self._slot):
             # Every entry is -1 once the outgoing members are cleared.
@@ -136,9 +147,15 @@ class CacheTable:
         """Vectorized membership + slot resolution in one gather.
 
         Returns ``(mask, slots)`` where ``mask[i]`` says whether ``ids[i]``
-        is cached and ``slots[i]`` is its slot (``-1`` for misses).
+        is cached and ``slots[i]`` is its slot (``-1`` for misses).  Both
+        are read-only when ``ids`` is a read-only array owning its data:
+        that answer is remembered and handed out again, without a gather,
+        for the same array until :meth:`install` or :meth:`evict` changes
+        the membership.
         """
         ids = np.asarray(ids, dtype=np.int64)
+        if ids is self._last_ids:
+            return self._last
         slot = self._slot
         # Negative ids wrap past every id as uint64: one compare bounds both.
         inside = ids.view(np.uint64) < len(slot)
@@ -147,27 +164,12 @@ class CacheTable:
         else:
             slots = np.full(len(ids), -1, dtype=np.int64)
             slots[inside] = slot[ids[inside]]
-        return slots >= 0, slots
-
-    def partition_hits(
-        self, ids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Split ``ids`` into (mask, cached, not-cached), updating hit stats.
-
-        Duplicate ids count once per occurrence, matching how a worker's
-        accesses are metered.
-        """
-        ids = np.asarray(ids, dtype=np.int64)
-        mask, _ = self.lookup(ids)
-        hits = int(mask.sum())
-        self.stats.hits += hits
-        self.stats.misses += int(len(ids) - hits)
-        return mask, ids[mask], ids[~mask]
-
-    def get(self, ids: np.ndarray) -> np.ndarray:
-        """Rows for ``ids`` (every id must be cached). Returns a copy."""
-        slots = self.slot_of(ids)
-        return self._rows[slots].copy()
+        answer = (slots >= 0, slots)
+        if not ids.flags.writeable and ids.base is None:
+            for array in answer:
+                array.flags.writeable = False
+            self._last_ids, self._last = ids, answer
+        return answer
 
     # ----------------------------------------------------------------- writes
 
@@ -189,6 +191,7 @@ class CacheTable:
         cached, slots = self.lookup(ids)
         if not cached.any():
             return 0
+        self._last_ids = self._last = None
         dead = np.unique(slots[cached])
         first, end = int(dead[0]), len(self._ids)
         keep = np.ones(end - first, dtype=bool)

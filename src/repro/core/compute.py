@@ -39,8 +39,11 @@ def _positions(
 ) -> np.ndarray:
     """Map positions into a batch's own sorted unique ids ``own`` onto
     positions into the caller's ``ids``: one ``searchsorted`` over the
-    unique ids, then one gather.  Every id of ``own`` must be in ``ids``
-    (a miss would silently train on a neighbour's row)."""
+    unique ids, then one gather — or nothing, when ``ids`` *is* ``own``
+    (the normal call).  Every id of ``own`` must be in ``ids`` (a miss
+    would silently train on a neighbour's row)."""
+    if ids is own:
+        return positions
     remap = np.searchsorted(ids, own)
     if len(own) and not (len(ids) and (np.take(ids, remap, mode="clip") == own).all()):
         raise ValueError(

@@ -87,8 +87,12 @@ class MPControls:
         #: Sync schedule: the global step counter children take turns on.
         self.turn_cond = ctx.Condition()
         self.turn = ctx.Value("q", 0, lock=False)
-        #: Async schedule: per-worker completed-step counters.
-        self.progress = ctx.Array("q", num_workers, lock=True)
+        #: Async schedule: per-worker completed-step counters, written
+        #: under ``progress_cond``; ``waiters`` counts the workers blocked
+        #: on it, so a step notifies only when someone is waiting.
+        self.progress_cond = ctx.Condition()
+        self.progress = ctx.Array("q", num_workers, lock=False)
+        self.waiters = ctx.Value("q", 0, lock=False)
 
 
 # --------------------------------------------------------------------- waits
@@ -106,9 +110,12 @@ def _check_alive(abort) -> None:
 
 
 def _await_gate(controls: MPControls, value: int) -> float:
-    """Block until the parent raises the epoch gate to ``value``."""
-    t0 = time.perf_counter()
+    """Block until the parent raises the epoch gate to ``value``; returns
+    the seconds blocked (0.0 when the gate was already open)."""
     with controls.gate_cond:
+        if controls.gate.value >= value:
+            return 0.0
+        t0 = time.perf_counter()
         while controls.gate.value < value:
             _check_alive(controls.abort)
             controls.gate_cond.wait(_POLL_S)
@@ -116,9 +123,12 @@ def _await_gate(controls: MPControls, value: int) -> float:
 
 
 def _await_turn(controls: MPControls, my_turn: int) -> float:
-    """Block until the global step counter reaches ``my_turn``."""
-    t0 = time.perf_counter()
+    """Block until the global step counter reaches ``my_turn``; returns
+    the seconds blocked (0.0 when it was already this worker's turn)."""
     with controls.turn_cond:
+        if controls.turn.value == my_turn:
+            return 0.0
+        t0 = time.perf_counter()
         while controls.turn.value != my_turn:
             _check_alive(controls.abort)
             controls.turn_cond.wait(_POLL_S)
@@ -131,18 +141,35 @@ def _finish_turn(controls: MPControls) -> None:
         controls.turn_cond.notify_all()
 
 
-def _await_staleness(
-    controls: MPControls, rank: int, done_steps: int, bound: int
-) -> float:
-    """Async guard: never run more than ``bound`` steps past the slowest."""
-    t0 = time.perf_counter()
-    while True:
-        with controls.progress.get_lock():
-            slowest = min(controls.progress)
-        if done_steps - slowest <= bound:
-            return time.perf_counter() - t0
-        _check_alive(controls.abort)
-        time.sleep(_POLL_S)
+def _await_staleness(controls: MPControls, done_steps: int, bound: int) -> float:
+    """Async guard: never run more than ``bound`` steps past the slowest.
+
+    Returns the seconds blocked (0.0 when within the bound).  A blocked
+    worker registers in ``waiters`` and sleeps on ``progress_cond`` until
+    a step it waits for is published (:func:`_publish_progress`); the
+    timeout is only the abort-check cadence.
+    """
+    progress = controls.progress
+    with controls.progress_cond:
+        if done_steps - min(progress) <= bound:
+            return 0.0
+        t0 = time.perf_counter()
+        controls.waiters.value += 1
+        try:
+            while done_steps - min(progress) > bound:
+                _check_alive(controls.abort)
+                controls.progress_cond.wait(_POLL_S)
+        finally:
+            controls.waiters.value -= 1
+    return time.perf_counter() - t0
+
+
+def _publish_progress(controls: MPControls, rank: int, done_steps: int) -> None:
+    """Record ``rank``'s completed steps; wake waiters only if any."""
+    with controls.progress_cond:
+        controls.progress[rank] = done_steps
+        if controls.waiters.value:
+            controls.progress_cond.notify_all()
 
 
 # ---------------------------------------------------------------------- main
@@ -219,7 +246,7 @@ def _run(spec: WorkerSpec, controls: MPControls, attached: list) -> None:
                 )
             else:
                 waited = _await_staleness(
-                    controls, spec.rank, done_steps, spec.staleness_bound
+                    controls, done_steps, spec.staleness_bound
                 )
             if waited > 0:
                 stall_s += waited
@@ -231,8 +258,7 @@ def _run(spec: WorkerSpec, controls: MPControls, attached: list) -> None:
                     _finish_turn(controls)
             done_steps += 1
             if not sync:
-                with controls.progress.get_lock():
-                    controls.progress[spec.rank] = done_steps
+                _publish_progress(controls, spec.rank, done_steps)
 
         controls.queue.put(
             (

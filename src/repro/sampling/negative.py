@@ -44,6 +44,49 @@ class BatchIndex:
             array.flags.writeable = False
 
 
+class SlotMap:
+    """An id -> slot scratch array that :meth:`MiniBatch.index` ranks ids in.
+
+    A :class:`NegativeSampler` owns one and hands it to every batch it
+    builds, so indexing a batch allocates no id-sized array.  Its contents
+    mean nothing between calls, so it never travels: a pickled map
+    unpickles empty and regrows on first use.
+    """
+
+    def __init__(self, size_hint: int = 0) -> None:
+        #: Entries allocated on first use (the sampler's entity count).
+        self.size_hint = size_hint
+        self._slot = np.empty(0, dtype=np.int64)
+
+    def __reduce__(self):
+        return (SlotMap, (self.size_hint,))
+
+    def rank(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``np.unique(values, return_inverse=True)`` for non-negative ids,
+        in time linear in ``len(values)`` plus a sort of the distinct ids.
+
+        ``slot[values] = arange(n)`` leaves exactly one occurrence of each
+        distinct id reading back its own position, whichever duplicate
+        write won; those ids, sorted, are the unique ids, and writing their
+        ranks into ``slot`` turns one more gather into the inverse.
+        """
+        n = len(values)
+        if n == 0:
+            return values.copy(), np.empty(0, dtype=np.intp)
+        if values.min() < 0:
+            raise ValueError(f"batch ids must be non-negative, got {int(values.min())}")
+        top = int(values.max()) + 1
+        if top > len(self._slot):
+            self._slot = np.empty(
+                max(top, 2 * len(self._slot), self.size_hint), dtype=np.int64
+            )
+        slot, order = self._slot, np.arange(n)
+        slot[values] = order
+        unique = np.sort(values[slot[values] == order])
+        slot[unique] = order[: len(unique)]
+        return unique, slot[values]
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     """A view of ``array`` that refuses writes (``array`` itself keeps its
     flags, so no caller-owned array is frozen behind its owner's back)."""
@@ -66,10 +109,10 @@ class MiniBatch:
         ``(b,)`` bool; ``True`` rows corrupt the head, others the tail.
 
     The batch carries its own index: the first call to :meth:`index` (or
-    :meth:`unique_entities` / :meth:`unique_relations`) takes one
-    ``np.unique(..., return_inverse=True)`` over the entity occurrences and
-    one over the relations and caches the result, so a step resolves each
-    id once.  Taking the index freezes the batch — the three attributes
+    :meth:`unique_entities` / :meth:`unique_relations`) ranks the entity
+    occurrences and the relations through ``slot_map`` (the sampler's
+    :class:`SlotMap`; a batch built without one makes its own) and caches
+    the result, so a step resolves each id once.  Taking the index freezes the batch — the three attributes
     become read-only views, and a later in-place rewrite raises instead of
     training on a stale index.  Every in-place writer (false-negative
     resampling, the hard-negative cache's mix) runs inside the sampler's
@@ -79,6 +122,7 @@ class MiniBatch:
     positives: np.ndarray
     neg_entities: np.ndarray
     corrupt_head: np.ndarray
+    slot_map: SlotMap | None = field(default=None, repr=False, compare=False)
     _index: BatchIndex | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -98,19 +142,17 @@ class MiniBatch:
             self.positives = _read_only(self.positives)
             self.neg_entities = _read_only(self.neg_entities)
             self.corrupt_head = _read_only(self.corrupt_head)
-            entities, entity_positions = np.unique(
+            slot_map = self.slot_map if self.slot_map is not None else SlotMap()
+            entities, entity_positions = slot_map.rank(
                 np.concatenate(
                     [
                         self.positives[:, HEAD],
                         self.positives[:, TAIL],
                         self.neg_entities.ravel(),
                     ]
-                ),
-                return_inverse=True,
+                )
             )
-            relations, relation_positions = np.unique(
-                self.positives[:, REL], return_inverse=True
-            )
+            relations, relation_positions = slot_map.rank(self.positives[:, REL])
             self._index = BatchIndex(
                 entities, entity_positions, relations, relation_positions
             )
@@ -187,6 +229,8 @@ class NegativeSampler:
                 raise ValueError("entity_pool must not be empty")
         self.entity_pool = entity_pool
         self._rng = make_rng(seed)
+        #: The scratch every batch this sampler builds indexes through.
+        self.slot_map = SlotMap(num_entities)
         #: Corruptions that exhausted their false-negative resample retries
         #: and stayed a true triple (monotone; see
         #: :meth:`_resample_false_negatives`).  Surfaced by trainers as
@@ -214,6 +258,7 @@ class NegativeSampler:
                 positives,
                 np.zeros((0, self.num_negatives), dtype=np.int64),
                 np.zeros(0, dtype=bool),
+                self.slot_map,
             )
         if self.strategy == "independent":
             neg = self._draw_entities((b, self.num_negatives))
@@ -226,7 +271,7 @@ class NegativeSampler:
                 shared = self._draw_entities(self.num_negatives)
                 neg[start:stop] = shared[None, :]
                 corrupt_head[start:stop] = self._rng.random() < 0.5
-        batch = MiniBatch(positives, neg, corrupt_head)
+        batch = MiniBatch(positives, neg, corrupt_head, self.slot_map)
         if self._filter_index is not None:
             self._resample_false_negatives(batch)
         return batch

@@ -4,7 +4,9 @@ This is ``repro/tier/store.py`` as it stood before the hot tier became a
 block -> slot map over one flat array: hot blocks held as the flattened
 rows of a :class:`~repro.cache.table.CacheTable`, every access resolved
 through its sorted-id ``searchsorted`` lookup, every rebalance
-re-installing the whole hot set.  Moved verbatim, this docstring aside.
+re-installing the whole hot set.  Moved verbatim, this docstring aside
+and ``CacheTable.get``, since deleted, read through the copy kept in
+``tests/reference/step_bookkeeping_reference.py`` (``cached_rows``).
 ``tests/test_tier_equivalence.py`` holds the live table to it: output
 bytes, counters, the ``tier.*`` clock as ``float.hex``, reports, budget
 charges, hot membership and cold payloads.  Not imported by ``src/``.
@@ -22,6 +24,7 @@ from repro.obs.tracer import NULL_SCOPE, TraceScope
 from repro.ps.compression import Compressor, get_compressor
 from repro.tier.budget import MemoryBudget
 from repro.tier.policy import TierMeter, TierPolicy
+from tests.reference.step_bookkeeping_reference import get as cached_rows
 
 #: Per-block residency states (int8 codes in :attr:`TieredTable._state`).
 WARM, HOT, COLD = 0, 1, 2
@@ -398,7 +401,7 @@ class TieredTable:
             members = self._hot.ids
             replacement = CacheTable(new_cap, self._block * self._width)
             if len(members):
-                replacement.install(members, self._hot.get(members))
+                replacement.install(members, cached_rows(self._hot, members))
             self._hot = replacement
 
     # --------------------------------------------------------------- rebalance
@@ -477,7 +480,7 @@ class TieredTable:
             (len(new_ids), self._block * self._width), dtype=np.float64
         )
         if len(keep):
-            new_rows[: len(keep)] = self._hot.get(keep)
+            new_rows[: len(keep)] = cached_rows(self._hot, keep)
         if len(promote):
             from_cold = self._state[promote] == COLD
             warm_promote = promote[~from_cold]
@@ -613,7 +616,7 @@ class TieredTable:
         return np.asarray(self._mm[idx]).reshape(len(blocks), -1)
 
     def _writeback_blocks(self, blocks: np.ndarray) -> None:
-        rows = self._hot.get(blocks).reshape(-1, self._block, self._width)
+        rows = cached_rows(self._hot, blocks).reshape(-1, self._block, self._width)
         for i, b in enumerate(blocks.tolist()):
             self._mm[b * self._block : (b + 1) * self._block] = rows[i]
         nbytes = len(blocks) * self._block_bytes
@@ -644,7 +647,7 @@ class TieredTable:
             # Fetch surviving rows before install() reshuffles the backing
             # array, and write the demoted block back while it is still hot.
             keep_rows = (
-                self._hot.get(keep)
+                cached_rows(self._hot, keep)
                 if len(keep)
                 else np.empty((0, self._block * self._width))
             )

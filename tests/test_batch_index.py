@@ -1,16 +1,20 @@
 """``MiniBatch.index``: a batch resolves each of its ids once.
 
-The index is one ``np.unique(..., return_inverse=True)`` over the batch's
-entity occurrences (heads, tails, negatives) and one over its relations,
-taken at first ask and cached; taking it freezes the batch.
-``compute_batch_gradients`` maps the index's positions onto the caller's
-ids through the unique ids alone.  Checked here over every sampler that
-builds batches — both strategies, a false-negative filter, and the
-hard-negative cache at mix 0, 0.5 and 1, whose in-place rewrites must all
-land before the index is taken.
+The index ranks the batch's entity occurrences (heads, tails, negatives)
+and its relations through the sampler's ``SlotMap``, at first ask, and
+caches the result; taking it freezes the batch.  It equals, byte for byte,
+the ``np.unique(..., return_inverse=True)`` it replaced (kept in
+``tests/reference/step_bookkeeping_reference.py``), batch after batch
+through one sampler's slot map.  ``compute_batch_gradients`` maps the
+index's positions onto the caller's ids through the unique ids alone.
+Checked here over every sampler that builds batches — both strategies, a
+false-negative filter, and the hard-negative cache at mix 0, 0.5 and 1,
+whose in-place rewrites must all land before the index is taken.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
@@ -22,8 +26,9 @@ from repro.kg.graph import HEAD, REL, TAIL, KnowledgeGraph
 from repro.models import get_model
 from repro.models.losses import get_loss
 from repro.sampling.cache import CachedNegativeSampler
-from repro.sampling.negative import MiniBatch, NegativeSampler
+from repro.sampling.negative import MiniBatch, NegativeSampler, SlotMap
 from tests.reference import compute_reference as reference
+from tests.reference.step_bookkeeping_reference import index_reference
 from tests.test_compute_reference import assert_same_bits
 
 #: Hard-negative cache mix fraction -> ``corrupt`` calls that reach it
@@ -47,6 +52,12 @@ def _graph(rng) -> KnowledgeGraph:
 def _batch(sampler_kind: str, seed: int, b: int, n_neg: int):
     """A batch from the named sampler over a graph small enough that ids
     repeat inside it."""
+    graph, (batch,) = _batches(sampler_kind, seed, b, n_neg, 1)
+    return graph, batch
+
+
+def _batches(sampler_kind: str, seed: int, b: int, n_neg: int, count: int):
+    """``count`` consecutive batches from one such sampler (see :func:`_draw`)."""
     rng = np.random.default_rng(seed)
     graph = _graph(rng)
     positives = graph.triples[rng.integers(0, len(graph.triples), b)]
@@ -59,7 +70,7 @@ def _batch(sampler_kind: str, seed: int, b: int, n_neg: int):
             filter_graph=graph if sampler_kind == "filtered" else None,
             seed=seed,
         )
-        return graph, sampler.corrupt(positives)
+        return graph, _draw(sampler, positives, count)
     mix = float(sampler_kind.split("-")[1])
     sampler = CachedNegativeSampler(
         graph.num_entities,
@@ -76,11 +87,21 @@ def _batch(sampler_kind: str, seed: int, b: int, n_neg: int):
                 sampler.seed_cache(
                     (anchor, relation, head), rng.integers(0, graph.num_entities, 3)
                 )
-    for _ in range(MIX_CALLS[mix]):
-        reached = sampler.mix_fraction()
-        batch = sampler.corrupt(positives)
-    assert reached == mix
-    return graph, batch
+    for _ in range(MIX_CALLS[mix] - 1):
+        sampler.corrupt(positives)
+    assert sampler.mix_fraction() == mix
+    return graph, _draw(sampler, positives, count)
+
+
+def _draw(sampler, positives, count: int) -> list[MiniBatch]:
+    """``count`` batches, each but the last indexed before the next is
+    drawn, so every later one ranks over what the one before left in the
+    sampler's slot map."""
+    batches = [sampler.corrupt(positives)]
+    for _ in range(count - 1):
+        batches[-1].index()
+        batches.append(sampler.corrupt(positives))
+    return batches
 
 
 CASES = dict(
@@ -109,6 +130,66 @@ class TestBatchIndex:
         assert np.array_equal(occurrences[b : 2 * b], pos[:, TAIL])
         assert np.array_equal(occurrences[2 * b :].reshape(b, n_neg), neg)
         assert np.array_equal(index.relations[index.relation_positions], pos[:, REL])
+
+    @given(**CASES, count=st.integers(2, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_index_equals_np_unique_byte_for_byte(self, sampler_kind, seed, b, n_neg, count):
+        """Batch after batch through one sampler's slot map (the hard-negative
+        cache's annealing moves on across them), every index array has the
+        ``np.unique`` reference's dtype and bytes."""
+        _, batches = _batches(sampler_kind, seed, b, n_neg, count)
+        assert len({id(batch.slot_map) for batch in batches}) == 1
+        for batch in batches:
+            for got, want in zip(vars(batch.index()).values(), vars(index_reference(batch)).values()):
+                assert got.dtype == want.dtype
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    @given(
+        chunks=st.lists(st.lists(st.integers(0, 3_000), max_size=40), min_size=1, max_size=6),
+        hint=st.sampled_from([0, 1, 100]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_slot_map_ranks_like_np_unique_as_it_grows(self, chunks, hint):
+        """One map over id arrays of growing and shrinking range, duplicates
+        and empty arrays included: each rank is ``np.unique``'s."""
+        slot_map = SlotMap(hint)
+        for chunk in chunks:
+            values = np.asarray(chunk, dtype=np.int64)
+            unique, inverse = slot_map.rank(values)
+            want_unique, want_inverse = np.unique(values, return_inverse=True)
+            assert unique.tobytes() == want_unique.tobytes()
+            assert inverse.dtype == want_inverse.dtype
+            assert inverse.tobytes() == want_inverse.tobytes()
+            assert len(slot_map._slot) >= (int(values.max()) + 1 if len(values) else 0)
+
+    def test_grown_sampler_indexes_new_ids(self):
+        sampler = NegativeSampler(4, num_negatives=2, seed=0)
+        sampler.corrupt(np.array([[0, 0, 3]])).index()
+        sampler.resize(50)
+        batch = sampler.corrupt(np.array([[40, 0, 49]]))
+        assert 49 in batch.unique_entities()
+        assert np.array_equal(batch.unique_entities(), index_reference(batch).entities)
+
+    def test_negative_ids_are_refused(self):
+        batch = MiniBatch(np.array([[0, 0, -1]]), np.array([[2]]), np.array([False]))
+        with pytest.raises(ValueError, match="non-negative"):
+            batch.index()
+
+    def test_the_slot_map_does_not_travel(self):
+        sampler = NegativeSampler(1000, num_negatives=4, seed=0)
+        sampler.corrupt(np.array([[0, 0, 999], [5, 0, 7]])).index()
+        assert len(sampler.slot_map._slot) >= 1000
+        copy = pickle.loads(pickle.dumps(sampler))
+        assert len(copy.slot_map._slot) == 0 and copy.slot_map.size_hint == 1000
+        batch = copy.corrupt(np.array([[0, 0, 999]]))
+        assert batch.slot_map is copy.slot_map
+        assert np.array_equal(batch.unique_entities(), index_reference(batch).entities)
+
+    def test_an_empty_batch_has_an_empty_index(self):
+        batch = NegativeSampler(10, num_negatives=3, seed=0).corrupt(np.zeros((0, 3)))
+        for got, want in zip(vars(batch.index()).values(), vars(index_reference(batch)).values()):
+            assert got.dtype == want.dtype and got.shape == want.shape
 
     @given(**CASES)
     @settings(max_examples=30, deadline=None)

@@ -7,7 +7,43 @@ from hypothesis import strategies as st
 
 from repro.cache.sync import HotEmbeddingCache
 from repro.cache.table import CacheStats, CacheTable
+from repro.ps.network import CommRecord
 from tests.reference.graph_mutation_reference import invalidate_ids_reference
+
+
+class EchoServer:
+    """A PS stand-in for a fetch's misses: every cell of id ``i``'s row is
+    ``-i - 0.5``; each pull's ids are kept in :attr:`pulled`."""
+
+    def __init__(self, width: int) -> None:
+        self.width = width
+        self.pulled: list[list[int]] = []
+
+    def pull(self, kind, ids):
+        self.pulled.append(np.asarray(ids).tolist())
+        rows = np.repeat(-np.asarray(ids, dtype=np.float64)[:, None] - 0.5, self.width, axis=1)
+        return rows, CommRecord()
+
+
+def holding(table: CacheTable) -> HotEmbeddingCache:
+    """A hot-embedding cache whose entity table is ``table``, missing to an
+    :class:`EchoServer` (``fetch`` is where reads are counted)."""
+    cache = HotEmbeddingCache(table.capacity, 1, table.width, 1, sync_period=1, local_lr=1.0)
+    cache._tables["entity"] = table
+    cache.server = EchoServer(table.width)
+    return cache
+
+
+def rows_of(table: CacheTable, ids) -> np.ndarray:
+    """The cached rows of ``ids``, in order (every id must be cached)."""
+    return table.rows_view()[table.slot_of(np.asarray(ids, dtype=np.int64))]
+
+
+def _read_only(ids) -> np.ndarray:
+    """A read-only id array owning its data, as a batch index's are."""
+    array = np.array(ids, dtype=np.int64)
+    array.flags.writeable = False
+    return array
 
 
 @pytest.fixture
@@ -85,11 +121,11 @@ class TestInstall:
             np.array([2, 3, 4]), np.arange(6, dtype=np.float64).reshape(3, 2)
         )
         assert t.occupied == 3
-        assert t.get(np.array([2]))[0].tolist() == [0.0, 1.0]
+        assert rows_of(t, [2])[0].tolist() == [0.0, 1.0]
         assert not t.rows_view()[3:].any()
 
     def test_stats_survive_reinstall(self, table):
-        table.partition_hits(np.array([10, 99]))
+        holding(table).fetch("entity", np.array([10, 99]))
         table.install(np.array([7]), np.array([[0.0, 0.0]]))
         assert table.stats.hits == 1
         assert table.stats.misses == 1
@@ -97,29 +133,56 @@ class TestInstall:
 
 class TestReads:
     def test_get_preserves_order(self, table):
-        rows = table.get(np.array([30, 10]))
+        rows, _ = holding(table).fetch("entity", np.array([30, 10]))
         assert rows[0].tolist() == [4.0, 5.0]
         assert rows[1].tolist() == [0.0, 1.0]
 
     def test_get_returns_copy(self, table):
-        rows = table.get(np.array([10]))
-        rows[0, 0] = 777.0
-        assert table.get(np.array([10]))[0, 0] == 0.0
+        cache = holding(table)
+        for ids in (np.array([10]), _read_only([10])):
+            rows, _ = cache.fetch("entity", ids)
+            rows[0, 0] = 777.0
+            assert cache.fetch("entity", ids)[0][0, 0] == 0.0
 
     def test_get_missing_raises(self, table):
         with pytest.raises(KeyError, match="not cached"):
-            table.get(np.array([99]))
+            table.slot_of(np.array([99]))
 
     def test_partition_hits(self, table):
-        mask, hits, misses = table.partition_hits(np.array([10, 99, 30]))
+        cache = holding(table)
+        rows, _ = cache.fetch("entity", np.array([10, 99, 30]))
+        assert cache.server.pulled == [[99]]
+        assert rows.tolist() == [[0.0, 1.0], [-99.5, -99.5], [4.0, 5.0]]
+        mask, slots = table.lookup(np.array([10, 99, 30]))
         assert mask.tolist() == [True, False, True]
-        assert list(hits) == [10, 30]
-        assert list(misses) == [99]
+        assert slots.tolist() == [0, -1, 2]
 
     def test_partition_counts_duplicates(self, table):
-        table.partition_hits(np.array([10, 10, 99]))
+        holding(table).fetch("entity", np.array([10, 10, 99]))
         assert table.stats.hits == 2
         assert table.stats.misses == 1
+
+    def test_all_hits_pull_nothing(self, table):
+        cache = holding(table)
+        rows, comm = cache.fetch("entity", _read_only([30, 20, 30]))
+        assert rows.tolist() == [[4.0, 5.0], [2.0, 3.0], [4.0, 5.0]]
+        assert cache.server.pulled == [] and comm.total_bytes == 0
+        assert (table.stats.hits, table.stats.misses) == (3, 0)
+
+    def test_lookup_remembers_read_only_ids_until_membership_changes(self, table):
+        ids = _read_only([20, 99])
+        answer = table.lookup(ids)
+        assert table.lookup(ids) is answer
+        assert table.lookup(np.array([20, 99])) is not answer
+        view = np.array([20, 99])[:]
+        view.flags.writeable = False  # its base stays writable: not kept
+        assert table.lookup(view) is not table.lookup(view)
+        table.evict(np.array([99]))  # nothing cached: nothing changes
+        assert table.lookup(ids) is answer
+        table.evict(np.array([20]))
+        assert table.lookup(ids)[0].tolist() == [False, False]
+        table.install(np.array([99]), np.ones((1, 2)))
+        assert table.lookup(ids)[1].tolist() == [-1, 0]
 
     def test_lookup_no_stats(self, table):
         mask, slots = table.lookup(np.array([10, 99, -1, 30]))
@@ -131,7 +194,7 @@ class TestReads:
 class TestWrites:
     def test_set(self, table):
         table.set(np.array([20]), np.array([[8.0, 8.0]]))
-        assert table.get(np.array([20]))[0].tolist() == [8.0, 8.0]
+        assert rows_of(table, [20])[0].tolist() == [8.0, 8.0]
 
     def test_slot_of(self, table):
         slots = table.slot_of(np.array([20]))
@@ -142,7 +205,7 @@ class TestEvict:
     def test_survivors_move_down_in_install_order(self, table):
         assert table.evict(np.array([20, 99, 20, -4])) == 1
         assert table.ids.tolist() == [10, 30]
-        assert table.get(np.array([30]))[0].tolist() == [4.0, 5.0]
+        assert rows_of(table, [30])[0].tolist() == [4.0, 5.0]
         assert table.rows_view()[2:].tolist() == [[0.0, 0.0], [0.0, 0.0]]
         assert 20 not in table and table.occupied == 2
 

@@ -364,6 +364,19 @@ class TestAsyncSchedule:
             assert span["steps"] > 0
             assert span["wall_s"] > 0
 
+    def test_unbounded_staleness_never_stalls(self, mp_data):
+        """A bound no worker can reach never blocks a step, so no step counts
+        as a stall (every one did while a check that found the bound met
+        still returned its own elapsed time)."""
+        _, split = mp_data
+        trainer = make_trainer("hetkg-d", mp_config())
+        result = trainer.train_mp(
+            split.train, schedule="async", staleness_bound=10**9, start_method="fork"
+        )
+        for span in result.worker_wall.values():
+            assert span["steps"] > 0
+            assert span["stalls"] == 0
+
     def test_staleness_bound_validated(self, mp_data):
         _, split = mp_data
         trainer = make_trainer("hetkg-d", mp_config())

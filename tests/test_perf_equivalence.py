@@ -49,6 +49,7 @@ from tests.reference.evaluation_reference import (
     triple_set,
 )
 from tests.reference.prefetch_reference import _count_batch
+from tests.test_cache_table import holding
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -122,14 +123,16 @@ class TestCacheTableVsDictMap:
         table = CacheTable(max(1, len(ids)), 3)
         table.install(ids, rows)
         ref = RefDictTable(ids, rows)
+        cache = holding(table)
 
-        mask, hit_ids, miss_ids = table.partition_hits(queries)
+        mask, _ = table.lookup(queries)
+        fetched, _ = cache.fetch("entity", queries)
         ref_mask, ref_hits, ref_misses = ref.partition(queries)
         assert np.array_equal(mask, ref_mask)
-        assert np.array_equal(hit_ids, ref_hits)
-        assert np.array_equal(miss_ids, ref_misses)
-        if len(hit_ids):
-            assert np.array_equal(table.get(hit_ids), ref.get(hit_ids))
+        assert cache.server.pulled == ([ref_misses.tolist()] if len(ref_misses) else [])
+        assert (table.stats.hits, table.stats.misses) == (len(ref_hits), len(ref_misses))
+        if len(ref_hits):
+            assert np.array_equal(fetched[ref_mask], ref.get(ref_hits))
 
     @given(
         ids=st.lists(st.integers(0, 200), min_size=1, max_size=30, unique=True),
@@ -152,6 +155,7 @@ class TestCacheTableVsDictMap:
         out-of-range ids miss, and the slots past the membership are zero."""
         capacity, width = 12, 3
         table = CacheTable(capacity, width)
+        cache = holding(table)
         current: list[int] = []
         seen: set[int] = set()
         hits = misses = 0
@@ -180,16 +184,17 @@ class TestCacheTableVsDictMap:
                 dtype=np.int64,
             )
 
-            mask, hit_ids, miss_ids = table.partition_hits(queries)
+            mask, _ = table.lookup(queries)
+            cache.server.pulled.clear()
+            fetched, _ = cache.fetch("entity", queries)
             ref_mask, ref_hits, ref_misses = ref.partition(queries)
             assert np.array_equal(mask, ref_mask)
-            assert np.array_equal(hit_ids, ref_hits)
-            assert np.array_equal(miss_ids, ref_misses)
+            assert cache.server.pulled == ([ref_misses.tolist()] if len(ref_misses) else [])
             hits += len(ref_hits)
             misses += len(ref_misses)
             assert (table.stats.hits, table.stats.misses) == (hits, misses)
-            if len(hit_ids):
-                assert np.array_equal(table.get(hit_ids), ref.get(hit_ids))
+            if len(ref_hits):
+                assert np.array_equal(fetched[ref_mask], ref.get(ref_hits))
             assert table.ids.tolist() == ids
             assert table.occupied == len(table) == len(ids)
             assert not table.rows_view()[len(ids):].any()

@@ -17,6 +17,7 @@ from repro.partition.metis import MetisPartitioner
 from repro.partition.quality import cut_fraction
 from repro.utils.simclock import SimClock
 from tests.hotness_tables import as_table
+from tests.test_cache_table import holding, rows_of
 
 ids_strategy = st.lists(st.integers(0, 50), min_size=1, max_size=40)
 
@@ -51,9 +52,7 @@ class TestCacheTableProperties:
         for i in ids:
             assert i in table
         if ids:
-            np.testing.assert_array_equal(
-                table.get(np.asarray(ids, dtype=np.int64)), rows
-            )
+            np.testing.assert_array_equal(rows_of(table, ids), rows)
 
     @given(
         queries=st.lists(st.integers(0, 30), min_size=1, max_size=50),
@@ -62,7 +61,7 @@ class TestCacheTableProperties:
     def test_hits_plus_misses_equals_accesses(self, queries):
         table = CacheTable(10, 1)
         table.install(np.arange(10), np.zeros((10, 1)))
-        table.partition_hits(np.asarray(queries))
+        holding(table).fetch("entity", np.asarray(queries))
         assert table.stats.accesses == len(queries)
         expected_hits = sum(1 for q in queries if q < 10)
         assert table.stats.hits == expected_hits
