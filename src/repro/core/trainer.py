@@ -180,8 +180,10 @@ class TrainResult:
     #: Real seconds the executor ran the epochs (evaluations included).
     wall_time_s: float = 0.0
     #: Per-worker wall-clock spans for mp runs: ``{machine: {"wall_s": ...,
-    #: "stall_s": ..., "stalls": ...}}`` where stalls are time spent blocked
-    #: on the sync-schedule turn protocol or the async staleness bound.
+    #: "stall_s": ..., "stalls": ..., "gate_s": ...}}`` where stalls are
+    #: steps blocked on the sync-schedule turn protocol or the async
+    #: staleness bound, and ``gate_s`` the time parked at the start and
+    #: epoch gates.
     worker_wall: dict = field(default_factory=dict)
     #: Corruptions that exhausted their false-negative resample retries and
     #: trained on a true triple anyway (0 unless filter_false_negatives hit

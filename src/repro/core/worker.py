@@ -125,9 +125,9 @@ class Worker:
         Builds the one :class:`~repro.faults.rpc.PSChannel` this worker and
         its cache pull from and push to, with ``faults`` (the run's
         injector, or ``None``) as its fault source, and the four trace
-        scopes on this machine's clock: ``worker{m}``, ``cache{m}``,
-        ``rpc{m}`` (the channel's retries) and ``ps@w{m}`` (the server
-        calls).  ``recovery`` is the crash-restart hook restoring this
+        scopes on this machine's clock: ``worker{m}`` (shared with the
+        sampler, whose stream folds it traces), ``cache{m}``, ``rpc{m}``
+        (the channel's retries) and ``ps@w{m}`` (the server calls).  ``recovery`` is the crash-restart hook restoring this
         machine's PS shard from the last checkpoint.
         """
         machine, clock = self.machine, self.clock
@@ -141,6 +141,7 @@ class Worker:
         )
         self.telemetry = telemetry
         self.trace = tracer.scope(f"worker{machine}", clock)
+        self.sampler.trace = self.trace
         self.faults = faults
         self.recovery = recovery
         if self.cache is not None:

@@ -260,6 +260,7 @@ class TripleIndex:
         deletes: np.ndarray,
         num_entities: int,
         num_relations: int,
+        through: Sequence[tuple[int, int]] = (),
     ) -> tuple[np.ndarray, "TripleIndex | None"]:
         """The rows ``deletes`` occupy, and the index of the edited array.
 
@@ -271,6 +272,13 @@ class TripleIndex:
         straight copies, no re-sort — or ``None`` when the grown
         vocabulary has no int64 key space (the caller's lazy rebuild then
         yields the dict-backed index).  This index is left as it was.
+
+        ``through`` lists the ``(num_entities, num_relations)`` an edit
+        folded from several (:class:`EditLog`) grew through first: the
+        strides follow that path, as they would edit by edit — strides
+        re-chosen for an intermediate size can fit the final one and then
+        stay, where :func:`_key_strides` of the final size would not
+        (3 000 -> 5 000 -> 8 192 entities keeps entity stride 8 192).
         """
         inserts, deletes = _as_rows(inserts), _as_rows(deletes)
         if self._strides is None:
@@ -278,10 +286,12 @@ class TripleIndex:
         positions = self._positions(deletes)
         dead = np.sort(self._rows[positions])
         keys, strides = self._keys, self._strides
-        if not _strides_fit(strides, num_entities, num_relations):
-            strides = _key_strides(num_entities, num_relations)
-            if strides is None:
-                return dead, None
+        for sizes in (*through, (num_entities, num_relations)):
+            if strides is not None and not _strides_fit(strides, *sizes):
+                strides = _key_strides(*sizes)
+        if strides is None:
+            return dead, None
+        if strides != self._strides:
             # Key order is (h, r, t) order under any strides: re-encode in
             # place of a re-sort.
             pairs, tails = np.divmod(keys, self._strides[1])
@@ -477,10 +487,13 @@ class KnowledgeGraph:
         deletes: np.ndarray | None = None,
         num_entities: int | None = None,
         num_relations: int | None = None,
+        *,
+        through: Sequence[tuple[int, int]] = (),
     ) -> tuple["KnowledgeGraph", np.ndarray]:
         """:meth:`mutated`, plus the ascending rows of *this* graph the
         deletes removed (what an epoch walk over the old rows needs to
-        follow the edit)."""
+        follow the edit).  ``through``: the vocabularies a folded edit
+        grew through on the way (see :meth:`TripleIndex.mutated`)."""
         n_ent = self.num_entities if num_entities is None else int(num_entities)
         n_rel = self.num_relations if num_relations is None else int(num_relations)
         if n_ent < self.num_entities or n_rel < self.num_relations:
@@ -494,7 +507,9 @@ class KnowledgeGraph:
         grew = n_ent > self.num_entities or n_rel > self.num_relations
         if not (len(inserts) or len(deletes) or grew):
             return self, _NO_ROWS
-        dead, index = self.triple_index().mutated(inserts, deletes, n_ent, n_rel)
+        dead, index = self.triple_index().mutated(
+            inserts, deletes, n_ent, n_rel, through
+        )
         if not (len(inserts) or len(dead) or grew):
             return self, dead
         child = KnowledgeGraph.__new__(KnowledgeGraph)
@@ -580,3 +595,135 @@ class KnowledgeGraph:
             entity_labels=list(ent_ids),
             relation_labels=list(rel_ids),
         )
+
+
+class EditLog:
+    """Edits of a graph, answered when recorded and applied when read.
+
+    :meth:`record` takes one edit as :meth:`KnowledgeGraph.mutated` takes
+    it — ``(inserts, deletes, num_entities, num_relations)`` — range-checks
+    it and says at once, without copying anything, how many rows of the
+    graph as edited so far it removes; :meth:`fold` then applies every
+    recorded edit in one :meth:`KnowledgeGraph.mutated_with_dead_rows`
+    pass over :attr:`base`, the graph as last folded.  The result is the
+    graph the edits applied one by one would build, its index included.
+
+    Deletes remove by value: a row of :attr:`base` dies by any recorded
+    delete, a recorded insert only by a delete recorded after it (a
+    triple deleted and then inserted again survives).  The count is a
+    :meth:`TripleIndex.rows_of` probe of :attr:`base`, less the rows
+    earlier deletes already removed, plus the live recorded inserts the
+    edit kills (a count per triple, no probe).
+    """
+
+    def __init__(self, graph: KnowledgeGraph) -> None:
+        #: The graph as last folded; the recorded edits apply on top.
+        self.base = graph
+        self._clear()
+
+    def _clear(self) -> None:
+        #: Per recorded edit: its inserts, its deletes and the vocabulary
+        #: sizes after it.
+        self._inserts: list[np.ndarray] = []
+        self._deletes: list[np.ndarray] = []
+        self._sizes: list[tuple[int, int]] = []
+        #: For the count: live recorded copies of each inserted triple, and
+        #: the rows of ``base`` a recorded delete removed (built on use).
+        self._live: dict[tuple[int, int, int], int] = {}
+        self._removed: np.ndarray | None = None
+
+    @property
+    def pending(self) -> int:
+        """Edits recorded since the last fold."""
+        return len(self._sizes)
+
+    def record(
+        self,
+        inserts: np.ndarray | None,
+        deletes: np.ndarray | None,
+        num_entities: int,
+        num_relations: int,
+        *,
+        count: bool = True,
+    ) -> int | None:
+        """Record one edit; returns how many rows it removes, or ``None``
+        when it changes nothing (no inserts, no row deleted, the same
+        vocabularies) and so is not recorded.  Raises the errors
+        :meth:`KnowledgeGraph.mutated` raises for this edit.
+
+        ``count=False`` keeps nothing for the count — no probe of
+        :attr:`base` (nor the index build it may need), no per-triple
+        tally — for a caller that wants none: every edit naming anything
+        is recorded, and ``None`` returned.
+        """
+        last = self._sizes[-1] if self._sizes else (
+            self.base.num_entities, self.base.num_relations
+        )
+        n_ent, n_rel = int(num_entities), int(num_relations)
+        if n_ent < last[0] or n_rel < last[1]:
+            raise ValueError(
+                "mutated() cannot shrink vocabularies "
+                f"({last[0]}->{n_ent} entities, {last[1]}->{n_rel} relations)"
+            )
+        inserts, deletes = _as_rows(inserts), _as_rows(deletes)
+        _checked_sizes(inserts, n_ent, n_rel)
+        grew = (n_ent, n_rel) != last
+        removed = None
+        if count:
+            removed = self._count_removed(deletes) if len(deletes) else 0
+            if not (len(inserts) or removed or grew):
+                return None
+            live = self._live
+            for triple in map(tuple, inserts.tolist()):
+                live[triple] = live.get(triple, 0) + 1
+        elif not (len(inserts) or len(deletes) or grew):
+            return None
+        self._inserts.append(inserts)
+        self._deletes.append(deletes)
+        self._sizes.append((n_ent, n_rel))
+        return removed
+
+    def _count_removed(self, deletes: np.ndarray) -> int:
+        """Rows of the graph as edited so far holding any of ``deletes``,
+        marked removed."""
+        killed = 0
+        if self._live:
+            for triple in set(map(tuple, deletes.tolist())):
+                killed += self._live.pop(triple, 0)
+        if not len(self.base):
+            return killed
+        rows = self.base.triple_index().rows_of(deletes)
+        if len(rows):
+            if self._removed is None:
+                self._removed = np.zeros(len(self.base), dtype=bool)
+            rows = rows[~self._removed[rows]]
+            self._removed[rows] = True
+        return killed + len(rows)
+
+    def _live_inserts(self) -> np.ndarray:
+        """The recorded inserts no later recorded delete removed, in the
+        order they were recorded."""
+        later: set[tuple[int, int, int]] = set()
+        kept = []
+        for inserts, deletes in zip(self._inserts[::-1], self._deletes[::-1]):
+            if later and len(inserts):
+                alive = [triple not in later for triple in map(tuple, inserts.tolist())]
+                inserts = inserts[np.array(alive, dtype=bool)]
+            kept.append(inserts)
+            later.update(map(tuple, deletes.tolist()))
+        return np.concatenate(kept[::-1])
+
+    def fold(self) -> tuple[KnowledgeGraph, np.ndarray]:
+        """Apply the recorded edits; returns the new :attr:`base` and the
+        ascending rows of the old one they removed.  The appended rows
+        are the live recorded inserts, in the order they were recorded."""
+        if not self._sizes:
+            return self.base, _NO_ROWS
+        self.base, dead = self.base.mutated_with_dead_rows(
+            self._live_inserts(),
+            np.concatenate(self._deletes),
+            *self._sizes[-1],
+            through=self._sizes[:-1],
+        )
+        self._clear()
+        return self.base, dead

@@ -23,10 +23,12 @@ travels back):
 
 Wall-clock accounting: the worker's :class:`~repro.faults.rpc.PSChannel`
 (the one every backend pulls and pushes through) times the real seconds
-spent inside the server, and every protocol wait (turn, staleness,
-barrier) is accumulated as stall time.  Both land in the ``wall`` dict of
-the final report for :func:`repro.obs.reconcile.reconcile` to compare
-against the simulated clock's predictions.
+spent inside the server; a step's protocol wait (turn or staleness bound)
+is accumulated as stall time, and the waits at the start and epoch gates
+— which every schedule pays, whatever its bound — as gate time.  All
+three land in the ``wall`` dict of the final report for
+:func:`repro.obs.reconcile.reconcile` to compare against the simulated
+clock's predictions.
 """
 
 from __future__ import annotations
@@ -218,7 +220,7 @@ def _run(spec: WorkerSpec, controls: MPControls, attached: list) -> None:
     entry_clock = worker.clock.elapsed
 
     wall_start = time.perf_counter()
-    stall_s = 0.0
+    stall_s = gate_s = 0.0
     stalls = 0
 
     worker.start()  # CPS/DPS setup + hot-table install (reads only)
@@ -226,7 +228,7 @@ def _run(spec: WorkerSpec, controls: MPControls, attached: list) -> None:
     # Nobody writes tables until every cache installed its hot set —
     # otherwise a late installer would snapshot rows an early starter
     # already updated, which the simulator's serial order never does.
-    stall_s += _await_gate(controls, 0)
+    gate_s += _await_gate(controls, 0)
 
     sync = spec.schedule == "sync"
     done_steps = 0
@@ -273,12 +275,13 @@ def _run(spec: WorkerSpec, controls: MPControls, attached: list) -> None:
             # Park while the parent evaluates over the (quiescent)
             # shared tables; no gate needed after the final epoch —
             # there are no further writes to fence off.
-            stall_s += _await_gate(controls, epoch + 1)
+            gate_s += _await_gate(controls, epoch + 1)
 
     wall = {
         "wall_s": time.perf_counter() - wall_start,
         "stall_s": stall_s,
         "stalls": stalls,
+        "gate_s": gate_s,
         "comm_wall_s": worker.server.comm_wall_s,
         "comm_calls": worker.server.comm_calls,
     }

@@ -11,9 +11,12 @@ two up:
   ``communication / elapsed`` per worker — what the model claims the
   workload's balance is;
 * **measured** communication fraction: ``comm_wall_s / busy_s`` where
-  ``busy_s = wall_s - stall_s`` — what this host actually spent, with
-  protocol waiting (turn-taking, staleness bound) excluded so the sync
-  schedule's deliberate serialization does not masquerade as skew.
+  ``busy_s = wall_s - stall_s - gate_s`` — what this host actually spent,
+  with protocol waiting (turn-taking, staleness bound, start and epoch
+  gates) excluded so the sync schedule's deliberate serialization does
+  not masquerade as skew.  The stall fraction counts the step waits only:
+  what the staleness bound (or the sync turn) costs, not the gates every
+  schedule waits at.
 
 A large gap is not an error — the simulated network is a model of a
 cluster fabric, not of this host's memory bus — but the *relative* shape
@@ -45,11 +48,13 @@ class WorkerReconcile:
     stall_s: float
     comm_wall_s: float
     steps: int
+    #: Seconds parked at the start and epoch gates.
+    gate_s: float = 0.0
 
     @property
     def busy_s(self) -> float:
-        """Wall time minus protocol stalls (turn/staleness/gate waits)."""
-        return max(0.0, self.wall_s - self.stall_s)
+        """Wall time minus protocol waits (turn/staleness stalls, gates)."""
+        return max(0.0, self.wall_s - self.stall_s - self.gate_s)
 
     @property
     def predicted_comm_fraction(self) -> float:
@@ -62,6 +67,10 @@ class WorkerReconcile:
     @property
     def stall_fraction(self) -> float:
         return _fraction(self.stall_s, self.wall_s)
+
+    @property
+    def gate_fraction(self) -> float:
+        return _fraction(self.gate_s, self.wall_s)
 
 
 @dataclass(frozen=True)
@@ -109,7 +118,7 @@ class ReconcileReport:
         for w in sorted(self.workers, key=lambda w: w.machine):
             lines.append(
                 f"  worker m{w.machine}: wall {w.wall_s:.3f}s"
-                f" (stalled {w.stall_fraction:.0%})"
+                f" (stalled {w.stall_fraction:.0%}, gated {w.gate_fraction:.0%})"
                 f"  comm {w.measured_comm_fraction:.1%} measured"
                 f" vs {w.predicted_comm_fraction:.1%} predicted"
                 f"  [{w.steps} steps]"
@@ -139,6 +148,7 @@ def reconcile(result) -> ReconcileReport:
             stall_s=span.get("stall_s", 0.0),
             comm_wall_s=span.get("comm_wall_s", 0.0),
             steps=span.get("steps", 0),
+            gate_s=span.get("gate_s", 0.0),
         )
         for machine, span in sorted(result.worker_wall.items())
     )

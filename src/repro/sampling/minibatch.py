@@ -12,7 +12,8 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.kg.graph import KnowledgeGraph, renumber_rows
+from repro.kg.graph import EditLog, KnowledgeGraph, renumber_rows
+from repro.obs.tracer import NULL_SCOPE
 from repro.sampling.negative import MiniBatch, NegativeSampler
 from repro.utils.rng import make_rng
 from repro.utils.validation import check_positive
@@ -49,6 +50,19 @@ class EpochSampler:
         self._rng = make_rng(seed)
         self._order: np.ndarray = np.empty(0, dtype=np.int64)
         self._cursor = 0
+        #: The owning worker's trace scope (set by ``Worker.attach``).
+        self.trace = NULL_SCOPE
+
+    @property
+    def graph(self) -> KnowledgeGraph:
+        """The local subgraph, every recorded stream edit folded in."""
+        if self._log.pending:
+            self._fold()
+        return self._log.base
+
+    @graph.setter
+    def graph(self, graph: KnowledgeGraph) -> None:
+        self._log = EditLog(graph)
 
     # ----------------------------------------------------------------- sizing
 
@@ -67,7 +81,8 @@ class EpochSampler:
 
     def next_batch(self) -> MiniBatch:
         """Produce the next batch, reshuffling at epoch boundaries."""
-        if self.graph.num_triples == 0:
+        graph = self.graph
+        if graph.num_triples == 0:
             raise ValueError("cannot sample from an empty subgraph")
         if self._cursor >= len(self._order):
             self._reshuffle()
@@ -77,56 +92,62 @@ class EpochSampler:
         take = min(self.batch_size, len(self._order) - self._cursor)
         idx = self._order[self._cursor : self._cursor + take]
         self._cursor += take
-        positives = self.graph.triples[idx]
+        positives = graph.triples[idx]
         return self.negative_sampler.corrupt(positives)
 
     # -------------------------------------------------------------- streaming
 
-    def apply_update(
-        self, new_graph: KnowledgeGraph, dead_rows: np.ndarray | None = None
-    ) -> None:
-        """Swap in a mutated local subgraph without breaking the epoch walk.
+    def record(
+        self,
+        inserts: np.ndarray,
+        deletes: np.ndarray,
+        num_entities: int,
+        num_relations: int,
+    ) -> int | None:
+        """Record a stream edit of the local subgraph (see
+        :meth:`~repro.kg.graph.EditLog.record`): returns how many local
+        rows it removes, or ``None`` when it changes nothing here.
 
-        Online ingestion (:mod:`repro.stream`) removes some of this
-        worker's triples and appends new ones.  ``dead_rows`` are the
-        ascending rows of the *old* graph that were removed (``None`` =
-        none, as :meth:`~repro.kg.graph.KnowledgeGraph.mutated_with_dead_rows`
-        returns them); ``new_graph`` holds the surviving rows first (in
-        original order) followed by the appended rows, over possibly
-        larger vocabularies.
-
-        The in-flight epoch is preserved deterministically: surviving
-        not-yet-consumed positions keep their shuffled order (remapped to
-        the new row indices), consumed positions stay consumed, and the
-        appended rows join the walk at the end of the current epoch — the
-        next reshuffle mixes them in fully.  No RNG draws are consumed, so
-        an update-free stream leaves the sample sequence bit-identical.
+        The edit is folded in when :attr:`graph` is next read — by the
+        next batch drawn, at the latest.  Only the corruption pool grows
+        at once: a hard-negative refresh draws from it between batches.
         """
-        old_n = self.graph.num_triples
-        self.graph = new_graph
-        self.negative_sampler.resize(new_graph.num_entities)
-        dead_rows = np.asarray(
-            [] if dead_rows is None else dead_rows, dtype=np.int64
-        )
-        if len(dead_rows) and not 0 <= dead_rows[0] <= dead_rows[-1] < old_n:
-            raise ValueError(
-                f"dead_rows span [{dead_rows[0]}, {dead_rows[-1]}] "
-                f"for {old_n} triples"
-            )
-        if len(self._order) == 0:
-            # First epoch not started yet; next_batch() reshuffles lazily.
-            return
-        order = self._order
-        if len(dead_rows):
-            # Old row index -> new row index for survivors (-1 for deleted).
-            order = renumber_rows(old_n, dead_rows)[order]
-            alive = order >= 0
-            self._cursor = int(np.count_nonzero(alive[: self._cursor]))
-            order = order[alive]
-        appended = np.arange(
-            old_n - len(dead_rows), new_graph.num_triples, dtype=np.int64
-        )
-        self._order = np.concatenate([order, appended])
+        removed = self._log.record(inserts, deletes, num_entities, num_relations)
+        if removed is not None:
+            self.negative_sampler.resize(num_entities)
+        return removed
+
+    def _fold(self) -> None:
+        """Fold the recorded edits in without breaking the epoch walk.
+
+        The new graph holds the surviving rows first (in original order),
+        then the appended ones.  The in-flight epoch is preserved
+        deterministically: surviving not-yet-consumed positions keep
+        their shuffled order (remapped to the new row indices), consumed
+        positions stay consumed, and the appended rows join the walk at
+        the end of the current epoch — the next reshuffle mixes them in
+        fully.  No RNG draws are consumed, so an update-free stream
+        leaves the sample sequence bit-identical.  The ``ingest.fold``
+        span advances no clock: the edits were charged when recorded.
+        """
+        log = self._log
+        old_n = log.base.num_triples
+        with self.trace.span("ingest.fold", "ingest", edits=log.pending) as span:
+            graph, dead = log.fold()
+            kept = old_n - len(dead)
+            span.set(removed=len(dead), appended=graph.num_triples - kept)
+            if len(self._order) == 0:
+                # First epoch not started yet; next_batch() reshuffles lazily.
+                return
+            order = self._order
+            if len(dead):
+                # Old row index -> new row index for survivors (-1 for deleted).
+                order = renumber_rows(old_n, dead)[order]
+                alive = order >= 0
+                self._cursor = int(np.count_nonzero(alive[: self._cursor]))
+                order = order[alive]
+            appended = np.arange(kept, graph.num_triples, dtype=np.int64)
+            self._order = np.concatenate([order, appended])
 
     def prefetch(self, count: int) -> list[MiniBatch]:
         """Produce the next ``count`` batches eagerly (Algorithm 1's input).

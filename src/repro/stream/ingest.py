@@ -10,9 +10,10 @@ records at iteration boundaries.  Each applied update
   for new entity/relation ids, cold-started through the model's own init
   scheme from a dedicated ingest RNG;
 * routes inserted triples to the machine owning their head entity and
-  splices them into each worker's epoch walk
-  (:meth:`~repro.sampling.minibatch.EpochSampler.apply_update`) without
-  consuming training randomness;
+  records each worker's edit of its local graph
+  (:meth:`~repro.sampling.minibatch.EpochSampler.record`), which the
+  sampler folds into its graph and epoch walk when it next draws a
+  batch, without consuming training randomness;
 * evicts cache rows whose ids were touched by deletions
   (:meth:`~repro.cache.sync.HotEmbeddingCache.invalidate_ids`);
 * books the delivery and cold-start traffic on the receiving machines
@@ -23,6 +24,10 @@ records at iteration boundaries.  Each applied update
 * records its edit of the global graph, which :attr:`OnlineTrainer.graph`
   folds in when it is read (every update with the false-negative filter
   on, otherwise never during the run).
+
+Local and global graphs keep their edits in the same
+:class:`~repro.kg.graph.EditLog`: one pass folds all the edits recorded
+since the last read.
 
 The empty-stream invariant: with ``drift="none"`` no ingest code path
 runs, no extra RNG is drawn, and the step sequence equals the static
@@ -36,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.trainer import HETKGTrainer
-from repro.kg.graph import HEAD, REL, TAIL, KnowledgeGraph
+from repro.kg.graph import HEAD, REL, TAIL, EditLog, KnowledgeGraph
 from repro.ps.network import BYTES_PER_ELEMENT, CommRecord
 from repro.sampling.cache import CachedNegativeSampler
 from repro.stream.drift import AdaptiveStale
@@ -139,25 +144,20 @@ class OnlineTrainer:
         """The training graph with every update applied so far.
 
         Folded in when read: an update only records its edit, and a read
-        applies the recorded edits in order, each through
-        :meth:`~repro.kg.graph.KnowledgeGraph.mutated` — the graph an
-        eager rebuild after every update would hold.  Only the
-        false-negative filter reads it during a run.
+        applies the edits recorded since the last one in one pass
+        (:meth:`~repro.kg.graph.EditLog.fold`) — the graph an eager
+        rebuild after every update would hold.  Only the false-negative
+        filter reads it during a run.
         """
-        if self._unfolded:
-            graph = self._graph
-            for edit in self._unfolded:
-                graph = graph.mutated(*edit)
-            self._graph = graph
-            self._unfolded = []
-        return self._graph
+        if self._log is None:
+            return None
+        if self._log.pending:
+            self._log.fold()
+        return self._log.base
 
     @graph.setter
     def graph(self, graph: KnowledgeGraph | None) -> None:
-        self._graph = graph
-        #: ``(inserts, deletes, num_entities, num_relations)`` per update
-        #: applied since ``graph`` was last read.
-        self._unfolded: list[tuple[np.ndarray, np.ndarray, int, int]] = []
+        self._log = None if graph is None else EditLog(graph)
 
     # -------------------------------------------------------------- ingestion
 
@@ -226,20 +226,17 @@ class OnlineTrainer:
 
         deleted_total = 0
         for worker in workers:
-            local = worker.sampler.graph
             local_inserts = inserts[owners == worker.machine]
-            new_local, dead_rows = local.mutated_with_dead_rows(
+            deleted_here = worker.sampler.record(
                 local_inserts, deletes, n_ent, n_rel
             )
-            if new_local is local:
+            if deleted_here is None:
                 continue
-            deleted_here = len(dead_rows)
             deleted_total += deleted_here
             with worker.trace.span(
                 "ingest.apply", "ingest",
                 inserts=len(local_inserts), deletes=deleted_here,
             ):
-                worker.sampler.apply_update(new_local, dead_rows)
                 # Stale cache rows: ids whose graph structure was deleted.
                 if worker.cache is not None:
                     evicted = worker.cache.invalidate_ids(
@@ -283,7 +280,7 @@ class OnlineTrainer:
             ):
                 worker.charge(init_comm, "ingest")
 
-        self._unfolded.append((inserts, deletes, n_ent, n_rel))
+        self._log.record(inserts, deletes, n_ent, n_rel, count=False)
         # Refresh the false-negative filter against the post-update graph.
         if trainer.config.filter_false_negatives:
             graph = self.graph
@@ -321,7 +318,7 @@ class OnlineTrainer:
         points_before = len(self.evaluator.result.points)
         # A later call continues the graph an earlier one edited, as the
         # workers' local graphs do.
-        if self._graph is None:
+        if self.graph is None:
             self.graph = train_graph
         by_machine = {w.machine: w for w in trainer.workers}
         machines = sorted(by_machine)

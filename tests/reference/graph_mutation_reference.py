@@ -307,6 +307,10 @@ def drop_ids_reference(
 class OnlineTrainerReference(OnlineTrainer):
     """``OnlineTrainer`` applying each update the old way."""
 
+    #: A plain attribute, rebuilt by every update: shadows the live
+    #: property, whose edit log this trainer never uses.
+    graph = None
+
     def _grow_vocab(self, update: GraphUpdate) -> CommRecord:
         """Append embedding rows for new ids; returns the cold-start bytes
         per owning machine folded into one record (caller charges it)."""

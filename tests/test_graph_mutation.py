@@ -14,13 +14,16 @@ both:
   and vocabularies whose keys only fit exact strides or no int64 at all;
 * ids outside the vocabulary are absent (the reference aliased them onto
   real triples), pinned on the two cases that found the bug;
-* the sampler's epoch walk follows dead rows as it followed keep masks;
+* a recorded edit, folded when the sampler next reads its graph, leaves
+  the epoch walk where the keep-mask remap left it;
 * a rotation stream trained with the false-negative filter on — the one
   path that reads a child's index every update — is bit-equal to the
   reference trainer, and the filter really covers what was inserted;
 * the same stream with the filter off — the bench's shape, where nothing
   reads the global graph until the run is over — is bit-equal to the
-  reference too, the global graph included once it is read.
+  reference too, the global graph included once it is read;
+* so are ``hetkg-d``, ``dglke`` and hard-negative-cache runs, and a
+  ``train()`` or an mp-sync call that follows an online call.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import TrainingConfig
-from repro.core.trainer import make_trainer
+from repro.core.ledger import RunSummary
+from repro.core.trainer import TrainResult, make_trainer
 from repro.kg.datasets import generate_dataset
 from repro.kg.graph import (
     HEAD,
@@ -49,6 +53,7 @@ from repro.kg.graph import (
 from repro.sampling.minibatch import EpochSampler
 from repro.sampling.negative import NegativeSampler
 from repro.stream import OnlineTrainer, OnlineTrainResult, make_stream
+from tests.reference.edit_fold_reference import UnfoldedGraphReference
 from tests.reference.evaluation_reference import triple_set
 from tests.reference.graph_mutation_reference import (
     OnlineTrainerReference,
@@ -278,12 +283,17 @@ class TestEpochWalkFollowsDeadRows:
     def test_same_order_and_cursor_as_the_keep_mask(
         self, rows, seed, steps, appended
     ):
+        """A recorded edit, folded when the walk next reads the graph,
+        leaves the walk where the keep-mask remap left it."""
         rng = np.random.default_rng(seed)
         graph = KnowledgeGraph(_triples(rng, rows, *POW2), *POW2)
-        keep = rng.random(rows) < 0.7
+        deletes = graph.triples[rng.random(rows) < 0.3]
+        inserts = _triples(rng, appended, *POW2)
+        keep = ~TripleIndexReference(deletes, *POW2).contains_batch(
+            *graph.triples.T
+        )
         child = KnowledgeGraph(
-            np.concatenate([graph.triples[keep], _triples(rng, appended, *POW2)]),
-            *POW2,
+            np.concatenate([graph.triples[keep], inserts]), *POW2
         )
 
         def walk():
@@ -295,8 +305,9 @@ class TestEpochWalkFollowsDeadRows:
             return sampler
 
         new, ref = walk(), walk()
-        new.apply_update(child, np.flatnonzero(~keep))
+        new.record(inserts, deletes, *POW2)
         apply_update_reference(ref, child, keep_mask=keep)
+        assert new.graph.triples.tobytes() == child.triples.tobytes()
         assert np.array_equal(new._order, ref._order)
         assert new._order.dtype == ref._order.dtype
         assert new._cursor == ref._cursor
@@ -305,29 +316,32 @@ class TestEpochWalkFollowsDeadRows:
                 new.next_batch().positives, ref.next_batch().positives
             )
 
-    def test_dead_rows_outside_the_old_graph_are_rejected(self, tiny_graph):
-        sampler = EpochSampler(
-            tiny_graph, 4, NegativeSampler(6, num_negatives=2, seed=1), seed=0
-        )
-        with pytest.raises(ValueError, match="dead_rows"):
-            sampler.apply_update(tiny_graph, np.array([3, 8]))
-
 
 # ------------------------------------------- filtered stream, end to end
 
 
-def rotation_runs(filter_false_negatives: bool) -> dict:
-    """One hetkg-a rotation stream trained by the live trainer ("new")
-    and by the reference ("ref"): ``{name: (online, result, stream)}``."""
+def rotation_runs(
+    filter_false_negatives: bool, system: str = "hetkg-a", then: str | None = None,
+    **overrides,
+) -> dict:
+    """One rotation stream trained by the live trainer ("new") and by the
+    reference ("ref"): ``{name: (online, result, stream)}``.  ``then``
+    follows it with one more call on the same trainer — ``"train"`` on
+    both sides, or ``"mp"``: ``train_mp(schedule="sync")`` on the live
+    side, ``train()`` on the reference — whose result lands in
+    ``online.then``."""
     graph = generate_dataset("fb15k", scale=0.012, seed=7)
-    config = TrainingConfig(
-        model="transe", dim=8, epochs=3, batch_size=32, num_negatives=4,
-        num_machines=2, cache_capacity=128, sync_period=4, dps_window=8,
-        filter_false_negatives=filter_false_negatives, seed=5,
-    )
+    config = TrainingConfig(**{
+        **dict(
+            model="transe", dim=8, epochs=3, batch_size=32, num_negatives=4,
+            num_machines=2, cache_capacity=128, sync_period=4, dps_window=8,
+            filter_false_negatives=filter_false_negatives, seed=5,
+        ),
+        **overrides,
+    })
     out = {}
     for name, cls in (("new", OnlineTrainer), ("ref", OnlineTrainerReference)):
-        trainer = make_trainer("hetkg-a", config)
+        trainer = make_trainer(system, config)
         trainer.setup(graph)
         stream = make_stream(
             "rotation", graph,
@@ -336,7 +350,52 @@ def rotation_runs(filter_false_negatives: bool) -> dict:
         )
         online = cls(trainer, stream)
         out[name] = (online, online.train(graph), stream)
+        if then == "mp" and name == "new":
+            online.then = trainer.train_mp(graph, schedule="sync", start_method="fork")
+        elif then is not None:
+            online.then = trainer.train(graph)
     return out
+
+
+def assert_runs_equal(new, ref) -> None:
+    """Everything an online run leaves behind equals the reference's:
+    result, tables, optimizer state, local graphs and walks, caches and
+    the global graph — read last, so it is folded only here."""
+    (new, new_result, stream), (ref, ref_result, _) = new, ref
+    assert new_result.updates_applied == len(stream.updates) > 20
+    for field in dataclasses.fields(OnlineTrainResult):
+        assert getattr(new_result, field.name) == getattr(
+            ref_result, field.name
+        ), field.name
+    for kind in ("entity", "relation"):
+        assert np.array_equal(
+            new.trainer.server.store.table(kind),
+            ref.trainer.server.store.table(kind),
+        )
+        assert np.array_equal(
+            new.trainer.server.optimizer.state[kind],
+            ref.trainer.server.optimizer.state[kind],
+        )
+    for ours, theirs in zip(new.trainer.workers, ref.trainer.workers):
+        assert (
+            ours.sampler.graph.triples.tobytes()
+            == theirs.sampler.graph.triples.tobytes()
+        )
+        assert np.array_equal(ours.sampler._order, theirs.sampler._order)
+        assert ours.sampler._cursor == theirs.sampler._cursor
+        assert (ours.cache is None) == (theirs.cache is None)
+        if ours.cache is not None:
+            for kind in ("entity", "relation"):
+                assert np.array_equal(
+                    ours.cache.cached_ids(kind), theirs.cache.cached_ids(kind)
+                )
+        if ours.neg_cache is not None:
+            assert ours.neg_cache.counters() == theirs.neg_cache.counters()
+    graph = new.graph
+    assert (graph.num_entities, graph.num_relations) == (
+        ref.graph.num_entities, ref.graph.num_relations
+    )
+    assert graph.triples.tobytes() == ref.graph.triples.tobytes()
 
 
 class TestFilteredRotationStream:
@@ -469,7 +528,7 @@ class TestUnfilteredRotationStream:
 
 def test_unfiltered_run_folds_the_global_graph_only_when_read(monkeypatch):
     """With the filter off, ``train()`` edits no global graph; reading
-    ``graph`` afterwards folds every applied update in, once each."""
+    ``graph`` afterwards folds every applied update in, in one pass."""
     graph = generate_dataset("fb15k", scale=0.012, seed=7)
     config = TrainingConfig(
         model="transe", dim=8, epochs=1, batch_size=32, num_negatives=4,
@@ -483,17 +542,58 @@ def test_unfiltered_run_folds_the_global_graph_only_when_read(monkeypatch):
     )
     online = OnlineTrainer(trainer, stream)
     calls = []
-    mutated = KnowledgeGraph.mutated
+    mutated = KnowledgeGraph.mutated_with_dead_rows
 
     def counted(self, *args, **kwargs):
         calls.append(self)
         return mutated(self, *args, **kwargs)
 
-    monkeypatch.setattr(KnowledgeGraph, "mutated", counted)
+    monkeypatch.setattr(KnowledgeGraph, "mutated_with_dead_rows", counted)
     result = online.train(graph)
     assert result.updates_applied == len(stream.updates) > 0
-    assert calls == []
+    # The workers' samplers folded their own graphs; nobody the global one.
+    assert calls and graph not in calls
+    before = len(calls)
     folded = online.graph
-    assert len(calls) == result.updates_applied
-    assert calls[0] is graph
-    assert online.graph is folded and len(calls) == result.updates_applied
+    assert calls[before:] == [graph]
+    assert online.graph is folded and len(calls) == before + 1
+    expected = UnfoldedGraphReference(graph)
+    expected._unfolded = [
+        (u.inserts, u.deletes, u.num_entities, u.num_relations)
+        for u in stream.updates
+    ]
+    assert folded.triples.tobytes() == expected.graph.triples.tobytes()
+
+
+class TestRotationVariants:
+    """The rotation stream through every kind of worker the fold serves —
+    cached and not, DPS and ADAPTIVE, with the hard-negative cache — and
+    through the calls that may follow it on the same trainer: each equals
+    the reference trainer, which applies every edit when it arrives."""
+
+    @pytest.mark.parametrize(
+        "system, overrides",
+        [
+            ("hetkg-d", {}),
+            ("dglke", {}),
+            ("hetkg-a", {"neg_cache": "nscaching"}),
+        ],
+        ids=["hetkg-d", "dglke", "nscaching"],
+    )
+    def test_bit_equal_to_the_reference_trainer(self, system, overrides):
+        runs = rotation_runs(False, system, **overrides)
+        assert_runs_equal(runs["new"], runs["ref"])
+
+    @pytest.mark.parametrize("then", ["train", "mp"])
+    def test_the_next_call_continues_the_folded_graphs(self, then):
+        """A ``train()`` — or, by the same token, an mp-sync call — after
+        an online call trains the local graphs every edit went into."""
+        runs = rotation_runs(True, then=then)
+        (new, *_), (ref, *_) = runs["new"], runs["ref"]
+        summary = {field.name for field in dataclasses.fields(RunSummary)}
+        for name in summary & {f.name for f in dataclasses.fields(TrainResult)}:
+            assert getattr(new.then, name) == getattr(ref.then, name), name
+        assert [p.loss for p in new.then.history.points] == [
+            p.loss for p in ref.then.history.points
+        ]
+        assert_runs_equal(runs["new"], runs["ref"])

@@ -367,7 +367,10 @@ class TestAsyncSchedule:
     def test_unbounded_staleness_never_stalls(self, mp_data):
         """A bound no worker can reach never blocks a step, so no step counts
         as a stall (every one did while a check that found the bound met
-        still returned its own elapsed time)."""
+        still returned its own elapsed time), and no second of stall is
+        booked: the start and epoch gates, which every child waits at, are
+        gate time (they were stall time, so the stall share could not show
+        what the bound costs)."""
         _, split = mp_data
         trainer = make_trainer("hetkg-d", mp_config())
         result = trainer.train_mp(
@@ -376,6 +379,8 @@ class TestAsyncSchedule:
         for span in result.worker_wall.values():
             assert span["steps"] > 0
             assert span["stalls"] == 0
+            assert span["stall_s"] == 0.0
+            assert 0.0 <= span["gate_s"] < span["wall_s"]
 
     def test_staleness_bound_validated(self, mp_data):
         _, split = mp_data

@@ -14,6 +14,7 @@ from repro import cli
 from repro.core.config import TrainingConfig
 from repro.core.telemetry import Telemetry
 from repro.core.trainer import HETKGTrainer
+from repro.kg.graph import EditLog
 from repro.obs.export import validate_chrome_trace, validate_chrome_trace_file
 from repro.obs.tracer import NULL_SCOPE, Tracer, get_tracer, set_tracer
 from repro.serving.frontend import ServingFrontend
@@ -104,10 +105,24 @@ class TestStreamReconciliation:
         trainer = make_trainer("hetkg-a", config(epochs=1, dps_window=8))
         tracer = Tracer()
         set_tracer(tracer)  # what the CLI's --trace installs
+        folds = []
+        fold = EditLog.fold
+
+        def counted(log):
+            folds.append(log)
+            return fold(log)
+
+        EditLog.fold = counted
         try:
-            result = OnlineTrainer(trainer, stream, eval_every=32).train(graph)
+            online = OnlineTrainer(trainer, stream, eval_every=32)
+            result = online.train(graph)
+            # Still under the run's scopes: fold what the run left pending.
+            rows = sum(len(w.sampler.graph) for w in trainer.workers)
         finally:
+            EditLog.fold = fold
             set_tracer(None)
+        assert online._log not in folds  # the filter is off: nobody read it
+        trainer.fold_stats = (len(folds), len(graph), rows)
         return tracer, trainer, result
 
     def test_span_totals_equal_clock_breakdown(self, traced_stream):
@@ -123,6 +138,25 @@ class TestStreamReconciliation:
             assert sum(totals.values()) == pytest.approx(worker.clock.elapsed)
             ingest += totals.get("ingest", 0.0)
         assert ingest > 0
+
+    def test_one_fold_span_per_fold(self, traced_stream):
+        """Each sampler fold opens one zero-length ``ingest.fold`` span on
+        its worker's track, naming the edits it folded and the rows it
+        removed and appended: together every recorded edit, each one
+        ``ingest.apply`` span, and the local graphs' growth."""
+        tracer, trainer, _ = traced_stream
+        calls, rows_before, rows_after = trainer.fold_stats
+        spans = tracer.sink.spans_named("ingest.fold")
+        assert len(spans) == calls > 0
+        assert all(s.end == s.start for s in spans)
+        assert {s.track for s in spans} <= {f"worker{w.machine}" for w in trainer.workers}
+        assert sum(s.attrs["edits"] for s in spans) == len(
+            tracer.sink.spans_named("ingest.apply")
+        )
+        removed = sum(s.attrs["removed"] for s in spans)
+        appended = sum(s.attrs["appended"] for s in spans)
+        assert removed > 0 and appended > 0
+        assert rows_after == rows_before + appended - removed
 
     def test_ingest_and_step_spans_present(self, traced_stream):
         tracer, trainer, result = traced_stream
