@@ -178,12 +178,13 @@ class TripleIndex:
     def _in_vocabulary(
         self, heads: np.ndarray, rels: np.ndarray, tails: np.ndarray
     ) -> np.ndarray:
-        n_ent, n_rel = self.num_entities, self.num_relations
-        return (
-            (heads >= 0) & (heads < n_ent)
-            & (rels >= 0) & (rels < n_rel)
-            & (tails >= 0) & (tails < n_ent)
-        )
+        """Which ``(heads[i], rels[i], tails[i])`` of int64 ids lie inside
+        the vocabularies.  Viewed unsigned, a negative id is larger than any
+        size, so one compare per column checks both bounds."""
+        found = heads.view(np.uint64) < int(self.num_entities)
+        found &= rels.view(np.uint64) < int(self.num_relations)
+        found &= tails.view(np.uint64) < int(self.num_entities)
+        return found
 
     def contains_batch(
         self, heads: np.ndarray, rels: np.ndarray, tails: np.ndarray
@@ -613,7 +614,10 @@ class EditLog:
     triple deleted and then inserted again survives).  The count is a
     :meth:`TripleIndex.rows_of` probe of :attr:`base`, less the rows
     earlier deletes already removed, plus the live recorded inserts the
-    edit kills (a count per triple, no probe).
+    edit kills (a count per triple, no probe).  A counting log also keeps
+    :attr:`emptied`: whether some recorded edit left the graph with no
+    rows, which ends an epoch walk over it however many rows later edits
+    bring.
     """
 
     def __init__(self, graph: KnowledgeGraph) -> None:
@@ -631,6 +635,10 @@ class EditLog:
         #: the rows of ``base`` a recorded delete removed (built on use).
         self._live: dict[tuple[int, int, int], int] = {}
         self._removed: np.ndarray | None = None
+        #: Rows of the graph as edited so far, and whether a recorded edit
+        #: left it with none (kept by a counting log only).
+        self._rows = len(self.base)
+        self.emptied = False
 
     @property
     def pending(self) -> int:
@@ -673,6 +681,8 @@ class EditLog:
             removed = self._count_removed(deletes) if len(deletes) else 0
             if not (len(inserts) or removed or grew):
                 return None
+            self._rows += len(inserts) - removed
+            self.emptied |= self._rows == 0
             live = self._live
             for triple in map(tuple, inserts.tolist()):
                 live[triple] = live.get(triple, 0) + 1

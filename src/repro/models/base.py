@@ -95,12 +95,52 @@ class KGEModel(ABC):
 
         ``shared`` is the dict a :meth:`score` call on the same ``h``,
         ``r``, ``t`` filled; without it (or with an empty one) everything
-        is recomputed, to the same bits.
+        is recomputed, to the same bits.  An operand
+        :meth:`score_negatives` returned as ``None`` reaches ``grad`` as
+        ``None``, with the ``shared`` that call filled.
 
         The returned arrays are **read-only for the caller**: they may
         share memory with each other (TransE's ``gh`` *is* its ``gr``) and
         with the arrays in ``shared``.  Copy before writing into one.
         """
+
+    def score_negatives(
+        self,
+        h: np.ndarray,
+        r: np.ndarray,
+        t: np.ndarray,
+        entity_rows: np.ndarray,
+        relation_rows: np.ndarray,
+        heads: np.ndarray,
+        relations: np.ndarray,
+        tails: np.ndarray,
+        corrupt_head: np.ndarray,
+        shared: dict | None = None,
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+        """Scores of a batch's ``b * n`` negatives, read from the tables.
+
+        Negative ``k = i * n + j`` is the triple of rows
+        ``entity_rows[heads[k]]``, ``relation_rows[relations[k]]``,
+        ``entity_rows[tails[k]]``: the ``j``-th corruption of positive
+        ``i``, row-major, ``b = len(corrupt_head)``.  Row ``i``'s ``n``
+        negatives keep its relation and its uncorrupted side — the rows
+        ``h[i]``, ``r[i]``, ``t[i]`` of the positives, already read — and
+        differ in the head when ``corrupt_head[i]``, in the tail otherwise.
+
+        Returns the ``(b * n,)`` scores and the three ``(b * n, ·)``
+        operand arrays :meth:`grad` is to be called with, ``h``, ``r``,
+        ``t``, and fills ``shared`` as :meth:`score` does.  The base
+        gathers the three operand arrays and calls :meth:`score`.  An
+        override returns the bits of that call, in the scores and in
+        ``shared`` alike, and may return ``None`` for an operand its
+        ``grad`` never reads when given that ``shared`` — TransE, which
+        reads each chunk's ``n`` shared negative rows once, not once per
+        row of the chunk, does so for all three.
+        """
+        neg_h = np.take(entity_rows, heads, axis=0)
+        neg_t = np.take(entity_rows, tails, axis=0)
+        neg_r = np.take(relation_rows, relations, axis=0)
+        return self.score(neg_h, neg_r, neg_t, shared), neg_h, neg_r, neg_t
 
     # ---------------------------------------------------------------- params
 

@@ -126,18 +126,23 @@ class EpochSampler:
         their shuffled order (remapped to the new row indices), consumed
         positions stay consumed, and the appended rows join the walk at
         the end of the current epoch — the next reshuffle mixes them in
-        fully.  No RNG draws are consumed, so an update-free stream
+        fully.  If one of the edits left the graph empty, the walk ends
+        there and the next batch reshuffles, whatever later edits
+        appended.  No RNG draws are consumed, so an update-free stream
         leaves the sample sequence bit-identical.  The ``ingest.fold``
         span advances no clock: the edits were charged when recorded.
         """
         log = self._log
-        old_n = log.base.num_triples
+        old_n, emptied = log.base.num_triples, log.emptied
         with self.trace.span("ingest.fold", "ingest", edits=log.pending) as span:
             graph, dead = log.fold()
             kept = old_n - len(dead)
             span.set(removed=len(dead), appended=graph.num_triples - kept)
-            if len(self._order) == 0:
-                # First epoch not started yet; next_batch() reshuffles lazily.
+            if emptied or len(self._order) == 0:
+                # First epoch not started yet, or a recorded edit left the
+                # graph empty, which ends the walk there as it does edit by
+                # edit: next_batch() reshuffles lazily.
+                self._order, self._cursor = self._order[:0], 0
                 return
             order = self._order
             if len(dead):

@@ -166,17 +166,6 @@ class MiniBatch:
         """Sorted unique relation ids this batch touches."""
         return self.index().relations
 
-    def negative_triples(self) -> np.ndarray:
-        """Materialise all ``(b * n_neg, 3)`` corrupted triples."""
-        b, n = self.neg_entities.shape
-        pos = np.repeat(self.positives, n, axis=0)
-        neg = pos.copy()
-        flat = self.neg_entities.ravel()
-        heads = np.repeat(self.corrupt_head, n)
-        neg[heads, HEAD] = flat[heads]
-        neg[~heads, TAIL] = flat[~heads]
-        return neg
-
 
 class NegativeSampler:
     """Corrupt positive triples into negatives.

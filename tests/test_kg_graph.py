@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.kg.graph import KnowledgeGraph
+from repro.kg.graph import KnowledgeGraph, TripleIndex
 
 
 class TestConstruction:
@@ -117,3 +119,61 @@ class TestFromLabeled:
         g = KnowledgeGraph.from_labeled_triples([("x", "r", "y"), ("y", "r", "x")])
         assert g.entity_labels == ["x", "y"]
         assert g.num_triples == 2
+
+
+def _in_vocabulary_reference(index, heads, rels, tails):
+    """The six-comparison mask ``TripleIndex._in_vocabulary`` replaced."""
+    n_ent, n_rel = index.num_entities, index.num_relations
+    return (
+        (heads >= 0) & (heads < n_ent)
+        & (rels >= 0) & (rels < n_rel)
+        & (tails >= 0) & (tails < n_ent)
+    )
+
+
+@st.composite
+def _ids_near(draw, size):
+    """int64 ids around the edges of ``[0, size)``: negative, at both
+    edges, just past the top, and above ``2**62``."""
+    return draw(
+        st.one_of(
+            st.integers(-(2**63), -1),
+            st.sampled_from([-1, 0, size - 1, size, size + 1, 2**62, 2**63 - 1]),
+            st.integers(0, size + 2),
+            st.integers(2**62, 2**63 - 1),
+        )
+    )
+
+
+class TestInVocabulary:
+    @given(
+        sizes=st.tuples(
+            st.sampled_from([1, 7, 4096, 30_000, 2**31 + 3]),
+            st.sampled_from([1, 3, 1_200]),
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_unsigned_compare_equals_the_six_comparisons(self, sizes, data):
+        n_ent, n_rel = sizes
+        index = TripleIndex(np.zeros((0, 3), dtype=np.int64), n_ent, n_rel)
+        count = data.draw(st.integers(0, 12))
+        columns = [
+            np.array(
+                [data.draw(_ids_near(size)) for _ in range(count)], dtype=np.int64
+            )
+            for size in (n_ent, n_rel, n_ent)
+        ]
+        expected = _in_vocabulary_reference(index, *columns)
+        actual = index._in_vocabulary(*columns)
+        assert actual.dtype == bool
+        assert np.array_equal(actual, expected)
+        # The strided columns of an (n, 3) block, as rows_of probes them.
+        block = np.stack(columns, axis=1)
+        assert np.array_equal(index._in_vocabulary(*block.T), expected)
+
+    def test_out_of_vocabulary_ids_match_no_row(self):
+        index = TripleIndex(np.array([[0, 0, 1], [6, 2, 6]]), 7, 3)
+        probes = np.array([[-1, 0, 1], [0, 0, 1], [6, 2, 6], [6, 3, 6], [2**62, 0, 1]])
+        assert index.contains_batch(*probes.T).tolist() == [False, True, True, False, False]
+        assert index.rows_of(probes).tolist() == [0, 1]

@@ -752,6 +752,38 @@ class TestPerfSmoke:
         assert active == seen["nonzero"], (active, seen)
         assert 0 < active <= 0.45 * seen["scored"], (active, seen)
 
+    def test_chunks_broadcast_and_single_row_runs_take_the_base(
+        self, bench_graph, monkeypatch
+    ):
+        """TransE reads each chunk's shared negatives once: every step of a
+        chunked epoch scores its negatives without the base hook's three
+        ``b * n``-row gathers, and every step of an independent epoch,
+        whose runs are single rows, goes through the base."""
+        from repro.core.config import TrainingConfig
+        from repro.core.trainer import make_trainer
+        from repro.models.base import KGEModel
+        from repro.models.transe import TransE
+
+        calls = {"hook": 0, "base": 0}
+        hook, base = TransE.score_negatives, KGEModel.score_negatives
+
+        def counting(name, method):
+            def wrapper(self, *args, **kwargs):
+                calls[name] += 1
+                return method(self, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(TransE, "score_negatives", counting("hook", hook))
+        monkeypatch.setattr(KGEModel, "score_negatives", counting("base", base))
+        for strategy in ("chunked", "independent"):
+            calls.update(hook=0, base=0)
+            config = TrainingConfig(**{**BENCH_DGLKE, "negative_strategy": strategy})
+            make_trainer("dglke", config).train(bench_graph)
+            assert calls["hook"] > 0, strategy
+            expected = 0 if strategy == "chunked" else calls["hook"]
+            assert calls["base"] == expected, (strategy, calls)
+
     def test_a_step_builds_no_sparse_matrix(self, bench_graph, monkeypatch):
         """With scipy's CSC classes made unconstructible an epoch still
         completes — the scatter adds gradient blocks through the compiled

@@ -5,8 +5,9 @@ import pytest
 
 from repro.kg.graph import HEAD, REL, TAIL
 from repro.sampling.minibatch import EpochSampler
-from repro.sampling.negative import MiniBatch, NegativeSampler
+from repro.sampling.negative import NegativeSampler
 from tests.reference.evaluation_reference import triple_set
+from tests.reference.negative_grid_reference import negative_triples
 
 
 def _sampler(tiny_graph, **kwargs):
@@ -209,7 +210,7 @@ class TestMiniBatch:
         )
 
     def test_negative_triples_layout(self, batch):
-        neg = batch.negative_triples()
+        neg = negative_triples(batch)
         assert neg.shape == (batch.size * batch.num_negatives, 3)
         for i in range(batch.size):
             for j in range(batch.num_negatives):
