@@ -5,7 +5,7 @@ Run from the repo root::
     PYTHONPATH=src python tests/golden/capture.py
 
 The resulting ``train_golden.json`` pins the *pre-refactor* outputs of
-seeded HET-KG-C / HET-KG-D / DGL-KE runs (losses, comm totals, cache hit
+seeded HET-KG-C / HET-KG-D / DGL-KE / PBG runs (losses, comm totals, cache hit
 counters, eval metrics) down to the last bit: floats are stored via
 ``float.hex()`` so the equivalence suite can assert bit-identity, not
 approximate closeness.  The vectorized hot-path kernels (PR 4) must
@@ -30,9 +30,9 @@ from repro.kg.splits import split_triples  # noqa: E402
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "train_golden.json"
 
-#: Systems whose kernels the perf pass touches (PBG has its own loop and
-#: is covered by the tier-1 suite).
-SYSTEMS = ("hetkg-c", "hetkg-d", "dglke")
+#: Every system the paper compares (PBG has no ``Worker``s, so no cache
+#: counters to read).
+SYSTEMS = ("hetkg-c", "hetkg-d", "dglke", "pbg")
 
 
 def golden_config(**overrides) -> TrainingConfig:
@@ -67,7 +67,7 @@ def fingerprint(system: str, *, filtered_negatives: bool = False,
         eval_candidates=eval_candidates,
     )
     hits = miss = 0
-    for worker in trainer.workers:
+    for worker in getattr(trainer, "workers", ()):
         if worker.cache is not None:
             stats = worker.cache.combined_stats()
             hits += stats.hits
