@@ -18,6 +18,7 @@ import sys
 import time
 from typing import Any, Callable, NamedTuple
 
+from repro.core.baselines import NEG_CACHE_REASON
 from repro.experiments.registry import (
     EXPERIMENTS,
     list_experiments,
@@ -119,26 +120,20 @@ _OVERLOAD = (
 #: Every flag-compatibility rule of ``train``/``serve-bench``/``stream``,
 #: stated once.  :func:`usage_errors` checks an invocation against it
 #: before any work starts; it is plain data, so a scenario generator can
-#: use the same rows as its validity oracle.  The ``mp`` and ``sim`` rows
-#: of ``train`` quote the reasons ``HETKGTrainer.train(backend=...)``
-#: raises (:mod:`repro.mp.backend`).
+#: use the same rows as its validity oracle.  The ``mp``, ``sim`` and
+#: ``pbg`` rows of ``train`` quote the reasons ``HETKGTrainer.train``
+#: raises (:mod:`repro.mp.backend`, :mod:`repro.core.baselines`).
 RULES: tuple[Rule, ...] = (
     Rule("--trace", _TRAIN + _SERVE, _given("trace"), ("mp",), mp_backend.TRACE_REASON),
-    Rule("--trace", _TRAIN, _given("trace"), ("pbg",),
-         "PBG's block-swap loop emits no spans"),
     Rule("--faults", _TRAIN, _given("faults"), ("mp", "pbg"), mp_backend.FAULTS_REASON),
     Rule("--checkpoint-every", _TRAIN, _given("checkpoint_every"), ("mp", "pbg"),
          mp_backend.CHECKPOINT_REASON),
-    Rule("--backing tiered", _TRAIN + _SERVE, _is("backing", "tiered"), ("mp", "pbg"),
+    Rule("--backing tiered", _TRAIN + _SERVE, _is("backing", "tiered"), ("mp",),
          mp_backend.TIERED_REASON),
     Rule("--system pbg", _TRAIN + ("stream",), _is("system", "pbg"), ("mp", "stream"),
          mp_backend.PBG_REASON),
     Rule("--neg-cache", _TRAIN, lambda args: args.neg_cache not in (None, "off"), ("pbg",),
-         "PBG's corruption loop never goes through the NegativeSampler "
-         "seam the cache plugs into"),
-    Rule("--checkpoint", _TRAIN, _given("checkpoint"), ("pbg",),
-         "a checkpoint saves the parameter server's tables and PBG has no "
-         "parameter server"),
+         NEG_CACHE_REASON),
     Rule("--tenants", _SERVE, _given("tenants"), ("mp",), _OVERLOAD),
     Rule("--admission", _SERVE, _given("admission"), ("mp",), _OVERLOAD),
     Rule("--slo", _SERVE, _given("slo"), ("mp",), _OVERLOAD),

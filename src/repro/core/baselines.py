@@ -10,38 +10,37 @@
   shared parameter server every batch — the design decision the paper
   blames for PBG's communication volume (Fig. 7).
 
-Both baselines share HET-KG's gradient math (:mod:`repro.core.compute`),
-cost models, and evaluation, so measured differences come only from how
-each system moves embeddings.
+Both baselines subclass :class:`~repro.core.trainer.HETKGTrainer`: one
+``train()``, one parameter server holding the tables, one evaluation and
+HET-KG's gradient math and cost models, so measured differences come only
+from how each system moves embeddings.  PBG replaces only the executor
+(its bucket schedule) and the books it keeps.
 """
 
 from __future__ import annotations
-
-from collections import defaultdict
 
 import numpy as np
 
 from repro.core.compute import compute_batch_gradients
 from repro.core.config import TrainingConfig
-from repro.core.convergence import TrainingHistory
-from repro.core.ledger import RunLedger, WorkerStats, check_eval_budget, epoch_point
-from repro.core.evaluation import LinkPredictionResult, check_known, evaluate_link_prediction
-from repro.core.trainer import HETKGTrainer, TrainResult
-from repro.kg.graph import KnowledgeGraph
-from repro.models.base import get_model
-from repro.models.losses import get_loss
-from repro.optim import get_optimizer
+from repro.core.ledger import WorkerStats
+from repro.core.trainer import HETKGTrainer
+from repro.kg.graph import HEAD, TAIL, KnowledgeGraph
 from repro.partition.random_partition import RandomPartitioner
-from repro.ps.network import (
-    BYTES_PER_ELEMENT,
-    CommRecord,
-    ComputeModel,
-    NetworkModel,
-)
+from repro.ps.kvstore import ENTITY, RELATION
+from repro.ps.network import BYTES_PER_ELEMENT, CommRecord, ComputeModel
 from repro.sampling.minibatch import EpochSampler
 from repro.sampling.negative import NegativeSampler
-from repro.utils.rng import make_rng, spawn_rngs
+from repro.utils.rng import spawn_rngs
 from repro.utils.simclock import SimClock
+
+#: Why PBG turns an argument down, stated once: ``PBGTrainer.train``
+#: raises these and ``repro.cli.RULES`` prints the ones it has a flag for.
+NEG_CACHE_REASON = (
+    "PBG's corruption loop never goes through the NegativeSampler seam the "
+    "cache plugs into"
+)
+TELEMETRY_REASON = "PBG has no per-step record"
 
 
 class DGLKETrainer(HETKGTrainer):
@@ -53,7 +52,7 @@ class DGLKETrainer(HETKGTrainer):
         super().__init__(config.with_overrides(cache_strategy="none"))
 
 
-class PBGTrainer:
+class PBGTrainer(HETKGTrainer):
     """PyTorch-BigGraph: block-partitioned training with dense relations.
 
     The simulation follows the four steps of §III-B:
@@ -73,67 +72,89 @@ class PBGTrainer:
     ``floor(P/2)`` buckets run concurrently — PBG's documented parallelism
     bound, and the reason the paper finds its scalability limited (Fig. 6).
     Waiting time is charged as communication (coordination overhead).
+
+    The tables and the one optimizer live in ``self.server`` as HET-KG's
+    do, and ``train()``/``evaluate()`` are HET-KG's; only the executor
+    (:meth:`_sim_epochs`, the lease loop) and the books are PBG's.  It
+    drives no :class:`~repro.core.worker.Worker`: each machine's books are
+    a clock and a :class:`~repro.ps.network.CommRecord`, traced on the
+    ``worker{m}`` track, charged the traffic above directly.  The store's
+    row owners (``entity part % num_machines``) exist only because a store
+    needs them; these books never read them.
     """
 
     system_name = "PBG"
 
-    def __init__(self, config: TrainingConfig) -> None:
-        self.config = config
-        self.model = get_model(config.model, config.dim)
-        self.loss = get_loss(config.loss, config.margin)
-        self.network = NetworkModel(
-            bandwidth=config.bandwidth, latency=config.latency
-        )
-        self.compute = ComputeModel(throughput=config.compute_throughput)
-        self._rng = make_rng(config.seed)
-        self.entity_table: np.ndarray | None = None
-        self.relation_table: np.ndarray | None = None
-        self._entity_part: np.ndarray | None = None
-        self._buckets: dict[tuple[int, int], np.ndarray] = {}
-        #: Per-machine clocks and the bytes each one paid for.
-        self._clocks: list[SimClock] = []
-        self._comms: list[CommRecord] = []
-
     # ------------------------------------------------------------------ setup
 
     def setup(self, train_graph: KnowledgeGraph) -> None:
-        if self.entity_table is not None:
+        """Partition the entities, group the triples into buckets and build
+        the server and the per-machine books (idempotent)."""
+        if self.server is not None:
             return
         cfg = self.config
-        self.num_partitions = min(cfg.pbg_partitions, train_graph.num_entities)
-        partition = RandomPartitioner(seed=self._rng).partition(
-            train_graph, self.num_partitions
-        )
-        self._entity_part = partition.entity_part
-        buckets: dict[tuple[int, int], list[int]] = defaultdict(list)
-        for idx, (h, _, t) in enumerate(train_graph.triples):
-            key = (
-                int(partition.entity_part[h]),
-                int(partition.entity_part[t]),
-            )
-            buckets[key].append(idx)
+        self._graph = train_graph
+        self.num_partitions = parts = min(cfg.pbg_partitions, train_graph.num_entities)
+        entity_part = RandomPartitioner(seed=self._rng).partition(
+            train_graph, parts
+        ).entity_part
+        self._entity_part = entity_part
+        self._part_sizes = np.bincount(entity_part, minlength=parts)
+        # One stable sort groups the triples by bucket: each bucket's
+        # indices ascend, and the buckets come out in key order.
+        triples = train_graph.triples
+        keys = entity_part[triples[:, HEAD]] * parts + entity_part[triples[:, TAIL]]
+        order = np.argsort(keys, kind="stable")
+        bucket_keys, starts = np.unique(keys[order], return_index=True)
         self._buckets = {
-            key: np.asarray(v, dtype=np.int64) for key, v in buckets.items()
+            divmod(int(key), parts): idx
+            for key, idx in zip(bucket_keys, np.split(order, starts[1:]))
         }
-        self.entity_table = self.model.init_entities(
-            train_graph.num_entities, self._rng
+        self.server = self._make_server(
+            self.model.init_entities(train_graph.num_entities, self._rng),
+            self.model.init_relations(train_graph.num_relations, self._rng),
+            entity_part % cfg.num_machines,
         )
-        self.relation_table = self.model.init_relations(
-            train_graph.num_relations, self._rng
-        )
-        self._entity_opt = get_optimizer(cfg.optimizer, cfg.lr)
-        self._relation_opt = get_optimizer(cfg.optimizer, cfg.lr)
+        self._compute = ComputeModel(throughput=cfg.compute_throughput)
+        #: Per-machine clocks and the bytes each one paid for.
         self._clocks = [SimClock() for _ in range(cfg.num_machines)]
         self._comms = [CommRecord() for _ in range(cfg.num_machines)]
+
+    def _check_call(self, backend, telemetry, tracer, faults, checkpoint_every,
+                    checkpoint_path, mp_args) -> None:
+        super()._check_call(
+            backend, telemetry, tracer, faults, checkpoint_every, checkpoint_path, mp_args
+        )
+        from repro.mp.backend import CHECKPOINT_REASON, FAULTS_REASON
+
+        for what, given, reason in (
+            ("faults", faults is not None, FAULTS_REASON),
+            ("checkpoints", (checkpoint_every, checkpoint_path) != (None, None),
+             CHECKPOINT_REASON),
+            ("telemetry", telemetry is not None, TELEMETRY_REASON),
+            ("a negative cache", self.config.neg_cache != "off", NEG_CACHE_REASON),
+        ):
+            if given:
+                raise ValueError(f"PBG does not take {what}: {reason}")
+
+    def _attach(self, tracer, telemetry, injector, recovery) -> None:
+        # _check_call turned down every instrument but the tracer.
+        self._traces = [
+            tracer.scope(f"worker{m}", clock) for m, clock in enumerate(self._clocks)
+        ]
+
+    def _stats(self) -> list[WorkerStats]:
+        return [
+            WorkerStats(machine=m, clock=clock.copy(), comm=comm.copy())
+            for m, (clock, comm) in enumerate(zip(self._clocks, self._comms))
+        ]
 
     # ------------------------------------------------------------------ train
 
     def _swap_cost(self, parts: tuple[int, int]) -> CommRecord:
         """Bytes to load (or save) the bucket's entity partitions."""
-        assert self._entity_part is not None
-        counts = np.bincount(self._entity_part, minlength=self.num_partitions)
         unique_parts = set(parts)
-        rows = int(sum(counts[p] for p in unique_parts))
+        rows = int(sum(self._part_sizes[p] for p in unique_parts))
         row_bytes = (
             self.model.entity_dim * BYTES_PER_ELEMENT * self.config.byte_scale
         )
@@ -144,31 +165,28 @@ class PBGTrainer:
 
     def _dense_relation_cost(self) -> CommRecord:
         """Per-batch full relation-table pull + gradient push."""
-        assert self.relation_table is not None
-        bytes_one_way = int(
-            self.relation_table.size * BYTES_PER_ELEMENT * self.config.byte_scale
-        )
+        rows, width = self.server.store.table(RELATION).shape
+        bytes_one_way = int(rows * width * BYTES_PER_ELEMENT * self.config.byte_scale)
         return CommRecord(remote_bytes=2 * bytes_one_way, remote_messages=2)
 
-    def _charge(self, machine: int, record: CommRecord) -> None:
+    def _charge(self, machine: int, record: CommRecord, span: str) -> None:
         """Book ``record`` on ``machine``: bytes and clock, exactly once."""
-        self._comms[machine].merge(record)
-        self._clocks[machine].advance(self.network.cost(record), "communication")
+        with self._traces[machine].span(span, "communication", bytes=record.total_bytes):
+            self._comms[machine].merge(record)
+            self._clocks[machine].advance(self.network.cost(record), "communication")
 
     def _train_bucket(
         self,
-        train_graph: KnowledgeGraph,
         key: tuple[int, int],
         triple_idx: np.ndarray,
         machine: int,
         rng: np.random.Generator,
     ) -> list[float]:
-        assert self.entity_table is not None and self.relation_table is not None
-        assert self._entity_part is not None
-        cfg = self.config
-        clock = self._clocks[machine]
+        cfg, train_graph = self.config, self._graph
+        store, optimizer = self.server.store, self.server.optimizer
+        clock, trace = self._clocks[machine], self._traces[machine]
 
-        self._charge(machine, self._swap_cost(key))
+        self._charge(machine, self._swap_cost(key), "swap_in")
 
         pool_mask = np.isin(
             self._entity_part, np.unique(np.asarray(key, dtype=np.int64))
@@ -189,130 +207,62 @@ class PBGTrainer:
         for batch in sampler.epoch():
             ent_ids = batch.unique_entities()
             rel_ids = batch.unique_relations()
-            grads = compute_batch_gradients(
-                self.model,
-                self.loss,
-                batch,
-                ent_ids,
-                self.entity_table[ent_ids],
-                rel_ids,
-                self.relation_table[rel_ids],
-            )
-            clock.advance(
-                self.compute.batch_time(grads.num_scores, self.config.cost_dim),
-                "compute",
-            )
+            with trace.span("compute", "compute"):
+                grads = compute_batch_gradients(
+                    self.model,
+                    self.loss,
+                    batch,
+                    ent_ids,
+                    store.read(ENTITY, ent_ids),
+                    rel_ids,
+                    store.read(RELATION, rel_ids),
+                )
+                clock.advance(
+                    self._compute.batch_time(grads.num_scores, cfg.cost_dim),
+                    "compute",
+                )
             # Entities: in-memory partition copy, no communication.
-            self._entity_opt.update(
-                "entity", self.entity_table, grads.entity_ids, grads.entity_grads
+            optimizer.update(
+                ENTITY, store.table(ENTITY), grads.entity_ids, grads.entity_grads
             )
             # Relations: dense weights through the shared parameter server.
-            self._relation_opt.update(
-                "relation",
-                self.relation_table,
+            optimizer.update(
+                RELATION,
+                store.table(RELATION),
                 grads.relation_ids,
                 grads.relation_grads,
             )
-            self._charge(machine, self._dense_relation_cost())
+            self._charge(machine, self._dense_relation_cost(), "relations")
             losses.append(grads.loss)
 
         # Save the partitions back to the shared filesystem.
-        self._charge(machine, self._swap_cost(key))
+        self._charge(machine, self._swap_cost(key), "swap_out")
         return losses
 
-    def train(
-        self,
-        train_graph: KnowledgeGraph,
-        eval_graph: KnowledgeGraph | None = None,
-        known: KnowledgeGraph | None = None,
-        eval_every: int | None = None,
-        eval_max_queries: int | None = 200,
-        eval_candidates: int | None = 500,
-        *,
-        backend: str = "sim",
-    ) -> TrainResult:
-        """Run ``config.epochs`` sweeps over all buckets (simulator only)."""
-        check_known(known)
-        check_eval_budget(eval_every, eval_max_queries, eval_candidates)
-        if backend != "sim":
-            from repro.mp.backend import PBG_REASON, MPUnsupportedError
-
-            raise MPUnsupportedError(f"PBG trains with backend='sim' only: {PBG_REASON}")
-        self.setup(train_graph)
+    def _sim_epochs(self, ledger, checkpoints):
+        """PBG's executor: sweep every bucket ``config.epochs`` times under
+        the partition leases, yielding each epoch's ``(losses, sim
+        seconds)``."""
         cfg = self.config
-        history = TrainingHistory()
         bucket_rngs = spawn_rngs(self._rng, max(1, len(self._buckets)))
-
-        ledger = RunLedger(
-            lambda: [
-                WorkerStats(machine=m, clock=c.copy(), comm=comm.copy())
-                for m, (c, comm) in enumerate(zip(self._clocks, self._comms))
-            ]
-        )
-
-        ordered = sorted(self._buckets.items())
         # Lock-server state: the simulated time at which each entity
         # partition becomes free for the next bucket that needs it.  The
         # lease timeline is *per call* (clocks persist across train()
         # calls, so absolute elapsed values would carry skew from the
         # previous call into this one's waiting pattern).
         part_ready = [0.0] * self.num_partitions
-        for epoch in range(1, cfg.epochs + 1):
+        for _ in range(cfg.epochs):
             losses: list[float] = []
-            for i, (key, idx) in enumerate(ordered):
+            for i, (key, idx) in enumerate(self._buckets.items()):
                 machine = i % cfg.num_machines
                 clock = self._clocks[machine]
                 entry = ledger.entry[machine].clock.elapsed
                 rel = clock.elapsed - entry
                 ready = max(part_ready[p] for p in set(key))
                 if ready > rel:
-                    clock.advance(ready - rel, "communication")
-                losses.extend(
-                    self._train_bucket(
-                        train_graph, key, idx, machine, bucket_rngs[i]
-                    )
-                )
+                    with self._traces[machine].span("lease_wait", "communication"):
+                        clock.advance(ready - rel, "communication")
+                losses.extend(self._train_bucket(key, idx, machine, bucket_rngs[i]))
                 for p in set(key):
                     part_ready[p] = clock.elapsed - entry
-            history.append(
-                epoch_point(
-                    self,
-                    epoch,
-                    ledger.sim_time(),
-                    losses,
-                    eval_graph,
-                    known,
-                    eval_every,
-                    eval_max_queries,
-                    eval_candidates,
-                )
-            )
-
-        return TrainResult(
-            config=cfg,
-            system=self.system_name,
-            history=history,
-            **ledger.summary().fields_for(TrainResult),
-        )
-
-    # --------------------------------------------------------------- evaluate
-
-    def evaluate(
-        self,
-        test_graph: KnowledgeGraph,
-        known: KnowledgeGraph | None = None,
-        max_queries: int | None = 200,
-        num_candidates: int | None = 500,
-    ) -> LinkPredictionResult:
-        if self.entity_table is None or self.relation_table is None:
-            raise RuntimeError("train() or setup() must run before evaluate()")
-        return evaluate_link_prediction(
-            self.model,
-            self.entity_table,
-            self.relation_table,
-            test_graph,
-            known=known,
-            max_queries=max_queries,
-            num_candidates=num_candidates,
-            seed=self.config.seed + 7,
-        )
+            yield losses, ledger.sim_time()

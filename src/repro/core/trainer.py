@@ -27,7 +27,7 @@ from repro.cache.strategies import (
 from repro.cache.sync import HotEmbeddingCache
 from repro.core.config import TrainingConfig
 from repro.core.convergence import TrainingHistory
-from repro.core.ledger import RunLedger, check_eval_budget, epoch_point
+from repro.core.ledger import RunLedger, WorkerStats, check_eval_budget, epoch_point
 from repro.core.telemetry import Telemetry
 from repro.core.evaluation import LinkPredictionResult, check_known, evaluate_link_prediction
 from repro.core.worker import Worker
@@ -253,18 +253,13 @@ class HETKGTrainer:
         run's step budget."""
         return max(w.sampler.batches_per_epoch for w in self.workers)
 
-    def setup(self, train_graph: KnowledgeGraph) -> None:
-        """Partition the graph and build the cluster (idempotent)."""
-        if self.server is not None:
-            return
+    def _make_server(
+        self, entity_table: np.ndarray, relation_table: np.ndarray, owners: np.ndarray
+    ) -> ParameterServer:
+        """The parameter server over the initial tables, on the backing
+        ``config.backing`` names; ``owners`` maps each entity row to the
+        machine whose shard holds it."""
         cfg = self.config
-        partitioner = self._make_partitioner()
-        self.partition = partitioner.partition(train_graph, cfg.num_machines)
-
-        entity_table = self.model.init_entities(train_graph.num_entities, self._rng)
-        relation_table = self.model.init_relations(
-            train_graph.num_relations, self._rng
-        )
         tier_cfg = None
         if cfg.backing == "tiered":
             # Imported lazily: resident-backing trainers must not depend on
@@ -282,16 +277,30 @@ class HETKGTrainer:
         store = ShardedKVStore(
             entity_table,
             relation_table,
-            self.partition.entity_part,
+            owners,
             cfg.num_machines,
             backing=cfg.backing,
             tier=tier_cfg,
         )
-        self.server = ParameterServer(
+        return ParameterServer(
             store,
             get_optimizer(cfg.optimizer, cfg.lr),
             byte_scale=cfg.byte_scale,
             compressor=get_compressor(cfg.compression),
+        )
+
+    def setup(self, train_graph: KnowledgeGraph) -> None:
+        """Partition the graph and build the cluster (idempotent)."""
+        if self.server is not None:
+            return
+        cfg = self.config
+        partitioner = self._make_partitioner()
+        self.partition = partitioner.partition(train_graph, cfg.num_machines)
+
+        self.server = self._make_server(
+            self.model.init_entities(train_graph.num_entities, self._rng),
+            self.model.init_relations(train_graph.num_relations, self._rng),
+            self.partition.entity_part,
         )
 
         # Two streams per machine: negative sampler, epoch sampler.
@@ -352,22 +361,27 @@ class HETKGTrainer:
             injector = FaultInjector(faults)
             if checkpoints is not None:
                 recovery = ShardRecovery(server, checkpoints)
+        self._attach(tracer, telemetry, injector, recovery)
+        tier = server.store.tier
+        if tier is not None:
+            tier.bind_trace(tracer.scope("tier", tier.clock))
+        ledger = RunLedger(self._stats, tier.clock if tier is not None else None)
+        return ledger, injector, checkpoints
+
+    def _attach(self, tracer, telemetry, injector, recovery) -> None:
+        """Set one call's instruments on every machine."""
         for worker in self.workers:
             worker.attach(
-                server,
+                self.server,
                 telemetry=telemetry,
                 tracer=tracer,
                 faults=injector,
                 recovery=recovery,
             )
-        tier = server.store.tier
-        if tier is not None:
-            tier.bind_trace(tracer.scope("tier", tier.clock))
-        ledger = RunLedger(
-            lambda: [w.stats() for w in self.workers],
-            tier.clock if tier is not None else None,
-        )
-        return ledger, injector, checkpoints
+
+    def _stats(self) -> list[WorkerStats]:
+        """Every machine's books now (what :class:`RunLedger` subtracts)."""
+        return [w.stats() for w in self.workers]
 
     # ------------------------------------------------------------------ train
 
@@ -421,7 +435,7 @@ class HETKGTrainer:
             ``"sim"`` steps the workers round-robin in this process; ``"mp"``
             runs one OS process per worker over shared-memory PS tables
             (:mod:`repro.mp.backend`), and rejects a tracer, ``faults``,
-            checkpoints and tiered backing before any set-up.
+            checkpoints, tiered backing and PBG before any set-up.
         schedule, staleness_bound, start_method, timeout_s, crash_at_step:
             mp only.  ``schedule="sync"`` is bit-identical to the
             simulator; ``"async"`` (the default) is hogwild, no worker more
@@ -429,29 +443,21 @@ class HETKGTrainer:
         """
         check_known(known)
         check_eval_budget(eval_every, eval_max_queries, eval_candidates)
-        mp_args = dict(
-            schedule=schedule, staleness_bound=staleness_bound, start_method=start_method,
-            timeout_s=timeout_s, crash_at_step=crash_at_step,
+        options = self._check_call(
+            backend, telemetry, tracer, faults, checkpoint_every, checkpoint_path,
+            dict(
+                schedule=schedule, staleness_bound=staleness_bound,
+                start_method=start_method, timeout_s=timeout_s,
+                crash_at_step=crash_at_step,
+            ),
         )
-        given = [name for name, value in mp_args.items() if value is not None]
-        if backend == "mp":
-            from repro.mp.backend import check_mp_call, mp_epochs
-
-            options = check_mp_call(
-                self, tracer, faults, checkpoint_every, checkpoint_path, **mp_args
-            )
-        elif backend != "sim":
-            raise ValueError(f"unknown backend {backend!r}; expected 'sim' or 'mp'")
-        elif given:
-            from repro.mp.backend import MP_ONLY_REASON
-
-            raise ValueError(f"{given[0]} requires backend='mp': {MP_ONLY_REASON}")
-
         ledger, injector, checkpoints = self._begin(
             train_graph, telemetry, tracer, faults, checkpoint_every, checkpoint_path
         )
         worker_wall: dict = {}
         if backend == "mp":
+            from repro.mp.backend import mp_epochs
+
             epochs = mp_epochs(self, ledger, telemetry, worker_wall, **options)
         else:
             epochs = self._sim_epochs(ledger, checkpoints)
@@ -490,6 +496,27 @@ class HETKGTrainer:
         )
 
     train_mp = partialmethod(train, backend="mp")
+
+    def _check_call(
+        self, backend: str, telemetry, tracer, faults, checkpoint_every,
+        checkpoint_path, mp_args: dict,
+    ) -> dict | None:
+        """Turn down, before any set-up, what the chosen executor cannot
+        run; returns the mp executor's options (``None`` for sim)."""
+        if backend == "mp":
+            from repro.mp.backend import check_mp_call
+
+            return check_mp_call(
+                self, tracer, faults, checkpoint_every, checkpoint_path, **mp_args
+            )
+        if backend != "sim":
+            raise ValueError(f"unknown backend {backend!r}; expected 'sim' or 'mp'")
+        given = [name for name, value in mp_args.items() if value is not None]
+        if given:
+            from repro.mp.backend import MP_ONLY_REASON
+
+            raise ValueError(f"{given[0]} requires backend='mp': {MP_ONLY_REASON}")
+        return None
 
     def _sim_epochs(self, ledger: RunLedger, checkpoints):
         """The simulator's executor: yield each epoch's ``(losses, sim

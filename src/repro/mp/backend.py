@@ -50,7 +50,7 @@ FAULTS_REASON = "faults are injected into the PS channels of the simulator's in-
 CHECKPOINT_REASON = "crash recovery snapshots the simulator's in-process PS shards"
 TIERED_REASON = (
     "tiered tables live in one process's parameter-server store (file "
-    "handles are process-local, and PBG has no such store)"
+    "handles are process-local)"
 )
 PBG_REASON = (
     "PBG runs its own block-swap loop in one address space, with no "
@@ -76,6 +76,10 @@ def check_mp_call(
     that worker die abruptly (``os._exit``) right before the step."""
     import multiprocessing
 
+    from repro.core.baselines import PBGTrainer
+
+    if isinstance(trainer, PBGTrainer):
+        raise MPUnsupportedError(f"PBG trains with backend='sim' only: {PBG_REASON}")
     tracer = tracer if tracer is not None else get_tracer()
     for what, given, reason in (
         ("a tracer", tracer.enabled, TRACE_REASON),

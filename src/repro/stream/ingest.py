@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.baselines import PBGTrainer
 from repro.core.trainer import HETKGTrainer
 from repro.kg.graph import HEAD, REL, TAIL, EditLog, KnowledgeGraph
 from repro.ps.network import BYTES_PER_ELEMENT, CommRecord
@@ -94,9 +95,10 @@ class OnlineTrainer:
     Parameters
     ----------
     trainer:
-        A (not yet set up) PS-based trainer; its config decides the cache
-        strategy, so the same ``OnlineTrainer`` serves DGL-KE, CPS, DPS
-        and ADAPTIVE runs.
+        A (not yet set up) trainer whose workers this loop steps; its
+        config decides the cache strategy, so the same ``OnlineTrainer``
+        serves DGL-KE, CPS, DPS and ADAPTIVE runs (PBG has no workers and
+        raises ``ValueError``).
     stream:
         The seeded update sequence (``EventStream(updates=[])`` for static
         behaviour).
@@ -117,6 +119,10 @@ class OnlineTrainer:
         eval_candidates: int | None = 100,
         eval_queries: int = 50,
     ) -> None:
+        if isinstance(trainer, PBGTrainer):
+            from repro.mp.backend import PBG_REASON
+
+            raise ValueError(f"OnlineTrainer cannot drive PBG: {PBG_REASON}")
         if eval_every is not None:
             check_positive("eval_every", eval_every)
         self.trainer = trainer

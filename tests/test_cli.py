@@ -198,20 +198,25 @@ class TestTrain:
         assert rc == 0
         assert ckpt.exists()
 
-    def test_train_pbg_rejects_checkpoint(self, tmp_path, capsys):
-        """Used to train to completion, print the error to stdout and
-        exit 1; it is a usage error, raised before the dataset exists."""
+    def test_train_pbg_checkpoint_serves(self, tmp_path, capsys):
+        """PBG's tables live in a parameter server, so its ``--checkpoint``
+        is the archive every other system writes, and serve-bench serves
+        it."""
+        ckpt = tmp_path / "pbg.npz"
         rc = main(
             [
                 "train", "--dataset", "wn18", "--scale", "0.02",
                 "--system", "pbg", "--epochs", "1", "--eval-queries", "2",
-                "--checkpoint", str(tmp_path / "x.npz"),
+                "--checkpoint", str(ckpt),
             ]
         )
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert "--checkpoint" in captured.err and "PBG" in captured.err
-        assert captured.out == ""
+        assert rc == 0
+        assert "checkpoint written" in capsys.readouterr().out
+        rc = main(
+            ["serve-bench", "--checkpoint", str(ckpt), "--queries", "200", "--no-baseline"]
+        )
+        assert rc == 0
+        assert "throughput" in capsys.readouterr().out
 
 
 class TestBackendFlag:

@@ -140,6 +140,19 @@ class TestPBGTrainer:
         total = sum(len(idx) for idx in trainer._buckets.values())
         assert total == small_split.train.num_triples
 
+    def test_buckets_equal_the_per_triple_grouping(self, small_split):
+        """The one-sort grouping gives every bucket the ascending triple
+        indices a walk over the triples appends, in key order."""
+        trainer = PBGTrainer(quick_config(pbg_partitions=3))
+        trainer.setup(small_split.train)
+        part = trainer._entity_part
+        expected: dict = {}
+        for idx, (h, _, t) in enumerate(small_split.train.triples):
+            expected.setdefault((int(part[h]), int(part[t])), []).append(idx)
+        assert list(trainer._buckets) == sorted(expected)
+        for key, idx in trainer._buckets.items():
+            assert idx.tolist() == expected[key], key
+
     def test_loss_decreases(self, small_split):
         result = PBGTrainer(quick_config(epochs=6)).train(small_split.train)
         losses = result.history.losses()
@@ -151,7 +164,7 @@ class TestPBGTrainer:
         trainer = PBGTrainer(quick_config())
         trainer.setup(small_split.train)
         cost = trainer._dense_relation_cost()
-        expected = 2 * trainer.relation_table.size * 4  # wire_dim=None
+        expected = 2 * trainer.server.store.table("relation").size * 4  # wire_dim=None
         assert cost.remote_bytes == expected
 
     def test_evaluate_before_setup_rejected(self, small_split):

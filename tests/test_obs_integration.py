@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro import cli
+from repro.core.baselines import PBGTrainer
 from repro.core.config import TrainingConfig
 from repro.core.telemetry import Telemetry
 from repro.core.trainer import HETKGTrainer
@@ -85,6 +86,37 @@ class TestTrainerReconciliation:
         assert summary["spans"] > 0
         assert summary["counters"] > 0
         assert summary["seconds[communication]"] > 0
+
+
+class TestPBGReconciliation:
+    """PBG's executor charges every clock advance inside a span on its
+    machine's ``worker{m}`` track, as ``Worker.step`` does for HET-KG."""
+
+    def test_span_totals_equal_clock_breakdown(self, small_split):
+        tracer = Tracer()
+        trainer = PBGTrainer(config(num_machines=3))
+        result = trainer.train(small_split.train, tracer=tracer)
+        for machine, clock in enumerate(trainer._clocks):
+            totals = tracer.sink.category_totals(f"worker{machine}")
+            for category in ("compute", "communication"):
+                assert totals[category] == pytest.approx(
+                    clock.category(category), rel=1e-9
+                ), (machine, category)
+            assert sum(totals.values()) == pytest.approx(clock.elapsed, rel=1e-9)
+        spans = tracer.sink.spans
+        assert {"swap_in", "swap_out", "relations", "lease_wait", "compute"} <= {
+            s.name for s in spans
+        }
+        moved = [s for s in spans if s.name in ("swap_in", "swap_out", "relations")]
+        assert sum(s.attrs["bytes"] for s in moved) == result.comm_totals.total_bytes
+
+    def test_untraced_call_records_nothing(self, small_split):
+        tracer = Tracer()
+        trainer = PBGTrainer(config(epochs=1))
+        trainer.train(small_split.train, tracer=tracer)
+        count = len(tracer.sink.spans)
+        trainer.train(small_split.train)
+        assert len(tracer.sink.spans) == count > 0
 
 
 class TestStreamReconciliation:
@@ -245,6 +277,22 @@ class TestCliTrace:
         # file is plain JSON that chrome://tracing accepts
         trace = json.loads(out.read_text())
         assert isinstance(trace["traceEvents"], list)
+
+    def test_train_pbg_trace_smoke(self, tmp_path, capsys):
+        out = tmp_path / "pbg.json"
+        status = cli.main(
+            [
+                "train", "--dataset", "fb15k", "--scale", "0.012",
+                "--epochs", "1", "--machines", "2", "--dim", "8",
+                "--batch-size", "64", "--negatives", "4",
+                "--eval-queries", "10", "--system", "pbg", "--trace", str(out),
+            ]
+        )
+        assert status == 0
+        assert validate_chrome_trace_file(str(out))["spans"] > 0
+        names = {e["name"] for e in json.loads(out.read_text())["traceEvents"]}
+        assert {"swap_in", "relations", "swap_out", "compute"} <= names
+        assert get_tracer().enabled is False
 
     def test_stream_trace_smoke(self, tmp_path, capsys):
         out = tmp_path / "stream.json"

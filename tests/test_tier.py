@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import TrainingConfig
-from repro.core.trainer import HETKGTrainer
+from repro.core.trainer import HETKGTrainer, make_trainer
 from repro.ps.compression import get_compressor
 from repro.ps.kvstore import ShardedKVStore
 from repro.tier import (
@@ -582,30 +582,31 @@ def tier_config(**overrides):
 class TestTrainerIntegration:
     def test_tiered_unlimited_is_bit_identical(self, small_split, tmp_path):
         """backing="tiered" with no budget and cold_codec="none" must be a
-        pure representation change: same losses, same tables, same clock."""
-        resident = HETKGTrainer(tier_config())
-        res = resident.train(small_split.train)
-        tiered = HETKGTrainer(
-            tier_config(
-                backing="tiered",
-                tier_cold_codec="none",
-                tier_block_rows=32,
-                tier_dir=str(tmp_path / "tier"),
+        pure representation change: same losses, same tables, same clock —
+        for HET-KG's workers and for PBG's bucket schedule alike."""
+        for system in ("hetkg-d", "pbg"):
+            resident = make_trainer(system, tier_config())
+            res = resident.train(small_split.train)
+            tiered = make_trainer(
+                system,
+                tier_config(
+                    backing="tiered",
+                    tier_cold_codec="none",
+                    tier_block_rows=32,
+                    tier_dir=str(tmp_path / system),
+                ),
             )
-        )
-        tie = tiered.train(small_split.train)
-        assert np.array_equal(
-            np.asarray(resident.server.store.table("entity")),
-            np.asarray(tiered.server.store.table("entity")),
-        )
-        assert np.array_equal(
-            np.asarray(resident.server.store.table("relation")),
-            np.asarray(tiered.server.store.table("relation")),
-        )
-        assert res.sim_time == tie.sim_time
-        assert tie.tier_time > 0.0
-        assert res.tier_time == 0.0
-        tiered.server.store.close()
+            tie = tiered.train(small_split.train)
+            for kind in ("entity", "relation"):
+                assert np.array_equal(
+                    np.asarray(resident.server.store.table(kind)),
+                    np.asarray(tiered.server.store.table(kind)),
+                ), (system, kind)
+            assert res.history.losses() == tie.history.losses(), system
+            assert res.sim_time == tie.sim_time, system
+            assert tie.tier_time > 0.0, system
+            assert res.tier_time == 0.0
+            tiered.server.store.close()
 
     def test_oversubscribed_checkpoint_roundtrip(self, small_split, tmp_path):
         """Save under memory pressure, load into a fresh oversubscribed
@@ -811,17 +812,22 @@ class TestCLITiered:
         assert "memory: resident" in out
         assert "tier time:" in out
 
-    def test_train_rejects_tiered_pbg(self, capsys):
+    def test_train_tiered_pbg_smoke(self, tmp_path, capsys):
         from repro.cli import main
 
         rc = main(
             [
                 "train", "--dataset", "fb15k", "--scale", "0.012",
-                "--system", "pbg", "--backing", "tiered", "--epochs", "1",
+                "--system", "pbg", "--epochs", "1", "--eval-queries", "2",
+                "--backing", "tiered", "--memory-budget", "32K",
+                "--tier-block-rows", "16", "--tier-dir", str(tmp_path / "tier"),
             ]
         )
-        assert rc == 2
-        assert "not supported" in capsys.readouterr().err
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "PBG" in out
+        assert "memory: resident" in out
+        assert "tier time:" in out
 
     def test_train_rejects_budget_without_tiering(self, capsys):
         from repro.cli import main

@@ -12,12 +12,14 @@ import re
 import pytest
 
 from repro import cli
+from repro.core.baselines import TELEMETRY_REASON
 from repro.core.config import TrainingConfig
+from repro.core.telemetry import Telemetry
 from repro.core.evaluation import evaluate_link_prediction
 from repro.core.trainer import make_trainer
 from repro.core.worker import Worker
 from repro.faults import FaultPlan
-from repro.mp.backend import TRACE_REASON, MPUnsupportedError
+from repro.mp.backend import CHECKPOINT_REASON, PBG_REASON, TRACE_REASON, MPUnsupportedError
 from repro.obs import Tracer, set_tracer
 from repro.stream.events import EventStream
 from repro.stream.ingest import OnlineTrainer
@@ -35,9 +37,7 @@ def config(**overrides) -> TrainingConfig:
 
 def set_up(trainer) -> bool:
     """Whether ``trainer`` has built anything yet."""
-    return getattr(trainer, "server", None) is not None or (
-        getattr(trainer, "entity_table", None) is not None
-    )
+    return trainer.server is not None
 
 
 @pytest.fixture
@@ -148,8 +148,8 @@ def test_unknown_backend_rejected(small_split):
 # ------------------------------------------------------------ RULES parity
 
 #: (flag, context) of each ``train`` row of ``cli.RULES`` blocked under a
-#: backend -> the Python call the same invocation makes: (system, config
-#: overrides, train keyword arguments).
+#: backend or for PBG -> the Python call the same invocation makes:
+#: (system, config overrides, train keyword arguments).
 CALLS = {
     ("--trace", "mp"): ("hetkg-d", {}, {"backend": "mp", "tracer": Tracer()}),
     ("--faults", "mp"): ("hetkg-d", {}, {"backend": "mp", "faults": FaultPlan()}),
@@ -161,6 +161,9 @@ CALLS = {
     ("--mp-schedule", "sim"): ("hetkg-d", {}, {"backend": "sim", "schedule": "sync"}),
     ("--mp-staleness", "sim"): ("dglke", {}, {"staleness_bound": 2}),
     ("--mp-start", "sim"): ("hetkg-c", {}, {"start_method": "fork"}),
+    ("--faults", "pbg"): ("pbg", {}, {"faults": FaultPlan()}),
+    ("--checkpoint-every", "pbg"): ("pbg", {}, {"checkpoint_every": 4}),
+    ("--neg-cache", "pbg"): ("pbg", {"neg_cache": "nscaching"}, {}),
 }
 
 ROWS = [
@@ -168,7 +171,7 @@ ROWS = [
     for rule in cli.RULES
     if "train" in rule.commands
     for context in rule.blocked_in
-    if context in ("mp", "sim")
+    if context in ("mp", "sim", "pbg")
 ]
 
 
@@ -192,18 +195,36 @@ class TestRulesParity:
         assert not set_up(trainer)  # rejected before any set-up
         # A trainer that already holds workers keeps the very same ones.
         trainer.setup(small_split.train)
-        workers = list(getattr(trainer, "workers", []))
-        before = [w.stats() for w in workers]
+        workers = list(trainer.workers)
+        before = trainer._stats()
         try:
             with pytest.raises(error, match=reason):
                 trainer.train(small_split.train, **kwargs)
-            after = list(getattr(trainer, "workers", []))
-            assert all(got is w for got, w in zip(after, workers))
-            assert len(after) == len(workers)
-            assert [w.stats() for w in after] == before
+            assert all(got is w for got, w in zip(trainer.workers, workers))
+            assert len(trainer.workers) == len(workers)
+            assert trainer._stats() == before
         finally:
-            if getattr(trainer, "server", None) is not None:
-                trainer.server.store.close()  # tier scratch files
+            trainer.server.store.close()  # tier scratch files
+
+    def test_pbg_turns_down_what_it_has_no_flag_for(self, small_split, tmp_path):
+        """No ``RULES`` row reaches these, so the call is the only guard:
+        a checkpoint path alone, telemetry, ``train_mp``, and an online
+        loop over PBG's workers (it has none)."""
+        for kwargs, reason in (
+            ({"checkpoint_path": str(tmp_path / "x.npz")}, CHECKPOINT_REASON),
+            ({"telemetry": Telemetry()}, TELEMETRY_REASON),
+        ):
+            trainer = make_trainer("pbg", config())
+            with pytest.raises(ValueError, match=re.escape(reason)):
+                trainer.train(small_split.train, **kwargs)
+            assert not set_up(trainer)
+        trainer = make_trainer("pbg", config())
+        with pytest.raises(MPUnsupportedError, match=re.escape(PBG_REASON)):
+            trainer.train_mp(small_split.train)
+        with pytest.raises(ValueError, match=re.escape(PBG_REASON)):
+            OnlineTrainer(trainer, EventStream(updates=[])).train(small_split.train)
+        assert not set_up(trainer)
+        assert not (tmp_path / "x.npz").exists()
 
     def test_process_wide_tracer_rejected(self, small_split):
         trainer = make_trainer("hetkg-d", config())
