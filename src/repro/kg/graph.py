@@ -607,7 +607,10 @@ class EditLog:
     graph as edited so far it removes; :meth:`fold` then applies every
     recorded edit in one :meth:`KnowledgeGraph.mutated_with_dead_rows`
     pass over :attr:`base`, the graph as last folded.  The result is the
-    graph the edits applied one by one would build, its index included.
+    graph the edits applied one by one would build, its index included:
+    where the folded graph has no int64 key space its dict index is left
+    to be built lazily, unless edit by edit a last edit that removed
+    nothing would have probed (and so built) it.
 
     Deletes remove by value: a row of :attr:`base` dies by any recorded
     delete, a recorded insert only by a delete recorded after it (a
@@ -639,6 +642,10 @@ class EditLog:
         #: left it with none (kept by a counting log only).
         self._rows = len(self.base)
         self.emptied = False
+        #: Whether an edit that changed nothing probed the graph as edited
+        #: so far after the last recorded edit; ``None`` after an uncounted
+        #: edit, whose effect is only known at a fold.
+        self._probed: bool | None = False
 
     @property
     def pending(self) -> int:
@@ -680,6 +687,8 @@ class EditLog:
         if count:
             removed = self._count_removed(deletes) if len(deletes) else 0
             if not (len(inserts) or removed or grew):
+                if len(deletes) and self._probed is not None:
+                    self._probed = True
                 return None
             self._rows += len(inserts) - removed
             self.emptied |= self._rows == 0
@@ -688,6 +697,7 @@ class EditLog:
                 live[triple] = live.get(triple, 0) + 1
         elif not (len(inserts) or len(deletes) or grew):
             return None
+        self._probed = False if count else None
         self._inserts.append(inserts)
         self._deletes.append(deletes)
         self._sizes.append((n_ent, n_rel))
@@ -729,11 +739,35 @@ class EditLog:
         are the live recorded inserts, in the order they were recorded."""
         if not self._sizes:
             return self.base, _NO_ROWS
-        self.base, dead = self.base.mutated_with_dead_rows(
+        graph, dead = self.base.mutated_with_dead_rows(
             self._live_inserts(),
             np.concatenate(self._deletes),
             *self._sizes[-1],
             through=self._sizes[:-1],
         )
+        if graph._triple_index is None and (
+            self._probed if self._probed is not None else self._last_changes_nothing()
+        ):
+            graph.triple_index()
+        self.base = graph
         self._clear()
         return self.base, dead
+
+    def _last_changes_nothing(self) -> bool:
+        """Whether the last recorded edit, applied after the others,
+        removes no row and adds none (decided by value, for an edit
+        recorded uncounted)."""
+        inserts, deletes = self._inserts[-1], self._deletes[-1]
+        before = self._sizes[-2] if len(self._sizes) > 1 else (
+            self.base.num_entities, self.base.num_relations
+        )
+        if len(inserts) or self._sizes[-1] != before:
+            return False
+        wanted = set(map(tuple, deletes.tolist()))
+        rows = self.base.triple_index().rows_of(np.array(sorted(wanted), dtype=np.int64))
+        present = set(map(tuple, self.base.triples[rows].tolist()))
+        # Within an edit the deletes apply before the inserts.
+        for inserts, deletes in zip(self._inserts[:-1], self._deletes[:-1]):
+            present.difference_update(map(tuple, deletes.tolist()))
+            present.update(wanted.intersection(map(tuple, inserts.tolist())))
+        return not present

@@ -149,6 +149,15 @@ class TestFoldEqualsEditByEdit:
     # Every local row deleted, then new rows inserted, with no read between:
     # the walk must restart as it does edit by edit, not take the inserts in.
     @example(case=("dict", 79, 1, [(False, False, "none")] * 3))
+    # Into the dict regime, then an edit that removes nothing: edit by edit
+    # it probes (and so builds) the final graph's index, counted or not.
+    @example(
+        case=(
+            "dict", 5, 0,
+            [(False, False, "none")] * 3 + [(True, False, "none")] * 2
+            + [(False, False, "none")],
+        )
+    )
     def test_counts_graph_index_and_walk(self, case):
         ladder, seed, steps, edits = case
         ents, rels = LADDERS[ladder]
