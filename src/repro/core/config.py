@@ -251,11 +251,3 @@ class TrainingConfig:
     def with_overrides(self, **kwargs) -> "TrainingConfig":
         """A copy with some fields replaced (re-validated)."""
         return replace(self, **kwargs)
-
-    @property
-    def uses_cache(self) -> bool:
-        return self.cache_strategy != "none"
-
-    @property
-    def uses_neg_cache(self) -> bool:
-        return self.neg_cache != "off"

@@ -53,6 +53,68 @@ def check_known(known: object) -> None:
         )
 
 
+def _true_scores(
+    model: KGEModel,
+    entity_table: np.ndarray,
+    relation_table: np.ndarray,
+    triples: np.ndarray,
+) -> np.ndarray:
+    """Every query's true-triple score, one batched call (the reference
+    scores the same ``(h, r, t)`` rows one at a time)."""
+    return model.score(
+        entity_table[triples[:, 0]],
+        relation_table[triples[:, 1]],
+        entity_table[triples[:, 2]],
+    )
+
+
+def _rank_candidates(
+    model: KGEModel,
+    entity_table: np.ndarray,
+    relation_table: np.ndarray,
+    triples: np.ndarray,
+    candidates: np.ndarray,
+    replace_head: bool,
+    known: KnowledgeGraph | None,
+    true_scores: np.ndarray,
+    block_rows: int,
+) -> list[int]:
+    """Ranks of one corruption side against a ``(queries, width)``
+    rectangle of candidate entities.
+
+    Scores the rectangle through the model in flat blocks of at most
+    ``block_rows`` rows, avoiding a per-query Python loop, and filters
+    each block with one ``known.triple_index()`` probe over its candidate
+    triples: a known triple scores ``-inf``.  A query's rank is 1 + the
+    candidates other than its true entity that score strictly above its
+    ``true_scores`` entry.  Ranks are bit-identical to one
+    ``_rank_one_side`` call per query (scores are the same per-row
+    arithmetic, only the batching differs; the oracle lives in
+    ``tests/reference/evaluation_reference.py``).
+    """
+    width = candidates.shape[1]
+    true_entities = triples[:, 0] if replace_head else triples[:, 2]
+    ranks: list[int] = []
+    queries_per_block = max(1, block_rows // width)
+    for start in range(0, len(triples), queries_per_block):
+        stop = min(start + queries_per_block, len(triples))
+        chunk = candidates[start:stop]
+        rep = np.repeat(np.arange(start, stop), width)
+        flat = chunk.ravel()
+        rels = triples[rep, 1]
+        heads, tails = (flat, triples[rep, 2]) if replace_head else (triples[rep, 0], flat)
+        scores = model.score(
+            entity_table[heads], relation_table[rels], entity_table[tails]
+        ).reshape(chunk.shape)
+        if known is not None:
+            drop = known.triple_index().contains_batch(heads, rels, tails)
+            scores[drop.reshape(chunk.shape)] = -np.inf
+        better = scores > true_scores[start:stop, None]
+        better &= chunk != true_entities[start:stop, None]
+        ranks.extend((1 + better.sum(axis=1)).tolist())
+    return ranks
+
+
 def _ranks_batched(
     model: KGEModel,
     entity_table: np.ndarray,
@@ -62,43 +124,15 @@ def _ranks_batched(
     known: KnowledgeGraph | None,
     block_rows: int = 200_000,
 ) -> list[int]:
-    """Full-candidate ranks for one corruption side, many queries at once.
-
-    Scores ``(queries x all entities)`` through the model in flat blocks of
-    at most ``block_rows`` rows, avoiding the per-query Python loop, and
-    filters each block with one ``known.triple_index()`` probe over its
-    candidate triples.  Ranks are bit-identical to one ``_rank_one_side``
-    call per query (scores are the same per-row arithmetic, only the
-    batching differs; the oracle lives in
-    ``tests/reference/evaluation_reference.py``).
-    """
+    """Full-candidate ranks for one corruption side, many queries at once:
+    every entity is a candidate of every query (:func:`_rank_candidates`)."""
     n_ent = len(entity_table)
-    ranks: list[int] = []
-    queries_per_block = max(1, block_rows // n_ent)
-    for start in range(0, len(triples), queries_per_block):
-        chunk = triples[start : start + queries_per_block]
-        q = len(chunk)
-        h = chunk[:, 0]
-        r = chunk[:, 1]
-        t = chunk[:, 2]
-        cand = np.tile(np.arange(n_ent), q)
-        rep = np.repeat(np.arange(q), n_ent)
-        rels = r[rep]
-        heads, tails = (cand, t[rep]) if replace_head else (h[rep], cand)
-        scores = model.score(
-            entity_table[heads], relation_table[rels], entity_table[tails]
-        ).reshape(q, n_ent)
-
-        true_entity = h if replace_head else t
-        true_scores = scores[np.arange(q), true_entity]
-        if known is not None:
-            drop = known.triple_index().contains_batch(heads, rels, tails)
-            scores[drop.reshape(q, n_ent)] = -np.inf
-        # The true entity never counts (its score, even dropped, is never
-        # > its own score taken before the drop).
-        better = (scores > true_scores[:, None]).sum(axis=1)
-        ranks.extend((1 + better).tolist())
-    return ranks
+    return _rank_candidates(
+        model, entity_table, relation_table, triples,
+        np.broadcast_to(np.arange(n_ent), (len(triples), n_ent)),
+        replace_head, known,
+        _true_scores(model, entity_table, relation_table, triples), block_rows,
+    )
 
 
 def _ranks_sampled_batched(
@@ -117,82 +151,29 @@ def _ranks_sampled_batched(
     interleaved — head then tail per triple — and that draw order is part
     of the determinism contract.  This kernel therefore keeps *exactly*
     the reference's RNG consumption (same per-query ``rng.choice`` calls,
-    same order) in a cheap first pass, then batches all model scoring:
-    candidate rows are padded to a rectangle with each query's true entity
-    (pads fall inside the true-entity mask, so they never affect ranks)
-    and scored in flat blocks of at most ``block_rows`` rows.
-
-    Ranks are bit-identical to the per-query reference: per-row score
-    arithmetic is unchanged, filtering applies the same ``-inf`` masking,
-    and the strictly-greater count ignores every true-entity copy.
+    same order) in a cheap first pass, then ranks each side through
+    :func:`_rank_candidates`: candidate rows are padded to a rectangle
+    with each query's true entity, which never counts.
     """
     num_entities = len(entity_table)
-    per_side: dict[bool, list[np.ndarray]] = {True: [], False: []}
-    for h, _, t in triples:
-        for replace_head in (True, False):
-            true_entity = int(h) if replace_head else int(t)
+    candidates = np.empty((2, len(triples), num_candidates + 1), dtype=np.int64)
+    width = 0
+    for i, (h, _, t) in enumerate(triples.tolist()):
+        for side, true_entity in enumerate((h, t)):
             sampled = rng.choice(num_entities, size=num_candidates, replace=False)
-            per_side[replace_head].append(
-                np.unique(np.append(sampled, true_entity))
-            )
-    # True-triple scores for every query, one batched call (the reference
-    # scores the same (h, r, t) rows one at a time).
-    true_scores = model.score(
-        entity_table[triples[:, 0]],
-        relation_table[triples[:, 1]],
-        entity_table[triples[:, 2]],
-    )
-    head_ranks = _score_padded_candidates(
-        model, entity_table, relation_table, triples, per_side[True],
-        True, known, true_scores, block_rows,
-    )
-    tail_ranks = _score_padded_candidates(
-        model, entity_table, relation_table, triples, per_side[False],
-        False, known, true_scores, block_rows,
+            row = np.unique(np.append(sampled, true_entity))
+            candidates[side, i, : len(row)] = row
+            candidates[side, i, len(row) :] = true_entity
+            width = max(width, len(row))
+    true_scores = _true_scores(model, entity_table, relation_table, triples)
+    head_ranks, tail_ranks = (
+        _rank_candidates(
+            model, entity_table, relation_table, triples,
+            candidates[side, :, :width], side == 0, known, true_scores, block_rows,
+        )
+        for side in (0, 1)
     )
     return head_ranks, tail_ranks
-
-
-def _score_padded_candidates(
-    model: KGEModel,
-    entity_table: np.ndarray,
-    relation_table: np.ndarray,
-    triples: np.ndarray,
-    cand_lists: list[np.ndarray],
-    replace_head: bool,
-    known: KnowledgeGraph | None,
-    true_scores: np.ndarray,
-    block_rows: int,
-) -> list[int]:
-    """Rank one corruption side from per-query candidate id lists."""
-    q_total = len(triples)
-    width = max(len(c) for c in cand_lists)
-    true_entities = triples[:, 0] if replace_head else triples[:, 2]
-    cand = np.empty((q_total, width), dtype=np.int64)
-    for i, c in enumerate(cand_lists):
-        cand[i, : len(c)] = c
-        cand[i, len(c):] = true_entities[i]  # pads; masked by the true rule
-    ranks: list[int] = []
-    queries_per_block = max(1, block_rows // width)
-    for start in range(0, q_total, queries_per_block):
-        stop = min(start + queries_per_block, q_total)
-        chunk = cand[start:stop]
-        q = stop - start
-        rep = np.repeat(np.arange(start, stop), width)
-        flat = chunk.ravel()
-        rels = triples[rep, 1]
-        heads, tails = (flat, triples[rep, 2]) if replace_head else (triples[rep, 0], flat)
-        scores = model.score(
-            entity_table[heads], relation_table[rels], entity_table[tails]
-        ).reshape(q, width)
-        block_true = true_scores[start:stop]
-        not_true = chunk != true_entities[start:stop, None]
-        if known is not None:
-            drop = known.triple_index().contains_batch(heads, rels, tails)
-            scores[drop.reshape(q, width)] = -np.inf
-        better = ((scores > block_true[:, None]) & not_true).sum(axis=1)
-        ranks.extend((1 + better).tolist())
-    return ranks
 
 
 def evaluate_link_prediction(
@@ -222,9 +203,10 @@ def evaluate_link_prediction(
         Sample this many negative candidate entities per query instead of
         ranking against all entities (plus the true one).
 
-    Scoring runs through the block kernels :func:`_ranks_batched` /
-    :func:`_ranks_sampled_batched`; the per-query loop they replaced is the
-    equivalence oracle in ``tests/reference/evaluation_reference.py``.
+    Scoring runs through the one block kernel :func:`_rank_candidates`
+    (over every entity, or over sampled candidates); the per-query loop it
+    replaced is the equivalence oracle in
+    ``tests/reference/evaluation_reference.py``.
     """
     check_known(known)
     for name, value in (("max_queries", max_queries), ("num_candidates", num_candidates)):

@@ -7,7 +7,6 @@ work on integer ids; string labels exist only for I/O and display.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -69,9 +68,12 @@ def _stride(size: int) -> int:
 
 
 def _strides_fit(
-    strides: tuple[int, int], num_entities: int, num_relations: int
+    strides: tuple[int, int] | None, num_entities: int, num_relations: int
 ) -> bool:
-    """Whether every id pair of the vocabulary has its own int64 key."""
+    """Whether every id triple of the vocabulary has its own key under
+    ``strides`` (24-byte keys, ``None``, fit any vocabulary)."""
+    if strides is None:
+        return True
     rel_stride, ent_stride = strides
     return (
         num_relations <= rel_stride
@@ -84,11 +86,10 @@ def _key_strides(num_entities: int, num_relations: int) -> tuple[int, int] | Non
     """``(relation stride, entity stride)`` of the int64 key encoding.
 
     Power-of-two strides with headroom when the key space allows, the
-    exact vocabulary sizes when only those fit, ``None`` when even they
-    overflow int64 (evaluated in Python ints, arbitrary precision).
+    exact vocabulary sizes when only those fit, ``None`` — 24-byte keys —
+    when even they overflow int64 (evaluated in Python ints, arbitrary
+    precision).
     """
-    if num_entities <= 0 or num_relations <= 0:
-        return None
     for strides in (
         (_stride(num_relations), _stride(num_entities)),
         (num_relations, num_entities),
@@ -98,25 +99,47 @@ def _key_strides(num_entities: int, num_relations: int) -> tuple[int, int] | Non
     return None
 
 
+#: A 24-byte key: a triple's three ids as big-endian uint64, so its bytes
+#: compare as the ``(h, r, t)`` order does.
+_WIDE_KEY = np.dtype("V24")
+
+
 def _encode(
-    strides: tuple[int, int], heads: np.ndarray, rels: np.ndarray, tails: np.ndarray
+    strides: tuple[int, int] | None,
+    heads: np.ndarray,
+    rels: np.ndarray,
+    tails: np.ndarray,
 ) -> np.ndarray:
-    """One int64 key per ``(h, r, t)``; keys sort as the triples do,
-    whatever the strides."""
+    """One key per ``(h, r, t)``; keys sort as the triples do, whatever
+    the strides.  ``None`` strides: the triple itself as a 24-byte key."""
+    if strides is None:
+        columns = np.stack(np.broadcast_arrays(heads, rels, tails), axis=-1)
+        return columns.astype(">u8").view(_WIDE_KEY)[..., 0]
     rel_stride, ent_stride = strides
     return (heads * rel_stride + rels) * ent_stride + tails
+
+
+def _decode(
+    strides: tuple[int, int] | None, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(heads, rels, tails)`` that :func:`_encode` turned into ``keys``."""
+    if strides is None:
+        return tuple(keys.view(">u8").reshape(-1, 3).astype(np.int64).T)
+    pairs, tails = np.divmod(keys, strides[1])
+    return (*np.divmod(pairs, strides[0]), tails)
 
 
 class TripleIndex:
     """Vectorized membership and row index over a triple array.
 
-    Encodes every ``(h, r, t)`` as a single int64 key
-    ``(h * rel_stride + r) * ent_stride + t`` held in a sorted array,
+    Encodes every ``(h, r, t)`` as a single key held in a sorted array,
     so a batch of membership queries is one ``np.searchsorted`` probe
-    instead of ``b * n`` Python set lookups.  The strides are powers of
-    two above the vocabulary sizes (see :func:`_key_strides`); when the
-    vocabulary is large enough that no key space fits int64 the index
-    degrades to dict-backed scalar checks — same answers, no speedup.
+    instead of ``b * n`` Python set lookups.  The key is the int64
+    ``(h * rel_stride + r) * ent_stride + t`` whose strides are powers of
+    two above the vocabulary sizes (see :func:`_key_strides`); a
+    vocabulary so large that no int64 key space fits it keys each triple
+    by its three ids as one 24-byte value instead, which sorts and probes
+    the same way.
 
     Next to each key sits the row it came from (one key per row, stably
     sorted, so duplicates stay in row order): the rows holding a triple
@@ -137,23 +160,16 @@ class TripleIndex:
         self.num_relations = int(num_relations)
         triples = _as_rows(triples)
         self._strides = _key_strides(self.num_entities, self.num_relations)
-        if self._strides is not None:
-            keys = _encode(self._strides, *triples.T)
-            self._rows = np.argsort(keys, kind="stable")
-            self._keys = keys[self._rows]
-            self._rows_by_triple: dict[tuple[int, int, int], list[int]] | None = None
-        else:
-            self._keys = self._rows = None
-            self._rows_by_triple = {}
-            for row, triple in enumerate(triples.tolist()):
-                self._rows_by_triple.setdefault(tuple(triple), []).append(row)
+        keys = _encode(self._strides, *triples.T)
+        self._rows = np.argsort(keys, kind="stable")
+        self._keys = keys[self._rows]
 
     @classmethod
     def _carried(
         cls,
         keys: np.ndarray,
         rows: np.ndarray,
-        strides: tuple[int, int],
+        strides: tuple[int, int] | None,
         num_entities: int,
         num_relations: int,
     ) -> "TripleIndex":
@@ -164,16 +180,13 @@ class TripleIndex:
         index._strides = strides
         index._keys = keys
         index._rows = rows
-        index._rows_by_triple = None
         return index
 
     def __len__(self) -> int:
         """Number of distinct triples indexed."""
-        if self._strides is None:
-            return len(self._rows_by_triple)
         if len(self._keys) == 0:
             return 0
-        return int(np.count_nonzero(np.diff(self._keys))) + 1
+        return int(np.count_nonzero(self._keys[1:] != self._keys[:-1])) + 1
 
     def _in_vocabulary(
         self, heads: np.ndarray, rels: np.ndarray, tails: np.ndarray
@@ -193,15 +206,6 @@ class TripleIndex:
         heads = np.asarray(heads, dtype=np.int64)
         rels = np.asarray(rels, dtype=np.int64)
         tails = np.asarray(tails, dtype=np.int64)
-        if self._strides is None:
-            return np.fromiter(
-                (
-                    (int(h), int(r), int(t)) in self._rows_by_triple
-                    for h, r, t in zip(heads, rels, tails)
-                ),
-                dtype=bool,
-                count=len(heads),
-            )
         if len(self._keys) == 0 or len(heads) == 0:
             return np.zeros(len(heads), dtype=bool)
         keys = _encode(self._strides, heads, rels, tails)
@@ -214,18 +218,7 @@ class TripleIndex:
 
     def contains(self, h: int, r: int, t: int) -> bool:
         """Scalar membership check."""
-        h, r, t = int(h), int(r), int(t)
-        if self._strides is None:
-            return (h, r, t) in self._rows_by_triple
-        if not (
-            0 <= h < self.num_entities
-            and 0 <= r < self.num_relations
-            and 0 <= t < self.num_entities
-        ):
-            return False
-        key = _encode(self._strides, h, r, t)
-        pos = int(np.searchsorted(self._keys, key))
-        return pos < len(self._keys) and int(self._keys[pos]) == key
+        return bool(self.contains_batch([h], [r], [t])[0])
 
     # --------------------------------------------------------------- mutation
 
@@ -244,16 +237,7 @@ class TripleIndex:
     def rows_of(self, triples: np.ndarray) -> np.ndarray:
         """Ascending rows of the indexed array that hold any of ``triples``
         (every occurrence of a duplicated triple; absent ones match none)."""
-        triples = _as_rows(triples)
-        if self._strides is None:
-            wanted = {tuple(triple) for triple in triples.tolist()}
-            rows = [
-                row
-                for triple in wanted
-                for row in self._rows_by_triple.get(triple, ())
-            ]
-            return np.array(sorted(rows), dtype=np.int64)
-        return np.sort(self._rows[self._positions(triples)])
+        return np.sort(self._rows[self._positions(_as_rows(triples))])
 
     def mutated(
         self,
@@ -262,7 +246,7 @@ class TripleIndex:
         num_entities: int,
         num_relations: int,
         through: Sequence[tuple[int, int]] = (),
-    ) -> tuple[np.ndarray, "TripleIndex | None"]:
+    ) -> tuple[np.ndarray, "TripleIndex"]:
         """The rows ``deletes`` occupy, and the index of the edited array.
 
         The edited array is the one :meth:`KnowledgeGraph.mutated` builds:
@@ -270,9 +254,7 @@ class TripleIndex:
         of the possibly grown ``num_entities``/``num_relations``).  Its
         index is this one's sorted keys with the deleted positions cut out
         and the inserted keys merged in — O(|update| log n) probes plus
-        straight copies, no re-sort — or ``None`` when the grown
-        vocabulary has no int64 key space (the caller's lazy rebuild then
-        yields the dict-backed index).  This index is left as it was.
+        straight copies, no re-sort.  This index is left as it was.
 
         ``through`` lists the ``(num_entities, num_relations)`` an edit
         folded from several (:class:`EditLog`) grew through first: the
@@ -282,21 +264,16 @@ class TripleIndex:
         (3 000 -> 5 000 -> 8 192 entities keeps entity stride 8 192).
         """
         inserts, deletes = _as_rows(inserts), _as_rows(deletes)
-        if self._strides is None:
-            return self.rows_of(deletes), None
         positions = self._positions(deletes)
         dead = np.sort(self._rows[positions])
         keys, strides = self._keys, self._strides
         for sizes in (*through, (num_entities, num_relations)):
-            if strides is not None and not _strides_fit(strides, *sizes):
+            if not _strides_fit(strides, *sizes):
                 strides = _key_strides(*sizes)
-        if strides is None:
-            return dead, None
         if strides != self._strides:
             # Key order is (h, r, t) order under any strides: re-encode in
             # place of a re-sort.
-            pairs, tails = np.divmod(keys, self._strides[1])
-            keys = _encode(strides, *np.divmod(pairs, self._strides[0]), tails)
+            keys = _encode(strides, *_decode(self._strides, keys))
         rows = self._rows
         if len(positions):
             keys = drop_rows(keys, positions)
@@ -394,7 +371,6 @@ class KnowledgeGraph:
         self._triple_index = triple_index
         self._degrees: np.ndarray | None = None
         self._rel_counts: np.ndarray | None = None
-        self._adjacency: dict[int, list[int]] | None = None
 
     # ------------------------------------------------------------------ basic
 
@@ -438,7 +414,7 @@ class KnowledgeGraph:
     def invalidate_caches(self) -> None:
         """Drop every lazily-built derived structure.
 
-        The triple index, degree/count vectors, and adjacency are all
+        The triple index and the degree/count vectors are all
         memoised on first use; anything that mutates :attr:`triples` in
         place (or the instance's vocabulary sizes) **must** call this, or
         ``in``, the sampler's false-negative filter, filtered ranking and
@@ -452,7 +428,6 @@ class KnowledgeGraph:
         self._triple_index = None
         self._degrees = None
         self._rel_counts = None
-        self._adjacency = None
 
     def mutated(
         self,
@@ -549,21 +524,6 @@ class KnowledgeGraph:
             self._rel_counts = counts
         return self._rel_counts.copy()
 
-    def adjacency(self) -> dict[int, list[int]]:
-        """Undirected entity adjacency list (used by the partitioner).
-
-        Memoised; treat the returned dict as read-only.
-        """
-        if self._adjacency is None:
-            adj: dict[int, list[int]] = defaultdict(list)
-            for h, _, t in self.triples:
-                h, t = int(h), int(t)
-                if h != t:
-                    adj[h].append(t)
-                    adj[t].append(h)
-            self._adjacency = adj
-        return self._adjacency
-
     def subgraph(self, triple_indices: np.ndarray) -> "KnowledgeGraph":
         """A graph over the same vocabularies containing only the given rows."""
         return KnowledgeGraph(
@@ -607,10 +567,7 @@ class EditLog:
     graph as edited so far it removes; :meth:`fold` then applies every
     recorded edit in one :meth:`KnowledgeGraph.mutated_with_dead_rows`
     pass over :attr:`base`, the graph as last folded.  The result is the
-    graph the edits applied one by one would build, its index included:
-    where the folded graph has no int64 key space its dict index is left
-    to be built lazily, unless edit by edit a last edit that removed
-    nothing would have probed (and so built) it.
+    graph the edits applied one by one would build, its index included.
 
     Deletes remove by value: a row of :attr:`base` dies by any recorded
     delete, a recorded insert only by a delete recorded after it (a
@@ -642,10 +599,6 @@ class EditLog:
         #: left it with none (kept by a counting log only).
         self._rows = len(self.base)
         self.emptied = False
-        #: Whether an edit that changed nothing probed the graph as edited
-        #: so far after the last recorded edit; ``None`` after an uncounted
-        #: edit, whose effect is only known at a fold.
-        self._probed: bool | None = False
 
     @property
     def pending(self) -> int:
@@ -687,8 +640,6 @@ class EditLog:
         if count:
             removed = self._count_removed(deletes) if len(deletes) else 0
             if not (len(inserts) or removed or grew):
-                if len(deletes) and self._probed is not None:
-                    self._probed = True
                 return None
             self._rows += len(inserts) - removed
             self.emptied |= self._rows == 0
@@ -697,7 +648,6 @@ class EditLog:
                 live[triple] = live.get(triple, 0) + 1
         elif not (len(inserts) or len(deletes) or grew):
             return None
-        self._probed = False if count else None
         self._inserts.append(inserts)
         self._deletes.append(deletes)
         self._sizes.append((n_ent, n_rel))
@@ -739,35 +689,11 @@ class EditLog:
         are the live recorded inserts, in the order they were recorded."""
         if not self._sizes:
             return self.base, _NO_ROWS
-        graph, dead = self.base.mutated_with_dead_rows(
+        self.base, dead = self.base.mutated_with_dead_rows(
             self._live_inserts(),
             np.concatenate(self._deletes),
             *self._sizes[-1],
             through=self._sizes[:-1],
         )
-        if graph._triple_index is None and (
-            self._probed if self._probed is not None else self._last_changes_nothing()
-        ):
-            graph.triple_index()
-        self.base = graph
         self._clear()
         return self.base, dead
-
-    def _last_changes_nothing(self) -> bool:
-        """Whether the last recorded edit, applied after the others,
-        removes no row and adds none (decided by value, for an edit
-        recorded uncounted)."""
-        inserts, deletes = self._inserts[-1], self._deletes[-1]
-        before = self._sizes[-2] if len(self._sizes) > 1 else (
-            self.base.num_entities, self.base.num_relations
-        )
-        if len(inserts) or self._sizes[-1] != before:
-            return False
-        wanted = set(map(tuple, deletes.tolist()))
-        rows = self.base.triple_index().rows_of(np.array(sorted(wanted), dtype=np.int64))
-        present = set(map(tuple, self.base.triples[rows].tolist()))
-        # Within an edit the deletes apply before the inserts.
-        for inserts, deletes in zip(self._inserts[:-1], self._deletes[:-1]):
-            present.difference_update(map(tuple, deletes.tolist()))
-            present.update(wanted.intersection(map(tuple, inserts.tolist())))
-        return not present

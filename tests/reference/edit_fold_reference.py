@@ -8,7 +8,9 @@ be held to it edit by edit (``tests/test_edit_fold.py``,
 * :func:`index_mutated_reference` — ``TripleIndex.mutated`` for one edit:
   the key strides re-chosen from the edit's own vocabulary when the old
   ones do not fit it (the live one walks every vocabulary a folded edit
-  grew through);
+  grew through); a vocabulary past every int64 key space re-encodes to
+  24-byte keys and carries the index on, as the live one does (the dict
+  index that regime used to fall back to is gone);
 * :func:`mutated_with_dead_rows_reference` — ``KnowledgeGraph.
   mutated_with_dead_rows`` as the per-edit fold, over the function above;
 * :func:`apply_dead_rows_reference` — ``EpochSampler.apply_update(new_graph,
@@ -32,6 +34,7 @@ from repro.kg.graph import (
     TripleIndex,
     _as_rows,
     _checked_sizes,
+    _decode,
     _encode,
     _key_strides,
     _strides_fit,
@@ -49,7 +52,7 @@ def index_mutated_reference(
     deletes: np.ndarray,
     num_entities: int,
     num_relations: int,
-) -> tuple[np.ndarray, "TripleIndex | None"]:
+) -> tuple[np.ndarray, TripleIndex]:
     """The rows ``deletes`` occupy, and the index of the edited array.
 
     The edited array is the one :meth:`KnowledgeGraph.mutated` builds:
@@ -57,24 +60,17 @@ def index_mutated_reference(
     of the possibly grown ``num_entities``/``num_relations``).  Its
     index is this one's sorted keys with the deleted positions cut out
     and the inserted keys merged in — O(|update| log n) probes plus
-    straight copies, no re-sort — or ``None`` when the grown
-    vocabulary has no int64 key space (the caller's lazy rebuild then
-    yields the dict-backed index).  This index is left as it was.
+    straight copies, no re-sort.  This index is left as it was.
     """
     inserts, deletes = _as_rows(inserts), _as_rows(deletes)
-    if index._strides is None:
-        return index.rows_of(deletes), None
     positions = index._positions(deletes)
     dead = np.sort(index._rows[positions])
     keys, strides = index._keys, index._strides
-    if not _strides_fit(strides, num_entities, num_relations):
+    if strides is not None and not _strides_fit(strides, num_entities, num_relations):
         strides = _key_strides(num_entities, num_relations)
-        if strides is None:
-            return dead, None
         # Key order is (h, r, t) order under any strides: re-encode in
         # place of a re-sort.
-        pairs, tails = np.divmod(keys, index._strides[1])
-        keys = _encode(strides, *np.divmod(pairs, index._strides[0]), tails)
+        keys = _encode(strides, *_decode(index._strides, keys))
     rows = index._rows
     if len(positions):
         keys = drop_rows(keys, positions)

@@ -312,10 +312,11 @@ class TestRepeatedTrainCalls:
 
 
 class TestPBGGolden:
-    """PBG on the golden config, which ``tests/golden/train_golden.json``
-    does not cover (it pins hetkg-c/d and dglke).  Captured while PBG's
-    bytes were still accumulated by the shared network model, before they
-    moved onto per-machine records beside its clocks."""
+    """PBG on the golden config, beyond what the ``pbg`` entry of
+    ``tests/golden/train_golden.json`` pins (its comm totals and sim time
+    under a ``train()`` that evaluates): PBG retransmits nothing
+    (``retransmit_bytes == 0``), and a ``train()`` without evaluation
+    reaches the golden's sim time, so evaluating adds none."""
 
     def test_comm_totals_and_sim_time(self):
         path = pathlib.Path(__file__).parent / "golden" / "capture.py"

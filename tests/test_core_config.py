@@ -14,11 +14,6 @@ class TestDefaults:
         assert cfg.partitioner == "metis"
         assert cfg.wire_dim == 400
 
-    def test_uses_cache(self):
-        assert not TrainingConfig().uses_cache
-        assert TrainingConfig(cache_strategy="cps").uses_cache
-        assert TrainingConfig(cache_strategy="dps").uses_cache
-
 
 class TestCostDim:
     def test_wire_dim_used(self):

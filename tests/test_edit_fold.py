@@ -13,13 +13,14 @@ through random edit sequences with random read points:
   the per-edit fold's dead rows and ``child is not parent`` at record
   time, as does the corruption pool's size;
 * at every read, the triples' bytes, vocabulary sizes and labels, the
-  index (``_keys``, ``_rows``, ``_strides``, or its dict) and the epoch
+  index (``_keys``, ``_rows``, ``_strides``) and the epoch
   walk (``_order``, ``_cursor``) equal the per-edit path's, and so does
   the next batch drawn;
 * edits cover duplicate inserts; deletes of absent, base, just-inserted
   and duplicated triples; re-inserts after a delete; empty edits; and
   vocabulary growth across a power-of-two stride, into the exact-stride
-  regime and into the dict regime;
+  regime and into 24-byte keys (the "dict" ladder, named for the dict
+  index that regime once had);
 * a pickled sampler carries its pending edits.
 """
 
@@ -46,7 +47,7 @@ from tests.reference.edit_fold_reference import (
 #: 8 192 entities after strides re-chosen for 5 000 (which a single
 #: re-encode to the final size gets wrong); "exact" climbs from
 #: power-of-two strides into exact ones; "dict" out of every int64 key
-#: space.
+#: space into 24-byte keys.
 LADDERS = {
     "pow2": ([6, 7, 8, 9, 16, 17], [2, 3, 4, 5]),
     "edge": ([3000, 4096, 5000, 8191, 8192, 8193], [2, 3]),
@@ -108,12 +109,9 @@ def _assert_same_graph(ours: KnowledgeGraph, theirs: KnowledgeGraph) -> None:
     assert (ours._triple_index is None) == (theirs._triple_index is None)
     a, b = ours.triple_index(), theirs.triple_index()
     assert a._strides == b._strides
-    if a._strides is None:
-        assert a._rows_by_triple == b._rows_by_triple
-    else:
-        for name in ("_keys", "_rows"):
-            x, y = getattr(a, name), getattr(b, name)
-            assert x.dtype == y.dtype and np.array_equal(x, y), name
+    for name in ("_keys", "_rows"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
 def _sampler(graph, seed, steps):
@@ -149,8 +147,8 @@ class TestFoldEqualsEditByEdit:
     # Every local row deleted, then new rows inserted, with no read between:
     # the walk must restart as it does edit by edit, not take the inserts in.
     @example(case=("dict", 79, 1, [(False, False, "none")] * 3))
-    # Into the dict regime, then an edit that removes nothing: edit by edit
-    # it probes (and so builds) the final graph's index, counted or not.
+    # Into 24-byte keys, then an edit that removes nothing: the fold carries
+    # the index the edit-by-edit path carries, counted or not.
     @example(
         case=(
             "dict", 5, 0,

@@ -28,6 +28,7 @@ both:
 
 from __future__ import annotations
 
+import bisect
 import copy
 import dataclasses
 
@@ -46,6 +47,8 @@ from repro.kg.graph import (
     TAIL,
     KnowledgeGraph,
     TripleIndex,
+    _decode,
+    _encode,
     _key_strides,
     drop_rows,
     renumber_rows,
@@ -63,7 +66,8 @@ from tests.reference.graph_mutation_reference import (
 )
 
 # Vocabularies per key-space regime: power-of-two strides fit; only the
-# exact sizes fit; nothing fits and the index is a set.
+# exact sizes fit; no int64 key space fits and keys are 24 bytes (the name
+# is the set this regime was once backed by).
 POW2 = (6, 2)
 EXACT = (3 * 2**20, 2**19 + 1)
 SET_BACKED = (2**31, 4)
@@ -73,6 +77,39 @@ def test_regimes_are_what_they_are_named():
     assert _key_strides(*POW2) == (4, 8)
     assert _key_strides(*EXACT) == (EXACT[1], EXACT[0])
     assert _key_strides(*SET_BACKED) is None
+
+
+_IDS = st.integers(0, 3) | st.sampled_from([2**32, 2**62, 2**63 - 1]) | st.integers(
+    0, 2**63 - 1
+)
+
+
+@given(
+    pool=st.lists(st.tuples(_IDS, _IDS, _IDS), min_size=1, max_size=12),
+    picks=st.lists(st.integers(0, 11), max_size=30),
+    probes=st.lists(st.tuples(_IDS, _IDS, _IDS), max_size=8),
+)
+@settings(max_examples=100, deadline=None)
+def test_wide_keys_order_as_lexsort(pool, picks, probes):
+    """24-byte keys sort, probe and decode as the ``(h, r, t)`` columns
+    do under ``np.lexsort``, ids up to ``2**63 - 1``, duplicates included."""
+    rows = np.array([pool[i % len(pool)] for i in picks], dtype=np.int64).reshape(-1, 3)
+    keys = _encode(None, *rows.T)
+    assert keys.dtype.itemsize == 24 and keys.shape == (len(rows),)
+    order = np.lexsort(rows.T[::-1])
+    assert np.argsort(keys, kind="stable").tolist() == order.tolist()
+    ordered = [tuple(row) for row in rows[order].tolist()]
+    needles = np.array(probes + ordered, dtype=np.int64).reshape(-1, 3)
+    for side, bisect_at in (("left", bisect.bisect_left), ("right", bisect.bisect_right)):
+        assert np.searchsorted(keys[order], _encode(None, *needles.T), side=side).tolist() == [
+            bisect_at(ordered, tuple(needle)) for needle in needles.tolist()
+        ]
+    assert np.stack(_decode(None, keys[order]), axis=1).tolist() == rows[order].tolist()
+    index = TripleIndex(rows, 2**63, 2**63)
+    assert len(index) == len(set(ordered))
+    for needle in needles.tolist():
+        held = [i for i, row in enumerate(rows.tolist()) if row == needle]
+        assert index.rows_of([needle]).tolist() == held
 
 
 # ------------------------------------------------------------------ helpers
@@ -181,8 +218,8 @@ class TestChainedUpdates:
             graph = child
 
     def test_growth_past_every_key_space(self):
-        """One chain from power-of-two strides through exact ones to the
-        set: each child answers as a freshly built index does."""
+        """One chain from power-of-two strides through exact ones to
+        24-byte keys: each child answers as a freshly built index does."""
         rng = np.random.default_rng(3)
         graph = KnowledgeGraph(_triples(rng, 10, *POW2), *POW2)
         for n_ent, n_rel in (

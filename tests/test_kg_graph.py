@@ -84,17 +84,6 @@ class TestStructure:
         assert counts[0] == 5
         assert counts[1] == 3
 
-    def test_adjacency_symmetric(self, tiny_graph):
-        adj = tiny_graph.adjacency()
-        for u, neighbors in adj.items():
-            for v in neighbors:
-                assert u in adj[v]
-
-    def test_adjacency_skips_self_loops(self):
-        g = KnowledgeGraph([(0, 0, 0), (0, 0, 1)])
-        adj = g.adjacency()
-        assert 0 not in adj[0]
-
     def test_subgraph_keeps_vocab(self, tiny_graph):
         sub = tiny_graph.subgraph(np.array([0, 2]))
         assert sub.num_triples == 2

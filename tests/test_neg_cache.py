@@ -79,10 +79,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TrainingConfig(neg_cache="auto", neg_cache_anneal=-1)
 
-    def test_uses_neg_cache_property(self):
-        assert not TrainingConfig().uses_neg_cache
-        assert TrainingConfig(neg_cache="nscaching").uses_neg_cache
-
 
 # ---------------------------------------------------------------- corrupt
 
