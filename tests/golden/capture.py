@@ -53,11 +53,13 @@ def golden_config(**overrides) -> TrainingConfig:
 
 
 def fingerprint(system: str, *, filtered_negatives: bool = False,
-                eval_candidates: int | None = 40) -> dict:
+                eval_candidates: int | None = 40, neg_cache: str = "off") -> dict:
     """Train one system on the seeded small graph and fingerprint the run."""
     graph = generate_dataset("fb15k", scale=0.02, seed=3)
     split = split_triples(graph, seed=3)
-    config = golden_config(filter_false_negatives=filtered_negatives)
+    config = golden_config(
+        filter_false_negatives=filtered_negatives, neg_cache=neg_cache
+    )
     trainer = make_trainer(system, config)
     result = trainer.train(
         split.train,
@@ -102,6 +104,9 @@ def capture() -> dict:
     golden["dglke+full-ranking-eval"] = fingerprint(
         "dglke", eval_candidates=None
     )
+    # The hard-negative cache rewrites rows of a chunk, so its batches
+    # mix runs of every length.
+    golden["hetkg-d+nscaching"] = fingerprint("hetkg-d", neg_cache="nscaching")
     return golden
 
 

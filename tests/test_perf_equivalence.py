@@ -80,6 +80,8 @@ class TestGoldenRuns:
             fresh = self.capture.fingerprint("hetkg-d", filtered_negatives=True)
         elif entry == "dglke+full-ranking-eval":
             fresh = self.capture.fingerprint("dglke", eval_candidates=None)
+        elif entry == "hetkg-d+nscaching":
+            fresh = self.capture.fingerprint("hetkg-d", neg_cache="nscaching")
         else:
             fresh = self.capture.fingerprint(entry)
         assert fresh == self.golden[entry], (
