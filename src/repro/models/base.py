@@ -134,8 +134,9 @@ class KGEModel(ABC):
         override returns the bits of that call, in the scores and in
         ``shared`` alike, and may return ``None`` for an operand its
         ``grad`` never reads when given that ``shared`` — TransE, which
-        reads each chunk's ``n`` shared negative rows once, not once per
-        row of the chunk, does so for all three.
+        gathers only each row's ``n`` corrupted entity rows and takes the
+        uncorrupted side and the relation from the positives' rows, does
+        so for all three.
         """
         neg_h = np.take(entity_rows, heads, axis=0)
         neg_t = np.take(entity_rows, tails, axis=0)

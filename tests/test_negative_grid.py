@@ -2,10 +2,10 @@
 
 ``compute_batch_gradients`` scores a batch's ``b * n`` negatives through
 ``KGEModel.score_negatives``.  The base gathers three ``(b * n, d)``
-operand arrays and calls ``score``; TransE splits the batch into runs of
-rows that corrupt one side with the same ``n`` entities (a chunk, or what
-is left of one after a rewrite), reads each run's negative rows once and
-broadcasts.  ``tests/reference/negative_grid_reference.py`` keeps the step
+operand arrays and calls ``score``; TransE, for every batch, gathers each
+row's ``n`` corrupted rows once into its difference buffer and finishes
+that buffer once per run of rows that corrupt the same side, never
+reaching the base.  ``tests/reference/negative_grid_reference.py`` keeps the step
 as it was — the three gathers, read off the materialised negative triples
 — and this suite requires the live step to give its loss, both gradient
 tables and ``active_negatives`` byte for byte, over:
@@ -14,9 +14,10 @@ tables and ``active_negatives`` byte for byte, over:
   chunk for the whole batch, and the independent strategy (runs of one);
 * rows rewritten by the false-negative filter and by the hard-negative
   cache's mix, which split chunks into shorter runs;
-* TransE under both norms, on the broadcast path and — for batches of
-  short runs — on the base path, and every other registered model through
-  the base hook;
+* batches whose side flips on every row, that corrupt only heads, with no
+  rows or with no negatives per row;
+* TransE under both norms, never through the base hook, and every other
+  registered model through it;
 * rows salted with signed zeros, ``inf`` and ``NaN``; margins that send a
   minority of the negatives back (the ``keep`` path) and all of them (the
   full path), under each loss.
@@ -32,8 +33,8 @@ from hypothesis import strategies as st
 from repro.core.compute import compute_batch_gradients
 from repro.kg.graph import KnowledgeGraph
 from repro.models import MODEL_REGISTRY, get_model
-from repro.models import transe as transe_module
 from repro.models.base import KGEModel
+from repro.models.transe import TransE
 from repro.sampling.cache import CachedNegativeSampler
 from repro.sampling.negative import MiniBatch, NegativeSampler
 from tests.reference import negative_grid_reference as reference
@@ -167,14 +168,10 @@ def _compare(model, loss, case):
     return bool(calls)
 
 
-def _expect_path(model, batch, went_base):
-    """TransE broadcasts exactly when the runs are long enough on average;
-    every other model always takes the base."""
-    if isinstance(model, transe_module.TransE):
-        short = transe_module._MIN_RUN * _runs(batch) > batch.size
-        assert went_base == short, (_runs(batch), batch.size)
-    else:
-        assert went_base
+def _expect_path(model, went_base):
+    """TransE never takes the base, whatever the batch; every other model
+    always does."""
+    assert went_base is not isinstance(model, TransE)
 
 
 class TestTransEGrid:
@@ -206,7 +203,7 @@ class TestTransEGrid:
         model = get_model("transe", dim, norm=norm)
         batch = _chunked(rng, b, n_neg, chunk, rewrite=rewrite, mix=mix)
         case = _inputs(model, batch, rng, specials, superset)
-        _expect_path(model, batch, _compare(model, _loss(loss_name, margin), case))
+        _expect_path(model, _compare(model, _loss(loss_name, margin), case))
 
     @pytest.mark.parametrize("norm", NORMS)
     @pytest.mark.parametrize(
@@ -229,20 +226,21 @@ class TestTransEGrid:
         model = get_model("transe", 8, norm=norm)
         batch = _sampled(rng, kind, b, n_neg, chunk)
         case = _inputs(model, batch, rng, specials, superset=False)
-        _expect_path(model, batch, _compare(model, _loss(loss_name, margin), case))
+        _expect_path(model, _compare(model, _loss(loss_name, margin), case))
 
     @pytest.mark.parametrize("norm", NORMS)
     def test_both_paths_and_both_backward_passes_are_reached(self, norm):
-        """What the grids above rely on: a chunked batch broadcasts and one
-        of single-row runs does not, and the margins send back a minority
-        of the negatives (the ``keep`` path) and all of them."""
+        """What the grids above rely on: a chunked batch and one of
+        single-row runs both score without the base, and the margins send
+        back a minority of the negatives (the ``keep`` path) and all of
+        them."""
         model = get_model("transe", 8, norm=norm)
-        for chunk, base in ((16, False), (1, True)):
+        for chunk in (16, 1):
             rng = np.random.default_rng(chunk)
             case = _inputs(model, _chunked(rng, 64, 8, chunk), rng, False, False)
             active = []
             for margin in MARGINS:
-                assert _compare(model, _loss("ranking", margin), case) is base
+                assert _compare(model, _loss("ranking", margin), case) is False
                 active.append(
                     compute_batch_gradients(model, _loss("ranking", margin), *case)
                     .active_negatives
@@ -252,7 +250,7 @@ class TestTransEGrid:
 
     def test_a_rewritten_row_splits_its_chunk(self):
         """Two chunks of 8 with row 3 given other negatives: runs of 3, 1,
-        4 and 8 rows, still broadcast (16 rows, 4 runs)."""
+        4 and 8 rows (16 rows, 4 runs), scored without the base."""
         rng = np.random.default_rng(5)
         batch = _chunked(rng, 16, 4, 8)
         batch.neg_entities[3] = batch.neg_entities[3][::-1] + 1
@@ -275,8 +273,8 @@ class TestTransEGrid:
 
     @pytest.mark.parametrize("norm", NORMS)
     def test_float32_rows_stay_float32(self, norm):
-        """The broadcast ``diff`` takes the rows' dtype, as ``h + r - t``
-        does, so float32 tables score in float32 on both paths."""
+        """The difference buffer takes the rows' dtype, as ``h + r - t``
+        does, so float32 tables score in float32."""
         rng = np.random.default_rng(1)
         model = get_model("transe", 8, norm=norm)
         batch, ent_ids, ent_rows, rel_ids, rel_rows = _inputs(
@@ -286,6 +284,34 @@ class TestTransEGrid:
                 rel_rows.astype(np.float32))
         assert _compare(model, _loss("ranking", 1.0), case) is False
 
+    @pytest.mark.parametrize("norm", NORMS)
+    def test_float32_entities_promote_with_float64_relations(self, norm):
+        """float32 entity rows against float64 relation rows compute in
+        float64, as ``h + r - t`` promotes: a buffer in the entity table's
+        dtype would add in float32 and lose bits."""
+        rng = np.random.default_rng(2)
+        model = get_model("transe", 8, norm=norm)
+        batch, ent_ids, ent_rows, rel_ids, rel_rows = _inputs(
+            model, _chunked(rng, 32, 4, 8), rng, specials=True, superset=False
+        )
+        case = (batch, ent_ids, ent_rows.astype(np.float32), rel_ids, rel_rows)
+        assert _compare(model, _loss("ranking", 1.0), case) is False
+
+    @pytest.mark.parametrize("norm", NORMS)
+    @pytest.mark.parametrize("sides", ["alternating", "all-head"])
+    def test_side_layouts(self, norm, sides):
+        """A batch whose side flips on every row (a run per row), and one
+        corrupting only heads (one run for the whole batch), over shared
+        and over independent negatives."""
+        model = get_model("transe", 8, norm=norm)
+        for chunk in (16, 1):
+            rng = np.random.default_rng(chunk)
+            batch = _chunked(rng, 32, 4, chunk)
+            batch.corrupt_head[:] = np.arange(32) % 2 == 0 if sides == "alternating" else True
+            case = _inputs(model, batch, rng, specials=True, superset=True)
+            for margin in MARGINS:
+                assert _compare(model, _loss("ranking", margin), case) is False
+
     def test_empty_batch(self):
         model = get_model("transe", 4)
         batch = MiniBatch(
@@ -294,7 +320,19 @@ class TestTransEGrid:
         )
         case = (batch, np.zeros(0, np.int64), np.zeros((0, 4)), np.zeros(0, np.int64),
                 np.zeros((0, 4)))
-        assert _compare(model, _loss("ranking", 1.0), case) is True
+        assert _compare(model, _loss("ranking", 1.0), case) is False
+
+    # Self-adversarial weighting is a softmax over each row's negatives,
+    # which has no value over none (``max`` of an empty row raises).
+    @pytest.mark.parametrize("loss_name", ["ranking", "logistic"])
+    def test_rows_without_negatives(self, loss_name):
+        """``n = 0``: rows corrupting either side, none with a negative."""
+        rng = np.random.default_rng(4)
+        model = get_model("transe", 4)
+        batch = _chunked(rng, 6, 0, 2)
+        batch.corrupt_head[:] = [True, False, False, True, True, False]
+        case = _inputs(model, batch, rng, specials=False, superset=False)
+        assert _compare(model, _loss(loss_name, 1.0), case) is False
 
 
 class TestNonFiniteUnderZeroUpstream:
@@ -348,4 +386,4 @@ class TestOtherModelsThroughTheBase:
         else:
             batch = _sampled(rng, kind, b, n_neg, chunk)
         case = _inputs(model, batch, rng, specials, superset=seed % 2 == 0)
-        _expect_path(model, batch, _compare(model, _loss(loss_name, margin), case))
+        _expect_path(model, _compare(model, _loss(loss_name, margin), case))
