@@ -20,7 +20,11 @@ generator's state as tightly as the partition.
 * ``_rebalance`` orders tied vertex weights stably, pinned directly and on
   a whole call in which it fires;
 * the wn18 x 1.0, k = 4, seed 11 partition of the ``train_tiered``
-  benchmark, pinned by hash as captured before the rewrite.
+  benchmark, pinned by hash as captured before the rewrite, and the
+  fb15k x 0.2, k = 4 and freebase86m-mini x 0.3, k = 8 ones as captured
+  before refinement kept one connection table per level;
+* a hand-built tie between two parts, which the part the row meets first
+  wins, not the lowest part id.
 
 Run with ``--hypothesis-seed=0`` for the CI draw.
 """
@@ -295,3 +299,45 @@ def test_train_tiered_partition_is_the_one_captured_before_the_rewrite():
         "e6d143bc6d7fe1c39f7939f77cc9d7409dc5317fd18e15062ac83514c0869af8"
     )
     assert int(rng.integers(1 << 62)) == 4419216690914010323
+
+
+def _pinned_call(dataset: str, scale: float, k: int):
+    """``dataset`` x ``scale``'s train split partitioned at ``k``, seed 11,
+    with the shared generator's next draw."""
+    graph = split_triples(generate_dataset(dataset, scale=scale, seed=11), seed=11).train
+    rng = np.random.default_rng(11)
+    part = MetisPartitioner(seed=rng).partition(graph, k)
+    return _sha256(part.entity_part), _sha256(part.triple_part), int(rng.integers(1 << 62))
+
+
+def test_fb15k_partition_is_the_one_captured_before_the_table_refinement():
+    """fb15k x 0.2, k = 4 — the graph the six fb15k workloads partition —
+    hashed before refinement kept one connection table per level."""
+    assert _pinned_call("fb15k", 0.2, 4) == (
+        "190c87387a92765489ed2ba073ad7a1d78b66edcbac7209745ffa827d002421d",
+        "05f305ec7923eae233dd464ae74b4c34a294246fc466695cdf34d19271717c6b",
+        2234807861353305135,
+    )
+
+
+def test_freebase_partition_is_the_one_captured_before_the_table_refinement():
+    """freebase86m-mini x 0.3, k = 8: wide coarse rows, where many moves
+    choose between equally connected parts."""
+    assert _pinned_call("freebase86m-mini", 0.3, 8) == (
+        "43d6dd5b7d5f3927781a42422826c48909163926f6e48bd10564b764008768ca",
+        "a858b19d37336ee80fa009a1758a1c1b159b7f7ac148806aa9137d86eb65a5f7",
+        4075109281281100104,
+    )
+
+
+def test_a_tie_goes_to_the_part_the_row_meets_first():
+    """Vertex 0 (part 0) is tied between parts 2 and 1, and its row meets
+    part 2 first: it moves there, and so does everything after it.  A
+    refinement breaking the tie by part id would leave ``[1, 1, 1]``."""
+    triples = np.array([[0, 0, 1], [0, 0, 2]], dtype=np.int64)
+    level = metis._graph_level(KnowledgeGraph(triples, num_entities=3, num_relations=1))
+    assert level.indices[: level.indptr[1]].tolist() == [1, 2]
+    part = np.array([0, 2, 1], dtype=np.int64)
+    got, stats = metis._refine(level, part, 3, imbalance=10.0, passes=2)
+    assert got.tolist() == [2, 2, 2]
+    assert stats == [{"evaluated": 3, "moved": 2}, {"evaluated": 0, "moved": 0}]
