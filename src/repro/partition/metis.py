@@ -20,9 +20,13 @@ of the contract, not an accident of the layout: it is the order in which
 the neighbours first occur in the edge stream the level was built from, and
 three tie-breaks read it — the first heaviest neighbour in the matching,
 the first best part in the refinement, the first-reached maximum in greedy
-growing.  ``tests/test_metis_equivalence.py`` holds partitions and the
-generator's state to the list-of-dict predecessor kept in
-``tests/reference/metis_reference.py``.
+growing.  Refinement keeps one vertex-to-part connection table per level,
+exact through every move, instead of recounting it every pass.
+``tests/test_metis_equivalence.py`` holds partitions and the generator's
+state to the list-of-dict predecessor kept in
+``tests/reference/metis_reference.py``, and the refinement's parts and
+per-pass counts to the recounting one kept in
+``tests/reference/metis_refine_reference.py``.
 """
 
 from __future__ import annotations
@@ -207,71 +211,78 @@ def _refine(
 
     A vertex may move to the neighboring part where it has the most edge
     weight, provided the move strictly reduces the cut and keeps every part
-    under ``(1 + imbalance) * target`` weight.
+    under ``(1 + imbalance) * target`` weight; of two such parts equally
+    connected, the one its row meets first wins.
 
-    A pass is a sweep in ascending vertex order that only stops at vertices
-    that can move.  A vertex with no part strictly better connected than
-    its home cannot, whatever the part weights are, so the pass starts from
-    the others (one ``bincount`` finds them) and a move adds the mover's
-    larger neighbours, whose connections it changed; smaller ones have been
-    passed and wait for the next pass.  Returns the refined partition and,
-    per pass run, how many vertices were ``evaluated`` and ``moved``.
+    The ``(n, k)`` edge weight from every vertex towards every part is
+    counted once per level (one ``bincount``) and kept exact through every
+    move: the mover's row weights leave its old part's column and join its
+    new part's in its neighbours' rows (a row's neighbours are distinct,
+    and the sums are integers, exact in float64).  A pass is a sweep in
+    ascending vertex order that only stops at vertices that can move.  A
+    vertex with no part strictly better connected than its home cannot,
+    whatever the part weights are, so the pass starts from the others and
+    a move adds the mover's larger neighbours, whose connections it
+    changed; smaller ones have been passed and wait for the next pass.  An
+    evaluated vertex reads its ``k`` connections from the table and walks
+    its row only to break a tie.  Returns the refined partition and, per
+    pass run, how many vertices were ``evaluated`` and ``moved``.
     """
     n = level.num_vertices
-    total = int(level.vertex_weight.sum())
-    max_weight = (1.0 + imbalance) * total / k
+    indptr, indices, weights = level.indptr, level.indices, level.weights
+    vertex_weight = level.vertex_weight
+    max_weight = (1.0 + imbalance) * int(vertex_weight.sum()) / k
     part = part.copy()
-    part_weight = np.bincount(part, weights=level.vertex_weight, minlength=k)
-    stats: list[dict[str, int]] = []
-    src_k = level.sources() * k
+    part_weight = np.bincount(part, weights=vertex_weight, minlength=k).tolist()
+    towards = np.bincount(
+        level.sources() * k + part[indices], weights=weights, minlength=n * k
+    ).reshape(n, k)
     rows = np.arange(n)
-    indptr = level.indptr.tolist()
-    indices = level.indices.tolist()
-    weights = level.weights.tolist()
-    vertex_weight = level.vertex_weight.tolist()
-    part_of = part.tolist()
+    stats: list[dict[str, int]] = []
 
     for _ in range(passes):
-        # (n, k) edge weight from every vertex towards every part.
-        towards = np.bincount(
-            src_k + part[level.indices], weights=level.weights, minlength=n * k
-        ).reshape(n, k)
-        can_move = towards.max(axis=1) > towards[rows, part]
-        queue = np.flatnonzero(can_move).tolist()  # ascending: already a heap
-        queued = can_move.tolist()
+        queued = towards.max(axis=1) > towards[rows, part]
+        queue = np.flatnonzero(queued).tolist()  # ascending: already a heap
         evaluated = moved = 0
         while queue:
             v = heapq.heappop(queue)
             evaluated += 1
-            home = part_of[v]
-            row = range(indptr[v], indptr[v + 1])
-            # Edge weight towards each adjacent part.
-            gain_to: dict[int, int] = {}
-            for j in row:
-                p = part_of[indices[j]]
-                gain_to[p] = gain_to.get(p, 0) + weights[j]
-            internal = gain_to.get(home, 0)
-            best_p, best_gain = home, 0
-            for p, w in gain_to.items():
-                if p == home:
+            home = int(part[v])
+            weight_v = int(vertex_weight[v])
+            # The parts, in id order, that v is best connected to among
+            # those strictly better than home and with room for v.
+            connected = towards[v].tolist()
+            top, best = connected[home], []
+            for p, w in enumerate(connected):
+                if w < top or part_weight[p] + weight_v > max_weight:
                     continue
-                gain = w - internal
-                if gain > best_gain and part_weight[p] + vertex_weight[v] <= max_weight:
-                    best_p, best_gain = p, gain
-            if best_p != home:
-                part_weight[home] -= vertex_weight[v]
-                part_weight[best_p] += vertex_weight[v]
-                part[v] = part_of[v] = best_p
-                moved += 1
-                for j in row:
-                    u = indices[j]
-                    if u > v and not queued[u]:
-                        queued[u] = True
-                        heapq.heappush(queue, u)
+                if w > top:
+                    top, best = w, [p]
+                elif best:
+                    best.append(p)
+            if not best:
+                continue
+            a, b = indptr[v], indptr[v + 1]
+            neighbours = indices[a:b]
+            to = best[0]
+            if len(best) > 1:  # the part the row meets first
+                met = part[neighbours]
+                to = int(met[np.isin(met, best)][0])
+            towards[neighbours, home] -= weights[a:b]
+            towards[neighbours, to] += weights[a:b]
+            part_weight[home] -= weight_v
+            part_weight[to] += weight_v
+            part[v] = to
+            moved += 1
+            later = neighbours[neighbours > v]
+            later = later[~queued[later]]
+            queued[later] = True
+            for u in later.tolist():
+                heapq.heappush(queue, u)
         stats.append({"evaluated": evaluated, "moved": moved})
         if moved == 0:
             break
-    _rebalance(level.vertex_weight, part, part_weight, k, max_weight)
+    _rebalance(vertex_weight, part, np.array(part_weight), k, max_weight)
     return part, stats
 
 

@@ -16,7 +16,9 @@ generator's state as tightly as the partition.
 * per primitive: CSR rows equal ``list(adjacency[v].items())`` at level 0
   and after every contraction (neighbour order is what three tie-breaks
   read), and the boundary refinement equal to the full sweep from arbitrary
-  starting parts;
+  starting parts, and — parts and every pass's ``evaluated`` / ``moved``
+  counts — to the refinement that recounted its connection table every
+  pass, kept verbatim in ``tests/reference/metis_refine_reference.py``;
 * ``_rebalance`` orders tied vertex weights stably, pinned directly and on
   a whole call in which it fires;
 * the wn18 x 1.0, k = 4, seed 11 partition of the ``train_tiered``
@@ -42,6 +44,7 @@ from repro.kg.graph import KnowledgeGraph
 from repro.kg.splits import split_triples
 from repro.partition import metis
 from repro.partition.metis import MetisPartitioner
+from tests.reference import metis_refine_reference as refine_reference
 from tests.reference import metis_reference as reference
 
 # ------------------------------------------------------------------ helpers
@@ -211,6 +214,35 @@ class TestPrimitives:
         # Every pass but the last moved something; the sweep stops on a
         # pass that moves nothing.
         assert all(entry["moved"] > 0 for entry in stats[:-1])
+
+    @given(
+        graph=graphs(),
+        k=st.integers(2, 12),
+        imbalance=st.sampled_from([0.0, 0.05, 0.3, 10.0]),
+        passes=st.integers(0, 4),
+        coarsen=st.integers(0, 3),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_table_refine_is_the_recounting_one(
+        self, graph, k, imbalance, passes, coarsen, seed
+    ):
+        """Parts and every pass's counts equal to the refinement that
+        recounted the connection table each pass, on the finest level and
+        on up to three contractions (wide rows, mixed weights, ties)."""
+        rng = np.random.default_rng(seed)
+        level = metis._graph_level(graph)
+        for _ in range(coarsen):
+            match = metis._heavy_edge_matching(level, rng)
+            level = metis._contract(level, *metis._coarse_ids(match))
+        part = rng.integers(0, rng.integers(1, k + 1), level.num_vertices)
+        before = part.copy()
+        got, stats = metis._refine(level, part, k, imbalance, passes)
+        want, want_stats = refine_reference._refine(level, part, k, imbalance, passes)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert stats == want_stats
+        assert np.array_equal(part, before)
 
 
 # --------------------------------------------------- rebalancing under ties
