@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.kg.graph import KnowledgeGraph
+from repro.kg.graph import KnowledgeGraph, _encode, _key_strides
 from repro.utils.rng import make_rng
 from repro.utils.validation import check_positive
 
@@ -191,7 +191,10 @@ def generate_dataset(
         shifted = centroids + rel_vecs[r]  # (n_comm, latent_dim)
         d2 = ((shifted[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=-1)
         rel_map[r] = np.argmin(d2, axis=1)
-    members = [np.nonzero(community_of == c)[0] for c in range(n_comm)]
+    by_community = np.argsort(community_of, kind="stable")
+    members = np.split(
+        by_community, np.cumsum(np.bincount(community_of, minlength=n_comm))[:-1]
+    )
     member_weights = []
     for c in range(n_comm):
         w = ent_weights[members[c]]
@@ -225,9 +228,9 @@ def generate_dataset(
     rows = [np.stack([chain_h, chain_r, chain_t], axis=1)]
     produced = n_ent
 
-    seen: set[tuple[int, int, int]] = {
-        (int(h), int(r), int(t)) for h, r, t in rows[0]
-    }
+    # Every triple kept so far, as sorted keys (chain heads are distinct).
+    strides = _key_strides(n_ent, n_rel)
+    seen = np.sort(_encode(strides, chain_h, chain_r, chain_t))
     rounds = 0
     while produced < n_tri:
         rounds += 1
@@ -242,20 +245,21 @@ def generate_dataset(
             # Dense corner: the structured triple space is nearly
             # exhausted; fall back to unstructured tails to terminate.
             t = rng.choice(n_ent, size=batch, p=ent_weights)
-        fresh = []
-        for hi, ri, ti in zip(h, r, t):
-            if hi == ti:
-                continue
-            key = (int(hi), int(ri), int(ti))
-            if key in seen:
-                continue
-            seen.add(key)
-            fresh.append(key)
-            if len(fresh) == want:
-                break
-        if fresh:
-            rows.append(np.asarray(fresh, dtype=np.int64))
-            produced += len(fresh)
+        # The first ``want`` draws, in draw order, that are no self-loop and
+        # no triple kept before or drawn earlier in this batch.
+        drawn = np.flatnonzero(h != t)
+        keys, first = np.unique(
+            _encode(strides, h[drawn], r[drawn], t[drawn]), return_index=True
+        )
+        at = np.searchsorted(seen, keys)
+        new = seen[np.minimum(at, len(seen) - 1)] != keys
+        keys, first, at = keys[new], first[new], at[new]
+        kept = np.sort(first)[:want]
+        if len(kept):
+            rows.append(np.stack([h, r, t], axis=1)[drawn[kept]])
+            produced += len(kept)
+            fresh = first <= kept[-1]
+            seen = np.insert(seen, at[fresh], keys[fresh])
 
     triples = np.concatenate(rows)[:n_tri]
     graph = KnowledgeGraph(triples, num_entities=n_ent, num_relations=n_rel)
