@@ -196,23 +196,3 @@ def get_model(name: str, dim: int, **kwargs) -> KGEModel:
         ) from None
     return cls(dim, **kwargs)
 
-
-def check_batch_shapes(
-    model: KGEModel, h: np.ndarray, r: np.ndarray, t: np.ndarray
-) -> None:
-    """Validate that a batch matches the model's row widths."""
-    if h.ndim != 2 or r.ndim != 2 or t.ndim != 2:
-        raise ValueError("h, r, t must be 2-D (batch, dim) arrays")
-    if not (len(h) == len(r) == len(t)):
-        raise ValueError(
-            f"batch sizes differ: h={len(h)}, r={len(r)}, t={len(t)}"
-        )
-    if h.shape[1] != model.entity_dim or t.shape[1] != model.entity_dim:
-        raise ValueError(
-            f"entity rows must have width {model.entity_dim}, "
-            f"got h={h.shape[1]}, t={t.shape[1]}"
-        )
-    if r.shape[1] != model.relation_dim:
-        raise ValueError(
-            f"relation rows must have width {model.relation_dim}, got {r.shape[1]}"
-        )

@@ -12,7 +12,6 @@ from repro.utils.tables import format_table
 from repro.utils.validation import (
     check_fraction,
     check_positive,
-    check_non_negative,
 )
 
 __all__ = [
@@ -25,5 +24,4 @@ __all__ = [
     "format_table",
     "check_fraction",
     "check_positive",
-    "check_non_negative",
 ]

@@ -14,12 +14,6 @@ def check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive, got {value!r}")
 
 
-def check_non_negative(name: str, value: float) -> None:
-    """Require ``value >= 0``."""
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value!r}")
-
-
 def check_fraction(name: str, value: float, inclusive: bool = True) -> None:
     """Require ``value`` in ``[0, 1]`` (or ``(0, 1)`` if not inclusive)."""
     if inclusive:

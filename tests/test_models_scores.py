@@ -13,7 +13,7 @@ from repro.models import (
     TransH,
     TransR,
 )
-from repro.models.base import MODEL_REGISTRY, check_batch_shapes, get_model
+from repro.models.base import MODEL_REGISTRY, get_model
 from repro.utils.rng import make_rng
 
 
@@ -216,27 +216,6 @@ class TestHolE:
             naive[k] = sum(h[0, i] * t[0, (k + i) % 5] for i in range(5))
         np.testing.assert_allclose(circular_correlation(h, t)[0], naive, atol=1e-10)
         assert m.score(h, r, t)[0] == pytest.approx(float((r[0] * naive).sum()))
-
-
-class TestCheckBatchShapes:
-    def test_accepts_valid(self, rng):
-        m = TransE(4)
-        check_batch_shapes(m, rng.normal(size=(2, 4)), rng.normal(size=(2, 4)), rng.normal(size=(2, 4)))
-
-    def test_rejects_wrong_entity_width(self, rng):
-        m = TransE(4)
-        with pytest.raises(ValueError, match="entity rows"):
-            check_batch_shapes(m, rng.normal(size=(2, 3)), rng.normal(size=(2, 4)), rng.normal(size=(2, 4)))
-
-    def test_rejects_mismatched_batch(self, rng):
-        m = TransE(4)
-        with pytest.raises(ValueError, match="batch sizes"):
-            check_batch_shapes(m, rng.normal(size=(2, 4)), rng.normal(size=(3, 4)), rng.normal(size=(2, 4)))
-
-    def test_rejects_1d(self, rng):
-        m = TransE(4)
-        with pytest.raises(ValueError, match="2-D"):
-            check_batch_shapes(m, rng.normal(size=4), rng.normal(size=(1, 4)), rng.normal(size=(1, 4)))
 
 
 class TestQuatE:

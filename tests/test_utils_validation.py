@@ -5,7 +5,6 @@ import pytest
 from repro.utils.validation import (
     check_fraction,
     check_in,
-    check_non_negative,
     check_positive,
 )
 
@@ -19,15 +18,6 @@ class TestCheckPositive:
     def test_rejects_non_positive(self, value):
         with pytest.raises(ValueError, match="x must be positive"):
             check_positive("x", value)
-
-
-class TestCheckNonNegative:
-    def test_accepts_zero(self):
-        check_non_negative("x", 0)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            check_non_negative("x", -1)
 
 
 class TestCheckFraction:
