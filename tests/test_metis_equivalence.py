@@ -364,7 +364,7 @@ def test_freebase_partition_is_the_one_captured_before_the_table_refinement():
 
 def test_a_tie_goes_to_the_part_the_row_meets_first():
     """Vertex 0 (part 0) is tied between parts 2 and 1, and its row meets
-    part 2 first: it moves there, and so does everything after it.  A
+    part 2 first: it moves there, and vertex 2 follows it.  A
     refinement breaking the tie by part id would leave ``[1, 1, 1]``."""
     triples = np.array([[0, 0, 1], [0, 0, 2]], dtype=np.int64)
     level = metis._graph_level(KnowledgeGraph(triples, num_entities=3, num_relations=1))
